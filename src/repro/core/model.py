@@ -152,8 +152,18 @@ class Transcript:
         return [m.speaker for m in self._messages]
 
     def extend(self, message: Message) -> "Transcript":
-        """A new transcript with ``message`` appended."""
-        return Transcript(self._messages + (message,))
+        """A new transcript with ``message`` appended.
+
+        Builds the child directly: the bit count is the parent's plus the
+        new message's, so extending costs O(1) bookkeeping rather than a
+        re-sum over the whole board (the exact tree walk extends once per
+        node).
+        """
+        child = Transcript.__new__(Transcript)
+        child._messages = self._messages + (message,)
+        child._bits_written = self._bits_written + len(message.bits)
+        child._hash = None
+        return child
 
     def messages_by(self, player: int) -> List[Message]:
         """All messages written by ``player``, in order."""

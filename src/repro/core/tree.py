@@ -406,6 +406,15 @@ def batched_joint_transcript_distribution(
     transcripts_by_key: Dict[Tuple[Any, ...], DiscreteDistribution] = {}
     pos = 0
     for key, count in zip(input_keys, counts):
+        if count == 1 and leaf_probs[pos] > 0.0:
+            # A single positive leaf: exactly what the normalizing
+            # constructor stores (its total is the one mass itself).
+            p_leaf = leaf_probs[pos]
+            transcripts_by_key[key] = DiscreteDistribution._from_normalized(
+                {leaf_boards[pos]: p_leaf * (1.0 / p_leaf)}
+            )
+            pos += 1
+            continue
         leaves: Dict[Transcript, float] = {}
         for offset in range(pos, pos + count):
             leaf_board = leaf_boards[offset]

@@ -47,8 +47,11 @@ __all__ = ["run", "DEFAULT_KS", "sequential_and_cic"]
 #: The tail (48, 64) roughly octuples the truncated-support enumeration
 #: of the old k = 32 ceiling (C(k,<=3) inputs each walked through ~k
 #: protocol levels); both kernels complete it with bit-identical CIC
-#: values — the per-node protocol callbacks dominate at this shape — so
-#: the tail costs tens of seconds either way.
+#: values.  Measured split of the k = 48 cell on the vectorized kernel
+#: (traced, 2-CPU x86-64, Python 3.11): the tree walk's own loop is 55%
+#: of the time, ``core.tree`` assembly 17%, the protocol callbacks 17%
+#: over 695k calls, the CMI 6%.  The walk does O(1) Python work per
+#: node, so the whole default sweep takes about 7 s there.
 DEFAULT_KS: Sequence[int] = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 
 #: Exact enumeration of the full 2^(k-1) k support is kept below this k;

@@ -132,8 +132,28 @@ class DiscreteDistribution:
 
     @classmethod
     def point_mass(cls, outcome: Outcome) -> "DiscreteDistribution":
-        """The distribution placing all mass on ``outcome``."""
-        return cls({outcome: 1.0})
+        """The distribution placing all mass on ``outcome``.
+
+        Built directly: the validating constructor would store exactly
+        ``1.0 * (1.0 / 1.0) == 1.0``, so skipping it changes no bit.
+        """
+        return cls._from_normalized({outcome: 1.0})
+
+    @classmethod
+    def _from_normalized(
+        cls, probs: Dict[Outcome, float]
+    ) -> "DiscreteDistribution":
+        """Wrap ``probs`` as is, skipping validation and normalization.
+
+        For hot paths only: the caller guarantees ``probs`` holds exactly
+        what the validating constructor would have stored (positive
+        floats, already scaled), and hands over ownership of the dict.
+        """
+        dist = cls.__new__(cls)
+        dist._probs = probs
+        dist._entropy = None
+        dist._support = None
+        return dist
 
     @classmethod
     def bernoulli(cls, p: float) -> "DiscreteDistribution":

@@ -71,18 +71,19 @@ def and_hard_distribution(
         others = [i for i in range(k) if i != z]
         budget = (max_zeros - 1) if max_zeros is not None else (k - 1)
         for extra_count in range(0, min(budget, k - 1) + 1):
+            # The weight depends only on the zero count, and every
+            # (bits, z) key occurs once, so it is stored as is.
+            weight = (
+                (1.0 / k)
+                * (p_zero**extra_count)
+                * ((1.0 - p_zero) ** (k - 1 - extra_count))
+            )
             for zero_others in itertools.combinations(others, extra_count):
                 bits = [1] * k
                 bits[z] = 0
                 for i in zero_others:
                     bits[i] = 0
-                weight = (
-                    (1.0 / k)
-                    * (p_zero**extra_count)
-                    * ((1.0 - p_zero) ** (k - 1 - extra_count))
-                )
-                key = (tuple(bits), z)
-                probs[key] = probs.get(key, 0.0) + weight
+                probs[(tuple(bits), z)] = weight
     return DiscreteDistribution(probs, normalize=True)
 
 

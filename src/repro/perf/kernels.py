@@ -247,17 +247,15 @@ def _first_seen_codes(np_: Any, values: Any) -> Tuple[Any, Any, int]:
 def _encode_column(np_: Any, items: List[Tuple[Any, float]], index: int):
     """First-seen dense codes of ``outcome[index]`` over a joint law's
     item list, plus the decoded value list (code -> original value)."""
-    codes = np_.empty(len(items), dtype=np_.int64)
+    # setdefault inserts len(table) only for an unseen value, so codes
+    # number values in first-seen order and the keys list them in it.
     table: Dict[Any, int] = {}
-    values: List[Any] = []
-    for row, (outcome, _p) in enumerate(items):
-        value = outcome[index]
-        code = table.get(value)
-        if code is None:
-            code = table[value] = len(values)
-            values.append(value)
-        codes[row] = code
-    return codes, values
+    codes = np_.fromiter(
+        [table.setdefault(outcome[index], len(table)) for outcome, _p in items],
+        dtype=np_.int64,
+        count=len(items),
+    )
+    return codes, list(table)
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +286,10 @@ def tree_walk_sorted_leaves(
     partitions all nodes of the level at once (each block's order within
     a node is recovered from its first member, matching the legacy
     dict-insertion partition order), and the next level's arrays are
-    built with one concatenate plus one elementwise multiply.  Path
+    built with one gather index plus one elementwise multiply; leaves
+    are likewise taken one chunk per level.  Python work per node is
+    O(1): messages are interned once per walk and boards extend in O(1).
+    Path
     columns are only materialized at levels where some partition has two
     or more positive outcomes — at any other level a member cannot fork,
     so the column could never decide the within-member leaf order.
@@ -341,9 +342,16 @@ def tree_walk_sorted_leaves(
                 column[row] = code
         span = int(codes.max()) + 1 if m else 1
 
-    # Leaf records: (board, member indices, probabilities, frozen spill
-    # columns, lineage codes, lineage scale at the leaf).
-    leaf_records: List[Tuple[Any, Any, Any, List[Any], Any, int]] = []
+    # Leaves are recorded once per level as one chunk: (leaf ids, member
+    # indices, probabilities, frozen spill columns, lineage codes,
+    # lineage scale at the level).  Every leaf of a level shares the
+    # spill columns and the scale, so the chunk keeps them once.
+    leaf_boards: List[Any] = []
+    leaf_chunks: List[Tuple[Any, Any, Any, List[Any], Any, int]] = []
+    # One Message per distinct (speaker, bits) for the whole walk: each
+    # is validated once by Message.__post_init__, then shared by every
+    # node that writes it (messages are immutable values).
+    messages: Dict[Tuple[int, str], Any] = {}
     nodes_expanded = 0
     max_depth = 0
     num_players = protocol.num_players
@@ -379,43 +387,52 @@ def tree_walk_sorted_leaves(
         if level > max_depth:
             max_depth = level
         nodes_expanded += len(frontier)
-        active: List[Tuple[Any, Any, int, int, int]] = []
-        lo = 0
-        for i, (state, board) in enumerate(frontier):
-            hi = lo + sizes[i]
+        active: List[Tuple[Any, Any, int]] = []
+        live: List[bool] = []
+        first_leaf = len(leaf_boards)
+        for state, board in frontier:
             speaker = protocol.next_speaker(state, board)
             if speaker is None:
-                leaf_records.append(
-                    (
-                        board,
-                        A_idx[lo:hi],
-                        A_probs[lo:hi],
-                        [spill[lo:hi] for spill in A_spills],
-                        A_lin[lo:hi],
-                        lin_scale,
-                    )
-                )
+                leaf_boards.append(board)
+                live.append(False)
             elif not 0 <= speaker < num_players:
                 raise ProtocolViolation(
                     f"next_speaker returned invalid player {speaker!r}"
                 )
             else:
-                active.append((state, board, lo, hi, speaker))
-            lo = hi
-        if not active:
-            break
+                active.append((state, board, speaker))
+                live.append(True)
+        sizes_arr = np_.array(sizes, dtype=np_.int64)
         if len(active) == len(frontier):
-            act_idx, act_probs, act_lin = A_idx, A_probs, A_lin
-            act_spills = A_spills
+            # Rows of the level's arrays that belong to active nodes
+            # (None: all of them).
+            act_rows = None
+            act_sizes = sizes_arr
+            act_idx = A_idx
         else:
-            act_idx = np_.concatenate([A_idx[a[2]:a[3]] for a in active])
-            act_probs = np_.concatenate([A_probs[a[2]:a[3]] for a in active])
-            act_lin = np_.concatenate([A_lin[a[2]:a[3]] for a in active])
-            act_spills = [
-                np_.concatenate([spill[a[2]:a[3]] for a in active])
-                for spill in A_spills
-            ]
-        act_sizes = np_.array([a[3] - a[2] for a in active], dtype=np_.int64)
+            live_arr = np_.array(live, dtype=bool)
+            row_live = np_.repeat(live_arr, sizes_arr)
+            leaf_rows = np_.flatnonzero(~row_live)
+            leaf_chunks.append(
+                (
+                    np_.repeat(
+                        np_.arange(
+                            first_leaf, len(leaf_boards), dtype=np_.int64
+                        ),
+                        sizes_arr[~live_arr],
+                    ),
+                    A_idx[leaf_rows],
+                    A_probs[leaf_rows],
+                    [spill[leaf_rows] for spill in A_spills],
+                    A_lin[leaf_rows],
+                    lin_scale,
+                )
+            )
+            if not active:
+                break
+            act_rows = np_.flatnonzero(row_live)
+            act_sizes = sizes_arr[live_arr]
+            act_idx = A_idx[act_rows]
         total = int(act_idx.shape[0])
         # One composite-key stable sort partitions every active node at
         # once.  Stability keeps rows in insertion order inside each
@@ -428,68 +445,56 @@ def tree_walk_sorted_leaves(
         key += codes[
             act_idx,
             np_.repeat(
-                np_.array([a[4] for a in active], dtype=np_.int64),
+                np_.array([a[2] for a in active], dtype=np_.int64),
                 act_sizes,
             ),
         ]
         if total > 1 and not bool((key[1:] >= key[:-1]).all()):
             perm = np_.argsort(key, kind="stable")
             key_s = key[perm]
-            idx_s = act_idx[perm]
-            probs_s = act_probs[perm]
-            lin_s = act_lin[perm]
-            spills_s = [spill[perm] for spill in act_spills]
         else:
             # Already partitioned (common at non-forking levels): skip
-            # the sort and the gathers outright.
+            # the sort.
             perm = None
             key_s = key
-            idx_s, probs_s, lin_s = act_idx, act_probs, act_lin
-            spills_s = act_spills
         if total == 0:
             starts_l: List[int] = []
             ends_l: List[int] = []
             block_node_l: List[int] = []
             first_pos_l: List[int] = []
+            first_idx_l: List[int] = []
         else:
-            if total == 1:
-                starts_arr = np_.zeros(1, dtype=np_.int64)
-                ends_l = [1]
-            else:
-                bounds = np_.flatnonzero(key_s[1:] != key_s[:-1]) + 1
-                starts_arr = np_.concatenate(
-                    [np_.zeros(1, dtype=np_.int64), bounds]
-                )
-                ends_l = bounds.tolist() + [total]
+            bounds = np_.flatnonzero(key_s[1:] != key_s[:-1]) + 1
+            starts_arr = np_.concatenate(
+                [np_.zeros(1, dtype=np_.int64), bounds]
+            )
+            ends_l = bounds.tolist() + [total]
             starts_l = starts_arr.tolist()
             block_node_l = (key_s[starts_arr] // span).tolist()
-            first_pos_l = (
-                starts_l if perm is None else perm[starts_arr].tolist()
-            )
+            first_pos = starts_arr if perm is None else perm[starts_arr]
+            first_pos_l = first_pos.tolist()
+            first_idx_l = act_idx[first_pos].tolist()
         nxt_frontier: List[Tuple[Any, Any]] = []
         nxt_sizes: List[int] = []
-        idx_slices: List[Any] = []
-        prob_slices: List[Any] = []
-        lin_slices: List[Any] = []
-        spill_slices: List[List[Any]] = [[] for _ in A_spills]
+        # The next level's rows as segments of the sorted active rows.
+        seg_starts: List[int] = []
+        seg_lens: List[int] = []
         mults: List[float] = []
         col_vals: List[int] = []
-        seg_lens: List[int] = []
         branched = False
         block = 0
         n_blocks = len(starts_l)
-        for r, (state, board, _lo, _hi, speaker) in enumerate(active):
+        for r, (state, board, speaker) in enumerate(active):
             first = block
             while block < n_blocks and block_node_l[block] == r:
                 block += 1
             node_blocks = list(range(first, block))
             if len(node_blocks) > 1:
                 node_blocks.sort(key=first_pos_l.__getitem__)
-            # children: bits -> [Message, [(lo, hi, p, index), ...]]
+            # children: bits -> [Message, [(block, p, index), ...]]
             children: Dict[str, List[Any]] = {}
             for t in node_blocks:
-                blo = starts_l[t]
-                speaker_input = input_keys[int(idx_s[blo])][speaker]
+                speaker_input = input_keys[first_idx_l[t]][speaker]
                 if memo is not None:
                     dist = memo.distribution(
                         protocol, state, speaker, speaker_input, board
@@ -509,10 +514,13 @@ def tree_walk_sorted_leaves(
                     positive += 1
                     child = children.get(bits)
                     if child is None:
-                        child = children[bits] = [
-                            Message(speaker=speaker, bits=bits), [],
-                        ]
-                    child[1].append((blo, ends_l[t], p, index))
+                        message = messages.get((speaker, bits))
+                        if message is None:
+                            message = messages[(speaker, bits)] = Message(
+                                speaker=speaker, bits=bits
+                            )
+                        child = children[bits] = [message, []]
+                    child[1].append((t, p, index))
                 if positive > 1:
                     branched = True
             for _bits, (message, segs) in children.items():
@@ -523,38 +531,38 @@ def tree_walk_sorted_leaves(
                     )
                 )
                 size = 0
-                for blo, bhi, p, index in segs:
-                    idx_slices.append(idx_s[blo:bhi])
-                    prob_slices.append(probs_s[blo:bhi])
-                    lin_slices.append(lin_s[blo:bhi])
-                    for parts, spill in zip(spill_slices, spills_s):
-                        parts.append(spill[blo:bhi])
+                for t, p, index in segs:
+                    blo = starts_l[t]
+                    seg_starts.append(blo)
+                    seg_lens.append(ends_l[t] - blo)
                     mults.append(p)
                     col_vals.append(index)
-                    seg_lens.append(bhi - blo)
-                    size += bhi - blo
+                    size += ends_l[t] - blo
                 nxt_sizes.append(size)
         frontier = nxt_frontier
         sizes = nxt_sizes
         level += 1
         if not frontier:
             break
-        # Next level's arrays: one concatenate per array plus a single
-        # elementwise multiply — per element this is the same float64
-        # `prob * p` product the legacy walk computes.
-        if len(idx_slices) == 1:
-            A_idx = idx_slices[0]
-            A_probs = prob_slices[0] * mults[0]
-            base_lin = lin_slices[0]
-            A_spills = [parts[0] for parts in spill_slices]
-            lens = None
-        else:
-            A_idx = np_.concatenate(idx_slices)
-            lens = np_.array(seg_lens, dtype=np_.int64)
-            mult = np_.repeat(np_.array(mults, dtype=np_.float64), lens)
-            A_probs = np_.concatenate(prob_slices) * mult
-            base_lin = np_.concatenate(lin_slices)
-            A_spills = [np_.concatenate(parts) for parts in spill_slices]
+        # Next level's arrays: one gather index composed down to this
+        # level's rows, then a single elementwise multiply — per element
+        # this is the same float64 `prob * p` product the legacy walk
+        # computes.
+        lens = np_.array(seg_lens, dtype=np_.int64)
+        offsets = np_.cumsum(lens) - lens
+        gather = np_.repeat(
+            np_.array(seg_starts, dtype=np_.int64) - offsets, lens
+        ) + np_.arange(int(lens.sum()), dtype=np_.int64)
+        if perm is not None:
+            gather = perm[gather]
+        if act_rows is not None:
+            gather = act_rows[gather]
+        A_idx = A_idx[gather]
+        A_probs = A_probs[gather] * np_.repeat(
+            np_.array(mults, dtype=np_.float64), lens
+        )
+        base_lin = A_lin[gather]
+        A_spills = [spill[gather] for spill in A_spills]
         if branched:
             radix = max(col_vals) + 1
             if lin_scale * radix > (1 << _LINEAGE_BITS):
@@ -562,32 +570,24 @@ def tree_walk_sorted_leaves(
                 epoch_scales.append(lin_scale)
                 base_lin = np_.zeros(base_lin.shape[0], dtype=np_.int64)
                 lin_scale = 1
-            if lens is None:
-                A_lin = base_lin * radix + col_vals[0]
-            else:
-                A_lin = base_lin * radix + np_.repeat(
-                    np_.array(col_vals, dtype=np_.int64), lens
-                )
+            A_lin = base_lin * radix + np_.repeat(
+                np_.array(col_vals, dtype=np_.int64), lens
+            )
             lin_scale *= radix
         else:
             A_lin = base_lin
 
-    if not leaf_records:
+    if not leaf_boards:
         return ([0] * m, [], []), nodes_expanded, 0, max_depth
-    union_leaves = len(leaf_records)
+    union_leaves = len(leaf_boards)
     epoch_scales.append(lin_scale)
     n_epochs = len(epoch_scales)
     boards_arr = np_.empty(union_leaves, dtype=object)
-    for leaf_index, record in enumerate(leaf_records):
-        boards_arr[leaf_index] = record[0]
-    member = np_.concatenate([record[1] for record in leaf_records])
-    prob_all = np_.concatenate([record[2] for record in leaf_records])
-    leaf_of = np_.repeat(
-        np_.arange(union_leaves, dtype=np_.int64),
-        np_.array(
-            [record[1].shape[0] for record in leaf_records], dtype=np_.int64
-        ),
-    )
+    for leaf_index, board in enumerate(leaf_boards):
+        boards_arr[leaf_index] = board
+    leaf_of = np_.concatenate([chunk[0] for chunk in leaf_chunks])
+    member = np_.concatenate([chunk[1] for chunk in leaf_chunks])
+    prob_all = np_.concatenate([chunk[2] for chunk in leaf_chunks])
     member_counts = np_.bincount(member, minlength=m)
     if (
         (n_epochs == 1 and epoch_scales[0] == 1)
@@ -599,27 +599,28 @@ def tree_walk_sorted_leaves(
         # result — group by member only.
         order = np_.argsort(member, kind="stable")
     else:
-        # One int64 column per lineage epoch.  A record that ended in an
+        # One int64 column per lineage epoch.  A chunk that ended in an
         # earlier epoch pads its later columns with zero, and its live
-        # code is rescaled to the epoch's final radix product (an exact
-        # integer multiply: the record's scale divides the epoch scale).
+        # codes are rescaled to the epoch's final radix product (an exact
+        # integer multiply: the chunk's scale divides the epoch scale).
         # Two leaves of one member always diverge at some branched level
         # both were alive for, so their codes differ in the shared
         # digits and the padding never decides an order — the same
-        # prefix-tie-impossibility the legacy tuple sort relies on.
+        # prefix-tie-impossibility the legacy tuple sort relies on.  For
+        # the same reason the chunk order never decides an order either.
         lin_mat = np_.zeros((member.shape[0], n_epochs), dtype=np_.int64)
         row = 0
-        for record in leaf_records:
-            rows = record[1].shape[0]
-            spills = record[3]
+        for chunk in leaf_chunks:
+            rows = chunk[1].shape[0]
+            spills = chunk[3]
             for e, spill in enumerate(spills):
                 lin_mat[row:row + rows, e] = spill
             e_rec = len(spills)
-            factor = epoch_scales[e_rec] // record[5]
+            factor = epoch_scales[e_rec] // chunk[5]
             if factor == 1:
-                lin_mat[row:row + rows, e_rec] = record[4]
+                lin_mat[row:row + rows, e_rec] = chunk[4]
             else:
-                lin_mat[row:row + rows, e_rec] = record[4] * factor
+                lin_mat[row:row + rows, e_rec] = chunk[4] * factor
             row += rows
         # Primary key: member ascending; then lineage descending
         # (negated columns, most-significant epoch first — np.lexsort

@@ -227,7 +227,12 @@ class LinkTranscript:
         return [m.speaker for m in self._messages]
 
     def extend(self, message: LinkMessage) -> "LinkTranscript":
-        return LinkTranscript(self._messages + (message,))
+        # Built directly, as Transcript.extend: O(1) bit bookkeeping.
+        child = LinkTranscript.__new__(LinkTranscript)
+        child._messages = self._messages + (message,)
+        child._bits_written = self._bits_written + len(message.bits)
+        child._hash = None
+        return child
 
     def messages_by(self, node: int) -> List[LinkMessage]:
         return [m for m in self._messages if m.speaker == node]

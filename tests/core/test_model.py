@@ -7,9 +7,12 @@ from repro.core import (
     Protocol,
     ProtocolViolation,
     Transcript,
+    batched_joint_transcript_distribution,
     check_prefix_free,
 )
 from repro.information import DiscreteDistribution
+from repro.perf import kernels
+from repro.topology import BOARD_LINK, Link, LinkMessage, LinkTranscript
 
 
 class TestMessage:
@@ -28,6 +31,19 @@ class TestMessage:
         m = Message(0, "1")
         with pytest.raises(Exception):
             m.bits = "0"
+
+    @pytest.mark.parametrize("kernel", ["legacy", "vectorized"])
+    def test_exact_walk_still_validates_messages(self, kernel):
+        # The vectorized walk builds one Message per distinct
+        # (speaker, bits) and shares it; a bad one must still raise.
+        if kernel == "vectorized" and not kernels.numpy_available():
+            pytest.skip("numpy not installed")
+        scenarios = DiscreteDistribution.uniform([((1,),), ((2,),)])
+        with kernels.using_kernel(kernel):
+            with pytest.raises(ValueError, match="0/1 string"):
+                batched_joint_transcript_distribution(
+                    _EchoProtocol(), scenarios
+                )
 
 
 class TestTranscript:
@@ -73,6 +89,56 @@ class TestTranscript:
         t = Transcript([Message(0, "1"), Message(1, "00")])
         assert t[1].bits == "00"
         assert [m.speaker for m in t] == [0, 1]
+
+    def test_chained_extend_matches_constructor(self):
+        # extend keeps a running bit count instead of re-summing the
+        # board; multi-bit messages pin that the count adds lengths.
+        messages = [
+            Message(0, "101"), Message(2, "0"), Message(1, "1100"),
+            Message(0, "01"), Message(2, ""),
+        ]
+        built = Transcript()
+        for prefix in range(1, len(messages) + 1):
+            built = built.extend(messages[prefix - 1])
+            direct = Transcript(messages[:prefix])
+            assert built == direct
+            assert hash(built) == hash(direct)
+            assert built.bits_written == direct.bits_written
+            assert built.bits_written == sum(
+                len(m.bits) for m in messages[:prefix]
+            )
+        assert built.bits_written == 10
+        assert {direct: "x"}[built] == "x"
+
+    def test_chained_link_extend_matches_constructor(self):
+        messages = [
+            LinkMessage(0, Link(0, 3), "110"),
+            LinkMessage(3, Link(0, 3), "0"),
+            LinkMessage(1, BOARD_LINK, "1011"),
+            LinkMessage(3, Link(1, 3), "01"),
+        ]
+        built = LinkTranscript()
+        for prefix in range(1, len(messages) + 1):
+            built = built.extend(messages[prefix - 1])
+            direct = LinkTranscript(messages[:prefix])
+            assert built == direct
+            assert hash(built) == hash(direct)
+            assert built.bits_written == direct.bits_written
+        assert built.bits_written == 10
+        assert built.bits_by_link() == direct.bits_by_link()
+
+
+class TestPointMass:
+    @pytest.mark.parametrize(
+        "outcome", [0, "x", (1, 0, 1), Transcript([Message(0, "10")])]
+    )
+    def test_matches_validating_constructor(self, outcome):
+        fast = DiscreteDistribution.point_mass(outcome)
+        slow = DiscreteDistribution({outcome: 1.0})
+        assert list(fast.items()) == list(slow.items())
+        assert fast.entropy() == slow.entropy() == 0.0
+        assert fast.support() == slow.support()
+        assert fast[outcome] == 1.0
 
 
 class TestPrefixFree:

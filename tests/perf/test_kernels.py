@@ -24,6 +24,7 @@ from repro.core import (
     internal_information_cost,
     run_protocol,
 )
+from repro.core import tree
 from repro.core.tasks import disjointness_task
 from repro.experiments.e1_disjointness_scaling import measure_point
 from repro.experiments.workloads import partition_instance, random_instance
@@ -183,6 +184,41 @@ class TestTreeWalkIdentity:
             )
         )
         assert_joint_identical(legacy, vectorized)
+
+    @pytest.mark.parametrize("lineage_bits", [None, 4])
+    def test_partially_halting_levels(self, lineage_bits, monkeypatch):
+        # On the full k=10 support of the hard distribution every level
+        # halts the nodes that just wrote a zero while their siblings
+        # continue, so the next level gathers the rows of some nodes
+        # only, from several partition blocks each.
+        if lineage_bits is not None:
+            monkeypatch.setattr(kernels, "_LINEAGE_BITS", lineage_bits)
+        protocol = SequentialAndProtocol(10)
+        mu = and_hard_distribution(10)
+        legacy, vectorized = both_kernels(
+            lambda: batched_joint_transcript_distribution(
+                protocol, mu, names=("inputs", "aux")
+            )
+        )
+        assert_joint_identical(legacy, vectorized)
+
+    @pytest.mark.parametrize("lineage_bits", [None, 4])
+    def test_branching_levels(self, lineage_bits, monkeypatch):
+        # Every node forks into both messages from two blocks, so each
+        # child is fed by several segments; with 4 lineage bits the
+        # gather also carries the frozen spill columns.  The leaf tables
+        # are compared directly: the full joint law has 2^20 rows.
+        if lineage_bits is not None:
+            monkeypatch.setattr(kernels, "_LINEAGE_BITS", lineage_bits)
+        protocol = NoisySequentialAndProtocol(10, 0.125)
+        inputs = list(itertools.product((0, 1), repeat=10))
+        legacy = tree._legacy_walk_sorted_leaves(
+            protocol, inputs, max_messages=16
+        )
+        vectorized = kernels.tree_walk_sorted_leaves(
+            protocol, inputs, max_messages=16
+        )
+        assert vectorized == legacy
 
     def test_lineage_spill_path(self, monkeypatch):
         # Force the mixed-radix lineage codes to overflow into frozen
