@@ -39,9 +39,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
-from ..core.model import Message, Protocol, Transcript
+from ..core.model import Link, Message, Protocol, Transcript
 from ..information.distribution import DiscreteDistribution
-from ..topology.medium import Link, LinkMessage, LinkTranscript
 from ..topology.protocol import MediumProtocol
 from .spec import CaseSpec
 
@@ -207,14 +206,14 @@ class GeneratedCoordinatorProtocol(MediumProtocol):
     def initial_state(self) -> int:
         return 0
 
-    def advance_state(self, state: Any, message: LinkMessage) -> int:
+    def advance_state(self, state: Any, message: Message) -> int:
         return state + 1
 
     # ------------------------------------------------------------------
     # Protocol logic.
     # ------------------------------------------------------------------
     def next_edge(
-        self, state: Any, transcript: LinkTranscript
+        self, state: Any, transcript: Transcript
     ) -> Optional[Tuple[int, Any]]:
         k = self.num_players
         if state >= 2 * k:
@@ -224,7 +223,7 @@ class GeneratedCoordinatorProtocol(MediumProtocol):
             return (k, Link(target, k))  # hub polls player `target`
         return (target, Link(target, k))  # player `target` replies
 
-    def _own_view_bits(self, transcript: LinkTranscript, node: int) -> str:
+    def _own_view_bits(self, transcript: Transcript, node: int) -> str:
         """The concatenated bits on ``node``'s own link — all a player
         can see in the coordinator model."""
         own = Link(node, self.num_players)
@@ -235,7 +234,7 @@ class GeneratedCoordinatorProtocol(MediumProtocol):
         state: Any,
         speaker: int,
         speaker_input: Any,
-        transcript: LinkTranscript,
+        transcript: Transcript,
     ) -> DiscreteDistribution:
         k = self.num_players
         if speaker == k:
@@ -256,7 +255,7 @@ class GeneratedCoordinatorProtocol(MediumProtocol):
         weights = {word: rng.random() + 0.05 for word in code}
         return DiscreteDistribution(weights, normalize=True)
 
-    def output(self, state: Any, transcript: LinkTranscript) -> int:
+    def output(self, state: Any, transcript: Transcript) -> int:
         rng = derive_rng(self._seed, "out", transcript.bit_string())
         return rng.randrange(2)
 

@@ -1322,7 +1322,7 @@ def topology_run_reference(
     DiscreteDistribution.sample`, re-implemented here so a sampling bug
     in the production runtime cannot hide), and per-link charging — and
     returns plain data for comparison against
-    :func:`repro.topology.runtime.run_on_medium` under the same seed.
+    :func:`repro.core.runner.run_protocol` under the same seed.
 
     Planted bug ``"wrong-link-charge"`` charges every message to the
     *previous* message's link (the first to its own), the classic
@@ -1338,9 +1338,7 @@ def topology_run_reference(
     bits_total = 0
     bits_by_link: Dict[Any, int] = {}
     previous_link: Any = None
-    from ..topology.medium import LinkMessage, LinkTranscript
-
-    transcript = LinkTranscript()
+    transcript = Transcript()
     for _ in range(100_000):
         edge = protocol.next_edge(state, transcript)
         if edge is None:
@@ -1373,7 +1371,7 @@ def topology_run_reference(
         bits_by_link[charged_link] = bits_by_link.get(charged_link, 0) + len(word)
         previous_link = link
         transcript_rows.append((speaker, link, word))
-        message = LinkMessage(speaker=speaker, link=link, bits=word)
+        message = Message(speaker=speaker, bits=word, link=link)
         state = protocol.advance_state(state, message)
         transcript = transcript.extend(message)
     raise ProtocolViolation("reference runtime did not halt")

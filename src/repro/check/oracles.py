@@ -894,7 +894,7 @@ class FabricSchedulerOracle(Oracle):
 
 class TopologyDisciplineOracle(Oracle):
     """Coordinator-medium discipline: view-locality certified, and the
-    medium runtime's per-link accounting re-derived independently.
+    runner's per-link accounting re-derived independently.
 
     Like ``cic-closed-form`` and ``byzantine-blackboard``, this oracle
     derives its own protocol from the case — a

@@ -18,12 +18,10 @@ All functions take an input distribution with *enumerable support* and use
 :math:`IC_\\mu(\\Pi) \\le H(\\Pi) \\le |\\Pi|` (stated after Definition 5)
 is asserted by the test suite using these same functions.
 
-The information-cost entry points accept a ``medium=`` parameter
-(:mod:`repro.topology`): ``None`` is the blackboard below, any other
-medium routes the same functional through the medium-generalized
-enumeration with identical float discipline — the broadcast medium
-reproduces the legacy values exactly, and the per-*view* generalization
-of the per-player decompositions lives in
+The information-cost entry points take a ``medium=`` parameter
+(default: the blackboard); the coordinator and graph media of
+:mod:`repro.topology` run through the same walk, and the per-*view*
+generalization of the per-player decompositions lives in
 :func:`repro.topology.analysis.per_view_information`.
 """
 
@@ -37,7 +35,7 @@ from ..information.entropy import (
     entropy,
     mutual_information,
 )
-from .model import Protocol, Transcript
+from .model import BROADCAST, Medium, Protocol, Transcript
 from .tasks import Task
 from .tree import (
     MessageDistributionMemo,
@@ -63,14 +61,12 @@ def transcript_joint(
     protocol: Protocol,
     input_dist: DiscreteDistribution,
     *,
-    medium: Optional[Any] = None,
+    medium: Medium = BROADCAST,
 ) -> JointDistribution:
     """The exact joint law of ``(inputs, transcript)``.
 
     ``input_dist`` is over input tuples (one entry per player).  The
-    result has named components ``inputs`` and ``transcript``.  With a
-    non-``None`` ``medium`` the transcript component is a
-    :class:`~repro.topology.medium.LinkTranscript`.
+    result has named components ``inputs`` and ``transcript``.
     """
     scenarios = input_dist.map(lambda x: (x,))
     return joint_transcript_distribution(
@@ -82,7 +78,7 @@ def conditional_transcript_joint(
     protocol: Protocol,
     mu: DiscreteDistribution,
     *,
-    medium: Optional[Any] = None,
+    medium: Medium = BROADCAST,
 ) -> JointDistribution:
     """The exact joint law of ``(inputs, aux, transcript)``.
 
@@ -105,14 +101,10 @@ def external_information_cost(
     protocol: Protocol,
     input_dist: DiscreteDistribution,
     *,
-    medium: Optional[Any] = None,
+    medium: Medium = BROADCAST,
 ) -> float:
-    """External information cost :math:`I(\\Pi; X)` in bits (Definition 5).
-
-    ``medium`` generalizes the transcript to an arbitrary communication
-    medium; the broadcast medium reproduces the blackboard value
-    exactly.
-    """
+    """External information cost :math:`I(\\Pi; X)` in bits (Definition 5);
+    on a general ``medium``, of the full transcript across all links."""
     joint = transcript_joint(protocol, input_dist, medium=medium)
     return mutual_information(joint, "transcript", "inputs")
 
@@ -121,7 +113,7 @@ def conditional_information_cost(
     protocol: Protocol,
     mu: DiscreteDistribution,
     *,
-    medium: Optional[Any] = None,
+    medium: Medium = BROADCAST,
 ) -> float:
     """Conditional information cost :math:`I(\\Pi; X \\mid D)` in bits
     (Definition 6), for ``mu`` over ``(inputs, aux)`` pairs."""
@@ -161,7 +153,7 @@ def transcript_entropy(
     protocol: Protocol,
     input_dist: DiscreteDistribution,
     *,
-    medium: Optional[Any] = None,
+    medium: Medium = BROADCAST,
 ) -> float:
     """The entropy :math:`H(\\Pi)` of the transcript in bits.
 
@@ -226,7 +218,7 @@ def expected_communication(
     protocol: Protocol,
     input_dist: DiscreteDistribution,
     *,
-    medium: Optional[Any] = None,
+    medium: Medium = BROADCAST,
 ) -> float:
     """The exact expected number of bits written, under ``input_dist`` and
     the protocol's private coins."""

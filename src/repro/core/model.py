@@ -41,32 +41,42 @@ Model discipline enforced/auditable here:
   self-delimiting; :func:`check_prefix_free` verifies this and the test
   suite applies it to every shipped protocol.
 
-Position in the media hierarchy: the blackboard is the *broadcast*
-instance of the pluggable communication media of :mod:`repro.topology`
-— a single shared link every node reads and writes, whose scheduler
-sees the full board.  This module stays the canonical, optimized
-implementation of that instance (every broadcast experiment and the
-vectorized kernels run through it); :class:`~repro.topology.protocol.
-BroadcastAdapter` lifts any :class:`Protocol` into the generalized
-:class:`~repro.topology.protocol.MediumProtocol` interface
-bit-identically, and the coordinator / graph media generalize the model
-to restricted visibility (per-node *views*).  See docs/topology.md.
+Media: the blackboard is the *broadcast* instance of a pluggable
+communication medium.  Every message travels on a **link** — on the
+board the single shared :data:`BOARD_LINK`, which is the default, so a
+board protocol never names it — and a :class:`Medium` says who may
+write on which link and who reads it.  The runner and the exact
+analyzer are one engine for every medium: they call
+:meth:`Protocol.next_edge` (``(next_speaker(...), BOARD_LINK)`` for a
+board protocol) and enforce adjacency with :meth:`Medium.check_edge`.
+:data:`BROADCAST` lives here so the engine reaches it without importing
+:mod:`repro.topology`, which adds the coordinator and graph media and
+the protocols stated over them.  See docs/topology.md.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..information.distribution import DiscreteDistribution
 from ..coding.bitio import Bits
+from ..obs.metrics import REGISTRY
 
 __all__ = [
+    "Link",
+    "BOARD_LINK",
     "Message",
     "Transcript",
     "Protocol",
     "ProtocolViolation",
+    "TopologyViolation",
+    "Medium",
+    "BroadcastMedium",
+    "BROADCAST",
     "check_prefix_free",
 ]
 
@@ -75,25 +85,105 @@ class ProtocolViolation(RuntimeError):
     """Raised when a protocol breaks the rules of the blackboard model."""
 
 
+class TopologyViolation(RuntimeError):
+    """Raised when a protocol breaks the rules of its medium — writing on
+    a link the speaker is not an endpoint of, naming a link the medium
+    does not contain, or scheduling a node that does not exist."""
+
+
+class _BoardLink:
+    """The single shared channel of the broadcast medium.
+
+    A singleton sentinel rather than a :class:`Link`: the board is not a
+    point-to-point connection between two nodes, every node reads and
+    writes it.
+    """
+
+    __slots__ = ()
+    _instance: Optional["_BoardLink"] = None
+
+    def __new__(cls) -> "_BoardLink":
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "BOARD_LINK"
+
+    def __reduce__(self):  # pickling preserves the singleton
+        return (_BoardLink, ())
+
+
+#: The one link of the broadcast medium, and every message's default.
+BOARD_LINK = _BoardLink()
+
+
+@dataclass(frozen=True)
+class Link:
+    """An undirected point-to-point link between two distinct nodes.
+
+    Endpoints are normalized to ``a < b`` so ``Link(2, 0) == Link(0, 2)``
+    — a link is a set of two endpoints, not an ordered pair.
+    """
+
+    a: int
+    b: int
+
+    def __post_init__(self) -> None:
+        if self.a < 0 or self.b < 0:
+            raise ValueError(f"link endpoints must be >= 0: {self.a}, {self.b}")
+        if self.a == self.b:
+            raise ValueError(f"links must join distinct nodes, got {self.a}")
+        if self.a > self.b:
+            a, b = self.a, self.b
+            object.__setattr__(self, "a", b)
+            object.__setattr__(self, "b", a)
+
+    @property
+    def endpoints(self) -> Tuple[int, int]:
+        return (self.a, self.b)
+
+    def touches(self, node: int) -> bool:
+        return node == self.a or node == self.b
+
+    def other(self, node: int) -> int:
+        """The endpoint that is not ``node``."""
+        if node == self.a:
+            return self.b
+        if node == self.b:
+            return self.a
+        raise ValueError(f"node {node} is not an endpoint of {self!r}")
+
+    def __repr__(self) -> str:
+        return f"Link({self.a},{self.b})"
+
+
 @dataclass(frozen=True)
 class Message:
-    """One message written on the board: who wrote it and the bits written."""
+    """One message: who wrote it, the bits written, and the link it
+    travels on (the board unless the medium says otherwise)."""
 
     speaker: int
     bits: Bits
+    link: Any = BOARD_LINK
 
     def __post_init__(self) -> None:
         if self.speaker < 0:
             raise ValueError(f"speaker index must be >= 0, got {self.speaker}")
-        if not all(c in "01" for c in self.bits):
+        # strip() removes only leading/trailing 0/1 runs, so anything
+        # left over means some other character is present.
+        if self.bits.strip("01"):
             raise ValueError(f"message bits must be a 0/1 string: {self.bits!r}")
+        if self.link is not BOARD_LINK and not isinstance(self.link, Link):
+            raise ValueError(f"link must be a Link or BOARD_LINK: {self.link!r}")
 
     def __len__(self) -> int:
         return len(self.bits)
 
 
 class Transcript:
-    """An immutable, hashable sequence of messages (the board contents).
+    """An immutable, hashable sequence of messages (the board contents,
+    or on a general medium the global traffic across all links).
 
     Transcripts serve as dictionary keys in the exact analysis (they are
     the support of the transcript random variable :math:`\\Pi`), so they
@@ -129,7 +219,11 @@ class Transcript:
         return self._hash
 
     def __repr__(self) -> str:
-        inner = ",".join(f"{m.speaker}:{m.bits}" for m in self._messages)
+        inner = ",".join(
+            f"{m.speaker}:{m.bits}" if m.link is BOARD_LINK
+            else f"{m.speaker}@{m.link!r}:{m.bits}"
+            for m in self._messages
+        )
         return f"Transcript({inner})"
 
     # -- accessors ----------------------------------------------------------
@@ -140,7 +234,7 @@ class Transcript:
 
     @property
     def bits_written(self) -> int:
-        """Total number of bits on the board — the transcript's cost."""
+        """Total number of bits written — the transcript's cost."""
         return self._bits_written
 
     def bit_string(self) -> Bits:
@@ -168,6 +262,17 @@ class Transcript:
     def messages_by(self, player: int) -> List[Message]:
         """All messages written by ``player``, in order."""
         return [m for m in self._messages if m.speaker == player]
+
+    def on_link(self, link: Any) -> List[Message]:
+        """All messages carried by ``link``, in order."""
+        return [m for m in self._messages if m.link == link]
+
+    def bits_by_link(self) -> Dict[Any, int]:
+        """Bits written per link — the per-link communication accounting."""
+        totals: Dict[Any, int] = {}
+        for m in self._messages:
+            totals[m.link] = totals.get(m.link, 0) + len(m)
+        return totals
 
 
 EMPTY_TRANSCRIPT = Transcript()
@@ -223,6 +328,21 @@ class Protocol(abc.ABC):
         blackboard determine whose turn it is to speak next".
         """
 
+    def next_edge(
+        self, state: Any, board: Transcript
+    ) -> Optional[Tuple[int, Any]]:
+        """The next ``(speaker, link)`` to carry a message, or ``None``
+        to halt — the hook the engine drives.
+
+        A board protocol speaks on :data:`BOARD_LINK`; protocols stated
+        over another medium (:class:`~repro.topology.protocol.
+        MediumProtocol`) override this instead of :meth:`next_speaker`.
+        """
+        speaker = self.next_speaker(state, board)
+        if speaker is None:
+            return None
+        return (speaker, BOARD_LINK)
+
     @abc.abstractmethod
     def message_distribution(
         self,
@@ -232,7 +352,9 @@ class Protocol(abc.ABC):
         board: Transcript,
     ) -> DiscreteDistribution:
         """The exact law of the next message (a distribution over bit
-        strings), given the speaker's input and the board.
+        strings), given the speaker's input and the board.  On a medium
+        with input-less auxiliary nodes (ids ``>= num_players``) the
+        engine passes ``player_input=None`` for them.
 
         Deterministic protocols return point masses; private coins are
         folded into this distribution.
@@ -263,6 +385,126 @@ class Protocol(abc.ABC):
         for message in board:
             state = self.advance_state(state, message)
         return state
+
+
+class Medium(abc.ABC):
+    """Who can read what and who may speak where.
+
+    All methods take the number of *players* ``k`` (input holders,
+    nodes ``0..k-1``); the medium decides how many nodes exist in total
+    (:meth:`num_nodes`), with auxiliary input-less nodes at ids
+    ``>= k``.  Every write costs its length in bits, exactly
+    :math:`CC(\\Pi)`.  Hooks must be pure — the exact analyzer replays
+    transcripts in arbitrary interleavings.
+
+    Contract: :meth:`may_write` returning True implies that ``link`` is
+    one of :meth:`links` and ``node`` one of the medium's nodes, so
+    :meth:`check_edge` tests only :meth:`may_write` on success.
+    """
+
+    #: Stable name used in metric labels and error messages.
+    name: str = ""
+
+    @abc.abstractmethod
+    def num_nodes(self, k: int) -> int:
+        """Total node count (players plus auxiliary nodes)."""
+
+    @abc.abstractmethod
+    def links(self, k: int) -> Tuple[Any, ...]:
+        """Every link messages may travel on."""
+
+    @abc.abstractmethod
+    def may_write(self, k: int, node: int, link: Any) -> bool:
+        """Whether ``node`` may write on ``link`` (adjacency)."""
+
+    @abc.abstractmethod
+    def visible(self, k: int, link: Any, node: int) -> bool:
+        """Whether ``node`` reads the traffic on ``link``."""
+
+    def node_view(self, k: int, transcript: Transcript, node: int) -> Tuple:
+        """``node``'s view: the subsequence of messages on its visible
+        links, as hashable ``(speaker, link, bits)`` triples.
+
+        This is the information a party actually holds, and therefore
+        the object the per-view information decomposition
+        (:func:`repro.topology.analysis.per_view_information`) and the
+        view-locality discipline (:mod:`repro.topology.validate`) are
+        stated over.
+        """
+        if REGISTRY.enabled:
+            REGISTRY.counter("topology_view_rebuilds").inc(
+                medium=self.name or type(self).__name__
+            )
+        return tuple(
+            (m.speaker, m.link, m.bits)
+            for m in transcript
+            if self.visible(k, m.link, node)
+        )
+
+    def scheduler_view(self, k: int, transcript: Transcript) -> Tuple:
+        """The projection of the transcript the schedule may depend on.
+
+        Defaults to public trace metadata — ``(speaker, link, length)``
+        per message — the only common knowledge on a general topology.
+        Media with an all-seeing party (board, coordinator) override
+        this with that party's full view.
+        """
+        return tuple((m.speaker, m.link, len(m.bits)) for m in transcript)
+
+    def check_edge(self, k: int, speaker: int, link: Any) -> None:
+        """Raise :class:`TopologyViolation` unless ``speaker`` may write
+        on ``link``.
+
+        O(1) on success (one :meth:`may_write`); :meth:`links` is built
+        only after a rejection, to name what went wrong.
+        """
+        if self.may_write(k, speaker, link):
+            return
+        name = self.name or type(self).__name__
+        if not 0 <= speaker < self.num_nodes(k):
+            raise TopologyViolation(
+                f"{name}: node {speaker!r} does not exist "
+                f"(nodes 0..{self.num_nodes(k) - 1})"
+            )
+        if link not in self.links(k):
+            raise TopologyViolation(
+                f"{name}: {link!r} is not a link of this medium"
+            )
+        raise TopologyViolation(
+            f"{name}: node {speaker} may not write on {link!r} "
+            "(not an endpoint)"
+        )
+
+
+class BroadcastMedium(Medium):
+    """The shared blackboard: one link, everyone reads and writes.
+
+    The paper's Section 3 model, and the default medium of the runner
+    and the exact analyzer.
+    """
+
+    name = "broadcast"
+
+    def num_nodes(self, k: int) -> int:
+        return k
+
+    def links(self, k: int) -> Tuple[Any, ...]:
+        return (BOARD_LINK,)
+
+    def may_write(self, k: int, node: int, link: Any) -> bool:
+        return link is BOARD_LINK and 0 <= node < k
+
+    def visible(self, k: int, link: Any, node: int) -> bool:
+        return link is BOARD_LINK
+
+    def scheduler_view(self, k: int, transcript: Transcript) -> Tuple:
+        # The board contents alone determine whose turn it is — exactly
+        # the Section 3 rule, so the scheduler sees everything.
+        return tuple((m.speaker, m.link, m.bits) for m in transcript)
+
+
+#: The broadcast medium (stateless; one shared instance suffices).
+BROADCAST = BroadcastMedium()
 
 
 def check_prefix_free(messages: Iterable[Bits]) -> None:

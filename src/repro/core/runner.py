@@ -1,11 +1,15 @@
-"""Concrete execution of blackboard protocols with exact bit accounting.
+"""Concrete execution of protocols with exact bit accounting.
 
 :func:`run_protocol` plays one execution of a protocol on concrete inputs,
 sampling private coins from a supplied RNG, and returns a
 :class:`ProtocolRun` carrying the transcript, the output, and the number
 of bits written — the realized communication cost.  This is the engine
 behind the communication-scaling experiment (E1), where inputs are far too
-large for exact tree enumeration.
+large for exact tree enumeration, and behind every medium: the loop asks
+:meth:`~repro.core.model.Protocol.next_edge` for the next
+``(speaker, link)`` and checks it with :meth:`~repro.core.model.Medium.
+check_edge`, so the blackboard (the default) and the coordinator and
+graph media of :mod:`repro.topology` share one loop.
 
 A ``max_messages`` guard turns a non-halting protocol bug into an
 exception instead of a hang.  The guard is *atomic*: exhaustion raises
@@ -33,11 +37,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..obs.metrics import REGISTRY
 from ..obs.trace import Tracer, get_tracer
-from .model import Message, Protocol, ProtocolViolation, Transcript
+from .model import (
+    BROADCAST,
+    EMPTY_TRANSCRIPT,
+    Medium,
+    Message,
+    Protocol,
+    ProtocolViolation,
+    Transcript,
+)
 
 __all__ = ["ProtocolRun", "run_protocol", "estimate_error", "max_communication"]
 
@@ -58,6 +70,11 @@ class ProtocolRun:
         if self.bits_communicated != self.transcript.bits_written:
             raise ValueError("bits_communicated disagrees with transcript")
 
+    @property
+    def bits_by_link(self) -> Dict[Any, int]:
+        """Bits written per link (one entry on the board)."""
+        return self.transcript.bits_by_link()
+
 
 def run_protocol(
     protocol: Protocol,
@@ -66,8 +83,8 @@ def run_protocol(
     rng: Optional[random.Random] = None,
     max_messages: int = DEFAULT_MAX_MESSAGES,
     tracer: Optional[Tracer] = None,
-    medium: Optional[Any] = None,
-) -> Any:
+    medium: Medium = BROADCAST,
+) -> ProtocolRun:
     """Execute ``protocol`` once on ``inputs``.
 
     Parameters
@@ -75,7 +92,8 @@ def run_protocol(
     protocol:
         The protocol to run.
     inputs:
-        One private input per player.
+        One private input per player; auxiliary medium nodes (ids
+        ``>= num_players``) speak with ``player_input=None``.
     rng:
         Source of the players' private randomness.  May be omitted for
         deterministic protocols; a randomized protocol raises
@@ -91,35 +109,17 @@ def run_protocol(
         never touches ``rng``, so traced and untraced executions are
         identical.
     medium:
-        ``None`` (the default) runs the blackboard engine below and
-        returns a :class:`ProtocolRun`.  A :class:`~repro.topology.
-        medium.Medium` switches to the medium-generalized runtime and
-        returns a :class:`~repro.topology.runtime.MediumRun` instead —
-        a legacy protocol is adapted automatically when the medium is
-        broadcast (bit-identical: same transcript, output, bits, and
-        rng consumption, pinned by the topology regression tests), and
-        rejected on any other medium.
+        The communication medium (default: the blackboard).  Every
+        scheduled ``(speaker, link)`` edge is checked against it; an
+        edge the medium does not allow raises
+        :class:`~repro.core.model.TopologyViolation`.
 
     Returns
     -------
     ProtocolRun
         The transcript, output, realized communication in bits, and the
-        number of messages (rounds of speech).  With a non-``None``
-        ``medium``, a :class:`~repro.topology.runtime.MediumRun` with
-        per-link accounting.
+        number of messages (rounds of speech).
     """
-    if medium is not None:
-        from ..topology.protocol import as_medium_protocol
-        from ..topology.runtime import run_on_medium
-
-        return run_on_medium(
-            as_medium_protocol(protocol, medium),
-            medium,
-            inputs,
-            rng=rng,
-            max_messages=max_messages,
-            tracer=tracer,
-        )
     if tracer is None:
         tracer = get_tracer()
     if tracer:
@@ -128,8 +128,10 @@ def run_protocol(
             protocol=type(protocol).__name__,
             players=protocol.num_players,
         ):
-            return _execute(protocol, inputs, rng, max_messages, tracer)
-    return _execute(protocol, inputs, rng, max_messages, tracer)
+            return _execute(
+                protocol, inputs, rng, max_messages, tracer, medium
+            )
+    return _execute(protocol, inputs, rng, max_messages, tracer, medium)
 
 
 def _execute(
@@ -138,8 +140,12 @@ def _execute(
     rng: Optional[random.Random],
     max_messages: int,
     tracer: Tracer,
+    medium: Medium,
 ) -> ProtocolRun:
     protocol.validate_inputs(inputs)
+    k = protocol.num_players
+    num_nodes = medium.num_nodes(k)
+    check_edge = medium.check_edge
     reg = REGISTRY if REGISTRY.enabled else None
     message_bits_hist = (
         reg.histogram("message_bits") if reg is not None else None
@@ -149,41 +155,41 @@ def _execute(
     # bool check rather than a __bool__ method call.
     traced = bool(tracer)
     state = protocol.initial_state()
-    messages: List[Message] = []
     bits = 0
-    board = Transcript()
+    board = EMPTY_TRANSCRIPT
     for _ in range(max_messages):
-        speaker = protocol.next_speaker(state, board)
-        if speaker is None:
+        edge = protocol.next_edge(state, board)
+        if edge is None:
             output = protocol.output(state, board)
+            rounds = len(board)
             if traced:
                 tracer.event(
                     "run_complete",
                     bits=bits,
-                    rounds=len(messages),
+                    rounds=rounds,
                     output=output,
                 )
             if reg is not None:
                 name = type(protocol).__name__
                 reg.counter("runner_executions").inc(protocol=name)
                 reg.counter("bits_written").inc(
-                    bits, protocol=name, players=protocol.num_players
+                    bits, protocol=name, players=k
                 )
-                reg.counter("runner_messages").inc(
-                    len(messages), protocol=name
-                )
+                reg.counter("runner_messages").inc(rounds, protocol=name)
             return ProtocolRun(
                 transcript=board,
                 output=output,
                 bits_communicated=bits,
-                rounds=len(messages),
+                rounds=rounds,
             )
-        if not 0 <= speaker < protocol.num_players:
+        speaker, link = edge
+        if not 0 <= speaker < num_nodes:
             raise ProtocolViolation(
-                f"next_speaker returned invalid player {speaker!r}"
+                f"next_edge returned invalid player {speaker!r}"
             )
+        check_edge(k, speaker, link)
         dist = protocol.message_distribution(
-            state, speaker, inputs[speaker], board
+            state, speaker, inputs[speaker] if speaker < k else None, board
         )
         if len(dist) == 1:
             (message_bits,) = dist.support()
@@ -195,19 +201,18 @@ def _execute(
             message_bits = dist.sample(rng)
         if message_bits == "":
             raise ProtocolViolation("protocols may not write empty messages")
-        message = Message(speaker=speaker, bits=message_bits)
-        messages.append(message)
-        bits += len(message)
+        message = Message(speaker, message_bits, link)
+        bits += len(message_bits)
         if traced:
             tracer.event(
                 "message",
                 speaker=speaker,
-                bits=len(message),
-                round=len(messages) - 1,
+                bits=len(message_bits),
+                round=len(board),
                 cumulative_bits=bits,
             )
         if message_bits_hist is not None:
-            message_bits_hist.observe(len(message))
+            message_bits_hist.observe(len(message_bits))
         state = protocol.advance_state(state, message)
         board = board.extend(message)
     raise ProtocolViolation(

@@ -59,7 +59,15 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..information.distribution import DiscreteDistribution, JointDistribution
 from ..obs.metrics import REGISTRY
 from ..obs.trace import Tracer, get_tracer
-from .model import Message, Protocol, ProtocolViolation, Transcript
+from .model import (
+    BROADCAST,
+    EMPTY_TRANSCRIPT,
+    Medium,
+    Message,
+    Protocol,
+    ProtocolViolation,
+    Transcript,
+)
 
 __all__ = [
     "MessageDistributionMemo",
@@ -164,7 +172,7 @@ def transcript_distribution(
     max_messages: int = DEFAULT_MAX_MESSAGES,
     tracer: Optional[Tracer] = None,
     memo: Optional[MessageDistributionMemo] = None,
-    medium: Optional[Any] = None,
+    medium: Medium = BROADCAST,
 ) -> DiscreteDistribution:
     """The exact law of the transcript ``Π(inputs)`` over private coins.
 
@@ -175,13 +183,10 @@ def transcript_distribution(
     ``memo`` optionally reuses ``message_distribution`` results across
     calls (see :class:`MessageDistributionMemo`); results are unchanged.
 
-    ``medium`` parameterizes the communication medium: ``None`` keeps
-    the blackboard walk below (distribution over
-    :class:`Transcript`); a :class:`~repro.topology.medium.Medium`
-    delegates to :func:`repro.topology.tree.
-    medium_transcript_distribution` (distribution over
-    :class:`~repro.topology.medium.LinkTranscript`), auto-adapting a
-    legacy protocol on the broadcast medium with identical floats.
+    ``medium`` is the communication medium (default: the blackboard);
+    every scheduled edge is checked with :meth:`~repro.core.model.
+    Medium.check_edge`, so an enumeration doubles as a structural audit
+    of the transcripts it visits.
 
     Observability: each call emits one ``tree_enumerated`` trace event
     summarizing the walk (nodes expanded, leaves, max depth) and feeds
@@ -190,29 +195,19 @@ def transcript_distribution(
     deliberately not emitted — tree sizes are exponential and a trace
     must stay proportional to the number of *calls*, not nodes.
     """
-    if medium is not None:
-        from ..topology.protocol import as_medium_protocol
-        from ..topology.tree import medium_transcript_distribution
-
-        return medium_transcript_distribution(
-            as_medium_protocol(protocol, medium),
-            medium,
-            inputs,
-            max_messages=max_messages,
-            tracer=tracer,
-            memo=memo,
-        )
     if tracer is None:
         tracer = get_tracer()
     reg = REGISTRY if REGISTRY.enabled else None
     memo_before = (memo.hits, memo.misses) if memo is not None else (0, 0)
     protocol.validate_inputs(inputs)
+    k = protocol.num_players
+    num_nodes = medium.num_nodes(k)
     leaves: Dict[Transcript, float] = {}
     nodes_expanded = 0
     max_depth = 0
     # Stack entries: (state, board, probability-so-far).
     stack: List[Tuple[Any, Transcript, float]] = [
-        (protocol.initial_state(), Transcript(), 1.0)
+        (protocol.initial_state(), EMPTY_TRANSCRIPT, 1.0)
     ]
     while stack:
         state, board, prob = stack.pop()
@@ -224,28 +219,31 @@ def transcript_distribution(
             )
         if len(board) > max_depth:
             max_depth = len(board)
-        speaker = protocol.next_speaker(state, board)
-        if speaker is None:
+        edge = protocol.next_edge(state, board)
+        if edge is None:
             leaves[board] = leaves.get(board, 0.0) + prob
             continue
-        if not 0 <= speaker < protocol.num_players:
+        speaker, link = edge
+        if not 0 <= speaker < num_nodes:
             raise ProtocolViolation(
-                f"next_speaker returned invalid player {speaker!r}"
+                f"next_edge returned invalid player {speaker!r}"
             )
+        medium.check_edge(k, speaker, link)
+        speaker_input = inputs[speaker] if speaker < k else None
         if memo is not None:
             dist = memo.distribution(
-                protocol, state, speaker, inputs[speaker], board
+                protocol, state, speaker, speaker_input, board
             )
         else:
             dist = protocol.message_distribution(
-                state, speaker, inputs[speaker], board
+                state, speaker, speaker_input, board
             )
         for bits, p in dist.items():
             if p <= _PRUNE_BELOW:
                 continue
             if bits == "":
                 raise ProtocolViolation("protocols may not write empty messages")
-            message = Message(speaker=speaker, bits=bits)
+            message = Message(speaker, bits, link)
             stack.append(
                 (
                     protocol.advance_state(state, message),
@@ -280,7 +278,7 @@ def batched_joint_transcript_distribution(
     max_messages: int = DEFAULT_MAX_MESSAGES,
     tracer: Optional[Tracer] = None,
     memo: Optional[MessageDistributionMemo] = None,
-    medium: Optional[Any] = None,
+    medium: Medium = BROADCAST,
 ) -> JointDistribution:
     """The exact joint law of ``(scenario components..., transcript)``,
     computed with one shared walk of the protocol tree.
@@ -308,30 +306,17 @@ def batched_joint_transcript_distribution(
     memo:
         Optional :class:`MessageDistributionMemo` shared across calls.
     medium:
-        ``None`` keeps the blackboard walk; a :class:`~repro.topology.
-        medium.Medium` delegates to :func:`repro.topology.tree.
-        medium_joint_transcript_distribution` (transcript component is a
-        :class:`~repro.topology.medium.LinkTranscript`).
+        The communication medium (default: the blackboard).  When the
+        scheduled speaker is an input-less auxiliary node (a
+        coordinator, a relay) every input tuple shares its message law,
+        so the population rides one branch unsplit — Lemma 3's rectangle
+        reasoning with that node's "coordinate" trivial.
 
     Returns
     -------
     JointDistribution
         Over tuples ``scenario + (transcript,)``.
     """
-    if medium is not None:
-        from ..topology.protocol import as_medium_protocol
-        from ..topology.tree import medium_joint_transcript_distribution
-
-        return medium_joint_transcript_distribution(
-            as_medium_protocol(protocol, medium),
-            medium,
-            scenarios,
-            inputs_of,
-            names=names,
-            max_messages=max_messages,
-            tracer=tracer,
-            memo=memo,
-        )
     if inputs_of is None:
         inputs_of = lambda scenario: scenario[0]  # noqa: E731
     if tracer is None:
@@ -383,6 +368,7 @@ def batched_joint_transcript_distribution(
                     input_keys,
                     max_messages=max_messages,
                     memo=memo,
+                    medium=medium,
                 )
             )
         except TypeError:
@@ -392,7 +378,11 @@ def batched_joint_transcript_distribution(
     if leaf_table is None:
         leaf_table, nodes_expanded, union_leaf_count, max_depth = (
             _legacy_walk_sorted_leaves(
-                protocol, input_keys, max_messages=max_messages, memo=memo
+                protocol,
+                input_keys,
+                max_messages=max_messages,
+                memo=memo,
+                medium=medium,
             )
         )
 
@@ -446,6 +436,7 @@ def _legacy_walk_sorted_leaves(
     *,
     max_messages: int = DEFAULT_MAX_MESSAGES,
     memo: Optional[MessageDistributionMemo] = None,
+    medium: Medium = BROADCAST,
 ) -> Tuple[Tuple[List[int], List[Transcript], List[float]], int, int, int]:
     """The dict-driven shared walk (the ``legacy`` kernel's engine).
 
@@ -464,9 +455,11 @@ def _legacy_walk_sorted_leaves(
     union_leaves: Dict[Transcript, None] = {}
     nodes_expanded = 0
     max_depth = 0
+    k = protocol.num_players
+    num_nodes = medium.num_nodes(k)
     root_groups: Groups = {key: (1.0, ()) for key in input_keys}
     stack: List[Tuple[Any, Transcript, Groups]] = [
-        (protocol.initial_state(), Transcript(), root_groups)
+        (protocol.initial_state(), EMPTY_TRANSCRIPT, root_groups)
     ]
     while stack:
         state, board, groups = stack.pop()
@@ -478,21 +471,27 @@ def _legacy_walk_sorted_leaves(
             )
         if len(board) > max_depth:
             max_depth = len(board)
-        speaker = protocol.next_speaker(state, board)
-        if speaker is None:
+        edge = protocol.next_edge(state, board)
+        if edge is None:
             union_leaves[board] = None
             for key, (prob, index_path) in groups.items():
                 leaves_by_key[key].append((index_path, board, prob))
             continue
-        if not 0 <= speaker < protocol.num_players:
+        speaker, link = edge
+        if not 0 <= speaker < num_nodes:
             raise ProtocolViolation(
-                f"next_speaker returned invalid player {speaker!r}"
+                f"next_edge returned invalid player {speaker!r}"
             )
+        medium.check_edge(k, speaker, link)
         # Partition the population by the speaking player's input — the
         # only coordinate the next message law may depend on (Lemma 3).
+        # An input-less node keys every tuple to None: one partition.
         partitions: Dict[Any, List[Tuple[Any, ...]]] = {}
-        for key in groups:
-            partitions.setdefault(key[speaker], []).append(key)
+        if speaker < k:
+            for key in groups:
+                partitions.setdefault(key[speaker], []).append(key)
+        else:
+            partitions[None] = list(groups)
         children: Dict[str, Tuple[Message, Groups]] = {}
         for speaker_input, keys in partitions.items():
             if memo is not None:
@@ -513,7 +512,7 @@ def _legacy_walk_sorted_leaves(
                 child = children.get(bits)
                 if child is None:
                     child = children[bits] = (
-                        Message(speaker=speaker, bits=bits),
+                        Message(speaker, bits, link),
                         {},
                     )
                 child_groups = child[1]
@@ -607,7 +606,7 @@ def joint_transcript_distribution(
     max_messages: int = DEFAULT_MAX_MESSAGES,
     tracer: Optional[Tracer] = None,
     memo: Optional[MessageDistributionMemo] = None,
-    medium: Optional[Any] = None,
+    medium: Medium = BROADCAST,
 ) -> JointDistribution:
     """The exact joint law of ``(scenario components..., transcript)``.
 

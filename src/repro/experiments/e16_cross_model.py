@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.analysis import external_information_cost
 from ..core.runner import run_protocol
 from ..core.tasks import disjointness_task
 from ..information.distribution import DiscreteDistribution
@@ -44,12 +45,8 @@ from ..protocols.trivial import TrivialDisjointnessProtocol
 from ..store.keys import code_version
 from ..store.store import ResultStore
 from ..store.sweep import checkpointed_map_grid
-from ..topology.analysis import (
-    medium_external_information_cost,
-    per_view_information,
-)
+from ..topology.analysis import per_view_information
 from ..topology.medium import BROADCAST, COORDINATOR
-from ..topology.protocol import BroadcastAdapter
 from ..topology.protocols import (
     CoordinatorDisjointnessProtocol,
     CoordinatorTrivialDisjointness,
@@ -69,9 +66,8 @@ __all__ = [
 ]
 
 #: The default grid: E1's classic grid plus two deeper points the
-#: coordinator runtime still completes in seconds (its cost is ~2nk
-#: bits moved through the message-level runner; there is no vectorized
-#: replay for link media — see docs/performance.md).
+#: coordinator runs still complete in seconds (their cost is ~2nk bits
+#: moved through the message-level runner).
 DEFAULT_GRID: Sequence[Tuple[int, int]] = tuple(CLASSIC_GRID) + (
     (8192, 16),
     (8192, 64),
@@ -147,12 +143,11 @@ def measure_info_point(n: int, k: int) -> Dict[str, Any]:
     computes for each medium the external information cost of the full
     transcript and the per-node view decomposition
     (:func:`~repro.topology.analysis.per_view_information`): broadcast
-    via the E1 trivial protocol lifted through
-    :class:`~repro.topology.protocol.BroadcastAdapter` (every view is
-    the whole board), coordinator via the relay protocol (views are the
-    private links; the hub's row is what the coordinator ends up
-    knowing).  Node keys are stringified so the result is canonically
-    serializable for the store.
+    via the E1 trivial protocol (every view is the whole board),
+    coordinator via the relay protocol (views are the private links;
+    the hub's row is what the coordinator ends up knowing).  Node keys
+    are stringified so the result is canonically serializable for the
+    store.
     """
     masks = range(1 << n)
     tuples = [(m,) for m in masks]
@@ -162,17 +157,13 @@ def measure_info_point(n: int, k: int) -> Dict[str, Any]:
 
     result: Dict[str, Any] = {}
     for name, protocol, medium in (
-        (
-            "broadcast",
-            BroadcastAdapter(TrivialDisjointnessProtocol(n, k)),
-            BROADCAST,
-        ),
+        ("broadcast", TrivialDisjointnessProtocol(n, k), BROADCAST),
         ("coordinator", CoordinatorDisjointnessProtocol(n, k), COORDINATOR),
     ):
         views = per_view_information(protocol, medium, input_dist)
         result[name] = {
-            "external_ic": medium_external_information_cost(
-                protocol, medium, input_dist
+            "external_ic": external_information_cost(
+                protocol, input_dist, medium=medium
             ),
             "per_view": {
                 str(node): dict(decomposition)

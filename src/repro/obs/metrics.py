@@ -24,7 +24,8 @@ sizes, dart counts, divergences.
 Metric naming used by the instrumented subsystems:
 
 ====================================  =======================================
-``runner_executions``                 protocol executions (``run_protocol``)
+``runner_executions``                 protocol executions (``run_protocol``,
+                                      every medium)
 ``bits_written``                      realized communication, by protocol
 ``runner_messages``                   messages written, by protocol
 ``message_bits`` (histogram)          per-message bit lengths
@@ -34,10 +35,6 @@ Metric naming used by the instrumented subsystems:
 ``tree_memo_misses``                  batched-walk memo misses, by protocol
 ``tree_depth`` (histogram)            enumeration depth per call
 ``tree_support`` (histogram)          transcript-support size per call
-``topology_runs``                     medium-runtime executions
-                                      (``run_on_medium``), by protocol
-                                      and medium
-``topology_link_bits``                charged link bits, by medium
 ``topology_view_rebuilds``            per-node view projections computed,
                                       by medium
 ``sampler_rounds``                    Lemma 7 rounds simulated, by path

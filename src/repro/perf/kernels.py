@@ -267,6 +267,7 @@ def tree_walk_sorted_leaves(
     *,
     max_messages: int,
     memo: Optional[Any] = None,
+    medium: Optional[Any] = None,
 ) -> Tuple[Tuple[List[int], List[Any], List[float]], int, int, int]:
     """One shared level-synchronous walk of the protocol tree over a
     population of input tuples, vectorized over the population.
@@ -293,16 +294,28 @@ def tree_walk_sorted_leaves(
     columns are only materialized at levels where some partition has two
     or more positive outcomes — at any other level a member cannot fork,
     so the column could never decide the within-member leaf order.
+
+    ``medium`` (default: the blackboard) checks every scheduled edge; a
+    node whose speaker is an input-less auxiliary node (id ``>= k``)
+    keeps its population whole, through an all-zero code column.
     """
     # Local import: core.model is import-safe from here (the model layer
     # never imports repro.perf).
-    from ..core.model import Message, ProtocolViolation, Transcript
+    from ..core.model import (
+        BROADCAST,
+        EMPTY_TRANSCRIPT,
+        Message,
+        ProtocolViolation,
+    )
 
     np_ = require_numpy()
     _count_call("tree_walk")
+    if medium is None:
+        medium = BROADCAST
 
     m = len(input_keys)
     k = protocol.num_players
+    num_nodes = medium.num_nodes(k)
     # Per-column integer codes.  Any per-column numbering works:
     # partition *order* is recovered from first-member positions and a
     # partition's speaker input is fetched from the original tuple of
@@ -341,6 +354,12 @@ def tree_walk_sorted_leaves(
                     code = table[value] = len(table)
                 column[row] = code
         span = int(codes.max()) + 1 if m else 1
+    if num_nodes > k:
+        # Column k, all zeros, is the code column of every input-less
+        # node: the whole population forms one partition there.
+        codes = np_.concatenate(
+            [codes, np_.zeros((m, 1), dtype=np_.int64)], axis=1
+        )
 
     # Leaves are recorded once per level as one chunk: (leaf ids, member
     # indices, probabilities, frozen spill columns, lineage codes,
@@ -348,15 +367,15 @@ def tree_walk_sorted_leaves(
     # spill columns and the scale, so the chunk keeps them once.
     leaf_boards: List[Any] = []
     leaf_chunks: List[Tuple[Any, Any, Any, List[Any], Any, int]] = []
-    # One Message per distinct (speaker, bits) for the whole walk: each
-    # is validated once by Message.__post_init__, then shared by every
-    # node that writes it (messages are immutable values).
-    messages: Dict[Tuple[int, str], Any] = {}
+    # One Message per distinct (speaker, bits, link) for the whole walk:
+    # each is validated once by Message.__post_init__, then shared by
+    # every node that writes it (messages are immutable values).
+    messages: Dict[Tuple[int, str, Any], Any] = {}
     nodes_expanded = 0
     max_depth = 0
-    num_players = protocol.num_players
+    check_edge = medium.check_edge
     frontier: List[Tuple[Any, Any]] = [
-        (protocol.initial_state(), Transcript())
+        (protocol.initial_state(), EMPTY_TRANSCRIPT)
     ]
     sizes: List[int] = [m]
     A_idx = np_.arange(m, dtype=np_.int64)
@@ -387,21 +406,23 @@ def tree_walk_sorted_leaves(
         if level > max_depth:
             max_depth = level
         nodes_expanded += len(frontier)
-        active: List[Tuple[Any, Any, int]] = []
+        active: List[Tuple[Any, Any, int, Any]] = []
         live: List[bool] = []
         first_leaf = len(leaf_boards)
         for state, board in frontier:
-            speaker = protocol.next_speaker(state, board)
-            if speaker is None:
+            edge = protocol.next_edge(state, board)
+            if edge is None:
                 leaf_boards.append(board)
                 live.append(False)
-            elif not 0 <= speaker < num_players:
+                continue
+            speaker, link = edge
+            if not 0 <= speaker < num_nodes:
                 raise ProtocolViolation(
-                    f"next_speaker returned invalid player {speaker!r}"
+                    f"next_edge returned invalid player {speaker!r}"
                 )
-            else:
-                active.append((state, board, speaker))
-                live.append(True)
+            check_edge(k, speaker, link)
+            active.append((state, board, speaker, link))
+            live.append(True)
         sizes_arr = np_.array(sizes, dtype=np_.int64)
         if len(active) == len(frontier):
             # Rows of the level's arrays that belong to active nodes
@@ -445,7 +466,10 @@ def tree_walk_sorted_leaves(
         key += codes[
             act_idx,
             np_.repeat(
-                np_.array([a[2] for a in active], dtype=np_.int64),
+                np_.array(
+                    [a[2] if a[2] < k else k for a in active],
+                    dtype=np_.int64,
+                ),
                 act_sizes,
             ),
         ]
@@ -484,7 +508,7 @@ def tree_walk_sorted_leaves(
         branched = False
         block = 0
         n_blocks = len(starts_l)
-        for r, (state, board, speaker) in enumerate(active):
+        for r, (state, board, speaker, link) in enumerate(active):
             first = block
             while block < n_blocks and block_node_l[block] == r:
                 block += 1
@@ -494,7 +518,10 @@ def tree_walk_sorted_leaves(
             # children: bits -> [Message, [(block, p, index), ...]]
             children: Dict[str, List[Any]] = {}
             for t in node_blocks:
-                speaker_input = input_keys[first_idx_l[t]][speaker]
+                speaker_input = (
+                    input_keys[first_idx_l[t]][speaker] if speaker < k
+                    else None
+                )
                 if memo is not None:
                     dist = memo.distribution(
                         protocol, state, speaker, speaker_input, board
@@ -514,10 +541,10 @@ def tree_walk_sorted_leaves(
                     positive += 1
                     child = children.get(bits)
                     if child is None:
-                        message = messages.get((speaker, bits))
+                        message = messages.get((speaker, bits, link))
                         if message is None:
-                            message = messages[(speaker, bits)] = Message(
-                                speaker=speaker, bits=bits
+                            message = messages[(speaker, bits, link)] = (
+                                Message(speaker, bits, link)
                             )
                         child = children[bits] = [message, []]
                     child[1].append((t, p, index))

@@ -1,10 +1,10 @@
-"""Exact information and communication analysis on arbitrary media.
+"""Per-link communication and per-view information on arbitrary media.
 
-The medium-generalized sibling of :mod:`repro.core.analysis`, plus the
-quantity the generalization exists for: the **per-view information
-decomposition**.  On the blackboard every player sees the whole
-transcript, so the paper's Lemma 2/3-style per-player decompositions
-are stated over one shared object.  On a general medium each node ``v``
+The two quantities only a general medium has: where the bits went
+(:func:`per_link_communication`) and the **per-view information
+decomposition** (:func:`per_view_information`).  On the blackboard
+every player sees the whole transcript, so the paper's Lemma 2/3-style
+per-player decompositions are stated over one shared object.  On a general medium each node ``v``
 holds only its *view* :math:`V_v(\\Pi)` — the traffic on its visible
 links — and the natural per-node quantities become
 
@@ -22,144 +22,44 @@ external per-view term collapses to :math:`IC_\\mu(\\Pi)` — a collapse
 the test suite asserts — while the coordinator medium genuinely splits
 information across links, which experiment E16 tabulates.
 
-Float discipline: the medium-level IC/CIC functions build their joints
-with the same iteration/normalization order as the core analyzers, so a
-:class:`~repro.topology.protocol.BroadcastAdapter` produces *exactly*
-the legacy floats (pinned in ``tests/topology/test_bit_identity.py``).
+Both functions are built on the one engine: the joint law comes from
+:func:`repro.core.analysis.transcript_joint` and the per-input laws
+from :func:`repro.core.tree.transcript_distribution`, each with the
+medium passed through.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Dict
 
-from ..core.tree import MessageDistributionMemo
-from ..information.distribution import DiscreteDistribution, JointDistribution
+from ..core.analysis import transcript_joint
+from ..core.model import Medium, Protocol
+from ..core.tree import MessageDistributionMemo, transcript_distribution
+from ..information.distribution import DiscreteDistribution
 from ..information.entropy import (
     conditional_mutual_information,
-    entropy,
     mutual_information,
 )
-from .medium import LinkTranscript, Medium
-from .protocol import MediumProtocol
-from .tree import (
-    medium_joint_transcript_distribution,
-    medium_transcript_distribution,
-)
 
-__all__ = [
-    "medium_transcript_joint",
-    "medium_conditional_transcript_joint",
-    "medium_external_information_cost",
-    "medium_conditional_information_cost",
-    "medium_transcript_entropy",
-    "expected_medium_communication",
-    "per_link_communication",
-    "per_view_information",
-]
-
-
-def medium_transcript_joint(
-    protocol: MediumProtocol,
-    medium: Medium,
-    input_dist: DiscreteDistribution,
-) -> JointDistribution:
-    """The exact joint law of ``(inputs, transcript)`` on a medium.
-
-    Components are named ``inputs`` and ``transcript``; the transcript
-    component is a :class:`~repro.topology.medium.LinkTranscript`.
-    """
-    scenarios = input_dist.map(lambda x: (x,))
-    return medium_joint_transcript_distribution(
-        protocol, medium, scenarios, names=("inputs",)
-    )
-
-
-def medium_conditional_transcript_joint(
-    protocol: MediumProtocol,
-    medium: Medium,
-    mu: DiscreteDistribution,
-) -> JointDistribution:
-    """The exact joint law of ``(inputs, aux, transcript)`` on a medium,
-    for ``mu`` over ``(x, d)`` pairs as in Definition 6."""
-    for outcome in mu.support():
-        if not (isinstance(outcome, tuple) and len(outcome) == 2):
-            raise TypeError(
-                "mu must be over (inputs, aux) pairs, got outcome "
-                f"{outcome!r}"
-            )
-    return medium_joint_transcript_distribution(
-        protocol, medium, mu, names=("inputs", "aux")
-    )
-
-
-def medium_external_information_cost(
-    protocol: MediumProtocol,
-    medium: Medium,
-    input_dist: DiscreteDistribution,
-) -> float:
-    """External information cost :math:`I(\\Pi; X)` of the *full*
-    transcript on a medium — the Definition 5 quantity with the link
-    transcript in place of the board."""
-    joint = medium_transcript_joint(protocol, medium, input_dist)
-    return mutual_information(joint, "transcript", "inputs")
-
-
-def medium_conditional_information_cost(
-    protocol: MediumProtocol,
-    medium: Medium,
-    mu: DiscreteDistribution,
-) -> float:
-    """Conditional information cost :math:`I(\\Pi; X \\mid D)` on a
-    medium, for ``mu`` over ``(inputs, aux)`` pairs (Definition 6)."""
-    joint = medium_conditional_transcript_joint(protocol, medium, mu)
-    return conditional_mutual_information(joint, "transcript", "inputs", "aux")
-
-
-def medium_transcript_entropy(
-    protocol: MediumProtocol,
-    medium: Medium,
-    input_dist: DiscreteDistribution,
-) -> float:
-    """The entropy :math:`H(\\Pi)` of the link transcript in bits."""
-    joint = medium_transcript_joint(protocol, medium, input_dist)
-    return entropy(joint.marginal("transcript"))
-
-
-def expected_medium_communication(
-    protocol: MediumProtocol,
-    medium: Medium,
-    input_dist: DiscreteDistribution,
-) -> float:
-    """The exact expected total bits written, under ``input_dist`` and
-    the protocol's private coins."""
-    total = 0.0
-    memo = MessageDistributionMemo()
-    for inputs, p_inputs in input_dist.items():
-        transcripts = medium_transcript_distribution(
-            protocol, medium, inputs, memo=memo
-        )
-        total += p_inputs * sum(
-            p * transcript.bits_written for transcript, p in transcripts.items()
-        )
-    return total
+__all__ = ["per_link_communication", "per_view_information"]
 
 
 def per_link_communication(
-    protocol: MediumProtocol,
+    protocol: Protocol,
     medium: Medium,
     input_dist: DiscreteDistribution,
 ) -> Dict[Any, float]:
     """The exact expected bits written per link — where the cost lives.
 
     On the coordinator medium this is the per-player↔coordinator traffic
-    E16 tabulates; values sum to
-    :func:`expected_medium_communication` (up to float fold order).
+    E16 tabulates; values sum to :func:`repro.core.analysis.
+    expected_communication` (up to float fold order).
     """
     totals: Dict[Any, float] = {link: 0.0 for link in medium.links(protocol.num_players)}
     memo = MessageDistributionMemo()
     for inputs, p_inputs in input_dist.items():
-        transcripts = medium_transcript_distribution(
-            protocol, medium, inputs, memo=memo
+        transcripts = transcript_distribution(
+            protocol, inputs, memo=memo, medium=medium
         )
         for transcript, p in transcripts.items():
             for link, bits in transcript.bits_by_link().items():
@@ -168,7 +68,7 @@ def per_link_communication(
 
 
 def per_view_information(
-    protocol: MediumProtocol,
+    protocol: Protocol,
     medium: Medium,
     input_dist: DiscreteDistribution,
 ) -> Dict[int, Dict[str, float]]:
@@ -192,7 +92,7 @@ def per_view_information(
     COORDINATOR` vs :data:`~repro.topology.medium.BROADCAST`.
     """
     k = protocol.num_players
-    joint = medium_transcript_joint(protocol, medium, input_dist)
+    joint = transcript_joint(protocol, input_dist, medium=medium)
     decomposition: Dict[int, Dict[str, float]] = {}
     for node in range(medium.num_nodes(k)):
         # (inputs, transcript) -> (inputs, transcript, view): appending a

@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Any, Optional, Tuple
 
 from ..information.distribution import DiscreteDistribution
-from .medium import Link, LinkMessage, LinkTranscript
+from ..core.model import Link, Message, Transcript
 from .protocol import MediumProtocol
 
 __all__ = [
@@ -77,12 +77,12 @@ class CoordinatorTrivialDisjointness(MediumProtocol):
     def initial_state(self) -> Any:
         return (0, (1 << self._n) - 1)
 
-    def advance_state(self, state: Any, message: LinkMessage) -> Any:
+    def advance_state(self, state: Any, message: Message) -> Any:
         count, intersection = state
         return (count + 1, intersection & int(message.bits, 2))
 
     def next_edge(
-        self, state: Any, transcript: LinkTranscript
+        self, state: Any, transcript: Transcript
     ) -> Optional[Tuple[int, Any]]:
         count, _ = state
         if count >= self.num_players:
@@ -94,13 +94,13 @@ class CoordinatorTrivialDisjointness(MediumProtocol):
         state: Any,
         speaker: int,
         speaker_input: Any,
-        transcript: LinkTranscript,
+        transcript: Transcript,
     ) -> DiscreteDistribution:
         return DiscreteDistribution.point_mass(
             _mask_bits(speaker_input, self._n)
         )
 
-    def output(self, state: Any, transcript: LinkTranscript) -> Any:
+    def output(self, state: Any, transcript: Transcript) -> Any:
         _, intersection = state
         return int(intersection == 0)
 
@@ -141,14 +141,14 @@ class CoordinatorDisjointnessProtocol(MediumProtocol):
     def initial_state(self) -> Any:
         return (0, None)
 
-    def advance_state(self, state: Any, message: LinkMessage) -> Any:
+    def advance_state(self, state: Any, message: Message) -> Any:
         count, running = state
         if message.speaker < self.num_players:
             running = int(message.bits, 2)
         return (count + 1, running)
 
     def next_edge(
-        self, state: Any, transcript: LinkTranscript
+        self, state: Any, transcript: Transcript
     ) -> Optional[Tuple[int, Any]]:
         count, _ = state
         k = self.num_players
@@ -166,7 +166,7 @@ class CoordinatorDisjointnessProtocol(MediumProtocol):
         state: Any,
         speaker: int,
         speaker_input: Any,
-        transcript: LinkTranscript,
+        transcript: Transcript,
     ) -> DiscreteDistribution:
         count, running = state
         k = self.num_players
@@ -184,7 +184,7 @@ class CoordinatorDisjointnessProtocol(MediumProtocol):
             _mask_bits(running & speaker_input, self._n)
         )
 
-    def output(self, state: Any, transcript: LinkTranscript) -> Any:
+    def output(self, state: Any, transcript: Transcript) -> Any:
         _, running = state
         return int(running == 0)
 
@@ -211,12 +211,12 @@ class CoordinatorAndProtocol(MediumProtocol):
     def initial_state(self) -> Any:
         return (0, False)
 
-    def advance_state(self, state: Any, message: LinkMessage) -> Any:
+    def advance_state(self, state: Any, message: Message) -> Any:
         count, saw_zero = state
         return (count + 1, saw_zero or message.bits == "0")
 
     def next_edge(
-        self, state: Any, transcript: LinkTranscript
+        self, state: Any, transcript: Transcript
     ) -> Optional[Tuple[int, Any]]:
         count, saw_zero = state
         if saw_zero or count >= self.num_players:
@@ -228,11 +228,11 @@ class CoordinatorAndProtocol(MediumProtocol):
         state: Any,
         speaker: int,
         speaker_input: Any,
-        transcript: LinkTranscript,
+        transcript: Transcript,
     ) -> DiscreteDistribution:
         return DiscreteDistribution.point_mass("1" if speaker_input else "0")
 
-    def output(self, state: Any, transcript: LinkTranscript) -> Any:
+    def output(self, state: Any, transcript: Transcript) -> Any:
         count, saw_zero = state
         return int(not saw_zero and count == self.num_players)
 
@@ -259,12 +259,12 @@ class RingTokenAndProtocol(MediumProtocol):
     def initial_state(self) -> Any:
         return (0, 1)
 
-    def advance_state(self, state: Any, message: LinkMessage) -> Any:
+    def advance_state(self, state: Any, message: Message) -> Any:
         count, _ = state
         return (count + 1, int(message.bits))
 
     def next_edge(
-        self, state: Any, transcript: LinkTranscript
+        self, state: Any, transcript: Transcript
     ) -> Optional[Tuple[int, Any]]:
         count, _ = state
         k = self.num_players
@@ -277,7 +277,7 @@ class RingTokenAndProtocol(MediumProtocol):
         state: Any,
         speaker: int,
         speaker_input: Any,
-        transcript: LinkTranscript,
+        transcript: Transcript,
     ) -> DiscreteDistribution:
         _, token = state
         # The token equals the last message's payload — carried on the
@@ -286,6 +286,6 @@ class RingTokenAndProtocol(MediumProtocol):
             "1" if (token and speaker_input) else "0"
         )
 
-    def output(self, state: Any, transcript: LinkTranscript) -> Any:
+    def output(self, state: Any, transcript: Transcript) -> Any:
         _, token = state
         return int(token)

@@ -1,201 +1,39 @@
-"""Concrete execution of medium protocols with per-link bit accounting.
+"""Concrete execution of medium protocols.
 
-:func:`run_on_medium` is the medium-generalized sibling of
-:func:`repro.core.runner.run_protocol`: it plays one execution of a
-:class:`~repro.topology.protocol.MediumProtocol` on a
-:class:`~repro.topology.medium.Medium`, sampling private coins from a
-supplied RNG, and returns a :class:`MediumRun` with the link transcript,
-the output, total bits, and the per-link bit breakdown.
-
-The loop mirrors the legacy ``_execute`` **exactly** — same point-mass
-short circuit (``len(dist) == 1`` reads ``support()`` without touching
-the rng), same ``sample(rng)`` call otherwise, same
-:class:`~repro.core.model.ProtocolViolation` messages for a missing rng,
-an empty message, and a blown ``max_messages`` guard — so running a
-:class:`~repro.topology.protocol.BroadcastAdapter` on
-:data:`~repro.topology.medium.BROADCAST` consumes the rng stream
-identically to the legacy runner and yields the same transcript, output,
-and bit count.  On top of that contract the medium adds adjacency
-enforcement: a scheduled ``(speaker, link)`` edge where the link is not
-in the medium or the speaker may not write on it raises
-:class:`~repro.topology.medium.TopologyViolation` (typed rejection, as
-the graph-medium tests exercise).
-
-Observability: feeds the ``topology_runs`` counter per completed
-execution and ``topology_link_bits`` per message (labeled by medium), on
-top of the same ``message`` / ``run_complete`` trace events the legacy
-runner emits.
+:func:`run_on_medium` is :func:`repro.core.runner.run_protocol` with the
+medium as a positional argument: one engine runs every medium, and the
+result is the same :class:`~repro.core.runner.ProtocolRun`, whose
+``bits_by_link`` gives the per-link breakdown.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence
 
-from ..core.model import ProtocolViolation
-from ..core.runner import DEFAULT_MAX_MESSAGES
-from ..obs.metrics import REGISTRY
-from ..obs.trace import Tracer, get_tracer
-from .medium import LinkMessage, LinkTranscript, Medium
-from .protocol import MediumProtocol
+from ..core.model import Medium, Protocol
+from ..core.runner import DEFAULT_MAX_MESSAGES, ProtocolRun, run_protocol
+from ..obs.trace import Tracer
 
-__all__ = ["MediumRun", "run_on_medium"]
-
-
-@dataclass(frozen=True)
-class MediumRun:
-    """The result of one execution on a medium."""
-
-    transcript: LinkTranscript
-    output: Any
-    bits_communicated: int
-    bits_by_link: Dict[Any, int] = field(compare=False)
-    rounds: int = 0
-
-    def __post_init__(self) -> None:
-        if self.bits_communicated != sum(self.bits_by_link.values()):
-            raise ValueError("bits_communicated disagrees with bits_by_link")
+__all__ = ["run_on_medium"]
 
 
 def run_on_medium(
-    protocol: MediumProtocol,
+    protocol: Protocol,
     medium: Medium,
     inputs: Sequence[Any],
     *,
     rng: Optional[random.Random] = None,
     max_messages: int = DEFAULT_MAX_MESSAGES,
     tracer: Optional[Tracer] = None,
-) -> MediumRun:
-    """Execute ``protocol`` once on ``medium`` with the given inputs.
-
-    Parameters
-    ----------
-    protocol:
-        The medium protocol to run.
-    medium:
-        The communication medium; adjacency is enforced per message and
-        each write is charged via :meth:`~repro.topology.medium.Medium.
-        charge`.
-    inputs:
-        One private input per *player* (nodes ``0..num_players-1``);
-        auxiliary nodes receive ``None``.
-    rng:
-        Source of private randomness; deterministic protocols may omit
-        it, a randomized protocol raises
-        :class:`~repro.core.model.ProtocolViolation` if it needs coins
-        and none were given.
-    max_messages:
-        Safety ceiling with the legacy runner's atomicity: exhaustion
-        raises before any partial result, counter increment, or
-        ``run_complete`` event is observable.
-    tracer:
-        Structured-trace sink; ``None`` uses the process-wide default.
-
-    Returns
-    -------
-    MediumRun
-        The link transcript, output, total realized communication, the
-        per-link breakdown, and the message count.
-    """
-    if tracer is None:
-        tracer = get_tracer()
-    if tracer:
-        with tracer.span(
-            "run_on_medium",
-            protocol=type(protocol).__name__,
-            medium=medium.name or type(medium).__name__,
-            players=protocol.num_players,
-        ):
-            return _execute(protocol, medium, inputs, rng, max_messages, tracer)
-    return _execute(protocol, medium, inputs, rng, max_messages, tracer)
-
-
-def _execute(
-    protocol: MediumProtocol,
-    medium: Medium,
-    inputs: Sequence[Any],
-    rng: Optional[random.Random],
-    max_messages: int,
-    tracer: Tracer,
-) -> MediumRun:
-    protocol.validate_inputs(inputs)
-    k = protocol.num_players
-    num_nodes = medium.num_nodes(k)
-    medium_name = medium.name or type(medium).__name__
-    reg = REGISTRY if REGISTRY.enabled else None
-    message_bits_hist = (
-        reg.histogram("message_bits") if reg is not None else None
-    )
-    traced = bool(tracer)
-    state = protocol.initial_state()
-    bits = 0
-    link_bits: Dict[Any, int] = {}
-    transcript = LinkTranscript()
-    for _ in range(max_messages):
-        edge = protocol.next_edge(state, transcript)
-        if edge is None:
-            output = protocol.output(state, transcript)
-            if traced:
-                tracer.event(
-                    "run_complete",
-                    bits=bits,
-                    rounds=len(transcript),
-                    output=output,
-                )
-            if reg is not None:
-                name = type(protocol).__name__
-                reg.counter("topology_runs").inc(
-                    protocol=name, medium=medium_name
-                )
-                reg.counter("bits_written").inc(
-                    bits, protocol=name, players=k
-                )
-            return MediumRun(
-                transcript=transcript,
-                output=output,
-                bits_communicated=bits,
-                bits_by_link=link_bits,
-                rounds=len(transcript),
-            )
-        speaker, link = edge
-        if not isinstance(speaker, int) or not 0 <= speaker < num_nodes:
-            raise ProtocolViolation(
-                f"next_edge returned invalid node {speaker!r}"
-            )
-        medium.check_edge(k, speaker, link)
-        speaker_input = inputs[speaker] if speaker < k else None
-        dist = protocol.message_distribution(
-            state, speaker, speaker_input, transcript
-        )
-        if len(dist) == 1:
-            (message_bits,) = dist.support()
-        else:
-            if rng is None:
-                raise ProtocolViolation(
-                    "protocol requires private randomness but no rng was given"
-                )
-            message_bits = dist.sample(rng)
-        if message_bits == "":
-            raise ProtocolViolation("protocols may not write empty messages")
-        message = LinkMessage(speaker=speaker, link=link, bits=message_bits)
-        charged = medium.charge(link, message_bits)
-        bits += charged
-        link_bits[link] = link_bits.get(link, 0) + charged
-        if traced:
-            tracer.event(
-                "message",
-                speaker=speaker,
-                bits=len(message),
-                round=len(transcript),
-                cumulative_bits=bits,
-            )
-        if message_bits_hist is not None:
-            message_bits_hist.observe(len(message))
-        if reg is not None:
-            reg.counter("topology_link_bits").inc(charged, medium=medium_name)
-        state = protocol.advance_state(state, message)
-        transcript = transcript.extend(message)
-    raise ProtocolViolation(
-        f"protocol did not halt within {max_messages} messages"
+) -> ProtocolRun:
+    """Execute ``protocol`` once on ``medium`` with the given inputs
+    (one per player; auxiliary nodes receive ``None``)."""
+    return run_protocol(
+        protocol,
+        inputs,
+        rng=rng,
+        max_messages=max_messages,
+        tracer=tracer,
+        medium=medium,
     )

@@ -35,9 +35,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.model import ProtocolViolation, check_prefix_free
-from .medium import LinkMessage, LinkTranscript, Medium, TopologyViolation
-from .protocol import MediumProtocol
+from ..core.model import (
+    EMPTY_TRANSCRIPT,
+    Medium,
+    Message,
+    Protocol,
+    ProtocolViolation,
+    TopologyViolation,
+    Transcript,
+    check_prefix_free,
+)
+from ..core.tree import transcript_distribution
 
 __all__ = ["TopologyReport", "validate_topology"]
 
@@ -61,16 +69,16 @@ class TopologyReport:
 
 
 def _transcript_reachable(
-    protocol: MediumProtocol,
+    protocol: Protocol,
     medium: Medium,
-    transcript: LinkTranscript,
+    transcript: Transcript,
     inputs: Sequence[Any],
 ) -> bool:
     """Whether ``inputs`` generates ``transcript`` with positive
     probability."""
     k = protocol.num_players
     state = protocol.initial_state()
-    current = LinkTranscript()
+    current = EMPTY_TRANSCRIPT
     for message in transcript:
         edge = protocol.next_edge(state, current)
         if edge != (message.speaker, message.link):
@@ -87,7 +95,7 @@ def _transcript_reachable(
 
 
 def validate_topology(
-    protocol: MediumProtocol,
+    protocol: Protocol,
     medium: Medium,
     input_tuples: Sequence[Sequence[Any]],
     *,
@@ -105,14 +113,14 @@ def validate_topology(
     # the speaker's message distribution.
     # ------------------------------------------------------------------
     # scheduler view -> {edge: example transcript}
-    schedule_by_view: Dict[Tuple, Dict[Any, LinkTranscript]] = {}
+    schedule_by_view: Dict[Tuple, Dict[Any, Transcript]] = {}
     # (speaker, speaker view, speaker input) -> {law items: example}
-    law_by_view: Dict[Tuple, Dict[Tuple, LinkTranscript]] = {}
+    law_by_view: Dict[Tuple, Dict[Tuple, Transcript]] = {}
 
-    frontier: List[Tuple[Any, LinkTranscript]] = [
-        (protocol.initial_state(), LinkTranscript())
+    frontier: List[Tuple[Any, Transcript]] = [
+        (protocol.initial_state(), EMPTY_TRANSCRIPT)
     ]
-    seen = {LinkTranscript()}
+    seen = {EMPTY_TRANSCRIPT}
     while frontier:
         if len(seen) > max_transcripts:
             raise ProtocolViolation(
@@ -198,7 +206,7 @@ def validate_topology(
                 report.problems.append(f"transcript {transcript!r}: {error}")
 
         for bits in messages:
-            message = LinkMessage(speaker=speaker, link=link, bits=bits)
+            message = Message(speaker, bits, link)
             extended = transcript.extend(message)
             if extended not in seen:
                 seen.add(extended)
@@ -209,11 +217,9 @@ def validate_topology(
     # ------------------------------------------------------------------
     # Final-transcript output consistency per input.
     # ------------------------------------------------------------------
-    from .tree import medium_transcript_distribution
-
     for inputs in input_tuples:
-        for transcript in medium_transcript_distribution(
-            protocol, medium, inputs
+        for transcript in transcript_distribution(
+            protocol, inputs, medium=medium
         ).support():
             state = protocol.initial_state()
             for message in transcript:

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.check.generator import GeneratedCoordinatorProtocol
 from repro.core import (
     MessageDistributionMemo,
     batched_joint_transcript_distribution,
@@ -21,6 +22,7 @@ from repro.core import (
     reachable_transcripts,
     transcript_distribution,
 )
+from repro.core.model import BROADCAST
 from repro.information import DiscreteDistribution, JointDistribution
 from repro.lowerbounds.hard_distribution import and_hard_distribution
 from repro.obs import (
@@ -44,9 +46,18 @@ from repro.protocols import (
     product_scenarios,
     random_boolean_protocol,
 )
+from repro.topology import (
+    COORDINATOR,
+    CoordinatorAndProtocol,
+    CoordinatorDisjointnessProtocol,
+    RingTokenAndProtocol,
+    ring_medium,
+)
 
 
-def legacy_joint(protocol, scenarios, inputs_of=None, *, names=None):
+def legacy_joint(
+    protocol, scenarios, inputs_of=None, *, names=None, medium=BROADCAST
+):
     """The pre-batching implementation of joint_transcript_distribution:
     one DFS per distinct input tuple, scenario-major accumulation.  Kept
     verbatim (minus tracing) as the bit-identity reference."""
@@ -62,7 +73,7 @@ def legacy_joint(protocol, scenarios, inputs_of=None, *, names=None):
         key = tuple(inputs_of(scenario))
         transcripts = cache.get(key)
         if transcripts is None:
-            transcripts = transcript_distribution(protocol, key)
+            transcripts = transcript_distribution(protocol, key, medium=medium)
             cache[key] = transcripts
         for transcript, p_transcript in transcripts.items():
             outcome = scenario + (transcript,)
@@ -193,20 +204,60 @@ def protocol_cases():
     return cases
 
 
+def medium_cases():
+    """(label, protocol, scenario distribution, medium) for the protocols
+    of the coordinator and ring media — input-less hub nodes included."""
+    generated = GeneratedCoordinatorProtocol(7, 3)
+    return [
+        (
+            "coordinator_disjointness",
+            CoordinatorDisjointnessProtocol(2, 3),
+            scenario_distribution(
+                list(itertools.product(range(4), repeat=3))
+            ),
+            COORDINATOR,
+        ),
+        (
+            "coordinator_and",
+            CoordinatorAndProtocol(4),
+            scenario_distribution(all_boolean_inputs(4)),
+            COORDINATOR,
+        ),
+        (
+            "ring_token_and",
+            RingTokenAndProtocol(4),
+            scenario_distribution(all_boolean_inputs(4)),
+            ring_medium(4),
+        ),
+        (
+            "generated_coordinator",
+            generated,
+            scenario_distribution(generated.input_tuples()),
+            COORDINATOR,
+        ),
+    ]
+
+
 CASES = protocol_cases()
-CASE_IDS = [label for label, _, _ in CASES]
+ALL_CASES = [case + (BROADCAST,) for case in CASES] + medium_cases()
+CASE_IDS = [case[0] for case in ALL_CASES]
 
 
 class TestBatchedEqualsPerInput:
-    @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("case", ALL_CASES, ids=CASE_IDS)
     def test_bit_identical_across_protocol_classes(self, case):
-        _, protocol, scenarios = case
-        expected = legacy_joint(protocol, scenarios)
+        _, protocol, scenarios, medium = case
+        expected = legacy_joint(protocol, scenarios, medium=medium)
         assert_bit_identical(
-            joint_transcript_distribution(protocol, scenarios), expected
+            joint_transcript_distribution(
+                protocol, scenarios, medium=medium
+            ),
+            expected,
         )
         assert_bit_identical(
-            batched_joint_transcript_distribution(protocol, scenarios),
+            batched_joint_transcript_distribution(
+                protocol, scenarios, medium=medium
+            ),
             expected,
         )
 

@@ -10,9 +10,9 @@ from repro.core import (
     batched_joint_transcript_distribution,
     check_prefix_free,
 )
+from repro.core.model import BOARD_LINK, Link
 from repro.information import DiscreteDistribution
 from repro.perf import kernels
-from repro.topology import BOARD_LINK, Link, LinkMessage, LinkTranscript
 
 
 class TestMessage:
@@ -112,15 +112,15 @@ class TestTranscript:
 
     def test_chained_link_extend_matches_constructor(self):
         messages = [
-            LinkMessage(0, Link(0, 3), "110"),
-            LinkMessage(3, Link(0, 3), "0"),
-            LinkMessage(1, BOARD_LINK, "1011"),
-            LinkMessage(3, Link(1, 3), "01"),
+            Message(0, "110", Link(0, 3)),
+            Message(3, "0", Link(0, 3)),
+            Message(1, "1011", BOARD_LINK),
+            Message(3, "01", Link(1, 3)),
         ]
-        built = LinkTranscript()
+        built = Transcript()
         for prefix in range(1, len(messages) + 1):
             built = built.extend(messages[prefix - 1])
-            direct = LinkTranscript(messages[:prefix])
+            direct = Transcript(messages[:prefix])
             assert built == direct
             assert hash(built) == hash(direct)
             assert built.bits_written == direct.bits_written

@@ -46,8 +46,6 @@ def test_scan_finds_known_emissions():
         "bits_written",
         "net_frames_sent",
         "store_hits",
-        "topology_runs",
-        "topology_link_bits",
         "topology_view_rebuilds",
     ):
         assert name in emitted

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.check.generator import generate_case
+from repro.check.generator import GeneratedCoordinatorProtocol, generate_case
 from repro.core import (
     batched_joint_transcript_distribution,
     conditional_information_cost,
@@ -25,6 +25,7 @@ from repro.core import (
     run_protocol,
 )
 from repro.core import tree
+from repro.core.model import TopologyViolation
 from repro.core.tasks import disjointness_task
 from repro.experiments.e1_disjointness_scaling import measure_point
 from repro.experiments.workloads import partition_instance, random_instance
@@ -48,6 +49,13 @@ from repro.protocols import (
     NoisySequentialAndProtocol,
     SequentialAndProtocol,
     TwoPartyDisjointnessProtocol,
+)
+from repro.topology import (
+    COORDINATOR,
+    CoordinatorAndProtocol,
+    CoordinatorDisjointnessProtocol,
+    RingTokenAndProtocol,
+    ring_medium,
 )
 
 numpy_required = pytest.mark.skipif(
@@ -163,6 +171,60 @@ class TestTreeWalkIdentity:
             )
         )
         assert_joint_identical(legacy, vectorized)
+
+    @pytest.mark.parametrize(
+        "protocol, medium, inputs",
+        [
+            pytest.param(
+                CoordinatorDisjointnessProtocol(2, 3),
+                COORDINATOR,
+                list(itertools.product(range(4), repeat=3)),
+                id="coordinator-disjointness",
+            ),
+            pytest.param(
+                CoordinatorAndProtocol(5),
+                COORDINATOR,
+                list(itertools.product((0, 1), repeat=5)),
+                id="coordinator-and",
+            ),
+            pytest.param(
+                RingTokenAndProtocol(5),
+                ring_medium(5),
+                list(itertools.product((0, 1), repeat=5)),
+                id="ring-token-and",
+            ),
+        ]
+        + [
+            pytest.param(
+                GeneratedCoordinatorProtocol(seed, 2 + seed % 2),
+                COORDINATOR,
+                list(itertools.product((0, 1), repeat=2 + seed % 2)),
+                id=f"generated-coordinator-{seed}",
+            )
+            for seed in range(4)
+        ],
+    )
+    def test_medium_protocols(self, protocol, medium, inputs):
+        scenarios = scenario_distribution(inputs)
+        legacy, vectorized = both_kernels(
+            lambda: batched_joint_transcript_distribution(
+                protocol, scenarios, names=("inputs",), medium=medium
+            )
+        )
+        assert_joint_identical(legacy, vectorized)
+
+    @pytest.mark.parametrize("kernel", kernels.KERNELS)
+    def test_off_medium_edge_rejected(self, kernel):
+        # The ring protocol writes on Link(0, 1), which the coordinator
+        # medium does not have.
+        scenarios = scenario_distribution(
+            list(itertools.product((0, 1), repeat=3))
+        )
+        with kernels.using_kernel(kernel):
+            with pytest.raises(TopologyViolation, match="is not a link"):
+                batched_joint_transcript_distribution(
+                    RingTokenAndProtocol(3), scenarios, medium=COORDINATOR
+                )
 
     @pytest.mark.parametrize("index", range(25))
     def test_generated_protocols(self, index):

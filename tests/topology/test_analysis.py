@@ -5,18 +5,18 @@ import math
 
 import pytest
 
-from repro.core.analysis import external_information_cost
+from repro.core.analysis import (
+    expected_communication,
+    external_information_cost,
+)
 from repro.information.distribution import DiscreteDistribution
 from repro.protocols import SequentialAndProtocol
 from repro.topology import (
     BROADCAST,
     COORDINATOR,
-    BroadcastAdapter,
     CoordinatorDisjointnessProtocol,
     CoordinatorTrivialDisjointness,
     Link,
-    expected_medium_communication,
-    medium_external_information_cost,
     per_link_communication,
     per_view_information,
 )
@@ -41,9 +41,7 @@ class TestBroadcastViews:
         protocol = SequentialAndProtocol(3)
         dist = _uniform_bits(3)
         legacy = external_information_cost(protocol, dist)
-        views = per_view_information(
-            BroadcastAdapter(protocol), BROADCAST, dist
-        )
+        views = per_view_information(protocol, BROADCAST, dist)
         assert set(views) == {0, 1, 2}
         for node in range(3):
             assert views[node]["external"] == legacy
@@ -72,8 +70,8 @@ class TestCoordinatorViews:
         protocol = CoordinatorDisjointnessProtocol(2, 2)
         dist = _uniform_masks(2, 2)
         views = per_view_information(protocol, COORDINATOR, dist)
-        total = medium_external_information_cost(
-            protocol, COORDINATOR, dist
+        total = external_information_cost(
+            protocol, dist, medium=COORDINATOR
         )
         assert views[2]["external"] == pytest.approx(total)
 
@@ -98,6 +96,6 @@ class TestPerLinkAccounting:
         protocol = CoordinatorDisjointnessProtocol(2, 2)
         dist = _uniform_masks(2, 2)
         per_link = per_link_communication(protocol, COORDINATOR, dist)
-        total = expected_medium_communication(protocol, COORDINATOR, dist)
+        total = expected_communication(protocol, dist, medium=COORDINATOR)
         assert sum(per_link.values()) == pytest.approx(total)
         assert total == pytest.approx(2 * (2 * 2 - 1))  # n(2k-1), fixed cost

@@ -17,7 +17,6 @@ from repro.topology import (
     Link,
     RingTokenAndProtocol,
     TopologyViolation,
-    as_medium_protocol,
     ring_medium,
     run_on_medium,
     star_medium,
@@ -171,8 +170,10 @@ class TestTypedRejection:
             run_on_medium(_BadNode(2, 2), COORDINATOR, (1, 2))
 
     def test_legacy_protocol_cannot_run_on_coordinator(self):
-        with pytest.raises(TypeError):
-            as_medium_protocol(SequentialAndProtocol(3), COORDINATOR)
+        """A board protocol writes on BOARD_LINK, which the coordinator
+        medium does not have."""
+        with pytest.raises(TopologyViolation, match="is not a link"):
+            run_on_medium(SequentialAndProtocol(3), COORDINATOR, (1, 1, 1))
 
     def test_coordinator_protocol_rejected_off_its_medium(self):
         protocol = RingTokenAndProtocol(3)

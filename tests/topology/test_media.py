@@ -1,23 +1,25 @@
-"""Structural contracts of the medium layer: links, transcripts, the
-three media, and the typed rejection of topology violations."""
+"""Structural contracts of the medium layer: links, link-annotated
+messages and transcripts, the three media, and the typed rejection of
+topology violations."""
 
 import pickle
 
 import pytest
 
+from repro.core.model import EMPTY_TRANSCRIPT, Message, Transcript
 from repro.topology import (
     BOARD_LINK,
     BROADCAST,
     COORDINATOR,
+    CoordinatorAndProtocol,
     GraphMedium,
     Link,
-    LinkMessage,
-    LinkTranscript,
     TopologyViolation,
     ring_medium,
+    run_on_medium,
     star_medium,
 )
-from repro.topology.medium import EMPTY_LINK_TRANSCRIPT
+from repro.topology.medium import CoordinatorMedium
 
 
 class TestLink:
@@ -43,40 +45,37 @@ class TestLink:
 class TestLinkMessage:
     def test_validates_bits(self):
         with pytest.raises(ValueError):
-            LinkMessage(0, Link(0, 2), "012")
+            Message(0, "012", Link(0, 2))
 
     def test_link_type_checked(self):
         with pytest.raises(ValueError):
-            LinkMessage(0, (0, 2), "1")
+            Message(0, "1", (0, 2))
+
+    def test_link_defaults_to_the_board(self):
+        assert Message(0, "1").link is BOARD_LINK
+        assert Message(0, "1") == Message(0, "1", BOARD_LINK)
+        assert Message(0, "1") != Message(0, "1", Link(0, 2))
 
 
 class TestLinkTranscript:
     def test_empty_singleton_properties(self):
-        assert len(EMPTY_LINK_TRANSCRIPT) == 0
-        assert EMPTY_LINK_TRANSCRIPT.bits_written == 0
-        assert EMPTY_LINK_TRANSCRIPT.bit_string() == ""
+        assert len(EMPTY_TRANSCRIPT) == 0
+        assert EMPTY_TRANSCRIPT.bits_written == 0
+        assert EMPTY_TRANSCRIPT.bit_string() == ""
 
     def test_extend_is_persistent_and_hashable(self):
-        m1 = LinkMessage(0, Link(0, 2), "10")
-        m2 = LinkMessage(2, Link(1, 2), "0")
-        t1 = EMPTY_LINK_TRANSCRIPT.extend(m1)
+        m1 = Message(0, "10", Link(0, 2))
+        m2 = Message(2, "0", Link(1, 2))
+        t1 = EMPTY_TRANSCRIPT.extend(m1)
         t2 = t1.extend(m2)
         assert len(t1) == 1 and len(t2) == 2
         assert t2.bits_written == 3
         assert t2.bits_by_link() == {Link(0, 2): 2, Link(1, 2): 1}
-        assert t2 == LinkTranscript((m1, m2))
-        assert hash(t2) == hash(LinkTranscript((m1, m2)))
+        assert t2 == Transcript((m1, m2))
+        assert hash(t2) == hash(Transcript((m1, m2)))
         assert t2.speakers() == [0, 2]
         assert t2.on_link(Link(0, 2)) == [m1]
         assert t2.messages_by(2) == [m2]
-
-    def test_as_broadcast_drops_link_annotations(self):
-        board = EMPTY_LINK_TRANSCRIPT.extend(
-            LinkMessage(1, BOARD_LINK, "01")
-        )
-        legacy = board.as_broadcast()
-        assert [m.speaker for m in legacy] == [1]
-        assert legacy.bit_string() == "01"
 
 
 class TestBroadcastMedium:
@@ -89,9 +88,9 @@ class TestBroadcastMedium:
             assert BROADCAST.visible(k, BOARD_LINK, node)
 
     def test_views_are_the_whole_board(self):
-        transcript = EMPTY_LINK_TRANSCRIPT.extend(
-            LinkMessage(0, BOARD_LINK, "1")
-        ).extend(LinkMessage(1, BOARD_LINK, "00"))
+        transcript = EMPTY_TRANSCRIPT.extend(
+            Message(0, "1", BOARD_LINK)
+        ).extend(Message(1, "00", BOARD_LINK))
         for node in range(3):
             view = BROADCAST.node_view(3, transcript, node)
             assert view == ((0, BOARD_LINK, "1"), (1, BOARD_LINK, "00"))
@@ -112,9 +111,9 @@ class TestCoordinatorMedium:
 
     def test_views_are_private(self):
         k = 3
-        transcript = EMPTY_LINK_TRANSCRIPT.extend(
-            LinkMessage(0, Link(0, k), "1")
-        ).extend(LinkMessage(1, Link(1, k), "0"))
+        transcript = EMPTY_TRANSCRIPT.extend(
+            Message(0, "1", Link(0, k))
+        ).extend(Message(1, "0", Link(1, k)))
         assert COORDINATOR.node_view(k, transcript, 0) == (
             (0, Link(0, k), "1"),
         )
@@ -137,8 +136,8 @@ class TestGraphMedia:
     def test_graph_scheduler_sees_metadata_only(self):
         k = 3
         star = star_medium(k)
-        transcript = EMPTY_LINK_TRANSCRIPT.extend(
-            LinkMessage(0, Link(0, k), "101")
+        transcript = EMPTY_TRANSCRIPT.extend(
+            Message(0, "101", Link(0, k))
         )
         assert star.scheduler_view(k, transcript) == (
             (0, Link(0, k), 3),
@@ -169,3 +168,29 @@ class TestCheckEdge:
         # And the valid edge passes.
         COORDINATOR.check_edge(k, 0, Link(0, k))
         COORDINATOR.check_edge(k, k, Link(0, k))
+
+    def test_rejection_messages(self):
+        k = 3
+        with pytest.raises(TopologyViolation, match="does not exist"):
+            COORDINATOR.check_edge(k, 99, Link(0, k))
+        with pytest.raises(TopologyViolation, match="is not a link"):
+            COORDINATOR.check_edge(k, 0, Link(1, 2))
+        with pytest.raises(TopologyViolation, match="not an endpoint"):
+            COORDINATOR.check_edge(k, 0, Link(1, k))
+        with pytest.raises(TopologyViolation, match="is not a link"):
+            BROADCAST.check_edge(k, 0, Link(0, 1))
+
+    def test_success_never_builds_the_link_set(self):
+        """A successful run checks every edge with ``may_write`` alone."""
+
+        class CountingCoordinator(CoordinatorMedium):
+            calls = 0
+
+            def links(self, k):
+                CountingCoordinator.calls += 1
+                return super().links(k)
+
+        medium = CountingCoordinator()
+        run = run_on_medium(CoordinatorAndProtocol(64), medium, (1,) * 64)
+        assert run.rounds == 64 and run.output == 1
+        assert CountingCoordinator.calls == 0
