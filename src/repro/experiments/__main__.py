@@ -30,6 +30,10 @@ Usage::
     REPRO_STORE=.store python -m repro.experiments all    # same, via env
     python -m repro.experiments E1 --no-store             # force cold
 
+    # Fabric (see docs/fabric.md): warm the store over N sharded
+    # workers first, then render the table from pure store hits:
+    python -m repro.experiments E1 --quick --store .store --fabric 3
+
 Each experiment prints its rendered table (the same table the benchmark
 harness writes to ``benchmarks/results/``).  With ``--trace`` every
 instrumented subsystem (runner, exact analyzer, samplers, Monte-Carlo)
@@ -41,6 +45,7 @@ printed after each experiment.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import os
 import sys
@@ -125,9 +130,10 @@ def main(argv=None) -> int:
         type=int,
         metavar="N",
         default=None,
-        help="shard store-backed experiment grids across N fabric "
-             "workers (requires --store; see docs/fabric.md); tables "
-             "are byte-identical to the serial run",
+        help="warm the store for each store-backed experiment over N "
+             "fabric workers, then render its table from the warm store "
+             "(requires --store; see docs/fabric.md); tables are "
+             "byte-identical to the serial run",
     )
     parser.add_argument(
         "--fabric-transport",
@@ -216,6 +222,28 @@ def main(argv=None) -> int:
         from ..store import ResultStore
 
         store = ResultStore(store_dir)
+    if args.fabric is not None:
+        # Fabric workers compute every cell with the canonical defaults
+        # (default kernel, in-memory protocols, no faults) into the
+        # store, which is both their output and the table's input.
+        if store is None:
+            parser.error(
+                "--fabric requires a result store (--store DIR or "
+                "REPRO_STORE, without --no-store)"
+            )
+        for flag, value in (
+            ("--kernel", args.kernel),
+            ("--transport", args.transport),
+            ("--fault-seed", args.fault_seed),
+        ):
+            if value is not None:
+                parser.error(
+                    f"--fabric cannot be combined with {flag}: fabric "
+                    "workers compute with the default kernel, the "
+                    "in-memory transport and no faults"
+                )
+        from ..fabric.cells import SWEEPABLE_EXPERIMENTS, sweep_keys
+        from ..fabric.sweep import fabric_sweep
 
     tracer = JsonlTracer(args.trace) if args.trace else None
     telemetry = None
@@ -254,12 +282,6 @@ def main(argv=None) -> int:
                     runner, "fault_seed"
                 ):
                     kwargs["fault_seed"] = args.fault_seed
-                if args.fabric is not None and _supports_kwarg(
-                    runner, "fabric"
-                ):
-                    kwargs["fabric"] = args.fabric
-                    if args.fabric_transport is not None:
-                        kwargs["fabric_transport"] = args.fabric_transport
                 if args.kernel is not None and _supports_kwarg(
                     runner, "kernel"
                 ):
@@ -267,10 +289,21 @@ def main(argv=None) -> int:
                 if args.quick and _supports_kwarg(runner, "quick"):
                     kwargs["quick"] = True
                 started = time.monotonic()
-                if tracer:
-                    with tracer.span("experiment", experiment=eid):
-                        table = runner(**kwargs)
-                else:
+                span = (
+                    tracer.span("experiment", experiment=eid)
+                    if tracer
+                    else contextlib.nullcontext()
+                )
+                with span:
+                    if args.fabric is not None and (
+                        eid in SWEEPABLE_EXPERIMENTS
+                    ):
+                        fabric_sweep(
+                            sweep_keys(eid, quick=kwargs.get("quick", False)),
+                            store=store,
+                            workers=args.fabric,
+                            transport=args.fabric_transport or "tcp",
+                        )
                     table = runner(**kwargs)
                 elapsed = time.monotonic() - started
                 if tracer:

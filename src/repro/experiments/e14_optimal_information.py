@@ -17,9 +17,8 @@ protocols in the class.  The table shows:
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..core.analysis import conditional_information_cost
 from ..lowerbounds.hard_distribution import and_hard_distribution
@@ -29,12 +28,11 @@ from ..lowerbounds.optimal_information import (
     minimum_zero_error_external_ic,
 )
 from ..protocols.and_protocols import SequentialAndProtocol
-from ..store.keys import code_version
 from ..store.store import ResultStore
-from ..store.sweep import checkpointed_map_grid
+from ..store.sweep import SweepGrid
 from .tables import ExperimentTable
 
-__all__ = ["run", "DEFAULT_KS"]
+__all__ = ["run", "DEFAULT_KS", "QUICK_KS", "SWEEP", "EXTERNAL_SWEEP"]
 
 #: k = 12 pushes the rectangle DP to 3^12 · 12 ≈ 6.4M mass cells, just
 #: under the vectorized dense-DP kernel's ``_E14_CELL_CAP``;
@@ -42,15 +40,22 @@ __all__ = ["run", "DEFAULT_KS"]
 #: recursion at a few times the cost.
 DEFAULT_KS: Sequence[int] = (2, 3, 4, 6, 8, 10, 12)
 
+#: The quick sweep: k up to 8.
+QUICK_KS: Sequence[int] = tuple(k for k in DEFAULT_KS if k <= 8)
 
-def _measure_grid_point(
-    k: int, *, kernel: Optional[str] = None
+
+def _cell(
+    params: Dict[str, Any],
+    seed: Optional[int] = None,
+    *,
+    kernel: Optional[str] = None,
 ) -> Tuple[float, float]:
-    """One E14 grid task: the certified optimum and the sequential
+    """One E14 grid cell: the certified optimum and the sequential
     protocol's CIC at ``k``.  Pure, so the sweep parallelizes (and
     caches) without changing any value.  ``kernel`` is applied inside
-    the task body so worker processes honor the sweep's ``--kernel``
+    the cell body so worker processes honor the sweep's ``--kernel``
     selection."""
+    k = params["k"]
     with kernels.using_kernel(kernel):
         optimum = minimum_zero_error_cic(k)
         sequential = conditional_information_cost(
@@ -59,11 +64,15 @@ def _measure_grid_point(
     return optimum, sequential
 
 
-def _measure_external(
-    k: int, *, kernel: Optional[str] = None
+def _external_cell(
+    params: Dict[str, Any],
+    seed: Optional[int] = None,
+    *,
+    kernel: Optional[str] = None,
 ) -> Tuple[float, float]:
     """The external-IC contrast cell: certified AND vs XOR optima under
     uniform inputs at ``k``."""
+    k = params["k"]
     with kernels.using_kernel(kernel):
         and_external = minimum_zero_error_external_ic(
             k, lambda x: int(all(x)), [0.5] * k
@@ -74,14 +83,36 @@ def _measure_external(
     return and_external, xor_external
 
 
+def _k_params(k: int) -> Dict[str, int]:
+    return {"k": k}
+
+
+#: The main E14 grid: one unseeded cell per ``k``; the kernel is not
+#: part of the address (both engines certify bit-identical optima).
+SWEEP = SweepGrid(
+    experiment="E14",
+    cell=_cell,
+    default=DEFAULT_KS,
+    quick=QUICK_KS,
+    params_of=_k_params,
+)
+
+#: The single external-IC contrast cell, at the sweep's largest ``k``.
+EXTERNAL_SWEEP = SweepGrid(
+    experiment="E14-external",
+    cell=_external_cell,
+    default=(max(DEFAULT_KS),),
+    quick=(max(QUICK_KS),),
+    params_of=_k_params,
+)
+
+
 def run(
     ks: Sequence[int] = DEFAULT_KS,
     *,
     workers: Optional[int] = None,
     store: Optional[ResultStore] = None,
     kernel: Optional[str] = None,
-    fabric: Optional[int] = None,
-    fabric_transport: str = "tcp",
 ) -> ExperimentTable:
     """Run the E14 sweep.
 
@@ -89,11 +120,6 @@ def run(
     engine (``"vectorized"``/``"legacy"``); the certified optima are
     bit-identical either way, so the kernel does not participate in the
     store cell address.
-
-    ``fabric`` (``--fabric N`` on the CLI) shards the main grid across
-    ``N`` fabric workers (requires ``store``; see docs/fabric.md); the
-    single external-IC contrast cell stays serial either way.  The table
-    is byte-identical to the serial path.
     """
     if kernel is not None and kernel not in kernels.KERNELS:
         raise ValueError(
@@ -114,28 +140,7 @@ def run(
         ],
     )
     ratios = []
-    if fabric is not None:
-        from ..fabric.sweep import fabric_checkpointed_map_grid
-
-        measurements = fabric_checkpointed_map_grid(
-            list(ks),
-            store=store,
-            experiment="E14",
-            version=code_version("E14"),
-            params_of=lambda k: {"k": k},
-            workers=fabric,
-            transport=fabric_transport,
-        )
-    else:
-        measurements = checkpointed_map_grid(
-            functools.partial(_measure_grid_point, kernel=kernel),
-            list(ks),
-            store=store,
-            experiment="E14",
-            version=code_version("E14"),
-            params_of=lambda k: {"k": k},
-            workers=workers,
-        )
+    measurements = SWEEP.map(ks, store=store, workers=workers, kernel=kernel)
     for k, (optimum, sequential) in zip(ks, measurements):
         ratio = optimum / math.log2(k)
         ratios.append(ratio)
@@ -151,14 +156,9 @@ def run(
         "with certified constant ~1/2 in this class"
     )
     k = max(ks)
-    ((and_external, xor_external),) = checkpointed_map_grid(
-        functools.partial(_measure_external, kernel=kernel),
-        [k],
-        store=store,
-        experiment="E14-external",
-        version=code_version("E14-external"),
-        params_of=lambda k: {"k": k},
-        workers=None,  # a single cell; never worth a process pool
+    # A single cell; never worth a process pool.
+    ((and_external, xor_external),) = EXTERNAL_SWEEP.map(
+        [k], store=store, kernel=kernel
     )
     table.add_note(
         f"external-IC optima under uniform inputs at k={k}: "

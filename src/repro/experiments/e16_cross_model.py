@@ -26,8 +26,7 @@ the uniform input distribution — what each player's private view, and
 the coordinator hub's total view, reveal about the inputs
 (:func:`repro.topology.analysis.per_view_information`).  Both stages
 run through the result store under their own
-:data:`~repro.store.keys.CODE_VERSIONS` tags (``E16`` / ``E16-info``)
-and shard across fabric workers with ``--fabric``.
+:data:`~repro.store.keys.CODE_VERSIONS` tags (``E16`` / ``E16-info``).
 """
 
 from __future__ import annotations
@@ -42,9 +41,8 @@ from ..information.distribution import DiscreteDistribution
 from ..perf import kernels
 from ..protocols.optimal_disjointness import OptimalDisjointnessProtocol
 from ..protocols.trivial import TrivialDisjointnessProtocol
-from ..store.keys import code_version
 from ..store.store import ResultStore
-from ..store.sweep import checkpointed_map_grid
+from ..store.sweep import SweepGrid
 from ..topology.analysis import per_view_information
 from ..topology.medium import BROADCAST, COORDINATOR
 from ..topology.protocols import (
@@ -63,6 +61,8 @@ __all__ = [
     "INFO_POINTS",
     "measure_point",
     "measure_info_point",
+    "SWEEP",
+    "INFO_SWEEP",
 ]
 
 #: The default grid: E1's classic grid plus two deeper points the
@@ -130,10 +130,11 @@ def measure_point(n: int, k: int) -> Tuple[int, int, int]:
     return (broadcast_bits, coordinator_bits[0], coordinator_bits[1])
 
 
-def _measure_grid_point(point: Tuple[int, int]) -> Tuple[int, int, int]:
+def _cost_cell(
+    params: Dict[str, int], seed: Optional[int] = None
+) -> Tuple[int, int, int]:
     """One E16 cost cell — pure in ``(n, k)`` (no randomness)."""
-    n, k = point
-    return measure_point(n, k)
+    return measure_point(params["n"], params["k"])
 
 
 def measure_info_point(n: int, k: int) -> Dict[str, Any]:
@@ -173,10 +174,34 @@ def measure_info_point(n: int, k: int) -> Dict[str, Any]:
     return result
 
 
-def _measure_info_grid_point(point: Tuple[int, int]) -> Dict[str, Any]:
+def _info_cell(
+    params: Dict[str, int], seed: Optional[int] = None
+) -> Dict[str, Any]:
     """One E16-info cell — pure in ``(n, k)``."""
-    n, k = point
-    return measure_info_point(n, k)
+    return measure_info_point(params["n"], params["k"])
+
+
+def _nk_params(point: Tuple[int, int]) -> Dict[str, int]:
+    return {"n": point[0], "k": point[1]}
+
+
+#: The cost grid: unseeded cells keyed by ``(n, k)``.
+SWEEP = SweepGrid(
+    experiment="E16",
+    cell=_cost_cell,
+    default=DEFAULT_GRID,
+    quick=CLASSIC_GRID,
+    params_of=_nk_params,
+)
+
+#: The exact per-view information stage, the same under ``--quick``.
+INFO_SWEEP = SweepGrid(
+    experiment="E16-info",
+    cell=_info_cell,
+    default=INFO_POINTS,
+    quick=INFO_POINTS,
+    params_of=_nk_params,
+)
 
 
 def _loglog_slope(points: Sequence[Tuple[int, int]]) -> float:
@@ -228,8 +253,6 @@ def run(
     workers: Optional[int] = None,
     store: Optional[ResultStore] = None,
     quick: bool = False,
-    fabric: Optional[int] = None,
-    fabric_transport: str = "tcp",
 ) -> ExperimentTable:
     """Run the E16 cross-model sweep and return the result table.
 
@@ -240,12 +263,10 @@ def run(
     checkpoints fresh ones (``--store DIR``); both stages' cells are
     pure functions of ``(n, k)`` with no seed in the address, so a warm
     re-run renders a byte-identical table.  ``workers`` parallelizes
-    the cost grid locally; ``fabric`` (``--fabric N``, requires
-    ``store``) shards it across fabric workers instead — both
-    byte-identical to the serial path.
+    the cost grid locally, byte-identical to the serial path.
     """
     if quick and grid is DEFAULT_GRID:
-        grid = CLASSIC_GRID
+        grid = SWEEP.quick
     table = ExperimentTable(
         experiment_id="E16",
         title="Cross-model disjointness: broadcast vs coordinator cost",
@@ -261,30 +282,7 @@ def run(
             "opt/(n·lg(ek)+k)", "relay/(n·k)", "relay/opt",
         ],
     )
-    if fabric is not None:
-        from ..fabric.sweep import fabric_checkpointed_map_grid
-
-        measurements = fabric_checkpointed_map_grid(
-            list(grid),
-            store=store,
-            experiment="E16",
-            version=code_version("E16"),
-            params_of=lambda point: {"n": point[0], "k": point[1]},
-            base_seed=None,
-            workers=fabric,
-            transport=fabric_transport,
-        )
-    else:
-        measurements = checkpointed_map_grid(
-            _measure_grid_point,
-            list(grid),
-            store=store,
-            experiment="E16",
-            version=code_version("E16"),
-            params_of=lambda point: {"n": point[0], "k": point[1]},
-            workers=workers,
-            base_seed=None,
-        )
+    measurements = SWEEP.map(grid, store=store, workers=workers)
     for (n, k), (opt_bits, relay_bits, trivial_bits) in zip(
         grid, measurements
     ):
@@ -307,16 +305,7 @@ def run(
 
     # The exact per-view information stage (tiny instances, same store
     # discipline, its own kernel tag).
-    info_cells = checkpointed_map_grid(
-        _measure_info_grid_point,
-        list(info_points),
-        store=store,
-        experiment="E16-info",
-        version=code_version("E16-info"),
-        params_of=lambda point: {"n": point[0], "k": point[1]},
-        workers=None,
-        base_seed=None,
-    )
+    info_cells = INFO_SWEEP.map(info_points, store=store)
     for (n, k), cell in zip(info_points, info_cells):
         player_internal = [
             cell["coordinator"]["per_view"][str(node)]["internal"]

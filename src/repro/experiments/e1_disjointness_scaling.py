@@ -17,19 +17,18 @@ one by a factor approaching ``log n / log k``.
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import math
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.runner import ProtocolRun, run_protocol
 from ..core.tasks import disjointness_task
 from ..net import TRANSPORTS, run_networked
 from ..net.faults import chaos_plan
 from ..perf import kernels
-from ..store.keys import code_version
 from ..store.store import ResultStore
-from ..store.sweep import checkpointed_map_grid
+from ..store.sweep import SweepGrid
 from ..protocols.naive_disjointness import NaiveDisjointnessProtocol
 from ..protocols.optimal_disjointness import OptimalDisjointnessProtocol
 from ..protocols.trivial import TrivialDisjointnessProtocol
@@ -42,6 +41,7 @@ __all__ = [
     "DEFAULT_GRID",
     "measure_point",
     "E1_TRANSPORTS",
+    "SWEEP",
 ]
 
 #: Execution backends for the worst-case measurements: the in-memory
@@ -164,26 +164,26 @@ def measure_point(
     return tuple(results)  # type: ignore[return-value]
 
 
-def _measure_grid_point(
-    point: Tuple[int, int],
+def _cell(
+    params: Dict[str, int],
     seed: int,
     *,
-    check_random_instances: bool,
+    check_random_instances: bool = True,
     transport: str = "memory",
     fault_seed: Optional[int] = None,
     kernel: Optional[str] = None,
 ) -> Tuple[int, int, int]:
-    """One E1 grid task: worst-case bits at ``(n, k)`` plus an optional
+    """One E1 grid cell: worst-case bits at ``(n, k)`` plus an optional
     random-instance correctness check.
 
-    Pure in ``(point, seed)`` — the random check instances are drawn from
-    a per-task RNG seeded by :func:`repro.perf.derive_seed`, never from a
-    sweep-wide RNG, so the sweep is parallelizable without changing any
-    result.  ``kernel`` is applied *inside* the task body so worker
-    processes honor the sweep's ``--kernel`` selection regardless of the
-    multiprocessing start method.
+    Pure in ``(params, seed)`` — the random check instances are drawn
+    from a per-cell RNG seeded by :func:`repro.perf.derive_seed`, never
+    from a sweep-wide RNG, so the sweep is parallelizable without
+    changing any result.  ``kernel`` is applied *inside* the cell body
+    so worker processes honor the sweep's ``--kernel`` selection
+    regardless of the multiprocessing start method.
     """
-    n, k = point
+    n, k = params["n"], params["k"]
     with kernels.using_kernel(kernel):
         bits = measure_point(
             n, k, transport=transport, fault_seed=fault_seed
@@ -218,28 +218,32 @@ def _measure_grid_point(
     return bits
 
 
+#: The E1 grid: cells are keyed by ``(n, k)`` and seeded from base seed
+#: 0; neither the transport nor the random-instance checks change the
+#: measured bits, so they stay out of the address.
+SWEEP = SweepGrid(
+    experiment="E1",
+    cell=_cell,
+    default=DEFAULT_GRID,
+    quick=CLASSIC_GRID,
+    params_of=lambda point: {"n": point[0], "k": point[1]},
+    base_seed=0,
+)
+
+
 def run(
     grid: Sequence[Tuple[int, int]] = DEFAULT_GRID,
     *,
     check_random_instances: bool = True,
-    seed: int = 0,
+    seed: int = SWEEP.base_seed,
     workers: Optional[int] = None,
     transport: str = "memory",
     store: Optional[ResultStore] = None,
     fault_seed: Optional[int] = None,
     kernel: Optional[str] = None,
     quick: bool = False,
-    fabric: Optional[int] = None,
-    fabric_transport: str = "tcp",
 ) -> ExperimentTable:
     """Run the E1 sweep and return the result table.
-
-    ``fabric`` (``--fabric N`` on the CLI) shards the grid across ``N``
-    fabric workers instead of a local process pool (requires ``store``;
-    see docs/fabric.md).  Fabric cells are computed with the canonical
-    defaults (in-memory protocol transport, random-instance checks on),
-    which measure the same pure function of ``(n, k)``, so the table is
-    byte-identical to the serial path.
 
     ``quick`` (``--quick`` on the CLI) swaps the default grid for
     :data:`CLASSIC_GRID` — the pre-extension points every backend
@@ -278,7 +282,7 @@ def run(
     store cell address.
     """
     if quick and grid is DEFAULT_GRID:
-        grid = CLASSIC_GRID
+        grid = SWEEP.quick
     if kernel is not None and kernel not in kernels.KERNELS:
         raise ValueError(
             f"unknown kernel {kernel!r}; expected one of {kernels.KERNELS}"
@@ -302,36 +306,15 @@ def run(
             "opt/(n·lg(ek)+k)", "naive/(n·lg n+k)", "naive/opt",
         ],
     )
-    if fabric is not None:
-        from ..fabric.sweep import fabric_checkpointed_map_grid
-
-        measurements = fabric_checkpointed_map_grid(
-            list(grid),
-            store=store,
-            experiment="E1",
-            version=code_version("E1"),
-            params_of=lambda point: {"n": point[0], "k": point[1]},
-            base_seed=seed,
-            workers=fabric,
-            transport=fabric_transport,
-        )
-    else:
-        measurements = checkpointed_map_grid(
-            functools.partial(
-                _measure_grid_point,
-                check_random_instances=check_random_instances,
-                transport=transport,
-                fault_seed=fault_seed,
-                kernel=kernel,
-            ),
-            list(grid),
-            store=store,
-            experiment="E1",
-            version=code_version("E1"),
-            params_of=lambda point: {"n": point[0], "k": point[1]},
-            workers=workers,
-            base_seed=seed,
-        )
+    measurements = dataclasses.replace(SWEEP, base_seed=seed).map(
+        grid,
+        store=store,
+        workers=workers,
+        check_random_instances=check_random_instances,
+        transport=transport,
+        fault_seed=fault_seed,
+        kernel=kernel,
+    )
     optimal_ratios: List[float] = []
     for (n, k), (optimal_bits, naive_bits, trivial_bits) in zip(
         grid, measurements

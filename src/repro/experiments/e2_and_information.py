@@ -26,23 +26,21 @@ growth is conservative.
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..core.analysis import conditional_information_cost
 from ..lowerbounds.hard_distribution import and_hard_distribution
 from ..perf import kernels
-from ..store.keys import code_version
 from ..store.store import ResultStore
-from ..store.sweep import checkpointed_map_grid
+from ..store.sweep import SweepGrid
 from ..protocols.and_protocols import (
     FullBroadcastAndProtocol,
     SequentialAndProtocol,
 )
 from .tables import ExperimentTable
 
-__all__ = ["run", "DEFAULT_KS", "sequential_and_cic"]
+__all__ = ["run", "DEFAULT_KS", "QUICK_KS", "SWEEP", "sequential_and_cic"]
 
 #: The tail (48, 64) roughly octuples the truncated-support enumeration
 #: of the old k = 32 ceiling (C(k,<=3) inputs each walked through ~k
@@ -53,6 +51,9 @@ __all__ = ["run", "DEFAULT_KS", "sequential_and_cic"]
 #: over 695k calls, the CMI 6%.  The walk does O(1) Python work per
 #: node, so the whole default sweep takes about 7 s there.
 DEFAULT_KS: Sequence[int] = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
+
+#: The quick sweep: k up to 16.
+QUICK_KS: Sequence[int] = tuple(k for k in DEFAULT_KS if k <= 16)
 
 #: Exact enumeration of the full 2^(k-1) k support is kept below this k;
 #: beyond it the <=3-zeros truncation is used.
@@ -85,14 +86,32 @@ def _measure_grid_point(
     return cic_seq, cic_full, truncated
 
 
+def _cell(
+    params: Dict[str, Any],
+    seed: Optional[int] = None,
+    *,
+    kernel: Optional[str] = None,
+) -> Tuple[float, float, bool]:
+    return _measure_grid_point(params["k"], kernel=kernel)
+
+
+#: The E2 grid: one unseeded cell per ``k``; the kernel is not part of
+#: the address (both engines compute bit-identical CIC values).
+SWEEP = SweepGrid(
+    experiment="E2",
+    cell=_cell,
+    default=DEFAULT_KS,
+    quick=QUICK_KS,
+    params_of=lambda k: {"k": k},
+)
+
+
 def run(
     ks: Sequence[int] = DEFAULT_KS,
     *,
     workers: Optional[int] = None,
     store: Optional[ResultStore] = None,
     kernel: Optional[str] = None,
-    fabric: Optional[int] = None,
-    fabric_transport: str = "tcp",
 ) -> ExperimentTable:
     """Run the E2 sweep.
 
@@ -100,11 +119,6 @@ def run(
     engine (``"vectorized"``/``"legacy"``); the computed CIC values are
     bit-identical either way, so the kernel does not participate in the
     store cell address.
-
-    ``fabric`` (``--fabric N`` on the CLI) shards the grid across ``N``
-    fabric workers instead of a local process pool (requires ``store``;
-    see docs/fabric.md); the cell addresses and payloads are identical,
-    so the table is byte-identical to the serial path.
     """
     if kernel is not None and kernel not in kernels.KERNELS:
         raise ValueError(
@@ -124,28 +138,7 @@ def run(
         ],
     )
     ratios = []
-    if fabric is not None:
-        from ..fabric.sweep import fabric_checkpointed_map_grid
-
-        measurements = fabric_checkpointed_map_grid(
-            list(ks),
-            store=store,
-            experiment="E2",
-            version=code_version("E2"),
-            params_of=lambda k: {"k": k},
-            workers=fabric,
-            transport=fabric_transport,
-        )
-    else:
-        measurements = checkpointed_map_grid(
-            functools.partial(_measure_grid_point, kernel=kernel),
-            list(ks),
-            store=store,
-            experiment="E2",
-            version=code_version("E2"),
-            params_of=lambda k: {"k": k},
-            workers=workers,
-        )
+    measurements = SWEEP.map(ks, store=store, workers=workers, kernel=kernel)
     for k, (cic_seq, cic_full, truncated) in zip(ks, measurements):
         log2k = math.log2(k)
         ratio = cic_seq / log2k if log2k > 0 else float("nan")

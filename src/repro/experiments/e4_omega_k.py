@@ -14,47 +14,71 @@ constant fraction of the ``k`` players speak, so its communication is
 
 from __future__ import annotations
 
-import functools
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..lowerbounds.fooling import TruncatedAndProtocol, lemma6_report
-from ..store.keys import code_version
 from ..store.store import ResultStore
-from ..store.sweep import checkpointed_map_grid
+from ..store.sweep import SweepGrid
 from .tables import ExperimentTable
 
-__all__ = ["run", "DEFAULT_KS"]
+__all__ = ["run", "DEFAULT_KS", "QUICK_KS", "SWEEP", "budget_grid"]
 
 DEFAULT_KS: Sequence[int] = (16, 64, 256)
 
+#: The quick sweep drops the k = 256 cells.
+QUICK_KS: Sequence[int] = (16, 64)
 
-def _measure_grid_point(
-    point: Tuple[int, int], *, eps_prime: float
+EPS_PRIME = 0.2
+BUDGET_FRACTIONS: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 0.875, 1.0)
+
+
+def budget_grid(
+    ks: Sequence[int],
+    *,
+    eps_prime: float = EPS_PRIME,
+    budget_fractions: Sequence[float] = BUDGET_FRACTIONS,
+) -> List[Dict[str, Any]]:
+    """The cell params of the sweep over ``ks``: every budget fraction
+    at every ``k``.  ``eps_prime`` changes the measured errors, so it is
+    part of each cell's address alongside the grid point."""
+    return [
+        {"k": k, "budget": round(fraction * k), "eps_prime": eps_prime}
+        for k in ks
+        for fraction in budget_fractions
+    ]
+
+
+def _cell(
+    params: Dict[str, Any], seed: Optional[int] = None
 ) -> Tuple[float, float, bool]:
-    """One E4 grid task: the exact Lemma 6 report at ``(k, budget)``.
+    """One E4 grid cell: the exact Lemma 6 report at ``(k, budget)``.
     Pure, so the sweep parallelizes without changing any value."""
-    k, budget = point
-    report = lemma6_report(TruncatedAndProtocol(k, budget), eps_prime=eps_prime)
+    report = lemma6_report(
+        TruncatedAndProtocol(params["k"], params["budget"]),
+        eps_prime=params["eps_prime"],
+    )
     return report.error_lower_bound, report.exact_error, report.bound_holds
+
+
+#: The E4 grid: its items are the cell params themselves.
+SWEEP = SweepGrid(
+    experiment="E4",
+    cell=_cell,
+    default=budget_grid(DEFAULT_KS),
+    quick=budget_grid(QUICK_KS),
+)
 
 
 def run(
     ks: Sequence[int] = DEFAULT_KS,
     *,
-    eps_prime: float = 0.2,
+    eps_prime: float = EPS_PRIME,
     eps: float = 0.1,
-    budget_fractions: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 0.875, 1.0),
+    budget_fractions: Sequence[float] = BUDGET_FRACTIONS,
     workers: Optional[int] = None,
     store: Optional[ResultStore] = None,
-    fabric: Optional[int] = None,
-    fabric_transport: str = "tcp",
 ) -> ExperimentTable:
-    """Run the E4 sweep.
-
-    ``fabric`` (``--fabric N`` on the CLI) shards the grid across ``N``
-    fabric workers instead of a local process pool (requires ``store``;
-    see docs/fabric.md); the table is byte-identical to the serial path.
-    """
+    """Run the E4 sweep."""
     table = ExperimentTable(
         experiment_id="E4",
         title="Lemma 6 error cliff: truncated AND protocols under "
@@ -70,39 +94,14 @@ def run(
         ],
     )
     threshold_fraction = 1.0 - eps / (1.0 - eps_prime)
-    grid = [
-        (k, round(fraction * k))
-        for k in ks
-        for fraction in budget_fractions
-    ]
-    # eps_prime changes the measured errors, so it is part of the
-    # cell address alongside the grid point.
-    params_of = lambda point: {  # noqa: E731
-        "k": point[0], "budget": point[1], "eps_prime": eps_prime,
+    grid = budget_grid(
+        ks, eps_prime=eps_prime, budget_fractions=budget_fractions
+    )
+    measurements = SWEEP.map(grid, store=store, workers=workers)
+    by_point = {
+        (params["k"], params["budget"]): measured
+        for params, measured in zip(grid, measurements)
     }
-    if fabric is not None:
-        from ..fabric.sweep import fabric_checkpointed_map_grid
-
-        measurements = fabric_checkpointed_map_grid(
-            grid,
-            store=store,
-            experiment="E4",
-            version=code_version("E4"),
-            params_of=params_of,
-            workers=fabric,
-            transport=fabric_transport,
-        )
-    else:
-        measurements = checkpointed_map_grid(
-            functools.partial(_measure_grid_point, eps_prime=eps_prime),
-            grid,
-            store=store,
-            experiment="E4",
-            version=code_version("E4"),
-            params_of=params_of,
-            workers=workers,
-        )
-    by_point = dict(zip(grid, measurements))
     crossovers: List[Tuple[int, float]] = []
     for k in ks:
         first_below = None

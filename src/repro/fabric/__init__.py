@@ -6,9 +6,10 @@ The fabric unifies three existing layers into one service shape:
 * :mod:`repro.store` supplies the cell addresses
   (:class:`~repro.store.keys.ResultKey`) and the durable, CRC-sealed
   checkpoint every result is written through to;
-* the grid machinery of :mod:`repro.perf`/:mod:`repro.store.sweep`
-  supplies the pure cell functions and the full-grid seed derivation,
-  so fabric tables are byte-identical to serial
+* the grid declarations of :mod:`repro.store.sweep` (one
+  :class:`~repro.store.sweep.SweepGrid` per store-backed experiment
+  grid) supply the pure cell functions and the full-grid seed
+  derivation, so fabric-warmed tables are byte-identical to serial
   ``checkpointed_map_grid`` runs;
 * the :mod:`repro.net` idioms supply the wire discipline — CRC-sealed
   version-tolerant frames (:mod:`repro.fabric.wire`), seeded fault
@@ -19,8 +20,8 @@ Layers, bottom up: :mod:`~repro.fabric.wire` (frames),
 :mod:`~repro.fabric.scheduler` (sharded work-stealing lease scheduler),
 :mod:`~repro.fabric.core` (sans-io coordinator/worker endpoints),
 :mod:`~repro.fabric.loopback` / :mod:`~repro.fabric.tcp` (the two
-transports), :mod:`~repro.fabric.sweep` (checkpointed grid entry
-points), :mod:`~repro.fabric.service` (the serving API), and
+transports), :mod:`~repro.fabric.sweep` (the store warm-up entry
+point), :mod:`~repro.fabric.service` (the serving API), and
 ``python -m repro.fabric`` (``sweep`` / ``serve`` / ``get`` /
 ``loadtest`` / ``worker``).  See ``docs/fabric.md``.
 """
@@ -38,11 +39,7 @@ from .errors import (
 from .loopback import run_loopback_sweep
 from .scheduler import CellScheduler
 from .service import FabricClient, FabricServer, ServerThread, load_test
-from .sweep import (
-    FABRIC_TRANSPORTS,
-    fabric_checkpointed_map_grid,
-    fabric_sweep,
-)
+from .sweep import FABRIC_TRANSPORTS, fabric_sweep
 from .tcp import run_tcp_sweep, run_worker
 from .wire import (
     FabricFrame,
@@ -73,7 +70,6 @@ __all__ = [
     "compute_cell",
     "decode_fabric_frame",
     "encode_fabric_frame",
-    "fabric_checkpointed_map_grid",
     "fabric_sweep",
     "load_test",
     "run_loopback_sweep",

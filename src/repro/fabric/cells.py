@@ -2,108 +2,71 @@
 
 A fabric worker (possibly on another machine) receives nothing but a
 ``ResultKey`` — ``(experiment, params, seed, version)`` — so every
-store-backed experiment registers here a *pure* compute function that
-reconstructs the cell value from exactly those fields.  The functions
-delegate to the same ``_measure_grid_point`` bodies the serial
-:func:`repro.store.sweep.checkpointed_map_grid` path runs, with the
-same canonical keyword defaults, which is what makes a fabric sweep
-byte-identical to a local one.
+store-backed experiment declares its grids once, as
+:class:`~repro.store.sweep.SweepGrid` objects in its own module, each
+with a *pure* ``(params, seed) -> value`` cell.  This module only
+registers those declarations: workers compute with the declared cell
+and its canonical keyword defaults, and :func:`sweep_keys` rebuilds
+the declared grids' addresses, so a fabric sweep warms exactly the
+cells the experiment's own ``run()`` reads — byte-identical to a local
+sweep.
 
 :func:`compute_cell` refuses keys whose ``version`` disagrees with this
 process's registered :func:`~repro.store.keys.code_version` — a worker
 running different code must fail typed rather than poison the store
 with mislabelled results.
-
-:func:`sweep_keys` builds the default grid of keys for
-``python -m repro.fabric sweep EXPERIMENT`` — the same grids, params
-and derived seeds as the experiment's own ``run()``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Tuple
 
-from ..perf.grid import derive_seed
+from ..experiments import (
+    e1_disjointness_scaling as e1,
+    e2_and_information as e2,
+    e4_omega_k as e4,
+    e14_optimal_information as e14,
+    e16_cross_model as e16,
+)
 from ..store.keys import ResultKey, code_version
+from ..store.sweep import SweepGrid, encode_result
 from .errors import FabricProtocolError
 
 __all__ = [
     "CELL_KERNELS",
+    "SWEEPS",
     "compute_cell",
     "compute_cell_payload",
     "sweep_keys",
     "SWEEPABLE_EXPERIMENTS",
 ]
 
+#: experiment id -> its store-backed grids, in sweep order.
+SWEEPS: Dict[str, Tuple[SweepGrid, ...]] = {
+    "E1": (e1.SWEEP,),
+    "E2": (e2.SWEEP,),
+    "E4": (e4.SWEEP,),
+    "E14": (e14.SWEEP, e14.EXTERNAL_SWEEP),
+    "E16": (e16.SWEEP, e16.INFO_SWEEP),
+}
 
-def _e1_cell(params: Dict[str, Any], seed: Optional[int]) -> Any:
-    from ..experiments.e1_disjointness_scaling import _measure_grid_point
+SWEEPABLE_EXPERIMENTS = tuple(SWEEPS)
 
-    if seed is None:
-        raise FabricProtocolError("E1 cells are seeded; key carries none")
-    return _measure_grid_point(
-        (params["n"], params["k"]), seed, check_random_instances=True
-    )
+_GRIDS: Dict[str, SweepGrid] = {
+    grid.experiment: grid for grids in SWEEPS.values() for grid in grids
+}
 
-
-def _e2_cell(params: Dict[str, Any], seed: Optional[int]) -> Any:
-    from ..experiments.e2_and_information import _measure_grid_point
-
-    return _measure_grid_point(params["k"])
-
-
-def _e4_cell(params: Dict[str, Any], seed: Optional[int]) -> Any:
-    from ..experiments.e4_omega_k import _measure_grid_point
-
-    return _measure_grid_point(
-        (params["k"], params["budget"]), eps_prime=params["eps_prime"]
-    )
-
-
-def _e14_cell(params: Dict[str, Any], seed: Optional[int]) -> Any:
-    from ..experiments.e14_optimal_information import _measure_grid_point
-
-    return _measure_grid_point(params["k"])
-
-
-def _e14_external_cell(params: Dict[str, Any], seed: Optional[int]) -> Any:
-    from ..experiments.e14_optimal_information import _measure_external
-
-    return _measure_external(params["k"])
-
-
-def _e16_cell(params: Dict[str, Any], seed: Optional[int]) -> Any:
-    from ..experiments.e16_cross_model import _measure_grid_point
-
-    return _measure_grid_point((params["n"], params["k"]))
-
-
-def _e16_info_cell(params: Dict[str, Any], seed: Optional[int]) -> Any:
-    from ..experiments.e16_cross_model import _measure_info_grid_point
-
-    return _measure_info_grid_point((params["n"], params["k"]))
-
-
-#: experiment id -> pure ``(params, seed) -> result`` cell function.
-#: Imports are deferred into the bodies: :mod:`repro.experiments`
-#: imports the fabric sweep entry point, so importing them here would
-#: be circular.
-CELL_KERNELS: Dict[str, Callable[[Dict[str, Any], Optional[int]], Any]] = {
-    "E1": _e1_cell,
-    "E2": _e2_cell,
-    "E4": _e4_cell,
-    "E14": _e14_cell,
-    "E14-external": _e14_external_cell,
-    "E16": _e16_cell,
-    "E16-info": _e16_info_cell,
+#: kernel id -> pure ``(params, seed) -> result`` cell function.
+CELL_KERNELS: Dict[str, Callable[..., Any]] = {
+    kernel: grid.cell for kernel, grid in _GRIDS.items()
 }
 
 
 def compute_cell(key: ResultKey) -> Any:
     """Recompute the value a key addresses, verifying the key's code
     version against this process's registry first."""
-    kernel = CELL_KERNELS.get(key.experiment)
-    if kernel is None:
+    grid = _GRIDS.get(key.experiment)
+    if grid is None:
         raise FabricProtocolError(
             f"no fabric cell kernel registered for experiment "
             f"{key.experiment!r} (known: {sorted(CELL_KERNELS)})"
@@ -115,101 +78,25 @@ def compute_cell(key: ResultKey) -> Any:
             f"{key.version!r} but this worker runs {local_version!r} — "
             f"refusing to compute under a mismatched address"
         )
-    return kernel(dict(key.params), key.seed)
+    if grid.base_seed is not None and key.seed is None:
+        raise FabricProtocolError(
+            f"{key.experiment} cells are seeded; key carries none"
+        )
+    return grid.cell(dict(key.params), key.seed)
 
 
 def compute_cell_payload(key: ResultKey) -> bytes:
     """The canonical store payload for ``key`` (compute + encode)."""
-    from ..store.sweep import encode_result
-
     return encode_result(compute_cell(key))
 
 
-# ----------------------------------------------------------------------
-# Default sweep grids (what ``python -m repro.fabric sweep`` runs).
-# ----------------------------------------------------------------------
-SWEEPABLE_EXPERIMENTS = ("E1", "E2", "E4", "E14", "E16")
-
-
-def _keyed(
-    experiment: str,
-    params_list: List[Dict[str, Any]],
-    *,
-    base_seed: Optional[int] = None,
-) -> List[ResultKey]:
-    version = code_version(experiment)
-    return [
-        ResultKey(
-            experiment=experiment,
-            params=params,
-            seed=(
-                derive_seed(base_seed, index)
-                if base_seed is not None
-                else None
-            ),
-            version=version,
-        )
-        for index, params in enumerate(params_list)
-    ]
-
-
 def sweep_keys(experiment: str, *, quick: bool = False) -> List[ResultKey]:
-    """The default grid of cell keys for ``experiment`` — identical
-    addresses (grids, params, derived seeds) to the experiment's own
-    ``run()`` defaults, so a fabric sweep warms exactly the cells the
-    local table will read."""
-    if experiment == "E1":
-        from ..experiments.e1_disjointness_scaling import (
-            CLASSIC_GRID,
-            DEFAULT_GRID,
+    """Every cell key of ``experiment``'s default (or ``quick``) grids
+    — the addresses its ``run()`` reads with the matching defaults."""
+    grids = SWEEPS.get(experiment)
+    if grids is None:
+        raise ValueError(
+            f"experiment {experiment!r} has no fabric sweep grid "
+            f"(sweepable: {SWEEPABLE_EXPERIMENTS})"
         )
-
-        grid = CLASSIC_GRID if quick else DEFAULT_GRID
-        return _keyed(
-            "E1",
-            [{"n": n, "k": k} for n, k in grid],
-            base_seed=0,
-        )
-    if experiment == "E2":
-        from ..experiments.e2_and_information import DEFAULT_KS
-
-        ks = [k for k in DEFAULT_KS if k <= 16] if quick else list(DEFAULT_KS)
-        return _keyed("E2", [{"k": k} for k in ks])
-    if experiment == "E4":
-        from ..experiments.e4_omega_k import DEFAULT_KS
-
-        ks = [k for k in DEFAULT_KS if k <= 64] if quick else list(DEFAULT_KS)
-        eps_prime = 0.2
-        fractions = (0.0, 0.25, 0.5, 0.75, 0.875, 1.0)
-        return _keyed(
-            "E4",
-            [
-                {"k": k, "budget": round(f * k), "eps_prime": eps_prime}
-                for k in ks
-                for f in fractions
-            ],
-        )
-    if experiment == "E14":
-        from ..experiments.e14_optimal_information import DEFAULT_KS
-
-        ks = [k for k in DEFAULT_KS if k <= 8] if quick else list(DEFAULT_KS)
-        keys = _keyed("E14", [{"k": k} for k in ks])
-        keys.extend(_keyed("E14-external", [{"k": max(ks)}]))
-        return keys
-    if experiment == "E16":
-        from ..experiments.e16_cross_model import (
-            CLASSIC_GRID,
-            DEFAULT_GRID,
-            INFO_POINTS,
-        )
-
-        grid = CLASSIC_GRID if quick else DEFAULT_GRID
-        keys = _keyed("E16", [{"n": n, "k": k} for n, k in grid])
-        keys.extend(
-            _keyed("E16-info", [{"n": n, "k": k} for n, k in INFO_POINTS])
-        )
-        return keys
-    raise ValueError(
-        f"experiment {experiment!r} has no fabric sweep grid "
-        f"(sweepable: {SWEEPABLE_EXPERIMENTS})"
-    )
+    return [key for grid in grids for key in grid.keys(quick=quick)]

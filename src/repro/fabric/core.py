@@ -33,8 +33,8 @@ from ..obs.trace import (
     get_tracer,
 )
 from ..store.keys import STORE_FORMAT, ResultKey
-from ..store.store import ResultStore, StoreCorruptedError
-from ..store.sweep import decode_result
+from ..store.store import ResultStore
+from ..store.sweep import decode_result, probe_store
 from .cells import compute_cell_payload
 from .errors import FabricProtocolError
 from .scheduler import DEFAULT_MAX_ATTEMPTS, CellScheduler
@@ -413,11 +413,7 @@ class WorkerCore:
 
     def _resolve(self, key: ResultKey) -> Tuple[bytes, bool]:
         if self.store is not None:
-            try:
-                payload = self.store.get(key)
-            except StoreCorruptedError:
-                self.store.delete(key)
-                payload = None
+            payload = probe_store(self.store, key)
             if payload is not None:
                 return payload, False
         payload = self._compute(key)

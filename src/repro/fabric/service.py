@@ -36,7 +36,8 @@ from ..net.errors import FrameCorrupted, NetTimeoutError
 from ..obs.metrics import REGISTRY
 from ..obs.trace import get_tracer
 from ..store.keys import ResultKey
-from ..store.store import ResultStore, StoreCorruptedError
+from ..store.store import ResultStore
+from ..store.sweep import probe_store
 from .core import key_from_wire, key_to_wire
 from .errors import FabricError, ServeError
 from .loopback import run_loopback_sweep
@@ -147,7 +148,7 @@ class FabricServer:
         payloads: List[Optional[bytes]] = []
         hits: List[bool] = []
         for key in keys:
-            payload = self._probe(key)
+            payload = probe_store(self.store, key)
             payloads.append(payload)
             hits.append(payload is not None)
         missing = [i for i, payload in enumerate(payloads) if payload is None]
@@ -192,13 +193,6 @@ class FabricServer:
             )
         return replies
 
-    def _probe(self, key: ResultKey) -> Optional[bytes]:
-        try:
-            return self.store.get(key)
-        except StoreCorruptedError:
-            self.store.delete(key)
-            return None
-
     async def _cold_sweep(self, keys: Sequence[ResultKey]) -> List[bytes]:
         """Compute cold keys via a sharded loopback sweep; serialized so
         concurrent misses for one key cost one computation."""
@@ -209,7 +203,7 @@ class FabricServer:
             still_missing = []
             payloads: List[Optional[bytes]] = []
             for key in keys:
-                payload = self._probe(key)
+                payload = probe_store(self.store, key)
                 payloads.append(payload)
                 if payload is None:
                     still_missing.append(key)

@@ -1,31 +1,28 @@
-"""The fabric sweep entry points: checkpointed grids over a worker pool.
+"""The fabric sweep entry point: warm the store over a worker pool.
 
-:func:`fabric_checkpointed_map_grid` is the fabric-shaped sibling of
-:func:`repro.store.sweep.checkpointed_map_grid` — same cell addresses
-(the same ``params_of`` dicts and the same full-grid
-:func:`~repro.perf.grid.derive_seed` seeds), same store-probe-first
-warm path, same return shape — but the missing cells are sharded
-across a coordinator/worker pool instead of a local process pool.
-Because the addresses and the cell functions are identical, the grid
-it returns is **byte-identical** to the serial path, whichever
-transport computed it, and a sweep killed at any point (coordinator or
-worker, even SIGKILL) resumes from the store checkpoint.
-
-:func:`fabric_sweep` is the key-level form the CLI and the serving
-layer use: given bare :class:`ResultKey` lists, warm the store.
+:func:`fabric_sweep` takes bare :class:`ResultKey` lists — typically
+:func:`repro.fabric.cells.sweep_keys`, the addresses an experiment's
+declared grids read — probes the store first, and shards the missing
+cells across a coordinator/worker pool instead of a local process
+pool.  Workers compute with the same pure cell functions
+(:mod:`repro.fabric.cells`), so the store entries are
+**byte-identical** to the serial path whichever transport computed
+them, and a sweep killed at any point (coordinator or worker, even
+SIGKILL) resumes from the store checkpoint.  ``python -m
+repro.experiments --fabric N`` warms the store this way and then runs
+the experiment against it, so every cell it reads is a hit.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..net.faults import FaultPlan
 from ..obs.telemetry import get_telemetry
 from ..obs.trace import get_tracer
-from ..perf.grid import derive_seed
 from ..store.keys import ResultKey
-from ..store.store import ResultStore, StoreCorruptedError
-from ..store.sweep import decode_result
+from ..store.store import ResultStore
+from ..store.sweep import probe_store
 from .loopback import run_loopback_sweep
 from .scheduler import DEFAULT_MAX_ATTEMPTS
 from .tcp import run_tcp_sweep
@@ -51,7 +48,15 @@ def fabric_sweep(
 ) -> Dict[str, int]:
     """Warm ``store`` for every key: probe first, shard the misses
     across the pool.  Returns ``{"cells": n, "hits": h, "computed": c}``.
+
+    A ``store`` is mandatory: it is the transfer substrate and the
+    crash checkpoint.
     """
+    if store is None:
+        raise ValueError(
+            "fabric sweeps require a result store (--store DIR): the "
+            "store is the transfer substrate and the crash checkpoint"
+        )
     if transport not in FABRIC_TRANSPORTS:
         raise ValueError(
             f"unknown fabric transport {transport!r}; expected one of "
@@ -63,15 +68,9 @@ def fabric_sweep(
             "with a fault plan (TCP delivers reliably)"
         )
     keys = list(keys)
-    missing: List[ResultKey] = []
-    for key in keys:
-        try:
-            payload = store.get(key)
-        except StoreCorruptedError:
-            store.delete(key)
-            payload = None
-        if payload is None:
-            missing.append(key)
+    missing: List[ResultKey] = [
+        key for key in keys if probe_store(store, key) is None
+    ]
     tracer = get_tracer()
     telemetry = get_telemetry()
     experiment = keys[0].experiment if keys else "?"
@@ -115,67 +114,6 @@ def fabric_sweep(
     }
 
 
-def fabric_checkpointed_map_grid(
-    items: Sequence[Any],
-    *,
-    store: ResultStore,
-    experiment: str,
-    version: str,
-    params_of: Optional[Callable[[Any], Any]] = None,
-    base_seed: Optional[int] = None,
-    workers: int = 2,
-    transport: str = "tcp",
-    faults: Optional[FaultPlan] = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    timeout: float = 600.0,
-) -> List[Any]:
-    """Evaluate a grid through the fabric; drop-in for
-    :func:`~repro.store.sweep.checkpointed_map_grid` minus the ``fn``
-    argument — the cells are computed by the registered fabric kernel
-    for ``experiment`` (:mod:`repro.fabric.cells`), which runs the same
-    pure cell function, so the results (and the store entries) are
-    byte-identical to the serial path.
-
-    Unlike the serial sibling, a ``store`` is mandatory: it is the
-    transfer substrate and the crash checkpoint.
-    """
-    if store is None:
-        raise ValueError(
-            "fabric sweeps require a result store (--store DIR): the "
-            "store is the transfer substrate and the crash checkpoint"
-        )
-    if params_of is None:
-        params_of = lambda item: item  # noqa: E731
-    items = list(items)
-    keys = [
-        ResultKey(
-            experiment=experiment,
-            params=params_of(item),
-            seed=(
-                derive_seed(base_seed, index)
-                if base_seed is not None
-                else None
-            ),
-            version=version,
-        )
-        for index, item in enumerate(items)
-    ]
-    fabric_sweep(
-        keys,
-        store=store,
-        workers=workers,
-        transport=transport,
-        faults=faults,
-        max_attempts=max_attempts,
-        timeout=timeout,
-    )
-    results: List[Any] = []
-    for key in keys:
-        payload = store.get(key)
-        if payload is None:  # pragma: no cover - sweep guarantees it
-            raise RuntimeError(
-                f"fabric sweep finished but {key.experiment} cell "
-                f"{key.params!r} is missing from the store"
-            )
-        results.append(decode_result(payload))
-    return results
+# No callers: kept importable only because the traced benchmark run
+# (perfbench/layers.py) wraps this name.
+fabric_checkpointed_map_grid = fabric_sweep

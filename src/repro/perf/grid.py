@@ -85,7 +85,6 @@ def _execute_task(
     collect_metrics: bool,
     trace_ctx: Optional[TraceContext] = None,
     collect_telemetry: bool = False,
-    shm_transport: bool = False,
 ) -> Tuple[
     int,
     Any,
@@ -134,11 +133,10 @@ def _execute_task(
         else:
             result = fn(item) if seed is None else fn(item, seed)
     elapsed = time.perf_counter() - started
-    if shm_transport:
-        # Large array payloads travel via shared memory; the pickled
-        # result then carries only tokens (anything that cannot be
-        # exported falls back to plain pickling inside pack_result).
-        result = shm.pack_result(result)
+    # Large array payloads travel via shared memory; the pickled result
+    # then carries only tokens (anything that cannot be exported falls
+    # back to plain pickling inside pack_result).
+    result = shm.pack_result(result)
     snapshot = REGISTRY.snapshot() if collect_metrics else None
     telemetry_summary: Optional[Dict[str, Any]] = None
     if worker_sink is not None:
@@ -174,7 +172,6 @@ def map_grid(
     tracer: Optional[Tracer] = None,
     on_result: Optional[Callable[[int, Any], None]] = None,
     label_workers: bool = False,
-    shm_transport: bool = True,
 ) -> List[Any]:
     """Evaluate ``fn`` over ``items``, optionally across processes.
 
@@ -206,15 +203,14 @@ def map_grid(
         (dense first-seen index, not pid) so per-worker skew is visible
         in reports.  Off by default: unlabeled merges are byte-identical
         to the pre-label format.
-    shm_transport:
-        When true (the default) and running in parallel, workers ship
-        large numpy-array result payloads through
-        :mod:`multiprocessing.shared_memory` segments instead of the
-        result pipe (see :mod:`repro.perf.shm`); everything else — and
-        every platform without shared memory — uses plain pickling.
-        Received shared bytes are counted on ``grid_shm_bytes``, and any
-        segment orphaned by a crashed worker is swept when the pool
-        shuts down.
+
+    When running in parallel, workers ship large numpy-array result
+    payloads through :mod:`multiprocessing.shared_memory` segments
+    instead of the result pipe (see :mod:`repro.perf.shm`); everything
+    else — and every platform without shared memory — uses plain
+    pickling.  Received shared bytes are counted on ``grid_shm_bytes``,
+    and any segment orphaned by a crashed worker is swept when the pool
+    shuts down.
 
     Returns
     -------
@@ -271,7 +267,6 @@ def map_grid(
         ordered: List[Any] = [None] * len(items)
         snapshots: List[Optional[MetricsSnapshot]] = [None] * len(items)
         worker_ids: List[Optional[int]] = [None] * len(items)
-        use_shm = bool(shm_transport)
         shm_bytes = 0
         with tracer.span("map_grid", tasks=len(items), workers=count):
             trace_ctx = tracer.current_context() if tracer else None
@@ -287,7 +282,6 @@ def map_grid(
                             collect_metrics,
                             trace_ctx,
                             bool(telemetry),
-                            use_shm,
                         )
                         for index, item in enumerate(items)
                     ]
@@ -299,9 +293,8 @@ def map_grid(
                             index, result, snapshot, events, pid, elapsed,
                             task_telemetry,
                         ) = future.result()
-                        if use_shm:
-                            result, received = shm.unpack_result(result)
-                            shm_bytes += received
+                        result, received = shm.unpack_result(result)
+                        shm_bytes += received
                         ordered[index] = result
                         snapshots[index] = snapshot
                         worker_ids[index] = pid
@@ -334,12 +327,11 @@ def map_grid(
                                 recomputed=True,
                             )
             finally:
-                if use_shm:
-                    # A worker killed between exporting a segment and
-                    # delivering its token leaks it; sweep by prefix now
-                    # that the pool is gone.
-                    shm.sweep_orphans(os.getpid())
-        if reg is not None and use_shm and shm_bytes:
+                # A worker killed between exporting a segment and
+                # delivering its token leaks it; sweep by prefix now that
+                # the pool is gone.
+                shm.sweep_orphans(os.getpid())
+        if reg is not None and shm_bytes:
             reg.counter("grid_shm_bytes").inc(shm_bytes)
         if reg is not None:
             # Dense first-seen worker indices: label values must not

@@ -22,24 +22,39 @@ exactly; tuples come back as tuples.  That is what makes a cached cell
 store — and it is pinned by ``tests/store/test_warm_identity.py`` and
 the ``store-roundtrip`` fuzz oracle.
 
-A corrupt entry (detected by the store's CRC seal) is treated as a miss:
-the damaged file is deleted and the cell recomputed, so bit rot degrades
-a warm run to a partially-cold one instead of failing it.
+A corrupt entry (detected by the store's CRC seal) is treated as a miss
+(:func:`probe_store`): the damaged file is deleted and the cell
+recomputed, so bit rot degrades a warm run to a partially-cold one
+instead of failing it.
+
+:class:`SweepGrid` is how an experiment declares a store-backed grid
+once — cell function, parameter map, default and quick grids, base
+seed.  The experiment's ``run()`` evaluates it with :meth:`SweepGrid.map`
+and the fabric (:mod:`repro.fabric.cells`) rebuilds the same addresses
+with :meth:`SweepGrid.keys`, so a fabric warm-up fills exactly the
+cells the table reads.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.telemetry import get_telemetry
 from ..obs.trace import get_tracer
 from ..perf.grid import derive_seed, map_grid
-from .keys import ResultKey, canonical_json
+from .keys import ResultKey, canonical_json, code_version
 from .store import ResultStore, StoreCorruptedError
 
-__all__ = ["checkpointed_map_grid", "encode_result", "decode_result"]
+__all__ = [
+    "SweepGrid",
+    "checkpointed_map_grid",
+    "decode_result",
+    "encode_result",
+    "probe_store",
+]
 
 
 def encode_result(result: Any) -> bytes:
@@ -60,6 +75,42 @@ def _tupled(value: Any) -> Any:
 def decode_result(payload: bytes) -> Any:
     """Inverse of :func:`encode_result` (tuples restored)."""
     return _tupled(json.loads(payload.decode("ascii")))
+
+
+def probe_store(store: ResultStore, key: ResultKey) -> Optional[bytes]:
+    """The stored payload for ``key``, or ``None`` on a miss.  A corrupt
+    entry is deleted and reported as a miss: bit rot degrades to a
+    recompute, never to a wrong serve."""
+    try:
+        return store.get(key)
+    except StoreCorruptedError:
+        store.delete(key)
+        return None
+
+
+def _grid_keys(
+    experiment: str,
+    version: str,
+    params: Sequence[Any],
+    base_seed: Optional[int] = None,
+) -> List[ResultKey]:
+    """The cell address of every grid point, in grid order: cell ``i``
+    carries ``derive_seed(base_seed, i)`` (or no seed when ``base_seed``
+    is ``None``), so the address never depends on which cells are
+    cached."""
+    return [
+        ResultKey(
+            experiment=experiment,
+            params=cell_params,
+            seed=(
+                derive_seed(base_seed, index)
+                if base_seed is not None
+                else None
+            ),
+            version=version,
+        )
+        for index, cell_params in enumerate(params)
+    ]
 
 
 def _call_cell(task: Tuple[Any, Optional[int]], fn: Callable[..., Any]) -> Any:
@@ -106,32 +157,18 @@ def checkpointed_map_grid(
         return map_grid(
             fn, items, workers=workers, base_seed=base_seed
         )
-    if params_of is None:
-        params_of = lambda item: item  # noqa: E731
     items = list(items)
-    seeds: List[Optional[int]] = [
-        derive_seed(base_seed, index) if base_seed is not None else None
-        for index in range(len(items))
-    ]
-    keys: List[ResultKey] = [
-        ResultKey(
-            experiment=experiment,
-            params=params_of(item),
-            seed=seeds[index],
-            version=version,
-        )
-        for index, item in enumerate(items)
-    ]
+    keys = _grid_keys(
+        experiment,
+        version,
+        items if params_of is None else [params_of(item) for item in items],
+        base_seed,
+    )
 
     results: List[Any] = [None] * len(items)
     missing: List[int] = []
     for index, key in enumerate(keys):
-        try:
-            payload = store.get(key)
-        except StoreCorruptedError:
-            # Bit rot degrades to a recompute, never to a wrong serve.
-            store.delete(key)
-            payload = None
+        payload = probe_store(store, key)
         if payload is None:
             missing.append(index)
         else:
@@ -163,7 +200,7 @@ def checkpointed_map_grid(
 
                 map_grid(
                     functools.partial(_call_cell, fn=fn),
-                    [(items[index], seeds[index]) for index in missing],
+                    [(items[index], keys[index].seed) for index in missing],
                     workers=workers,
                     base_seed=None,  # seeds pre-derived from the full grid
                     on_result=checkpoint,
@@ -172,3 +209,74 @@ def checkpointed_map_grid(
         if telemetry:
             telemetry.finish_sweep()
     return results
+
+
+@dataclass(frozen=True)
+class SweepGrid:
+    """One store-backed experiment grid, declared once in its module.
+
+    experiment:
+        The kernel id; with its :func:`~repro.store.keys.code_version`
+        tag it is part of every cell's address.
+    cell:
+        The pure ``(params, seed) -> value`` cell function.  Its keyword
+        defaults are the canonical ones a fabric worker computes with;
+        ``run()`` may pass other keywords (``kernel``, ``transport``,
+        ...) only where they cannot change the value.
+    default / quick:
+        The grid items of the default and the ``--quick`` sweep.
+    params_of:
+        Maps a grid item to the cell's canonical parameters (default:
+        the item itself, which must then be a params dict).
+    base_seed:
+        The sweep-level seed the cell seeds derive from; ``None`` for
+        unseeded cells, which are then called as ``cell(params)``.
+    """
+
+    experiment: str
+    cell: Callable[..., Any]
+    default: Sequence[Any]
+    quick: Sequence[Any]
+    params_of: Optional[Callable[[Any], Dict[str, Any]]] = None
+    base_seed: Optional[int] = None
+
+    def _params(self, items: Sequence[Any]) -> List[Dict[str, Any]]:
+        if self.params_of is None:
+            return list(items)
+        return [self.params_of(item) for item in items]
+
+    def keys(
+        self, items: Optional[Sequence[Any]] = None, *, quick: bool = False
+    ) -> List[ResultKey]:
+        """The cell addresses of ``items`` (default: the default or,
+        with ``quick``, the quick grid) — exactly the keys :meth:`map`
+        reads and writes for them."""
+        if items is None:
+            items = self.quick if quick else self.default
+        return _grid_keys(
+            self.experiment,
+            code_version(self.experiment),
+            self._params(items),
+            self.base_seed,
+        )
+
+    def map(
+        self,
+        items: Sequence[Any],
+        *,
+        store: Optional[ResultStore],
+        workers: Optional[int] = None,
+        **cell_kwargs: Any,
+    ) -> List[Any]:
+        """Evaluate the cell over ``items`` through
+        :func:`checkpointed_map_grid`; ``cell_kwargs`` are bound to
+        the cell and take no part in the addresses."""
+        return checkpointed_map_grid(
+            functools.partial(self.cell, **cell_kwargs),
+            self._params(items),
+            store=store,
+            experiment=self.experiment,
+            version=code_version(self.experiment),
+            workers=workers,
+            base_seed=self.base_seed,
+        )

@@ -9,8 +9,8 @@ Three layers:
 * a ``python -m repro.fabric sweep`` *coordinator* subprocess SIGKILLed
   mid-sweep — same resume, via the CLI;
 * resume-identity for every sweepable experiment (E1/E2/E4/E14): a
-  fabric table recomputed from a half-destroyed checkpoint is
-  byte-identical to the serial table.
+  table rendered after a fabric warm-up over a half-destroyed
+  checkpoint is byte-identical to the serial table.
 """
 
 import os
@@ -22,6 +22,7 @@ import time
 import pytest
 
 from repro.fabric.errors import WorkerLostError
+from repro.fabric.sweep import fabric_sweep
 from repro.fabric.tcp import run_tcp_sweep
 from repro.store.keys import ResultKey, code_version
 from repro.store.store import ResultStore
@@ -147,6 +148,7 @@ def test_coordinator_sigkill_mid_sweep_then_resume(tmp_path):
 # Resume-identity for every sweepable experiment.
 # ----------------------------------------------------------------------
 def _small_cases():
+    """experiment -> (run, kwargs, the keys that run reads)."""
     from repro.experiments import (
         e1_disjointness_scaling as e1,
         e2_and_information as e2,
@@ -154,33 +156,44 @@ def _small_cases():
         e14_optimal_information as e14,
     )
 
+    grid = [(64, 4), (256, 4)]
     return {
-        "E1": (e1.run, {"grid": [(64, 4), (256, 4)]}),
-        "E2": (e2.run, {"ks": (2, 3, 4)}),
-        "E4": (e4.run, {"ks": (16,)}),
-        "E14": (e14.run, {"ks": (2, 3)}),
+        "E1": (e1.run, {"grid": grid}, e1.SWEEP.keys(grid)),
+        "E2": (e2.run, {"ks": (2, 3, 4)}, e2.SWEEP.keys((2, 3, 4))),
+        "E4": (
+            e4.run, {"ks": (16,)}, e4.SWEEP.keys(e4.budget_grid((16,)))
+        ),
+        "E14": (
+            e14.run,
+            {"ks": (2, 3)},
+            e14.SWEEP.keys((2, 3)) + e14.EXTERNAL_SWEEP.keys((3,)),
+        ),
     }
 
 
 @pytest.mark.parametrize("experiment", ["E1", "E2", "E4", "E14"])
 def test_fabric_table_resumes_byte_identical(tmp_path, experiment):
-    """Cold fabric table == serial table; then destroy half the
-    checkpoint and recompute — the resumed table is still identical."""
-    runner, kwargs = _small_cases()[experiment]
+    """A fabric warm-up over the experiment's own keys, then
+    ``run(store=...)``, renders the serial table from pure hits; then
+    destroy half the checkpoint and warm again — the resumed table is
+    still identical."""
+    runner, kwargs, keys = _small_cases()[experiment]
     serial = runner(**kwargs).render()
 
     store = ResultStore(str(tmp_path / "store"))
-    cold = runner(
-        **kwargs, store=store, fabric=2, fabric_transport="loopback"
-    ).render()
-    assert cold == serial
+
+    def warm_then_render():
+        fabric_sweep(keys, store=store, workers=2, transport="loopback")
+        entries = store.stats().entries
+        table = runner(**kwargs, store=store).render()
+        assert store.stats().entries == entries == len(keys)
+        return table
+
+    assert warm_then_render() == serial
 
     # Simulate a sweep killed partway: drop every other checkpointed
     # cell, then resume through the fabric again.
     for index, entry in enumerate(store.entries()):
         if index % 2 == 0:
             os.unlink(entry.path)
-    resumed = runner(
-        **kwargs, store=store, fabric=2, fabric_transport="loopback"
-    ).render()
-    assert resumed == serial
+    assert warm_then_render() == serial

@@ -2,20 +2,21 @@
 byte-identity against the serial store path.
 
 Cheap synthetic cells (a ``compute`` stub) exercise the transport and
-failure machinery; a small real E2 grid pins the byte-identity claim
-against :func:`repro.store.sweep.checkpointed_map_grid`.
+failure machinery; a small real E2 grid pins the byte-identity claim:
+a fabric warm-up followed by ``run(store=...)`` renders the serial
+table from pure hits.
 """
 
 import pytest
 
 from repro.fabric.errors import WorkerLostError
 from repro.fabric.loopback import run_loopback_sweep
-from repro.fabric.sweep import fabric_checkpointed_map_grid, fabric_sweep
+from repro.fabric.sweep import fabric_sweep
 from repro.net.errors import NetTimeoutError, RetriesExhaustedError
 from repro.net.faults import FaultPlan, PartyCrash, chaos_plan
-from repro.store.keys import ResultKey, code_version
+from repro.store.keys import ResultKey
 from repro.store.store import ResultStore
-from repro.store.sweep import checkpointed_map_grid, encode_result
+from repro.store.sweep import encode_result
 
 
 def _fake_keys(count):
@@ -182,71 +183,42 @@ class TestFabricSweepEntry:
             )
 
     def test_grid_requires_a_store(self):
-        with pytest.raises(ValueError):
-            fabric_checkpointed_map_grid(
-                [1, 2], store=None, experiment="E2", version="x"
+        with pytest.raises(ValueError, match="require a result store"):
+            fabric_sweep(
+                _fake_keys(2), store=None, workers=1, transport="loopback"
             )
 
 
 class TestByteIdentity:
-    """The core fabric claim: same addresses, same bytes as serial."""
+    """The core fabric claim: a fabric warm-up over an experiment's own
+    keys writes the serial path's bytes, and the experiment then renders
+    its table from pure hits."""
 
-    def test_e2_store_entries_identical_to_serial(self, tmp_path):
-        from repro.experiments.e2_and_information import _measure_grid_point
+    def _warm_then_run(self, tmp_path, ks, **sweep_kwargs):
+        from repro.experiments import e2_and_information as e2
 
-        ks = [2, 3, 4]
-        version = code_version("E2")
         serial_store = ResultStore(str(tmp_path / "serial"))
-        serial = checkpointed_map_grid(
-            _measure_grid_point,
-            ks,
-            store=serial_store,
-            experiment="E2",
-            version=version,
-            params_of=lambda k: {"k": k},
-        )
+        serial = e2.run(ks, store=serial_store).render()
 
         fabric_store = ResultStore(str(tmp_path / "fabric"))
-        fabric = fabric_checkpointed_map_grid(
-            ks,
+        keys = e2.SWEEP.keys(ks)
+        fabric_sweep(
+            keys,
             store=fabric_store,
-            experiment="E2",
-            version=version,
-            params_of=lambda k: {"k": k},
             workers=2,
             transport="loopback",
+            **sweep_kwargs,
         )
-        assert fabric == serial
-        for k in ks:
-            key = ResultKey(
-                experiment="E2", params={"k": k}, seed=None, version=version
-            )
+        entries = fabric_store.stats().entries
+        assert e2.run(ks, store=fabric_store).render() == serial
+        assert fabric_store.stats().entries == entries  # pure hits
+        for key in keys:
             assert fabric_store.get(key) == serial_store.get(key)
 
-    def test_e2_identical_under_chaos(self, tmp_path):
-        from repro.experiments.e2_and_information import _measure_grid_point
+    def test_e2_store_entries_identical_to_serial(self, tmp_path):
+        self._warm_then_run(tmp_path, (2, 3, 4))
 
-        ks = [2, 3]
-        version = code_version("E2")
-        serial_store = ResultStore(str(tmp_path / "serial"))
-        serial = checkpointed_map_grid(
-            _measure_grid_point,
-            ks,
-            store=serial_store,
-            experiment="E2",
-            version=version,
-            params_of=lambda k: {"k": k},
+    def test_e2_identical_under_chaos(self, tmp_path):
+        self._warm_then_run(
+            tmp_path, (2, 3), faults=chaos_plan(7), max_attempts=60
         )
-        fabric_store = ResultStore(str(tmp_path / "fabric"))
-        fabric = fabric_checkpointed_map_grid(
-            ks,
-            store=fabric_store,
-            experiment="E2",
-            version=version,
-            params_of=lambda k: {"k": k},
-            workers=2,
-            transport="loopback",
-            faults=chaos_plan(7),
-            max_attempts=60,
-        )
-        assert fabric == serial

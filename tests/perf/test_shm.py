@@ -54,6 +54,11 @@ def big_array_task(n):
     return numpy.full((n, 4096), float(n), dtype=numpy.float64)
 
 
+def small_array_task(n):
+    # Far below the default 64 KiB floor.
+    return numpy.arange(n, dtype=numpy.float64)
+
+
 def nested_task(n):
     return {"grid": numpy.arange(n * 16384, dtype=numpy.float64), "n": n}
 
@@ -174,7 +179,7 @@ class TestMapGridTransport:
         disable_metrics()
 
     def test_parallel_results_identical_to_serial(self):
-        serial = map_grid(big_array_task, [3, 5, 7], shm_transport=False)
+        serial = map_grid(big_array_task, [3, 5, 7])
         shared = map_grid(big_array_task, [3, 5, 7], workers=2)
         for left, right in zip(serial, shared):
             numpy.testing.assert_array_equal(left, right)
@@ -191,8 +196,12 @@ class TestMapGridTransport:
         assert segment_count(shm.segment_prefix(os.getpid())) == 0
 
     def test_shm_transport_off_counts_nothing(self):
+        # Arrays under the shm floor travel by plain pickling, so a
+        # parallel run whose results carry none at or above it counts
+        # no shared bytes.
         enable_metrics(reset=True)
-        map_grid(nested_task, [2, 4], workers=2, shm_transport=False)
+        results = map_grid(small_array_task, [2, 4], workers=2)
+        assert [len(result) for result in results] == [2, 4]
         assert REGISTRY.counter("grid_shm_bytes").value() == 0
 
     def test_serial_runs_bypass_the_transport(self):
