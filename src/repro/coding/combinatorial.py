@@ -43,37 +43,67 @@ def subset_rank(subset: Sequence[int], n: int) -> int:
     The subset must be strictly increasing.  The rank is
     :math:`\\sum_j \\binom{c_j}{j+1}` where :math:`c_j` is the ``j``-th
     (smallest-first) element — the standard combinadic.
+
+    The terms are summed largest-first with one running coefficient
+    (see :func:`subset_unrank`): exact integer steps instead of one
+    ``math.comb`` per element.
     """
-    rank = 0
+    elements = list(subset)
     previous = -1
-    for position, element in enumerate(subset):
+    for element in elements:
         if element <= previous:
             raise ValueError("subset must be strictly increasing")
         if not 0 <= element < n:
             raise ValueError(f"element {element} outside universe of size {n}")
-        rank += binomial(element, position + 1)
         previous = element
+    if not elements:
+        return 0
+    size = len(elements)
+    candidate = elements[-1]
+    coefficient = math.comb(candidate, size)
+    rank = 0
+    for element in reversed(elements):
+        while candidate > element:
+            coefficient = coefficient * (candidate - size) // candidate
+            candidate -= 1
+        rank += coefficient
+        if size > 1:
+            coefficient = coefficient * size // candidate
+            size -= 1
+            candidate -= 1
     return rank
 
 
 def subset_unrank(rank: int, n: int, m: int) -> List[int]:
     """Inverse of :func:`subset_rank`: the ``rank``-th ``m``-subset of
-    ``{0, ..., n-1}`` in colexicographic order."""
-    if not 0 <= rank < binomial(n, m):
-        raise ValueError(
-            f"rank {rank} out of range for C({n}, {m}) = {binomial(n, m)}"
-        )
+    ``{0, ..., n-1}`` in colexicographic order.
+
+    Elements are chosen largest-first: the largest element ``c``
+    satisfies ``C(c, m) <= rank < C(c + 1, m)``.  The scan keeps the
+    coefficient of the current candidate and steps it with exact
+    integers, ``C(c-1, m) = C(c, m) * (c - m) / c`` down the candidates
+    and ``C(c-1, m-1) = C(c, m) * m / c`` after each choice, so the
+    whole unrank costs ``O(n)`` small-factor multiply/divides.
+    """
+    total = binomial(n, m)
+    if not 0 <= rank < total:
+        raise ValueError(f"rank {rank} out of range for C({n}, {m}) = {total}")
     subset: List[int] = []
+    if m == 0:
+        return subset
     remaining = rank
-    # Choose elements largest-first: the largest element c satisfies
-    # C(c, m) <= remaining < C(c+1, m).
     size = m
     candidate = n - 1
-    while size > 0:
-        while binomial(candidate, size) > remaining:
+    coefficient = total * (n - m) // n  # C(n - 1, m)
+    while True:
+        while coefficient > remaining:
+            coefficient = coefficient * (candidate - size) // candidate
             candidate -= 1
         subset.append(candidate)
-        remaining -= binomial(candidate, size)
+        remaining -= coefficient
+        if size == 1:
+            break
+        coefficient = coefficient * size // candidate
         size -= 1
         candidate -= 1
     subset.reverse()

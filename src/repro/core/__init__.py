@@ -41,6 +41,7 @@ from .tree import (
     joint_transcript_distribution,
     reachable_transcripts,
     transcript_distribution,
+    transcript_distributions,
 )
 from .inspect import (
     annotate_transcript,
@@ -67,6 +68,7 @@ __all__ = [
     "estimate_error",
     "max_communication",
     "transcript_distribution",
+    "transcript_distributions",
     "joint_transcript_distribution",
     "batched_joint_transcript_distribution",
     "MessageDistributionMemo",

@@ -14,14 +14,15 @@ Section 3:
   and worst-case communication.
 
 All functions take an input distribution with *enumerable support* and use
-:mod:`repro.core.tree` for exact protocol-tree enumeration.  The identity
+:mod:`repro.core.tree` for exact protocol-tree enumeration: one shared
+walk per call, however many inputs it covers.  The identity
 :math:`IC_\\mu(\\Pi) \\le H(\\Pi) \\le |\\Pi|` (stated after Definition 5)
 is asserted by the test suite using these same functions.
 
-The information-cost entry points take a ``medium=`` parameter
-(default: the blackboard); the coordinator and graph media of
-:mod:`repro.topology` run through the same walk, and the per-*view*
-generalization of the per-player decompositions lives in
+Every entry point except the two-party internal information cost takes
+a ``medium=`` parameter (default: the blackboard); the coordinator and
+graph media of :mod:`repro.topology` run through the same walk, and the
+per-*view* generalization of the per-player decompositions lives in
 :func:`repro.topology.analysis.per_view_information`.
 """
 
@@ -37,11 +38,7 @@ from ..information.entropy import (
 )
 from .model import BROADCAST, Medium, Protocol, Transcript
 from .tasks import Task
-from .tree import (
-    MessageDistributionMemo,
-    joint_transcript_distribution,
-    transcript_distribution,
-)
+from .tree import joint_transcript_distribution, transcript_distributions
 
 __all__ = [
     "transcript_joint",
@@ -169,19 +166,21 @@ def distributional_error(
     protocol: Protocol,
     input_dist: DiscreteDistribution,
     evaluate: Callable[[Sequence[Any]], Any],
+    *,
+    medium: Medium = BROADCAST,
 ) -> float:
     """The exact error probability under ``input_dist`` (and the
     protocol's private coins) — the distributional setting
     :math:`D^\\mu_\\epsilon` of Section 3."""
+    laws = transcript_distributions(
+        protocol, input_dist.support(), medium=medium
+    )
+    outputs: dict = {}
     total = 0.0
-    memo = MessageDistributionMemo()
     for inputs, p_inputs in input_dist.items():
         correct = evaluate(inputs)
-        transcripts = transcript_distribution(protocol, inputs, memo=memo)
-        state_cache = {}
-        for transcript, p_transcript in transcripts.items():
-            output = _output_for(protocol, transcript, state_cache)
-            if output != correct:
+        for transcript, p_transcript in laws[tuple(inputs)].items():
+            if _output_for(protocol, transcript, outputs) != correct:
                 total += p_inputs * p_transcript
     return total
 
@@ -190,6 +189,8 @@ def worst_case_error(
     protocol: Protocol,
     task: Task,
     inputs_iter: Optional[Iterable[Sequence[Any]]] = None,
+    *,
+    medium: Medium = BROADCAST,
 ) -> float:
     """The maximum, over the given inputs (default: the task's full
     domain), of the probability that the protocol errs.
@@ -199,16 +200,16 @@ def worst_case_error(
     """
     if inputs_iter is None:
         inputs_iter = task.domain()
+    inputs_list = list(inputs_iter)
+    laws = transcript_distributions(protocol, inputs_list, medium=medium)
+    outputs: dict = {}
     worst = 0.0
-    memo = MessageDistributionMemo()
-    for inputs in inputs_iter:
+    for inputs in inputs_list:
         correct = task.evaluate(inputs)
-        transcripts = transcript_distribution(protocol, inputs, memo=memo)
-        state_cache = {}
         error = sum(
             p
-            for transcript, p in transcripts.items()
-            if _output_for(protocol, transcript, state_cache) != correct
+            for transcript, p in laws[tuple(inputs)].items()
+            if _output_for(protocol, transcript, outputs) != correct
         )
         worst = max(worst, error)
     return worst
@@ -222,36 +223,39 @@ def expected_communication(
 ) -> float:
     """The exact expected number of bits written, under ``input_dist`` and
     the protocol's private coins."""
+    laws = transcript_distributions(
+        protocol, input_dist.support(), medium=medium
+    )
     total = 0.0
-    memo = MessageDistributionMemo()
     for inputs, p_inputs in input_dist.items():
-        transcripts = transcript_distribution(
-            protocol, inputs, memo=memo, medium=medium
-        )
         total += p_inputs * sum(
-            p * transcript.bits_written for transcript, p in transcripts.items()
+            p * transcript.bits_written
+            for transcript, p in laws[tuple(inputs)].items()
         )
     return total
 
 
 def worst_case_communication(
-    protocol: Protocol, inputs_iter: Iterable[Sequence[Any]]
+    protocol: Protocol,
+    inputs_iter: Iterable[Sequence[Any]],
+    *,
+    medium: Medium = BROADCAST,
 ) -> int:
     """The exact worst-case communication :math:`CC(\\Pi)` over the given
     inputs: the longest transcript reachable with positive probability."""
-    worst = -1
-    memo = MessageDistributionMemo()
-    for inputs in inputs_iter:
-        transcripts = transcript_distribution(protocol, inputs, memo=memo)
-        for transcript in transcripts.support():
-            worst = max(worst, transcript.bits_written)
-    if worst < 0:
+    laws = transcript_distributions(protocol, inputs_iter, medium=medium)
+    if not laws:
         raise ValueError("no inputs supplied")
-    return worst
+    return max(
+        transcript.bits_written for law in laws.values() for transcript in law
+    )
 
 
 def _output_for(protocol: Protocol, transcript: Transcript, cache: dict) -> Any:
-    """The protocol's output on a final transcript (with caching)."""
+    """The protocol's output on a final transcript (with caching).
+
+    The output is a function of the transcript alone, so one cache
+    serves every input that reaches the transcript."""
     if transcript not in cache:
         state = protocol.replay_state(transcript)
         cache[transcript] = protocol.output(state, transcript)

@@ -20,6 +20,9 @@ Entry points
 ------------
 * :func:`transcript_distribution` — law of the transcript for one fixed
   input tuple.
+* :func:`transcript_distributions` — the same law for many input tuples
+  at once, from one shared walk (below); what the per-input error and
+  communication functionals fold over.
 * :func:`joint_transcript_distribution` — joint law of (scenario
   components..., transcript) for a distribution over scenarios, where a
   scenario is any tuple whose components the caller wants to keep (inputs,
@@ -54,7 +57,16 @@ suite asserts exact float equality across every shipped protocol class.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..information.distribution import DiscreteDistribution, JointDistribution
 from ..obs.metrics import REGISTRY
@@ -72,6 +84,7 @@ from .model import (
 __all__ = [
     "MessageDistributionMemo",
     "transcript_distribution",
+    "transcript_distributions",
     "joint_transcript_distribution",
     "batched_joint_transcript_distribution",
     "reachable_transcripts",
@@ -321,17 +334,10 @@ def batched_joint_transcript_distribution(
         inputs_of = lambda scenario: scenario[0]  # noqa: E731
     if tracer is None:
         tracer = get_tracer()
-    reg = REGISTRY if REGISTRY.enabled else None
-    memo_before = (memo.hits, memo.misses) if memo is not None else (0, 0)
-
-    # ------------------------------------------------------------------
-    # Pass 1: collect scenarios and the distinct input tuples behind them
-    # (distinct scenarios may share an input tuple, e.g. different values
-    # of the auxiliary variable D for the same X).
-    # ------------------------------------------------------------------
+    # Distinct scenarios may share an input tuple (different values of
+    # the auxiliary variable D for the same X); the shared walk below
+    # enumerates each distinct tuple once.
     scenario_rows: List[Tuple[Tuple[Any, ...], float, Tuple[Any, ...]]] = []
-    input_keys: List[Tuple[Any, ...]] = []
-    seen_keys: Dict[Tuple[Any, ...], None] = {}
     for scenario, p_scenario in scenarios.items():
         if not isinstance(scenario, tuple):
             raise TypeError(
@@ -339,14 +345,92 @@ def batched_joint_transcript_distribution(
             )
         key = tuple(inputs_of(scenario))
         scenario_rows.append((scenario, p_scenario, key))
-        if key not in seen_keys:
-            seen_keys[key] = None
-            input_keys.append(key)
-            protocol.validate_inputs(key)
+    laws, nodes_expanded, _leaves, max_depth = _shared_walk_laws(
+        protocol,
+        [key for _scenario, _p, key in scenario_rows],
+        max_messages=max_messages,
+        memo=memo,
+        medium=medium,
+    )
+    return _assemble_joint(
+        protocol,
+        scenario_rows,
+        laws,
+        nodes_expanded,
+        max_depth,
+        names=names,
+        tracer=tracer,
+    )
+
+
+def transcript_distributions(
+    protocol: Protocol,
+    input_tuples: Iterable[Sequence[Any]],
+    *,
+    tracer: Optional[Tracer] = None,
+    medium: Medium = BROADCAST,
+) -> Dict[Tuple[Any, ...], DiscreteDistribution]:
+    """Every distinct input tuple's transcript law, from one shared walk.
+
+    Maps ``tuple(inputs)`` to exactly what
+    ``transcript_distribution(protocol, inputs, medium=medium)`` returns
+    -- the same leaves in the same item order with the same floats --
+    in first-seen input order.  The walk is the one behind
+    :func:`batched_joint_transcript_distribution`, so inputs that agree
+    on the speaking player's coordinate share every node up to where
+    they part; this is what the per-input functionals of
+    :mod:`repro.core.analysis` fold over.
+
+    Observability: one ``tree_enumerated`` trace event for the whole
+    walk (with the number of distinct ``inputs``) and the usual
+    ``tree_*`` counters.
+    """
+    if tracer is None:
+        tracer = get_tracer()
+    laws, nodes_expanded, union_leaf_count, max_depth = _shared_walk_laws(
+        protocol,
+        [tuple(inputs) for inputs in input_tuples],
+        max_messages=DEFAULT_MAX_MESSAGES,
+        memo=None,
+        medium=medium,
+    )
+    if tracer:
+        tracer.event(
+            "tree_enumerated",
+            protocol=type(protocol).__name__,
+            inputs=len(laws),
+            nodes=nodes_expanded,
+            leaves=union_leaf_count,
+            max_depth=max_depth,
+        )
+    return laws
+
+
+def _shared_walk_laws(
+    protocol: Protocol,
+    keys: Sequence[Tuple[Any, ...]],
+    *,
+    max_messages: int,
+    memo: Optional[MessageDistributionMemo],
+    medium: Medium,
+) -> Tuple[Dict[Tuple[Any, ...], DiscreteDistribution], int, int, int]:
+    """The shared walk behind both entry points above.
+
+    Returns ``(laws, nodes_expanded, union_leaves, max_depth)``, with
+    ``laws`` keyed by the distinct input tuples of ``keys`` in first-seen
+    order, and feeds the ``tree_*`` counters.
+    """
+    reg = REGISTRY if REGISTRY.enabled else None
+    memo_before = (memo.hits, memo.misses) if memo is not None else (0, 0)
+    input_keys = list(dict.fromkeys(keys))
+    for key in input_keys:
+        protocol.validate_inputs(key)
+    if not input_keys:
+        return {}, 0, 0, 0
 
     # ------------------------------------------------------------------
-    # Pass 2: one DFS over the *union* protocol tree.  Each node carries
-    # the population of input tuples that reach its board.  Under the
+    # One DFS over the *union* protocol tree.  Each node carries the
+    # population of input tuples that reach its board.  Under the
     # vectorized kernel (repro.perf.kernels) the population is index /
     # probability / index-path arrays and partitioning is a group-by;
     # the legacy walk below carries a mapping
@@ -387,20 +471,19 @@ def batched_joint_transcript_distribution(
         )
 
     # ------------------------------------------------------------------
-    # Pass 3: each input's transcript law from its ordered leaf rows
-    # (descending lexicographic index path — either engine delivers this
-    # order), accumulating and normalizing exactly as the per-input path
-    # does, then scenario mass in scenario/transcript iteration order.
+    # Each input's transcript law from its ordered leaf rows (descending
+    # lexicographic index path — either engine delivers this order),
+    # accumulated and normalized exactly as the per-input path does.
     # ------------------------------------------------------------------
     counts, leaf_boards, leaf_probs = leaf_table
-    transcripts_by_key: Dict[Tuple[Any, ...], DiscreteDistribution] = {}
+    laws: Dict[Tuple[Any, ...], DiscreteDistribution] = {}
     pos = 0
     for key, count in zip(input_keys, counts):
         if count == 1 and leaf_probs[pos] > 0.0:
             # A single positive leaf: exactly what the normalizing
             # constructor stores (its total is the one mass itself).
             p_leaf = leaf_probs[pos]
-            transcripts_by_key[key] = DiscreteDistribution._from_normalized(
+            laws[key] = DiscreteDistribution._from_normalized(
                 {leaf_boards[pos]: p_leaf * (1.0 / p_leaf)}
             )
             pos += 1
@@ -412,22 +495,16 @@ def batched_joint_transcript_distribution(
                 leaves.get(leaf_board, 0.0) + leaf_probs[offset]
             )
         pos += count
-        transcripts_by_key[key] = DiscreteDistribution(leaves, normalize=True)
+        laws[key] = DiscreteDistribution(leaves, normalize=True)
 
-    return _assemble_joint(
-        protocol,
-        scenario_rows,
-        input_keys,
-        transcripts_by_key,
-        nodes_expanded,
-        union_leaf_count,
-        max_depth,
-        names=names,
-        tracer=tracer,
-        reg=reg,
-        memo=memo,
-        memo_before=memo_before,
-    )
+    if reg is not None:
+        name = type(protocol).__name__
+        reg.counter("tree_nodes_expanded").inc(nodes_expanded, protocol=name)
+        reg.counter("tree_leaves").inc(union_leaf_count, protocol=name)
+        reg.histogram("tree_depth").observe(max_depth, protocol=name)
+        reg.histogram("tree_support").observe(union_leaf_count, protocol=name)
+        _flush_memo_counters(reg, memo, memo_before, name)
+    return laws, nodes_expanded, union_leaf_count, max_depth
 
 
 def _legacy_walk_sorted_leaves(
@@ -553,23 +630,18 @@ def _legacy_walk_sorted_leaves(
 def _assemble_joint(
     protocol: Protocol,
     scenario_rows: List[Tuple[Tuple[Any, ...], float, Tuple[Any, ...]]],
-    input_keys: List[Tuple[Any, ...]],
-    transcripts_by_key: Dict[Tuple[Any, ...], DiscreteDistribution],
+    laws: Dict[Tuple[Any, ...], DiscreteDistribution],
     nodes_expanded: int,
-    union_leaf_count: int,
     max_depth: int,
     *,
     names: Optional[Sequence[str]],
     tracer: Optional[Tracer],
-    reg,
-    memo: Optional[MessageDistributionMemo],
-    memo_before: Tuple[int, int],
 ) -> JointDistribution:
-    """Scenario-mass accumulation + observability tail shared by the
-    legacy and vectorized walks (identical float fold either way)."""
+    """Scenario mass in scenario/transcript iteration order, then the
+    ``joint_enumerated`` event (identical float fold under either walk)."""
     probs: Dict[Tuple[Any, ...], float] = {}
     for scenario, p_scenario, key in scenario_rows:
-        for transcript, p_transcript in transcripts_by_key[key].items():
+        for transcript, p_transcript in laws[key].items():
             outcome = scenario + (transcript,)
             probs[outcome] = probs.get(outcome, 0.0) + p_scenario * p_transcript
 
@@ -578,19 +650,12 @@ def _assemble_joint(
             "joint_enumerated",
             protocol=type(protocol).__name__,
             scenarios=len(scenario_rows),
-            distinct_inputs=len(input_keys),
+            distinct_inputs=len(laws),
             outcomes=len(probs),
             nodes=nodes_expanded,
             max_depth=max_depth,
             batched=True,
         )
-    if reg is not None:
-        name = type(protocol).__name__
-        reg.counter("tree_nodes_expanded").inc(nodes_expanded, protocol=name)
-        reg.counter("tree_leaves").inc(union_leaf_count, protocol=name)
-        reg.histogram("tree_depth").observe(max_depth, protocol=name)
-        reg.histogram("tree_support").observe(union_leaf_count, protocol=name)
-        _flush_memo_counters(reg, memo, memo_before, name)
     full_names = None
     if names is not None:
         full_names = tuple(names) + ("transcript",)

@@ -15,6 +15,7 @@ protocol's worst case and its easy cases:
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Tuple
 
@@ -47,16 +48,35 @@ def random_instance(
     n: int, k: int, rng: random.Random, *, density: float = 0.5
 ) -> Tuple[int, ...]:
     """Each coordinate of each player's set is present independently with
-    probability ``density``."""
+    probability ``density``.
+
+    Bit ``j`` of a player's mask is ``rng.random() < density`` for that
+    player's ``j``-th draw, consuming ``rng`` exactly as ``n`` calls to
+    ``random()`` per player would.  ``random()`` reads two 32-bit words
+    ``a, b`` of the generator and returns ``((a >> 5) * 2**26 + (b >> 6))
+    / 2**53``; ``getrandbits(64 * n)`` reads the same ``2 * n`` words in
+    the same order and lays them out least-significant first, so the
+    comparison runs on the whole draw at once, as the exact integer test
+    ``(a >> 5) << 26 | b >> 6 < ceil(density * 2**53)``.
+    """
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density!r}")
+    if n <= 0:
+        return tuple([0] * k)
+    import numpy as np  # noqa: PLC0415 - declared dependency, imported on use
+
+    threshold = np.uint64(math.ceil(density * 2**53))
     masks = []
+    # One draw per player: the whole k * n instance at once would hold
+    # several arrays of 8 * k * n bytes.
     for _ in range(k):
-        mask = 0
-        for j in range(n):
-            if rng.random() < density:
-                mask |= 1 << j
-        masks.append(mask)
+        # Draw j is the little-endian 64-bit word ``a | b << 32``.
+        pairs = np.frombuffer(
+            rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u8"
+        )
+        values = (pairs >> 5 & 0x7FFFFFF) << 26 | pairs >> 38
+        bits = np.packbits(values < threshold, bitorder="little")
+        masks.append(int.from_bytes(bits.tobytes(), "little"))
     return tuple(masks)
 
 

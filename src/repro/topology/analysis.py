@@ -24,8 +24,8 @@ information across links, which experiment E16 tabulates.
 
 Both functions are built on the one engine: the joint law comes from
 :func:`repro.core.analysis.transcript_joint` and the per-input laws
-from :func:`repro.core.tree.transcript_distribution`, each with the
-medium passed through.
+from one shared walk, :func:`repro.core.tree.transcript_distributions`,
+each with the medium passed through.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Any, Dict
 
 from ..core.analysis import transcript_joint
 from ..core.model import Medium, Protocol
-from ..core.tree import MessageDistributionMemo, transcript_distribution
+from ..core.tree import transcript_distributions
 from ..information.distribution import DiscreteDistribution
 from ..information.entropy import (
     conditional_mutual_information,
@@ -56,12 +56,11 @@ def per_link_communication(
     expected_communication` (up to float fold order).
     """
     totals: Dict[Any, float] = {link: 0.0 for link in medium.links(protocol.num_players)}
-    memo = MessageDistributionMemo()
+    laws = transcript_distributions(
+        protocol, input_dist.support(), medium=medium
+    )
     for inputs, p_inputs in input_dist.items():
-        transcripts = transcript_distribution(
-            protocol, inputs, memo=memo, medium=medium
-        )
-        for transcript, p in transcripts.items():
+        for transcript, p in laws[tuple(inputs)].items():
             for link, bits in transcript.bits_by_link().items():
                 totals[link] = totals.get(link, 0.0) + p_inputs * p * bits
     return totals

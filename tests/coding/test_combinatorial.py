@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -82,6 +83,104 @@ class TestRanking:
         )
         rank = subset_rank(subset, n)
         assert subset_unrank(rank, n, m) == subset
+
+
+def comb_per_term_rank(subset, n):
+    """The ``math.comb``-per-element :func:`subset_rank` the running
+    coefficient replaced, kept verbatim as the reference."""
+    rank = 0
+    previous = -1
+    for position, element in enumerate(subset):
+        if element <= previous:
+            raise ValueError("subset must be strictly increasing")
+        if not 0 <= element < n:
+            raise ValueError(f"element {element} outside universe of size {n}")
+        rank += binomial(element, position + 1)
+        previous = element
+    return rank
+
+
+def comb_per_candidate_unrank(rank, n, m):
+    """The ``math.comb``-per-candidate :func:`subset_unrank`, verbatim."""
+    if not 0 <= rank < binomial(n, m):
+        raise ValueError(
+            f"rank {rank} out of range for C({n}, {m}) = {binomial(n, m)}"
+        )
+    subset = []
+    remaining = rank
+    size = m
+    candidate = n - 1
+    while size > 0:
+        while binomial(candidate, size) > remaining:
+            candidate -= 1
+        subset.append(candidate)
+        remaining -= binomial(candidate, size)
+        size -= 1
+        candidate -= 1
+    subset.reverse()
+    return subset
+
+
+def _error_message(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestRunningCoefficient:
+    """The incremental-binomial rank/unrank against the per-term
+    ``math.comb`` versions they replaced."""
+
+    def test_every_rank_small(self):
+        for n in range(0, 13):
+            for m in range(0, n + 1):
+                for rank in range(binomial(n, m)):
+                    subset = subset_unrank(rank, n, m)
+                    assert subset == comb_per_candidate_unrank(rank, n, m)
+                    assert subset_rank(subset, n) == rank
+                    assert comb_per_term_rank(subset, n) == rank
+
+    def test_seeded_large_cases(self):
+        rng = random.Random(16)
+        for _ in range(300):
+            n = rng.randrange(1, 700)
+            m = rng.randrange(0, n + 1)
+            rank = rng.randrange(binomial(n, m))
+            subset = subset_unrank(rank, n, m)
+            assert subset == comb_per_candidate_unrank(rank, n, m)
+            assert subset_rank(subset, n) == rank
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 64, 513])
+    def test_boundaries(self, n):
+        for m in sorted({0, 1, n // 2, n - 1, n}):
+            if not 0 <= m <= n:
+                continue
+            for rank in sorted({0, binomial(n, m) - 1}):
+                subset = subset_unrank(rank, n, m)
+                assert subset == comb_per_candidate_unrank(rank, n, m)
+                assert subset_rank(subset, n) == rank
+        assert subset_unrank(0, n, 0) == []
+        assert subset_rank([], n) == 0
+        assert subset_unrank(0, n, n) == list(range(n))
+
+    @pytest.mark.parametrize(
+        "subset, n",
+        [([3, 1], 5), ([2, 2], 5), ([0, 7], 5), ([-1, 2], 5), ([4, 1], 3),
+         ([0, 1, 9, 2], 4)],
+    )
+    def test_rank_errors_unchanged(self, subset, n):
+        assert _error_message(subset_rank, subset, n) == _error_message(
+            comb_per_term_rank, subset, n
+        )
+
+    @pytest.mark.parametrize(
+        "rank, n, m",
+        [(10, 5, 2), (-1, 5, 2), (0, 3, 5), (0, 3, -1), (1, 0, 0), (0, -1, 0)],
+    )
+    def test_unrank_errors_unchanged(self, rank, n, m):
+        assert _error_message(subset_unrank, rank, n, m) == _error_message(
+            comb_per_candidate_unrank, rank, n, m
+        )
 
 
 class TestBitEncoding:
