@@ -37,13 +37,13 @@ import argparse
 import json
 import signal
 import sys
-from typing import Optional
+import threading
 
 from ..store.keys import ResultKey, code_version
 from ..store.store import ResultStore
 from .cells import SWEEPABLE_EXPERIMENTS, sweep_keys
 from .scheduler import DEFAULT_MAX_ATTEMPTS
-from .service import FabricClient, FabricServer, load_test
+from .service import FabricClient, ServerThread, load_test
 from .sweep import FABRIC_TRANSPORTS, fabric_sweep
 from .tcp import run_worker
 
@@ -314,43 +314,21 @@ def _run_sweep(args) -> int:
 
 
 def _run_serve(args) -> int:
-    import asyncio
-
-    store = ResultStore(args.store)
-    server = FabricServer(
-        store, host=args.host, port=args.port, sweep_workers=args.workers
+    stop = threading.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda *_: stop.set())
+    server = ServerThread(
+        ResultStore(args.store),
+        host=args.host,
+        port=args.port,
+        sweep_workers=args.workers,
     )
-
-    async def _serve() -> None:
-        await server.start()
-        print(f"fabric server listening on {server.host}:{server.port}")
-        sys.stdout.flush()
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signame in ("SIGINT", "SIGTERM"):
-            signum: Optional[int] = getattr(signal, signame, None)
-            if signum is not None:
-                try:
-                    loop.add_signal_handler(signum, stop.set)
-                except (NotImplementedError, RuntimeError):
-                    pass  # pragma: no cover - non-unix event loops
-        serve_task = asyncio.ensure_future(server.serve_forever())
-        stop_task = asyncio.ensure_future(stop.wait())
-        try:
-            await asyncio.wait(
-                [serve_task, stop_task],
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-        finally:
-            for task in (serve_task, stop_task):
-                task.cancel()
-                try:
-                    await task
-                except (asyncio.CancelledError, Exception):
-                    pass
-            await server.close()
-
-    asyncio.run(_serve())
+    print(f"fabric server listening on {args.host}:{server.port}")
+    sys.stdout.flush()
+    try:
+        stop.wait()
+    finally:
+        server.stop()
     return 0
 
 

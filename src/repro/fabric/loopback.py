@@ -1,38 +1,30 @@
-"""Deterministic in-process fabric transport: a discrete-event pool.
+"""Deterministic in-process fabric transport: the fabric dialect of the
+seeded simulator (:mod:`repro.net.sim`).
 
-The loopback transport runs the *production* endpoints — one
+The loopback runs the *production* endpoints — one
 :class:`~repro.fabric.core.CoordinatorCore` and ``workers``
-:class:`~repro.fabric.core.WorkerCore` instances — under a seeded
-discrete-event scheduler, exactly like ``repro.net.loopback`` does for
-the blackboard runtime.  Every frame crosses a real wire boundary:
-encoded with :func:`~repro.fabric.wire.encode_fabric_frame`, optionally
-mangled by a :class:`~repro.net.faults.FaultInjector` *on the wire
-bytes*, decoded on delivery.  A mangled frame fails its CRC and is
-dropped — on this datagram-style transport corruption and loss are the
-same fault, repaired by lease expiry and re-dispatch rather than by a
-sender watchdog.
+:class:`~repro.fabric.core.WorkerCore` instances — on the simulated
+network, every frame crossing a real, faultable wire boundary.  Lost or
+mangled frames are repaired by lease expiry and re-dispatch rather than
+by a sender watchdog.
 
-Clock ticks arrive every time unit and drive lease expiry; a crashed
-worker (``FaultPlan.crashes``) simply stops answering, its leases
-expire, and its cells are re-dispatched to the surviving pool — or, if
-the crash allows restart, a fresh worker rejoins a few units later.
-Failure is always typed: a cell that exhausts its dispatch budget
-raises :class:`~repro.net.errors.RetriesExhaustedError`, a pool with
-no live workers raises
+The dialect adds clock ticks, which arrive every time unit and drive
+lease expiry.  A crashed worker (``FaultPlan.crashes``) simply stops
+answering; its leases expire and its cells go to the surviving pool,
+or, if the crash allows restart, a fresh worker rejoins a few units
+later.  Failure is always typed: a cell that exhausts its dispatch
+budget raises :class:`~repro.net.errors.RetriesExhaustedError`, a pool
+with no live worker and no restart pending raises
 :class:`~repro.fabric.errors.WorkerLostError`, and the step budget
-bounds everything else with
-:class:`~repro.net.errors.NetTimeoutError` — never a hang.
+bounds everything else with :class:`~repro.net.errors.NetTimeoutError`.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from ..net.errors import FrameError, NetTimeoutError
 from ..net.faults import FaultInjector, FaultPlan
-from ..obs.metrics import REGISTRY
-from ..obs.telemetry import get_telemetry
+from ..net.sim import Simulator, WireMeter
 from ..obs.trace import get_tracer
 from ..store.keys import ResultKey
 from ..store.store import ResultStore
@@ -46,9 +38,7 @@ __all__ = ["run_loopback_sweep", "DEFAULT_MAX_STEPS"]
 #: Scheduler events processed before the sweep is declared wedged.
 DEFAULT_MAX_STEPS = 100_000
 
-_BASE_LATENCY = 1.0
 _TICK_PERIOD = 1.0
-_RESTART_DELAY = 5.0
 
 #: Queue destination standing for the coordinator.
 _COORDINATOR = -1
@@ -66,205 +56,73 @@ def run_loopback_sweep(
     compute: Optional[Callable[[ResultKey], bytes]] = None,
 ) -> Dict[int, bytes]:
     """Shard ``keys`` across ``workers`` in-process workers; returns
-    cell index → canonical payload bytes.  Deterministic for a fixed
-    fault plan — the bit-exact transport for tests and fault drills."""
-    runner = _LoopbackPool(
+    cell index → canonical payload bytes, identical under any
+    recoverable fault plan — the transport for tests and fault drills."""
+    core = CoordinatorCore(
         keys,
         store=store,
-        workers=workers,
-        faults=faults,
+        num_workers=workers,
         lease_timeout=lease_timeout,
         max_attempts=max_attempts,
-        max_steps=max_steps,
-        compute=compute,
     )
-    return runner.run()
+    pool: List[Optional[WorkerCore]] = [
+        WorkerCore(index, store=store, compute=compute)
+        for index in range(workers)
+    ]
+    restarting: Set[int] = set()  # crashed, replacement scheduled
+    tracer = get_tracer()
 
+    def on_tick() -> None:
+        for worker, frame in core.on_tick(sim.now):
+            sim.transmit(worker, _COORDINATOR, frame)
+        if not core.done:
+            sim.schedule(_TICK_PERIOD, "tick", ())
 
-class _LoopbackPool:
-    def __init__(
-        self,
-        keys: Sequence[ResultKey],
-        *,
-        store: Optional[ResultStore],
-        workers: int,
-        faults: Optional[FaultPlan],
-        lease_timeout: float,
-        max_attempts: int,
-        max_steps: int,
-        compute: Optional[Callable[[ResultKey], bytes]],
-    ) -> None:
-        self._core = CoordinatorCore(
-            keys,
-            store=store,
-            num_workers=workers,
-            lease_timeout=lease_timeout,
-            max_attempts=max_attempts,
-        )
-        self._store = store
-        self._compute = compute
-        self._num_workers = workers
-        self._workers: List[Optional[WorkerCore]] = [
-            WorkerCore(index, store=store, compute=compute)
-            for index in range(workers)
-        ]
-        self._injector = FaultInjector(faults) if faults is not None else None
-        self._max_steps = max_steps
-        self._queue: List[Tuple[float, int, str, tuple]] = []
-        self._seq = 0
-        self._now = 0.0
-        self._tracer = get_tracer()
-        self._telemetry = get_telemetry()
-        self._reg = REGISTRY if REGISTRY.enabled else None
+    def on_restart(index: int) -> None:
+        restarting.discard(index)
+        worker = pool[index] = WorkerCore(index, store=store, compute=compute)
+        if tracer:
+            tracer.event("restart", worker=index, transport="fabric")
+        sim.transmit(_COORDINATOR, index, worker.hello())
 
-    # ------------------------------------------------------------------
-    def run(self) -> Dict[int, bytes]:
-        for index in range(self._num_workers):
-            worker = self._workers[index]
-            assert worker is not None
-            self._transmit(_COORDINATOR, index, worker.hello())
-        self._schedule(_TICK_PERIOD, "tick", ())
-        steps = 0
-        while self._queue:
-            steps += 1
-            if steps > self._max_steps:
-                raise NetTimeoutError(
-                    f"fabric loopback sweep exceeded {self._max_steps} "
-                    f"scheduler steps without completing"
-                )
-            at, _, kind, payload = heapq.heappop(self._queue)
-            self._now = at
-            if kind == "deliver":
-                self._on_deliver(*payload)
-            elif kind == "tick":
-                self._on_tick()
-            else:  # "restart"
-                self._on_restart(*payload)
-            if self._core.done:
-                return self._core.results
-        raise NetTimeoutError(
-            "fabric loopback event queue drained before the sweep "
-            "completed"
-        )
-
-    def _schedule(self, at: float, kind: str, payload: tuple) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (at, self._seq, kind, payload))
-
-    # ------------------------------------------------------------------
-    # Event handlers.
-    # ------------------------------------------------------------------
-    def _on_tick(self) -> None:
-        for worker, frame in self._core.on_tick(self._now):
-            self._transmit(worker, _COORDINATOR, frame)
-        if not self._core.done:
-            self._schedule(self._now + _TICK_PERIOD, "tick", ())
-
-    def _on_restart(self, index: int) -> None:
-        worker = WorkerCore(index, store=self._store, compute=self._compute)
-        self._workers[index] = worker
-        if self._tracer:
-            self._tracer.event("restart", worker=index, transport="fabric")
-        self._transmit(_COORDINATOR, index, worker.hello())
-
-    def _on_deliver(self, dest: int, origin: int, wire: bytes) -> None:
-        try:
-            frame, consumed = decode_fabric_frame(wire)
-            if consumed != len(wire):
-                raise FrameError("trailing bytes after fabric frame")
-        except FrameError:
-            # Datagram semantics: a mangled frame is a lost frame; the
-            # lease expiry machinery re-dispatches.
-            if self._tracer:
-                self._tracer.event("frame_rejected", dest=dest)
-            return
+    def on_frame(dest: int, origin: int, frame: FabricFrame) -> None:
         if dest == _COORDINATOR:
-            for reply in self._core.on_frame(origin, frame, self._now):
-                self._transmit(origin, _COORDINATOR, reply)
+            for reply in core.on_frame(origin, frame, sim.now):
+                sim.transmit(origin, _COORDINATOR, reply)
             return
-        worker = self._workers[dest]
+        worker = pool[dest]
         if worker is None:
             return  # addressed to a crashed worker: lost on the floor
         for reply in worker.on_frame(frame):
-            self._transmit(_COORDINATOR, dest, reply)
-        self._maybe_crash(dest)
-
-    def _maybe_crash(self, index: int) -> None:
-        if self._injector is None:
-            return
-        worker = self._workers[index]
-        if worker is None:
-            return
-        crash = self._injector.crash_for(index, worker.cells_done)
+            sim.transmit(_COORDINATOR, dest, reply)
+        crash = sim.crash_due(dest, worker.cells_done)
         if crash is None:
             return
-        self._workers[index] = None
-        self._core.on_worker_lost(index, self._now)
-        if self._reg is not None:
-            self._reg.counter("net_faults_injected").inc(
-                fault="crash", transport="fabric"
-            )
-        if self._telemetry:
-            self._telemetry.fault("crash")
-        if self._tracer:
-            self._tracer.event(
-                "fault",
-                fault="crash",
-                worker=index,
-                restart=crash.restart,
-                transport="fabric",
-            )
+        pool[dest] = None
+        core.on_worker_lost(dest, sim.now)
+        sim.crashed(dest, crash, worker=dest)
         if crash.restart:
-            self._schedule(self._now + _RESTART_DELAY, "restart", (index,))
-        elif not any(w is not None for w in self._workers):
+            restarting.add(dest)
+        elif not restarting and not any(w is not None for w in pool):
             raise WorkerLostError(
                 "every fabric worker crashed with no scheduled restart "
                 "while cells were still outstanding"
             )
 
-    # ------------------------------------------------------------------
-    # The wire.
-    # ------------------------------------------------------------------
-    def _transmit(self, dest: int, origin: int, frame: FabricFrame) -> None:
-        wire = bytearray(encode_fabric_frame(frame))
-        if self._telemetry:
-            self._telemetry.bytes_on_wire(len(wire))
-        reg = self._reg
-        if reg is not None:
-            reg.counter("fabric_frames").inc(
-                kind=frame.kind_name, transport="loopback"
-            )
-            reg.counter("fabric_bytes_on_wire").inc(
-                len(wire), transport="loopback"
-            )
-        delay = _BASE_LATENCY
-        if self._injector is not None:
-            decision = self._injector.on_send(len(wire) * 8)
-            if decision.faulty:
-                if decision.drop:
-                    fault = "drop"
-                elif decision.corrupt_bit is not None:
-                    fault = "corrupt"
-                else:
-                    fault = "delay"
-                if reg is not None:
-                    reg.counter("net_faults_injected").inc(
-                        fault=fault, transport="fabric"
-                    )
-                if self._telemetry:
-                    self._telemetry.fault(fault)
-                if self._tracer:
-                    self._tracer.event(
-                        "fault",
-                        fault=fault,
-                        kind=frame.kind_name,
-                        dest=dest,
-                        transport="fabric",
-                    )
-                if decision.drop:
-                    return
-                if decision.corrupt_bit is not None:
-                    index = decision.corrupt_bit
-                    wire[index // 8] ^= 0x80 >> (index % 8)
-                delay += decision.delay
-        self._schedule(self._now + delay, "deliver", (dest, origin, bytes(wire)))
+    sim = Simulator(
+        name="fabric loopback sweep",
+        decode=decode_fabric_frame,
+        meter=WireMeter(encode_fabric_frame, "fabric", "loopback"),
+        injector=FaultInjector(faults) if faults is not None else None,
+        max_steps=max_steps,
+        tracer=tracer,
+        handlers={"tick": on_tick, "restart": on_restart},
+        on_frame=on_frame,
+        fault_label="fabric",
+        event_fields={"transport": "fabric"},
+    )
+    for index, worker in enumerate(pool):
+        sim.transmit(_COORDINATOR, index, worker.hello())
+    sim.schedule(_TICK_PERIOD, "tick", ())
+    sim.run(lambda: core.done)
+    return core.results

@@ -32,7 +32,8 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..net.errors import FrameCorrupted, NetTimeoutError
+from ..net.errors import NetTimeoutError
+from ..net.stream import READ_CHUNK, serve_frames
 from ..obs.metrics import REGISTRY
 from ..obs.trace import get_tracer
 from ..store.keys import ResultKey
@@ -54,8 +55,6 @@ __all__ = [
     "FabricClient",
     "load_test",
 ]
-
-_READ_CHUNK = 65536
 
 
 class FabricServer:
@@ -96,26 +95,21 @@ class FabricServer:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        decoder = FabricFrameDecoder()
         tracer = get_tracer()
         span = (
             tracer.begin_span("fabric_serve_conn") if tracer else None
         )
+
+        async def on_frame(frame: FabricFrame) -> bool:
+            if frame.kind == FabricFrameKind.GET:
+                for reply in await self._answer(frame, span):
+                    writer.write(encode_fabric_frame(reply))
+                await writer.drain()
+            # BYE ends the session; HELLO/unknown kinds are ignored.
+            return frame.kind == FabricFrameKind.BYE
+
         try:
-            while True:
-                data = await reader.read(_READ_CHUNK)
-                if not data:
-                    return
-                for frame in decoder.feed(data):
-                    if frame.kind == FabricFrameKind.GET:
-                        for reply in await self._answer(frame, span):
-                            writer.write(encode_fabric_frame(reply))
-                        await writer.drain()
-                    elif frame.kind == FabricFrameKind.BYE:
-                        return
-                    # HELLO/unknown kinds: tolerated, ignored.
-        except (ConnectionError, FrameCorrupted):
-            return
+            await serve_frames(reader, FabricFrameDecoder(), on_frame)
         except asyncio.CancelledError:
             return  # server shutting down: end the task quietly
         finally:
@@ -227,11 +221,20 @@ class FabricServer:
 
 
 class ServerThread:
-    """A :class:`FabricServer` on a daemon thread — the harness tests
-    and benchmarks use to serve a store without blocking."""
+    """A :class:`FabricServer` on a daemon thread — how the CLI, tests
+    and benchmarks serve a store without blocking."""
 
-    def __init__(self, store: ResultStore, *, sweep_workers: int = 2) -> None:
-        self._server = FabricServer(store, sweep_workers=sweep_workers)
+    def __init__(
+        self,
+        store: ResultStore,
+        *,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        sweep_workers: int = 2,
+    ) -> None:
+        self._server = FabricServer(
+            store, host=host, port=port, sweep_workers=sweep_workers
+        )
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._ready = threading.Event()
         self._thread = threading.Thread(target=self._main, daemon=True)
@@ -314,7 +317,7 @@ class FabricClient:
 
     def _read_frames(self) -> List[FabricFrame]:
         try:
-            data = self._sock.recv(_READ_CHUNK)
+            data = self._sock.recv(READ_CHUNK)
         except socket.timeout:
             raise NetTimeoutError(
                 f"fabric server sent nothing for {self._timeout} seconds"

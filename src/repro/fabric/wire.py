@@ -35,10 +35,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
 from ..coding.integrity import IntegrityError, seal, unseal
 from ..net.errors import FrameCorrupted, FrameError, FrameTruncated
+from ..net.stream import StreamDecoder
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -182,29 +183,11 @@ def decode_fabric_frame(buffer: bytes) -> Tuple[FabricFrame, int]:
     return _parse_body(body), end
 
 
-class FabricFrameDecoder:
-    """Incremental stream decoder: feed arbitrary byte chunks, get back
-    complete frames.  Mirrors :class:`repro.net.framing.FrameDecoder`.
+class FabricFrameDecoder(StreamDecoder[FabricFrame]):
+    """Incremental decoder for a fabric byte stream; see
+    :class:`~repro.net.stream.StreamDecoder`."""
 
-    A corrupt frame raises :class:`~repro.net.errors.FrameCorrupted`
-    immediately — on a stream transport there is no resynchronization
-    point, the connection must be dropped.
-    """
+    __slots__ = ()
 
     def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    def feed(self, data: bytes) -> List[FabricFrame]:
-        self._buffer.extend(data)
-        frames: List[FabricFrame] = []
-        while True:
-            try:
-                frame, consumed = decode_fabric_frame(bytes(self._buffer))
-            except FrameTruncated:
-                return frames
-            del self._buffer[:consumed]
-            frames.append(frame)
-
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buffer)
+        super().__init__(decode_fabric_frame)

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..coding.bitio import BitReader, BitWriter, Bits
 from ..coding.integrity import crc32
@@ -71,6 +71,7 @@ from ..coding.varint import (
     encode_elias_gamma,
 )
 from .errors import FrameCorrupted, FrameTruncated
+from .stream import StreamDecoder
 
 __all__ = [
     "FrameKind",
@@ -152,6 +153,10 @@ class Frame:
     payload: Bits = ""
     trace_id: Optional[int] = None
     parent_span: Optional[int] = None
+
+    @property
+    def kind_name(self) -> str:
+        return self.kind.name
 
     def __post_init__(self) -> None:
         if self.party < 0:
@@ -262,7 +267,8 @@ def decode_frame(buffer: bytes) -> Tuple[Frame, int]:
     crc_bytes = buffer[prefix_len + body_len : total]
     if crc32(body) != int.from_bytes(crc_bytes, "big"):
         raise FrameCorrupted("checksum mismatch")
-    reader = BitReader(unpack_bits(body))
+    body_bits = unpack_bits(body)
+    reader = BitReader(body_bits)
     try:
         kind_value = reader.read_uint(_KIND_WIDTH)
         party = decode_elias_gamma(reader) - 1
@@ -276,7 +282,6 @@ def decode_frame(buffer: bytes) -> Tuple[Frame, int]:
         kind = FrameKind(kind_value)
     except ValueError as exc:
         raise FrameCorrupted(f"unknown frame kind {kind_value}") from exc
-    body_bits = unpack_bits(body)
     trace_id: Optional[int] = None
     parent_span: Optional[int] = None
     if reader.remaining >= 8 or any(
@@ -320,37 +325,11 @@ def decode_frame(buffer: bytes) -> Tuple[Frame, int]:
     )
 
 
-class FrameDecoder:
-    """Incremental decoder for a byte *stream* (the TCP transport).
+class FrameDecoder(StreamDecoder[Frame]):
+    """Incremental decoder for a blackboard byte stream (the TCP
+    transport); see :class:`~repro.net.stream.StreamDecoder`."""
 
-    Feed arbitrary chunks; complete frames come out, partial frames wait
-    for more bytes.  Corruption is fatal on a stream — there is no frame
-    boundary to resynchronize on — so :class:`FrameCorrupted` propagates
-    to the caller, which should drop the connection and reconnect.
-    """
-
-    __slots__ = ("_buffer",)
+    __slots__ = ()
 
     def __init__(self) -> None:
-        self._buffer = b""
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered but not yet parsed into a frame."""
-        return len(self._buffer)
-
-    def feed(self, data: bytes) -> List[Frame]:
-        """Absorb ``data`` and return every frame completed by it."""
-        self._buffer += data
-        frames: List[Frame] = []
-        while self._buffer:
-            try:
-                frame, consumed = decode_frame(self._buffer)
-            except FrameTruncated:
-                break
-            self._buffer = self._buffer[consumed:]
-            frames.append(frame)
-        return frames
-
-    def __iter__(self) -> Iterator[Frame]:  # pragma: no cover - convenience
-        return iter(self.feed(b""))
+        super().__init__(decode_frame)

@@ -1,75 +1,45 @@
-"""Deterministic in-process transport: a discrete-event network.
+"""Deterministic in-process transport: the blackboard dialect of the
+seeded simulator (:mod:`repro.net.sim`).
 
-The loopback transport runs the *exact* production endpoints — the
-sans-io :class:`~repro.net.server.BlackboardServer` and
-:class:`~repro.net.client.PartyClient` — under a seeded discrete-event
-scheduler instead of sockets.  Every frame still crosses a real wire
-boundary: it is encoded to bytes with
-:func:`~repro.net.framing.encode_frame`, optionally mangled by the
-fault injector *on the wire bytes*, and decoded on delivery.  What the
-loopback removes is wall-clock nondeterminism, which is what makes the
+The loopback runs the *exact* production endpoints — the sans-io
+:class:`~repro.net.server.BlackboardServer` and one
+:class:`~repro.net.client.PartyClient` per party — on the simulated
+network instead of sockets, so every frame still crosses a real,
+faultable wire boundary but wall-clock nondeterminism is gone: the
 bit-identity acceptance tests (networked transcript == ``run_protocol``
-transcript, with and without faults) exact rather than statistical.
+transcript, with and without faults) are exact, not statistical.
 
-Scheduling model
-----------------
-A priority queue of ``(time, seq, kind, payload)`` events; base delivery
-latency is one time unit, fault-injected delays add more (delays larger
-than the base latency *reorder* frames in flight).  Each live party has
-a watchdog timer armed for ``PartyClient.timeout_hint()`` time units;
-timers carry a generation number so a timer armed before progress
-happened is stale and ignored.  A mangled frame fails its CRC on
-delivery and is dropped — on this datagram-style transport corruption
-and loss are the same fault, repaired by the sender's retry policy.
-
-Crash-restart: when the fault plan schedules a crash, the party's
-client object is *discarded* (all volatile state: board mirror, rng
-replica, sampled cache) and, if the crash allows restart, a fresh
-client connects a few time units later and performs blackboard catch-up
-from the server's replay log.  A crash without restart raises
-:class:`~repro.net.errors.CrashedPartyError` immediately — unrecoverable
-faults fail typed, never hang.  The step budget (``max_steps``) bounds
-every run as a last resort via :class:`~repro.net.errors.NetTimeoutError`.
+The dialect adds watchdog timers and Bracha dispatch.  Each live party
+has a watchdog armed for ``PartyClient.timeout_hint()`` time units;
+timers carry a generation number, so a timer armed before progress
+happened is stale and ignored, and lost or mangled frames are repaired
+by the sender's retry policy.  A crash discards the party's client (its
+board mirror, rng replica and sampled cache); with restart a fresh
+client catches up from the server's replay log, without one the run
+raises :class:`~repro.net.errors.CrashedPartyError` — unrecoverable
+faults fail typed, never hang.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.model import Protocol
 from ..core.runner import DEFAULT_MAX_MESSAGES, ProtocolRun
-from ..obs.metrics import REGISTRY
-from ..obs.telemetry import get_telemetry
 from ..obs.trace import Tracer, get_tracer
-from .byzantine import ALL_PARTIES, SERVER, BrachaRelay, ByzantineConfig, ByzantineParty
-from .client import PartyClient, RetryPolicy
-from .errors import (
-    ByzantineQuorumError,
-    CrashedPartyError,
-    FrameError,
-    NetError,
-    NetTimeoutError,
-    RetriesExhaustedError,
-)
+from .byzantine import ALL_PARTIES, SERVER, ByzantineConfig, check_run_args, party_endpoint
+from .client import RetryPolicy
+from .errors import ByzantineQuorumError, CrashedPartyError, RetriesExhaustedError
 from .faults import ByzantineAdversary, FaultInjector, FaultPlan
 from .framing import Frame, decode_frame, encode_frame
 from .server import BlackboardServer
+from .sim import Simulator, WireMeter
 
 __all__ = ["LoopbackRunner", "DEFAULT_MAX_STEPS"]
 
 #: Events processed before the scheduler declares the run wedged.
 DEFAULT_MAX_STEPS = 200_000
-
-#: Delivery latency of an unfaulted frame, in scheduler time units.
-_BASE_LATENCY = 1.0
-
-#: How long after a crash the replacement client connects.
-_RESTART_DELAY = 5.0
-
-#: Queue destination standing for the blackboard server.
-_SERVER = -1
 
 
 class LoopbackRunner:
@@ -89,6 +59,7 @@ class LoopbackRunner:
         byzantine: Optional[ByzantineConfig] = None,
     ) -> None:
         protocol.validate_inputs(inputs)
+        check_run_args(protocol.num_players, "loopback", byzantine=byzantine)
         self._protocol = protocol
         self._inputs = list(inputs)
         self._seed = seed
@@ -100,43 +71,20 @@ class LoopbackRunner:
         self._server = BlackboardServer(protocol, tracer=self._tracer)
         self._byzantine = byzantine
         self._adversary: Optional[ByzantineAdversary] = None
-        if byzantine is not None:
-            k = protocol.num_players
-            if k < 2 * byzantine.f + 1:
-                raise ValueError(
-                    f"k={k} < 2f+1={2 * byzantine.f + 1}: the Bracha ready "
-                    f"quorum is unreachable even with every party honest"
-                )
-            if byzantine.plan is not None:
-                compromised = byzantine.plan.compromised
-                if any(p < 0 or p >= k for p in compromised):
-                    raise ValueError(
-                        f"byzantine plan compromises parties {compromised} "
-                        f"outside range(k={k})"
-                    )
-                if len(compromised) > byzantine.f:
-                    raise ValueError(
-                        f"byzantine plan compromises {len(compromised)} "
-                        f"parties but the config tolerates f={byzantine.f}"
-                    )
-                self._adversary = ByzantineAdversary(byzantine.plan, k)
-        self._clients: List[Optional[PartyClient]] = [
-            None for _ in range(protocol.num_players)
-        ]
-        self._endpoints: List[Optional[ByzantineParty]] = [
-            None for _ in range(protocol.num_players)
-        ]
+        if byzantine is not None and byzantine.plan is not None:
+            self._adversary = ByzantineAdversary(
+                byzantine.plan, protocol.num_players
+            )
+        #: Per party: the bare client, or the client behind its Bracha
+        #: relay in byzantine mode (``None`` while crashed).
+        self._endpoints: List[Any] = [None] * protocol.num_players
         #: Open ``net_party`` span per live party (lifetimes interleave,
         #: so these are begin_span/end_span spans, not stack spans).
         self._party_spans: Dict[int, int] = {}
-        self._telemetry = get_telemetry()
         #: Current watchdog generation per party; a fired timer whose
         #: generation is older than this is stale and ignored.
         self._timer_generation: Dict[int, int] = {}
-        self._queue: List[Tuple[float, int, str, tuple]] = []
-        self._seq = 0
-        self._now = 0.0
-        self._reg = None  # resolved at run() time
+        self._sim: Optional[Simulator] = None  # built at run() time
 
     # ------------------------------------------------------------------
     @property
@@ -149,7 +97,17 @@ class LoopbackRunner:
     def run(self) -> ProtocolRun:
         """Execute to completion; returns the same :class:`ProtocolRun`
         the in-memory runner would."""
-        self._reg = REGISTRY if REGISTRY.enabled else None
+        self._sim = Simulator(
+            name="loopback run",
+            decode=decode_frame,
+            meter=WireMeter(encode_frame, "net", "loopback"),
+            injector=self._injector,
+            max_steps=self._max_steps,
+            tracer=self._tracer,
+            handlers={"timer": self._on_timer, "restart": self._on_restart},
+            on_frame=self._on_frame,
+            fault_label="loopback",
+        )
         tracer = self._tracer
         if tracer:
             with tracer.span(
@@ -161,79 +119,44 @@ class LoopbackRunner:
                 return self._run()
         return self._run()
 
-    # ------------------------------------------------------------------
-    # The event loop.
-    # ------------------------------------------------------------------
     def _run(self) -> ProtocolRun:
-        try:
-            return self._loop()
-        except RetriesExhaustedError as exc:
-            self._raise_if_byzantine_stall(exc)
-            raise
-
-    def _loop(self) -> ProtocolRun:
         for party in range(self._protocol.num_players):
             self._spawn(party)
-        steps = 0
-        while self._queue:
-            steps += 1
-            if steps > self._max_steps:
-                raise NetTimeoutError(
-                    f"loopback run exceeded {self._max_steps} scheduler "
-                    f"steps without completing"
-                )
-            at, _, kind, payload = heapq.heappop(self._queue)
-            self._now = at
-            if kind == "deliver":
-                self._on_deliver(*payload)
-            elif kind == "timer":
-                self._on_timer(*payload)
-            else:  # "restart"
-                self._on_restart(*payload)
-            if self._complete():
-                return self._result(steps)
-        raise NetTimeoutError(
-            "loopback event queue drained before the run completed"
-        )
-
-    def _raise_if_byzantine_stall(self, exc: RetriesExhaustedError) -> None:
-        """Retry exhaustion with a Bracha session stuck on the pending
-        round is quorum starvation (silent/withholding liars) — surface
-        it as the typed byzantine failure, not a generic retry error."""
-        if self._byzantine is None:
-            return
-        pending = len(self._server.board)
-        for endpoint in self._endpoints:
-            if endpoint is not None and endpoint.relay.undelivered(pending):
+        try:
+            steps = self._sim.run(self._complete)
+        except RetriesExhaustedError as exc:
+            # Retry exhaustion with a Bracha session stuck on the
+            # pending round is quorum starvation (silent or withholding
+            # liars): the typed byzantine failure, not a retry error.
+            pending = len(self._server.board)
+            if self._byzantine is not None and any(
+                e is not None and e.relay.undelivered(pending)
+                for e in self._endpoints
+            ):
                 raise ByzantineQuorumError(
                     f"round {pending}: retry budget exhausted while the "
                     f"Bracha session was still undelivered — quorum "
                     f"starvation (k={self._protocol.num_players}, "
                     f"f={self._byzantine.f} requires k > 3f)"
                 ) from exc
-
-    def _schedule(self, at: float, kind: str, payload: tuple) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (at, self._seq, kind, payload))
+            raise
+        return self._result(steps)
 
     def _complete(self) -> bool:
         if not self._server.halted:
             return False
-        return all(c is not None and c.done for c in self._clients)
+        return all(e is not None and e.done for e in self._endpoints)
 
     # ------------------------------------------------------------------
     # Party lifecycle.
     # ------------------------------------------------------------------
     def _spawn(self, party: int) -> None:
-        client = PartyClient(
-            self._protocol,
-            party,
-            self._inputs[party],
-            seed=self._seed,
-            retry=self._retry,
-            max_messages=self._max_messages,
+        endpoint = party_endpoint(
+            self._protocol, party, self._inputs[party], seed=self._seed,
+            retry=self._retry, max_messages=self._max_messages,
+            byzantine=self._byzantine, tracer=self._tracer,
         )
-        self._clients[party] = client
+        self._endpoints[party] = endpoint
         if self._tracer:
             span = self._tracer.begin_span(
                 "net_party", party=party, transport="loopback"
@@ -242,62 +165,33 @@ class LoopbackRunner:
             self._tracer.event_in(
                 span, "connect", party=party, transport="loopback"
             )
-        if self._byzantine is not None:
-            relay = BrachaRelay(
-                self._protocol.num_players,
-                self._byzantine.f,
-                party,
-                tracer=self._tracer,
-            )
-            endpoint = ByzantineParty(client, relay)
-            self._endpoints[party] = endpoint
-            self._dispatch(party, endpoint.connect())
-            self._arm(party)
-            return
-        self._send_all(_SERVER, client.connect(), origin=party)
+        self._send(party, endpoint.connect())
         self._arm(party)
 
     def _arm(self, party: int) -> None:
-        client = self._clients[party]
+        endpoint = self._endpoints[party]
         generation = self._timer_generation.get(party, 0) + 1
         self._timer_generation[party] = generation
-        if client is None or client.done:
+        if endpoint is None or endpoint.done:
             return  # generation bump above cancels any pending timer
-        self._schedule(
-            self._now + client.timeout_hint(), "timer", (party, generation)
+        self._sim.schedule(
+            endpoint.timeout_hint(), "timer", (party, generation)
         )
 
     def _maybe_crash(self, party: int) -> None:
-        if self._injector is None:
-            return
-        client = self._clients[party]
-        if client is None:
-            return
-        crash = self._injector.crash_for(party, len(client.board))
+        endpoint = self._endpoints[party]
+        crash = self._sim.crash_due(party, len(endpoint.board))
         if crash is None:
             return
-        self._clients[party] = None
         self._endpoints[party] = None
         self._timer_generation[party] = (
             self._timer_generation.get(party, 0) + 1
         )
-        if self._reg is not None:
-            self._reg.counter("net_faults_injected").inc(
-                fault="crash", transport="loopback"
-            )
-        if self._telemetry:
-            self._telemetry.fault("crash")
-        if self._tracer:
-            span = self._party_spans.pop(party, None)
-            self._tracer.event_in(
-                span, "fault", fault="crash", party=party,
-                restart=crash.restart,
-            )
-            if span is not None:
-                self._tracer.end_span(span, crashed=True)
-        if crash.restart:
-            self._schedule(self._now + _RESTART_DELAY, "restart", (party,))
-        else:
+        span = self._party_spans.pop(party, None) if self._tracer else None
+        self._sim.crashed(party, crash, span, party=party)
+        if span is not None:
+            self._tracer.end_span(span, crashed=True)
+        if not crash.restart:
             raise CrashedPartyError(
                 f"party {party} crashed with no scheduled restart"
             )
@@ -305,56 +199,34 @@ class LoopbackRunner:
     # ------------------------------------------------------------------
     # Event handlers.
     # ------------------------------------------------------------------
-    def _on_deliver(self, dest: int, wire: bytes) -> None:
-        try:
-            frame, consumed = decode_frame(wire)
-            if consumed != len(wire):
-                raise FrameError("trailing bytes after frame")
-        except FrameError:
-            # Datagram semantics: a mangled frame is a lost frame; the
-            # sender's watchdog re-sends or re-syncs.
-            if self._tracer:
-                self._tracer.event("frame_rejected", dest=dest)
-            return
-        if dest == _SERVER:
+    def _on_frame(self, dest: int, origin: int, frame: Frame) -> None:
+        if dest == SERVER:
             for receiver, out in self._server.handle(frame):
-                self._transmit(receiver, out)
+                self._sim.transmit(receiver, SERVER, out)
             return
-        client = self._clients[dest]
-        if client is None:
+        endpoint = self._endpoints[dest]
+        if endpoint is None:
             return  # addressed to a crashed party: lost on the floor
-        if self._byzantine is not None:
-            endpoint = self._endpoints[dest]
-            assert endpoint is not None
-            self._dispatch(dest, endpoint.on_frame(frame))
-        else:
-            self._send_all(_SERVER, client.on_frame(frame), origin=dest)
+        self._send(dest, endpoint.on_frame(frame))
         self._maybe_crash(dest)
         self._arm(dest)
 
     def _on_timer(self, party: int, generation: int) -> None:
         if self._timer_generation.get(party) != generation:
             return  # progress happened since this watchdog was armed
-        client = self._clients[party]
-        if client is None or client.done:
+        endpoint = self._endpoints[party]
+        if endpoint is None or endpoint.done:
             return
-        if self._byzantine is not None:
-            endpoint = self._endpoints[party]
-            assert endpoint is not None
-            actions = endpoint.on_timeout()  # may raise RetriesExhaustedError
-        else:
-            frames = client.on_timeout()  # may raise RetriesExhaustedError
-        if self._telemetry:
-            self._telemetry.retry()
+        out = endpoint.on_timeout()  # may raise RetriesExhaustedError
+        telemetry = self._sim.telemetry
+        if telemetry:
+            telemetry.retry()
         if self._tracer:
             self._tracer.event_in(
                 self._party_spans.get(party),
-                "retry", party=party, attempt=client.retries,
+                "retry", party=party, attempt=endpoint.retries,
             )
-        if self._byzantine is not None:
-            self._dispatch(party, actions)
-        else:
-            self._send_all(_SERVER, frames, origin=party)
+        self._send(party, out)
         self._arm(party)
 
     def _on_restart(self, party: int) -> None:
@@ -363,155 +235,59 @@ class LoopbackRunner:
         self._spawn(party)
 
     # ------------------------------------------------------------------
-    # The wire.
+    # Dispatch.
     # ------------------------------------------------------------------
-    def _send_all(
-        self, dest: int, frames: List[Frame], origin: Optional[int] = None
-    ) -> None:
-        """Transmit ``frames``; when traced and ``origin`` names a party
-        with an open span, each frame is stamped with that span's
-        context so the server can attribute its work to the sender."""
-        stamp: Optional[int] = None
-        if self._tracer and origin is not None:
-            stamp = self._party_spans.get(origin)
-        for frame in frames:
-            if stamp is not None:
-                frame = replace(
-                    frame,
-                    trace_id=self._tracer.trace_id,
-                    parent_span=stamp,
-                )
-            self._transmit(dest, frame)
-
-    def _dispatch(
-        self, origin: int, actions: List[Tuple[int, Frame]]
-    ) -> None:
-        """Byzantine-mode transmit: expand :data:`ALL_PARTIES` fan-outs
-        (through the adversary when the origin is compromised) and route
-        :data:`SERVER`-addressed frames to the blackboard."""
+    def _send(self, origin: int, out: List[Any]) -> None:
+        """Transmit an endpoint's output: bare frames go to the server,
+        ``(destination, frame)`` actions are routed, with
+        :data:`ALL_PARTIES` fan-outs passing through the adversary when
+        the origin is compromised.  When traced, each frame is stamped
+        with the origin party's span so the server can attribute its
+        work to the sender."""
         stamp: Optional[int] = None
         if self._tracer:
             stamp = self._party_spans.get(origin)
-        for dest, frame in actions:
+        for item in out:
+            dest, frame = item if isinstance(item, tuple) else (SERVER, item)
             if stamp is not None:
                 frame = replace(
                     frame,
                     trace_id=self._tracer.trace_id,
                     parent_span=stamp,
                 )
-            if dest == ALL_PARTIES:
-                dests = [
-                    p
-                    for p in range(self._protocol.num_players)
-                    if p != origin
-                ]
-                if (
-                    self._adversary is not None
-                    and origin in self._adversary.plan.compromised
-                ):
-                    decision = self._adversary.on_broadcast(
-                        origin, frame, dests
-                    )
-                    self._note_byzantine(decision.fired, origin)
-                    for d, mangled in decision.sends:
-                        self._transmit(d, mangled)
-                else:
-                    for d in dests:
-                        self._transmit(d, frame)
-            elif dest == SERVER:
-                self._transmit(_SERVER, frame)
+            if dest != ALL_PARTIES:
+                self._sim.transmit(dest, origin, frame)
+                continue
+            dests = [
+                p for p in range(self._protocol.num_players) if p != origin
+            ]
+            if (
+                self._adversary is not None
+                and origin in self._adversary.plan.compromised
+            ):
+                decision = self._adversary.on_broadcast(origin, frame, dests)
+                for fault in decision.fired:
+                    self._sim.fault(f"byz-{fault}", party=origin)
+                for d, mangled in decision.sends:
+                    self._sim.transmit(d, origin, mangled)
             else:
-                self._transmit(dest, frame)
-
-    def _note_byzantine(self, fired: Tuple[str, ...], origin: int) -> None:
-        for fault in fired:
-            name = f"byz-{fault}"
-            if self._reg is not None:
-                self._reg.counter("net_faults_injected").inc(
-                    fault=name, transport="loopback"
-                )
-            if self._telemetry:
-                self._telemetry.fault(name)
-            if self._tracer:
-                self._tracer.event("fault", fault=name, party=origin)
-
-    def _transmit(self, dest: int, frame: Frame) -> None:
-        wire = bytearray(encode_frame(frame))
-        if self._telemetry:
-            self._telemetry.bytes_on_wire(len(wire))
-        reg = self._reg
-        if reg is not None:
-            reg.counter("net_frames_sent").inc(
-                kind=frame.kind.name, transport="loopback"
-            )
-            reg.counter("net_bytes_on_wire").inc(
-                len(wire), transport="loopback"
-            )
-        delay = _BASE_LATENCY
-        if self._injector is not None:
-            decision = self._injector.on_send(len(wire) * 8)
-            if decision.faulty:
-                if decision.drop:
-                    fault = "drop"
-                elif decision.corrupt_bit is not None:
-                    fault = "corrupt"
-                else:
-                    fault = "delay"
-                if reg is not None:
-                    reg.counter("net_faults_injected").inc(
-                        fault=fault, transport="loopback"
-                    )
-                if self._telemetry:
-                    self._telemetry.fault(fault)
-                if self._tracer:
-                    self._tracer.event(
-                        "fault",
-                        fault=fault,
-                        kind=frame.kind.name,
-                        dest=dest,
-                    )
-                if decision.drop:
-                    return
-                if decision.corrupt_bit is not None:
-                    index = decision.corrupt_bit
-                    wire[index // 8] ^= 0x80 >> (index % 8)
-                delay += decision.delay
-        self._schedule(self._now + delay, "deliver", (dest, bytes(wire)))
+                for d in dests:
+                    self._sim.transmit(d, origin, frame)
 
     # ------------------------------------------------------------------
     # Completion.
     # ------------------------------------------------------------------
     def _result(self, steps: int) -> ProtocolRun:
-        board = self._server.board
-        output = None
-        for party, client in enumerate(self._clients):
-            assert client is not None  # _complete() checked
-            if client.board != board:
-                raise NetError(
-                    f"party {party} finished with a board that disagrees "
-                    f"with the server's — determinism bug"
-                )
-            if party == 0:
-                output = client.output
-            elif client.output != output:
-                raise NetError(
-                    f"party {party} computed a different output — "
-                    f"determinism bug"
-                )
+        run = self._server.result(self._endpoints)
         if self._tracer:
             for party in sorted(self._party_spans):
                 self._tracer.end_span(self._party_spans[party])
             self._party_spans.clear()
             self._tracer.event(
                 "net_run_complete",
-                bits=board.bits_written,
-                rounds=len(board),
+                bits=run.bits_communicated,
+                rounds=run.rounds,
                 steps=steps,
                 faults=self.faults_injected,
             )
-        return ProtocolRun(
-            transcript=board,
-            output=output,
-            bits_communicated=board.bits_written,
-            rounds=len(board),
-        )
+        return run

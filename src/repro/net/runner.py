@@ -8,32 +8,21 @@ transport, instead of one in-process loop.  The central guarantee
 oracle): for any protocol and seed, ``run_networked(...)`` is
 **bit-identical** to ``run_protocol(protocol, inputs,
 rng=random.Random(seed))`` — transcript, output, and
-``bits_communicated`` — with or without recoverable injected faults.
-
-Transports
-----------
-``loopback``
-    Deterministic in-process discrete-event network
-    (:mod:`repro.net.loopback`).  Supports seeded fault injection via
-    ``faults``; this is the transport the acceptance tests and the
-    ``--transport loopback`` experiment path use.
-``tcp``
-    Real asyncio sockets on ``127.0.0.1`` (:mod:`repro.net.tcp`).
-    Rejects ``faults`` (TCP delivers reliably; the fault model lives in
-    the loopback scheduler) and must be called from sync code.
+``bits_communicated`` — with or without recoverable injected faults —
+over either transport: the seeded ``loopback`` simulator
+(:mod:`repro.net.loopback`, faultable) or real ``tcp`` sockets
+(:mod:`repro.net.tcp`, reliable, called from sync code).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Optional, Sequence
-
-from typing import Union
+from typing import Any, Optional, Sequence, Union
 
 from ..core.model import Protocol
 from ..core.runner import DEFAULT_MAX_MESSAGES, ProtocolRun
 from ..obs.trace import Tracer
-from .byzantine import ByzantineConfig
+from .byzantine import ByzantineConfig, check_run_args
 from .client import RetryPolicy
 from .faults import FaultPlan
 from .loopback import DEFAULT_MAX_STEPS, LoopbackRunner
@@ -124,16 +113,9 @@ def run_networked(
             byzantine=byzantine,
         ).run()
     if transport == "tcp":
-        if faults is not None:
-            raise ValueError(
-                "fault injection is loopback-only: TCP delivers reliably, "
-                "so a FaultPlan cannot be honored on transport='tcp'"
-            )
-        if byzantine is not None and byzantine.plan is not None:
-            raise ValueError(
-                "byzantine fault injection is loopback-only: pass a "
-                "ByzantineConfig without a plan on transport='tcp'"
-            )
+        check_run_args(
+            protocol.num_players, "tcp", faults=faults, byzantine=byzantine
+        )
         return run_tcp(
             protocol,
             inputs,

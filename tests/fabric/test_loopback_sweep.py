@@ -119,6 +119,23 @@ class TestTypedFailures:
                 compute=_fake_compute,
             )
 
+    def test_pending_restart_keeps_the_pool_alive(self):
+        # Worker 0 crashes with a restart queued, then worker 1 dies for
+        # good: the pool is empty for a moment but not lost, and the
+        # restarted worker finishes the sweep.
+        from repro.fabric.cells import sweep_keys
+
+        keys = sweep_keys("E14", quick=True)
+        plan = FaultPlan(
+            crashes=(
+                PartyCrash(party=0, after_round=0, restart=True),
+                PartyCrash(party=1, after_round=0, restart=False),
+            )
+        )
+        clean = run_loopback_sweep(keys, store=None, workers=2)
+        crashed = run_loopback_sweep(keys, store=None, workers=2, faults=plan)
+        assert crashed == clean
+
     def test_step_budget_raises_net_timeout(self):
         with pytest.raises(NetTimeoutError):
             run_loopback_sweep(

@@ -13,6 +13,8 @@ import pytest
 
 from repro.core.runner import run_protocol
 from repro.net import FaultPlan, run_networked
+from repro.obs import REGISTRY, collecting
+from repro.obs.telemetry import TelemetrySink, using_telemetry
 from repro.protocols import protocol_case
 
 
@@ -38,3 +40,16 @@ def test_tcp_rejects_fault_plans():
             transport="tcp",
             faults=FaultPlan(drop_rate=0.1),
         )
+
+
+def test_tcp_wire_bytes_reach_telemetry():
+    case = protocol_case("sequential-and")
+    sink = TelemetrySink(None)
+    with collecting(), using_telemetry(sink):
+        run_networked(
+            case.build(), case.input_tuples()[-1], transport="tcp",
+            timeout=60.0,
+        )
+        counted = REGISTRY.counter("net_bytes_on_wire").value(transport="tcp")
+    assert sink.wire_bytes > 0
+    assert sink.wire_bytes == counted
