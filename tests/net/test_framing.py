@@ -25,6 +25,7 @@ from repro.net import (
     unpack_bits,
 )
 from repro.net.framing import MAX_BODY_BYTES
+from repro.net.stream import StreamDecoder
 
 SAMPLE_FRAMES = [
     Frame(kind=FrameKind.HELLO, party=0, round_index=0),
@@ -172,6 +173,22 @@ class TestFrameDecoder:
             for start in range(0, len(wire), chunk):
                 seen.extend(decoder.feed(wire[start : start + chunk]))
             assert seen == SAMPLE_FRAMES
+
+    def test_one_chunk_is_decoded_from_one_buffer(self):
+        # Many frames in one chunk are decoded through views of a single
+        # buffer, not from a fresh copy of the remainder per frame.
+        buffers = []
+
+        def spy(buffer):
+            buffers.append(buffer.obj)
+            return decode_frame(buffer)
+
+        frames = SAMPLE_FRAMES * 8
+        decoder = StreamDecoder(spy)
+        assert decoder.feed(b"".join(encode_frame(f) for f in frames)) == frames
+        assert len(buffers) == len(frames)
+        assert len({id(obj) for obj in buffers}) == 1
+        assert decoder.pending_bytes == 0
 
     def test_corruption_propagates_on_streams(self):
         wire = bytearray(encode_frame(SAMPLE_FRAMES[2]))
