@@ -36,6 +36,7 @@ from ..information.distribution import DiscreteDistribution, JointDistribution
 __all__ = [
     "TREE_BUGS",
     "VECTORIZED_BUGS",
+    "COLUMN_BUGS",
     "CLOSED_FORM_BUGS",
     "CHAIN_RULE_BUGS",
     "FACTOR_BUGS",
@@ -53,6 +54,7 @@ __all__ = [
     "byzantine_reference",
     "legacy_joint_transcript_distribution",
     "vectorized_reference",
+    "columnar_information_cost",
     "closed_form_cic",
     "chain_rule_information",
     "factor_probability",
@@ -292,6 +294,103 @@ def vectorized_reference(
             )
     full_names = tuple(names) + ("transcript",) if names is not None else None
     return JointDistribution(probs, names=full_names, normalize=True)
+
+
+# ----------------------------------------------------------------------
+# 1c. Columnar exact joint (reference for the IC column path).
+# ----------------------------------------------------------------------
+COLUMN_BUGS: Tuple[str, ...] = ("leaf-id-codes", "np-sum-normalizer")
+
+
+def columnar_information_cost(
+    protocol: Protocol,
+    input_dist: DiscreteDistribution,
+    *,
+    bug: Optional[str] = None,
+) -> Tuple[float, List[int]]:
+    """``(I(Π; X), transcript codes)`` re-derived column by column, the
+    way :func:`repro.perf.kernels.columnar_joint` computes them: per-input
+    laws from the independent per-input DFS, the ``(x,)`` scenario map,
+    flat rows scenario-major, the joint normalizer, first-seen integer
+    codes per column, and the mutual information folded over the codes
+    with each marginal normalized in code order.
+
+    Planted bugs:
+
+    * ``"leaf-id-codes"`` — transcripts are numbered by leaf id (tree
+      level order: depth, then bits, as a level-synchronous walk meets
+      its leaves) instead of in first-seen row order.  The codes differ
+      from the production column, and the transcript marginal is
+      normalized in the wrong order.
+    * ``"np-sum-normalizer"`` — the joint normalizer is numpy's pairwise
+      ``np.sum`` instead of builtin ``sum()`` in row order.
+    """
+    _check_bug(bug, COLUMN_BUGS)
+    laws: Dict[Tuple[Any, ...], DiscreteDistribution] = {}
+    rows: List[Tuple[Any, Transcript, float]] = []
+    for (x,), p_scenario in input_dist.map(lambda x: (x,)).items():
+        key = tuple(x)
+        law = laws.get(key)
+        if law is None:
+            law = laws[key] = _legacy_transcript_distribution(
+                protocol, key, None
+            )
+        for transcript, p_transcript in law.items():
+            rows.append((x, transcript, p_scenario * p_transcript))
+    raw = [p for _x, _t, p in rows]
+    if bug == "np-sum-normalizer":
+        from ..perf import kernels
+
+        total = float(kernels.require_numpy().sum(raw))
+    else:
+        total = sum(raw)
+    scale = 1.0 / total
+    rows = [(x, t, p * scale) for x, t, p in rows if p > 0.0]
+    t_table: Dict[Transcript, int] = {}
+    if bug == "leaf-id-codes":
+        leaves = sorted(
+            {t for _x, t, _p in rows}, key=lambda t: (len(t), t.bit_string())
+        )
+        t_table = {t: leaf_id for leaf_id, t in enumerate(leaves)}
+    else:
+        for _x, t, _p in rows:
+            t_table.setdefault(t, len(t_table))
+    x_table: Dict[Any, int] = {}
+    for x, _t, _p in rows:
+        x_table.setdefault(x, len(x_table))
+    t_codes = [t_table[t] for _x, t, _p in rows]
+    x_codes = [x_table[x] for x, _t, _p in rows]
+    probs = [p for _x, _t, p in rows]
+    information = _mutual_information_over_codes(
+        probs, t_codes, len(t_table), x_codes, len(x_table)
+    )
+    return information, t_codes
+
+
+def _mutual_information_over_codes(
+    probs: List[float],
+    a_codes: List[int],
+    a_count: int,
+    b_codes: List[int],
+    b_count: int,
+) -> float:
+    """The legacy ``mutual_information`` fold, over integer codes: each
+    marginal accumulates in row order and is normalized by ``sum()`` in
+    code order, pair terms fold in first-seen pair order."""
+    pa = [0.0] * a_count
+    pb = [0.0] * b_count
+    pairs: Dict[Tuple[int, int], float] = {}
+    for p, a, b in zip(probs, a_codes, b_codes):
+        pa[a] += p
+        pb[b] += p
+        pairs[(a, b)] = pairs.get((a, b), 0.0) + p
+    scale_a = 1.0 / sum(pa)
+    scale_b = 1.0 / sum(pb)
+    total = 0.0
+    for (a, b), p in pairs.items():
+        if p > 0.0:
+            total += p * math.log2(p / ((pa[a] * scale_a) * (pb[b] * scale_b)))
+    return max(total, 0.0)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,10 @@ GeneratedCase`) and checks one cross-layer agreement property:
 ``vectorized-vs-legacy`` the numpy kernel engine, the dict-driven
                       legacy engine, and an independent lockstep
                       group-by re-derivation produce *bit-identical*
-                      joint laws (the ``--kernel`` contract).
+                      joint laws (the ``--kernel`` contract); the
+                      columnar joint's external information cost and
+                      first-seen transcript codes match the legacy
+                      kernel and an independent column re-derivation.
 ``exact-vs-mc``       the exact analyzer's information cost lies in the
                       Monte-Carlo estimator's bootstrap interval
                       (widened by the plug-in bias allowance).
@@ -78,9 +81,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.analysis import expected_communication, transcript_joint
+from ..core.analysis import (
+    expected_communication,
+    external_information_cost,
+    transcript_joint,
+)
 from ..core.tree import batched_joint_transcript_distribution, transcript_distribution
 from ..core.validate import validate_protocol
+from ..information.distribution import DiscreteDistribution
 from ..information.entropy import entropy, mutual_information
 from ..information.estimation import (
     bootstrap_mutual_information_interval,
@@ -190,27 +198,36 @@ class BatchedTreeOracle(Oracle):
 
 class VectorizedKernelOracle(Oracle):
     """Vectorized kernel engine == legacy engine == independent group-by
-    re-derivation, item-for-item.
+    re-derivation, item-for-item; and the external information cost of
+    the columnar joint == the legacy kernel's == an independent column
+    re-derivation, float for float.
 
     The production comparison pits the two real engines of
     :func:`repro.core.tree.batched_joint_transcript_distribution`
     against each other (``repro.perf.kernels`` array walk vs the
     dict-driven walk) — the bit-identity contract the ``--kernel`` flag
-    relies on.  The planted-bug self-test routes the independent
-    lockstep re-derivation (:func:`repro.check.mutations.
-    vectorized_reference`) into the same comparison with a
-    partition-order or lexsort-axis defect, proving an engine bug of
-    either class cannot slip through item comparison.  Skipped (as a
-    pass) when numpy is unavailable — there is no vectorized engine to
-    differ.
+    relies on.  The information cost is compared on a case large enough
+    to take the column path (at least ``_VECTOR_MIN_SUPPORT`` outcomes):
+    the generated protocol itself, or enough sequentially composed
+    copies of it; the production transcript column must also carry the
+    reference's first-seen codes.  The planted-bug self-test routes the
+    independent lockstep re-derivation (:func:`repro.check.mutations.
+    vectorized_reference`) or the column re-derivation
+    (:func:`repro.check.mutations.columnar_information_cost`) into the
+    same comparisons with a partition-order, lexsort-axis, leaf-id-code
+    or ``np.sum``-normalizer defect, proving an engine bug of each class
+    cannot slip through.  Skipped (as a pass) when numpy is unavailable
+    — there is no vectorized engine to differ.
     """
 
     name = "vectorized-vs-legacy"
-    bugs = mutations.VECTORIZED_BUGS
+    bugs = mutations.VECTORIZED_BUGS + mutations.COLUMN_BUGS
 
     def check(self, case: GeneratedCase, bug: Optional[str] = None) -> OracleResult:
         from ..perf import kernels
 
+        walk_bug = bug if bug in mutations.VECTORIZED_BUGS else None
+        column_bug = None if bug in mutations.VECTORIZED_BUGS else bug
         if not kernels.numpy_available():
             return self._ok("skipped: numpy unavailable")
         scenarios = case.input_dist.map(lambda x: (x,))
@@ -223,7 +240,7 @@ class VectorizedKernelOracle(Oracle):
                 case.protocol, scenarios, names=("inputs",)
             )
         reference = mutations.vectorized_reference(
-            case.protocol, scenarios, names=("inputs",), bug=bug
+            case.protocol, scenarios, names=("inputs",), bug=walk_bug
         )
         legacy_items = list(legacy.items())
         for label, other in (
@@ -237,10 +254,59 @@ class VectorizedKernelOracle(Oracle):
                     f"{label} is not bit-identical to the legacy engine: "
                     f"{detail}"
                 )
+
+        protocol, input_dist, copies = _column_case(case, len(legacy_items))
+        with kernels.using_kernel("legacy"):
+            ic_legacy = external_information_cost(protocol, input_dist)
+        with kernels.using_kernel("vectorized"):
+            ic_columns = external_information_cost(protocol, input_dist)
+            joint = transcript_joint(protocol, input_dist)
+            codes = kernels.joint_columns(joint).codes[1].tolist()
+        ic_reference, reference_codes = mutations.columnar_information_cost(
+            protocol, input_dist, bug=column_bug
+        )
+        if codes != reference_codes:
+            return self._fail(
+                "the columnar joint's transcript codes differ from the "
+                f"first-seen reference codes (copies: {copies})"
+            )
+        if not ic_columns == ic_legacy == ic_reference:
+            return self._fail(
+                "external information cost is not bit-identical: columns "
+                f"{ic_columns!r}, legacy {ic_legacy!r}, column reference "
+                f"{ic_reference!r}"
+            )
         return self._ok(
             f"{len(legacy_items)} joint outcomes bit-identical across "
-            "engines"
+            f"engines; IC over {len(codes)} columnar outcomes identical"
         )
+
+
+def _column_case(
+    case: GeneratedCase, outcomes: int
+) -> Tuple[Any, DiscreteDistribution, int]:
+    """The generated case, or enough sequentially composed copies of it
+    (at most 6) that its joint reaches the column path's support."""
+    from ..perf import kernels
+    from ..protocols.composition import (
+        SequentialCompositionProtocol,
+        product_scenarios,
+    )
+
+    copies = 1
+    while (
+        outcomes > 1
+        and outcomes**copies < kernels._VECTOR_MIN_SUPPORT  # noqa: SLF001
+        and copies < 6
+    ):
+        copies += 1
+    if copies == 1:
+        return case.protocol, case.input_dist, 1
+    return (
+        SequentialCompositionProtocol(case.protocol, copies),
+        product_scenarios([case.input_dist] * copies),
+        copies,
+    )
 
 
 def _first_item_mismatch(

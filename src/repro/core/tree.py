@@ -53,6 +53,13 @@ explored in reversed ``message_distribution`` order, so leaves arrive in
 descending lexicographic child-index order), and accumulates scenario
 mass in the same scenario/transcript iteration order.  The regression
 suite asserts exact float equality across every shipped protocol class.
+
+Under the vectorized kernel the joint law never passes through
+transcript-keyed dicts: the walk's integer leaf ids and float64 leaf
+probabilities become the joint's columns
+(:func:`repro.perf.kernels.columnar_joint`), with each of the dict
+path's folds and normalizers replayed on arrays in the same order, and
+the information functionals read those columns directly.
 """
 
 from __future__ import annotations
@@ -328,7 +335,11 @@ def batched_joint_transcript_distribution(
     Returns
     -------
     JointDistribution
-        Over tuples ``scenario + (transcript,)``.
+        Over tuples ``scenario + (transcript,)``.  Under the vectorized
+        kernel it is built from the walk's leaf ids as columns
+        (:func:`repro.perf.kernels.columnar_joint`) and carries that
+        encoding, which the information functionals read directly; its
+        outcome dict is built only if something iterates the joint.
     """
     if inputs_of is None:
         inputs_of = lambda scenario: scenario[0]  # noqa: E731
@@ -337,30 +348,63 @@ def batched_joint_transcript_distribution(
     # Distinct scenarios may share an input tuple (different values of
     # the auxiliary variable D for the same X); the shared walk below
     # enumerates each distinct tuple once.
-    scenario_rows: List[Tuple[Tuple[Any, ...], float, Tuple[Any, ...]]] = []
-    for scenario, p_scenario in scenarios.items():
+    scenario_list: List[Tuple[Any, ...]] = scenarios.support()
+    for scenario in scenario_list:
         if not isinstance(scenario, tuple):
             raise TypeError(
                 f"scenario outcomes must be tuples, got {scenario!r}"
             )
-        key = tuple(inputs_of(scenario))
-        scenario_rows.append((scenario, p_scenario, key))
-    laws, nodes_expanded, _leaves, max_depth = _shared_walk_laws(
+    scenario_probs = [p_scenario for _s, p_scenario in scenarios.items()]
+    keys = [tuple(inputs_of(scenario)) for scenario in scenario_list]
+    index_of: Dict[Tuple[Any, ...], int] = {}
+    member = [index_of.setdefault(key, len(index_of)) for key in keys]
+    input_keys = list(index_of)
+    leaves, nodes_expanded, _leaves, max_depth = _shared_walk(
         protocol,
-        [key for _scenario, _p, key in scenario_rows],
+        input_keys,
         max_messages=max_messages,
         memo=memo,
         medium=medium,
     )
-    return _assemble_joint(
-        protocol,
-        scenario_rows,
-        laws,
-        nodes_expanded,
-        max_depth,
-        names=names,
-        tracer=tracer,
-    )
+    full_names = None
+    if names is not None:
+        full_names = tuple(names) + ("transcript",)
+
+    from ..perf import kernels
+
+    columnar = isinstance(leaves, kernels.SortedLeaves)
+    if columnar and len({len(scenario) for scenario in scenario_list}) == 1:
+        # Under the vectorized kernel the joint stays columns: the
+        # functionals read them, and the outcome dict is only built if
+        # something iterates the joint (see kernels.columnar_joint).
+        columns, outcomes = kernels.columnar_joint(
+            leaves, scenario_list, scenario_probs, member, input_keys, keys
+        )
+        probs = None
+    else:
+        if columnar:
+            leaves = leaves.rows()
+        probs = _assemble_joint(
+            zip(scenario_list, scenario_probs, keys),
+            _laws_from_rows(input_keys, leaves),
+        )
+        outcomes = len(probs)
+    if tracer:
+        tracer.event(
+            "joint_enumerated",
+            protocol=type(protocol).__name__,
+            scenarios=len(scenario_list),
+            distinct_inputs=len(input_keys),
+            outcomes=outcomes,
+            nodes=nodes_expanded,
+            max_depth=max_depth,
+            batched=True,
+        )
+    if probs is None:
+        return JointDistribution._from_columns(
+            columns, len(scenario_list[0]) + 1, full_names
+        )
+    return JointDistribution(probs, names=full_names, normalize=True)
 
 
 def transcript_distributions(
@@ -387,13 +431,19 @@ def transcript_distributions(
     """
     if tracer is None:
         tracer = get_tracer()
-    laws, nodes_expanded, union_leaf_count, max_depth = _shared_walk_laws(
+    input_keys = list(dict.fromkeys(tuple(inputs) for inputs in input_tuples))
+    leaves, nodes_expanded, union_leaf_count, max_depth = _shared_walk(
         protocol,
-        [tuple(inputs) for inputs in input_tuples],
+        input_keys,
         max_messages=DEFAULT_MAX_MESSAGES,
         memo=None,
         medium=medium,
     )
+    from ..perf import kernels
+
+    if isinstance(leaves, kernels.SortedLeaves):
+        leaves = leaves.rows()
+    laws = _laws_from_rows(input_keys, leaves)
     if tracer:
         tracer.event(
             "tree_enumerated",
@@ -406,27 +456,29 @@ def transcript_distributions(
     return laws
 
 
-def _shared_walk_laws(
+def _shared_walk(
     protocol: Protocol,
-    keys: Sequence[Tuple[Any, ...]],
+    input_keys: Sequence[Tuple[Any, ...]],
     *,
     max_messages: int,
     memo: Optional[MessageDistributionMemo],
     medium: Medium,
-) -> Tuple[Dict[Tuple[Any, ...], DiscreteDistribution], int, int, int]:
-    """The shared walk behind both entry points above.
+) -> Tuple[Any, int, int, int]:
+    """The shared walk behind every entry point above, over distinct
+    input tuples.
 
-    Returns ``(laws, nodes_expanded, union_leaves, max_depth)``, with
-    ``laws`` keyed by the distinct input tuples of ``keys`` in first-seen
-    order, and feeds the ``tree_*`` counters.
+    Returns ``(leaves, nodes_expanded, union_leaves, max_depth)`` and
+    feeds the ``tree_*`` counters.  ``leaves`` is the vectorized
+    engine's :class:`repro.perf.kernels.SortedLeaves`, or the legacy
+    engine's flat ``(counts, boards, probabilities)`` lists; either
+    way each input's rows come in its per-input DFS leaf order.
     """
     reg = REGISTRY if REGISTRY.enabled else None
     memo_before = (memo.hits, memo.misses) if memo is not None else (0, 0)
-    input_keys = list(dict.fromkeys(keys))
     for key in input_keys:
         protocol.validate_inputs(key)
     if not input_keys:
-        return {}, 0, 0, 0
+        return ([], [], []), 0, 0, 0
 
     # ------------------------------------------------------------------
     # One DFS over the *union* protocol tree.  Each node carries the
@@ -443,10 +495,10 @@ def _shared_walk_laws(
     # ------------------------------------------------------------------
     from ..perf import kernels
 
-    leaf_table = None
+    leaves = None
     if kernels.use_vectorized():
         try:
-            leaf_table, nodes_expanded, union_leaf_count, max_depth = (
+            leaves, nodes_expanded, union_leaf_count, max_depth = (
                 kernels.tree_walk_sorted_leaves(
                     protocol,
                     input_keys,
@@ -458,9 +510,9 @@ def _shared_walk_laws(
         except TypeError:
             # Unhashable input coordinates cannot be dense-coded; the
             # dict-driven walk handles them.
-            leaf_table = None
-    if leaf_table is None:
-        leaf_table, nodes_expanded, union_leaf_count, max_depth = (
+            leaves = None
+    if leaves is None:
+        leaves, nodes_expanded, union_leaf_count, max_depth = (
             _legacy_walk_sorted_leaves(
                 protocol,
                 input_keys,
@@ -470,12 +522,24 @@ def _shared_walk_laws(
             )
         )
 
-    # ------------------------------------------------------------------
-    # Each input's transcript law from its ordered leaf rows (descending
-    # lexicographic index path — either engine delivers this order),
-    # accumulated and normalized exactly as the per-input path does.
-    # ------------------------------------------------------------------
-    counts, leaf_boards, leaf_probs = leaf_table
+    if reg is not None:
+        name = type(protocol).__name__
+        reg.counter("tree_nodes_expanded").inc(nodes_expanded, protocol=name)
+        reg.counter("tree_leaves").inc(union_leaf_count, protocol=name)
+        reg.histogram("tree_depth").observe(max_depth, protocol=name)
+        reg.histogram("tree_support").observe(union_leaf_count, protocol=name)
+        _flush_memo_counters(reg, memo, memo_before, name)
+    return leaves, nodes_expanded, union_leaf_count, max_depth
+
+
+def _laws_from_rows(
+    input_keys: Sequence[Tuple[Any, ...]],
+    leaf_rows: Tuple[List[int], List[Transcript], List[float]],
+) -> Dict[Tuple[Any, ...], DiscreteDistribution]:
+    """Each input's transcript law from its ordered leaf rows (descending
+    lexicographic index path — either engine delivers this order),
+    accumulated and normalized exactly as the per-input path does."""
+    counts, leaf_boards, leaf_probs = leaf_rows
     laws: Dict[Tuple[Any, ...], DiscreteDistribution] = {}
     pos = 0
     for key, count in zip(input_keys, counts):
@@ -496,15 +560,7 @@ def _shared_walk_laws(
             )
         pos += count
         laws[key] = DiscreteDistribution(leaves, normalize=True)
-
-    if reg is not None:
-        name = type(protocol).__name__
-        reg.counter("tree_nodes_expanded").inc(nodes_expanded, protocol=name)
-        reg.counter("tree_leaves").inc(union_leaf_count, protocol=name)
-        reg.histogram("tree_depth").observe(max_depth, protocol=name)
-        reg.histogram("tree_support").observe(union_leaf_count, protocol=name)
-        _flush_memo_counters(reg, memo, memo_before, name)
-    return laws, nodes_expanded, union_leaf_count, max_depth
+    return laws
 
 
 def _legacy_walk_sorted_leaves(
@@ -628,38 +684,17 @@ def _legacy_walk_sorted_leaves(
 
 
 def _assemble_joint(
-    protocol: Protocol,
-    scenario_rows: List[Tuple[Tuple[Any, ...], float, Tuple[Any, ...]]],
+    scenario_rows: Iterable[Tuple[Tuple[Any, ...], float, Tuple[Any, ...]]],
     laws: Dict[Tuple[Any, ...], DiscreteDistribution],
-    nodes_expanded: int,
-    max_depth: int,
-    *,
-    names: Optional[Sequence[str]],
-    tracer: Optional[Tracer],
-) -> JointDistribution:
-    """Scenario mass in scenario/transcript iteration order, then the
-    ``joint_enumerated`` event (identical float fold under either walk)."""
+) -> Dict[Tuple[Any, ...], float]:
+    """Scenario mass in scenario/transcript iteration order — the dict
+    path's joint, before normalization."""
     probs: Dict[Tuple[Any, ...], float] = {}
     for scenario, p_scenario, key in scenario_rows:
         for transcript, p_transcript in laws[key].items():
             outcome = scenario + (transcript,)
             probs[outcome] = probs.get(outcome, 0.0) + p_scenario * p_transcript
-
-    if tracer:
-        tracer.event(
-            "joint_enumerated",
-            protocol=type(protocol).__name__,
-            scenarios=len(scenario_rows),
-            distinct_inputs=len(laws),
-            outcomes=len(probs),
-            nodes=nodes_expanded,
-            max_depth=max_depth,
-            batched=True,
-        )
-    full_names = None
-    if names is not None:
-        full_names = tuple(names) + ("transcript",)
-    return JointDistribution(probs, names=full_names, normalize=True)
+    return probs
 
 
 def joint_transcript_distribution(

@@ -156,7 +156,7 @@ def main(argv=None) -> int:
         "--kernel",
         choices=("legacy", "vectorized"),
         default=None,
-        help="exact-computation engine for experiments that support it: "
+        help="exact-computation engine for every selected experiment: "
              "'vectorized' (the default when numpy is installed) runs "
              "the numpy-backed kernels in repro.perf.kernels, 'legacy' "
              "forces the pure-Python loops; results are bit-identical "
@@ -202,6 +202,7 @@ def main(argv=None) -> int:
         parser.error(f"unknown experiment id(s): {', '.join(unknown)}")
 
     # Observability is imported lazily so the plain path stays untouched.
+    from ..perf import kernels
     from ..obs import (
         JsonlTracer,
         ProgressRenderer,
@@ -282,6 +283,9 @@ def main(argv=None) -> int:
                     runner, "fault_seed"
                 ):
                     kwargs["fault_seed"] = args.fault_seed
+                # Every runner runs under the selected kernel; one that
+                # takes ``kernel=`` also gets it, to hand to its worker
+                # processes.
                 if args.kernel is not None and _supports_kwarg(
                     runner, "kernel"
                 ):
@@ -294,7 +298,7 @@ def main(argv=None) -> int:
                     if tracer
                     else contextlib.nullcontext()
                 )
-                with span:
+                with span, kernels.using_kernel(args.kernel):
                     if args.fabric is not None and (
                         eid in SWEEPABLE_EXPERIMENTS
                     ):

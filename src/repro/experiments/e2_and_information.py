@@ -46,10 +46,13 @@ __all__ = ["run", "DEFAULT_KS", "QUICK_KS", "SWEEP", "sequential_and_cic"]
 #: of the old k = 32 ceiling (C(k,<=3) inputs each walked through ~k
 #: protocol levels); both kernels complete it with bit-identical CIC
 #: values.  Measured split of the k = 48 cell on the vectorized kernel
-#: (traced, 2-CPU x86-64, Python 3.11): the tree walk's own loop is 55%
-#: of the time, ``core.tree`` assembly 17%, the protocol callbacks 17%
-#: over 695k calls, the CMI 6%.  The walk does O(1) Python work per
-#: node, so the whole default sweep takes about 7 s there.
+#: (traced, 2-CPU x86-64, Python 3.11): the tree walk's own loop is 77%
+#: of the time, the protocol callbacks 14% over 695k calls, building
+#: the columnar joint in ``core.tree`` 4% and the CMI 1%.  Untraced
+#: and measured back to back, the cell took 2.8 s against 4.2 s with
+#: the joint assembled as a transcript-keyed dict, and the whole default
+#: sweep 13-15 s against 19 s (absolute times on that host swing about
+#: 2x from run to run, so only side-by-side ratios carry over).
 DEFAULT_KS: Sequence[int] = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 
 #: The quick sweep: k up to 16.

@@ -347,6 +347,19 @@ class DiscreteDistribution:
         return f"DiscreteDistribution({{{preview}{suffix}}})"
 
 
+def _checked_names(
+    names: Optional[Sequence[str]], arity: int
+) -> Optional[Tuple[str, ...]]:
+    if names is None:
+        return None
+    names = tuple(names)
+    if len(names) != arity:
+        raise ValueError(f"{len(names)} names given for {arity} components")
+    if len(set(names)) != len(names):
+        raise ValueError("component names must be distinct")
+    return names
+
+
 class JointDistribution:
     """A joint distribution over fixed-length tuples of component values.
 
@@ -361,7 +374,7 @@ class JointDistribution:
     tracking indices.
     """
 
-    __slots__ = ("_dist", "_arity", "_names")
+    __slots__ = ("_law", "_arity", "_names", "_columns")
 
     def __init__(
         self,
@@ -370,21 +383,66 @@ class JointDistribution:
         names: Optional[Sequence[str]] = None,
         normalize: bool = False,
     ) -> None:
-        self._dist = DiscreteDistribution(probabilities, normalize=normalize)
-        arities = {len(outcome) for outcome in self._dist.support()}
+        self._law: Optional[DiscreteDistribution] = DiscreteDistribution(
+            probabilities, normalize=normalize
+        )
+        arities = {len(outcome) for outcome in self._law.support()}
         if len(arities) != 1:
             raise ValueError("all outcomes of a joint distribution must be "
                              f"tuples of equal length, got lengths {arities}")
         self._arity = arities.pop()
-        if names is not None:
-            names = tuple(names)
-            if len(names) != self._arity:
-                raise ValueError(
-                    f"{len(names)} names given for {self._arity} components"
-                )
-            if len(set(names)) != len(names):
-                raise ValueError("component names must be distinct")
-        self._names = names
+        self._names = _checked_names(names, self._arity)
+        # The column encoding (``repro.perf.kernels.JointColumns``),
+        # built on first use by the vectorized functionals.
+        self._columns: Any = None
+
+    @classmethod
+    def _from_columns(
+        cls,
+        columns: Any,
+        arity: int,
+        names: Optional[Sequence[str]] = None,
+    ) -> "JointDistribution":
+        """A joint law given by its column encoding, whose outcome dict
+        is built only when something asks for it.
+
+        For the exact analyzer's hot path only: ``columns.p`` holds
+        exactly the values the normalizing constructor would store, and
+        ``columns.outcomes()`` returns the distinct outcome tuples, all
+        of length ``arity``, in item order.
+        """
+        joint = cls.__new__(cls)
+        joint._law = None
+        joint._arity = arity
+        joint._names = _checked_names(names, arity)
+        joint._columns = columns
+        return joint
+
+    def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
+        # Pickles and copies carry the outcome dict, not the columns
+        # (whose deferred outcome dict comes from a closure over the walk).
+        return None, {
+            "_law": self._dist,
+            "_arity": self._arity,
+            "_names": self._names,
+            "_columns": None,
+        }
+
+    def _support_size(self) -> int:
+        if self._law is None:
+            return len(self._columns.p)
+        return len(self._law)
+
+    @property
+    def _dist(self) -> DiscreteDistribution:
+        law = self._law
+        if law is None:
+            columns = self._columns
+            law = self._law = DiscreteDistribution._from_normalized(
+                dict(zip(columns.outcomes(), columns.p.tolist()))
+            )
+            columns.outcomes = None  # release the walk's arrays
+        return law
 
     # ------------------------------------------------------------------
     # Constructors
@@ -576,5 +634,5 @@ class JointDistribution:
         label = f" names={self._names!r}" if self._names else ""
         return (
             f"JointDistribution(arity={self._arity}, "
-            f"support={len(self._dist)}{label})"
+            f"support={self._support_size()}{label})"
         )

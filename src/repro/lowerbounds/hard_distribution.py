@@ -31,7 +31,8 @@ growth under the truncated distribution is therefore conservative.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional, Tuple
+import math
+from typing import Dict, List, Optional, Tuple
 
 from ..information.distribution import DiscreteDistribution
 
@@ -42,6 +43,24 @@ __all__ = [
     "disjointness_hard_distribution",
     "lemma6_distribution",
 ]
+
+
+def _validate(k: int, max_zeros: Optional[int]) -> None:
+    if k < 2:
+        raise ValueError(f"the hard distribution needs k >= 2, got {k}")
+    if max_zeros is not None and max_zeros < 1:
+        raise ValueError(f"max_zeros must be >= 1, got {max_zeros!r}")
+
+
+def _zero_count_weights(k: int, max_zeros: Optional[int]) -> List[float]:
+    """``weights[e]``: the unnormalized mass of one ``(x, z)`` outcome
+    whose input has ``e`` zeros besides the special player's."""
+    p_zero = 1.0 / k
+    budget = (max_zeros - 1) if max_zeros is not None else (k - 1)
+    return [
+        (1.0 / k) * (p_zero**extra_count) * ((1.0 - p_zero) ** (k - 1 - extra_count))
+        for extra_count in range(0, min(budget, k - 1) + 1)
+    ]
 
 
 def and_hard_distribution(
@@ -61,23 +80,14 @@ def and_hard_distribution(
         If given, condition on the input having at most this many zeros
         (the special player's zero included).  ``max_zeros >= 1``.
     """
-    if k < 2:
-        raise ValueError(f"the hard distribution needs k >= 2, got {k}")
-    if max_zeros is not None and max_zeros < 1:
-        raise ValueError(f"max_zeros must be >= 1, got {max_zeros!r}")
-    p_zero = 1.0 / k
+    _validate(k, max_zeros)
+    weights = _zero_count_weights(k, max_zeros)
     probs: Dict[Tuple[Tuple[int, ...], int], float] = {}
     for z in range(k):
         others = [i for i in range(k) if i != z]
-        budget = (max_zeros - 1) if max_zeros is not None else (k - 1)
-        for extra_count in range(0, min(budget, k - 1) + 1):
+        for extra_count, weight in enumerate(weights):
             # The weight depends only on the zero count, and every
             # (bits, z) key occurs once, so it is stored as is.
-            weight = (
-                (1.0 / k)
-                * (p_zero**extra_count)
-                * ((1.0 - p_zero) ** (k - 1 - extra_count))
-            )
             for zero_others in itertools.combinations(others, extra_count):
                 bits = [1] * k
                 bits[z] = 0
@@ -90,10 +100,64 @@ def and_hard_distribution(
 def and_hard_input_marginal(
     k: int, *, max_zeros: Optional[int] = None
 ) -> DiscreteDistribution:
-    """The marginal of :math:`\\mu` on the inputs ``x`` alone."""
-    return and_hard_distribution(k, max_zeros=max_zeros).map(
-        lambda outcome: outcome[0]
+    """The marginal of :math:`\\mu` on the inputs ``x`` alone.
+
+    Built directly, without materializing the ``k * 2**(k-1)``-point
+    :math:`\\mu`, yet float for float and in the item order of
+    ``and_hard_distribution(k, max_zeros=...).map(lambda o: o[0])``:
+
+    * :math:`\\mu`'s normalizer is builtin ``sum()`` over its weights in
+      its own order (``z``, then the extra zero count, then the zero
+      sets), so ``sum()`` runs over that same sequence;
+    * an input with ``e + 1`` zeros is one :math:`\\mu` outcome per zero
+      (each may be ``z``), all of equal mass, which ``map`` folds from
+      ``0.0`` in ``z`` order;
+    * ``map`` lists an input where :math:`\\mu` first lists it, at its
+      lowest zero ``z``: for each ``z``, the extra zero sets above ``z``
+      by count, then in ``itertools.combinations`` order.  Its
+      normalizer is builtin ``sum()`` over the folded masses in that
+      order.
+    """
+    _validate(k, max_zeros)
+    weights = _zero_count_weights(k, max_zeros)
+    mu_total = float(
+        sum(
+            itertools.chain.from_iterable(
+                itertools.repeat(weight, math.comb(k - 1, extra_count))
+                for _z in range(k)
+                for extra_count, weight in enumerate(weights)
+            )
+        )
     )
+    mu_scale = 1.0 / mu_total
+    folded: List[float] = []
+    for extra_count, weight in enumerate(weights):
+        mass = weight * mu_scale
+        acc = 0.0
+        for _zero in range(extra_count + 1):
+            acc += mass
+        folded.append(acc)
+    kept = [e for e, weight in enumerate(weights) if weight > 0.0]
+    scale = 1.0 / float(
+        sum(
+            itertools.chain.from_iterable(
+                itertools.repeat(folded[e], math.comb(k - 1 - z, e))
+                for z in range(k)
+                for e in kept
+            )
+        )
+    )
+    probs: Dict[Tuple[int, ...], float] = {}
+    for z in range(k):
+        for e in kept:
+            value = folded[e] * scale
+            for zero_others in itertools.combinations(range(z + 1, k), e):
+                bits = [1] * k
+                bits[z] = 0
+                for i in zero_others:
+                    bits[i] = 0
+                probs[tuple(bits)] = value
+    return DiscreteDistribution._from_normalized(probs)
 
 
 def conditional_zero_prior(k: int) -> float:

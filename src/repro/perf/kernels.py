@@ -18,10 +18,16 @@ handled explicitly everywhere:
   ulp.  Kernels never call numpy transcendentals; they deduplicate the
   argument array (``np.unique``) and evaluate the scalar function once
   per distinct value (:func:`_exact_log2`, :func:`_exact_binary_entropy`).
-* **Reductions** — ``np.sum`` uses pairwise summation; the legacy code
-  folds left-to-right.  Ordered reductions go through
-  :func:`ordered_sum`, a Python fold over ``ndarray.tolist()``.
-  Two-term sums are exempt: IEEE addition is commutative bit-for-bit.
+* **Reductions** — ``np.sum`` uses pairwise summation, which no legacy
+  loop does.  Where the legacy twin calls builtin ``sum()`` (directly
+  or through the normalizing ``DiscreteDistribution`` constructor) the
+  kernel calls builtin ``sum(arr.tolist())`` too: from Python 3.12 on,
+  ``sum()`` of floats is Neumaier-compensated, so only the builtin
+  itself reproduces it on every version.  Where the legacy twin is an
+  explicit ``total += x`` loop the kernel folds with
+  :func:`ordered_sum`.  Two-term sums are exempt: IEEE addition is
+  commutative bit-for-bit, and a compensated two-term sum rounds to the
+  plain one.
 * **Ordering** — dict iteration order is first-seen insertion order.
   Group-bys reconstruct it from ``np.unique(..., return_index=...)``
   plus a stable argsort of the first-occurrence indices.
@@ -50,7 +56,16 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..information.entropy import binary_entropy
 from ..obs.metrics import REGISTRY
@@ -64,7 +79,11 @@ __all__ = [
     "use_vectorized",
     "KERNELS",
     "ordered_sum",
+    "SortedLeaves",
+    "JointColumns",
     "tree_walk_sorted_leaves",
+    "columnar_joint",
+    "joint_columns",
     "entropy_fast",
     "kl_divergence_fast",
     "mutual_information_fast",
@@ -198,10 +217,13 @@ def _count_call(op: str) -> None:
 # ----------------------------------------------------------------------
 def ordered_sum(values: Any) -> float:
     """Left-to-right fold of a 1-D float64 array, starting from ``0.0``
-    — bit-identical to ``sum()`` over the same values in the same order
-    (``0.0 + x == x`` exactly for every finite non-negative ``x``, and
-    for the first term of any legacy ``sum`` the int-0 start coerces to
-    the same ``0.0 + x``)."""
+    — bit-identical to an explicit ``total = 0.0; total += x`` loop over
+    the same values in the same order.
+
+    Not a stand-in for builtin ``sum()``: from Python 3.12 on, ``sum()``
+    of floats carries a Neumaier compensation term, so a kernel whose
+    legacy twin calls ``sum()`` must call ``sum(values.tolist())``
+    itself."""
     total = 0.0
     for value in values.tolist():
         total += value
@@ -244,18 +266,71 @@ def _first_seen_codes(np_: Any, values: Any) -> Tuple[Any, Any, int]:
     return rank[inverse], uniq[order], len(uniq)
 
 
-def _encode_column(np_: Any, items: List[Tuple[Any, float]], index: int):
-    """First-seen dense codes of ``outcome[index]`` over a joint law's
-    item list, plus the decoded value list (code -> original value)."""
+def _encode_values(np_: Any, values: Any, count: int) -> Tuple[Any, List[Any]]:
+    """First-seen dense codes of ``count`` hashable values, plus the
+    decoded value list (code -> original value)."""
     # setdefault inserts len(table) only for an unseen value, so codes
     # number values in first-seen order and the keys list them in it.
     table: Dict[Any, int] = {}
     codes = np_.fromiter(
-        [table.setdefault(outcome[index], len(table)) for outcome, _p in items],
+        [table.setdefault(value, len(table)) for value in values],
         dtype=np_.int64,
-        count=len(items),
+        count=count,
     )
     return codes, list(table)
+
+
+class SortedLeaves(NamedTuple):
+    """The vectorized walk's leaf table, as arrays.
+
+    ``counts[j]`` rows belong to input ``j``; row ``r`` is leaf
+    ``leaf_ids[r]`` (the transcript ``boards[leaf_ids[r]]``) reached with
+    probability ``probs[r]``, each input's rows in its per-input DFS
+    leaf order.
+    """
+
+    counts: Any  # int64, one per input
+    leaf_ids: Any  # int64, one per row
+    probs: Any  # float64, one per row
+    boards: Any  # object array of transcripts, one per leaf id
+
+    def rows(self) -> Tuple[List[int], List[Any], List[float]]:
+        """``(counts, boards, probabilities)`` as the flat per-row lists
+        the legacy walk returns."""
+        return (
+            self.counts.tolist(),
+            self.boards[self.leaf_ids].tolist(),
+            self.probs.tolist(),
+        )
+
+
+class JointColumns:
+    """The column encoding of a joint law, cached on the (immutable)
+    :class:`~repro.information.distribution.JointDistribution` in its
+    ``_columns`` slot.
+
+    ``p`` is the float64 array of the stored probabilities in item
+    order.  ``codes[c]`` numbers component ``c``'s values densely in
+    first-seen item order and ``values[c][code]`` decodes them.  A joint
+    built by :func:`columnar_joint` carries them from the start; a
+    hand-built one is encoded on first use (:func:`joint_columns`).
+    ``outcomes``, when set, returns the outcome tuples in item order,
+    for a joint whose dict is built only when something asks for it.
+    """
+
+    __slots__ = ("p", "codes", "values", "outcomes")
+
+    def __init__(
+        self,
+        p: Any,
+        codes: List[Any],
+        values: List[List[Any]],
+        outcomes: Optional[Callable[[], List[Tuple[Any, ...]]]] = None,
+    ) -> None:
+        self.p = p
+        self.codes = codes
+        self.values = values
+        self.outcomes = outcomes
 
 
 # ----------------------------------------------------------------------
@@ -268,19 +343,19 @@ def tree_walk_sorted_leaves(
     max_messages: int,
     memo: Optional[Any] = None,
     medium: Optional[Any] = None,
-) -> Tuple[Tuple[List[int], List[Any], List[float]], int, int, int]:
+) -> Tuple[SortedLeaves, int, int, int]:
     """One shared level-synchronous walk of the protocol tree over a
     population of input tuples, vectorized over the population.
 
-    Returns ``(leaf_table, nodes_expanded, union_leaves, max_depth)``
-    where ``leaf_table = (counts, boards, probabilities)`` concatenates
-    every input's leaf entries in input order — ``counts[j]`` rows for
+    Returns ``(leaves, nodes_expanded, union_leaves, max_depth)`` where
+    ``leaves`` is a :class:`SortedLeaves`: every input's leaf rows
+    concatenated in input order — ``counts[j]`` rows for
     ``input_keys[j]`` — **already in the legacy post-sort order**
     (descending lexicographic child-index path — the order the per-input
-    DFS of ``transcript_distribution`` emits leaves in), so the caller's
-    accumulation into a dict reproduces the legacy float sums exactly.
-    Flat parallel lists keep the assembly a pair of C-level gathers with
-    no per-row Python object construction.
+    DFS of ``transcript_distribution`` emits leaves in), each row an
+    integer leaf id and a float64 probability.  :meth:`SortedLeaves.rows`
+    resolves them into the legacy walk's flat lists; :func:`columnar_joint`
+    keeps them as arrays.
 
     The walk batches *every node of a depth level* into single
     index/probability/path arrays: one composite-key stable sort
@@ -605,7 +680,13 @@ def tree_walk_sorted_leaves(
             A_lin = base_lin
 
     if not leaf_boards:
-        return ([0] * m, [], []), nodes_expanded, 0, max_depth
+        empty = SortedLeaves(
+            np_.zeros(m, dtype=np_.int64),
+            np_.zeros(0, dtype=np_.int64),
+            np_.zeros(0, dtype=np_.float64),
+            np_.empty(0, dtype=object),
+        )
+        return empty, nodes_expanded, 0, max_depth
     union_leaves = len(leaf_boards)
     epoch_scales.append(lin_scale)
     n_epochs = len(epoch_scales)
@@ -656,14 +737,10 @@ def tree_walk_sorted_leaves(
         sort_keys = [-lin_mat[:, e] for e in range(n_epochs - 1, -1, -1)]
         sort_keys.append(member)
         order = np_.lexsort(tuple(sort_keys))
-    # Rows are now contiguous per member; one object-dtype gather plus
-    # C-level zips assembles every per-input leaf list without a
-    # per-row Python loop.
-    boards_sorted = boards_arr[leaf_of[order]].tolist()
-    probs_sorted = prob_all[order].tolist()
-    counts = member_counts.tolist()
+    # Rows are now contiguous per member, each member's in its legacy
+    # leaf order.
     return (
-        (counts, boards_sorted, probs_sorted),
+        SortedLeaves(member_counts, leaf_of[order], prob_all[order], boards_arr),
         nodes_expanded,
         union_leaves,
         max_depth,
@@ -683,7 +760,7 @@ def entropy_fast(probs: Dict[Any, float]) -> Optional[float]:
     _count_call("entropy")
     values = np_.fromiter(probs.values(), dtype=np_.float64, count=len(probs))
     terms = values * _exact_log2(np_, values)
-    return -ordered_sum(terms)
+    return -sum(terms.tolist())
 
 
 def kl_divergence_fast(posterior: Any, prior: Any) -> Optional[float]:
@@ -710,16 +787,173 @@ def kl_divergence_fast(posterior: Any, prior: Any) -> Optional[float]:
 
 
 # ----------------------------------------------------------------------
+# The columnar joint law (core.tree) and its column encoding
+# ----------------------------------------------------------------------
+def columnar_joint(
+    leaves: SortedLeaves,
+    scenarios: Sequence[Tuple[Any, ...]],
+    scenario_probs: Sequence[float],
+    member: Sequence[int],
+    input_keys: Sequence[Tuple[Any, ...]],
+    keys: Sequence[Tuple[Any, ...]],
+) -> Tuple[JointColumns, int]:
+    """The joint law of ``(scenario components..., transcript)`` as
+    columns, straight from the walk's leaf table.
+
+    ``scenarios`` (all of one length) and ``scenario_probs`` are the
+    scenario distribution's items; scenario ``s`` runs as walk input
+    ``member[s]``, i.e. ``input_keys[member[s]] == keys[s]``.  Returns
+    the :class:`JointColumns` of the normalized joint (its ``outcomes``
+    builds the ``scenario + (transcript,)`` tuples on demand) and the
+    number of outcomes before the zero-mass filter.
+
+    Every float is the one the dict path stores, step for step:
+
+    * each input's law is ``DiscreteDistribution(leaves,
+      normalize=True)`` over its rows — total by builtin ``sum()`` in
+      row order (a single leaf's total is the leaf itself, so it stores
+      ``p * (1.0 / p)``), rows with ``p > 0`` kept;
+    * each scenario's outcomes are ``0.0 + p_scenario * p_transcript``
+      (``0.0 + x == x``) in law order, scenario-major; no two outcomes
+      coincide, since scenarios are distinct and so are one law's
+      transcripts;
+    * the joint normalizer is builtin ``sum()`` over those outcomes in
+      that order, and the joint keeps outcomes with mass ``> 0``;
+    * codes number each column's values in first-seen outcome order.
+      A scenario component that *is* the walk key (``scenario[0]``
+      under the default ``inputs_of``, when it is a tuple) takes the
+      member numbering as is — the keys are first-seen distinct — so
+      it is not hashed a second time.
+    """
+    np_ = require_numpy()
+    _count_call("joint_columns")
+    counts = leaves.counts
+    q = leaves.probs
+    leaf_ids = leaves.leaf_ids
+    m = counts.shape[0]
+    starts = np_.cumsum(counts) - counts
+
+    # Per-input normalization.
+    totals = np_.zeros(m, dtype=np_.float64)
+    single = counts == 1
+    totals[single] = q[starts[single]]
+    multi = np_.flatnonzero(counts > 1)
+    if multi.shape[0]:
+        q_list = q.tolist()
+        for j, lo, hi in zip(
+            multi.tolist(),
+            starts[multi].tolist(),
+            (starts[multi] + counts[multi]).tolist(),
+        ):
+            totals[j] = sum(q_list[lo:hi])
+    if not bool((totals > 0.0).all()):
+        raise ValueError("cannot normalize: total mass is not positive")
+    law = q * np_.repeat(1.0 / totals, counts)
+    positive = q > 0.0
+    if not bool(positive.all()):
+        law = law[positive]
+        leaf_ids = leaf_ids[positive]
+        counts = np_.bincount(
+            np_.repeat(np_.arange(m, dtype=np_.int64), counts)[positive],
+            minlength=m,
+        )
+        starts = np_.cumsum(counts) - counts
+
+    # Scenario x law expansion, scenario-major.
+    member = np_.asarray(member, dtype=np_.int64)
+    lens = counts[member]
+    n_rows = int(lens.sum())
+    offsets = np_.cumsum(lens) - lens
+    gather = np_.repeat(starts[member] - offsets, lens) + np_.arange(
+        n_rows, dtype=np_.int64
+    )
+    raw = np_.repeat(
+        np_.asarray(scenario_probs, dtype=np_.float64), lens
+    ) * law[gather]
+    total = sum(raw.tolist())
+    if not total > 0.0:
+        raise ValueError("cannot normalize: total mass is not positive")
+    row_scenario = np_.repeat(
+        np_.arange(member.shape[0], dtype=np_.int64), lens
+    )
+    row_leaf = leaf_ids[gather]
+    kept = raw > 0.0
+    every_row = bool(kept.all())
+    if not every_row:
+        raw = raw[kept]
+        row_scenario = row_scenario[kept]
+        row_leaf = row_leaf[kept]
+    p = raw * (1.0 / total)
+
+    codes: List[Any] = []
+    values: List[List[Any]] = []
+    for index in range(len(scenarios[0])):
+        if all(s[index] is key for s, key in zip(scenarios, keys)):
+            scenario_codes, scenario_values = member, list(input_keys)
+        else:
+            scenario_codes, scenario_values = _encode_values(
+                np_, (s[index] for s in scenarios), len(scenarios)
+            )
+        column = scenario_codes[row_scenario]
+        if not every_row:
+            # Every scenario has a row, so scenario-level first-seen
+            # order is row-level first-seen order unless rows dropped.
+            column, originals, _n = _first_seen_codes(np_, column)
+            scenario_values = [scenario_values[v] for v in originals.tolist()]
+        codes.append(column)
+        values.append(scenario_values)
+    transcript_codes, transcript_ids, _n = _first_seen_codes(np_, row_leaf)
+    codes.append(transcript_codes)
+    values.append(leaves.boards[transcript_ids].tolist())
+
+    boards = leaves.boards
+
+    def outcomes() -> List[Tuple[Any, ...]]:
+        return [
+            scenarios[s] + (board,)
+            for s, board in zip(
+                row_scenario.tolist(), boards[row_leaf].tolist()
+            )
+        ]
+
+    return JointColumns(p, codes, values, outcomes), n_rows
+
+
+def joint_columns(joint: Any) -> JointColumns:
+    """The cached :class:`JointColumns` of ``joint``, encoding a
+    hand-built joint (one pass per component) on first use."""
+    columns = joint._columns  # noqa: SLF001 - the joint's cache slot
+    if columns is None:
+        np_ = require_numpy()
+        law = joint.distribution()
+        count = len(law)
+        p = np_.fromiter(
+            (p for _outcome, p in law.items()), dtype=np_.float64, count=count
+        )
+        codes: List[Any] = []
+        values: List[List[Any]] = []
+        for index in range(joint.arity):
+            column, decoded = _encode_values(
+                np_, (outcome[index] for outcome, _p in law.items()), count
+            )
+            codes.append(column)
+            values.append(decoded)
+        columns = JointColumns(p, codes, values)
+        joint._columns = columns  # noqa: SLF001
+    return columns
+
+
+# ----------------------------------------------------------------------
 # Mutual information / conditional MI (information.entropy)
 # ----------------------------------------------------------------------
 def _marginal_probs(np_: Any, fs_codes: Any, n_codes: int, p: Any) -> Any:
     """The stored values of ``DiscreteDistribution(acc, normalize=True)``
     for a group-by accumulation: ``np.add.at`` accumulates sequentially
-    in item order (same fold as the legacy dict), the normalizer is the
-    ordered sum over first-seen insertion order."""
+    in item order (same fold as the legacy dict), the normalizer is
+    builtin ``sum()`` over first-seen insertion order."""
     acc = np_.zeros(n_codes, dtype=np_.float64)
     np_.add.at(acc, fs_codes, p)
-    return acc * (1.0 / ordered_sum(acc))
+    return acc * (1.0 / sum(acc.tolist()))
 
 
 def _mi_from_arrays(np_: Any, p: Any, a_codes: Any, b_codes: Any) -> float:
@@ -740,34 +974,12 @@ def _mi_from_arrays(np_: Any, p: Any, a_codes: Any, b_codes: Any) -> float:
     return max(ordered_sum(terms), 0.0)
 
 
-def mutual_information_fast(joint: Any, a: Any, b: Any) -> Optional[float]:
-    """Vectorized :func:`repro.information.entropy.mutual_information`
-    for single-component ``a``/``b``, or ``None`` to fall back."""
-    if not use_vectorized():
-        return None
-    if not isinstance(a, (str, int)) or not isinstance(b, (str, int)):
-        return None
-    items = list(joint.items())
-    if len(items) < _VECTOR_MIN_SUPPORT:
-        return None
-    np_ = require_numpy()
-    a_index = joint._resolve(a)  # noqa: SLF001 - same internal the legacy path uses
-    b_index = joint._resolve(b)  # noqa: SLF001
-    _count_call("mutual_information")
-    p = np_.fromiter(
-        (item[1] for item in items), dtype=np_.float64, count=len(items)
-    )
-    a_codes, _ = _encode_column(np_, items, a_index)
-    b_codes, _ = _encode_column(np_, items, b_index)
-    return _mi_from_arrays(np_, p, a_codes, b_codes)
-
-
-def conditional_mutual_information_fast(
-    joint: Any, a: Any, b: Any, given: Any
+def _cmi_from_arrays(
+    np_: Any, p: Any, a_codes: Any, b_codes: Any, z_codes: Any
 ) -> Optional[float]:
-    """Vectorized
-    :func:`repro.information.entropy.conditional_mutual_information`
-    for single-component arguments, or ``None`` to fall back.
+    """``conditional_mutual_information`` over pre-encoded columns
+    (``z_codes`` first-seen dense), or ``None`` where the legacy path
+    raises.
 
     Replicates the legacy computation structurally: the conditioning
     marginal's first-seen value order, the *double* normalization a
@@ -776,28 +988,6 @@ def conditional_mutual_information_fast(
     drift removal — including the constructor's mass-tolerance check),
     and the per-``z`` ``p * max(MI, 0)`` accumulation order.
     """
-    if not use_vectorized():
-        return None
-    if (
-        not isinstance(a, (str, int))
-        or not isinstance(b, (str, int))
-        or not isinstance(given, (str, int))
-    ):
-        return None
-    items = list(joint.items())
-    if len(items) < _VECTOR_MIN_SUPPORT:
-        return None
-    np_ = require_numpy()
-    a_index = joint._resolve(a)  # noqa: SLF001
-    b_index = joint._resolve(b)  # noqa: SLF001
-    g_index = joint._resolve(given)  # noqa: SLF001
-    _count_call("conditional_mutual_information")
-    p = np_.fromiter(
-        (item[1] for item in items), dtype=np_.float64, count=len(items)
-    )
-    z_codes, _ = _encode_column(np_, items, g_index)
-    a_codes, _ = _encode_column(np_, items, a_index)
-    b_codes, _ = _encode_column(np_, items, b_index)
     nz = int(z_codes.max()) + 1
     pz = _marginal_probs(np_, z_codes, nz, p)
     row_order = np_.argsort(z_codes, kind="stable")
@@ -811,17 +1001,67 @@ def conditional_mutual_information_fast(
     for z in range(nz):
         hi = lo + counts[z]
         raw = p_sorted[lo:hi]
-        scaled_once = raw * (1.0 / ordered_sum(raw))
-        mass = ordered_sum(scaled_once)
+        scaled_once = raw * (1.0 / sum(raw.tolist()))
+        mass = sum(scaled_once.tolist())
         if not abs(mass - 1.0) <= 1e-9:
-            # The legacy joint constructor would reject this slice; let
-            # the legacy path raise the identical error.
+            # The legacy joint constructor would reject this slice.
             return None
         scaled_twice = scaled_once * (1.0 / mass)
         mi = _mi_from_arrays(np_, scaled_twice, a_sorted[lo:hi], b_sorted[lo:hi])
         total += pz_list[z] * mi
         lo = hi
     return total
+
+
+def mutual_information_fast(joint: Any, a: Any, b: Any) -> Optional[float]:
+    """Vectorized :func:`repro.information.entropy.mutual_information`
+    for single-component ``a``/``b``, or ``None`` to fall back."""
+    if not use_vectorized():
+        return None
+    if not isinstance(a, (str, int)) or not isinstance(b, (str, int)):
+        return None
+    if joint._support_size() < _VECTOR_MIN_SUPPORT:  # noqa: SLF001
+        return None
+    np_ = require_numpy()
+    a_index = joint._resolve(a)  # noqa: SLF001 - same internal the legacy path uses
+    b_index = joint._resolve(b)  # noqa: SLF001
+    _count_call("mutual_information")
+    columns = joint_columns(joint)
+    return _mi_from_arrays(
+        np_, columns.p, columns.codes[a_index], columns.codes[b_index]
+    )
+
+
+def conditional_mutual_information_fast(
+    joint: Any, a: Any, b: Any, given: Any
+) -> Optional[float]:
+    """Vectorized
+    :func:`repro.information.entropy.conditional_mutual_information`
+    for single-component arguments, or ``None`` to fall back (see
+    :func:`_cmi_from_arrays`)."""
+    if not use_vectorized():
+        return None
+    if (
+        not isinstance(a, (str, int))
+        or not isinstance(b, (str, int))
+        or not isinstance(given, (str, int))
+    ):
+        return None
+    if joint._support_size() < _VECTOR_MIN_SUPPORT:  # noqa: SLF001
+        return None
+    np_ = require_numpy()
+    a_index = joint._resolve(a)  # noqa: SLF001
+    b_index = joint._resolve(b)  # noqa: SLF001
+    g_index = joint._resolve(given)  # noqa: SLF001
+    _count_call("conditional_mutual_information")
+    columns = joint_columns(joint)
+    return _cmi_from_arrays(
+        np_,
+        columns.p,
+        columns.codes[a_index],
+        columns.codes[b_index],
+        columns.codes[g_index],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -836,7 +1076,7 @@ def class_conditioned_probabilities(
 
     Bit-identical to ``sum(factors.probability(x) for x in class) / m``:
     per input the factors multiply in ascending player order from 1.0,
-    and the class sum folds left-to-right.
+    and the class total is builtin ``sum()`` in class order.
     """
     np_ = require_numpy()
     _count_call("lemma3_class_probability")
@@ -844,45 +1084,21 @@ def class_conditioned_probabilities(
     product = np_.ones(m, dtype=np_.float64)
     for i in range(k):
         product = product * factor_table[i][class_matrix[:, i]]
-    return ordered_sum(product) / m
+    return sum(product.tolist()) / m
 
 
 # ----------------------------------------------------------------------
 # Lemma 2 per-player divergence sum (lowerbounds.posterior)
 # ----------------------------------------------------------------------
-def per_player_divergence_sum_fast(
-    joint: Any, k: int, x_index: int, z_index: int, t_index: int
-) -> Optional[float]:
-    """Vectorized right-hand side of Lemma 2, or ``None`` to fall back.
-
-    Engages only when every player's input bit is exactly 0 or 1 (the
-    hard-distribution setting); the two-outcome posteriors/priors make
-    every inner sum a one- or two-term IEEE addition, which is
-    commutative bit-for-bit, so no per-pair ordering state is needed.
-    """
-    if not use_vectorized():
-        return None
-    items = list(joint.items())
-    if len(items) < _VECTOR_MIN_SUPPORT:
-        return None
-    np_ = require_numpy()
-    try:
-        bits = np_.array(
-            [outcome[x_index] for outcome, _p in items], dtype=np_.int64
-        )
-    except (TypeError, ValueError):
-        return None
-    if bits.ndim != 2 or bits.shape[1] != k:
-        return None
-    if not np_.logical_or(bits == 0, bits == 1).all():
-        return None
-    _count_call("per_player_divergence_sum")
-    m = len(items)
-    p = np_.fromiter(
-        (item[1] for item in items), dtype=np_.float64, count=m
-    )
-    z_codes, _ = _encode_column(np_, items, z_index)
-    t_codes, _ = _encode_column(np_, items, t_index)
+def _divergence_sum_from_arrays(
+    np_: Any, p: Any, bits: Any, z_codes: Any, t_codes: Any, k: int
+) -> float:
+    """The Lemma 2 sum over pre-encoded columns: ``bits`` is the
+    ``(rows, k)`` 0/1 input matrix, ``z_codes`` dense.  The two-outcome
+    posteriors/priors make every inner sum a one- or two-term IEEE
+    addition, which is commutative bit-for-bit, so no per-pair ordering
+    state is needed."""
+    m = p.shape[0]
     nz = int(z_codes.max()) + 1
     pair = t_codes * nz + z_codes
     pair_fs, _pair_orig, n_pairs = _first_seen_codes(np_, pair)
@@ -934,6 +1150,40 @@ def per_player_divergence_sum_fast(
     kl = np_.maximum(kl, 0.0)
     contributions = pair_mass[:, None] * kl
     return ordered_sum(contributions.reshape(-1))
+
+
+def per_player_divergence_sum_fast(
+    joint: Any, k: int, x_index: int, z_index: int, t_index: int
+) -> Optional[float]:
+    """Vectorized right-hand side of Lemma 2, or ``None`` to fall back.
+
+    Engages only when every player's input bit is exactly 0 or 1 (the
+    hard-distribution setting).
+    """
+    if not use_vectorized():
+        return None
+    if joint._support_size() < _VECTOR_MIN_SUPPORT:  # noqa: SLF001
+        return None
+    np_ = require_numpy()
+    columns = joint_columns(joint)
+    try:
+        inputs = np_.array(columns.values[x_index], dtype=np_.int64)
+    except (TypeError, ValueError):
+        return None
+    if inputs.ndim != 2 or inputs.shape[1] != k:
+        return None
+    if not np_.logical_or(inputs == 0, inputs == 1).all():
+        return None
+    _count_call("per_player_divergence_sum")
+    return _divergence_sum_from_arrays(
+        np_,
+        columns.p,
+        inputs[columns.codes[x_index]],
+        columns.codes[z_index],
+        columns.codes[t_index],
+        k,
+    )
+
 
 
 # ----------------------------------------------------------------------

@@ -100,6 +100,17 @@ class TestAndHardDistribution:
         marginal = and_hard_input_marginal(k)
         assert all(min(x) == 0 for x in marginal.support())
 
+    @pytest.mark.parametrize("max_zeros", [None, 1, 2, 3])
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_input_marginal_is_the_map_of_mu(self, k, max_zeros):
+        # Built directly, yet item for item and float for float the
+        # pushforward of the materialized mu.
+        direct = and_hard_input_marginal(k, max_zeros=max_zeros)
+        mapped = and_hard_distribution(k, max_zeros=max_zeros).map(
+            lambda outcome: outcome[0]
+        )
+        assert list(direct.items()) == list(mapped.items())
+
     def test_conditional_zero_prior(self):
         assert conditional_zero_prior(10) == pytest.approx(0.1)
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ completes.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -277,10 +278,10 @@ class TestTreeWalkIdentity:
         legacy = tree._legacy_walk_sorted_leaves(
             protocol, inputs, max_messages=16
         )
-        vectorized = kernels.tree_walk_sorted_leaves(
+        leaves, *stats = kernels.tree_walk_sorted_leaves(
             protocol, inputs, max_messages=16
         )
-        assert vectorized == legacy
+        assert (leaves.rows(), *stats) == legacy
 
     def test_lineage_spill_path(self, monkeypatch):
         # Force the mixed-radix lineage codes to overflow into frozen
@@ -400,6 +401,128 @@ class TestInformationIdentity:
             )
         )
         assert legacy == vectorized
+
+
+# ----------------------------------------------------------------------
+# Bit-identity where the legacy twin calls builtin sum().
+# ----------------------------------------------------------------------
+def plain_fold(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def compensated_fold(values):
+    """Builtin ``sum()`` of floats from Python 3.12 on (Neumaier)."""
+    total = compensation = 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation if compensation else total
+
+
+def separates(values):
+    return plain_fold(values) != compensated_fold(values)
+
+
+@numpy_required
+class TestBuiltinSumSites:
+    """Each kernel site whose legacy twin calls builtin ``sum()`` (or the
+    normalizing constructor, which does) is pinned on a vector where the
+    plain and the compensated fold differ, so the pin holds on every
+    Python version only if the site calls ``sum()`` too.  Each test
+    first asserts that its vector really separates the two folds."""
+
+    @pytest.fixture(autouse=True)
+    def force_fast_paths(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_VECTOR_MIN_SUPPORT", 0)
+
+    def test_model_of_builtin_sum(self):
+        import sys
+
+        rng = random.Random(0)
+        model = compensated_fold if sys.version_info >= (3, 12) else plain_fold
+        for _ in range(200):
+            values = [rng.random() for _ in range(rng.randint(1, 40))]
+            assert sum(values) == model(values)
+
+    def test_entropy(self):
+        rng = random.Random(0)
+        dist = DiscreteDistribution(
+            {i: rng.random() + 1e-3 for i in range(70)}, normalize=True
+        )
+        assert separates([p * math.log2(p) for _o, p in dist.items()])
+        legacy, vectorized = both_kernels(
+            lambda: DiscreteDistribution(dist.as_dict()).entropy()
+        )
+        assert legacy == vectorized
+
+    def test_marginal_normalizer(self):
+        joint = random_joint(3, (12, 6))
+        acc = {}
+        for (a, _b), p in joint.items():
+            acc[a] = acc.get(a, 0.0) + p
+        assert separates(list(acc.values()))
+        legacy, vectorized = both_kernels(
+            lambda: mutual_information(
+                JointDistribution(dict(joint.items()), names=("a", "b")),
+                "a",
+                "b",
+            )
+        )
+        assert legacy == vectorized
+
+    def test_conditional_slice_normalizer_and_mass(self):
+        joint = random_joint(1, (4, 5, 3))
+        slices = {}
+        for outcome, p in joint.items():
+            slices.setdefault(outcome[2], []).append(p)
+        assert any(separates(raw) for raw in slices.values())
+        # The once-scaled slice separates whichever fold normalized it.
+        for fold in (plain_fold, compensated_fold):
+            assert any(
+                separates([p * (1.0 / fold(raw)) for p in raw])
+                for raw in slices.values()
+            )
+        legacy, vectorized = both_kernels(
+            lambda: conditional_mutual_information(
+                JointDistribution(dict(joint.items()), names=("a", "b", "c")),
+                "a",
+                "b",
+                "c",
+            )
+        )
+        assert legacy == vectorized
+
+    def test_class_conditioned_probability(self):
+        from repro.core.model import EMPTY_TRANSCRIPT
+        from repro.lowerbounds.decomposition import TranscriptFactors
+        from repro.lowerbounds.transcripts import (
+            _class_conditioned_probability,
+        )
+
+        rng = random.Random(0)
+        k = 8
+        table = [(rng.random(), rng.random()) for _ in range(k)]
+        factors = TranscriptFactors(
+            EMPTY_TRANSCRIPT, tuple({0: q0, 1: q1} for q0, q1 in table)
+        )
+        inputs = [
+            tuple(0 if i in zeros else 1 for i in range(k))
+            for zeros in itertools.combinations(range(k), 2)
+        ]
+        assert separates([factors.probability(x) for x in inputs])
+        np_ = kernels.require_numpy()
+        vectorized = kernels.class_conditioned_probabilities(
+            [np_.array(row, dtype=np_.float64) for row in table],
+            np_.array(inputs, dtype=np_.int64),
+        )
+        assert vectorized == _class_conditioned_probability(factors, inputs)
 
 
 # ----------------------------------------------------------------------
