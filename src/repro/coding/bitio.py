@@ -23,7 +23,11 @@ Bits = str
 
 
 def _validate_bits(bits: str) -> None:
-    if not all(c in "01" for c in bits):
+    if not isinstance(bits, str):
+        raise TypeError(f"bits must be a str, got {type(bits).__name__}")
+    # strip() removes only leading/trailing 0/1 runs, so anything left
+    # over means some other character is present.
+    if bits.strip("01"):
         raise ValueError(f"not a bit string: {bits!r}")
 
 

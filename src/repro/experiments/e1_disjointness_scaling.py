@@ -70,10 +70,11 @@ CLASSIC_GRID: Sequence[Tuple[int, int]] = (
 #: The default grid extends CLASSIC_GRID an order of magnitude.  The
 #: points beyond (2048, 64) are reachable in seconds only because the
 #: vectorized kernel replays the protocols with the exact bigint
-#: simulators; ``--kernel legacy`` still completes the whole grid in
-#: minutes (the message-level runner materializes every combinadic
-#: rank), and networked transports should prefer ``--quick`` — framing
-#: every message of the big points costs tens of minutes.
+#: simulators; ``--kernel legacy`` runs the whole grid message by
+#: message in about 10 s (2-CPU x86-64, Python 3.11; the codecs touch
+#: only the coordinates each message writes), and networked transports
+#: should prefer ``--quick`` — framing every message of the big points
+#: costs tens of minutes.
 DEFAULT_GRID: Sequence[Tuple[int, int]] = tuple(CLASSIC_GRID) + (
     (8192, 16),
     (8192, 64),

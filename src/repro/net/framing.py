@@ -165,7 +165,11 @@ class Frame:
             raise ValueError(f"round_index must be >= 0, got {self.round_index}")
         if self.coin_draws < 0:
             raise ValueError(f"coin_draws must be >= 0, got {self.coin_draws}")
-        if not all(c in "01" for c in self.payload):
+        if not isinstance(self.payload, str):
+            raise TypeError(
+                f"payload must be a str, got {type(self.payload).__name__}"
+            )
+        if self.payload.strip("01"):  # leftovers are non-0/1 characters
             raise ValueError(f"payload must be a bit string: {self.payload!r}")
         if self.trace_id is not None and self.trace_id < 0:
             raise ValueError(f"trace_id must be >= 0, got {self.trace_id}")

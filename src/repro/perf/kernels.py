@@ -67,6 +67,7 @@ from typing import (
     Tuple,
 )
 
+from ..coding.bitops import popcount
 from ..information.entropy import binary_entropy
 from ..obs.metrics import REGISTRY
 
@@ -1303,10 +1304,6 @@ def minimum_entropy(
 # ----------------------------------------------------------------------
 # E1 disjointness bit-count simulators (bigint board engine)
 # ----------------------------------------------------------------------
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def _gamma_length(value: int) -> int:
     return 2 * (value.bit_length() - 1) + 1
 
@@ -1349,7 +1346,7 @@ def simulate_naive_disjointness(
         if new_zeros == 0:
             bits += 1
         else:
-            count = _popcount(new_zeros)
+            count = popcount(new_zeros)
             bits += 1 + _gamma_length(count) + count * index_width
             covered |= new_zeros
     return bits, int(covered == full)
@@ -1384,7 +1381,7 @@ def simulate_optimal_disjointness(
         mask = masks[player]
         new_zeros = (~mask) & full & ~covered
         if endgame:
-            count = _popcount(new_zeros)
+            count = popcount(new_zeros)
             if count == 0:
                 bits += 1
                 written = 0
@@ -1394,7 +1391,7 @@ def simulate_optimal_disjointness(
                 written = new_zeros
         else:
             batch = -(-zone_size // k)
-            if _popcount(new_zeros) >= batch:
+            if popcount(new_zeros) >= batch:
                 bits += 1 + subset_code_width(zone_size, batch)
                 written = _lowest_bits(new_zeros, batch)
             else:
@@ -1409,7 +1406,7 @@ def simulate_optimal_disjointness(
             continue
         if endgame or not wrote:
             return bits, 0
-        zone_size = n - _popcount(covered)
+        zone_size = n - popcount(covered)
         cycle_base = covered
         turn = 0
         wrote = False

@@ -22,10 +22,12 @@ Message format (self-delimiting given the board):
 
 from __future__ import annotations
 
+import operator
+from itertools import repeat
 from typing import Any, Optional
 
 from ..coding.bitops import bits_of
-from ..coding.bitio import BitReader, BitWriter
+from ..coding.bitio import BitReader
 from ..coding.varint import decode_elias_gamma, encode_elias_gamma
 from ..information.distribution import DiscreteDistribution
 from ..core.model import Message, Protocol, ProtocolViolation, Transcript
@@ -63,17 +65,32 @@ class NaiveDisjointnessProtocol(Protocol):
             reader.expect_exhausted()
             return 0
         count = decode_elias_gamma(reader)
-        mask = 0
-        previous = -1
-        for _ in range(count):
-            coordinate = reader.read_uint(self._index_width)
-            if coordinate <= previous or coordinate >= self._n:
-                raise ProtocolViolation(
-                    f"malformed coordinate list in message {bits!r}"
-                )
-            mask |= 1 << coordinate
-            previous = coordinate
+        width = self._index_width
+        start = reader.position
+        body = bits[start : start + count * width]
+        coordinates = [
+            int(body[i : i + width], 2)
+            for i in range(0, len(body) - width + 1, width)
+        ]
+        # Checked in the order they were written: a bad coordinate is
+        # reported before a truncated list.
+        if coordinates and (
+            coordinates[-1] >= self._n
+            or not all(map(operator.lt, coordinates, coordinates[1:]))
+        ):
+            raise ProtocolViolation(
+                f"malformed coordinate list in message {bits!r}"
+            )
+        if len(coordinates) < count:
+            remaining = len(bits) - start - len(coordinates) * width
+            raise EOFError(
+                f"requested {width} bits but only {remaining} remain"
+            )
+        reader.read_bits(len(body))
         reader.expect_exhausted()
+        mask = 0
+        for coordinate in coordinates:
+            mask |= 1 << coordinate
         return mask
 
     def next_speaker(self, state: Any, board: Transcript) -> Optional[int]:
@@ -94,12 +111,11 @@ class NaiveDisjointnessProtocol(Protocol):
         if new_zeros == 0:
             return DiscreteDistribution.point_mass("0")
         coordinates = bits_of(new_zeros)
-        writer = BitWriter()
-        writer.write_flag(True)
-        writer.write_bits(encode_elias_gamma(len(coordinates)))
-        for coordinate in coordinates:
-            writer.write_uint(coordinate, self._index_width)
-        return DiscreteDistribution.point_mass(writer.getvalue())
+        index = f"0{self._index_width}b"
+        body = "".join(map(format, coordinates, repeat(index)))
+        return DiscreteDistribution.point_mass(
+            "1" + encode_elias_gamma(len(coordinates)) + body
+        )
 
     def output(self, state: Any, board: Transcript) -> int:
         _count, covered = state

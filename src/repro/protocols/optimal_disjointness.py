@@ -44,9 +44,9 @@ Message formats (self-delimiting given the board):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, List, Optional
+from typing import Any, Optional
 
-from ..coding.bitops import bits_of, popcount
+from ..coding.bitops import popcount, zone_mask, zone_positions
 from ..coding.bitio import BitReader, BitWriter
 from ..coding.combinatorial import (
     subset_code_width,
@@ -149,11 +149,11 @@ class OptimalDisjointnessProtocol(Protocol):
                 f"input {player_input!r} is not an {self._n}-bit mask"
             )
         new_zeros = (~mask) & self._full & ~state.covered
-        cycle_zone = self._zone(state)
+        zone = self._zone(state)
         if state.endgame:
-            bits = self._encode_endgame_turn(new_zeros, cycle_zone)
+            bits = self._encode_endgame_turn(new_zeros, zone)
         else:
-            bits = self._encode_batch_turn(new_zeros, cycle_zone)
+            bits = self._encode_batch_turn(new_zeros, zone)
         return DiscreteDistribution.point_mass(bits)
 
     def output(self, state: _BoardState, board: Transcript) -> int:
@@ -164,40 +164,39 @@ class OptimalDisjointnessProtocol(Protocol):
         raise ProtocolViolation("output requested before the protocol halted")
 
     # ------------------------------------------------------------------
-    # Encoding helpers.  ``zone`` is the sorted coordinate list of Z_i.
+    # Encoding helpers.  ``zone`` is the mask of Z_i; coordinates are
+    # written as positions among its set bits (coding.bitops).
     # ------------------------------------------------------------------
-    def _zone(self, state: _BoardState) -> List[int]:
-        """The coordinates of :math:`Z_i` (absent at cycle start), sorted."""
-        absent = (~state.cycle_base) & self._full
-        return bits_of(absent)
+    def _zone(self, state: _BoardState) -> int:
+        """The mask of :math:`Z_i`, the coordinates absent at cycle start."""
+        return (~state.cycle_base) & self._full
 
     def _batch_size(self, z: int) -> int:
         """The mandated batch size :math:`m = \\lceil z / k \\rceil`."""
         return -(-z // self.num_players)
 
-    def _encode_batch_turn(self, new_zeros: int, zone: List[int]) -> str:
-        z = len(zone)
+    def _encode_batch_turn(self, new_zeros: int, zone: int) -> str:
+        z = popcount(zone)
         m = self._batch_size(z)
-        chosen = _first_m_in_zone(new_zeros, zone, m)
-        if chosen is None:
+        # m == 0 only on an empty zone, and that turn is a pass.
+        if not new_zeros or popcount(new_zeros) < m:
             return "0"
+        # The m smallest new zeros (new_zeros is a subset of Z_i).
+        chosen = zone_positions(new_zeros, zone, m)
         writer = BitWriter()
         writer.write_flag(True)
         width = subset_code_width(z, m)
         writer.write_uint(subset_rank(chosen, z), width)
         return writer.getvalue()
 
-    def _encode_endgame_turn(self, new_zeros: int, zone: List[int]) -> str:
-        positions = [
-            index for index, coordinate in enumerate(zone)
-            if new_zeros >> coordinate & 1
-        ]
-        if not positions:
+    def _encode_endgame_turn(self, new_zeros: int, zone: int) -> str:
+        if not new_zeros:
             return "0"
+        positions = zone_positions(new_zeros, zone)
         writer = BitWriter()
         writer.write_flag(True)
         writer.write_bits(encode_elias_gamma(len(positions)))
-        width = _index_width(len(zone))
+        width = _index_width(popcount(zone))
         for position in positions:
             writer.write_uint(position, width)
         return writer.getvalue()
@@ -205,15 +204,15 @@ class OptimalDisjointnessProtocol(Protocol):
     def _decode_turn(self, state: _BoardState, bits: str) -> int:
         """Parse a turn message into the bitmask of coordinates it wrote."""
         zone = self._zone(state)
-        z = len(zone)
+        z = popcount(zone)
         reader = BitReader(bits)
         if not reader.read_flag():
             reader.expect_exhausted()
             return 0
-        written = 0
         if state.endgame:
             count = decode_elias_gamma(reader)
             width = _index_width(z)
+            positions = []
             previous = -1
             for _ in range(count):
                 position = reader.read_uint(width)
@@ -221,24 +220,14 @@ class OptimalDisjointnessProtocol(Protocol):
                     raise ProtocolViolation(
                         f"malformed endgame message {bits!r}"
                     )
-                written |= 1 << zone[position]
+                positions.append(position)
                 previous = position
         else:
             m = self._batch_size(z)
             width = subset_code_width(z, m)
-            rank = reader.read_uint(width)
-            for position in subset_unrank(rank, z, m):
-                written |= 1 << zone[position]
+            positions = subset_unrank(reader.read_uint(width), z, m)
         reader.expect_exhausted()
-        return written
-
-
-# ----------------------------------------------------------------------
-# Small bit utilities
-# ----------------------------------------------------------------------
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
+        return zone_mask(positions, zone)
 
 
 def _index_width(z: int) -> int:
@@ -246,17 +235,3 @@ def _index_width(z: int) -> int:
     if z < 1:
         raise ValueError("zone is empty")
     return (z - 1).bit_length()
-
-
-def _first_m_in_zone(
-    new_zeros: int, zone: List[int], m: int
-) -> Optional[List[int]]:
-    """Positions (within ``zone``) of the ``m`` smallest new zeros, or
-    ``None`` if the player holds fewer than ``m`` of them."""
-    positions: List[int] = []
-    for index, coordinate in enumerate(zone):
-        if new_zeros >> coordinate & 1:
-            positions.append(index)
-            if len(positions) == m:
-                return positions
-    return None

@@ -38,9 +38,9 @@ which the tests exercise.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, List, Optional
+from typing import Any, Optional
 
-from ..coding.bitops import bits_of, popcount
+from ..coding.bitops import popcount, zone_mask, zone_positions
 from ..coding.bitio import BitReader, BitWriter
 from ..coding.combinatorial import (
     subset_code_width,
@@ -162,37 +162,30 @@ class UnionProtocol(Protocol):
         return state.covered
 
     # ------------------------------------------------------------------
-    def _zone(self, state: _BoardState) -> List[int]:
-        absent = (~state.cycle_base) & self._full
-        return bits_of(absent)
+    def _zone(self, state: _BoardState) -> int:
+        """The mask of :math:`Z_i`, the coordinates absent at cycle start."""
+        return (~state.cycle_base) & self._full
 
     def _batch_size(self, z: int) -> int:
         return -(-z // self.num_players)
 
-    def _encode_batch_turn(self, new_elements: int, zone: List[int]) -> str:
-        z = len(zone)
+    def _encode_batch_turn(self, new_elements: int, zone: int) -> str:
+        z = popcount(zone)
         m = self._batch_size(z)
-        positions: List[int] = []
-        for index, coordinate in enumerate(zone):
-            if new_elements >> coordinate & 1:
-                positions.append(index)
-                if len(positions) == m:
-                    break
-        if len(positions) < m:
+        if popcount(new_elements) < m:
             return "0"
+        # The m smallest new elements (new_elements is a subset of Z_i).
+        positions = zone_positions(new_elements, zone, m)
         writer = BitWriter()
         writer.write_flag(True)
         writer.write_uint(subset_rank(positions, z), subset_code_width(z, m))
         return writer.getvalue()
 
-    def _encode_endgame_turn(self, new_elements: int, zone: List[int]) -> str:
-        positions = [
-            index for index, coordinate in enumerate(zone)
-            if new_elements >> coordinate & 1
-        ]
-        if not positions:
+    def _encode_endgame_turn(self, new_elements: int, zone: int) -> str:
+        if not new_elements:
             return "0"
-        z = len(zone)
+        positions = zone_positions(new_elements, zone)
+        z = popcount(zone)
         writer = BitWriter()
         writer.write_flag(True)
         writer.write_bits(encode_elias_gamma(len(positions)))
@@ -203,7 +196,7 @@ class UnionProtocol(Protocol):
 
     def _decode_turn(self, state: _BoardState, bits: str) -> int:
         zone = self._zone(state)
-        z = len(zone)
+        z = popcount(zone)
         reader = BitReader(bits)
         if not reader.read_flag():
             reader.expect_exhausted()
@@ -215,10 +208,6 @@ class UnionProtocol(Protocol):
         else:
             count = self._batch_size(z)
         rank = reader.read_uint(subset_code_width(z, count))
-        written = 0
-        for position in subset_unrank(rank, z, count):
-            written |= 1 << zone[position]
+        positions = subset_unrank(rank, z, count)
         reader.expect_exhausted()
-        return written
-
-
+        return zone_mask(positions, zone)

@@ -138,3 +138,51 @@ class TestBitops:
         positions = bits_of(mask)
         assert len(positions) == popcount(mask)
         assert sum(1 << p for p in positions) == mask
+
+
+#: Non-str inputs and the exception each bit-string check site raises
+#: for them: the reader/writer and wire frames raise TypeError, while
+#: Message reaches ``.strip`` directly (AttributeError, or TypeError
+#: for bytes).
+NON_STR_BITS = [None, 5, 1.5, b"01", [0, 1]]
+
+
+class TestNonStrBits:
+    @pytest.mark.parametrize("bits", NON_STR_BITS, ids=repr)
+    def test_bitio(self, bits):
+        with pytest.raises(TypeError):
+            BitReader(bits)
+        with pytest.raises(TypeError):
+            BitWriter().write_bits(bits)
+        with pytest.raises(TypeError):
+            concat_bits([bits])
+
+    @pytest.mark.parametrize("bits", NON_STR_BITS, ids=repr)
+    def test_frame_payload(self, bits):
+        from repro.net.framing import Frame, FrameKind
+
+        with pytest.raises(TypeError):
+            Frame(FrameKind.APPEND, payload=bits)
+
+    @pytest.mark.parametrize("bits", NON_STR_BITS, ids=repr)
+    def test_message(self, bits):
+        from repro.core import Message
+
+        error = TypeError if isinstance(bits, bytes) else AttributeError
+        with pytest.raises(Exception) as info:
+            Message(0, bits)
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("bits", ["2", "01a", " 01", "0 1", "\n"])
+    def test_non_binary_characters_rejected(self, bits):
+        from repro.core import Message
+        from repro.net.framing import Frame, FrameKind
+
+        for build in (
+            BitReader,
+            BitWriter().write_bits,
+            lambda b: Frame(FrameKind.APPEND, payload=b),
+            lambda b: Message(0, b),
+        ):
+            with pytest.raises(ValueError):
+                build(bits)

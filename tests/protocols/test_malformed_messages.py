@@ -53,6 +53,38 @@ class TestNaiveProtocolDecoder:
             p.advance_state(p.initial_state(), Message(0, bits))
 
 
+    @pytest.mark.parametrize(
+        "bits,error,text",
+        [
+            # Out of order (5 then 3) *and* truncated (third coordinate
+            # missing): the bad coordinate comes first on the board.
+            ("1" + "011" + "101" + "011", ProtocolViolation,
+             "malformed coordinate list in message '1011101011'"),
+            ("1" + "011" + "010" + "101" + "1", EOFError,
+             "requested 3 bits but only 1 remain"),
+            ("1" + "010", EOFError, "requested 3 bits but only 0 remain"),
+            ("1" + "00", EOFError,
+             "attempted to read past the end of the bit string"),
+            ("1" + "1" + "100" + "0", ValueError,
+             "1 unread bits remain: '0'"),
+        ],
+        ids=["unsorted-and-truncated", "cut-mid-coordinate", "no-body",
+             "cut-gamma", "trailing"],
+    )
+    def test_error_precedence_and_text(self, bits, error, text):
+        p = NaiveDisjointnessProtocol(8, 2)
+        with pytest.raises(error) as info:
+            p.advance_state(p.initial_state(), Message(0, bits))
+        assert type(info.value) is error
+        assert str(info.value) == text
+
+    def test_coordinate_outside_universe_rejected(self):
+        p = NaiveDisjointnessProtocol(5, 2)  # 3-bit indices, n = 5
+        bits = "1" + "010" + "001" + "110"  # coordinates 1, 6
+        with pytest.raises(ProtocolViolation, match="malformed"):
+            p.advance_state(p.initial_state(), Message(0, bits))
+
+
 class TestOptimalProtocolDecoder:
     def test_endgame_out_of_range_index(self):
         p = OptimalDisjointnessProtocol(8, 3)  # endgame from the start
