@@ -10,6 +10,7 @@ from repro.core import (
 )
 from repro.information import DiscreteDistribution
 from repro.protocols import (
+    ALL_PROTOCOLS,
     FunctionalProtocol,
     NoisySequentialAndProtocol,
     OptimalDisjointnessProtocol,
@@ -80,3 +81,33 @@ class TestValidateProtocol:
         # Reachable non-final boards: "", "1", "11" — 3 states.
         assert report.states_checked == 3
         assert report.max_board_length == 2
+
+
+# (ok, states_checked, max_board_length) of every registry protocol on its
+# certified input family.  The audit must explore exactly these boards.
+REGISTRY_PIN = {
+    "sequential-and": (True, 4, 3),
+    "full-broadcast-and": (True, 7, 2),
+    "noisy-sequential-and": (True, 7, 2),
+    "trivial-disjointness": (True, 9, 1),
+    "naive-disjointness": (True, 9, 1),
+    "optimal-disjointness": (True, 8, 1),
+    "union": (True, 8, 1),
+    "two-party-disjointness": (True, 9, 1),
+    "two-party-sparse-intersection": (True, 8, 1),
+    "promise-unique-intersection": (True, 29, 3),
+    "sequential-composition": (True, 8, 3),
+    "functional-random": (True, 511, 8),
+}
+
+
+@pytest.mark.parametrize(
+    "case", ALL_PROTOCOLS, ids=[case.name for case in ALL_PROTOCOLS]
+)
+def test_registry_pin(case):
+    report = validate_protocol(case.build(), case.input_tuples())
+    assert (
+        report.ok,
+        report.states_checked,
+        report.max_board_length,
+    ) == REGISTRY_PIN[case.name], report.problems
