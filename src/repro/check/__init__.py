@@ -7,9 +7,9 @@ The subsystem has four layers (see ``docs/testing.md`` for the guide):
   case specs and the seeded generator of arbitrary valid broadcast
   protocols (certified by ``core.validate`` before any oracle runs);
 * :mod:`repro.check.oracles` — the differential oracle inventory
-  (batched vs legacy enumeration, exact vs Monte Carlo, closed-form CIC,
-  sampler acceptance rates, paper invariants, networked-loopback
-  bit-identity);
+  (tree-walk engines vs independent references, exact vs Monte Carlo,
+  closed-form CIC, sampler acceptance rates, paper invariants,
+  networked-loopback bit-identity);
 * :mod:`repro.check.mutations` — independent reference implementations
   with plantable bugs, powering each oracle's mutation self-test;
 * :mod:`repro.check.harness` / :mod:`repro.check.shrink` /
@@ -30,7 +30,6 @@ from .generator import (
 from .harness import CaseReport, SuiteReport, run_case, run_suite
 from .oracles import (
     ALL_ORACLES,
-    BatchedTreeOracle,
     ByzantineBlackboardOracle,
     ClosedFormOracle,
     DisciplineOracle,
@@ -41,6 +40,7 @@ from .oracles import (
     OracleResult,
     SamplerOracle,
     StoreRoundtripOracle,
+    VectorizedKernelOracle,
     oracle_by_name,
 )
 from .shrink import shrink_case, shrink_candidates
@@ -61,7 +61,7 @@ __all__ = [
     "ALL_ORACLES",
     "oracle_by_name",
     "DisciplineOracle",
-    "BatchedTreeOracle",
+    "VectorizedKernelOracle",
     "MonteCarloOracle",
     "ClosedFormOracle",
     "SamplerOracle",

@@ -94,15 +94,19 @@ def main(argv=None) -> int:
     )
 
     oracles = ALL_ORACLES
-    if args.oracles:
-        try:
+    try:
+        if args.oracles:
             oracles = tuple(
                 oracle_by_name(name.strip())
                 for name in args.oracles.split(",")
                 if name.strip()
             )
-        except KeyError as error:
-            parser.error(str(error))
+        if args.replay:
+            # A bundle may name an oracle this version no longer has.
+            for name in load_bundle(args.replay).failing_oracles:
+                oracle_by_name(name)
+    except KeyError as error:
+        parser.error(str(error))
 
     tracer = JsonlTracer(args.trace) if args.trace else None
     exit_code = 0

@@ -176,7 +176,8 @@ class GeneratedCoordinatorProtocol(MediumProtocol):
     The hub's early coins inject traffic that later speakers cannot see,
     so a leaked law *provably* differs across global transcripts that
     share the speaker's view — which is what makes the planted bug
-    detectable by :func:`repro.topology.validate.validate_topology`.
+    detectable by :func:`repro.core.validate.validate_protocol` with
+    ``medium=COORDINATOR``.
     Player codes have >= 2 words and every law has full support, keeping
     the protocol tree rich; per (speaker, view) the supported words stay
     inside one fixed code, so prefix-freeness holds by construction.

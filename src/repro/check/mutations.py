@@ -1341,8 +1341,8 @@ class _ViewLeakProtocol:
     its probabilities now vary across global transcripts that look
     identical from the speaker's seat.  The hub's early coins to other
     players guarantee such same-view pairs exist, so
-    :func:`repro.topology.validate.validate_topology` must report a
-    view-locality violation.
+    :func:`repro.core.validate.validate_protocol` (``medium=COORDINATOR``)
+    must report a view-locality violation.
     """
 
     def __init__(self, base: Any) -> None:

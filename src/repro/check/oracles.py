@@ -7,15 +7,13 @@ GeneratedCase`) and checks one cross-layer agreement property:
 ``model-discipline``  ``core.validate`` certifies the generated
                       protocol (prefix-freeness everywhere, replay
                       consistency, board-determined speakers).
-``batched-vs-legacy`` the batched tree walk is *bit-identical* to an
-                      independent per-input DFS reference.
-``vectorized-vs-legacy`` the numpy kernel engine, the dict-driven
-                      legacy engine, and an independent lockstep
-                      group-by re-derivation produce *bit-identical*
-                      joint laws (the ``--kernel`` contract); the
-                      columnar joint's external information cost and
-                      first-seen transcript codes match the legacy
-                      kernel and an independent column re-derivation.
+``vectorized-vs-legacy`` the legacy engine, an independent per-input
+                      DFS, the numpy kernel engine and an independent
+                      group-by walk produce *bit-identical* joint laws
+                      (the ``--kernel`` contract); the columnar joint's
+                      external information cost and first-seen
+                      transcript codes match the legacy kernel and an
+                      independent column re-derivation.
 ``exact-vs-mc``       the exact analyzer's information cost lies in the
                       Monte-Carlo estimator's bootstrap interval
                       (widened by the plug-in bias allowance).
@@ -61,8 +59,8 @@ GeneratedCase`) and checks one cross-layer agreement property:
 ``topology-discipline`` a derived coordinator-medium protocol
                       (:class:`repro.check.generator.
                       GeneratedCoordinatorProtocol`) is certified
-                      view-local by ``repro.topology.validate`` and
-                      every execution's transcript, output, and
+                      view-local by ``core.validate`` and every
+                      execution's transcript, output, and
                       *per-link* bit accounting matches an independent
                       mini-runtime (:func:`repro.check.mutations.
                       topology_run_reference`) exactly.
@@ -103,7 +101,6 @@ __all__ = [
     "OracleResult",
     "Oracle",
     "DisciplineOracle",
-    "BatchedTreeOracle",
     "VectorizedKernelOracle",
     "MonteCarloOracle",
     "ClosedFormOracle",
@@ -170,83 +167,73 @@ class DisciplineOracle(Oracle):
         return self._ok(f"{report.states_checked} boards certified")
 
 
-class BatchedTreeOracle(Oracle):
-    """Batched walk vs independent per-input DFS — bit-identical."""
-
-    name = "batched-vs-legacy"
-    bugs = mutations.TREE_BUGS
-
-    def check(self, case: GeneratedCase, bug: Optional[str] = None) -> OracleResult:
-        scenarios = case.input_dist.map(lambda x: (x,))
-        subject = batched_joint_transcript_distribution(
-            case.protocol, scenarios, names=("inputs",)
-        )
-        reference = mutations.legacy_joint_transcript_distribution(
-            case.protocol, scenarios, names=("inputs",), bug=bug
-        )
-        if subject.names != reference.names:
-            return self._fail(
-                f"component names differ: {subject.names} vs {reference.names}"
-            )
-        subject_items = list(subject.items())
-        reference_items = list(reference.items())
-        if subject_items != reference_items:
-            detail = _first_item_mismatch(subject_items, reference_items)
-            return self._fail(f"joint laws are not bit-identical: {detail}")
-        return self._ok(f"{len(subject_items)} joint outcomes bit-identical")
-
-
 class VectorizedKernelOracle(Oracle):
-    """Vectorized kernel engine == legacy engine == independent group-by
-    re-derivation, item-for-item; and the external information cost of
-    the columnar joint == the legacy kernel's == an independent column
-    re-derivation, float for float.
+    """Both tree-walk engines against independent references,
+    item-for-item; and the external information cost of the columnar
+    joint == the legacy kernel's == an independent column re-derivation,
+    float for float.
 
-    The production comparison pits the two real engines of
-    :func:`repro.core.tree.batched_joint_transcript_distribution`
-    against each other (``repro.perf.kernels`` array walk vs the
-    dict-driven walk) — the bit-identity contract the ``--kernel`` flag
-    relies on.  The information cost is compared on a case large enough
-    to take the column path (at least ``_VECTOR_MIN_SUPPORT`` outcomes):
-    the generated protocol itself, or enough sequentially composed
-    copies of it; the production transcript column must also carry the
-    reference's first-seen codes.  The planted-bug self-test routes the
-    independent lockstep re-derivation (:func:`repro.check.mutations.
-    vectorized_reference`) or the column re-derivation
-    (:func:`repro.check.mutations.columnar_information_cost`) into the
-    same comparisons with a partition-order, lexsort-axis, leaf-id-code
-    or ``np.sum``-normalizer defect, proving an engine bug of each class
-    cannot slip through.  Skipped (as a pass) when numpy is unavailable
-    — there is no vectorized engine to differ.
+    The legacy engine of :func:`repro.core.tree.
+    batched_joint_transcript_distribution` is always compared, component
+    names included, with an independent per-input DFS
+    (:func:`repro.check.mutations.legacy_joint_transcript_distribution`).
+    When numpy is present, so are the vectorized engine and an
+    independent lockstep group-by walk (:func:`repro.check.mutations.
+    vectorized_reference`) — the bit-identity contract the ``--kernel``
+    flag relies on — and the information cost, on a case large enough
+    to take the column path (the generated protocol, or up to six
+    sequentially composed copies); the transcript column must also
+    carry the first-seen codes of :func:`repro.check.mutations.
+    columnar_information_cost`.  Each planted bug goes into the
+    reference it belongs to, proving an engine bug of each class
+    cannot slip through.
     """
 
     name = "vectorized-vs-legacy"
-    bugs = mutations.VECTORIZED_BUGS + mutations.COLUMN_BUGS
+    bugs = (
+        mutations.TREE_BUGS + mutations.VECTORIZED_BUGS + mutations.COLUMN_BUGS
+    )
 
     def check(self, case: GeneratedCase, bug: Optional[str] = None) -> OracleResult:
         from ..perf import kernels
 
         walk_bug = bug if bug in mutations.VECTORIZED_BUGS else None
-        column_bug = None if bug in mutations.VECTORIZED_BUGS else bug
-        if not kernels.numpy_available():
-            return self._ok("skipped: numpy unavailable")
+        column_bug = bug if bug in mutations.COLUMN_BUGS else None
+        # Unknown names go to the DFS, which always runs and rejects them.
+        tree_bug = None if walk_bug or column_bug else bug
         scenarios = case.input_dist.map(lambda x: (x,))
         with kernels.using_kernel("legacy"):
             legacy = batched_joint_transcript_distribution(
                 case.protocol, scenarios, names=("inputs",)
             )
-        with kernels.using_kernel("vectorized"):
-            vectorized = batched_joint_transcript_distribution(
-                case.protocol, scenarios, names=("inputs",)
+        others = [
+            (
+                "per-input DFS",
+                mutations.legacy_joint_transcript_distribution(
+                    case.protocol, scenarios, names=("inputs",), bug=tree_bug
+                ),
             )
-        reference = mutations.vectorized_reference(
-            case.protocol, scenarios, names=("inputs",), bug=walk_bug
-        )
+        ]
+        vectorized = kernels.numpy_available()
+        if vectorized:
+            with kernels.using_kernel("vectorized"):
+                engine = batched_joint_transcript_distribution(
+                    case.protocol, scenarios, names=("inputs",)
+                )
+            reference = mutations.vectorized_reference(
+                case.protocol, scenarios, names=("inputs",), bug=walk_bug
+            )
+            others += [
+                ("vectorized engine", engine),
+                ("group-by reference", reference),
+            ]
         legacy_items = list(legacy.items())
-        for label, other in (
-            ("vectorized engine", vectorized),
-            ("group-by reference", reference),
-        ):
+        for label, other in others:
+            if other.names != legacy.names:
+                return self._fail(
+                    f"{label} component names differ: {other.names} vs "
+                    f"{legacy.names}"
+                )
             other_items = list(other.items())
             if other_items != legacy_items:
                 detail = _first_item_mismatch(other_items, legacy_items)
@@ -254,6 +241,11 @@ class VectorizedKernelOracle(Oracle):
                     f"{label} is not bit-identical to the legacy engine: "
                     f"{detail}"
                 )
+        if not vectorized:
+            return self._ok(
+                f"{len(legacy_items)} joint outcomes bit-identical to the "
+                "DFS; vectorized engine skipped: numpy unavailable"
+            )
 
         protocol, input_dist, copies = _column_case(case, len(legacy_items))
         with kernels.using_kernel("legacy"):
@@ -968,10 +960,10 @@ class TopologyDisciplineOracle(Oracle):
     ``k ∈ {2, 3}`` (alternating by case index), whose every law is
     keyed on the speaker's own view by construction.  Two legs:
 
-    1. *Locality audit.*  :func:`repro.topology.validate.
-       validate_topology` over the full binary input family must
-       certify the protocol on :data:`~repro.topology.medium.
-       COORDINATOR` — scheduler locality, view locality, per-view
+    1. *Locality audit.*  :func:`repro.core.validate.
+       validate_protocol` (``medium=COORDINATOR``) over the full binary
+       input family must certify the protocol on :data:`~repro.topology.
+       medium.COORDINATOR` — scheduler locality, view locality, per-view
        prefix-freeness, replay consistency, edge validity.  The
        ``view-leak`` planted bug (:func:`repro.check.mutations.
        wrap_topology_bug`) keys player laws on invisible traffic and
@@ -992,7 +984,6 @@ class TopologyDisciplineOracle(Oracle):
     def check(self, case: GeneratedCase, bug: Optional[str] = None) -> OracleResult:
         from ..topology.medium import COORDINATOR
         from ..topology.runtime import run_on_medium
-        from ..topology.validate import validate_topology
         from .generator import GeneratedCoordinatorProtocol
 
         index = case.index if case.index >= 0 else case.spec.seed
@@ -1005,10 +996,10 @@ class TopologyDisciplineOracle(Oracle):
         )
         family = protocol.input_tuples()
 
-        report = validate_topology(subject, COORDINATOR, family)
+        report = validate_protocol(subject, family, medium=COORDINATOR)
         if not report.ok:
             return self._fail(
-                "validate_topology rejected the instance: "
+                "validate_protocol rejected the instance: "
                 + "; ".join(report.problems[:3])
             )
 
@@ -1046,7 +1037,7 @@ class TopologyDisciplineOracle(Oracle):
                     f"{reference['bits_by_link']!r}"
                 )
         return self._ok(
-            f"k={k}: {report.transcripts_checked} transcripts certified "
+            f"k={k}: {report.states_checked} states certified "
             f"view-local; {len(family)} runs match the reference per link"
         )
 
@@ -1055,7 +1046,6 @@ class TopologyDisciplineOracle(Oracle):
 #: structural first so a malformed case fails fast).
 ALL_ORACLES: Tuple[Oracle, ...] = (
     DisciplineOracle(),
-    BatchedTreeOracle(),
     VectorizedKernelOracle(),
     InvariantsOracle(),
     ClosedFormOracle(),

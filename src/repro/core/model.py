@@ -428,7 +428,7 @@ class Medium(abc.ABC):
         This is the information a party actually holds, and therefore
         the object the per-view information decomposition
         (:func:`repro.topology.analysis.per_view_information`) and the
-        view-locality discipline (:mod:`repro.topology.validate`) are
+        view-locality discipline (:mod:`repro.core.validate`) are
         stated over.
         """
         if REGISTRY.enabled:

@@ -13,7 +13,8 @@ edges; :func:`~repro.topology.runtime.run_on_medium` runs one on a
 medium through :func:`repro.core.runner.run_protocol`;
 :mod:`~repro.topology.analysis` adds the per-link and per-view
 accounting on top of the core functionals;
-:mod:`~repro.topology.validate` audits view- and scheduler-locality;
+:func:`repro.core.validate.validate_protocol` (``medium=…``) audits
+view- and scheduler-locality;
 :mod:`~repro.topology.protocols` ports disjointness and ``AND_k`` to
 the coordinator and ring media.
 
@@ -43,7 +44,6 @@ from .protocols import (
     RingTokenAndProtocol,
 )
 from .runtime import run_on_medium
-from .validate import TopologyReport, validate_topology
 
 __all__ = [
     "TopologyViolation",
@@ -61,8 +61,6 @@ __all__ = [
     "run_on_medium",
     "per_link_communication",
     "per_view_information",
-    "TopologyReport",
-    "validate_topology",
     "CoordinatorTrivialDisjointness",
     "CoordinatorDisjointnessProtocol",
     "CoordinatorAndProtocol",

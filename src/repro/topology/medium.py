@@ -42,8 +42,8 @@ Three concrete media ship:
 Nodes vs players: input-holding players are nodes ``0..k-1``; media may
 add auxiliary nodes (the coordinator, relay nodes of a general graph)
 with ids ``>= k`` and no input.  See docs/topology.md for the full
-model, and :mod:`repro.topology.validate` for the mechanical audit of
-view-locality and scheduler-locality.
+model, and :func:`repro.core.validate.validate_protocol` (``medium=…``)
+for the mechanical audit of view-locality and scheduler-locality.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ auxiliary nodes (a coordinator, graph relays) receive
 ``player_input=None``.  The runner and the exact analyzer of
 :mod:`repro.core` run it on any :class:`~repro.core.model.Medium`.
 
-Discipline (audited by :mod:`repro.topology.validate`):
+Discipline (audited by :func:`repro.core.validate.validate_protocol`
+with ``medium=``):
 
 * **scheduler locality** — :meth:`MediumProtocol.next_edge` may depend
   only on the medium's scheduler view of the transcript;

@@ -1,7 +1,7 @@
 """The fuzz driver end to end: suite runs, shrinking, bundles, CLI.
 
 The failure path is exercised with a deliberately broken oracle — a
-``BatchedTreeOracle`` whose clean comparison is routed through the
+``VectorizedKernelOracle`` whose clean comparison is routed through the
 ``off-by-one-prob`` planted bug — so that shrinking and bundle writing
 run against real failures while the production oracles stay correct.
 """
@@ -12,7 +12,7 @@ import pytest
 
 from repro.check import (
     ALL_ORACLES,
-    BatchedTreeOracle,
+    VectorizedKernelOracle,
     generate_case,
     load_bundle,
     replay_bundle,
@@ -24,7 +24,7 @@ from repro.check.__main__ import main
 from repro.check.bundle import BUNDLE_FORMAT
 
 
-class BuggyTreeOracle(BatchedTreeOracle):
+class BuggyTreeOracle(VectorizedKernelOracle):
     """Pretends the legacy reference has the off-by-one bug baked in."""
 
     def check(self, case, bug=None):
@@ -110,7 +110,7 @@ class TestShrinking:
 
 class TestCrashingOracle:
     def test_oracle_exception_is_a_failure_not_a_crash(self):
-        class ExplodingOracle(BatchedTreeOracle):
+        class ExplodingOracle(VectorizedKernelOracle):
             name = "exploding"
 
             def check(self, case, bug=None):
@@ -137,7 +137,7 @@ class TestCli:
         rc = main(
             [
                 "--seed", "0", "--cases", "3",
-                "--oracles", "model-discipline,batched-vs-legacy",
+                "--oracles", "model-discipline,vectorized-vs-legacy",
                 "--bundle-dir", str(tmp_path),
             ]
         )
@@ -151,11 +151,29 @@ class TestCli:
         path = report.bundle_paths[0]
         with open(path) as handle:
             assert json.load(handle)["format"] == BUNDLE_FORMAT
-        # Honest replay re-runs the production batched-tree oracle.
+        # Honest replay re-runs the production tree-engine oracle.
         rc = main(["--replay", path])
         out = capsys.readouterr().out
         assert rc == 0
         assert "passes" in out or "ok" in out.lower()
+
+    def test_replay_of_an_unknown_oracle_exits_2(self, tmp_path, capsys):
+        report = run_suite(
+            0, 4, oracles=[BuggyTreeOracle()], bundle_dir=str(tmp_path)
+        )
+        path = report.bundle_paths[0]
+        with open(path) as handle:
+            payload = json.load(handle)
+        for failure in payload["failures"]:
+            failure["oracle"] = "batched-vs-legacy"
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--replay", path])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown oracle 'batched-vs-legacy'" in err
+        assert "known: [" in err
 
 
 def test_all_oracles_have_unique_names():
