@@ -29,7 +29,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
     "STORE_FORMAT",
@@ -161,12 +161,21 @@ class ResultKey:
             "version": self.version,
         }
 
+    def canonical(self) -> Tuple[bytes, str]:
+        """The canonical key serialization (ASCII bytes) and its SHA-256
+        hex digest, from one serialization.
+
+        Nothing is cached on the instance: ``params`` may be a mutable
+        mapping, so every call serializes the key as it is now.
+        """
+        payload = canonical_json(self.to_dict()).encode("ascii")
+        return payload, hashlib.sha256(payload).hexdigest()
+
     @property
     def digest(self) -> str:
         """SHA-256 hex digest of the canonical key serialization — the
         entry's content address."""
-        payload = canonical_json(self.to_dict()).encode("ascii")
-        return hashlib.sha256(payload).hexdigest()
+        return self.canonical()[1]
 
     def __str__(self) -> str:  # pragma: no cover - debugging nicety
         return (

@@ -147,6 +147,13 @@ def encode_entry(key: ResultKey, payload: bytes) -> bytes:
     return MAGIC + seal(body)
 
 
+def _entry_header(canonical_key: bytes, payload_bytes: int) -> bytes:
+    """The header :func:`encode_entry` writes for a key whose canonical
+    serialization is ``canonical_key``, spliced without re-serializing
+    the key."""
+    return b'{"key":%s,"payload_bytes":%d}' % (canonical_key, payload_bytes)
+
+
 def decode_entry(blob: bytes) -> Tuple[ResultKey, bytes]:
     """Parse and *fully verify* entry bytes; returns ``(key, payload)``.
 
@@ -155,6 +162,12 @@ def decode_entry(blob: bytes) -> Tuple[ResultKey, bytes]:
     after the magic, so every single-bit flip in the file is caught
     here.
     """
+    key, _, payload = _decode_entry(blob)
+    return key, payload
+
+
+def _decode_entry(blob: bytes) -> Tuple[ResultKey, bytes, bytes]:
+    """:func:`decode_entry`, also returning the raw header bytes."""
     if not blob.startswith(MAGIC):
         raise StoreCorruptedError("bad magic; not a store entry")
     try:
@@ -169,8 +182,9 @@ def decode_entry(blob: bytes) -> Tuple[ResultKey, bytes]:
         raise StoreCorruptedError(
             f"header length {header_len} overruns the entry body"
         )
+    header_bytes = body[_HEADER_LEN_BYTES:header_end]
     try:
-        header = json.loads(body[_HEADER_LEN_BYTES:header_end].decode("ascii"))
+        header = json.loads(header_bytes.decode("ascii"))
         key_dict = header["key"]
         key = ResultKey(
             experiment=key_dict["experiment"],
@@ -187,7 +201,7 @@ def decode_entry(blob: bytes) -> Tuple[ResultKey, bytes]:
             f"payload is {len(payload)} bytes, header promised "
             f"{payload_bytes}"
         )
-    return key, payload
+    return key, header_bytes, payload
 
 
 @dataclass(frozen=True)
@@ -306,9 +320,12 @@ class ResultStore:
         A hit is fully verified (checksum, structure, and that the
         entry's embedded key matches the requested one); any violation
         raises :class:`StoreCorruptedError` rather than serving bytes
-        that are not provably the cached result.
+        that are not provably the cached result.  The key is serialized
+        once: a header spelled exactly as :func:`encode_entry` writes
+        it proves the embedded key hashes to the address, and only
+        another spelling is re-serialized and hashed.
         """
-        digest = key.digest
+        canonical, digest = key.canonical()
         path = self._path_for_digest(digest)
         reg = REGISTRY if REGISTRY.enabled else None
         try:
@@ -322,8 +339,11 @@ class ResultStore:
                 digest=digest[:12], hit=False,
             )
             return None
-        stored_key, payload = decode_entry(blob)
-        if stored_key.digest != digest or stored_key != key:
+        stored_key, header, payload = _decode_entry(blob)
+        if (
+            header != _entry_header(canonical, len(payload))
+            and stored_key.digest != digest
+        ) or stored_key != key:
             raise StoreCorruptedError(
                 f"entry at {path} holds key {stored_key.digest[:12]}, "
                 f"expected {digest[:12]}"

@@ -73,3 +73,28 @@ class TestClosedFormCIC:
     def test_validation(self):
         with pytest.raises(ValueError):
             sequential_and_cic_closed_form(1)
+
+
+class TestClosedFormMemo:
+    @pytest.mark.parametrize("k", [2, 3, 256, 4096, 65536])
+    def test_memo_equals_the_direct_sum(self, k):
+        direct = sequential_and_cic_closed_form.__wrapped__(k)
+        assert sequential_and_cic_closed_form(k) == direct
+        assert sequential_and_cic_closed_form(k) == direct
+
+    def test_invalid_k_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                sequential_and_cic_closed_form(1)
+
+    def test_warm_e2_rerun_evaluates_no_closed_form(self, tmp_path):
+        from repro.experiments import e2_and_information as e2
+        from repro.store import ResultStore
+
+        store = ResultStore(str(tmp_path / "store"))
+        sequential_and_cic_closed_form.cache_clear()
+        cold = e2.run(ks=(2, 3), store=store).render()
+        assert sequential_and_cic_closed_form.cache_info().misses == 3
+        warm = e2.run(ks=(2, 3), store=store).render()
+        assert sequential_and_cic_closed_form.cache_info().misses == 3
+        assert warm == cold

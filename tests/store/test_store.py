@@ -12,7 +12,12 @@ from repro.store import (
     atomic_write_bytes,
     atomic_write_text,
 )
-from repro.store.store import decode_entry, encode_entry
+from repro.store.store import (
+    MAGIC,
+    _entry_header,
+    decode_entry,
+    encode_entry,
+)
 
 
 def key_for(i, version="test/1"):
@@ -82,6 +87,21 @@ class TestRoundTrip:
         decoded_key, payload = decode_entry(encode_entry(key, b"payload"))
         assert decoded_key == key
         assert payload == b"payload"
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"cell": 7}, {"n": 64, "grid": [1, [2.5, None]], "ok": True},
+         {"x": 1e300, "y": -0.0, "z": 1 / 3}, {"name": "π"}, 3, []],
+        ids=["int", "nested", "floats", "non-ascii", "scalar", "empty"],
+    )
+    def test_get_splices_the_header_encode_entry_writes(self, params):
+        # get accepts an entry's key by comparing header bytes with this
+        # splice; if the two spellings drifted apart, every hit would
+        # silently take the re-serializing fallback.
+        key = ResultKey("T", params, 5, "test/1")
+        header = _entry_header(key.canonical()[0], 7)
+        blob = encode_entry(key, b"payload")
+        assert blob[len(MAGIC) + 4:].startswith(header + b"payload")
 
 
 class TestAtomicWrites:

@@ -1,7 +1,7 @@
 """Bit-identity pins for the one broadcast engine.
 
-The runner and the exact analyzer serve every medium; on the blackboard
-they are pinned here against independent re-derivations:
+The runner and the exact analyzer serve every medium; they are pinned
+here against independent re-derivations:
 
 * over every registry protocol and a fuzz family of generated ones,
   ``run_protocol`` must produce the same transcript, output, and bit
@@ -9,16 +9,21 @@ they are pinned here against independent re-derivations:
   :func:`repro.check.mutations.topology_run_reference` under the same
   seed (its own inline sampler, so a sampling or rng-stream bug in the
   engine cannot hide);
+* likewise on :data:`~repro.topology.medium.COORDINATOR`, over the
+  shipped coordinator protocols and a fuzz family of generated
+  view-local ones, where the per-link breakdown is the quantity under
+  test;
 * the exact per-input transcript law must equal, float for float, an
   independent recursive enumeration, and the information functionals
   must agree exactly between the legacy and vectorized walks.
 """
 
+import itertools
 import random
 
 import pytest
 
-from repro.check.generator import generate_case
+from repro.check.generator import GeneratedCoordinatorProtocol, generate_case
 from repro.check.mutations import topology_run_reference
 from repro.core.analysis import (
     expected_communication,
@@ -31,7 +36,15 @@ from repro.core.tree import transcript_distribution
 from repro.information.distribution import DiscreteDistribution
 from repro.perf import kernels
 from repro.protocols import ALL_PROTOCOLS
-from repro.topology import BOARD_LINK, BROADCAST, run_on_medium
+from repro.topology import (
+    BOARD_LINK,
+    BROADCAST,
+    COORDINATOR,
+    CoordinatorAndProtocol,
+    CoordinatorDisjointnessProtocol,
+    CoordinatorTrivialDisjointness,
+    run_on_medium,
+)
 
 #: How many inputs of each registry family the runner pin replays.
 INPUT_LIMIT = 24
@@ -40,9 +53,28 @@ INPUT_LIMIT = 24
 GENERATED_CASES = 25
 
 
-def _assert_matches_reference(protocol, inputs, seed):
-    run = run_protocol(protocol, inputs, rng=random.Random(seed))
-    reference = topology_run_reference(protocol, BROADCAST, inputs, seed)
+#: The shipped coordinator protocols, each with its full input family.
+COORDINATOR_CASES = {
+    "coordinator-trivial-disjointness": (
+        lambda: CoordinatorTrivialDisjointness(2, 3),
+        lambda: list(itertools.product(range(4), repeat=3)),
+    ),
+    "coordinator-disjointness": (
+        lambda: CoordinatorDisjointnessProtocol(2, 3),
+        lambda: list(itertools.product(range(4), repeat=3)),
+    ),
+    "coordinator-and": (
+        lambda: CoordinatorAndProtocol(4),
+        lambda: list(itertools.product((0, 1), repeat=4)),
+    ),
+}
+
+
+def _assert_matches_reference(protocol, inputs, seed, medium=BROADCAST):
+    run = run_protocol(
+        protocol, inputs, rng=random.Random(seed), medium=medium
+    )
+    reference = topology_run_reference(protocol, medium, inputs, seed)
     rows = tuple((m.speaker, m.link, m.bits) for m in run.transcript)
     assert rows == reference["transcript"]
     assert run.output == reference["output"]
@@ -68,6 +100,21 @@ def test_generated_protocols_bit_identical(index):
     case = generate_case(0, index)
     for seed, inputs in enumerate(sorted(case.input_dist.support())[:3]):
         _assert_matches_reference(case.protocol, inputs, 100 + seed)
+
+
+@pytest.mark.parametrize("name", sorted(COORDINATOR_CASES))
+def test_coordinator_protocols_bit_identical(name):
+    factory, family = COORDINATOR_CASES[name]
+    protocol = factory()
+    for seed, inputs in enumerate(family()):
+        _assert_matches_reference(protocol, inputs, seed, COORDINATOR)
+
+
+@pytest.mark.parametrize("index", range(GENERATED_CASES))
+def test_generated_coordinator_protocols_bit_identical(index):
+    protocol = GeneratedCoordinatorProtocol(index, 2 + index % 2)
+    for inputs in protocol.input_tuples():
+        _assert_matches_reference(protocol, inputs, 200 + index, COORDINATOR)
 
 
 def _reference_law(protocol, inputs):
