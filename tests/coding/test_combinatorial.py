@@ -211,6 +211,16 @@ class TestBitEncoding:
         assert decode_subset(reader, n, m) == subset
         reader.expect_exhausted()
 
+    @pytest.mark.parametrize("n, m", [(1024, 64), (4096, 256)])
+    def test_encode_decode_roundtrip_large(self, n, m):
+        subset = sorted(random.Random(n).sample(range(n), m))
+        bits = encode_subset(subset, n)
+        assert len(bits) == subset_code_width(n, m)
+        reader = BitReader(bits)
+        assert decode_subset(reader, n, m) == subset
+        reader.expect_exhausted()
+        assert subset_unrank(subset_rank(subset, n), n, m) == subset
+
     def test_invalid_universe(self):
         with pytest.raises(ValueError):
             subset_code_width(3, 5)

@@ -4,7 +4,7 @@ compression baseline the paper's Section 6 starts from."""
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.coding import BitReader, HuffmanCode
@@ -16,6 +16,10 @@ weights = st.dictionaries(
     min_size=1,
     max_size=20,
 )
+
+#: A 64-symbol alphabet, wider than ``weights`` draws.
+_rng = random.Random(3)
+WIDE_WEIGHTS = {i: _rng.random() + 0.01 for i in range(64)}
 
 
 class TestHuffman:
@@ -77,6 +81,7 @@ class TestHuffman:
             assert h - 1e-9 <= expected < h + 1.0
 
     @given(weights)
+    @example(WIDE_WEIGHTS)
     def test_roundtrip_random_streams(self, w):
         dist = DiscreteDistribution(w, normalize=True)
         code = HuffmanCode.from_distribution(dist)

@@ -1,7 +1,7 @@
 """Round-trip and length tests for the variable-length integer codes."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.coding import (
@@ -78,6 +78,7 @@ class TestEliasDelta:
         assert encode_elias_delta(2) == "0100"
 
     @given(st.integers(1, 2**40))
+    @example((1 << 30) - 1)
     def test_roundtrip(self, value):
         r = BitReader(encode_elias_delta(value))
         assert decode_elias_delta(r) == value

@@ -46,11 +46,11 @@ class TestExternalInformationCost:
         assert external_information_cost(p, mu) == pytest.approx(float(k))
 
     def test_sequential_and_reveals_less(self):
-        k = 5
-        mu = uniform_bits(k)
-        seq = external_information_cost(SequentialAndProtocol(k), mu)
-        full = external_information_cost(FullBroadcastAndProtocol(k), mu)
-        assert seq < full
+        for k in (5, 8):
+            mu = uniform_bits(k)
+            seq = external_information_cost(SequentialAndProtocol(k), mu)
+            full = external_information_cost(FullBroadcastAndProtocol(k), mu)
+            assert 1.0 < seq < full, k
 
     def test_constant_protocol_reveals_nothing(self):
         """A protocol whose messages ignore the input has zero IC."""

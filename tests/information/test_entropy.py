@@ -2,6 +2,7 @@
 hypothesis property tests of the classical identities the paper uses."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -47,6 +48,14 @@ class TestEntropy:
     def test_uniform_is_log_support(self):
         d = DiscreteDistribution.uniform(range(8))
         assert entropy(d) == pytest.approx(3.0)
+
+    def test_repeated_calls_return_the_cached_value(self):
+        rng = random.Random(4)
+        d = DiscreteDistribution(
+            {i: rng.random() + 1e-3 for i in range(4096)}, normalize=True
+        )
+        first = entropy(d)
+        assert all(entropy(d) == first for _ in range(200))
 
     def test_binary_entropy_matches_entropy(self):
         for p in (0.0, 0.1, 0.35, 0.5, 0.99, 1.0):

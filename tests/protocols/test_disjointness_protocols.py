@@ -111,11 +111,12 @@ class TestCommunicationBounds:
     def test_optimal_upper_bound_shape(self):
         """Measured cost <= c1 * n * log2(e k) + c2 * k for moderate
         constants, on the all-coordinates-must-be-covered input."""
-        for n, k in [(512, 4), (1024, 8), (2048, 16)]:
+        for n, k in [(512, 4), (1024, 8), (2048, 16), (4096, 16)]:
             inputs = partition_input(n, k)
             run = run_protocol(OptimalDisjointnessProtocol(n, k), inputs)
             bound = 2.0 * n * math.log2(math.e * k) + 4.0 * k
             assert run.bits_communicated <= bound, (n, k, run.bits_communicated)
+            assert run.output == 1
 
     def test_non_disjoint_can_halt_fast(self):
         """All players hold the full set: nobody has zeros, so the first
