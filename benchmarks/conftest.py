@@ -1,9 +1,11 @@
 """Shared helpers for the benchmark harness.
 
 Each ``test_eN_*.py`` regenerates one experiment from DESIGN.md's
-index: it times a representative kernel with pytest-benchmark, runs the
-full experiment sweep once, asserts the paper's qualitative shape, and
-writes the rendered result table to ``benchmarks/results/EN.txt``.
+index: it runs the full experiment sweep once, asserts the paper's
+qualitative shape, and writes the rendered result table to
+``benchmarks/results/EN.txt``.  ``test_perf_guards.py`` holds the
+same-process timing guards; perfbench (``perfbench/run.py``) does all
+other performance measurement.
 
 Every benchmark test additionally runs with the process-wide metrics
 registry enabled (the autouse ``obs_metrics`` fixture below): whatever

@@ -16,23 +16,19 @@ def full_table():
     return _CACHE["table"]
 
 
-def test_e10_decomposition_kernel(benchmark, results_dir):
-    """Time one per-player divergence-sum computation (k = 5)."""
+def test_e10_decomposition_kernel(results_dir):
+    """One per-player divergence-sum computation (k = 5)."""
     k = 5
     mu = and_hard_distribution(k)
     joint = conditional_transcript_joint(SequentialAndProtocol(k), mu)
-    value = benchmark(per_player_divergence_sum, joint, k)
+    value = per_player_divergence_sum(joint, k)
     assert value > 0
 
     table = full_table()
     save_and_echo(table, results_dir)
 
 
-def test_e10_inequalities_hold_at_every_k(benchmark):
-    k = 3
-    mu = and_hard_distribution(k)
-    joint = conditional_transcript_joint(SequentialAndProtocol(k), mu)
-    benchmark(per_player_divergence_sum, joint, k)
+def test_e10_inequalities_hold_at_every_k():
     for row in full_table().rows:
         (k, cmi_seq, dec_seq, holds_seq,
          cmi_noisy, dec_noisy, holds_noisy, exact, bound) = row

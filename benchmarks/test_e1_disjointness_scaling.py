@@ -1,7 +1,5 @@
 """E1 — Theorem 2 / Corollary 1: CC(DISJ_{n,k}) = Θ(n log k + k)."""
 
-import math
-
 from repro.experiments import e1_disjointness_scaling as e1
 
 from conftest import experiment_store, save_and_echo
@@ -15,9 +13,9 @@ def full_table():
     return _CACHE["table"]
 
 
-def test_e1_optimal_protocol_kernel(benchmark, results_dir):
-    """Time one worst-case optimal-protocol execution (n=1024, k=8)."""
-    bits = benchmark(lambda: e1.measure_point(1024, 8)[0])
+def test_e1_optimal_protocol_kernel(results_dir):
+    """One worst-case optimal-protocol execution (n=1024, k=8)."""
+    bits = e1.measure_point(1024, 8)[0]
     assert bits > 0
 
     table = full_table()
@@ -32,7 +30,7 @@ def test_e1_optimal_protocol_kernel(benchmark, results_dir):
         assert trivial == n * k
 
 
-def test_e1_log_separation(benchmark):
+def test_e1_log_separation():
     """At fixed k, naive/optimal grows with n (the log n vs log k gap)."""
     rows = {(r[0], r[1]): r for r in full_table().rows}
 
@@ -40,14 +38,12 @@ def test_e1_log_separation(benchmark):
         row = rows[(n, k)]
         return row[3] / row[2]  # naive / optimal
 
-    benchmark(lambda: e1.measure_point(256, 4))
     assert ratio(64, 4) < ratio(256, 4) < ratio(1024, 4)
 
 
-def test_e1_crossover_against_trivial(benchmark):
+def test_e1_crossover_against_trivial():
     """The optimal protocol beats broadcasting everything whenever
     lg(ek) < k — i.e. for every k >= 2 at the measured sizes."""
-    benchmark(lambda: e1.measure_point(256, 16))
     for row in full_table().rows:
         n, k, optimal, _naive, trivial = row[:5]
         if k >= 8:

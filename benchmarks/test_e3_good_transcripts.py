@@ -15,12 +15,10 @@ def full_table():
     return _CACHE["table"]
 
 
-def test_e3_classification_kernel(benchmark, results_dir):
-    """Time one full transcript classification (k = 6)."""
-    report = benchmark(
-        lambda: analyze_good_transcripts(
-            NoisySequentialAndProtocol(6, 0.02), C=4.0
-        )
+def test_e3_classification_kernel(results_dir):
+    """One full transcript classification (k = 6)."""
+    report = analyze_good_transcripts(
+        NoisySequentialAndProtocol(6, 0.02), C=4.0
     )
     assert report.k == 6
 
@@ -28,14 +26,9 @@ def test_e3_classification_kernel(benchmark, results_dir):
     save_and_echo(table, results_dir)
 
 
-def test_e3_good_mass_stays_constant(benchmark):
+def test_e3_good_mass_stays_constant():
     """π_2(L') and the pointing mass stay bounded away from 0 as k
     grows — Lemma 5's conclusion."""
-    benchmark(
-        lambda: analyze_good_transcripts(
-            NoisySequentialAndProtocol(4, 0.02), C=4.0
-        )
-    )
     for row in full_table().rows:
         k, mass_l, mass_lp, _b0, _b1, pointing, min_sum_alpha, eq6 = row
         assert mass_l > 0.9, k

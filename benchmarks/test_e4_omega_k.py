@@ -14,23 +14,18 @@ def full_table():
     return _CACHE["table"]
 
 
-def test_e4_exact_error_kernel(benchmark, results_dir):
-    """Time one exact distributional-error computation (k = 256)."""
-    report = benchmark(
-        lambda: lemma6_report(TruncatedAndProtocol(256, 128), eps_prime=0.2)
-    )
+def test_e4_exact_error_kernel(results_dir):
+    """One exact distributional-error computation (k = 256)."""
+    report = lemma6_report(TruncatedAndProtocol(256, 128), eps_prime=0.2)
     assert report.bound_holds
 
     table = full_table()
     save_and_echo(table, results_dir)
 
 
-def test_e4_cliff_shape(benchmark):
+def test_e4_cliff_shape():
     """Error decreases linearly in the budget and crosses eps = 0.1 only
     at budget/k = 1 - eps/(1 - eps') = 0.875 — the Ω(k) requirement."""
-    benchmark(
-        lambda: lemma6_report(TruncatedAndProtocol(64, 32), eps_prime=0.2)
-    )
     for row in full_table().rows:
         k, budget, fraction, forced, exact, above = row
         # Exact error on the truncated family equals the forced bound.

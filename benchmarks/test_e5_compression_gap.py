@@ -1,7 +1,5 @@
 """E5 — Section 6: the Ω(k / log k) information/communication gap."""
 
-import math
-
 from repro.compression import and_gap_report
 from repro.experiments import e5_gap as e5
 
@@ -16,17 +14,16 @@ def full_table():
     return _CACHE["table"]
 
 
-def test_e5_gap_kernel(benchmark, results_dir):
-    """Time one gap measurement (k = 8; four exact IC computations)."""
-    report = benchmark(and_gap_report, 8)
+def test_e5_gap_kernel(results_dir):
+    """One gap measurement (k = 8; four exact IC computations)."""
+    report = and_gap_report(8)
     assert report.worst_case_communication == 8
 
     table = full_table()
     save_and_echo(table, results_dir)
 
 
-def test_e5_information_bounded_by_log(benchmark):
-    benchmark(and_gap_report, 4)
+def test_e5_information_bounded_by_log():
     for row in full_table().rows:
         k, max_ic, entropy_bound, cc, cc_bound, gap, reference = row
         assert max_ic <= entropy_bound + 1e-9
@@ -34,8 +31,7 @@ def test_e5_information_bounded_by_log(benchmark):
         assert cc_bound <= cc + 1e-9
 
 
-def test_e5_gap_grows_like_k_over_log_k(benchmark):
-    benchmark(and_gap_report, 2)
+def test_e5_gap_grows_like_k_over_log_k():
     rows = full_table().rows
     gaps = [row[5] for row in rows]
     references = [row[6] for row in rows]

@@ -19,28 +19,21 @@ def full_table():
     return _CACHE["table"]
 
 
-def test_e6_amortized_kernel(benchmark, results_dir):
-    """Time one 64-copy compressed execution (k = 4)."""
+def test_e6_amortized_kernel(results_dir):
+    """One 64-copy compressed execution (k = 4)."""
     protocol = SequentialAndProtocol(4)
     mu = and_hard_input_marginal(4)
     rng = random.Random(0)
-    report = benchmark(
-        lambda: compress_parallel_copies(protocol, mu, 64, rng)
-    )
+    report = compress_parallel_copies(protocol, mu, 64, rng)
     assert report.copies == 64
 
     table = full_table()
     save_and_echo(table, results_dir)
 
 
-def test_e6_per_copy_cost_decreasing(benchmark):
+def test_e6_per_copy_cost_decreasing():
     """bits/copy decreases monotonically over large steps of n and the
     excess over IC at the largest n is small."""
-    protocol = SequentialAndProtocol(4)
-    mu = and_hard_input_marginal(4)
-    rng = random.Random(1)
-    benchmark(lambda: compress_parallel_copies(protocol, mu, 16, rng))
-
     rows = full_table().rows
     per_copy = {row[0]: row[1] for row in rows}
     ns = sorted(per_copy)
@@ -53,18 +46,10 @@ def test_e6_per_copy_cost_decreasing(benchmark):
     assert excess < 1.0, excess
 
 
-def test_e6b_compression_beats_uncompressed_broadcast(benchmark, results_dir):
+def test_e6b_compression_beats_uncompressed_broadcast(results_dir):
     """E6b: for the full-broadcast protocol (IC < CC = k), amortized
     compression ends up cheaper than the uncompressed protocol itself —
     the positive side of Theorem 3."""
-    from repro.lowerbounds import and_hard_input_marginal
-    from repro.protocols import FullBroadcastAndProtocol
-
-    protocol = FullBroadcastAndProtocol(6)
-    mu = and_hard_input_marginal(6)
-    rng = random.Random(3)
-    benchmark(lambda: compress_parallel_copies(protocol, mu, 32, rng))
-
     table = e6.run(
         copies_schedule=(1, 16, 64, 256),
         k=6,
@@ -79,12 +64,8 @@ def test_e6b_compression_beats_uncompressed_broadcast(benchmark, results_dir):
     assert per_copy[256] < per_copy[1]
 
 
-def test_e6_divergence_tracks_ic(benchmark):
+def test_e6_divergence_tracks_ic():
     """Per-copy realized divergence ≈ IC at every n (the chain rule)."""
-    protocol = SequentialAndProtocol(4)
-    mu = and_hard_input_marginal(4)
-    rng = random.Random(2)
-    benchmark(lambda: compress_parallel_copies(protocol, mu, 8, rng))
     for row in full_table().rows:
         n, _bits, divergence, _excess, _orig = row
         if n >= 16:

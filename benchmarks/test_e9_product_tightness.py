@@ -18,31 +18,19 @@ def full_table():
     return _CACHE["table"]
 
 
-def test_e9_additivity_kernel(benchmark, results_dir):
-    """Time one exact m-fold information computation (k = 3, m = 2)."""
+def test_e9_additivity_kernel(results_dir):
+    """One exact m-fold information computation (k = 3, m = 2)."""
     mu = DiscreteDistribution.uniform(
         list(itertools.product((0, 1), repeat=3))
     )
-    report = benchmark(
-        lambda: information_additivity_report(
-            SequentialAndProtocol(3), mu, 2
-        )
-    )
+    report = information_additivity_report(SequentialAndProtocol(3), mu, 2)
     assert report.additive
 
     table = full_table()
     save_and_echo(table, results_dir)
 
 
-def test_e9_every_case_exactly_additive(benchmark):
-    mu = DiscreteDistribution.uniform(
-        list(itertools.product((0, 1), repeat=2))
-    )
-    benchmark(
-        lambda: information_additivity_report(
-            SequentialAndProtocol(2), mu, 2
-        )
-    )
+def test_e9_every_case_exactly_additive():
     for row in full_table().rows:
         _proto, _dist, _m, single, per_copy, additive = row
         assert additive == "yes"

@@ -12,7 +12,7 @@ Four subcommands over the JSONL artifacts the obs layers write:
   with ``--kind``).
 * ``diff A B`` — compare two captures (trace vs trace, or profile vs
   profile): per-key totals side by side with the change ratio — the
-  observability analogue of ``benchmarks/compare_perf.py``.
+  observability analogue of a perfbench before/after comparison.
 
 Examples::
 
