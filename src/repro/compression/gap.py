@@ -125,10 +125,14 @@ def and_gap_report(
 def _iid_bits(k: int, p_one: float) -> DiscreteDistribution:
     """The product distribution of ``k`` i.i.d. ``Bernoulli(p_one)`` bits
     as a distribution over input tuples."""
-    probs: Dict[Tuple[int, ...], float] = {}
-    for bits in itertools.product((0, 1), repeat=k):
-        weight = 1.0
-        for b in bits:
-            weight *= p_one if b else (1.0 - p_one)
-        probs[bits] = weight
+    # Kronecker fold in ``itertools.product`` order: each step appends
+    # the next coordinate as the fastest-varying one, and every weight
+    # is ``1.0`` times its factors in coordinate order.
+    factors = (1.0 - p_one, p_one)
+    weights = [1.0]
+    for _ in range(k):
+        weights = [w * f for w in weights for f in factors]
+    probs: Dict[Tuple[int, ...], float] = dict(
+        zip(itertools.product((0, 1), repeat=k), weights)
+    )
     return DiscreteDistribution(probs, normalize=True)

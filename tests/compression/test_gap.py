@@ -1,5 +1,6 @@
 """Tests for the Section 6 information/communication gap."""
 
+import itertools
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from repro.compression import (
     and_gap_report,
     lemma6_communication_bound,
 )
+from repro.compression.gap import _iid_bits
 from repro.information import DiscreteDistribution
 
 
@@ -64,3 +66,27 @@ class TestLemma6Bound:
             lemma6_communication_bound(10, eps=0.3, eps_prime=0.2)
         with pytest.raises(ValueError):
             lemma6_communication_bound(10, eps=0.0, eps_prime=0.2)
+
+
+def reference_iid_bits(k, p_one):
+    """The per-tuple product loop ``_iid_bits`` replaced."""
+    probs = {}
+    for bits in itertools.product((0, 1), repeat=k):
+        weight = 1.0
+        for b in bits:
+            weight *= p_one if b else (1.0 - p_one)
+        probs[bits] = weight
+    return DiscreteDistribution(probs, normalize=True)
+
+
+class TestIidBits:
+    @pytest.mark.parametrize("k", range(1, 11))
+    @pytest.mark.parametrize("p_one", ["biased", 0.3, 0.0, 1.0])
+    def test_matches_the_product_loop_bit_for_bit(self, k, p_one):
+        if p_one == "biased":
+            p_one = 1.0 - 1.0 / (k + 1)
+        expected = [
+            (x, p.hex()) for x, p in reference_iid_bits(k, p_one).items()
+        ]
+        actual = [(x, p.hex()) for x, p in _iid_bits(k, p_one).items()]
+        assert actual == expected
