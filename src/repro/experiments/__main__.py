@@ -165,10 +165,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="for experiments that support it, sweep the classic "
-             "(pre-extension) grid instead of the extended default — "
-             "use with --transport loopback/tcp, where framing every "
-             "message of the extended points costs tens of minutes",
+        help="sweep each grid experiment's quick grid (E1 and E16: "
+             "the classic pre-extension grid; E2, E4, E14: their "
+             "QUICK_KS) instead of the extended default — use with "
+             "--transport loopback/tcp, where framing every message of "
+             "the extended points costs tens of minutes",
     )
     parser.add_argument(
         "--store",
@@ -290,8 +291,8 @@ def main(argv=None) -> int:
                     runner, "kernel"
                 ):
                     kwargs["kernel"] = args.kernel
-                if args.quick and _supports_kwarg(runner, "quick"):
-                    kwargs["quick"] = True
+                if args.quick:
+                    kwargs.update(_quick_kwargs(runner))
                 started = time.monotonic()
                 span = (
                     tracer.span("experiment", experiment=eid)
@@ -303,7 +304,7 @@ def main(argv=None) -> int:
                         eid in SWEEPABLE_EXPERIMENTS
                     ):
                         fabric_sweep(
-                            sweep_keys(eid, quick=kwargs.get("quick", False)),
+                            sweep_keys(eid, quick=args.quick),
                             store=store,
                             workers=args.fabric,
                             transport=args.fabric_transport or "tcp",
@@ -343,6 +344,18 @@ def main(argv=None) -> int:
 
 def _experiment_order(eid: str) -> int:
     return int(eid[1:])
+
+
+def _quick_kwargs(runner) -> dict:
+    """The ``run`` arguments ``--quick`` means for one experiment:
+    ``quick=True`` where ``run`` takes it, else its module's
+    ``QUICK_KS`` as ``ks``, else none (the experiment has one grid)."""
+    if _supports_kwarg(runner, "quick"):
+        return {"quick": True}
+    quick_ks = getattr(sys.modules[runner.__module__], "QUICK_KS", None)
+    if quick_ks is not None and _supports_kwarg(runner, "ks"):
+        return {"ks": quick_ks}
+    return {}
 
 
 def _supports_kwarg(runner, name: str) -> bool:
