@@ -26,7 +26,7 @@ from repro.core import (
     run_protocol,
 )
 from repro.core import tree
-from repro.core.model import TopologyViolation
+from repro.core.model import Protocol, ProtocolViolation, TopologyViolation
 from repro.core.tasks import disjointness_task
 from repro.experiments.e1_disjointness_scaling import measure_point
 from repro.experiments.workloads import partition_instance, random_instance
@@ -47,6 +47,7 @@ from repro.obs import REGISTRY, disable_metrics, enable_metrics
 from repro.perf import kernels
 from repro.protocols import (
     ALL_PROTOCOLS,
+    FullBroadcastAndProtocol,
     NoisySequentialAndProtocol,
     SequentialAndProtocol,
     TwoPartyDisjointnessProtocol,
@@ -55,6 +56,7 @@ from repro.topology import (
     COORDINATOR,
     CoordinatorAndProtocol,
     CoordinatorDisjointnessProtocol,
+    Link,
     RingTokenAndProtocol,
     ring_medium,
 )
@@ -295,6 +297,218 @@ class TestTreeWalkIdentity:
             )
         )
         assert_joint_identical(legacy, vectorized)
+
+
+class PhasedBitProtocol(Protocol):
+    """Message ``t`` is written by node ``speakers[t % len(speakers)]``
+    in mode ``phases[t]``: ``"r"`` reveals the speaker's bit, ``"n"``
+    flips it with probability 1/8, ``"e"`` writes the empty message.  An
+    input-less speaker (id ``>= k``) reads its bit as 1.
+
+    Reveal phases thin the population to one input per node; the noisy
+    phases around them fork both before and inside those one-input
+    subtrees."""
+
+    def __init__(self, k, phases, speakers=None):
+        super().__init__(k)
+        self._phases = phases
+        self._speakers = tuple(range(k)) if speakers is None else speakers
+
+    def initial_state(self):
+        return 0
+
+    def advance_state(self, state, message):
+        return state + 1
+
+    def next_speaker(self, state, board):
+        if state >= len(self._phases):
+            return None
+        return self._speakers[state % len(self._speakers)]
+
+    def message_distribution(self, state, speaker, speaker_input, board):
+        phase = self._phases[state]
+        bit = 1 if speaker_input is None else speaker_input
+        if phase == "e":
+            return DiscreteDistribution.point_mass("")
+        if phase == "r":
+            return DiscreteDistribution.point_mass(str(bit))
+        p_one = 0.875 if bit else 0.125
+        return DiscreteDistribution({"1": p_one, "0": 1.0 - p_one})
+
+    def output(self, state, board):
+        return 0
+
+
+class PhasedHubProtocol(PhasedBitProtocol):
+    """:class:`PhasedBitProtocol` on the coordinator medium: player ``i``
+    writes on its own link, the hub (node ``k``) on player
+    ``t mod k``'s."""
+
+    def next_edge(self, state, board):
+        speaker = self.next_speaker(state, board)
+        if speaker is None:
+            return None
+        k = self.num_players
+        return (speaker, Link(speaker if speaker < k else state % k, k))
+
+
+def walk_both(protocol, inputs, *, max_messages=64, memo=False, **kwargs):
+    """The legacy and vectorized walks of ``inputs``, each with its own
+    fresh memo when ``memo`` is set."""
+    legacy = tree._legacy_walk_sorted_leaves(
+        protocol,
+        inputs,
+        max_messages=max_messages,
+        memo=tree.MessageDistributionMemo() if memo else None,
+        **kwargs,
+    )
+    vectorized = kernels.tree_walk_sorted_leaves(
+        protocol,
+        inputs,
+        max_messages=max_messages,
+        memo=tree.MessageDistributionMemo() if memo else None,
+        **kwargs,
+    )
+    return legacy, vectorized
+
+
+def assert_walks_identical(protocol, inputs, **kwargs):
+    """Counts, boards, every probability's ``float.hex`` and the walk
+    statistics of the two engines agree."""
+    (rows, *legacy_stats), (leaves, *stats) = walk_both(
+        protocol, inputs, **kwargs
+    )
+    counts, boards, probs = leaves.rows()
+    assert counts == rows[0]
+    assert boards == rows[1]
+    assert [p.hex() for p in probs] == [p.hex() for p in rows[2]]
+    assert stats == legacy_stats
+    return leaves
+
+
+def hard_inputs(k, max_zeros):
+    """The distinct input tuples of the (truncated) hard distribution."""
+    support = and_hard_distribution(k, max_zeros=max_zeros).support()
+    return list(dict.fromkeys(x for x, _z in support))
+
+
+@numpy_required
+class TestOneInputSubtrees:
+    """Trees made mostly of subtrees whose population is one input: the
+    vectorized walk must still equal the legacy walk row for row."""
+
+    @pytest.mark.parametrize("max_zeros", [2, 3])
+    @pytest.mark.parametrize("k", [4, 9, 14, 20])
+    @pytest.mark.parametrize(
+        "build", [SequentialAndProtocol, FullBroadcastAndProtocol]
+    )
+    def test_hard_distribution_supports(self, build, k, max_zeros):
+        assert_walks_identical(build(k), hard_inputs(k, max_zeros))
+
+    @pytest.mark.parametrize("k", [5, 9])
+    def test_zero_noise_prunes_inside_subtrees(self, k):
+        # flip_prob = 0 writes the losing bit with probability 0.0: the
+        # pruned entry still takes up its message index.
+        assert_walks_identical(
+            NoisySequentialAndProtocol(k, 0.0), hard_inputs(k, 3)
+        )
+
+    @pytest.mark.parametrize("inputs", [[(1, 0, 1, 1, 0, 1)], [(0,) * 6]])
+    def test_single_input_noisy_tree(self, inputs):
+        # One input: the root itself is a one-input subtree with 2^6
+        # leaves.
+        leaves = assert_walks_identical(
+            NoisySequentialAndProtocol(6, 0.125), inputs
+        )
+        assert leaves.counts.tolist() == [64]
+
+    @pytest.mark.parametrize(
+        "phases", ["rrrnnn", "nrrrnn", "nnrrrrnnn", "rnrnrnnn"]
+    )
+    def test_members_fork_inside_subtrees(self, phases):
+        # Noisy levels before the reveals give a member several
+        # one-input subtrees; noisy levels after them give each subtree
+        # several leaves.
+        inputs = list(itertools.product((0, 1), repeat=3))
+        leaves = assert_walks_identical(PhasedBitProtocol(3, phases), inputs)
+        assert int(leaves.counts.min()) > 1
+
+    @pytest.mark.parametrize("lineage_bits", [2, 3])
+    def test_lineage_spills_before_subtrees(self, lineage_bits, monkeypatch):
+        # Four forking levels overflow the lineage code before the reveals
+        # thin the population, so the subtrees carry spill columns.
+        monkeypatch.setattr(kernels, "_LINEAGE_BITS", lineage_bits)
+        inputs = list(itertools.product((0, 1), repeat=3))
+        assert_walks_identical(PhasedBitProtocol(3, "nnnnrrrnn"), inputs)
+
+    def test_inputless_speaker_inside_subtrees(self):
+        # The hub (node 3) speaks after the reveals, inside one-input
+        # subtrees, and forks there.
+        inputs = list(itertools.product((0, 1), repeat=3))
+        protocol = PhasedHubProtocol(3, "rrrnnrnn", speakers=(0, 1, 2, 3))
+        assert_walks_identical(protocol, inputs, medium=COORDINATOR)
+
+    def test_coordinator_relay_inside_subtrees(self):
+        # x2 is a function of (x0, x1), so once player 1 has replied an
+        # all-ones x0 leaves one input per node and the hub's forward to
+        # player 2 happens inside that input's subtree.
+        inputs = [(a, b, (a + b) % 4) for a in range(4) for b in range(4)]
+        assert_walks_identical(
+            CoordinatorDisjointnessProtocol(2, 3), inputs, medium=COORDINATOR
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_generated_coordinator_single_input(self, seed):
+        protocol = GeneratedCoordinatorProtocol(seed, 3)
+        assert_walks_identical(protocol, [(1, 0, 1)], medium=COORDINATOR)
+
+    @pytest.mark.parametrize(
+        "protocol, inputs",
+        [
+            pytest.param(
+                FullBroadcastAndProtocol(10), hard_inputs(10, 3), id="full"
+            ),
+            pytest.param(
+                PhasedBitProtocol(3, "nrrrnn"),
+                list(itertools.product((0, 1), repeat=3)),
+                id="phased",
+            ),
+        ],
+    )
+    def test_memoized(self, protocol, inputs):
+        assert_walks_identical(protocol, inputs, memo=True)
+
+    @pytest.mark.parametrize(
+        "protocol, inputs, max_messages",
+        [
+            pytest.param(
+                FullBroadcastAndProtocol(6),
+                list(itertools.product((0, 1), repeat=6)),
+                5,
+                id="max-messages",
+            ),
+            pytest.param(
+                PhasedBitProtocol(3, "rrrne"),
+                list(itertools.product((0, 1), repeat=3)),
+                64,
+                id="empty-message",
+            ),
+        ],
+    )
+    def test_violations_inside_subtrees(self, protocol, inputs, max_messages):
+        # Every node at the offending depth holds one input.
+        errors = []
+        walks = (tree._legacy_walk_sorted_leaves, kernels.tree_walk_sorted_leaves)
+        for walk in walks:
+            with pytest.raises(ProtocolViolation) as info:
+                walk(protocol, inputs, max_messages=max_messages)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert errors[0] in (
+            "protocols may not write empty messages",
+            f"protocol exceeded {max_messages} messages during exact "
+            "enumeration",
+        )
 
 
 # ----------------------------------------------------------------------

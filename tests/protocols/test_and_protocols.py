@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    Transcript,
     and_task,
     run_protocol,
     transcript_distribution,
@@ -131,3 +132,26 @@ class TestNoisySequentialAnd:
         p = NoisySequentialAndProtocol(4, 0.3)
         run = run_protocol(p, (0, 0, 0, 0), rng=random.Random(0))
         assert run.rounds == 4
+
+
+class TestBitLaws:
+    """The deterministic AND protocols' message laws, hook by hook."""
+
+    @pytest.mark.parametrize(
+        "build", [SequentialAndProtocol, FullBroadcastAndProtocol]
+    )
+    @pytest.mark.parametrize("bad", [2, -1, "7"])
+    def test_non_bit_input_raises(self, build, bad):
+        p = build(3)
+        with pytest.raises(ValueError) as info:
+            p.message_distribution(p.initial_state(), 0, bad, Transcript())
+        assert str(info.value) == f"AND inputs must be bits, got {bad!r}"
+
+    @pytest.mark.parametrize(
+        "build", [SequentialAndProtocol, FullBroadcastAndProtocol]
+    )
+    @pytest.mark.parametrize("bit, word", [(0, "0"), (1, "1"), (True, "1")])
+    def test_point_mass_on_the_bit(self, build, bit, word):
+        p = build(3)
+        dist = p.message_distribution(p.initial_state(), 0, bit, Transcript())
+        assert list(dist.items()) == [(word, 1.0)]
