@@ -54,6 +54,7 @@ collection is enabled.
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 from typing import (
@@ -374,6 +375,25 @@ def tree_walk_sorted_leaves(
     ``medium`` (default: the blackboard) checks every scheduled edge; a
     node whose speaker is an input-less auxiliary node (id ``>= k``)
     keeps its population whole, through an all-zero code column.
+
+    One-input subtrees: at the top of each level, every frontier node
+    whose population is a single row leaves the level arrays, and a
+    per-input DFS finishes its subtree with the same per-node calls
+    (``next_edge``, the speaker range check, ``medium.check_edge``, the
+    memoized or direct message law with ``x[speaker]`` or ``None``, the
+    ``p <= 0.0`` prune, the empty-message check, the interned message,
+    ``advance_state``, ``board.extend`` and the depth limit).  On AND's
+    truncated hard supports almost every node is of this kind: a prefix
+    that already holds its last zero has one input under it.  The DFS
+    pushes children in message order and pops them LIFO, so the
+    subtree's leaves come out in descending index-path order, and each
+    probability is the same left fold ``prob * p`` the level arrays
+    compute.  The leaves of all subtrees split off at one level form one
+    leaf chunk carrying their root rows' lineage codes, spills and
+    scale: leaves of one subtree tie on every sort key, so the stable
+    final sort keeps the DFS order, and they differ from the member's
+    other rows in a digit of a branched level both were alive for,
+    exactly like any other leaf.
     """
     # Local import: core.model is import-safe from here (the model layer
     # never imports repro.perf).
@@ -470,8 +490,123 @@ def tree_walk_sorted_leaves(
     A_spills: List[Any] = []
     lin_scale = 1
     epoch_scales: List[int] = []
+    next_edge = protocol.next_edge
+    advance_state = protocol.advance_state
+    message_distribution = protocol.message_distribution
+    tail_probs: List[float] = []
+
+    def finish_subtree(
+        state: Any, board: Any, key: Tuple[Any, ...], prob: float, depth: int
+    ) -> Tuple[int, int]:
+        """Per-input DFS of one node whose population is the single input
+        ``key``, making the level walk's per-node calls; appends its
+        leaves to ``leaf_boards`` / ``tail_probs`` in descending
+        index-path order and returns ``(nodes, deepest depth)``."""
+        nodes = 0
+        deepest = depth
+        stack = [(state, board, prob, depth)]
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            state, board, prob, depth = pop()
+            nodes += 1
+            if depth > max_messages:
+                raise ProtocolViolation(
+                    f"protocol exceeded {max_messages} messages during "
+                    "exact enumeration"
+                )
+            if depth > deepest:
+                deepest = depth
+            edge = next_edge(state, board)
+            if edge is None:
+                leaf_boards.append(board)
+                tail_probs.append(prob)
+                continue
+            speaker, link = edge
+            if not 0 <= speaker < num_nodes:
+                raise ProtocolViolation(
+                    f"next_edge returned invalid player {speaker!r}"
+                )
+            check_edge(k, speaker, link)
+            speaker_input = key[speaker] if speaker < k else None
+            if memo is not None:
+                dist = memo.distribution(
+                    protocol, state, speaker, speaker_input, board
+                )
+            else:
+                dist = message_distribution(
+                    state, speaker, speaker_input, board
+                )
+            depth += 1
+            for bits, p in dist.items():
+                if p <= 0.0:
+                    continue
+                if bits == "":
+                    raise ProtocolViolation(
+                        "protocols may not write empty messages"
+                    )
+                message = messages.get((speaker, bits, link))
+                if message is None:
+                    message = messages[(speaker, bits, link)] = Message(
+                        speaker, bits, link
+                    )
+                push(
+                    (
+                        advance_state(state, message),
+                        board.extend(message),
+                        prob * p,
+                        depth,
+                    )
+                )
+        return nodes, deepest
+
     level = 0
     while frontier:
+        sizes_arr = np_.array(sizes, dtype=np_.int64)
+        single = sizes_arr == 1
+        if single.any():
+            # Nodes holding one input row leave the level arrays: a
+            # per-input DFS finishes each subtree, and its leaves form
+            # one chunk carrying the root rows' lineage codes and spills.
+            tail_rows = (np_.cumsum(sizes_arr) - 1)[single]
+            first_tail = len(leaf_boards)
+            tail_counts: List[int] = []
+            for node, row, prob in zip(
+                itertools.compress(frontier, single.tolist()),
+                A_idx[tail_rows].tolist(),
+                A_probs[tail_rows].tolist(),
+            ):
+                before = len(leaf_boards)
+                nodes, deepest = finish_subtree(
+                    node[0], node[1], input_keys[row], prob, level
+                )
+                nodes_expanded += nodes
+                if deepest > max_depth:
+                    max_depth = deepest
+                tail_counts.append(len(leaf_boards) - before)
+            leaf_rows = np_.repeat(tail_rows, tail_counts)
+            leaf_chunks.append(
+                (
+                    np_.arange(first_tail, len(leaf_boards), dtype=np_.int64),
+                    A_idx[leaf_rows],
+                    np_.array(tail_probs, dtype=np_.float64),
+                    [spill[leaf_rows] for spill in A_spills],
+                    A_lin[leaf_rows],
+                    lin_scale,
+                )
+            )
+            tail_probs.clear()
+            keep = ~single
+            if not keep.any():
+                break
+            frontier = list(itertools.compress(frontier, keep.tolist()))
+            row_keep = np_.repeat(keep, sizes_arr)
+            sizes_arr = sizes_arr[keep]
+            sizes = sizes_arr.tolist()
+            A_idx = A_idx[row_keep]
+            A_probs = A_probs[row_keep]
+            A_lin = A_lin[row_keep]
+            A_spills = [spill[row_keep] for spill in A_spills]
         # Every node at this level has written exactly `level` messages,
         # so the depth bookkeeping is once per level, not per node.
         if level > max_messages:
@@ -499,7 +634,6 @@ def tree_walk_sorted_leaves(
             check_edge(k, speaker, link)
             active.append((state, board, speaker, link))
             live.append(True)
-        sizes_arr = np_.array(sizes, dtype=np_.int64)
         if len(active) == len(frontier):
             # Rows of the level's arrays that belong to active nodes
             # (None: all of them).
