@@ -32,10 +32,19 @@ from ..information.distribution import DiscreteDistribution
 from ..core.model import Message, Protocol, Transcript
 
 __all__ = [
+    "BIT_LAWS",
     "SequentialAndProtocol",
     "FullBroadcastAndProtocol",
     "NoisySequentialAndProtocol",
 ]
+
+#: The point masses on the words "0" and "1", indexed by the bit: the
+#: message law of a player who writes its input bit.  Shared by every
+#: call (nothing mutates a distribution once built).
+BIT_LAWS = (
+    DiscreteDistribution.point_mass("0"),
+    DiscreteDistribution.point_mass("1"),
+)
 
 
 class SequentialAndProtocol(Protocol):
@@ -71,7 +80,7 @@ class SequentialAndProtocol(Protocol):
         bit = int(player_input)
         if bit not in (0, 1):
             raise ValueError(f"AND inputs must be bits, got {player_input!r}")
-        return DiscreteDistribution.point_mass("1" if bit else "0")
+        return BIT_LAWS[bit]
 
     def output(self, state: Any, board: Transcript) -> int:
         _count, saw_zero = state
@@ -107,7 +116,7 @@ class FullBroadcastAndProtocol(Protocol):
         bit = int(player_input)
         if bit not in (0, 1):
             raise ValueError(f"AND inputs must be bits, got {player_input!r}")
-        return DiscreteDistribution.point_mass("1" if bit else "0")
+        return BIT_LAWS[bit]
 
     def output(self, state: Any, board: Transcript) -> int:
         _count, all_ones = state

@@ -40,6 +40,7 @@ from typing import Any, Optional, Tuple
 
 from ..information.distribution import DiscreteDistribution
 from ..core.model import Link, Message, Transcript
+from ..protocols.and_protocols import BIT_LAWS
 from .protocol import MediumProtocol
 
 __all__ = [
@@ -230,7 +231,7 @@ class CoordinatorAndProtocol(MediumProtocol):
         speaker_input: Any,
         transcript: Transcript,
     ) -> DiscreteDistribution:
-        return DiscreteDistribution.point_mass("1" if speaker_input else "0")
+        return BIT_LAWS[1 if speaker_input else 0]
 
     def output(self, state: Any, transcript: Transcript) -> Any:
         count, saw_zero = state
