@@ -1098,34 +1098,39 @@ class BrokenPrefixProtocol(Protocol):
 
 
 class ImpureStateProtocol(Protocol):
-    """Delegates to a base protocol but stamps every state with a global
-    ``advance_state`` call counter *and lets the turn function read it*:
-    when the stamp is odd the protocol halts early.  Incrementally-
-    maintained states and :meth:`Protocol.replay_state`'s from-scratch
-    fold reach the same board via different call sequences, so their
-    stamps (and hence their halting decisions) diverge — the replay-
-    consistency violation ``validate_protocol`` checks for.  (A pure
-    ``advance_state`` bug cannot trip that check, and a stamp that no
-    hook reads is behaviorally invisible: replay folds through the very
-    same function, so the defect has to be impure *and* observable.)
+    """Delegates to a base protocol but counts, in a table the hooks
+    share, how many times ``advance_state`` has built each board, stamps
+    every state with that count *and lets the turn function read it*:
+    a state whose board was built before halts early.  The validator's
+    walk builds each board once, while :meth:`Protocol.replay_state`'s
+    from-scratch fold rebuilds every prefix, so replayed and incremental
+    states disagree on the edge — the replay-consistency violation
+    ``validate_protocol`` checks for.  The first build of a board always
+    comes from its parent's expansion, whatever order boards are visited
+    in, so whether the defect fires does not depend on iteration order
+    (and hence not on ``PYTHONHASHSEED``).  (A pure ``advance_state``
+    bug cannot trip that check, and a stamp that no hook reads is
+    behaviorally invisible: replay folds through the very same
+    function, so the defect has to be impure *and* observable.)
     """
 
     def __init__(self, base: Protocol) -> None:
         super().__init__(base.num_players)
         self._base = base
-        self._calls = 0
+        self._builds: Dict[Tuple[Message, ...], int] = {}
 
     def initial_state(self) -> Any:
-        return (self._base.initial_state(), 0)
+        return (self._base.initial_state(), (), 1)
 
     def advance_state(self, state: Any, message: Message) -> Any:
-        base_state, _stamp = state
-        self._calls += 1
-        return (self._base.advance_state(base_state, message), self._calls)
+        base_state, messages, _stamp = state
+        messages = messages + (message,)
+        builds = self._builds[messages] = self._builds.get(messages, 0) + 1
+        return (self._base.advance_state(base_state, message), messages, builds)
 
     def next_speaker(self, state: Any, board: Transcript) -> Optional[int]:
-        base_state, stamp = state
-        if stamp % 2 == 1:
+        base_state, _messages, stamp = state
+        if stamp > 1:
             return None  # the stale stamp leaks into control flow
         return self._base.next_speaker(base_state, board)
 

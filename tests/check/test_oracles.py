@@ -10,8 +10,14 @@ passes.  A bug that stops being caught means the oracle lost its teeth —
 treat that as a broken oracle, not a flaky test.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.check import ALL_ORACLES, generate_case, oracle_by_name
 from repro.check.mutations import TREE_BUGS
 from repro.perf import kernels
@@ -21,6 +27,8 @@ MASTER_SEED = 0
 # few dozen keeps the self-test robust to generator-stream tweaks
 # without hiding an oracle that has actually gone blind.
 SEARCH_LIMIT = 30
+
+SRC = pathlib.Path(repro.__file__).resolve().parent.parent
 
 BUG_PAIRS = [
     (oracle, bug) for oracle in ALL_ORACLES for bug in oracle.bugs
@@ -100,3 +108,34 @@ def test_tree_oracle_runs_the_dfs_without_numpy(monkeypatch, bug):
             assert "numpy unavailable" in clean.details
             return
     pytest.fail(f"{bug!r} was never caught without numpy")
+
+
+_IMPURE_CATCHES = """
+from repro.check import generate_case, oracle_by_name
+oracle = oracle_by_name("model-discipline")
+print([i for i in range(%d) if not oracle.check(
+    generate_case(%d, i), bug="impure-state").ok])
+"""
+
+
+def test_impure_state_catches_do_not_depend_on_the_hash_seed():
+    """The ``impure-state`` trigger counts builds per board, not calls in
+    visiting order, so string-set iteration order (``PYTHONHASHSEED``)
+    cannot move which cases it is caught on."""
+    source = _IMPURE_CATCHES % (SEARCH_LIMIT, MASTER_SEED)
+    caught = []
+    for hash_seed in ("0", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", source],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        caught.append(result.stdout)
+    assert caught[0] == caught[1]
+    assert caught[0].strip() != "[]"
