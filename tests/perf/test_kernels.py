@@ -352,32 +352,25 @@ class PhasedHubProtocol(PhasedBitProtocol):
         return (speaker, Link(speaker if speaker < k else state % k, k))
 
 
-def walk_both(protocol, inputs, *, max_messages=64, memo=False, **kwargs):
-    """The legacy and vectorized walks of ``inputs``, each with its own
-    fresh memo when ``memo`` is set."""
-    legacy = tree._legacy_walk_sorted_leaves(
-        protocol,
-        inputs,
-        max_messages=max_messages,
-        memo=tree.MessageDistributionMemo() if memo else None,
-        **kwargs,
-    )
-    vectorized = kernels.tree_walk_sorted_leaves(
-        protocol,
-        inputs,
-        max_messages=max_messages,
-        memo=tree.MessageDistributionMemo() if memo else None,
-        **kwargs,
-    )
-    return legacy, vectorized
+WALKS = (tree._legacy_walk_sorted_leaves, kernels.tree_walk_sorted_leaves)
 
 
-def assert_walks_identical(protocol, inputs, **kwargs):
+def assert_walks_identical(
+    protocol, inputs, *, max_messages=64, memo=False, **kwargs
+):
     """Counts, boards, every probability's ``float.hex`` and the walk
-    statistics of the two engines agree."""
-    (rows, *legacy_stats), (leaves, *stats) = walk_both(
-        protocol, inputs, **kwargs
-    )
+    statistics of the legacy and vectorized walks agree (each walk gets
+    its own fresh memo when ``memo`` is set)."""
+    (rows, *legacy_stats), (leaves, *stats) = [
+        walk(
+            protocol,
+            inputs,
+            max_messages=max_messages,
+            memo=tree.MessageDistributionMemo() if memo else None,
+            **kwargs,
+        )
+        for walk in WALKS
+    ]
     counts, boards, probs = leaves.rows()
     assert counts == rows[0]
     assert boards == rows[1]
@@ -498,8 +491,7 @@ class TestOneInputSubtrees:
     def test_violations_inside_subtrees(self, protocol, inputs, max_messages):
         # Every node at the offending depth holds one input.
         errors = []
-        walks = (tree._legacy_walk_sorted_leaves, kernels.tree_walk_sorted_leaves)
-        for walk in walks:
+        for walk in WALKS:
             with pytest.raises(ProtocolViolation) as info:
                 walk(protocol, inputs, max_messages=max_messages)
             errors.append(str(info.value))
