@@ -45,14 +45,18 @@ __all__ = ["run", "DEFAULT_KS", "QUICK_KS", "SWEEP", "sequential_and_cic"]
 #: The tail (48, 64) roughly octuples the truncated-support enumeration
 #: of the old k = 32 ceiling (C(k,<=3) inputs each walked through ~k
 #: protocol levels); both kernels complete it with bit-identical CIC
-#: values.  Measured split of the k = 48 cell on the vectorized kernel
-#: (traced, 2-CPU x86-64, Python 3.11): the tree walk's own loop is 77%
-#: of the time, the protocol callbacks 14% over 695k calls, building
-#: the columnar joint in ``core.tree`` 4% and the CMI 1%.  Untraced
-#: and measured back to back, the cell took 2.8 s against 4.2 s with
-#: the joint assembled as a transcript-keyed dict, and the whole default
-#: sweep 13-15 s against 19 s (absolute times on that host swing about
-#: 2x from run to run, so only side-by-side ratios carry over).
+#: values.  Most nodes of those trees hold one input, and the walk
+#: finishes them by a per-input DFS.  Measured split of the k = 48 cell
+#: on the vectorized kernel (``perfbench/findings.py``, traced, 2-CPU
+#: x86-64, Python 3.11): the tree walk's own code is 72-75% of the
+#: time (it also carries the tracing wrappers of the callbacks), the
+#: protocol callbacks 14% over 695k calls, building the columnar joint
+#: in ``core.tree`` 5-6%, ``and_hard_distribution`` 4-6% and the CMI
+#: 2%.  Untraced and measured back to back, the cell took 1.7-1.8 s
+#: against 3.2-3.3 s with every node in the level arrays, and the whole
+#: default sweep 8-9 s against 14-18 s (absolute times on that host
+#: swing up to 1.5x from run to run, so only side-by-side ratios carry
+#: over).
 DEFAULT_KS: Sequence[int] = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 
 #: The quick sweep: k up to 16.
