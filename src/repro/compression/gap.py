@@ -21,14 +21,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..information.distribution import DiscreteDistribution
+from ..perf import kernels
 from ..core.analysis import (
     external_information_cost,
     worst_case_communication,
 )
-from ..core.tasks import all_boolean_inputs
 from ..protocols.and_protocols import SequentialAndProtocol
 from ..lowerbounds.hard_distribution import (
     and_hard_input_marginal,
@@ -94,12 +94,9 @@ def and_gap_report(
         raise ValueError(f"need k >= 2, got {k}")
     protocol = SequentialAndProtocol(k)
     if distributions is None:
-        biased = _iid_bits(k, 1.0 - 1.0 / k)
         distributions = {
-            "uniform": DiscreteDistribution.uniform(
-                list(all_boolean_inputs(k))
-            ),
-            "iid_biased": biased,
+            "uniform": _iid_bits(k, 0.5),
+            "iid_biased": _iid_bits(k, 1.0 - 1.0 / k),
             "hard_marginal": and_hard_input_marginal(k),
             "lemma6": lemma6_distribution(k, 0.2),
         }
@@ -124,15 +121,28 @@ def and_gap_report(
 
 def _iid_bits(k: int, p_one: float) -> DiscreteDistribution:
     """The product distribution of ``k`` i.i.d. ``Bernoulli(p_one)`` bits
-    as a distribution over input tuples."""
+    as a distribution over input tuples, built with its input columns.
+
+    ``p_one = 0.5`` is the uniform cube, float for float: every weight is
+    ``2**-k`` exactly, so the normalizer is exactly 1.0, as it is for
+    ``DiscreteDistribution.uniform`` over the same tuples.
+    """
+    np_ = kernels.require_numpy()
     # Kronecker fold in ``itertools.product`` order: each step appends
     # the next coordinate as the fastest-varying one, and every weight
     # is ``1.0`` times its factors in coordinate order.
-    factors = (1.0 - p_one, p_one)
-    weights = [1.0]
+    factors = np_.array([1.0 - p_one, p_one])
+    weights = np_.ones(1)
     for _ in range(k):
-        weights = [w * f for w in weights for f in factors]
-    probs: Dict[Tuple[int, ...], float] = dict(
-        zip(itertools.product((0, 1), repeat=k), weights)
-    )
-    return DiscreteDistribution(probs, normalize=True)
+        weights = np_.multiply.outer(weights, factors).ravel()
+    # What the normalizing constructor stores: builtin ``sum()`` in item
+    # order, then ``p * scale`` for every positive weight.
+    scale = 1.0 / sum(weights.tolist())
+    bits = (np_.arange(1 << k)[:, None] >> np_.arange(k - 1, -1, -1)) & 1
+    outcomes = list(itertools.product((0, 1), repeat=k))
+    keep = weights > 0.0
+    if not bool(keep.all()):
+        outcomes = list(itertools.compress(outcomes, keep.tolist()))
+        bits = bits[keep]
+        weights = weights[keep]
+    return kernels.encoded_law(outcomes, weights * scale, bits)

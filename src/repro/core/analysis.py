@@ -36,9 +36,14 @@ from ..information.entropy import (
     entropy,
     mutual_information,
 )
+from ..perf import kernels
 from .model import BROADCAST, Medium, Protocol, Transcript
 from .tasks import Task
-from .tree import joint_transcript_distribution, transcript_distributions
+from .tree import (
+    joint_transcript_distribution,
+    population_joint,
+    transcript_distributions,
+)
 
 __all__ = [
     "transcript_joint",
@@ -64,10 +69,17 @@ def transcript_joint(
 
     ``input_dist`` is over input tuples (one entry per player).  The
     result has named components ``inputs`` and ``transcript``.
+
+    The walk runs over the law's encoded population
+    (:func:`repro.perf.kernels.input_columns`, cached on the law): the
+    scenario law ``(x,)`` is never built, since its masses are the law's
+    own, renormalized as its constructor would
+    (:meth:`~repro.perf.kernels.InputColumns.renormalized`), and each
+    outcome is its own walk input.
     """
-    scenarios = input_dist.map(lambda x: (x,))
-    return joint_transcript_distribution(
-        protocol, scenarios, names=("inputs",), medium=medium
+    population = kernels.input_columns(input_dist).renormalized()
+    return population_joint(
+        protocol, population, names=("inputs",), medium=medium
     )
 
 
@@ -82,15 +94,12 @@ def conditional_transcript_joint(
     ``mu`` is over ``(x, d)`` pairs as in Definition 6: ``x`` is the input
     tuple and ``d`` the auxiliary variable (the paper's :math:`D`, e.g.
     the special player :math:`Z` of the Section 4 hard distribution).
+    The walk runs over ``mu``'s encoded population (cached on the law):
+    the distinct ``x`` with each pair's member code, and the aux column.
     """
-    for outcome in mu.support():
-        if not (isinstance(outcome, tuple) and len(outcome) == 2):
-            raise TypeError(
-                "mu must be over (inputs, aux) pairs, got outcome "
-                f"{outcome!r}"
-            )
-    return joint_transcript_distribution(
-        protocol, mu, names=("inputs", "aux"), medium=medium
+    population = kernels.input_columns(mu, paired=True)
+    return population_joint(
+        protocol, population, names=("inputs", "aux"), medium=medium
     )
 
 

@@ -75,7 +75,7 @@ class DiscreteDistribution:
     0.0
     """
 
-    __slots__ = ("_probs", "_entropy", "_support")
+    __slots__ = ("_probs", "_entropy", "_support", "_columns")
 
     def __init__(
         self,
@@ -112,6 +112,20 @@ class DiscreteDistribution:
         # chain-rule analyses call both repeatedly on the same marginals).
         self._entropy: Optional[float] = None
         self._support: Optional[Tuple[Outcome, ...]] = None
+        # The encoded input population (``repro.perf.kernels.
+        # InputColumns``), filled by the exact analyzer on first use or
+        # by a constructor that knows its row order.
+        self._columns: Any = None
+
+    def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
+        # Pickles and copies carry the outcome dict, not the column
+        # encoding (re-encoded on first use).
+        return None, {
+            "_probs": self._probs,
+            "_entropy": self._entropy,
+            "_support": self._support,
+            "_columns": None,
+        }
 
     # ------------------------------------------------------------------
     # Constructors
@@ -153,6 +167,7 @@ class DiscreteDistribution:
         dist._probs = probs
         dist._entropy = None
         dist._support = None
+        dist._columns = None
         return dist
 
     @classmethod
