@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterable, Tuple
 
 from ..coding.bitio import BitReader, BitWriter, Bits
 from .model import StreamingAlgorithm
@@ -52,6 +52,18 @@ class CappedFrequencyCounter(StreamingAlgorithm):
             return state
         counters = list(state)
         counters[item] += 1
+        return tuple(counters)
+
+    def fold(
+        self, state: Tuple[int, ...], items: Iterable[int]
+    ) -> Tuple[int, ...]:
+        """``update`` folded over ``items`` in one pass over a list of
+        counters (``update`` copies the whole ``n``-tuple per item)."""
+        cap = self._cap
+        counters = list(state)
+        for item in items:
+            if counters[item] < cap:
+                counters[item] += 1
         return tuple(counters)
 
     def output(self, state: Tuple[int, ...]) -> int:

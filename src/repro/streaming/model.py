@@ -53,6 +53,14 @@ class StreamingAlgorithm(abc.ABC):
     def update(self, state: Any, item: int) -> Any:
         """The state after processing ``item`` (pure)."""
 
+    def fold(self, state: Any, items: Iterable[int]) -> Any:
+        """The state after processing ``items`` in order: ``update``
+        folded over them.  Subclasses may fold in one pass, with the
+        same result."""
+        for item in items:
+            state = self.update(state, item)
+        return state
+
     @abc.abstractmethod
     def output(self, state: Any) -> Any:
         """The answer computed from the final state (free)."""

@@ -89,8 +89,7 @@ class StreamingSimulationProtocol(Protocol):
             raise ValueError(
                 f"input {player_input!r} is not an {self._n}-bit mask"
             )
-        for item in bits_of(mask):
-            stream_state = self._algorithm.update(stream_state, item)
+        stream_state = self._algorithm.fold(stream_state, bits_of(mask))
         if count < self.num_players - 1:
             return DiscreteDistribution.point_mass(
                 self._algorithm.encode_state(stream_state)

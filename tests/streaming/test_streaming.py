@@ -56,6 +56,26 @@ class TestCappedFrequencyCounter:
         with pytest.raises(ValueError):
             run_stream(algo, [4])
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(1, 4),
+                st.lists(st.integers(0, n - 1), max_size=40),
+                st.lists(st.integers(0, 4), min_size=n, max_size=n),
+            )
+        )
+    )
+    def test_fold_equals_the_update_loop(self, data):
+        n, cap, items, start = data
+        algo = CappedFrequencyCounter(n, cap)
+        state = tuple(min(c, cap) for c in start)
+        expected = state
+        for item in items:
+            expected = algo.update(expected, item)
+        assert algo.fold(state, iter(items)) == expected
+
 
 class TestDistinctElementsBitmap:
     @given(st.lists(st.integers(0, 9), max_size=40))
@@ -68,6 +88,10 @@ class TestDistinctElementsBitmap:
         algo = DistinctElementsBitmap(3)
         run = run_stream(algo, [0, 2, 1])
         assert algo.covers_universe(run.final_state)
+
+    def test_base_fold_loops_update(self):
+        algo = DistinctElementsBitmap(6)
+        assert algo.fold(algo.initial_state(), [5, 0, 5, 2]) == 0b100101
 
     def test_space_is_n(self):
         algo = DistinctElementsBitmap(12)
