@@ -102,7 +102,9 @@ def _visits(
             yield state, board, edge, str(error), [], set()
             continue
         laws = []
-        messages = set()
+        # Messages in first-seen order: expanding a set would order the
+        # BFS, and with it the report's problems, by string hashes.
+        messages: Dict[str, None] = {}
         for inputs in input_tuples:
             if not _reachable(protocol, board, inputs):
                 continue
@@ -111,8 +113,8 @@ def _visits(
                 state, speaker, speaker_input, board
             )
             laws.append((speaker_input, dist))
-            messages.update(dist.support())
-        yield state, board, edge, None, laws, messages
+            messages.update(dict.fromkeys(dist.support()))
+        yield state, board, edge, None, laws, set(messages)
         for bits in messages:
             message = Message(speaker, bits, link)
             extended = board.extend(message)

@@ -1,6 +1,9 @@
 """Tests for the public protocol-validation API."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -111,3 +114,35 @@ def test_registry_pin(case):
         report.states_checked,
         report.max_board_length,
     ) == REGISTRY_PIN[case.name], report.problems
+
+
+_PROBLEMS_SCRIPT = """
+from repro.check import mutations
+from repro.check.generator import generate_case
+from repro.core.validate import validate_protocol
+
+for index in range(10):
+    case = generate_case(0, index)
+    mutant = mutations.wrap_discipline_bug(case.protocol, "broken-prefix")
+    print(repr(validate_protocol(mutant, case.input_tuples).problems))
+"""
+
+
+def test_problem_order_does_not_depend_on_string_hashes():
+    # The reachable-board BFS once expanded a set of message strings, so
+    # the order of the reported problems followed PYTHONHASHSEED.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", _PROBLEMS_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert "prefix" in outputs[0]
+    assert outputs[0] == outputs[1]
