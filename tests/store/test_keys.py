@@ -7,6 +7,7 @@ included — perturbs the digest, so distinct specs can never share an
 address.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -76,6 +77,34 @@ class TestResultKey:
         assert KEY.digest == (
             "3bf0904d92070866d94a042faf6bc01ca894ef7fb4b8eaa295fc0d08383608b7"
         )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"k": 4, "n": 64},
+            {
+                "grid": ((64, 4), (256, 8)),
+                "opts": {"b": [1.5, None], "a": True},
+            },
+            [3, "x", {"z": -0.0}],
+        ],
+    )
+    def test_canonical_is_the_serialized_mapping(self, params):
+        key = ResultKey(
+            experiment="E1", params=params, seed=None, version="v"
+        )
+        payload, digest = key.canonical()
+        assert payload == canonical_json(key.to_dict()).encode("ascii")
+        assert digest == hashlib.sha256(payload).hexdigest()
+
+    def test_bad_params_fail_alike_in_both_spellings(self):
+        key = ResultKey(experiment="E1", params={"x": [math.nan]}, seed=None,
+                        version="v")
+        with pytest.raises(ValueError) as via_dict:
+            key.to_dict()
+        with pytest.raises(ValueError) as via_canonical:
+            key.canonical()
+        assert str(via_canonical.value) == str(via_dict.value)
 
     def test_format_tag_participates(self):
         assert KEY.to_dict()["format"] == STORE_FORMAT
