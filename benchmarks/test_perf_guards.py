@@ -6,20 +6,19 @@ the parent commit.  These tests keep the few checks it does not make.
 Each one times two things in this process and bounds their ratio, so it
 needs no baseline file:
 
-* the vectorized tree walk and batched dart sampler against their
-  legacy loops (speedup floors);
+* the tree walk against the dict-driven reference walk of
+  ``repro.check.mutations`` and the batched dart sampler against its
+  scalar loop (speedup floors);
 * an installed ``NullTracer`` against the plain batched tree walk, and
   the loopback fabric against a serial write-through (overhead
   ceilings);
-* the E1 sweep over a 4-worker pool against the serial sweep (speedup
-  floor);
 * the fast bootstrap and the sequential-AND closed form against a fixed
   pure-Python calibration loop (ceilings on the ratio, so a kernel that
   goes quadratic fails on any machine).
 
-A process pool, or a fabric coordinator sharing a core with its timer,
-cannot show its speed on a starved machine, so the pool, fabric and
-vectorized-vs-legacy bounds are enforced only at
+A fabric coordinator sharing a core with its timer cannot show its
+speed on a starved machine, so the fabric and speedup bounds are
+enforced only at
 ``MIN_CPUS_FOR_SPEEDUP_CHECK`` CPUs or more; below that the ratio is
 measured and printed (``-s``) but not asserted.
 
@@ -36,12 +35,9 @@ import time
 
 import pytest
 
-#: Enforce the pool, fabric and vectorized-vs-legacy bounds only on
-#: machines where a pool can actually win.  The pool floor also needs a
-#: sweep heavy enough that worker start-up cannot dominate.
+#: Enforce the fabric and speedup bounds only on machines where
+#: parallel work can actually win.
 MIN_CPUS_FOR_SPEEDUP_CHECK = 4
-MIN_SERIAL_SECONDS_FOR_SPEEDUP_CHECK = 1.0
-SPEEDUP_FLOOR = 2.0
 
 #: The tree floor is pinned on a noisy-AND workload: branching protocols
 #: are where the batched walk's row-level math dominates; ingestion-bound
@@ -67,16 +63,6 @@ FABRIC_WORKERS = 3
 #: 0.016810 s calibration loop, 1-CPU x86-64, Python 3.11.7).
 FAST_BOOTSTRAP_CEILING = 1.646
 CLOSED_FORM_CEILING = 1.687
-
-#: The legacy runner's historical default sweep, timed with
-#: ``kernel="legacy"`` so the pool speedup measures second-scale work
-#: (the vectorized simulators finish this grid in milliseconds).
-E1_GRID = (
-    (64, 4), (256, 4), (1024, 4),
-    (256, 8), (1024, 8), (2048, 8),
-    (1024, 16), (2048, 16),
-    (1024, 32), (2048, 64),
-)
 
 ENFORCE = (os.cpu_count() or 1) >= MIN_CPUS_FOR_SPEEDUP_CHECK
 
@@ -134,9 +120,10 @@ def tree_batched_and8():
 
 
 def test_tree_walk_speedup():
-    """Vectorized vs legacy tree walk: ``NoisySequentialAnd(10, 0.125)``
+    """Engine vs reference tree walk: ``NoisySequentialAnd(10, 0.125)``
     over the k=10 hard-distribution support (1023 inputs)."""
     kernels = need_numpy()
+    from repro.check.mutations import shared_walk_reference
     from repro.core import tree
     from repro.lowerbounds.hard_distribution import and_hard_distribution
     from repro.protocols import NoisySequentialAndProtocol
@@ -150,10 +137,10 @@ def test_tree_walk_speedup():
         memo = tree.MessageDistributionMemo()
         engine(protocol, keys, max_messages=10_000, memo=memo)
 
-    legacy_s = best_of(lambda: walk(tree._legacy_walk_sorted_leaves), 1)
+    legacy_s = best_of(lambda: walk(shared_walk_reference), 1)
     vectorized_s = best_of(lambda: walk(kernels.tree_walk_sorted_leaves), 3)
     speedup = legacy_s / vectorized_s
-    report("tree walk vectorized/legacy speedup", speedup,
+    report("tree walk engine/reference speedup", speedup,
            TREE_KERNEL_SPEEDUP_FLOOR, ENFORCE)
     if ENFORCE:
         assert speedup >= TREE_KERNEL_SPEEDUP_FLOOR
@@ -246,21 +233,6 @@ def test_fabric_loopback_overhead():
            FABRIC_OVERHEAD_CEILING, ENFORCE)
     if ENFORCE:
         assert overhead <= FABRIC_OVERHEAD_CEILING
-
-
-def test_e1_pool_speedup():
-    from repro.experiments.e1_disjointness_scaling import run
-
-    serial_s = best_of(lambda: run(grid=E1_GRID, kernel="legacy"), 2)
-    workers4_s = best_of(
-        lambda: run(grid=E1_GRID, workers=4, kernel="legacy"), 2
-    )
-    speedup = serial_s / workers4_s
-    enforced = ENFORCE and serial_s >= MIN_SERIAL_SECONDS_FOR_SPEEDUP_CHECK
-    report(f"E1 4-worker speedup (serial {serial_s:.3f} s)", speedup,
-           SPEEDUP_FLOOR, enforced)
-    if enforced:
-        assert speedup >= SPEEDUP_FLOOR
 
 
 def fast_bootstrap():

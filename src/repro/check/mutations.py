@@ -17,7 +17,10 @@ Nothing here is used by production code; the faithful copies are
 *intentionally* independent re-derivations (per-input DFS instead of the
 batched walk, naive :math:`O(k^2)` closed form instead of the prefix-sum
 one, a literal dart loop without observability) so that a shared bug
-between subject and reference is unlikely.
+between subject and reference is unlikely.  The exact engine's retired
+twins live here too, without planted bugs: the dict-driven shared walk
+and dict fold (section 1a), which :func:`reference_engines` swaps into
+production with the other size-selected references (section 12).
 """
 
 from __future__ import annotations
@@ -26,11 +29,29 @@ import hashlib
 import json
 import math
 import random
+import sys
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from ..core.model import Message, Protocol, ProtocolViolation, Transcript
-from ..core.tree import MessageDistributionMemo
+from ..core.model import (
+    BROADCAST,
+    EMPTY_TRANSCRIPT,
+    Medium,
+    Message,
+    Protocol,
+    ProtocolViolation,
+    Transcript,
+)
+from ..core.tree import DEFAULT_MAX_MESSAGES, MessageDistributionMemo
 from ..information.distribution import DiscreteDistribution, JointDistribution
 
 __all__ = [
@@ -53,6 +74,12 @@ __all__ = [
     "networked_reference",
     "byzantine_reference",
     "legacy_joint_transcript_distribution",
+    "shared_walk_reference",
+    "shared_walk_joint",
+    "REFERENCE_ENGINES",
+    "reference_engines",
+    "reference_sorted_leaves",
+    "class_probability_reference",
     "vectorized_reference",
     "columnar_information_cost",
     "closed_form_cic",
@@ -155,6 +182,198 @@ def legacy_joint_transcript_distribution(
         for transcript, p_transcript in dist.items():
             outcome = scenario + (transcript,)
             probs[outcome] = probs.get(outcome, 0.0) + p_scenario * p_transcript
+    full_names = tuple(names) + ("transcript",) if names is not None else None
+    return JointDistribution(probs, names=full_names, normalize=True)
+
+
+# ----------------------------------------------------------------------
+# 1a. Dict-driven shared walk and dict fold (reference for the one
+#     tree-walk engine, on every medium).
+# ----------------------------------------------------------------------
+def shared_walk_reference(
+    protocol: Protocol,
+    input_keys: Sequence[Tuple[Any, ...]],
+    *,
+    max_messages: int = DEFAULT_MAX_MESSAGES,
+    memo: Optional[MessageDistributionMemo] = None,
+    medium: Medium = BROADCAST,
+) -> Tuple[Tuple[List[int], List[Transcript], List[float]], int, int, int]:
+    """The dict-driven shared walk that ran the exact analyzer before
+    the array engine took over, kept as its medium-aware reference.
+
+    Returns ``(leaf_table, nodes_expanded, union_leaves, max_depth)``
+    where ``leaf_table = (counts, boards, probabilities)`` concatenates
+    every input's leaf entries in input order — ``counts[j]`` rows for
+    ``input_keys[j]``, each row already in that input's per-input DFS
+    leaf order.  The same contract as
+    :func:`repro.perf.kernels.tree_walk_sorted_leaves` (whose
+    :meth:`~repro.perf.kernels.SortedLeaves.rows` must equal this table),
+    so the caller's accumulation is engine-independent.
+    """
+    Groups = Dict[Tuple[Any, ...], Tuple[float, Tuple[int, ...]]]
+    leaves_by_key: Dict[
+        Tuple[Any, ...], List[Tuple[Tuple[int, ...], Transcript, float]]
+    ] = {key: [] for key in input_keys}
+    union_leaves: Dict[Transcript, None] = {}
+    nodes_expanded = 0
+    max_depth = 0
+    k = protocol.num_players
+    num_nodes = medium.num_nodes(k)
+    root_groups: Groups = {key: (1.0, ()) for key in input_keys}
+    stack: List[Tuple[Any, Transcript, Groups]] = [
+        (protocol.initial_state(), EMPTY_TRANSCRIPT, root_groups)
+    ]
+    while stack:
+        state, board, groups = stack.pop()
+        nodes_expanded += 1
+        if len(board) > max_messages:
+            raise ProtocolViolation(
+                f"protocol exceeded {max_messages} messages during exact "
+                "enumeration"
+            )
+        if len(board) > max_depth:
+            max_depth = len(board)
+        edge = protocol.next_edge(state, board)
+        if edge is None:
+            union_leaves[board] = None
+            for key, (prob, index_path) in groups.items():
+                leaves_by_key[key].append((index_path, board, prob))
+            continue
+        speaker, link = edge
+        if not 0 <= speaker < num_nodes:
+            raise ProtocolViolation(
+                f"next_edge returned invalid player {speaker!r}"
+            )
+        medium.check_edge(k, speaker, link)
+        # Partition the population by the speaking player's input — the
+        # only coordinate the next message law may depend on (Lemma 3).
+        # An input-less node keys every tuple to None: one partition.
+        partitions: Dict[Any, List[Tuple[Any, ...]]] = {}
+        if speaker < k:
+            for key in groups:
+                partitions.setdefault(key[speaker], []).append(key)
+        else:
+            partitions[None] = list(groups)
+        children: Dict[str, Tuple[Message, Groups]] = {}
+        for speaker_input, keys in partitions.items():
+            if memo is not None:
+                dist = memo.distribution(
+                    protocol, state, speaker, speaker_input, board
+                )
+            else:
+                dist = protocol.message_distribution(
+                    state, speaker, speaker_input, board
+                )
+            for index, (bits, p) in enumerate(dist.items()):
+                if p <= 0.0:
+                    continue
+                if bits == "":
+                    raise ProtocolViolation(
+                        "protocols may not write empty messages"
+                    )
+                child = children.get(bits)
+                if child is None:
+                    child = children[bits] = (
+                        Message(speaker, bits, link),
+                        {},
+                    )
+                child_groups = child[1]
+                for key in keys:
+                    prob, index_path = groups[key]
+                    child_groups[key] = (prob * p, index_path + (index,))
+        for bits, (message, child_groups) in children.items():
+            stack.append(
+                (
+                    protocol.advance_state(state, message),
+                    board.extend(message),
+                    child_groups,
+                )
+            )
+
+    # Sort each input's leaves into its per-input DFS order (descending
+    # lexicographic index path), then flatten into the engine-shared
+    # (counts, boards, probabilities) leaf table — flat parallel lists
+    # avoid materializing one pair tuple per (input, leaf) row.
+    counts: List[int] = []
+    boards_flat: List[Transcript] = []
+    probs_flat: List[float] = []
+    for key in input_keys:
+        entries = leaves_by_key[key]
+        entries.sort(key=lambda entry: entry[0], reverse=True)
+        counts.append(len(entries))
+        for _path, board, prob in entries:
+            boards_flat.append(board)
+            probs_flat.append(prob)
+    return (
+        (counts, boards_flat, probs_flat),
+        nodes_expanded,
+        len(union_leaves),
+        max_depth,
+    )
+
+
+def _assemble_joint(
+    population: Any, laws: List[DiscreteDistribution]
+) -> Dict[Tuple[Any, ...], float]:
+    """Scenario mass in scenario/transcript iteration order — the dict
+    fold's joint, before normalization (``population`` is a
+    :class:`repro.perf.kernels.InputColumns`)."""
+    member = population.member
+    if member is None:
+        rows: Iterable[int] = range(len(population.outcomes))
+    else:
+        rows = member.tolist()
+    wrapped = population.scenario is None
+    probs: Dict[Tuple[Any, ...], float] = {}
+    for outcome, p_scenario, row in zip(
+        population.outcomes, population.p.tolist(), rows
+    ):
+        scenario = (outcome,) if wrapped else outcome
+        for transcript, p_transcript in laws[row].items():
+            key = scenario + (transcript,)
+            probs[key] = probs.get(key, 0.0) + p_scenario * p_transcript
+    return probs
+
+
+def _laws_from_table(
+    table: Tuple[List[int], List[Transcript], List[float]]
+) -> List[DiscreteDistribution]:
+    """Each input's normalized transcript law from its leaf rows."""
+    counts, boards, probs = table
+    laws: List[DiscreteDistribution] = []
+    pos = 0
+    for count in counts:
+        leaves: Dict[Transcript, float] = {}
+        for row in range(pos, pos + count):
+            leaves[boards[row]] = leaves.get(boards[row], 0.0) + probs[row]
+        laws.append(DiscreteDistribution(leaves, normalize=True))
+        pos += count
+    return laws
+
+
+def shared_walk_joint(
+    protocol: Protocol,
+    scenarios: DiscreteDistribution,
+    inputs_of: Optional[Callable[[Any], Sequence[Any]]] = None,
+    *,
+    names: Optional[Sequence[str]] = None,
+    medium: Medium = BROADCAST,
+) -> JointDistribution:
+    """The joint ``(scenario..., transcript)`` law from
+    :func:`shared_walk_reference` and the dict fold: what
+    :func:`repro.core.tree.batched_joint_transcript_distribution` must
+    equal item for item."""
+    from ..perf import kernels
+
+    if inputs_of is None:
+        inputs_of = lambda scenario: scenario[0]  # noqa: E731
+    population = kernels.scenario_columns(scenarios, inputs_of)
+    for key in population.inputs:
+        protocol.validate_inputs(key)
+    table, *_stats = shared_walk_reference(
+        protocol, population.inputs, medium=medium
+    )
+    probs = _assemble_joint(population, _laws_from_table(table))
     full_names = tuple(names) + ("transcript",) if names is not None else None
     return JointDistribution(probs, names=full_names, normalize=True)
 
@@ -1479,3 +1698,139 @@ def topology_run_reference(
         state = protocol.advance_state(state, message)
         transcript = transcript.extend(message)
     raise ProtocolViolation("reference runtime did not halt")
+
+
+# ----------------------------------------------------------------------
+# 12. Reference engines swapped into production (tests and benchmarks).
+# ----------------------------------------------------------------------
+#: What :func:`reference_engines` swaps in, by the name it counts under.
+REFERENCE_ENGINES: Tuple[str, ...] = ("walk", "fold", "recursion", "runner")
+
+
+def reference_sorted_leaves(
+    protocol: Protocol,
+    input_keys: Sequence[Tuple[Any, ...]],
+    *,
+    codes: Any = None,
+    span: int = 0,
+    max_messages: int,
+    memo: Optional[MessageDistributionMemo] = None,
+    medium: Optional[Medium] = None,
+) -> Tuple[Any, int, int, int]:
+    """:func:`shared_walk_reference` behind the signature of
+    :func:`repro.perf.kernels.tree_walk_sorted_leaves`: its leaf table
+    packed as a :class:`~repro.perf.kernels.SortedLeaves`, leaf ids in
+    first-seen board order.  ``codes`` and ``span`` are ignored; the
+    dict walk partitions by the coordinates themselves."""
+    from ..perf import kernels
+
+    np_ = kernels.require_numpy()
+    (counts, boards, probs), *stats = shared_walk_reference(
+        protocol,
+        input_keys,
+        max_messages=max_messages,
+        memo=memo,
+        medium=BROADCAST if medium is None else medium,
+    )
+    ids: Dict[Transcript, int] = {}
+    leaf_ids = [ids.setdefault(board, len(ids)) for board in boards]
+    table = np_.empty(len(ids), dtype=object)
+    for leaf_id, board in enumerate(ids):
+        table[leaf_id] = board
+    leaves = kernels.SortedLeaves(
+        np_.array(counts, dtype=np_.int64),
+        np_.array(leaf_ids, dtype=np_.int64),
+        np_.array(probs, dtype=np_.float64),
+        table,
+    )
+    return (leaves, *stats)
+
+
+def class_probability_reference(factor_table: Any, class_matrix: Any) -> float:
+    """:func:`repro.perf.kernels.class_conditioned_probabilities` as the
+    scalar Lemma 3 fold: per input the factors multiply in ascending
+    player order from 1.0, and the class total is builtin ``sum()``."""
+    table = [row.tolist() for row in factor_table]
+    products = []
+    for x in class_matrix.tolist():
+        product = 1.0
+        for factors, bit in zip(table, x):
+            product *= factors[bit]
+        products.append(product)
+    return sum(products) / len(products)
+
+
+def _message_level(protocol_cls: Any) -> Callable[..., Tuple[int, Any]]:
+    """A ``kernels.simulate_*_disjointness`` twin that runs the protocol
+    message by message through its codecs."""
+    from ..core.runner import run_protocol
+
+    def simulate(n: int, k: int, inputs: Sequence[int]) -> Tuple[int, Any]:
+        outcome = run_protocol(protocol_cls(n, k), inputs)
+        return outcome.bits_communicated, outcome.output
+
+    return simulate
+
+
+def reference_engines(
+    patch: Callable[[Any, str, Any], Any]
+) -> Dict[str, int]:
+    """Route every size-selected engine of the exact analyzer and the E1
+    simulators to its reference, through ``patch`` (``pytest``'s
+    ``monkeypatch.setattr``, so the test undoes it), and return the live
+    count of calls each reference served, by :data:`REFERENCE_ENGINES`
+    name:
+
+    * ``walk`` -- :func:`reference_sorted_leaves` for the array walk;
+    * ``fold`` -- the scalar folds: ``_VECTOR_MIN_SUPPORT`` above every
+      support (a call counts when its array path declined), and
+      :func:`class_probability_reference` for the Lemma 3 product;
+    * ``recursion`` -- ``_E14_CELL_CAP = 0``, so every rectangle DP is
+      the memoized recursion;
+    * ``runner`` -- the optimal, naive and trivial disjointness
+      protocols run message by message instead of by bigint simulator.
+    """
+    from ..perf import kernels
+    from ..protocols.naive_disjointness import NaiveDisjointnessProtocol
+    from ..protocols.optimal_disjointness import OptimalDisjointnessProtocol
+    from ..protocols.trivial import TrivialDisjointnessProtocol
+
+    calls = dict.fromkeys(REFERENCE_ENGINES, 0)
+
+    def counted(
+        name: str,
+        function: Callable[..., Any],
+        served: Callable[[Any], bool] = lambda _result: True,
+    ) -> Callable[..., Any]:
+        def wrapper(*args: Any, **kwargs: Any) -> Any:
+            result = function(*args, **kwargs)
+            if served(result):
+                calls[name] += 1
+            return result
+
+        return wrapper
+
+    patch(kernels, "tree_walk_sorted_leaves",
+          counted("walk", reference_sorted_leaves))
+    patch(kernels, "_VECTOR_MIN_SUPPORT", sys.maxsize)
+    for name in ("mutual_information_fast",
+                 "conditional_mutual_information_fast",
+                 "per_player_divergence_sum_fast"):
+        patch(kernels, name, counted(
+            "fold", getattr(kernels, name), lambda result: result is None
+        ))
+    patch(kernels, "class_conditioned_probabilities",
+          counted("fold", class_probability_reference))
+    patch(kernels, "_E14_CELL_CAP", 0)
+    patch(kernels, "minimum_entropy_supported", counted(
+        "recursion", kernels.minimum_entropy_supported,
+        lambda supported: not supported,
+    ))
+    for kind, protocol_cls in (
+        ("optimal", OptimalDisjointnessProtocol),
+        ("naive", NaiveDisjointnessProtocol),
+        ("trivial", TrivialDisjointnessProtocol),
+    ):
+        patch(kernels, f"simulate_{kind}_disjointness",
+              counted("runner", _message_level(protocol_cls)))
+    return calls

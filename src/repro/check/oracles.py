@@ -7,12 +7,12 @@ GeneratedCase`) and checks one cross-layer agreement property:
 ``model-discipline``  ``core.validate`` certifies the generated
                       protocol (prefix-freeness everywhere, replay
                       consistency, board-determined speakers).
-``vectorized-vs-legacy`` the legacy engine, an independent per-input
-                      DFS, the numpy kernel engine and an independent
-                      group-by walk produce *bit-identical* joint laws
-                      (the ``--kernel`` contract); the columnar joint's
+``vectorized-vs-legacy`` the tree-walk engine, the dict-driven
+                      shared walk it replaced, an independent per-input
+                      DFS and an independent group-by walk produce
+                      *bit-identical* joint laws; the columnar joint's
                       external information cost and first-seen
-                      transcript codes match the legacy kernel and an
+                      transcript codes match the scalar fold and an
                       independent column re-derivation.
 ``exact-vs-mc``       the exact analyzer's information cost lies in the
                       Monte-Carlo estimator's bootstrap interval
@@ -168,22 +168,21 @@ class DisciplineOracle(Oracle):
 
 
 class VectorizedKernelOracle(Oracle):
-    """Both tree-walk engines against independent references,
-    item-for-item; and the external information cost of the columnar
-    joint == the legacy kernel's == an independent column re-derivation,
-    float for float.
+    """The one tree-walk engine against independent references,
+    item-for-item; and the external information cost of its columnar
+    joint == the scalar fold over the dict-folded reference joint == an
+    independent column re-derivation, float for float.
 
-    The legacy engine of :func:`repro.core.tree.
-    batched_joint_transcript_distribution` is always compared, component
-    names included, with an independent per-input DFS
-    (:func:`repro.check.mutations.legacy_joint_transcript_distribution`).
-    When numpy is present, so are the vectorized engine and an
-    independent lockstep group-by walk (:func:`repro.check.mutations.
-    vectorized_reference`) — the bit-identity contract the ``--kernel``
-    flag relies on — and the information cost, on a case large enough
-    to take the column path (the generated protocol, or up to six
-    sequentially composed copies); the transcript column must also
-    carry the first-seen codes of :func:`repro.check.mutations.
+    :func:`repro.core.tree.batched_joint_transcript_distribution` is
+    compared, component names included, with the dict-driven shared
+    walk it replaced (:func:`repro.check.mutations.shared_walk_joint`),
+    an independent per-input DFS (:func:`repro.check.mutations.
+    legacy_joint_transcript_distribution`) and an independent lockstep
+    group-by walk (:func:`repro.check.mutations.vectorized_reference`);
+    the information cost is compared on a case large enough to take
+    the column path (the generated protocol, or up to six sequentially
+    composed copies), and the transcript column must carry the
+    first-seen codes of :func:`repro.check.mutations.
     columnar_information_cost`.  Each planted bug goes into the
     reference it belongs to, proving an engine bug of each class
     cannot slip through.
@@ -195,6 +194,7 @@ class VectorizedKernelOracle(Oracle):
     )
 
     def check(self, case: GeneratedCase, bug: Optional[str] = None) -> OracleResult:
+        from ..information.entropy import _mutual_information_fold
         from ..perf import kernels
 
         walk_bug = bug if bug in mutations.VECTORIZED_BUGS else None
@@ -202,58 +202,55 @@ class VectorizedKernelOracle(Oracle):
         # Unknown names go to the DFS, which always runs and rejects them.
         tree_bug = None if walk_bug or column_bug else bug
         scenarios = case.input_dist.map(lambda x: (x,))
-        with kernels.using_kernel("legacy"):
-            legacy = batched_joint_transcript_distribution(
-                case.protocol, scenarios, names=("inputs",)
-            )
-        others = [
+        engine = batched_joint_transcript_distribution(
+            case.protocol, scenarios, names=("inputs",)
+        )
+        references = [
+            (
+                "shared-walk reference",
+                mutations.shared_walk_joint(
+                    case.protocol, scenarios, names=("inputs",)
+                ),
+            ),
             (
                 "per-input DFS",
                 mutations.legacy_joint_transcript_distribution(
                     case.protocol, scenarios, names=("inputs",), bug=tree_bug
                 ),
-            )
+            ),
+            (
+                "group-by reference",
+                mutations.vectorized_reference(
+                    case.protocol, scenarios, names=("inputs",), bug=walk_bug
+                ),
+            ),
         ]
-        vectorized = kernels.numpy_available()
-        if vectorized:
-            with kernels.using_kernel("vectorized"):
-                engine = batched_joint_transcript_distribution(
-                    case.protocol, scenarios, names=("inputs",)
-                )
-            reference = mutations.vectorized_reference(
-                case.protocol, scenarios, names=("inputs",), bug=walk_bug
-            )
-            others += [
-                ("vectorized engine", engine),
-                ("group-by reference", reference),
-            ]
-        legacy_items = list(legacy.items())
-        for label, other in others:
-            if other.names != legacy.names:
+        engine_items = list(engine.items())
+        for label, reference in references:
+            if reference.names != engine.names:
                 return self._fail(
-                    f"{label} component names differ: {other.names} vs "
-                    f"{legacy.names}"
+                    f"{label} component names differ: {reference.names} vs "
+                    f"{engine.names}"
                 )
-            other_items = list(other.items())
-            if other_items != legacy_items:
-                detail = _first_item_mismatch(other_items, legacy_items)
+            reference_items = list(reference.items())
+            if reference_items != engine_items:
+                detail = _first_item_mismatch(engine_items, reference_items)
                 return self._fail(
-                    f"{label} is not bit-identical to the legacy engine: "
+                    f"the engine is not bit-identical to the {label}: "
                     f"{detail}"
                 )
-        if not vectorized:
-            return self._ok(
-                f"{len(legacy_items)} joint outcomes bit-identical to the "
-                "DFS; vectorized engine skipped: numpy unavailable"
-            )
 
-        protocol, input_dist, copies = _column_case(case, len(legacy_items))
-        with kernels.using_kernel("legacy"):
-            ic_legacy = external_information_cost(protocol, input_dist)
-        with kernels.using_kernel("vectorized"):
-            ic_columns = external_information_cost(protocol, input_dist)
-            joint = transcript_joint(protocol, input_dist)
-            codes = kernels.joint_columns(joint).codes[1].tolist()
+        protocol, input_dist, copies = _column_case(case, len(engine_items))
+        ic_columns = external_information_cost(protocol, input_dist)
+        joint = transcript_joint(protocol, input_dist)
+        codes = kernels.joint_columns(joint).codes[1].tolist()
+        ic_fold = _mutual_information_fold(
+            mutations.shared_walk_joint(
+                protocol, input_dist.map(lambda x: (x,)), names=("inputs",)
+            ),
+            "transcript",
+            "inputs",
+        )
         ic_reference, reference_codes = mutations.columnar_information_cost(
             protocol, input_dist, bug=column_bug
         )
@@ -262,15 +259,15 @@ class VectorizedKernelOracle(Oracle):
                 "the columnar joint's transcript codes differ from the "
                 f"first-seen reference codes (copies: {copies})"
             )
-        if not ic_columns == ic_legacy == ic_reference:
+        if not ic_columns == ic_fold == ic_reference:
             return self._fail(
                 "external information cost is not bit-identical: columns "
-                f"{ic_columns!r}, legacy {ic_legacy!r}, column reference "
-                f"{ic_reference!r}"
+                f"{ic_columns!r}, scalar fold {ic_fold!r}, column "
+                f"reference {ic_reference!r}"
             )
         return self._ok(
-            f"{len(legacy_items)} joint outcomes bit-identical across "
-            f"engines; IC over {len(codes)} columnar outcomes identical"
+            f"{len(engine_items)} joint outcomes bit-identical across "
+            f"references; IC over {len(codes)} columnar outcomes identical"
         )
 
 

@@ -60,12 +60,13 @@ descending lexicographic child-index order), and accumulates scenario
 mass in the same scenario/transcript iteration order.  The regression
 suite asserts exact float equality across every shipped protocol class.
 
-Under the vectorized kernel the joint law never passes through
-transcript-keyed dicts: the walk's integer leaf ids and float64 leaf
-probabilities become the joint's columns
-(:func:`repro.perf.kernels.columnar_joint`), with each of the dict
-path's folds and normalizers replayed on arrays in the same order, and
-the information functionals read those columns directly.
+The joint law never passes through transcript-keyed dicts: the walk's
+integer leaf ids and float64 leaf probabilities become the joint's
+columns (:func:`repro.perf.kernels.columnar_joint`), with each of the
+dict fold's sums and normalizers replayed on arrays in the same order,
+and the information functionals read those columns directly.  The
+dict-driven walk and fold this replaced are kept as references in
+:mod:`repro.check.mutations`.
 """
 
 from __future__ import annotations
@@ -352,8 +353,8 @@ def batched_joint_transcript_distribution(
     Returns
     -------
     JointDistribution
-        Over tuples ``scenario + (transcript,)``.  Under the vectorized
-        kernel it is built from the walk's leaf ids as columns
+        Over tuples ``scenario + (transcript,)``.  It is built from the
+        walk's leaf ids as columns
         (:func:`repro.perf.kernels.columnar_joint`) and carries that
         encoding, which the information functionals read directly; its
         outcome dict is built only if something iterates the joint.
@@ -392,9 +393,10 @@ def population_joint(
     encodes its scenario tuples, and
     :func:`repro.core.analysis.transcript_joint` /
     :func:`~repro.core.analysis.conditional_transcript_joint` hand over
-    the encoding their input law carries.  Under the vectorized kernel
-    the joint stays columns (:func:`repro.perf.kernels.columnar_joint`);
-    the legacy kernel folds the same population through dicts.
+    the encoding their input law carries.  The joint stays columns
+    (:func:`repro.perf.kernels.columnar_joint`): the functionals read
+    them, and the outcome dict is only built if something iterates the
+    joint.
     """
     from ..perf import kernels
 
@@ -413,23 +415,14 @@ def population_joint(
     full_names = None
     if names is not None:
         full_names = tuple(names) + ("transcript",)
-    scenario_count = len(population.outcomes)
-    if isinstance(leaves, kernels.SortedLeaves):
-        # Under the vectorized kernel the joint stays columns: the
-        # functionals read them, and the outcome dict is only built if
-        # something iterates the joint (see kernels.columnar_joint).
-        columns, outcomes = kernels.columnar_joint(leaves, population)
-        arity = len(population.scenario or [None]) + 1
-        joint = JointDistribution._from_columns(columns, arity, full_names)
-    else:
-        probs = _assemble_joint(population, _laws_from_rows(leaves))
-        outcomes = len(probs)
-        joint = JointDistribution(probs, names=full_names, normalize=True)
+    columns, outcomes = kernels.columnar_joint(leaves, population)
+    arity = len(population.scenario or [None]) + 1
+    joint = JointDistribution._from_columns(columns, arity, full_names)
     if tracer:
         tracer.event(
             "joint_enumerated",
             protocol=type(protocol).__name__,
-            scenarios=scenario_count,
+            scenarios=len(population.outcomes),
             distinct_inputs=len(inputs),
             outcomes=outcomes,
             nodes=nodes_expanded,
@@ -473,7 +466,9 @@ def transcript_distributions(
         memo=None,
         medium=medium,
     )
-    laws = dict(zip(input_keys, _laws_from_rows(leaves)))
+    laws: Dict[Tuple[Any, ...], DiscreteDistribution] = {}
+    if leaves is not None:
+        laws = dict(zip(input_keys, _laws_from_rows(leaves)))
     if tracer:
         tracer.event(
             "tree_enumerated",
@@ -497,19 +492,31 @@ def _shared_walk(
     medium: Medium,
 ) -> Tuple[Any, int, int, int]:
     """The shared walk behind every entry point above, over distinct
-    input tuples and their coordinate codes (``None``: the vectorized
-    walk encodes them).
+    input tuples and their coordinate codes (``None``: the walk encodes
+    them).
 
     Returns ``(leaves, nodes_expanded, union_leaves, max_depth)`` and
-    feeds the ``tree_*`` counters.  ``leaves`` is the vectorized
-    engine's :class:`repro.perf.kernels.SortedLeaves`, or the legacy
-    engine's flat ``(counts, boards, probabilities)`` lists; either
-    way each input's rows come in its per-input DFS leaf order.
+    feeds the ``tree_*`` counters.  ``leaves`` is the engine's
+    :class:`repro.perf.kernels.SortedLeaves` (``None`` for no inputs),
+    each input's rows in its per-input DFS leaf order.
+
+    One DFS over the *union* protocol tree: each node carries the
+    population of input tuples that reach its board as index /
+    probability / index-path arrays, and partitioning is a group-by
+    (:func:`repro.perf.kernels.tree_walk_sorted_leaves`).  The index path
+    replays, per input, the exact leaf order the per-input DFS produces
+    (children are pushed in message order and popped LIFO, so leaves
+    arrive in descending lexicographic index order), which pins the
+    normalization sum bit-for-bit.  Tuples that cannot be coded
+    (an unhashable coordinate) raise ``TypeError``; a tuple of the wrong
+    width fails ``validate_inputs`` with ``ProtocolViolation`` first.
     """
+    from ..perf import kernels
+
     reg = REGISTRY if REGISTRY.enabled else None
     memo_before = (memo.hits, memo.misses) if memo is not None else (0, 0)
     if not input_keys:
-        return ([], [], []), 0, 0, 0
+        return None, 0, 0, 0
     if codes is not None:
         # Every row of the code matrix has the same width, so one
         # tuple's check is every tuple's.
@@ -517,51 +524,17 @@ def _shared_walk(
     else:
         for key in input_keys:
             protocol.validate_inputs(key)
-
-    # ------------------------------------------------------------------
-    # One DFS over the *union* protocol tree.  Each node carries the
-    # population of input tuples that reach its board.  Under the
-    # vectorized kernel (repro.perf.kernels) the population is index /
-    # probability / index-path arrays and partitioning is a group-by;
-    # the legacy walk below carries a mapping
-    # input tuple -> (probability of this path under that input,
-    #                 child-index path in that input's own enumeration).
-    # Either way the index path lets us replay, per input, the exact leaf
-    # order the per-input DFS produces (children are pushed in message
-    # order and popped LIFO, so leaves arrive in descending lexicographic
-    # index order) — which pins the normalization sum bit-for-bit.
-    # ------------------------------------------------------------------
-    from ..perf import kernels
-
-    leaves = None
-    if kernels.use_vectorized():
-        try:
-            leaves, nodes_expanded, union_leaf_count, max_depth = (
-                kernels.tree_walk_sorted_leaves(
-                    protocol,
-                    input_keys,
-                    codes=codes,
-                    span=span,
-                    max_messages=max_messages,
-                    memo=memo,
-                    medium=medium,
-                )
-            )
-        except TypeError:
-            # Ragged tuples or unhashable coordinates cannot be coded;
-            # the dict-driven walk handles them.
-            leaves = None
-    if leaves is None:
-        leaves, nodes_expanded, union_leaf_count, max_depth = (
-            _legacy_walk_sorted_leaves(
-                protocol,
-                input_keys,
-                max_messages=max_messages,
-                memo=memo,
-                medium=medium,
-            )
+    leaves, nodes_expanded, union_leaf_count, max_depth = (
+        kernels.tree_walk_sorted_leaves(
+            protocol,
+            input_keys,
+            codes=codes,
+            span=span,
+            max_messages=max_messages,
+            memo=memo,
+            medium=medium,
         )
-
+    )
     if reg is not None:
         name = type(protocol).__name__
         reg.counter("tree_nodes_expanded").inc(nodes_expanded, protocol=name)
@@ -572,16 +545,12 @@ def _shared_walk(
     return leaves, nodes_expanded, union_leaf_count, max_depth
 
 
-def _laws_from_rows(leaf_rows: Any) -> List[DiscreteDistribution]:
+def _laws_from_rows(leaves: Any) -> List[DiscreteDistribution]:
     """Each input's transcript law, in input order, from its ordered
-    leaf rows (descending lexicographic index path — either engine
-    delivers this order), accumulated and normalized exactly as the
-    per-input path does."""
-    from ..perf import kernels
-
-    if isinstance(leaf_rows, kernels.SortedLeaves):
-        leaf_rows = leaf_rows.rows()
-    counts, leaf_boards, leaf_probs = leaf_rows
+    leaf rows (descending lexicographic index path — the order the walk
+    delivers), accumulated and normalized exactly as the per-input path
+    does."""
+    counts, leaf_boards, leaf_probs = leaves.rows()
     laws: List[DiscreteDistribution] = []
     pos = 0
     for count in counts:
@@ -605,148 +574,6 @@ def _laws_from_rows(leaf_rows: Any) -> List[DiscreteDistribution]:
         pos += count
         laws.append(DiscreteDistribution(leaves, normalize=True))
     return laws
-
-
-def _legacy_walk_sorted_leaves(
-    protocol: Protocol,
-    input_keys: Sequence[Tuple[Any, ...]],
-    *,
-    max_messages: int = DEFAULT_MAX_MESSAGES,
-    memo: Optional[MessageDistributionMemo] = None,
-    medium: Medium = BROADCAST,
-) -> Tuple[Tuple[List[int], List[Transcript], List[float]], int, int, int]:
-    """The dict-driven shared walk (the ``legacy`` kernel's engine).
-
-    Returns ``(leaf_table, nodes_expanded, union_leaves, max_depth)``
-    where ``leaf_table = (counts, boards, probabilities)`` concatenates
-    every input's leaf entries in input order — ``counts[j]`` rows for
-    ``input_keys[j]``, each row already in that input's per-input DFS
-    leaf order.  The same contract as
-    :func:`repro.perf.kernels.tree_walk_sorted_leaves`, so the caller's
-    accumulation is engine-independent.
-    """
-    Groups = Dict[Tuple[Any, ...], Tuple[float, Tuple[int, ...]]]
-    leaves_by_key: Dict[
-        Tuple[Any, ...], List[Tuple[Tuple[int, ...], Transcript, float]]
-    ] = {key: [] for key in input_keys}
-    union_leaves: Dict[Transcript, None] = {}
-    nodes_expanded = 0
-    max_depth = 0
-    k = protocol.num_players
-    num_nodes = medium.num_nodes(k)
-    root_groups: Groups = {key: (1.0, ()) for key in input_keys}
-    stack: List[Tuple[Any, Transcript, Groups]] = [
-        (protocol.initial_state(), EMPTY_TRANSCRIPT, root_groups)
-    ]
-    while stack:
-        state, board, groups = stack.pop()
-        nodes_expanded += 1
-        if len(board) > max_messages:
-            raise ProtocolViolation(
-                f"protocol exceeded {max_messages} messages during exact "
-                "enumeration"
-            )
-        if len(board) > max_depth:
-            max_depth = len(board)
-        edge = protocol.next_edge(state, board)
-        if edge is None:
-            union_leaves[board] = None
-            for key, (prob, index_path) in groups.items():
-                leaves_by_key[key].append((index_path, board, prob))
-            continue
-        speaker, link = edge
-        if not 0 <= speaker < num_nodes:
-            raise ProtocolViolation(
-                f"next_edge returned invalid player {speaker!r}"
-            )
-        medium.check_edge(k, speaker, link)
-        # Partition the population by the speaking player's input — the
-        # only coordinate the next message law may depend on (Lemma 3).
-        # An input-less node keys every tuple to None: one partition.
-        partitions: Dict[Any, List[Tuple[Any, ...]]] = {}
-        if speaker < k:
-            for key in groups:
-                partitions.setdefault(key[speaker], []).append(key)
-        else:
-            partitions[None] = list(groups)
-        children: Dict[str, Tuple[Message, Groups]] = {}
-        for speaker_input, keys in partitions.items():
-            if memo is not None:
-                dist = memo.distribution(
-                    protocol, state, speaker, speaker_input, board
-                )
-            else:
-                dist = protocol.message_distribution(
-                    state, speaker, speaker_input, board
-                )
-            for index, (bits, p) in enumerate(dist.items()):
-                if p <= _PRUNE_BELOW:
-                    continue
-                if bits == "":
-                    raise ProtocolViolation(
-                        "protocols may not write empty messages"
-                    )
-                child = children.get(bits)
-                if child is None:
-                    child = children[bits] = (
-                        Message(speaker, bits, link),
-                        {},
-                    )
-                child_groups = child[1]
-                for key in keys:
-                    prob, index_path = groups[key]
-                    child_groups[key] = (prob * p, index_path + (index,))
-        for bits, (message, child_groups) in children.items():
-            stack.append(
-                (
-                    protocol.advance_state(state, message),
-                    board.extend(message),
-                    child_groups,
-                )
-            )
-
-    # Sort each input's leaves into its per-input DFS order (descending
-    # lexicographic index path), then flatten into the engine-shared
-    # (counts, boards, probabilities) leaf table — flat parallel lists
-    # avoid materializing one pair tuple per (input, leaf) row.
-    counts: List[int] = []
-    boards_flat: List[Transcript] = []
-    probs_flat: List[float] = []
-    for key in input_keys:
-        entries = leaves_by_key[key]
-        entries.sort(key=lambda entry: entry[0], reverse=True)
-        counts.append(len(entries))
-        for _path, board, prob in entries:
-            boards_flat.append(board)
-            probs_flat.append(prob)
-    return (
-        (counts, boards_flat, probs_flat),
-        nodes_expanded,
-        len(union_leaves),
-        max_depth,
-    )
-
-
-def _assemble_joint(
-    population: Any, laws: List[DiscreteDistribution]
-) -> Dict[Tuple[Any, ...], float]:
-    """Scenario mass in scenario/transcript iteration order — the dict
-    path's joint, before normalization."""
-    member = population.member
-    if member is None:
-        rows: Iterable[int] = range(len(population.outcomes))
-    else:
-        rows = member.tolist()
-    wrapped = population.scenario is None
-    probs: Dict[Tuple[Any, ...], float] = {}
-    for outcome, p_scenario, row in zip(
-        population.outcomes, population.p.tolist(), rows
-    ):
-        scenario = (outcome,) if wrapped else outcome
-        for transcript, p_transcript in laws[row].items():
-            key = scenario + (transcript,)
-            probs[key] = probs.get(key, 0.0) + p_scenario * p_transcript
-    return probs
 
 
 def joint_transcript_distribution(

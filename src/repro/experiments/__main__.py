@@ -14,10 +14,6 @@ Usage::
     python -m repro.experiments E1 --telemetry t.jsonl # sweep snapshots
     python -m repro.experiments E1 --profile p.jsonl   # sampling profiler
 
-    # Kernel selection (see docs/performance.md): bit-identical engines
-    python -m repro.experiments E1 --kernel legacy     # pure-Python loops
-    python -m repro.experiments E2 --kernel vectorized # numpy kernels
-
     # Networked execution (see docs/networking.md).  --quick keeps the
     # sweep on the classic grid — the extended default's big points cost
     # tens of minutes when every message is framed over the wire:
@@ -153,16 +149,6 @@ def main(argv=None) -> int:
              "runtime (tables are byte-identical across backends)",
     )
     parser.add_argument(
-        "--kernel",
-        choices=("legacy", "vectorized"),
-        default=None,
-        help="exact-computation engine for every selected experiment: "
-             "'vectorized' (the default when numpy is installed) runs "
-             "the numpy-backed kernels in repro.perf.kernels, 'legacy' "
-             "forces the pure-Python loops; results are bit-identical "
-             "(see docs/performance.md)",
-    )
-    parser.add_argument(
         "--quick",
         action="store_true",
         help="sweep each grid experiment's quick grid (E1 and E16: "
@@ -203,7 +189,6 @@ def main(argv=None) -> int:
         parser.error(f"unknown experiment id(s): {', '.join(unknown)}")
 
     # Observability is imported lazily so the plain path stays untouched.
-    from ..perf import kernels
     from ..obs import (
         JsonlTracer,
         ProgressRenderer,
@@ -226,23 +211,22 @@ def main(argv=None) -> int:
         store = ResultStore(store_dir)
     if args.fabric is not None:
         # Fabric workers compute every cell with the canonical defaults
-        # (default kernel, in-memory protocols, no faults) into the
-        # store, which is both their output and the table's input.
+        # (in-memory protocols, no faults) into the store, which is both
+        # their output and the table's input.
         if store is None:
             parser.error(
                 "--fabric requires a result store (--store DIR or "
                 "REPRO_STORE, without --no-store)"
             )
         for flag, value in (
-            ("--kernel", args.kernel),
             ("--transport", args.transport),
             ("--fault-seed", args.fault_seed),
         ):
             if value is not None:
                 parser.error(
                     f"--fabric cannot be combined with {flag}: fabric "
-                    "workers compute with the default kernel, the "
-                    "in-memory transport and no faults"
+                    "workers compute with the in-memory transport and "
+                    "no faults"
                 )
         from ..fabric.cells import SWEEPABLE_EXPERIMENTS, sweep_keys
         from ..fabric.sweep import fabric_sweep
@@ -284,13 +268,6 @@ def main(argv=None) -> int:
                     runner, "fault_seed"
                 ):
                     kwargs["fault_seed"] = args.fault_seed
-                # Every runner runs under the selected kernel; one that
-                # takes ``kernel=`` also gets it, to hand to its worker
-                # processes.
-                if args.kernel is not None and _supports_kwarg(
-                    runner, "kernel"
-                ):
-                    kwargs["kernel"] = args.kernel
                 if args.quick:
                     kwargs.update(_quick_kwargs(runner))
                 started = time.monotonic()
@@ -299,7 +276,7 @@ def main(argv=None) -> int:
                     if tracer
                     else contextlib.nullcontext()
                 )
-                with span, kernels.using_kernel(args.kernel):
+                with span:
                     if args.fabric is not None and (
                         eid in SWEEPABLE_EXPERIMENTS
                     ):

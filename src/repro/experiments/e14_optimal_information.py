@@ -22,7 +22,6 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..core.analysis import conditional_information_cost
 from ..lowerbounds.hard_distribution import and_hard_distribution
-from ..perf import kernels
 from ..lowerbounds.optimal_information import (
     minimum_zero_error_cic,
     minimum_zero_error_external_ic,
@@ -35,10 +34,11 @@ from .tables import ExperimentTable
 __all__ = ["run", "DEFAULT_KS", "QUICK_KS", "SWEEP", "EXTERNAL_SWEEP"]
 
 #: k = 12 pushes the rectangle DP to 3^12 · 12 ≈ 6.4M mass cells, just
-#: under the vectorized dense-DP kernel's ``_E14_CELL_CAP``.  On a
-#: 2-CPU x86-64 machine the whole default table takes about 0.5 s;
-#: ``--kernel legacy`` certifies identical optima via the memoized
-#: recursion in about 24 s.
+#: under the vectorized dense-DP kernel's ``_E14_CELL_CAP``; above it the
+#: memoized recursion takes over.  On a 2-CPU x86-64 machine the whole
+#: default table takes about 0.5 s; the recursion certifies identical
+#: optima for it in about 24 s
+#: (``benchmarks/test_reference_engines.py``).
 DEFAULT_KS: Sequence[int] = (2, 3, 4, 6, 8, 10, 12)
 
 #: The quick sweep: k up to 8.
@@ -46,41 +46,31 @@ QUICK_KS: Sequence[int] = tuple(k for k in DEFAULT_KS if k <= 8)
 
 
 def _cell(
-    params: Dict[str, Any],
-    seed: Optional[int] = None,
-    *,
-    kernel: Optional[str] = None,
+    params: Dict[str, Any], seed: Optional[int] = None
 ) -> Tuple[float, float]:
     """One E14 grid cell: the certified optimum and the sequential
     protocol's CIC at ``k``.  Pure, so the sweep parallelizes (and
-    caches) without changing any value.  ``kernel`` is applied inside
-    the cell body so worker processes honor the sweep's ``--kernel``
-    selection."""
+    caches) without changing any value."""
     k = params["k"]
-    with kernels.using_kernel(kernel):
-        optimum = minimum_zero_error_cic(k)
-        sequential = conditional_information_cost(
-            SequentialAndProtocol(k), and_hard_distribution(k)
-        )
+    optimum = minimum_zero_error_cic(k)
+    sequential = conditional_information_cost(
+        SequentialAndProtocol(k), and_hard_distribution(k)
+    )
     return optimum, sequential
 
 
 def _external_cell(
-    params: Dict[str, Any],
-    seed: Optional[int] = None,
-    *,
-    kernel: Optional[str] = None,
+    params: Dict[str, Any], seed: Optional[int] = None
 ) -> Tuple[float, float]:
     """The external-IC contrast cell: certified AND vs XOR optima under
     uniform inputs at ``k``."""
     k = params["k"]
-    with kernels.using_kernel(kernel):
-        and_external = minimum_zero_error_external_ic(
-            k, lambda x: int(all(x)), [0.5] * k
-        )
-        xor_external = minimum_zero_error_external_ic(
-            k, lambda x: sum(x) % 2, [0.5] * k
-        )
+    and_external = minimum_zero_error_external_ic(
+        k, lambda x: int(all(x)), [0.5] * k
+    )
+    xor_external = minimum_zero_error_external_ic(
+        k, lambda x: sum(x) % 2, [0.5] * k
+    )
     return and_external, xor_external
 
 
@@ -88,8 +78,7 @@ def _k_params(k: int) -> Dict[str, int]:
     return {"k": k}
 
 
-#: The main E14 grid: one unseeded cell per ``k``; the kernel is not
-#: part of the address (both engines certify bit-identical optima).
+#: The main E14 grid: one unseeded cell per ``k``.
 SWEEP = SweepGrid(
     experiment="E14",
     cell=_cell,
@@ -113,19 +102,8 @@ def run(
     *,
     workers: Optional[int] = None,
     store: Optional[ResultStore] = None,
-    kernel: Optional[str] = None,
 ) -> ExperimentTable:
-    """Run the E14 sweep.
-
-    ``kernel`` (``--kernel`` on the CLI) selects the exact-computation
-    engine (``"vectorized"``/``"legacy"``); the certified optima are
-    bit-identical either way, so the kernel does not participate in the
-    store cell address.
-    """
-    if kernel is not None and kernel not in kernels.KERNELS:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; expected one of {kernels.KERNELS}"
-        )
+    """Run the E14 sweep."""
     table = ExperimentTable(
         experiment_id="E14",
         title="Certified minimum information cost of AND_k "
@@ -141,7 +119,7 @@ def run(
         ],
     )
     ratios = []
-    measurements = SWEEP.map(ks, store=store, workers=workers, kernel=kernel)
+    measurements = SWEEP.map(ks, store=store, workers=workers)
     for k, (optimum, sequential) in zip(ks, measurements):
         ratio = optimum / math.log2(k)
         ratios.append(ratio)
@@ -158,9 +136,7 @@ def run(
     )
     k = max(ks)
     # A single cell; never worth a process pool.
-    ((and_external, xor_external),) = EXTERNAL_SWEEP.map(
-        [k], store=store, kernel=kernel
-    )
+    ((and_external, xor_external),) = EXTERNAL_SWEEP.map([k], store=store)
     table.add_note(
         f"external-IC optima under uniform inputs at k={k}: "
         f"AND needs {and_external:.4f} bits, XOR needs "

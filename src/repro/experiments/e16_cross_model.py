@@ -35,11 +35,9 @@ import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.analysis import external_information_cost
-from ..core.runner import run_protocol
 from ..core.tasks import disjointness_task
 from ..information.distribution import DiscreteDistribution
 from ..perf import kernels
-from ..protocols.optimal_disjointness import OptimalDisjointnessProtocol
 from ..protocols.trivial import TrivialDisjointnessProtocol
 from ..store.store import ResultStore
 from ..store.sweep import SweepGrid
@@ -82,10 +80,10 @@ def measure_point(n: int, k: int) -> Tuple[int, int, int]:
     """Bits of (broadcast optimal, coordinator relay, coordinator
     trivial) disjointness on the partition worst case at ``(n, k)``.
 
-    The broadcast measurement reuses E1's engine (vectorized bigint
-    simulator when numpy is present, the message-level runner
-    otherwise — bit-identical either way); the coordinator protocols
-    run through :func:`repro.topology.runtime.run_on_medium`.  Every
+    The broadcast measurement reuses E1's in-memory engine, the exact
+    bigint simulator (pinned bit-identical to the message-level runner);
+    the coordinator protocols run through
+    :func:`repro.topology.runtime.run_on_medium`.  Every
     measurement asserts the protocol's output against the task before
     the bits are trusted.
     """
@@ -93,21 +91,13 @@ def measure_point(n: int, k: int) -> Tuple[int, int, int]:
     task = disjointness_task(n, k)
     expected = task.evaluate(inputs)
 
-    if kernels.use_vectorized():
-        broadcast_bits, output = kernels.simulate_optimal_disjointness(
-            n, k, inputs
+    broadcast_bits, output = kernels.simulate_optimal_disjointness(
+        n, k, inputs
+    )
+    if output != expected:
+        raise AssertionError(
+            f"OptimalDisjointnessProtocol wrong at n={n}, k={k}"
         )
-        if output != expected:
-            raise AssertionError(
-                f"OptimalDisjointnessProtocol wrong at n={n}, k={k}"
-            )
-    else:
-        outcome = run_protocol(OptimalDisjointnessProtocol(n, k), inputs)
-        if outcome.output != expected:
-            raise AssertionError(
-                f"OptimalDisjointnessProtocol wrong at n={n}, k={k}"
-            )
-        broadcast_bits = outcome.bits_communicated
 
     coordinator_bits = []
     for protocol, exact_cost in (

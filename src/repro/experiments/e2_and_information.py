@@ -31,7 +31,6 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..core.analysis import conditional_information_cost
 from ..lowerbounds.hard_distribution import and_hard_distribution
-from ..perf import kernels
 from ..store.store import ResultStore
 from ..store.sweep import SweepGrid
 from ..protocols.and_protocols import (
@@ -44,10 +43,9 @@ __all__ = ["run", "DEFAULT_KS", "QUICK_KS", "SWEEP", "sequential_and_cic"]
 
 #: The tail (48, 64) roughly octuples the truncated-support enumeration
 #: of the old k = 32 ceiling (C(k,<=3) inputs each walked through ~k
-#: protocol levels); both kernels complete it with bit-identical CIC
-#: values.  Most nodes of those trees hold one input, and the walk
+#: protocol levels).  Most nodes of those trees hold one input, and the walk
 #: finishes them by a per-input DFS.  Measured split of the k = 48 cell
-#: on the vectorized kernel (``perfbench/findings.py``, traced, 2-CPU
+#: (``perfbench/findings.py``, traced, 2-CPU
 #: x86-64, Python 3.11): the tree walk's own code is 72-75% of the
 #: time (it also carries the tracing wrappers of the callbacks), the
 #: protocol callbacks 14% over 695k calls, building the columnar joint
@@ -75,35 +73,24 @@ def sequential_and_cic(k: int, *, max_zeros: Optional[int] = None) -> float:
     return conditional_information_cost(SequentialAndProtocol(k), mu)
 
 
-def _measure_grid_point(
-    k: int, *, kernel: Optional[str] = None
-) -> Tuple[float, float, bool]:
+def _measure_grid_point(k: int) -> Tuple[float, float, bool]:
     """One E2 grid task: exact CIC of both witness protocols at ``k``.
-    Pure, so the sweep parallelizes without changing any value.
-    ``kernel`` is applied inside the task body so worker processes honor
-    the sweep's ``--kernel`` selection."""
+    Pure, so the sweep parallelizes without changing any value."""
     truncated = k > _FULL_SUPPORT_LIMIT
     max_zeros = 3 if truncated else None
-    with kernels.using_kernel(kernel):
-        mu = and_hard_distribution(k, max_zeros=max_zeros)
-        cic_seq = conditional_information_cost(SequentialAndProtocol(k), mu)
-        cic_full = conditional_information_cost(
-            FullBroadcastAndProtocol(k), mu
-        )
+    mu = and_hard_distribution(k, max_zeros=max_zeros)
+    cic_seq = conditional_information_cost(SequentialAndProtocol(k), mu)
+    cic_full = conditional_information_cost(FullBroadcastAndProtocol(k), mu)
     return cic_seq, cic_full, truncated
 
 
 def _cell(
-    params: Dict[str, Any],
-    seed: Optional[int] = None,
-    *,
-    kernel: Optional[str] = None,
+    params: Dict[str, Any], seed: Optional[int] = None
 ) -> Tuple[float, float, bool]:
-    return _measure_grid_point(params["k"], kernel=kernel)
+    return _measure_grid_point(params["k"])
 
 
-#: The E2 grid: one unseeded cell per ``k``; the kernel is not part of
-#: the address (both engines compute bit-identical CIC values).
+#: The E2 grid: one unseeded cell per ``k``.
 SWEEP = SweepGrid(
     experiment="E2",
     cell=_cell,
@@ -118,19 +105,8 @@ def run(
     *,
     workers: Optional[int] = None,
     store: Optional[ResultStore] = None,
-    kernel: Optional[str] = None,
 ) -> ExperimentTable:
-    """Run the E2 sweep.
-
-    ``kernel`` (``--kernel`` on the CLI) selects the exact-computation
-    engine (``"vectorized"``/``"legacy"``); the computed CIC values are
-    bit-identical either way, so the kernel does not participate in the
-    store cell address.
-    """
-    if kernel is not None and kernel not in kernels.KERNELS:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; expected one of {kernels.KERNELS}"
-        )
+    """Run the E2 sweep."""
     table = ExperimentTable(
         experiment_id="E2",
         title="Conditional information cost of AND_k under the hard "
@@ -145,7 +121,7 @@ def run(
         ],
     )
     ratios = []
-    measurements = SWEEP.map(ks, store=store, workers=workers, kernel=kernel)
+    measurements = SWEEP.map(ks, store=store, workers=workers)
     for k, (cic_seq, cic_full, truncated) in zip(ks, measurements):
         log2k = math.log2(k)
         ratio = cic_seq / log2k if log2k > 0 else float("nan")

@@ -233,15 +233,9 @@ class DiscreteDistribution:
         delegates here), so cached and uncached values are bit-identical.
         """
         if self._entropy is None:
-            from ..perf import kernels
-
-            fast = kernels.entropy_fast(self._probs)
-            if fast is not None:
-                self._entropy = fast
-            else:
-                self._entropy = -sum(
-                    p * math.log2(p) for _, p in self._probs.items() if p > 0.0
-                )
+            self._entropy = -sum(
+                p * math.log2(p) for _, p in self._probs.items() if p > 0.0
+            )
         return self._entropy
 
     def as_dict(self) -> Dict[Outcome, float]:

@@ -36,11 +36,6 @@ def kl_divergence(
     belief :math:`\\mu_2`.  Returns ``inf`` when the posterior places mass
     where the prior has none (absolute continuity fails).
     """
-    from ..perf import kernels
-
-    fast = kernels.kl_divergence_fast(posterior, prior)
-    if fast is not None:
-        return fast
     total = 0.0
     for outcome, p in posterior.items():
         q = prior[outcome]

@@ -93,6 +93,14 @@ def mutual_information(
     fast = kernels.mutual_information_fast(joint, a, b)
     if fast is not None:
         return fast
+    return _mutual_information_fold(joint, a, b)
+
+
+def _mutual_information_fold(
+    joint: JointDistribution, a: Components, b: Components
+) -> float:
+    """The scalar fold behind :func:`mutual_information`, for supports
+    below the array path's gate and for component groups."""
     pa = joint.marginal(a)
     pb = joint.marginal(b)
     # Build the joint over (group_a, group_b) explicitly so that ``a`` and

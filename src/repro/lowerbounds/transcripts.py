@@ -141,7 +141,7 @@ def analyze_good_transcripts(
 
     np_ = None
     x2_matrix = x3_matrix = None
-    if kernels.use_vectorized() and zero == 0 and one == 1:
+    if zero == 0 and one == 1:
         np_ = kernels.require_numpy()
         x2_matrix = np_.array(two_zero_inputs, dtype=np_.int64)
         x3_matrix = np_.array(three_zero_inputs, dtype=np_.int64)

@@ -86,7 +86,7 @@ Metric naming used by the instrumented subsystems:
 ``grid_workers`` (gauge)              worker-pool size of the last sweep
 ``grid_shm_bytes``                    result bytes received from workers
                                       via shared-memory segments
-``kernel_vectorized_calls``           vectorized-kernel invocations, by op
+``kernel_vectorized_calls``           array-path invocations, by op
 ``experiment_seconds`` (gauge)        wall time per experiment (CLI)
 ====================================  =======================================
 

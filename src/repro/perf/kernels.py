@@ -32,34 +32,37 @@ handled explicitly everywhere:
   Group-bys reconstruct it from ``np.unique(..., return_index=...)``
   plus a stable argsort of the first-occurrence indices.
 
-Kernel switch
--------------
-:func:`get_kernel` resolves the active kernel: an explicit
-:func:`set_kernel` choice wins, otherwise ``"vectorized"`` when numpy is
-importable and ``"legacy"`` when it is not.  Call sites gate their fast
-path on :func:`use_vectorized` and always keep the legacy loop as the
-fallback — the fallback is also the reference the differential oracle
-(``repro.check.oracles`` ``vectorized-vs-legacy``) replays.
+One engine, size-selected paths
+-------------------------------
+There is one exact-analysis engine and no kernel switch.  The tree walk
+and the columnar joint always run on arrays.  Where a pure-Python loop
+survives next to an array path, the call site picks it by input size
+alone: supports below :data:`_VECTOR_MIN_SUPPORT` outcomes take the
+scalar folds of the information functionals, and rectangle DPs above
+:data:`_E14_CELL_CAP` cells take the memoized recursion of
+``repro.lowerbounds.optimal_information``.  Tests move either gate
+with ``monkeypatch`` to reach the other side.  The retired dict-driven
+shared walk and its dict fold live on as references in
+``repro.check.mutations``, where the ``vectorized-vs-legacy`` oracle
+and ``benchmarks/test_reference_engines.py`` compare them with this
+engine.
 
 numpy is a declared dependency (``pyproject.toml``: ``numpy>=1.21``)
 and is imported lazily through this module only, so ``repro`` still
-imports on an interpreter without it.  The kernel switch does not make
-numpy optional for everything: under either kernel the exact analyzer
-reads its input populations as :class:`InputColumns` (arrays), the hard
-input laws are built with theirs, and E1's ``random_instance`` draws
-words through numpy.  Requesting the vectorized kernel explicitly
-without numpy raises the one clear error from :func:`require_numpy`.
+imports on an interpreter without it; the exact analyzer, the hard
+input laws and E1's ``random_instance`` then fail with the one clear
+error from :func:`require_numpy`.
 
-Observability: each kernel invocation increments the
+Observability: each array-path invocation increments the
 ``kernel_vectorized_calls`` counter (labeled ``op=...``) when metrics
-collection is enabled.
+collection is enabled, the one record of which side of the size gates
+ran.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from contextlib import contextmanager
 from typing import (
     Any,
     Callable,
@@ -78,11 +81,6 @@ from ..obs.metrics import REGISTRY
 __all__ = [
     "numpy_available",
     "require_numpy",
-    "get_kernel",
-    "set_kernel",
-    "using_kernel",
-    "use_vectorized",
-    "KERNELS",
     "ordered_sum",
     "SortedLeaves",
     "JointColumns",
@@ -94,8 +92,6 @@ __all__ = [
     "tree_walk_sorted_leaves",
     "columnar_joint",
     "joint_columns",
-    "entropy_fast",
-    "kl_divergence_fast",
     "mutual_information_fast",
     "conditional_mutual_information_fast",
     "class_conditioned_probabilities",
@@ -107,16 +103,16 @@ __all__ = [
     "simulate_optimal_disjointness",
 ]
 
-#: The recognized kernel names (the ``--kernel`` CLI vocabulary).
-KERNELS = ("legacy", "vectorized")
-
-#: Joint laws with fewer outcomes than this run the legacy loops — array
+#: Joint laws with fewer outcomes than this run the scalar folds — array
 #: setup costs more than it saves on tiny supports.  Tests monkeypatch
-#: this to 0 to force the fast paths onto small fixtures.
+#: this to 0 to force the array paths onto small fixtures, or above
+#: every support to force the folds.
 _VECTOR_MIN_SUPPORT = 64
 
 #: Ceiling on ``3**k * z_count`` for the vectorized E14 rectangle DP
-#: (the dense mass table is one float64 per (z, rectangle) cell).
+#: (the dense mass table is one float64 per (z, rectangle) cell); larger
+#: instances run the memoized recursion, and tests set it to 0 to force
+#: the recursion everywhere.
 _E14_CELL_CAP = 8_000_000
 
 #: Mixed-radix lineage codes in the tree walk spill into a frozen column
@@ -127,8 +123,6 @@ _LINEAGE_BITS = 62
 
 _NUMPY_UNRESOLVED = object()
 _numpy: Any = _NUMPY_UNRESOLVED
-
-_KERNEL: Optional[str] = None
 
 
 # ----------------------------------------------------------------------
@@ -155,66 +149,33 @@ def require_numpy() -> Any:
     """Return the numpy module, or raise the one canonical error.
 
     numpy is a declared dependency (``pyproject.toml`` lists
-    ``numpy>=1.21``) but the legacy kernels run without it; only an
-    explicit request for the vectorized kernel hits this guard.
+    ``numpy>=1.21``); ``repro`` imports without it, but the exact
+    analyzer, the batched sampler and everything else that reads arrays
+    stops here.
     """
     np_ = _resolve_numpy()
     if np_ is None:
         raise ImportError(
-            "the 'vectorized' kernel requires numpy, which could not be "
+            "repro's array kernels require numpy, which could not be "
             "imported; install the declared dependency (pyproject.toml: "
-            "numpy>=1.21) or select the 'legacy' kernel"
+            "numpy>=1.21)"
         )
     return np_
 
 
-# ----------------------------------------------------------------------
-# Kernel switch
-# ----------------------------------------------------------------------
 def get_kernel() -> str:
-    """The active kernel name: an explicit :func:`set_kernel` choice, or
-    ``"vectorized"`` when numpy is available and ``"legacy"`` otherwise."""
-    if _KERNEL is not None:
-        return _KERNEL
-    return "vectorized" if numpy_available() else "legacy"
+    """Shim for ``perfbench/pin.py``: the one engine."""
+    return "vectorized"
 
 
 def set_kernel(name: Optional[str]) -> None:
-    """Select the kernel process-wide.
-
-    ``None`` restores automatic resolution.  Selecting ``"vectorized"``
-    validates that numpy is importable (:func:`require_numpy`) so a bad
-    environment fails at selection time, not mid-sweep.
-    """
-    global _KERNEL
-    if name is not None and name not in KERNELS:
-        raise ValueError(
-            f"unknown kernel {name!r}; expected one of {KERNELS} or None"
-        )
-    if name == "vectorized":
-        require_numpy()
-    _KERNEL = name
-
-
-@contextmanager
-def using_kernel(name: Optional[str]):
-    """Context manager form of :func:`set_kernel`; ``None`` is a no-op
-    (keeps whatever is active), any name is restored on exit."""
-    global _KERNEL
-    if name is None:
-        yield
-        return
-    previous = _KERNEL
-    set_kernel(name)
-    try:
-        yield
-    finally:
-        _KERNEL = previous
-
-
-def use_vectorized() -> bool:
-    """True when call sites should take their vectorized fast path."""
-    return get_kernel() == "vectorized" and numpy_available()
+    """Shim for ``perfbench/pin.py``: ``None`` or ``"vectorized"``."""
+    if name == "legacy":
+        raise ValueError("the legacy kernel is now the check "
+                         "benchmarks/test_reference_engines.py")
+    if name not in (None, "vectorized"):
+        raise ValueError(f"unknown kernel {name!r}")
+    require_numpy()
 
 
 def _count_call(op: str) -> None:
@@ -1127,45 +1088,6 @@ def tree_walk_sorted_leaves(
 
 
 # ----------------------------------------------------------------------
-# Entropy / KL fast paths (information layer)
-# ----------------------------------------------------------------------
-def entropy_fast(probs: Dict[Any, float]) -> Optional[float]:
-    """Vectorized Shannon entropy of a support dict, or ``None`` when the
-    fast path should not engage.  Bit-identical to
-    ``-sum(p * math.log2(p) for p in values)`` in dict order."""
-    if not use_vectorized() or len(probs) < _VECTOR_MIN_SUPPORT:
-        return None
-    np_ = require_numpy()
-    _count_call("entropy")
-    values = np_.fromiter(probs.values(), dtype=np_.float64, count=len(probs))
-    terms = values * _exact_log2(np_, values)
-    return -sum(terms.tolist())
-
-
-def kl_divergence_fast(posterior: Any, prior: Any) -> Optional[float]:
-    """Vectorized KL divergence (Definition 4), or ``None`` to fall back.
-
-    Matches the legacy loop exactly: iterate the posterior support in
-    insertion order, return ``inf`` on any prior-zero outcome, clamp the
-    ordered total at 0.
-    """
-    if not use_vectorized() or len(posterior) < _VECTOR_MIN_SUPPORT:
-        return None
-    np_ = require_numpy()
-    _count_call("kl_divergence")
-    count = len(posterior)
-    ps = np_.empty(count, dtype=np_.float64)
-    qs = np_.empty(count, dtype=np_.float64)
-    for row, (outcome, p) in enumerate(posterior.items()):
-        ps[row] = p
-        qs[row] = prior[outcome]
-    if (qs == 0.0).any():
-        return math.inf
-    terms = ps * _exact_log2(np_, ps / qs)
-    return max(ordered_sum(terms), 0.0)
-
-
-# ----------------------------------------------------------------------
 # The columnar joint law (core.tree) and its column encoding
 # ----------------------------------------------------------------------
 def columnar_joint(
@@ -1387,8 +1309,6 @@ def _cmi_from_arrays(
 def mutual_information_fast(joint: Any, a: Any, b: Any) -> Optional[float]:
     """Vectorized :func:`repro.information.entropy.mutual_information`
     for single-component ``a``/``b``, or ``None`` to fall back."""
-    if not use_vectorized():
-        return None
     if not isinstance(a, (str, int)) or not isinstance(b, (str, int)):
         return None
     if joint._support_size() < _VECTOR_MIN_SUPPORT:  # noqa: SLF001
@@ -1410,8 +1330,6 @@ def conditional_mutual_information_fast(
     :func:`repro.information.entropy.conditional_mutual_information`
     for single-component arguments, or ``None`` to fall back (see
     :func:`_cmi_from_arrays`)."""
-    if not use_vectorized():
-        return None
     if (
         not isinstance(a, (str, int))
         or not isinstance(b, (str, int))
@@ -1531,8 +1449,6 @@ def per_player_divergence_sum_fast(
     Engages only when every player's input bit is exactly 0 or 1 (the
     hard-distribution setting).
     """
-    if not use_vectorized():
-        return None
     if joint._support_size() < _VECTOR_MIN_SUPPORT:  # noqa: SLF001
         return None
     np_ = require_numpy()
@@ -1562,11 +1478,7 @@ def per_player_divergence_sum_fast(
 # ----------------------------------------------------------------------
 def minimum_entropy_supported(k: int, z_count: int) -> bool:
     """Whether the vectorized rectangle DP may run for this instance."""
-    return (
-        use_vectorized()
-        and k >= 1
-        and (3 ** k) * z_count <= _E14_CELL_CAP
-    )
+    return k >= 1 and (3 ** k) * z_count <= _E14_CELL_CAP
 
 
 def minimum_entropy(

@@ -18,9 +18,7 @@ import sys
 import pytest
 
 import repro
-from repro.check import ALL_ORACLES, generate_case, oracle_by_name
-from repro.check.mutations import TREE_BUGS
-from repro.perf import kernels
+from repro.check import ALL_ORACLES, generate_case
 
 MASTER_SEED = 0
 # Every planted bug is currently caught at case index 0 or 1; searching a
@@ -58,56 +56,18 @@ def test_planted_bug_is_caught(oracle, bug):
     )
 
 
-# Every oracle, plus the tree-engine oracle in its numpy-free mode: the
-# legacy engine against the per-input DFS alone, the comparison once
-# made by the ``batched-vs-legacy`` oracle, whose case name it keeps.
-ORACLE_MODES = [
-    pytest.param(oracle, True, id=oracle.name) for oracle in ALL_ORACLES
-] + [
-    pytest.param(
-        oracle_by_name("vectorized-vs-legacy"), False, id="batched-vs-legacy"
-    )
-]
-
-
-def _set_numpy(monkeypatch, with_numpy):
-    if not with_numpy:
-        monkeypatch.setattr(kernels, "numpy_available", lambda: False)
-
-
-@pytest.mark.parametrize("oracle,with_numpy", ORACLE_MODES)
-def test_unknown_bug_is_rejected(monkeypatch, oracle, with_numpy):
-    _set_numpy(monkeypatch, with_numpy)
+@pytest.mark.parametrize("oracle", ALL_ORACLES, ids=lambda o: o.name)
+def test_unknown_bug_is_rejected(oracle):
     case = generate_case(MASTER_SEED, 0)
     with pytest.raises(ValueError):
         oracle.check(case, bug="no-such-defect")
 
 
-@pytest.mark.parametrize("oracle,with_numpy", ORACLE_MODES)
-def test_clean_stream_passes(monkeypatch, oracle, with_numpy):
-    _set_numpy(monkeypatch, with_numpy)
+@pytest.mark.parametrize("oracle", ALL_ORACLES, ids=lambda o: o.name)
+def test_clean_stream_passes(oracle):
     for index in range(10):
         result = oracle.check(generate_case(MASTER_SEED, index))
         assert result.ok, (index, result.details)
-        if not with_numpy:
-            assert "numpy unavailable" in result.details, result.details
-
-
-@pytest.mark.parametrize("bug", TREE_BUGS)
-def test_tree_oracle_runs_the_dfs_without_numpy(monkeypatch, bug):
-    """Without numpy there is no vectorized engine, but the legacy
-    engine is still compared with the per-input DFS — and caught."""
-    monkeypatch.setattr(kernels, "numpy_available", lambda: False)
-    oracle = oracle_by_name("vectorized-vs-legacy")
-    for index in range(SEARCH_LIMIT):
-        case = generate_case(MASTER_SEED, index)
-        if not oracle.check(case, bug=bug).ok:
-            clean = oracle.check(case)
-            assert clean.ok, clean.details
-            assert "bit-identical to the DFS" in clean.details
-            assert "numpy unavailable" in clean.details
-            return
-    pytest.fail(f"{bug!r} was never caught without numpy")
 
 
 _IMPURE_CATCHES = """

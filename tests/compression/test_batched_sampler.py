@@ -135,7 +135,7 @@ class TestValidation:
 
     def test_missing_numpy_fails_at_construction(self, monkeypatch):
         monkeypatch.setattr(kernels, "_numpy", None)
-        with pytest.raises(ImportError, match="'legacy' kernel"):
+        with pytest.raises(ImportError, match="numpy>=1.21"):
             BatchedDartSampler([make_cell(0, 8)])
 
 

@@ -1,10 +1,11 @@
 """The columnar exact joint: IC, CIC, MI, CMI and the Lemma 2 sum.
 
-Under the vectorized kernel the shared walk's leaf ids go straight into
-array columns (``repro.perf.kernels.columnar_joint``); the joint's
-outcome dict is only built if something iterates it.  Every quantity is
-pinned ``==`` three ways: the column path, the same joint handed in as
-a plain dict (encoded on first use), and the legacy kernel end to end.
+The shared walk's leaf ids go straight into array columns
+(``repro.perf.kernels.columnar_joint``); the joint's outcome dict is
+only built if something iterates it.  Every quantity is pinned ``==``
+three ways: the column path, the joint of the dict-driven reference
+walk and fold handed in as a plain dict (encoded on first use), and the
+reference engines swapped in end to end (``under("legacy", ...)``).
 """
 
 import itertools
@@ -13,6 +14,7 @@ import random
 import pytest
 
 from repro.check.generator import generate_case
+from repro.check.mutations import shared_walk_joint
 from repro.core import (
     conditional_information_cost,
     external_information_cost,
@@ -41,16 +43,11 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def under(kernel, fn):
-    with kernels.using_kernel(kernel):
-        return fn()
-
-
-def dict_joint(make_joint):
-    """The joint as the legacy kernel builds it: a plain outcome dict
-    with no cached columns, so a vectorized functional encodes it on
-    first use."""
-    joint = under("legacy", make_joint)
+def dict_joint(protocol, scenarios, names):
+    """The joint as the dict-driven reference walk and fold build it: a
+    plain outcome dict with no cached columns, so a functional encodes
+    it on first use."""
+    joint = shared_walk_joint(protocol, scenarios, names=names)
     assert joint._columns is None  # noqa: SLF001
     return joint
 
@@ -96,12 +93,12 @@ CIC_CASES = {
 
 
 @pytest.mark.parametrize("case", IC_CASES, ids=list(IC_CASES))
-def test_external_information_cost(case):
+def test_external_information_cost(case, under):
     make_protocol, make_dist = IC_CASES[case]
     protocol, dist = make_protocol(), make_dist()
     make_joint = lambda: transcript_joint(protocol, dist)  # noqa: E731
     column = under("vectorized", lambda: external_information_cost(protocol, dist))
-    hand_built = dict_joint(make_joint)
+    hand_built = dict_joint(protocol, dist.map(lambda x: (x,)), ("inputs",))
     from_dict = under(
         "vectorized",
         lambda: mutual_information(hand_built, "transcript", "inputs"),
@@ -113,7 +110,7 @@ def test_external_information_cost(case):
 
 
 @pytest.mark.parametrize("case", CIC_CASES, ids=list(CIC_CASES))
-def test_conditional_information_cost_and_lemma2(case):
+def test_conditional_information_cost_and_lemma2(case, under):
     make_protocol, k, max_zeros = CIC_CASES[case]
     protocol = make_protocol()
     mu = and_hard_distribution(k, max_zeros=max_zeros)
@@ -121,7 +118,7 @@ def test_conditional_information_cost_and_lemma2(case):
     column = under(
         "vectorized", lambda: conditional_information_cost(protocol, mu)
     )
-    hand_built = dict_joint(make_joint)
+    hand_built = dict_joint(protocol, mu, ("inputs", "aux"))
     from_dict = under(
         "vectorized",
         lambda: conditional_mutual_information(
@@ -137,7 +134,9 @@ def test_conditional_information_cost_and_lemma2(case):
         under("vectorized", lambda: per_player_divergence_sum(joint, k)),
         under(
             "vectorized",
-            lambda: per_player_divergence_sum(dict_joint(make_joint), k),
+            lambda: per_player_divergence_sum(
+                dict_joint(protocol, mu, ("inputs", "aux")), k
+            ),
         ),
         under("legacy", lambda: per_player_divergence_sum(legacy_joint, k)),
     ]
@@ -146,43 +145,41 @@ def test_conditional_information_cost_and_lemma2(case):
 
 
 @pytest.mark.parametrize("case", CIC_CASES, ids=list(CIC_CASES))
-def test_every_functional_reads_one_encoding(case):
+def test_every_functional_reads_one_encoding(case, under):
     make_protocol, k, max_zeros = CIC_CASES[case]
     protocol = make_protocol()
     mu = and_hard_distribution(k, max_zeros=max_zeros)
     make_joint = lambda: conditional_transcript_joint(protocol, mu)  # noqa: E731
     legacy_joint = under("legacy", make_joint)
-    hand_built = dict_joint(make_joint)
-    with kernels.using_kernel("vectorized"):
-        joint = make_joint()
-        for a, b in itertools.permutations(("inputs", "aux", "transcript"), 2):
-            expected = under("legacy", lambda: mutual_information(legacy_joint, a, b))
-            assert mutual_information(joint, a, b) == expected
-            assert mutual_information(hand_built, a, b) == expected
-        for a, b, c in itertools.permutations(("inputs", "aux", "transcript")):
-            expected = under(
-                "legacy",
-                lambda: conditional_mutual_information(legacy_joint, a, b, c),
-            )
-            assert conditional_mutual_information(joint, a, b, c) == expected
-            assert conditional_mutual_information(hand_built, a, b, c) == expected
+    hand_built = dict_joint(protocol, mu, ("inputs", "aux"))
+    joint = make_joint()
+    for a, b in itertools.permutations(("inputs", "aux", "transcript"), 2):
+        expected = under("legacy", lambda: mutual_information(legacy_joint, a, b))
+        assert mutual_information(joint, a, b) == expected
+        assert mutual_information(hand_built, a, b) == expected
+    for a, b, c in itertools.permutations(("inputs", "aux", "transcript")):
+        expected = under(
+            "legacy",
+            lambda: conditional_mutual_information(legacy_joint, a, b, c),
+        )
+        assert conditional_mutual_information(joint, a, b, c) == expected
+        assert conditional_mutual_information(hand_built, a, b, c) == expected
 
 
 def test_columns_match_a_first_use_encoding():
     protocol = NoisySequentialAndProtocol(5, 0.2)
     mu = and_hard_distribution(5)
-    hand_built = dict_joint(lambda: conditional_transcript_joint(protocol, mu))
-    with kernels.using_kernel("vectorized"):
-        joint = conditional_transcript_joint(protocol, mu)
-        walked = kernels.joint_columns(joint)
-        encoded = kernels.joint_columns(hand_built)
-        assert walked.p.tolist() == encoded.p.tolist()
-        for index in range(joint.arity):
-            assert walked.codes[index].tolist() == encoded.codes[index].tolist()
-            assert walked.values[index] == encoded.values[index]
+    hand_built = dict_joint(protocol, mu, ("inputs", "aux"))
+    joint = conditional_transcript_joint(protocol, mu)
+    walked = kernels.joint_columns(joint)
+    encoded = kernels.joint_columns(hand_built)
+    assert walked.p.tolist() == encoded.p.tolist()
+    for index in range(joint.arity):
+        assert walked.codes[index].tolist() == encoded.codes[index].tolist()
+        assert walked.values[index] == encoded.values[index]
 
 
-def test_zero_mass_rows_are_dropped_like_the_dict_path():
+def test_zero_mass_rows_are_dropped_like_the_dict_path(under):
     # A flip probability of 1e-170 makes two-flip leaves underflow to 0.0
     # (dropped from their input's law), and a 1e-300 input times a
     # one-flip transcript underflows in the joint (dropped there); both
@@ -195,12 +192,11 @@ def test_zero_mass_rows_are_dropped_like_the_dict_path():
     make_joint = lambda: conditional_transcript_joint(  # noqa: E731
         protocol, scenarios
     )
-    with kernels.using_kernel("vectorized"):
-        joint = make_joint()
-        columns = kernels.joint_columns(joint)
+    joint = make_joint()
+    columns = kernels.joint_columns(joint)
     assert len(columns.p) < 8 * 4  # rows really dropped
     assert list(joint.items()) == list(under("legacy", make_joint).items())
-    hand_built = dict_joint(make_joint)
+    hand_built = dict_joint(protocol, scenarios, ("inputs", "aux"))
     encoded = kernels.joint_columns(hand_built)
     assert columns.p.tolist() == encoded.p.tolist()
     for index in range(3):
@@ -208,7 +204,7 @@ def test_zero_mass_rows_are_dropped_like_the_dict_path():
         assert columns.values[index] == encoded.values[index]
 
 
-def test_coordinator_medium():
+def test_coordinator_medium(under):
     protocol = CoordinatorAndProtocol(6)
     dist = random_weights(6, 3)
     column = under(
@@ -222,7 +218,7 @@ def test_coordinator_medium():
     assert column == legacy
 
 
-def test_internal_information_cost_custom_inputs_of():
+def test_internal_information_cost_custom_inputs_of(under):
     protocol = TwoPartyDisjointnessProtocol(3)
     dist = DiscreteDistribution.uniform(
         list(itertools.product(range(8), repeat=2))
@@ -233,7 +229,7 @@ def test_internal_information_cost_custom_inputs_of():
 
 
 @pytest.mark.parametrize("index", range(8))
-def test_generated_cases(index):
+def test_generated_cases(index, under):
     case = generate_case(11, index)
     column = under(
         "vectorized",
@@ -248,26 +244,32 @@ def test_generated_cases(index):
 
 def test_ic_never_builds_the_outcome_dict():
     protocol = SequentialAndProtocol(8)
-    with kernels.using_kernel("vectorized"):
-        joint = transcript_joint(protocol, uniform_bits(8))
-        mutual_information(joint, "transcript", "inputs")
-        assert joint._law is None  # noqa: SLF001 - the deferred dict
-        assert len(joint.support()) == len(kernels.joint_columns(joint).p)
-        assert joint._law is not None  # noqa: SLF001
+    joint = transcript_joint(protocol, uniform_bits(8))
+    mutual_information(joint, "transcript", "inputs")
+    assert joint._law is None  # noqa: SLF001 - the deferred dict
+    assert len(joint.support()) == len(kernels.joint_columns(joint).p)
+    assert joint._law is not None  # noqa: SLF001
 
 
-def test_column_path_counter():
+def test_column_path_counter(under):
     enable_metrics(reset=True)
     try:
-        with kernels.using_kernel("vectorized"):
-            external_information_cost(SequentialAndProtocol(7), uniform_bits(7))
+        external_information_cost(SequentialAndProtocol(7), uniform_bits(7))
         counter = REGISTRY.counter("kernel_vectorized_calls")
+        assert counter.value(op="tree_walk") == 1
         assert counter.value(op="joint_columns") == 1
         assert counter.value(op="mutual_information") == 1
         enable_metrics(reset=True)
-        with kernels.using_kernel("legacy"):
-            external_information_cost(SequentialAndProtocol(7), uniform_bits(7))
-        assert REGISTRY.counter("kernel_vectorized_calls").total() == 0
+        under(
+            "legacy",
+            lambda: external_information_cost(
+                SequentialAndProtocol(7), uniform_bits(7)
+            ),
+        )
+        # The reference walk and fold are not array-path invocations.
+        counter = REGISTRY.counter("kernel_vectorized_calls")
+        assert counter.value(op="tree_walk") == 0
+        assert counter.value(op="mutual_information") == 0
     finally:
         disable_metrics()
 
@@ -275,11 +277,10 @@ def test_column_path_counter():
 def test_deferred_joint_pickles_as_its_outcome_dict():
     import pickle
 
-    with kernels.using_kernel("vectorized"):
-        joint = transcript_joint(SequentialAndProtocol(7), uniform_bits(7))
-        copied = pickle.loads(pickle.dumps(joint))
-        assert copied.names == joint.names
-        assert list(copied.items()) == list(joint.items())
-        assert mutual_information(copied, "transcript", "inputs") == (
-            mutual_information(joint, "transcript", "inputs")
-        )
+    joint = transcript_joint(SequentialAndProtocol(7), uniform_bits(7))
+    copied = pickle.loads(pickle.dumps(joint))
+    assert copied.names == joint.names
+    assert list(copied.items()) == list(joint.items())
+    assert mutual_information(copied, "transcript", "inputs") == (
+        mutual_information(joint, "transcript", "inputs")
+    )

@@ -4,7 +4,8 @@
 float for float and in the same item order, what the public scenario
 construction returns: ``input_dist.map(lambda x: (x,))`` (or the pair
 law itself) handed to ``batched_joint_transcript_distribution``.  Every
-case is checked under both kernels: the ``float.hex`` of every joint
+case is checked on the engine and with the reference engines swapped
+in (the ``legacy`` ids): the ``float.hex`` of every joint
 mass, the outcome tuples, the column codes and decoded values, and the
 MI / CMI read off the joint.
 """
@@ -44,6 +45,8 @@ pytestmark = pytest.mark.skipif(
     not kernels.numpy_available(), reason="numpy not installed"
 )
 
+#: ``legacy`` runs each computation with the reference engines of
+#: :func:`repro.check.mutations.reference_engines` swapped in.
 KERNELS = ("legacy", "vectorized")
 
 
@@ -142,11 +145,6 @@ PAIR_CASES = {
 }
 
 
-def under(kernel, fn):
-    with kernels.using_kernel(kernel):
-        return fn()
-
-
 def fresh_copy(dist):
     """The same law with an empty column slot: a pickle round trip."""
     return pickle.loads(pickle.dumps(dist))
@@ -166,7 +164,7 @@ def snapshot(joint):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("case", INPUT_CASES, ids=list(INPUT_CASES))
-def test_transcript_joint_matches_the_scenario_map(case, kernel):
+def test_transcript_joint_matches_the_scenario_map(case, kernel, under):
     make_protocol, make_law = INPUT_CASES[case]
     protocol, law = make_protocol(), make_law()
 
@@ -194,7 +192,9 @@ def test_transcript_joint_matches_the_scenario_map(case, kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("case", PAIR_CASES, ids=list(PAIR_CASES))
-def test_conditional_transcript_joint_matches_the_pair_law(case, kernel):
+def test_conditional_transcript_joint_matches_the_pair_law(
+    case, kernel, under
+):
     make_protocol, k, max_zeros = PAIR_CASES[case]
     protocol = make_protocol()
     mu = and_hard_distribution(k, max_zeros=max_zeros)
@@ -233,7 +233,7 @@ def test_conditional_transcript_joint_matches_the_pair_law(case, kernel):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_pair_law_with_a_zero_mass(kernel):
+def test_pair_law_with_a_zero_mass(kernel, under):
     weights = {
         (x, z): 1.0
         for x in itertools.product((0, 1), repeat=6)
@@ -256,7 +256,7 @@ def test_pair_law_with_a_zero_mass(kernel):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_non_pair_law_raises_the_same_type_error(kernel):
+def test_non_pair_law_raises_the_same_type_error(kernel, under):
     mu = DiscreteDistribution.uniform([((1, 0), 0), ((0, 1), 1, "extra")])
     with pytest.raises(TypeError) as caught:
         under(

@@ -12,7 +12,6 @@ from repro.core import (
 )
 from repro.core.model import BOARD_LINK, Link
 from repro.information import DiscreteDistribution
-from repro.perf import kernels
 
 
 class TestMessage:
@@ -33,17 +32,18 @@ class TestMessage:
             m.bits = "0"
 
     @pytest.mark.parametrize("kernel", ["legacy", "vectorized"])
-    def test_exact_walk_still_validates_messages(self, kernel):
-        # The vectorized walk builds one Message per distinct
-        # (speaker, bits) and shares it; a bad one must still raise.
-        if kernel == "vectorized" and not kernels.numpy_available():
-            pytest.skip("numpy not installed")
+    def test_exact_walk_still_validates_messages(self, kernel, under):
+        # The engine walk builds one Message per distinct (speaker,
+        # bits) and shares it; a bad one must still raise, as it does in
+        # the reference walk.
         scenarios = DiscreteDistribution.uniform([((1,),), ((2,),)])
-        with kernels.using_kernel(kernel):
-            with pytest.raises(ValueError, match="0/1 string"):
-                batched_joint_transcript_distribution(
+        with pytest.raises(ValueError, match="0/1 string"):
+            under(
+                kernel,
+                lambda: batched_joint_transcript_distribution(
                     _EchoProtocol(), scenarios
-                )
+                ),
+            )
 
 
 class TestTranscript:

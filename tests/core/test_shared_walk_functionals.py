@@ -5,8 +5,9 @@ and `worst_case_communication` fold over the transcript laws of
 `transcript_distributions` (one shared walk) instead of calling
 `transcript_distribution` once per input.  The contract is exact
 equality with the per-input loops they replaced, which are kept below
-verbatim (plus the `medium=` pass-through) as the reference, under both
-tree-walk kernels, on deterministic, randomized and medium protocols.
+verbatim (plus the `medium=` pass-through) as the reference, on the
+engine walk and with the dict-driven reference walk swapped in, on
+deterministic, randomized and medium protocols.
 """
 
 import itertools
@@ -28,11 +29,11 @@ from repro.core import (
     worst_case_error,
 )
 from repro.core.analysis import _output_for
-from repro.core.model import BROADCAST
+from repro.core.model import BROADCAST, ProtocolViolation
+from repro.core.tree import population_joint
 from repro.information import DiscreteDistribution
 from repro.lowerbounds.fooling import TruncatedAndProtocol, lemma6_distribution
 from repro.obs import RecordingTracer, collecting
-from repro.perf import kernels
 from repro.protocols import (
     FullBroadcastAndProtocol,
     NaiveDisjointnessProtocol,
@@ -164,61 +165,64 @@ def _cases():
 
 CASES = _cases()
 IDS = [case[0] for case in CASES]
-KERNELS = [
-    "legacy",
-    pytest.param(
-        "vectorized",
-        marks=pytest.mark.skipif(
-            not kernels.numpy_available(), reason="numpy not installed"
-        ),
-    ),
-]
+#: ``legacy`` swaps the reference engines in (``under`` in conftest.py).
+KERNELS = ["legacy", "vectorized"]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 class TestFunctionalsEqualPerInputLoops:
-    def test_transcript_laws(self, case, kernel):
+    def test_transcript_laws(self, case, kernel, under):
         _, protocol, dist, _, medium = case
-        with kernels.using_kernel(kernel):
-            laws = transcript_distributions(
+        laws = under(
+            kernel,
+            lambda: transcript_distributions(
                 protocol, dist.support(), medium=medium
-            )
+            ),
+        )
         assert list(laws) == [tuple(x) for x in dist.support()]
         for inputs in dist.support():
             expected = transcript_distribution(protocol, inputs, medium=medium)
             assert list(laws[tuple(inputs)].items()) == list(expected.items())
 
-    def test_distributional_error(self, case, kernel):
+    def test_distributional_error(self, case, kernel, under):
         _, protocol, dist, task, medium = case
-        with kernels.using_kernel(kernel):
-            actual = distributional_error(
+        actual = under(
+            kernel,
+            lambda: distributional_error(
                 protocol, dist, task.evaluate, medium=medium
-            )
+            ),
+        )
         assert actual == loop_distributional_error(
             protocol, dist, task.evaluate, medium
         )
 
-    def test_worst_case_error(self, case, kernel):
+    def test_worst_case_error(self, case, kernel, under):
         _, protocol, dist, task, medium = case
         inputs = dist.support()
-        with kernels.using_kernel(kernel):
-            actual = worst_case_error(protocol, task, iter(inputs), medium=medium)
+        actual = under(
+            kernel,
+            lambda: worst_case_error(protocol, task, iter(inputs), medium=medium),
+        )
         assert actual == loop_worst_case_error(protocol, task, inputs, medium)
 
-    def test_expected_communication(self, case, kernel):
+    def test_expected_communication(self, case, kernel, under):
         _, protocol, dist, _, medium = case
-        with kernels.using_kernel(kernel):
-            actual = expected_communication(protocol, dist, medium=medium)
+        actual = under(
+            kernel,
+            lambda: expected_communication(protocol, dist, medium=medium),
+        )
         assert actual == loop_expected_communication(protocol, dist, medium)
 
-    def test_worst_case_communication(self, case, kernel):
+    def test_worst_case_communication(self, case, kernel, under):
         _, protocol, dist, _, medium = case
         inputs = dist.support()
-        with kernels.using_kernel(kernel):
-            actual = worst_case_communication(
+        actual = under(
+            kernel,
+            lambda: worst_case_communication(
                 protocol, iter(inputs), medium=medium
-            )
+            ),
+        )
         assert actual == loop_worst_case_communication(protocol, inputs, medium)
 
 
@@ -258,6 +262,30 @@ class TestSharedWalkEdges:
         assert transcript_distributions(SequentialAndProtocol(2), []) == {}
         empty = Task("empty", 2, lambda x: 0, lambda: iter(()))
         assert worst_case_error(SequentialAndProtocol(2), empty) == 0.0
+
+    def test_uncodable_inputs_raise_typed_errors(self):
+        """What the walk cannot code fails typed: an unhashable
+        coordinate with ``TypeError``, a tuple of the wrong width with
+        ``ProtocolViolation`` (``validate_inputs`` runs first)."""
+        import numpy
+
+        from repro.perf import kernels
+
+        protocol = SequentialAndProtocol(2)
+        unhashable = [(1, [0]), (0, 1)]
+        with pytest.raises(TypeError):
+            transcript_distributions(protocol, unhashable)
+        population = kernels.InputColumns(
+            numpy.array([0.5, 0.5]), unhashable, unhashable, None, None, 0
+        )
+        with pytest.raises(TypeError):
+            population_joint(protocol, population)
+
+        with pytest.raises(ProtocolViolation):
+            transcript_distributions(protocol, [(1, 0, 1), (0, 1, 1)])
+        wide = DiscreteDistribution.uniform([(1, 0, 1), (0, 1, 1)])
+        with pytest.raises(ProtocolViolation):
+            population_joint(protocol, kernels.input_columns(wide))
 
     def test_one_event_and_tree_counters(self):
         protocol = SequentialAndProtocol(3)

@@ -149,17 +149,6 @@ class TestCLI:
         assert "experiment_seconds" in out
         assert not REGISTRY.enabled  # collection turned back off
 
-    def test_kernel_flag_reaches_every_experiment(self, capsys):
-        # E10's run() takes no kernel= argument; the legacy kernel must
-        # still carry all of it.
-        from repro.experiments.__main__ import main
-
-        assert main(["E10", "--kernel", "legacy", "--metrics"]) == 0
-        out = capsys.readouterr().out
-        assert "[E10 metrics]" in out
-        assert "tree_nodes_expanded" in out
-        assert "kernel_vectorized_calls" not in out
-
 
 class TestE13:
     def test_reduced_run(self):

@@ -120,11 +120,10 @@ class TestFabricFlag:
     @pytest.mark.parametrize(
         "flag",
         [
-            ["--kernel", "legacy"],
             ["--transport", "loopback"],
             ["--fault-seed", "7"],
         ],
-        ids=["kernel", "transport", "fault-seed"],
+        ids=["transport", "fault-seed"],
     )
     def test_rejects_flags_fabric_workers_ignore(
         self, tmp_path, capsys, flag

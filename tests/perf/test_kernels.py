@@ -1,14 +1,15 @@
-"""repro.perf.kernels: the vectorized exact engine's contract.
+"""repro.perf.kernels: the exact engine's contract.
 
-Two things are pinned here.  First, the switch semantics: kernel
-selection is explicit, validated, scoped, and fails fast when numpy is
-missing.  Second — the property everything else rests on — *bit
-identity*: every quantity the vectorized kernel computes (tree walks,
-entropies, divergences, mutual informations, the Lemma 3 class
+The property everything rests on is *bit identity*: every quantity the
+engine computes (tree walks, mutual informations, the Lemma 3 class
 probabilities, the Lemma 2 divergence sum, the E14 rectangle DP, the E1
-protocol simulators) must equal the legacy implementation exactly, float
-for float, outcome order included, on every workload the legacy path
-completes.
+protocol simulators) must equal its reference exactly, float for float,
+outcome order included.  The references are the dict-driven shared walk
+and dict fold of :mod:`repro.check.mutations`, called directly or
+swapped in by the ``reference_and_engine`` fixture, and the scalar
+folds and rectangle recursion behind the size gates, which the fixture
+selects by moving ``_VECTOR_MIN_SUPPORT`` and ``_E14_CELL_CAP``.  What
+is left of the kernel switch is the ``perfbench/pin.py`` shim.
 """
 
 import itertools
@@ -17,6 +18,7 @@ import random
 
 import pytest
 
+from repro.check import mutations
 from repro.check.generator import GeneratedCoordinatorProtocol, generate_case
 from repro.core import (
     batched_joint_transcript_distribution,
@@ -67,73 +69,29 @@ numpy_required = pytest.mark.skipif(
 
 
 # ----------------------------------------------------------------------
-# Switch semantics.
+# The pin shim: what is left of the kernel switch.
 # ----------------------------------------------------------------------
 class TestKernelSwitch:
-    def teardown_method(self):
-        kernels.set_kernel(None)
-
-    def test_default_resolution_tracks_numpy(self):
-        kernels.set_kernel(None)
-        expected = "vectorized" if kernels.numpy_available() else "legacy"
-        assert kernels.get_kernel() == expected
-
-    def test_explicit_legacy_wins(self):
-        kernels.set_kernel("legacy")
-        assert kernels.get_kernel() == "legacy"
-        assert not kernels.use_vectorized()
-
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
             kernels.set_kernel("simd")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            with kernels.using_kernel("simd"):
-                pass  # pragma: no cover - never entered
-
-    def test_using_kernel_restores_on_exit(self):
-        kernels.set_kernel("legacy")
-        with kernels.using_kernel("legacy"):
-            assert kernels.get_kernel() == "legacy"
-        assert kernels.get_kernel() == "legacy"
-        kernels.set_kernel(None)
-        with kernels.using_kernel("legacy"):
-            assert kernels.get_kernel() == "legacy"
-        assert kernels.get_kernel() == (
-            "vectorized" if kernels.numpy_available() else "legacy"
-        )
-
-    def test_using_kernel_restores_after_exception(self):
-        kernels.set_kernel(None)
-        with pytest.raises(RuntimeError):
-            with kernels.using_kernel("legacy"):
-                raise RuntimeError("boom")
-        assert kernels.get_kernel() != "legacy" or not (
-            kernels.numpy_available()
-        )
 
     def test_none_is_a_no_op(self):
-        kernels.set_kernel("legacy")
-        with kernels.using_kernel(None):
-            assert kernels.get_kernel() == "legacy"
-        assert kernels.get_kernel() == "legacy"
+        kernels.set_kernel(None)
+        kernels.set_kernel("vectorized")
+        assert kernels.get_kernel() == "vectorized"
+
+    def test_legacy_names_its_replacement(self):
+        with pytest.raises(ValueError, match="test_reference_engines"):
+            kernels.set_kernel("legacy")
 
     def test_missing_numpy_fails_at_selection_time(self, monkeypatch):
         monkeypatch.setattr(kernels, "_numpy", None)
         assert not kernels.numpy_available()
-        assert kernels.get_kernel() == "legacy"
-        assert not kernels.use_vectorized()
         with pytest.raises(ImportError, match="numpy>=1.21"):
             kernels.require_numpy()
-        with pytest.raises(ImportError, match="'legacy' kernel"):
+        with pytest.raises(ImportError, match="numpy>=1.21"):
             kernels.set_kernel("vectorized")
-
-    @numpy_required
-    def test_missing_numpy_disables_fast_paths(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_numpy", None)
-        monkeypatch.setattr(kernels, "_VECTOR_MIN_SUPPORT", 0)
-        dist = DiscreteDistribution({"a": 0.25, "b": 0.75})
-        assert kernels.entropy_fast(dict(dist.items())) is None
-        assert not kernels.minimum_entropy_supported(3, 3)
 
 
 # ----------------------------------------------------------------------
@@ -143,13 +101,16 @@ def scenario_distribution(input_tuples):
     return DiscreteDistribution.uniform([(t,) for t in input_tuples])
 
 
-def both_kernels(compute):
-    """Evaluate ``compute()`` under each kernel, returning the pair."""
-    with kernels.using_kernel("legacy"):
-        legacy = compute()
-    with kernels.using_kernel("vectorized"):
-        vectorized = compute()
-    return legacy, vectorized
+#: The two engines of a joint law, by the name its test ids keep.
+JOINTS = {
+    "legacy": mutations.shared_walk_joint,
+    "vectorized": batched_joint_transcript_distribution,
+}
+
+
+def both_joints(*args, **kwargs):
+    """The joint from the dict-driven reference, and from the engine."""
+    return tuple(joint(*args, **kwargs) for joint in JOINTS.values())
 
 
 def assert_joint_identical(legacy, vectorized):
@@ -168,10 +129,8 @@ class TestTreeWalkIdentity:
         if len(inputs) > 64:
             inputs = inputs[::3][:64]
         scenarios = scenario_distribution(inputs)
-        legacy, vectorized = both_kernels(
-            lambda: batched_joint_transcript_distribution(
-                protocol, scenarios, names=("inputs",)
-            )
+        legacy, vectorized = both_joints(
+            protocol, scenarios, names=("inputs",)
         )
         assert_joint_identical(legacy, vectorized)
 
@@ -209,44 +168,37 @@ class TestTreeWalkIdentity:
     )
     def test_medium_protocols(self, protocol, medium, inputs):
         scenarios = scenario_distribution(inputs)
-        legacy, vectorized = both_kernels(
-            lambda: batched_joint_transcript_distribution(
-                protocol, scenarios, names=("inputs",), medium=medium
-            )
+        legacy, vectorized = both_joints(
+            protocol, scenarios, names=("inputs",), medium=medium
         )
         assert_joint_identical(legacy, vectorized)
 
-    @pytest.mark.parametrize("kernel", kernels.KERNELS)
+    @pytest.mark.parametrize("kernel", sorted(JOINTS))
     def test_off_medium_edge_rejected(self, kernel):
         # The ring protocol writes on Link(0, 1), which the coordinator
         # medium does not have.
         scenarios = scenario_distribution(
             list(itertools.product((0, 1), repeat=3))
         )
-        with kernels.using_kernel(kernel):
-            with pytest.raises(TopologyViolation, match="is not a link"):
-                batched_joint_transcript_distribution(
-                    RingTokenAndProtocol(3), scenarios, medium=COORDINATOR
-                )
+        with pytest.raises(TopologyViolation, match="is not a link"):
+            JOINTS[kernel](
+                RingTokenAndProtocol(3), scenarios, medium=COORDINATOR
+            )
 
     @pytest.mark.parametrize("index", range(25))
     def test_generated_protocols(self, index):
         case = generate_case(2026, index)
         scenarios = case.input_dist.map(lambda x: (x,))
-        legacy, vectorized = both_kernels(
-            lambda: batched_joint_transcript_distribution(
-                case.protocol, scenarios, names=("inputs",)
-            )
+        legacy, vectorized = both_joints(
+            case.protocol, scenarios, names=("inputs",)
         )
         assert_joint_identical(legacy, vectorized)
 
     def test_weighted_aux_scenarios(self):
         protocol = NoisySequentialAndProtocol(3, 0.125)
         mu = and_hard_distribution(3)
-        legacy, vectorized = both_kernels(
-            lambda: batched_joint_transcript_distribution(
-                protocol, mu, names=("inputs", "aux")
-            )
+        legacy, vectorized = both_joints(
+            protocol, mu, names=("inputs", "aux")
         )
         assert_joint_identical(legacy, vectorized)
 
@@ -260,30 +212,10 @@ class TestTreeWalkIdentity:
             monkeypatch.setattr(kernels, "_LINEAGE_BITS", lineage_bits)
         protocol = SequentialAndProtocol(10)
         mu = and_hard_distribution(10)
-        legacy, vectorized = both_kernels(
-            lambda: batched_joint_transcript_distribution(
-                protocol, mu, names=("inputs", "aux")
-            )
+        legacy, vectorized = both_joints(
+            protocol, mu, names=("inputs", "aux")
         )
         assert_joint_identical(legacy, vectorized)
-
-    @pytest.mark.parametrize("lineage_bits", [None, 4])
-    def test_branching_levels(self, lineage_bits, monkeypatch):
-        # Every node forks into both messages from two blocks, so each
-        # child is fed by several segments; with 4 lineage bits the
-        # gather also carries the frozen spill columns.  The leaf tables
-        # are compared directly: the full joint law has 2^20 rows.
-        if lineage_bits is not None:
-            monkeypatch.setattr(kernels, "_LINEAGE_BITS", lineage_bits)
-        protocol = NoisySequentialAndProtocol(10, 0.125)
-        inputs = list(itertools.product((0, 1), repeat=10))
-        legacy = tree._legacy_walk_sorted_leaves(
-            protocol, inputs, max_messages=16
-        )
-        leaves, *stats = kernels.tree_walk_sorted_leaves(
-            protocol, inputs, max_messages=16
-        )
-        assert (leaves.rows(), *stats) == legacy
 
     def test_lineage_spill_path(self, monkeypatch):
         # Force the mixed-radix lineage codes to overflow into frozen
@@ -291,10 +223,8 @@ class TestTreeWalkIdentity:
         monkeypatch.setattr(kernels, "_LINEAGE_BITS", 4)
         case = generate_case(2026, 3)
         scenarios = case.input_dist.map(lambda x: (x,))
-        legacy, vectorized = both_kernels(
-            lambda: batched_joint_transcript_distribution(
-                case.protocol, scenarios, names=("inputs",)
-            )
+        legacy, vectorized = both_joints(
+            case.protocol, scenarios, names=("inputs",)
         )
         assert_joint_identical(legacy, vectorized)
 
@@ -352,14 +282,14 @@ class PhasedHubProtocol(PhasedBitProtocol):
         return (speaker, Link(speaker if speaker < k else state % k, k))
 
 
-WALKS = (tree._legacy_walk_sorted_leaves, kernels.tree_walk_sorted_leaves)
+WALKS = (mutations.shared_walk_reference, kernels.tree_walk_sorted_leaves)
 
 
 def assert_walks_identical(
     protocol, inputs, *, max_messages=64, memo=False, **kwargs
 ):
     """Counts, boards, every probability's ``float.hex`` and the walk
-    statistics of the legacy and vectorized walks agree (each walk gets
+    statistics of the reference and the engine walk agree (each walk gets
     its own fresh memo when ``memo`` is set)."""
     (rows, *legacy_stats), (leaves, *stats) = [
         walk(
@@ -388,7 +318,8 @@ def hard_inputs(k, max_zeros):
 @numpy_required
 class TestOneInputSubtrees:
     """Trees made mostly of subtrees whose population is one input: the
-    vectorized walk must still equal the legacy walk row for row."""
+    engine walk must still equal the dict-driven reference row for
+    row."""
 
     @pytest.mark.parametrize("max_zeros", [2, 3])
     @pytest.mark.parametrize("k", [4, 9, 14, 20])
@@ -525,11 +456,12 @@ class TestInformationIdentity:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_entropy(self, seed):
+        # One scalar path: the historical formula, in dict order.
         rng = random.Random(seed)
         probs = {i: rng.random() + 1e-3 for i in range(40)}
         dist = DiscreteDistribution(probs, normalize=True)
-        legacy, vectorized = both_kernels(dist.entropy)
-        assert legacy == vectorized
+        reference = -sum(p * math.log2(p) for _o, p in dist.items())
+        assert dist.entropy() == reference
 
     @pytest.mark.parametrize("seed", range(5))
     def test_kl_divergence(self, seed):
@@ -541,56 +473,59 @@ class TestInformationIdentity:
         prior = DiscreteDistribution(
             {i: rng.random() + 1e-3 for i in support}, normalize=True
         )
-        legacy, vectorized = both_kernels(
-            lambda: kl_divergence(posterior, prior)
-        )
-        assert legacy == vectorized
+        # One scalar path: Definition 4 folded in posterior order.
+        reference = 0.0
+        for outcome, p in posterior.items():
+            reference += p * math.log2(p / prior[outcome])
+        assert kl_divergence(posterior, prior) == max(reference, 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_mutual_information(self, seed):
+    def test_mutual_information(self, reference_and_engine, seed):
         joint = random_joint(seed, (4, 5))
-        legacy, vectorized = both_kernels(
+        legacy, vectorized = reference_and_engine(
             lambda: mutual_information(joint, "a", "b")
         )
         assert legacy == vectorized
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_conditional_mutual_information(self, seed):
+    def test_conditional_mutual_information(
+        self, reference_and_engine, seed
+    ):
         joint = random_joint(seed, (3, 4, 3))
-        legacy, vectorized = both_kernels(
+        legacy, vectorized = reference_and_engine(
             lambda: conditional_mutual_information(joint, "a", "b", "c")
         )
         assert legacy == vectorized
 
-    def test_information_costs(self):
+    def test_information_costs(self, reference_and_engine):
         protocol = NoisySequentialAndProtocol(3, 0.25)
         mu = and_hard_distribution(3)
-        legacy, vectorized = both_kernels(
+        legacy, vectorized = reference_and_engine(
             lambda: conditional_information_cost(protocol, mu)
         )
         assert legacy == vectorized
         uniform = DiscreteDistribution.uniform(
             list(itertools.product((0, 1), repeat=3))
         )
-        legacy, vectorized = both_kernels(
+        legacy, vectorized = reference_and_engine(
             lambda: external_information_cost(protocol, uniform)
         )
         assert legacy == vectorized
 
-    def test_internal_information_cost(self):
+    def test_internal_information_cost(self, reference_and_engine):
         protocol = TwoPartyDisjointnessProtocol(2)
         uniform = DiscreteDistribution.uniform(
             list(itertools.product(range(4), repeat=2))
         )
-        legacy, vectorized = both_kernels(
+        legacy, vectorized = reference_and_engine(
             lambda: internal_information_cost(protocol, uniform)
         )
         assert legacy == vectorized
 
-    def test_per_player_divergence_sum(self):
+    def test_per_player_divergence_sum(self, reference_and_engine):
         protocol = NoisySequentialAndProtocol(3, 0.125)
         mu = and_hard_distribution(3)
-        legacy, vectorized = both_kernels(
+        legacy, vectorized = reference_and_engine(
             lambda: per_player_divergence_sum(
                 batched_joint_transcript_distribution(
                     protocol, mu, names=("inputs", "aux")
@@ -600,8 +535,10 @@ class TestInformationIdentity:
         )
         assert legacy == vectorized
 
-    def test_lemma3_transcript_classification(self):
-        legacy, vectorized = both_kernels(
+    def test_lemma3_transcript_classification(
+        self, reference_and_engine
+    ):
+        legacy, vectorized = reference_and_engine(
             lambda: analyze_good_transcripts(
                 NoisySequentialAndProtocol(3, 0.25)
             )
@@ -662,19 +599,17 @@ class TestBuiltinSumSites:
         dist = DiscreteDistribution(
             {i: rng.random() + 1e-3 for i in range(70)}, normalize=True
         )
-        assert separates([p * math.log2(p) for _o, p in dist.items()])
-        legacy, vectorized = both_kernels(
-            lambda: DiscreteDistribution(dist.as_dict()).entropy()
-        )
-        assert legacy == vectorized
+        terms = [p * math.log2(p) for _o, p in dist.items()]
+        assert separates(terms)
+        assert dist.entropy() == -sum(terms)
 
-    def test_marginal_normalizer(self):
+    def test_marginal_normalizer(self, reference_and_engine):
         joint = random_joint(3, (12, 6))
         acc = {}
         for (a, _b), p in joint.items():
             acc[a] = acc.get(a, 0.0) + p
         assert separates(list(acc.values()))
-        legacy, vectorized = both_kernels(
+        legacy, vectorized = reference_and_engine(
             lambda: mutual_information(
                 JointDistribution(dict(joint.items()), names=("a", "b")),
                 "a",
@@ -683,7 +618,9 @@ class TestBuiltinSumSites:
         )
         assert legacy == vectorized
 
-    def test_conditional_slice_normalizer_and_mass(self):
+    def test_conditional_slice_normalizer_and_mass(
+        self, reference_and_engine
+    ):
         joint = random_joint(1, (4, 5, 3))
         slices = {}
         for outcome, p in joint.items():
@@ -695,7 +632,7 @@ class TestBuiltinSumSites:
                 separates([p * (1.0 / fold(raw)) for p in raw])
                 for raw in slices.values()
             )
-        legacy, vectorized = both_kernels(
+        legacy, vectorized = reference_and_engine(
             lambda: conditional_mutual_information(
                 JointDistribution(dict(joint.items()), names=("a", "b", "c")),
                 "a",
@@ -757,16 +694,16 @@ def skewed_marginals(k, seed):
 @numpy_required
 class TestRectangleDPIdentity:
     @pytest.mark.parametrize("k", (2, 3, 4, 5, 6, 7))
-    def test_minimum_zero_error_cic(self, k):
-        legacy, vectorized = both_kernels(
+    def test_minimum_zero_error_cic(self, reference_and_engine, k):
+        legacy, vectorized = reference_and_engine(
             lambda: minimum_zero_error_cic(k)
         )
         assert legacy.hex() == vectorized.hex()
 
     @pytest.mark.parametrize("k", (2, 3, 4))
-    def test_minimum_zero_error_external_ic(self, k):
+    def test_minimum_zero_error_external_ic(self, reference_and_engine, k):
         for evaluate in RECTANGLE_TASKS.values():
-            legacy, vectorized = both_kernels(
+            legacy, vectorized = reference_and_engine(
                 lambda: minimum_zero_error_external_ic(
                     k, evaluate, [0.5] * k
                 )
@@ -777,9 +714,11 @@ class TestRectangleDPIdentity:
     @pytest.mark.parametrize(
         "k,seed", [(k, seed) for k in (2, 3, 4, 5, 6) for seed in range(4)]
     )
-    def test_skewed_product_marginals(self, k, seed, task):
+    def test_skewed_product_marginals(
+        self, reference_and_engine, k, seed, task
+    ):
         marginals = skewed_marginals(k, seed)
-        legacy, vectorized = both_kernels(
+        legacy, vectorized = reference_and_engine(
             lambda: minimum_zero_error_external_ic(
                 k, RECTANGLE_TASKS[task], marginals
             )
@@ -809,9 +748,9 @@ class TestDisjointnessSimulators:
     }
 
     @pytest.mark.parametrize("point", ((64, 4), (256, 4), (256, 8)))
-    def test_measure_point_identical(self, point):
+    def test_measure_point_identical(self, reference_and_engine, point):
         n, k = point
-        legacy, vectorized = both_kernels(lambda: measure_point(n, k))
+        legacy, vectorized = reference_and_engine(lambda: measure_point(n, k))
         assert legacy == vectorized
 
     @pytest.mark.parametrize("seed", range(6))
@@ -877,13 +816,12 @@ class TestDisjointnessSimulators:
 
 
 # ----------------------------------------------------------------------
-# Telemetry: the kernel_vectorized_calls counter.
+# Telemetry: the kernel_vectorized_calls counter records the array paths.
 # ----------------------------------------------------------------------
 @numpy_required
 class TestVectorizedCallCounter:
     def teardown_method(self):
         disable_metrics()
-        kernels.set_kernel(None)
 
     def test_vectorized_ops_are_counted(self):
         enable_metrics(reset=True)
@@ -891,45 +829,40 @@ class TestVectorizedCallCounter:
         scenarios = scenario_distribution(
             list(itertools.product((0, 1), repeat=3))
         )
-        with kernels.using_kernel("vectorized"):
-            batched_joint_transcript_distribution(protocol, scenarios)
-            kernels.simulate_trivial_disjointness(8, 2, (3, 5))
+        batched_joint_transcript_distribution(protocol, scenarios)
+        kernels.simulate_trivial_disjointness(8, 2, (3, 5))
         counter = REGISTRY.counter("kernel_vectorized_calls")
         assert counter.value(op="tree_walk") >= 1
         assert counter.value(op="e1_trivial") == 1
 
     def test_legacy_runs_emit_nothing(self):
+        # Supports below _VECTOR_MIN_SUPPORT take the scalar folds,
+        # which are not array-path invocations.
+        joint = random_joint(0, (3, 4, 3))
+        assert joint._support_size() < kernels._VECTOR_MIN_SUPPORT
         enable_metrics(reset=True)
-        protocol = SequentialAndProtocol(3)
-        scenarios = scenario_distribution(
-            list(itertools.product((0, 1), repeat=3))
-        )
-        with kernels.using_kernel("legacy"):
-            batched_joint_transcript_distribution(protocol, scenarios)
+        mutual_information(joint, "a", "b")
+        conditional_mutual_information(joint, "a", "b", "c")
         assert REGISTRY.counter("kernel_vectorized_calls").total() == 0
 
 
 # ----------------------------------------------------------------------
-# Experiment-level identity: --kernel must never change a table.
+# Experiment-level identity: the references render the same tables.
 # ----------------------------------------------------------------------
 @numpy_required
 class TestExperimentKernelIdentity:
-    def test_e1_table_identical(self):
+    def test_e1_table_identical(self, reference_and_engine):
         from repro.experiments.e1_disjointness_scaling import run
 
-        legacy = run(grid=[(64, 4), (256, 8)], kernel="legacy")
-        vectorized = run(grid=[(64, 4), (256, 8)], kernel="vectorized")
-        assert legacy.render() == vectorized.render()
+        legacy, vectorized = reference_and_engine(
+            lambda: run(grid=[(64, 4), (256, 8)]).render()
+        )
+        assert legacy == vectorized
 
-    def test_e14_table_identical(self):
+    def test_e14_table_identical(self, reference_and_engine):
         from repro.experiments.e14_optimal_information import run
 
-        legacy = run(ks=[2, 3, 4], kernel="legacy")
-        vectorized = run(ks=[2, 3, 4], kernel="vectorized")
-        assert legacy.render() == vectorized.render()
-
-    def test_unknown_kernel_rejected(self):
-        from repro.experiments.e1_disjointness_scaling import run
-
-        with pytest.raises(ValueError, match="unknown kernel"):
-            run(grid=[(64, 4)], kernel="simd")
+        legacy, vectorized = reference_and_engine(
+            lambda: run(ks=[2, 3, 4]).render()
+        )
+        assert legacy == vectorized

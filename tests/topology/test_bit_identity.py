@@ -34,7 +34,6 @@ from repro.core.model import Message, Transcript
 from repro.core.runner import run_protocol
 from repro.core.tree import transcript_distribution
 from repro.information.distribution import DiscreteDistribution
-from repro.perf import kernels
 from repro.protocols import ALL_PROTOCOLS
 from repro.topology import (
     BOARD_LINK,
@@ -143,14 +142,6 @@ def _reference_law(protocol, inputs):
     return DiscreteDistribution(leaves, normalize=True)
 
 
-def _both_kernels(compute):
-    with kernels.using_kernel("legacy"):
-        legacy = compute()
-    with kernels.using_kernel("vectorized"):
-        vectorized = compute()
-    return legacy, vectorized
-
-
 class TestAnalyzerIdentity:
     """Exact analyzer values, compared with ``==`` on floats."""
 
@@ -171,7 +162,7 @@ class TestAnalyzerIdentity:
                 reference = _reference_law(protocol, inputs)
                 assert list(law.items()) == list(reference.items())
 
-    def test_information_costs_identical(self):
+    def test_information_costs_identical(self, reference_and_engine):
         for case in self._cases():
             protocol = case.build()
             dist = DiscreteDistribution.uniform(case.input_tuples())
@@ -180,14 +171,14 @@ class TestAnalyzerIdentity:
                 transcript_entropy,
                 expected_communication,
             ):
-                legacy, vectorized = _both_kernels(
+                legacy, vectorized = reference_and_engine(
                     lambda: functional(protocol, dist, medium=BROADCAST)
                 )
                 assert legacy == vectorized
 
-    def test_generated_protocol_law_identical(self):
+    def test_generated_protocol_law_identical(self, reference_and_engine):
         case = generate_case(0, 3)
-        legacy, vectorized = _both_kernels(
+        legacy, vectorized = reference_and_engine(
             lambda: external_information_cost(case.protocol, case.input_dist)
         )
         assert legacy == vectorized
