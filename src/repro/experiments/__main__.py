@@ -189,19 +189,8 @@ def main(argv=None) -> int:
         parser.error(f"unknown experiment id(s): {', '.join(unknown)}")
 
     # Observability is imported lazily so the plain path stays untouched.
-    from ..obs import (
-        JsonlTracer,
-        ProgressRenderer,
-        REGISTRY,
-        TelemetrySink,
-        disable_metrics,
-        enable_metrics,
-        render_metrics,
-        set_tracer,
-        set_telemetry,
-        using_telemetry,
-        using_tracer,
-    )
+    from ..obs import REGISTRY, enable_metrics, render_metrics
+    from ..obs.harness import observing
 
     store = None
     store_dir = args.store or os.environ.get("REPRO_STORE")
@@ -231,91 +220,69 @@ def main(argv=None) -> int:
         from ..fabric.cells import SWEEPABLE_EXPERIMENTS, sweep_keys
         from ..fabric.sweep import fabric_sweep
 
-    tracer = JsonlTracer(args.trace) if args.trace else None
-    telemetry = None
-    if args.telemetry or args.progress:
-        telemetry = TelemetrySink(
-            args.telemetry,
-            renderer=ProgressRenderer() if args.progress else None,
-        )
-    profiler = None
-    if args.profile:
-        from ..obs.profile import SamplingProfiler
-
-        profiler = SamplingProfiler(args.profile)
-        profiler.start()
-    try:
-        with using_tracer(tracer), using_telemetry(telemetry):
-            for eid in selected:
-                eid = eid.upper()
-                if args.metrics:
-                    enable_metrics(reset=True)
-                if tracer:
-                    tracer.event("experiment_start", experiment=eid)
-                runner = ALL_EXPERIMENTS[eid]
-                kwargs = {}
-                if args.workers is not None and _supports_kwarg(
-                    runner, "workers"
+    with observing(
+        trace=args.trace,
+        metrics=args.metrics,
+        progress=args.progress,
+        telemetry=args.telemetry,
+        profile=args.profile,
+    ) as tracer:
+        for eid in selected:
+            eid = eid.upper()
+            if args.metrics:
+                enable_metrics(reset=True)
+            if tracer:
+                tracer.event("experiment_start", experiment=eid)
+            runner = ALL_EXPERIMENTS[eid]
+            kwargs = {}
+            if args.workers is not None and _supports_kwarg(
+                runner, "workers"
+            ):
+                kwargs["workers"] = args.workers
+            if args.transport is not None and _supports_kwarg(
+                runner, "transport"
+            ):
+                kwargs["transport"] = args.transport
+            if store is not None and _supports_kwarg(runner, "store"):
+                kwargs["store"] = store
+            if args.fault_seed is not None and _supports_kwarg(
+                runner, "fault_seed"
+            ):
+                kwargs["fault_seed"] = args.fault_seed
+            if args.quick:
+                kwargs.update(_quick_kwargs(runner))
+            started = time.monotonic()
+            span = (
+                tracer.span("experiment", experiment=eid)
+                if tracer
+                else contextlib.nullcontext()
+            )
+            with span:
+                if args.fabric is not None and (
+                    eid in SWEEPABLE_EXPERIMENTS
                 ):
-                    kwargs["workers"] = args.workers
-                if args.transport is not None and _supports_kwarg(
-                    runner, "transport"
-                ):
-                    kwargs["transport"] = args.transport
-                if store is not None and _supports_kwarg(runner, "store"):
-                    kwargs["store"] = store
-                if args.fault_seed is not None and _supports_kwarg(
-                    runner, "fault_seed"
-                ):
-                    kwargs["fault_seed"] = args.fault_seed
-                if args.quick:
-                    kwargs.update(_quick_kwargs(runner))
-                started = time.monotonic()
-                span = (
-                    tracer.span("experiment", experiment=eid)
-                    if tracer
-                    else contextlib.nullcontext()
+                    fabric_sweep(
+                        sweep_keys(eid, quick=args.quick),
+                        store=store,
+                        workers=args.fabric,
+                        transport=args.fabric_transport or "tcp",
+                    )
+                table = runner(**kwargs)
+            elapsed = time.monotonic() - started
+            if tracer:
+                tracer.event(
+                    "experiment_finish", experiment=eid, elapsed_s=elapsed
                 )
-                with span:
-                    if args.fabric is not None and (
-                        eid in SWEEPABLE_EXPERIMENTS
-                    ):
-                        fabric_sweep(
-                            sweep_keys(eid, quick=args.quick),
-                            store=store,
-                            workers=args.fabric,
-                            transport=args.fabric_transport or "tcp",
-                        )
-                    table = runner(**kwargs)
-                elapsed = time.monotonic() - started
-                if tracer:
-                    tracer.event(
-                        "experiment_finish", experiment=eid, elapsed_s=elapsed
-                    )
-                print(table.render())
-                if args.metrics:
-                    REGISTRY.gauge("experiment_seconds").set(
-                        elapsed, experiment=eid
-                    )
-                    print(render_metrics(REGISTRY, title=f"{eid} metrics"))
-                    disable_metrics()
-                print(f"({eid} completed in {elapsed:.1f}s)\n")
-                if args.save:
-                    path = table.save(args.save)
-                    print(f"saved to {path}\n")
-    finally:
-        if profiler is not None:
-            profiler.stop()
-            print(f"profile written to {args.profile}")
-        if telemetry is not None:
-            telemetry.close()
-            if args.telemetry:
-                print(f"telemetry written to {args.telemetry}")
-        set_telemetry(None)
-        if tracer:
-            tracer.close()
-            print(f"trace written to {args.trace}")
-        set_tracer(None)
+            print(table.render())
+            if args.metrics:
+                REGISTRY.gauge("experiment_seconds").set(
+                    elapsed, experiment=eid
+                )
+                print(render_metrics(REGISTRY, title=f"{eid} metrics"))
+            print(f"({eid} completed in {elapsed:.1f}s)\n")
+            if args.save:
+                path = table.save(args.save)
+                print(f"saved to {path}\n")
     return 0
 
 

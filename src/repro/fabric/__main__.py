@@ -238,47 +238,18 @@ def main(argv=None) -> int:
         return 0
 
     # sweep / serve share the observability harness.
-    from ..obs import (
-        JsonlTracer,
-        ProgressRenderer,
-        REGISTRY,
-        TelemetrySink,
-        disable_metrics,
-        enable_metrics,
-        render_metrics,
-        set_telemetry,
-        set_tracer,
-        using_telemetry,
-        using_tracer,
-    )
+    from ..obs.harness import observing
 
-    tracer = JsonlTracer(args.trace) if args.trace else None
-    telemetry = None
-    if args.telemetry or args.progress:
-        telemetry = TelemetrySink(
-            args.telemetry,
-            renderer=ProgressRenderer() if args.progress else None,
-        )
-    if args.metrics:
-        enable_metrics(reset=True)
-    try:
-        with using_tracer(tracer), using_telemetry(telemetry):
-            if args.command == "sweep":
-                return _run_sweep(args)
-            return _run_serve(args)
-    finally:
-        if args.metrics:
-            print(render_metrics(REGISTRY, title="fabric metrics"))
-            disable_metrics()
-        if telemetry is not None:
-            telemetry.close()
-            if args.telemetry:
-                print(f"telemetry written to {args.telemetry}")
-        set_telemetry(None)
-        if tracer:
-            tracer.close()
-            print(f"trace written to {args.trace}")
-        set_tracer(None)
+    with observing(
+        trace=args.trace,
+        metrics=args.metrics,
+        progress=args.progress,
+        telemetry=args.telemetry,
+        metrics_title="fabric metrics",
+    ):
+        if args.command == "sweep":
+            return _run_sweep(args)
+        return _run_serve(args)
 
 
 def _run_sweep(args) -> int:

@@ -21,7 +21,6 @@ complete, which is what makes the store the sweep's crash checkpoint.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import REGISTRY
@@ -192,14 +191,12 @@ class CoordinatorCore:
         self.results[cell] = frame.payload
         if self._reg is not None:
             self._reg.counter("fabric_cells_completed").inc(
-                experiment=key.experiment
+                experiment=key.experiment,
+                worker=worker,
+                recomputed="yes" if fields.get("recomputed", True) else "no",
             )
-        if self._telemetry:
-            self._telemetry.cell_done(
-                worker=f"fabric:{worker}",
-                elapsed_s=fields.get("elapsed_s"),
-                recomputed=bool(fields.get("recomputed", True)),
-            )
+        if self._telemetry is not None:
+            self._telemetry.flush()
 
     def _replay_trace(self, shipped: Any) -> None:
         """Re-emit trace events a remote worker recorded, so the sweep's
@@ -265,9 +262,6 @@ class CoordinatorCore:
                 self._reg.counter("fabric_retries").inc(
                     len(expired), reason="lease-expired"
                 )
-            if self._telemetry:
-                for _ in expired:
-                    self._telemetry.retry()
         sends: List[Tuple[int, FabricFrame]] = []
         for worker in self.workers:
             for frame in self._fill(worker, now):
@@ -289,8 +283,6 @@ class CoordinatorCore:
                 self._reg.counter("fabric_retries").inc(
                     len(lost), reason="worker-lost"
                 )
-        if self._telemetry:
-            self._telemetry.fault("worker-lost")
 
 
 class WorkerCore:
@@ -345,15 +337,12 @@ class WorkerCore:
         cell = frame.fields.get("cell")
         key = key_from_wire(frame.fields.get("key", {}))
         ctx = self._lease_context(frame)
-        started = time.perf_counter()
         payload, recomputed, shipped = self._produce(key, cell, ctx)
-        elapsed = time.perf_counter() - started
         self.cells_done += 1
         fields: Dict[str, Any] = {
             "cell": cell,
             "worker": self.worker_id,
             "digest": key.digest,
-            "elapsed_s": elapsed,
             "recomputed": recomputed,
         }
         if shipped:

@@ -74,7 +74,7 @@ def fabric_sweep(
     tracer = get_tracer()
     telemetry = get_telemetry()
     experiment = keys[0].experiment if keys else "?"
-    if telemetry:
+    if telemetry is not None:
         telemetry.start_sweep(
             f"fabric:{experiment}", len(keys), hits=len(keys) - len(missing)
         )
@@ -105,7 +105,7 @@ def fabric_sweep(
                         timeout=timeout,
                     )
     finally:
-        if telemetry:
+        if telemetry is not None:
             telemetry.finish_sweep()
     return {
         "cells": len(keys),

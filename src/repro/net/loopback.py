@@ -218,9 +218,6 @@ class LoopbackRunner:
         if endpoint is None or endpoint.done:
             return
         out = endpoint.on_timeout()  # may raise RetriesExhaustedError
-        telemetry = self._sim.telemetry
-        if telemetry:
-            telemetry.retry()
         if self._tracer:
             self._tracer.event_in(
                 self._party_spans.get(party),

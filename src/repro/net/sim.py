@@ -17,7 +17,6 @@ import heapq
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..obs.metrics import REGISTRY
-from ..obs.telemetry import get_telemetry
 from ..obs.trace import Tracer
 from .errors import FrameError, NetTimeoutError
 from .faults import FaultInjector, PartyCrash
@@ -33,12 +32,11 @@ RESTART_DELAY = 5.0
 
 class WireMeter:
     """The encoder of one transport's wire.  Every frame it encodes is
-    counted, by ``kind_name`` and bytes, into the telemetry total and
-    the ``dialect``'s counters: ``"net"`` (``net_frames_sent``,
-    ``net_bytes_on_wire``) or ``"fabric"`` (``fabric_frames``,
-    ``fabric_bytes_on_wire``)."""
+    counted, by ``kind_name`` and bytes, into the ``dialect``'s
+    counters: ``"net"`` (``net_frames_sent``, ``net_bytes_on_wire``) or
+    ``"fabric"`` (``fabric_frames``, ``fabric_bytes_on_wire``)."""
 
-    __slots__ = ("_encode", "_net", "_transport", "_reg", "_telemetry")
+    __slots__ = ("_encode", "_net", "_transport", "_reg")
 
     def __init__(
         self, encode: Callable[[Any], bytes], dialect: str, transport: str
@@ -47,12 +45,9 @@ class WireMeter:
         self._net = dialect == "net"
         self._transport = transport
         self._reg = REGISTRY if REGISTRY.enabled else None
-        self._telemetry = get_telemetry()
 
     def encode(self, frame: Any) -> bytes:
         wire = self._encode(frame)
-        if self._telemetry:
-            self._telemetry.bytes_on_wire(len(wire))
         reg = self._reg
         if reg is not None:
             if self._net:
@@ -103,7 +98,6 @@ class Simulator:
         self._fault_label = fault_label
         self._event_fields = dict(event_fields or {})
         self._reg = REGISTRY if REGISTRY.enabled else None
-        self.telemetry = get_telemetry()
         self._queue: List[Tuple[float, int, str, tuple]] = []
         self._seq = 0
         self.now = 0.0
@@ -174,14 +168,12 @@ class Simulator:
 
     def fault(self, fault: str, span: Optional[int] = None, **fields: Any) -> None:
         """Account one injected fault: the ``net_faults_injected``
-        counter, telemetry, and a ``fault`` trace event (in ``span`` if
+        counter and a ``fault`` trace event (in ``span`` if
         given, else in the current span)."""
         if self._reg is not None:
             self._reg.counter("net_faults_injected").inc(
                 fault=fault, transport=self._fault_label
             )
-        if self.telemetry:
-            self.telemetry.fault(fault)
         if self._tracer:
             fields.update(self._event_fields)
             if span is None:

@@ -49,8 +49,6 @@ from .metrics import (
 )
 from .report import render_metrics, render_table
 from .telemetry import (
-    NULL_TELEMETRY,
-    NullTelemetrySink,
     ProgressRenderer,
     TelemetrySink,
     get_telemetry,
@@ -85,8 +83,6 @@ __all__ = [
     "render_metrics",
     "render_table",
     "TelemetrySink",
-    "NullTelemetrySink",
-    "NULL_TELEMETRY",
     "ProgressRenderer",
     "read_telemetry",
     "get_telemetry",

@@ -69,7 +69,9 @@ Metric naming used by the instrumented subsystems:
 ``store_evictions``                   entries evicted by ``gc``
 ``fabric_cells_dispatched``           fabric leases granted, by experiment
                                       and ``stolen`` (``yes``/``no``)
-``fabric_cells_completed``            fabric cells completed, by experiment
+``fabric_cells_completed``            fabric cells completed, by experiment,
+                                      worker and ``recomputed`` (``yes``/
+                                      ``no``: served from the worker's store)
 ``fabric_steals``                     work-stealing dispatches
 ``fabric_retries``                    cell re-dispatches, by reason
                                       (``lease-expired``/``worker-lost``/
@@ -83,6 +85,8 @@ Metric naming used by the instrumented subsystems:
 ``fabric_requests``                   result-serving lookups, by outcome
                                       (``hit``/``cold``) and experiment
 ``grid_tasks``                        sweep tasks submitted, by mode
+``grid_tasks_done``                   sweep tasks completed, by worker (dense
+                                      first-seen index; ``0`` when serial)
 ``grid_workers`` (gauge)              worker-pool size of the last sweep
 ``grid_shm_bytes``                    result bytes received from workers
                                       via shared-memory segments
@@ -270,21 +274,6 @@ class MetricsSnapshot:
         return not (self.counters or self.gauges or self.histograms)
 
 
-def _make_relabel(labels: Mapping[str, Any]):
-    """A key transformer adding ``labels`` to a :data:`LabelKey`; the
-    identity when ``labels`` is empty (the byte-identical fast path)."""
-    if not labels:
-        return lambda key: key
-    extra = {str(k): str(v) for k, v in labels.items()}
-
-    def relabel(key: LabelKey) -> LabelKey:
-        merged = dict(key)
-        merged.update(extra)
-        return tuple(sorted(merged.items()))
-
-    return relabel
-
-
 class MetricsRegistry:
     """A named collection of metrics.  ``enabled`` gates all mutation."""
 
@@ -327,9 +316,7 @@ class MetricsRegistry:
         with self._lock:
             self._metrics.clear()
 
-    def merge_snapshot(
-        self, snapshot: MetricsSnapshot, **labels: Any
-    ) -> None:
+    def merge_snapshot(self, snapshot: MetricsSnapshot) -> None:
         """Fold a :class:`MetricsSnapshot` into this registry.
 
         Counters add, gauges take the snapshot's value (last write wins,
@@ -338,33 +325,23 @@ class MetricsRegistry:
         metrics collected by :func:`repro.perf.map_grid` flow back into
         the parent registry; merging is a no-op while the registry is
         disabled, matching every other mutation path.
-
-        Extra ``labels`` (e.g. ``worker="3"``) are applied to every
-        merged series, so merges from different sources stay
-        distinguishable — per-worker skew shows up in reports instead of
-        summing away.  On a label-name collision the merge label wins.
-        With no extra labels the merged output is byte-identical to a
-        plain merge.
         """
         if not self.enabled:
             return
-        relabel = _make_relabel(labels)
         for name, series in snapshot.counters.items():
             counter = self.counter(name)
             with self._lock:
                 for key, value in series.items():
-                    key = relabel(key)
                     counter.series[key] = counter.series.get(key, 0) + value
         for name, series in snapshot.gauges.items():
             gauge = self.gauge(name)
             with self._lock:
                 for key, value in series.items():
-                    gauge.series[relabel(key)] = value
+                    gauge.series[key] = value
         for name, series in snapshot.histograms.items():
             histogram = self.histogram(name)
             with self._lock:
                 for key, value in series.items():
-                    key = relabel(key)
                     state = histogram.series.get(key)
                     if state is None:
                         state = histogram.series[key] = HistogramValue()

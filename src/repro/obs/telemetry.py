@@ -1,34 +1,29 @@
-"""Sweep telemetry: aggregated progress counters + a live dashboard.
+"""Sweep telemetry: progress snapshots and a live dashboard.
 
-Where :mod:`repro.obs.trace` records *everything* (one event per frame,
-per cell, per fault) and :mod:`repro.obs.metrics` aggregates process-
-wide counters, the telemetry sink sits in between: it aggregates the
-handful of numbers an operator watching a long sweep actually wants —
-cells done/total, cache hit rate, per-worker throughput, fault and
-retry counts, bytes on the wire, an ETA — and emits them two ways:
+Where :mod:`repro.obs.trace` records *everything* and
+:mod:`repro.obs.metrics` aggregates process-wide counters, the
+telemetry sink is a sweep-shaped view of those counters: the handful of
+numbers an operator watching a long sweep wants (cells done/total,
+cache hit rate, per-worker cells, fault and retry counts, bytes on the
+wire, an ETA), emitted as a **JSONL stream** of periodic snapshots
+(``--telemetry out.jsonl``, schema in ``docs/observability.md``) and as
+a **live terminal line** (``--progress``) redrawn on stderr by
+:class:`ProgressRenderer`.
 
-* a **JSONL stream** of periodic snapshots (``--telemetry out.jsonl``),
-  one self-contained JSON object per line, schema documented in
-  ``docs/observability.md`` — the artifact CI uploads from smoke jobs;
-* a **live terminal line** (``--progress``), redrawn in place on
-  stderr by :class:`ProgressRenderer`.
+Every count in a snapshot is the change of a
+:data:`~repro.obs.metrics.REGISTRY` counter since the sweep started, so
+there is one counting path.  The sink only holds the sweep window:
+:func:`repro.store.checkpointed_map_grid` and
+:func:`repro.fabric.sweep.fabric_sweep` own their sweeps (they know the
+total and the hit split), the inner ``map_grid`` joins rather than
+starting its own, and a bare :func:`repro.perf.map_grid` call gets a
+sweep of its own.  ``map_grid`` and the fabric coordinator call the
+throttled :meth:`TelemetrySink.flush` as each cell completes.
 
-The sink is wired into :func:`repro.store.checkpointed_map_grid` (which
-owns the sweep: totals and cache hits), :func:`repro.perf.map_grid`
-(per-cell completions and per-worker attribution), and the
-:mod:`repro.net` loopback transport (faults, retries, wire bytes).
-Nesting is handled with a depth counter: ``checkpointed_map_grid``
-starts the sweep, the inner ``map_grid`` joins it rather than starting
-its own, and a bare ``map_grid`` call gets a sweep of its own.
-
-Like the tracer, the default sink is the falsy :data:`NULL_TELEMETRY`
-and every hook site guards with ``if telemetry:`` — zero overhead
-unless an operator asked to watch.  Install one process-wide with
-:func:`set_telemetry` / :func:`using_telemetry`.
-
-Telemetry never influences computation: it reads no RNG, feeds nothing
-back, and is flushed on wall-clock intervals only — traced/watched and
-silent runs are bit-identical.
+No sink is installed by default; install one with
+:func:`set_telemetry` / :func:`using_telemetry`.  Telemetry never
+influences computation (it reads no RNG and feeds nothing back), so
+watched and silent runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -39,16 +34,23 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, IO, Iterator, Optional, Union
 
+from .metrics import REGISTRY, LabelKey
+
 __all__ = [
     "TelemetrySink",
-    "NullTelemetrySink",
-    "NULL_TELEMETRY",
     "ProgressRenderer",
     "read_telemetry",
     "get_telemetry",
     "set_telemetry",
     "using_telemetry",
 ]
+
+#: The registry counters a snapshot reads.
+_READ = (
+    "grid_tasks_done", "fabric_cells_completed", "net_retries",
+    "fabric_retries", "net_bytes_on_wire", "fabric_bytes_on_wire",
+    "net_faults_injected", "fabric_workers_lost",
+)
 
 
 class ProgressRenderer:
@@ -106,7 +108,11 @@ class ProgressRenderer:
 
 
 class TelemetrySink:
-    """Aggregates sweep progress and periodically flushes snapshots.
+    """A sweep window over :data:`~repro.obs.metrics.REGISTRY` that
+    periodically flushes snapshots.  It keeps only what the registry
+    cannot know (label, cell total, hits found before the sweep, start
+    time, baseline registry snapshot); collection must be on for the
+    counts to move, as the CLIs ensure for ``--telemetry``/``--progress``.
 
     Parameters
     ----------
@@ -139,23 +145,11 @@ class TelemetrySink:
             self._handle = destination
         self._depth = 0
         self._last_flush = float("-inf")
-        self._reset()
-
-    def _reset(self) -> None:
         self.experiment: Optional[str] = None
         self.cells_total = 0
-        self.cells_done = 0
         self.hits = 0
-        self.misses = 0
-        self.recomputes = 0
-        self.retries = 0
-        self.wire_bytes = 0
-        self.faults: Dict[str, int] = {}
-        self.workers: Dict[str, Dict[str, float]] = {}
         self._started = 0.0
-
-    def __bool__(self) -> bool:
-        return True
+        self._baseline: Dict[str, Dict[LabelKey, float]] = {}
 
     # ------------------------------------------------------------------
     # Sweep lifecycle.
@@ -169,12 +163,10 @@ class TelemetrySink:
         self._depth += 1
         if self._depth > 1:
             return
-        self._reset()
         self.experiment = experiment
         self.cells_total = total
         self.hits = hits
-        self.cells_done = hits  # cache hits are already-done cells
-        self.misses = total - hits
+        self._baseline = REGISTRY.snapshot().counters
         self._started = time.perf_counter()
         self.flush(force=True)
 
@@ -190,60 +182,67 @@ class TelemetrySink:
                 self._renderer.finish()
 
     # ------------------------------------------------------------------
-    # Hooks (called from instrumented code; all cheap).
-    # ------------------------------------------------------------------
-    def cell_done(
-        self,
-        *,
-        worker: Optional[str] = None,
-        elapsed_s: float = 0.0,
-        recomputed: bool = False,
-    ) -> None:
-        self.cells_done += 1
-        if recomputed:
-            self.recomputes += 1
-        if worker is not None:
-            entry = self.workers.setdefault(
-                worker, {"cells": 0, "busy_s": 0.0}
-            )
-            entry["cells"] += 1
-            entry["busy_s"] += elapsed_s
-        self.flush()
-
-    def fault(self, kind: str) -> None:
-        self.faults[kind] = self.faults.get(kind, 0) + 1
-        self.flush()
-
-    def retry(self) -> None:
-        self.retries += 1
-        self.flush()
-
-    def bytes_on_wire(self, count: int) -> None:
-        self.wire_bytes += count
-
-    # ------------------------------------------------------------------
     # Output.
     # ------------------------------------------------------------------
+    def _deltas(self) -> Dict[str, Dict[LabelKey, float]]:
+        """Each counter a snapshot reads, per label set, as its change
+        since :meth:`start_sweep`."""
+        now = REGISTRY.snapshot().counters
+        deltas: Dict[str, Dict[LabelKey, float]] = {}
+        for name in _READ:
+            base = self._baseline.get(name, {})
+            deltas[name] = {
+                key: value - base.get(key, 0)
+                for key, value in now.get(name, {}).items()
+                if value != base.get(key, 0)
+            }
+        return deltas
+
     def snapshot(self) -> Dict[str, Any]:
         """The current aggregate state as one JSON-ready record."""
         elapsed = (
             time.perf_counter() - self._started if self._started else 0.0
         )
+        deltas = self._deltas()
+
+        def total(*names: str) -> float:
+            return sum(sum(deltas[name].values()) for name in names)
+
+        def by(label: str, *names: str) -> Dict[str, float]:
+            split: Dict[str, float] = {}
+            for name in names:
+                for key, value in deltas[name].items():
+                    part = dict(key).get(label, "-")
+                    split[part] = split.get(part, 0) + value
+            return split
+
+        completed = by("recomputed", "fabric_cells_completed")
+        recomputes = total("grid_tasks_done") + completed.get("yes", 0)
+        cells_done = self.hits + recomputes + completed.get("no", 0)
+        faults = by("fault", "net_faults_injected")
+        lost = total("fabric_workers_lost")
+        if lost:
+            faults["worker-lost"] = lost
+        workers = by("worker", "grid_tasks_done", "fabric_cells_completed")
+        wire = total("net_bytes_on_wire", "fabric_bytes_on_wire")
         record: Dict[str, Any] = {
             "experiment": self.experiment,
             "cells_total": self.cells_total,
-            "cells_done": self.cells_done,
+            "cells_done": cells_done,
             "hits": self.hits,
-            "misses": self.misses,
-            "recomputes": self.recomputes,
-            "retries": self.retries,
-            "bytes_on_wire": self.wire_bytes,
-            "faults": dict(sorted(self.faults.items())),
-            "workers": {k: dict(v) for k, v in sorted(self.workers.items())},
+            "misses": self.cells_total - self.hits,
+            "recomputes": recomputes,
+            "retries": total("net_retries", "fabric_retries"),
+            "bytes_on_wire": wire,
+            "faults": dict(sorted(faults.items())),
+            "workers": {
+                worker: {"cells": cells}
+                for worker, cells in sorted(workers.items())
+            },
             "elapsed_s": elapsed,
         }
-        fresh_done = self.cells_done - self.hits
-        remaining = self.cells_total - self.cells_done
+        fresh_done = cells_done - self.hits
+        remaining = self.cells_total - cells_done
         if fresh_done > 0 and remaining > 0 and elapsed > 0:
             record["eta_s"] = elapsed / fresh_done * remaining
         else:
@@ -271,48 +270,6 @@ class TelemetrySink:
             self._handle.close()
             self._handle = None
 
-    def __enter__(self) -> "TelemetrySink":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
-class NullTelemetrySink(TelemetrySink):
-    """Falsy do-nothing sink — the default, so hook sites guarded with
-    ``if telemetry:`` cost one truth test when nobody is watching."""
-
-    def __init__(self) -> None:
-        super().__init__(None)
-
-    def __bool__(self) -> bool:
-        return False
-
-    def start_sweep(self, experiment: str, total: int, *, hits: int = 0) -> None:
-        pass
-
-    def finish_sweep(self) -> None:
-        pass
-
-    def cell_done(self, **kwargs: Any) -> None:  # type: ignore[override]
-        pass
-
-    def fault(self, kind: str) -> None:
-        pass
-
-    def retry(self) -> None:
-        pass
-
-    def bytes_on_wire(self, count: int) -> None:
-        pass
-
-    def flush(self, *, force: bool = False, final: bool = False) -> None:
-        pass
-
-
-#: Shared falsy singleton.
-NULL_TELEMETRY = NullTelemetrySink()
-
 
 def read_telemetry(source: Union[str, IO[str]]) -> list:
     """Load a JSONL telemetry stream back into snapshot dicts."""
@@ -328,31 +285,33 @@ def read_telemetry(source: Union[str, IO[str]]) -> list:
 
 
 # ----------------------------------------------------------------------
-# Process-wide default sink (mirrors the tracer idiom).
+# Process-wide sink (mirrors the tracer idiom).
 # ----------------------------------------------------------------------
-_GLOBAL_TELEMETRY: TelemetrySink = NULL_TELEMETRY
+_GLOBAL_TELEMETRY: Optional[TelemetrySink] = None
 
 
-def get_telemetry() -> TelemetrySink:
-    """The process-wide telemetry sink (:data:`NULL_TELEMETRY` unless
-    one was installed)."""
+def get_telemetry() -> Optional[TelemetrySink]:
+    """The process-wide telemetry sink (``None`` unless one was
+    installed)."""
     return _GLOBAL_TELEMETRY
 
 
-def set_telemetry(sink: Optional[TelemetrySink]) -> TelemetrySink:
-    """Install ``sink`` process-wide; ``None`` restores the null sink.
-    Returns the previous sink."""
+def set_telemetry(sink: Optional[TelemetrySink]) -> Optional[TelemetrySink]:
+    """Install ``sink`` process-wide (``None`` removes it).  Returns the
+    previous sink."""
     global _GLOBAL_TELEMETRY
     previous = _GLOBAL_TELEMETRY
-    _GLOBAL_TELEMETRY = sink if sink is not None else NULL_TELEMETRY
+    _GLOBAL_TELEMETRY = sink
     return previous
 
 
 @contextmanager
-def using_telemetry(sink: Optional[TelemetrySink]) -> Iterator[TelemetrySink]:
+def using_telemetry(
+    sink: Optional[TelemetrySink],
+) -> Iterator[Optional[TelemetrySink]]:
     """Temporarily install a telemetry sink (restored on exit)."""
     previous = set_telemetry(sink)
     try:
-        yield get_telemetry()
+        yield sink
     finally:
         set_telemetry(previous)

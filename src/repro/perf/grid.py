@@ -11,7 +11,9 @@ Design constraints, in order:
    process-wide :data:`repro.obs.REGISTRY`; a worker process has its own
    copy.  When the parent registry is collecting, each worker resets and
    enables its registry around the task and returns a snapshot, which the
-   parent merges back in task order.
+   parent merges back in task order as each task resolves (so sweep
+   telemetry, a view over the registry, sees faults inside workers
+   while the sweep runs).
 3. **Zero overhead when serial.**  ``workers in (None, 0, 1)`` runs the
    tasks in-process with no executor, no pickling, and metrics flowing
    directly into the parent registry.
@@ -34,13 +36,12 @@ from __future__ import annotations
 
 import hashlib
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import shm
 from ..obs.metrics import REGISTRY, MetricsSnapshot, enable_metrics
-from ..obs.telemetry import TelemetrySink, get_telemetry, using_telemetry
+from ..obs.telemetry import get_telemetry
 from ..obs.trace import (
     RecordingTracer,
     TraceContext,
@@ -84,71 +85,41 @@ def _execute_task(
     seed: Optional[int],
     collect_metrics: bool,
     trace_ctx: Optional[TraceContext] = None,
-    collect_telemetry: bool = False,
-) -> Tuple[
-    int,
-    Any,
-    Optional[MetricsSnapshot],
-    List[Dict[str, Any]],
-    int,
-    float,
-    Optional[Dict[str, Any]],
-]:
+) -> Tuple[int, Any, Optional[MetricsSnapshot], List[Dict[str, Any]], int]:
     """Worker-side wrapper: run one task, optionally under a fresh
     metrics registry and a child tracer, and tag the result with its
     submission index.
 
-    Returns ``(index, result, snapshot, events, pid, elapsed_s,
-    telemetry)`` — ``events`` are the worker's trace records
-    (JSON-degraded so the tuple pickles), parented under ``trace_ctx``;
-    ``telemetry`` carries the fault/retry/byte counts the worker's
-    in-task code reported, for the parent's dashboard.
+    Returns ``(index, result, snapshot, events, pid)`` — ``events`` are
+    the worker's trace records (JSON-degraded so the tuple pickles),
+    parented under ``trace_ctx``.
     """
     if collect_metrics:
         # The worker inherited a copy of the parent registry (fork) or a
         # blank one (spawn); either way, start from a clean slate so the
         # returned snapshot contains exactly this task's series.
         enable_metrics(reset=True)
-    worker_sink = TelemetrySink(None) if collect_telemetry else None
-    started = time.perf_counter()
     events: List[Dict[str, Any]] = []
-    with using_telemetry(worker_sink):
-        if trace_ctx is not None:
-            # Namespaced per task index: hash-derived span ids, so
-            # workers allocate concurrently without coordination or
-            # collisions.
-            worker_tracer = RecordingTracer(
-                trace_id=trace_ctx.trace_id,
-                parent=trace_ctx.span_id,
-                namespace=f"task:{index}",
-            )
-            with using_tracer(worker_tracer):
-                with worker_tracer.span(
-                    "grid_task", index=index, pid=os.getpid()
-                ):
-                    result = fn(item) if seed is None else fn(item, seed)
-            events = [
-                _degrade_event(event) for event in worker_tracer.events
-            ]
-        else:
-            result = fn(item) if seed is None else fn(item, seed)
-    elapsed = time.perf_counter() - started
+    if trace_ctx is not None:
+        # Namespaced per task index: hash-derived span ids, so workers
+        # allocate concurrently without coordination or collisions.
+        worker_tracer = RecordingTracer(
+            trace_id=trace_ctx.trace_id,
+            parent=trace_ctx.span_id,
+            namespace=f"task:{index}",
+        )
+        with using_tracer(worker_tracer):
+            with worker_tracer.span("grid_task", index=index, pid=os.getpid()):
+                result = fn(item) if seed is None else fn(item, seed)
+        events = [_degrade_event(event) for event in worker_tracer.events]
+    else:
+        result = fn(item) if seed is None else fn(item, seed)
     # Large array payloads travel via shared memory; the pickled result
     # then carries only tokens (anything that cannot be exported falls
     # back to plain pickling inside pack_result).
     result = shm.pack_result(result)
     snapshot = REGISTRY.snapshot() if collect_metrics else None
-    telemetry_summary: Optional[Dict[str, Any]] = None
-    if worker_sink is not None:
-        telemetry_summary = {
-            "faults": dict(worker_sink.faults),
-            "retries": worker_sink.retries,
-            "bytes_on_wire": worker_sink.wire_bytes,
-        }
-    return (
-        index, result, snapshot, events, os.getpid(), elapsed,
-        telemetry_summary,
-    )
+    return index, result, snapshot, events, os.getpid()
 
 
 def _degrade_event(event: TraceEvent) -> Dict[str, Any]:
@@ -171,7 +142,6 @@ def map_grid(
     base_seed: Optional[int] = None,
     tracer: Optional[Tracer] = None,
     on_result: Optional[Callable[[int, Any], None]] = None,
-    label_workers: bool = False,
 ) -> List[Any]:
     """Evaluate ``fn`` over ``items``, optionally across processes.
 
@@ -197,12 +167,11 @@ def map_grid(
         :mod:`repro.store.sweep`: a crash mid-sweep loses at most the
         not-yet-resolved suffix, because every delivered result was
         already handed to the callback.
-    label_workers:
-        When true (and metrics are collecting), each worker's returned
-        metrics snapshot is merged under an extra ``worker="N"`` label
-        (dense first-seen index, not pid) so per-worker skew is visible
-        in reports.  Off by default: unlabeled merges are byte-identical
-        to the pre-label format.
+
+    While metrics are collecting, each resolved task counts on
+    ``grid_tasks_done`` under ``worker="N"``, the dense first-seen index
+    of the process that ran it (never a pid, so reports stay
+    deterministic; ``"0"`` when serial).
 
     When running in parallel, workers ship large numpy-array result
     payloads through :mod:`multiprocessing.shared_memory` segments
@@ -233,7 +202,7 @@ def map_grid(
         reg.gauge("grid_workers").set(count)
 
     telemetry = get_telemetry()
-    if telemetry:
+    if telemetry is not None:
         telemetry.start_sweep("map_grid", len(items))
 
     try:
@@ -242,7 +211,6 @@ def map_grid(
             with tracer.span("map_grid", tasks=len(items), workers=1):
                 for index, item in enumerate(items):
                     seed = seeds[index]
-                    started = time.perf_counter()
                     if tracer:
                         with tracer.span("grid_task", index=index):
                             result = (
@@ -255,18 +223,17 @@ def map_grid(
                         on_result(index, results[-1])
                     if tracer:
                         tracer.event("grid_task_done", index=index)
-                    if telemetry:
-                        telemetry.cell_done(
-                            worker="0",
-                            elapsed_s=time.perf_counter() - started,
-                            recomputed=True,
-                        )
+                    if reg is not None:
+                        reg.counter("grid_tasks_done").inc(worker="0")
+                    if telemetry is not None:
+                        telemetry.flush()
             return results
 
         collect_metrics = reg is not None
         ordered: List[Any] = [None] * len(items)
-        snapshots: List[Optional[MetricsSnapshot]] = [None] * len(items)
-        worker_ids: List[Optional[int]] = [None] * len(items)
+        # Dense first-seen worker indices: label values must not leak
+        # pids (they vary run to run) into reports.
+        dense: Dict[int, str] = {}
         shm_bytes = 0
         with tracer.span("map_grid", tasks=len(items), workers=count):
             trace_ctx = tracer.current_context() if tracer else None
@@ -281,23 +248,17 @@ def map_grid(
                             seeds[index],
                             collect_metrics,
                             trace_ctx,
-                            bool(telemetry),
                         )
                         for index, item in enumerate(items)
                     ]
-                    # Resolve in submission order: result ordering — and
-                    # which task's exception surfaces first — is then
-                    # deterministic.
+                    # Resolve in submission order: result ordering, the
+                    # merged metrics, and which task's exception surfaces
+                    # first are then deterministic.
                     for future in futures:
-                        (
-                            index, result, snapshot, events, pid, elapsed,
-                            task_telemetry,
-                        ) = future.result()
+                        index, result, snapshot, events, pid = future.result()
                         result, received = shm.unpack_result(result)
                         shm_bytes += received
                         ordered[index] = result
-                        snapshots[index] = snapshot
-                        worker_ids[index] = pid
                         if on_result is not None:
                             on_result(index, result)
                         if tracer:
@@ -307,25 +268,13 @@ def map_grid(
                             for record in events:
                                 tracer.emit(TraceEvent.from_dict(record))
                             tracer.event("grid_task_done", index=index)
-                        if telemetry:
-                            if task_telemetry is not None:
-                                for kind, count in task_telemetry[
-                                    "faults"
-                                ].items():
-                                    telemetry.faults[kind] = (
-                                        telemetry.faults.get(kind, 0) + count
-                                    )
-                                telemetry.retries += task_telemetry[
-                                    "retries"
-                                ]
-                                telemetry.wire_bytes += task_telemetry[
-                                    "bytes_on_wire"
-                                ]
-                            telemetry.cell_done(
-                                worker=str(pid),
-                                elapsed_s=elapsed,
-                                recomputed=True,
-                            )
+                        if reg is not None:
+                            if snapshot is not None and not snapshot.empty:
+                                reg.merge_snapshot(snapshot)
+                            worker = dense.setdefault(pid, str(len(dense)))
+                            reg.counter("grid_tasks_done").inc(worker=worker)
+                        if telemetry is not None:
+                            telemetry.flush()
             finally:
                 # A worker killed between exporting a segment and
                 # delivering its token leaks it; sweep by prefix now that
@@ -333,23 +282,7 @@ def map_grid(
                 shm.sweep_orphans(os.getpid())
         if reg is not None and shm_bytes:
             reg.counter("grid_shm_bytes").inc(shm_bytes)
-        if reg is not None:
-            # Dense first-seen worker indices: label values must not
-            # leak pids (they vary run to run) into reports.
-            dense: Dict[int, int] = {}
-            for pid in worker_ids:
-                if pid is not None and pid not in dense:
-                    dense[pid] = len(dense)
-            for index, snapshot in enumerate(snapshots):
-                if snapshot is not None and not snapshot.empty:
-                    if label_workers:
-                        reg.merge_snapshot(
-                            snapshot,
-                            worker=str(dense[worker_ids[index]]),
-                        )
-                    else:
-                        reg.merge_snapshot(snapshot)
         return ordered
     finally:
-        if telemetry:
+        if telemetry is not None:
             telemetry.finish_sweep()

@@ -176,7 +176,7 @@ def checkpointed_map_grid(
 
     tracer = get_tracer()
     telemetry = get_telemetry()
-    if telemetry:
+    if telemetry is not None:
         # The sweep owner: the inner map_grid joins this sweep (depth
         # counter) instead of starting one of its own, so the dashboard
         # shows grid totals and cache hits, not just the missing cells.
@@ -206,7 +206,7 @@ def checkpointed_map_grid(
                     on_result=checkpoint,
                 )
     finally:
-        if telemetry:
+        if telemetry is not None:
             telemetry.finish_sweep()
     return results
 

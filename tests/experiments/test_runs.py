@@ -149,6 +149,24 @@ class TestCLI:
         assert "experiment_seconds" in out
         assert not REGISTRY.enabled  # collection turned back off
 
+    def test_progress_without_metrics_prints_no_metrics_table(
+        self, capsys, tmp_path
+    ):
+        from repro.experiments.__main__ import main
+        from repro.obs import REGISTRY, get_telemetry, read_telemetry
+
+        path = tmp_path / "t.jsonl"
+        argv = ["E14", "--quick", "--no-store", "--progress"]
+        assert main(argv + ["--telemetry", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "[E14]" in captured.out
+        assert "metrics]" not in captured.out
+        assert "counters" not in captured.out
+        assert "1/1 cells" in captured.err  # the live line drew
+        final = read_telemetry(str(path))[-1]
+        assert final["final"] and final["cells_done"] == 1
+        assert not REGISTRY.enabled and get_telemetry() is None
+
 
 class TestE13:
     def test_reduced_run(self):

@@ -9,15 +9,13 @@ for one ``chaos_plan(7)`` blackboard run and one faulted fabric sweep.
 Any change to scheduling order, fault accounting or event fields moves
 the digest.
 
-The fabric sweep freezes the worker's cell clock: a ``RESULT`` frame
-carries the measured ``elapsed_s`` as JSON, so its encoded length, and
-with it the fault injector's corrupt-bit draw, would otherwise vary
-with wall time.
+Nothing is frozen: no frame carries a wall-clock reading, so the
+fabric sweep's frame lengths, and with them the fault injector's
+corrupt-bit draws, are the same on every run.
 """
 
 import hashlib
 import json
-import types
 
 from repro.fabric.loopback import run_loopback_sweep
 from repro.net import ByzantineConfig, run_networked
@@ -39,7 +37,7 @@ BYZANTINE_DIGEST = (
     "5aabb97702f867904bdcca15670a23bdf38d15ff40c5ce38c577ab73b836135e"
 )
 FABRIC_DIGEST = (
-    "b1c808d4fddb31105f28d4c39e3739f44f5168515d9ca73f82c11c328d9a53b1"
+    "6900bdcc49480c9bb7679948ba4e20ebe0532e5e8515722a74cebefb7d8c3c6f"
 )
 
 #: Counters the loopback transports report, by metric name.
@@ -118,10 +116,7 @@ def _fake_compute(key):
     return encode_result({"i": key.params["i"], "value": key.params["i"] ** 2})
 
 
-def test_faulted_fabric_sweep_event_stream(monkeypatch):
-    monkeypatch.setattr(
-        "repro.fabric.core.time", types.SimpleNamespace(perf_counter=lambda: 0.0)
-    )
+def _faulted_fabric_sweep():
     plan = FaultPlan(
         seed=7,
         drop_rate=0.15,
@@ -139,5 +134,14 @@ def test_faulted_fabric_sweep_event_stream(monkeypatch):
         )
         digest = _digest(tracer, registry)
     assert results == {i: _fake_compute(k) for i, k in enumerate(_fake_keys(6))}
-    assert _fault_events(tracer) == 13
+    return tracer, digest
+
+
+def test_faulted_fabric_sweep_event_stream():
+    tracer, digest = _faulted_fabric_sweep()
+    assert _fault_events(tracer) == 12
     assert digest == FABRIC_DIGEST
+
+
+def test_faulted_fabric_sweep_replays_on_the_real_clock():
+    assert _faulted_fabric_sweep()[1] == _faulted_fabric_sweep()[1]

@@ -46,10 +46,13 @@ def test_tcp_wire_bytes_reach_telemetry():
     case = protocol_case("sequential-and")
     sink = TelemetrySink(None)
     with collecting(), using_telemetry(sink):
+        sink.start_sweep("tcp", 1)
         run_networked(
             case.build(), case.input_tuples()[-1], transport="tcp",
             timeout=60.0,
         )
+        snap = sink.snapshot()
+        sink.finish_sweep()
         counted = REGISTRY.counter("net_bytes_on_wire").value(transport="tcp")
-    assert sink.wire_bytes > 0
-    assert sink.wire_bytes == counted
+    assert snap["bytes_on_wire"] > 0
+    assert snap["bytes_on_wire"] == counted

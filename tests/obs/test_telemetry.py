@@ -1,20 +1,24 @@
 """Telemetry sink, live renderer, profiler, and analysis units.
 
 Complements ``test_distributed_trace.py`` (the end-to-end acceptance):
-these drive each piece directly on synthetic data — sink aggregation
-and nesting, the single-line renderer, JSONL round-trips, profiler
-sampling, span-forest reassembly, and the ``merge_snapshot`` label
-extension the per-worker attribution rides on.
+these drive each piece directly on synthetic data — the sink's sweep
+window over the metrics registry and its nesting, the single-line
+renderer, JSONL round-trips, profiler sampling, span-forest
+reassembly — and check, once per sweep path (pool, fabric, store),
+that the final snapshot equals the registry's own totals.
 """
 
 import io
-import json
 
+from repro.fabric.loopback import run_loopback_sweep
+from repro.net import run_networked
+from repro.net.faults import FaultPlan, PartyCrash, chaos_plan
 from repro.obs import (
-    NULL_TELEMETRY,
+    REGISTRY,
     ProgressRenderer,
     RecordingTracer,
     TelemetrySink,
+    collecting,
     get_telemetry,
     read_telemetry,
     using_telemetry,
@@ -30,29 +34,69 @@ from repro.obs.analysis import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import SamplingProfiler, read_profile
 from repro.perf import map_grid
+from repro.protocols import protocol_case
+from repro.store import ResultStore, checkpointed_map_grid
+from repro.store.keys import ResultKey
+from repro.store.sweep import encode_result
 from tests.perf.test_map_grid import square  # picklable module-level task
+
+
+def faulted_run(seed):
+    """A picklable task: one blackboard run under ``chaos_plan(7)``."""
+    case = protocol_case("noisy-sequential-and")
+    run = run_networked(
+        case.build(), case.input_tuples()[-1], seed=seed,
+        faults=chaos_plan(7),
+    )
+    return run.bits_communicated
+
+
+def _final(out):
+    final = read_telemetry(io.StringIO(out.getvalue()))[-1]
+    assert final["final"] is True
+    return final
+
+
+def _total(name):
+    return sum(REGISTRY.snapshot().counters.get(name, {}).values())
+
+
+def _faults():
+    split = {}
+    for key, value in REGISTRY.snapshot().counters.get(
+        "net_faults_injected", {}
+    ).items():
+        fault = dict(key)["fault"]
+        split[fault] = split.get(fault, 0) + value
+    return split
 
 
 class TestTelemetrySink:
     def test_null_sink_is_falsy_and_inert(self):
-        assert not NULL_TELEMETRY
-        NULL_TELEMETRY.start_sweep("x", 5)
-        NULL_TELEMETRY.cell_done()
-        NULL_TELEMETRY.fault("drop")
-        NULL_TELEMETRY.finish_sweep()
-        assert NULL_TELEMETRY.snapshot()["cells_done"] == 0
+        # Nothing is installed by default, and sweeps run without one.
+        assert not get_telemetry()
+        with collecting():
+            assert map_grid(square, [1, 2]) == [1, 4]
+        assert get_telemetry() is None
 
     def test_aggregation_and_final_snapshot(self):
         out = io.StringIO()
         sink = TelemetrySink(out, interval_s=0.0)
-        sink.start_sweep("E1", 4, hits=1)
-        sink.cell_done(worker="0", elapsed_s=0.5, recomputed=True)
-        sink.cell_done(worker="1", elapsed_s=0.25, recomputed=True)
-        sink.fault("drop")
-        sink.fault("drop")
-        sink.retry()
-        sink.bytes_on_wire(100)
-        sink.finish_sweep()
+        with collecting() as reg:
+            reg.counter("net_retries").inc(5, party=0)  # before the window
+            sink.start_sweep("E1", 4, hits=1)
+            reg.counter("grid_tasks_done").inc(worker="0")
+            reg.counter("grid_tasks_done").inc(worker="1")
+            reg.counter("net_faults_injected").inc(
+                fault="drop", transport="loopback"
+            )
+            reg.counter("net_faults_injected").inc(
+                fault="drop", transport="fabric"
+            )
+            reg.counter("net_retries").inc(party=0)
+            reg.counter("net_bytes_on_wire").inc(60, transport="loopback")
+            reg.counter("fabric_bytes_on_wire").inc(40, transport="loopback")
+            sink.finish_sweep()
         records = read_telemetry(io.StringIO(out.getvalue()))
         final = records[-1]
         assert final["final"] is True
@@ -63,28 +107,31 @@ class TestTelemetrySink:
         assert final["faults"] == {"drop": 2}
         assert final["retries"] == 1
         assert final["bytes_on_wire"] == 100
-        assert final["workers"]["0"]["cells"] == 1
-        assert final["workers"]["1"]["busy_s"] == 0.25
+        assert final["workers"] == {"0": {"cells": 1}, "1": {"cells": 1}}
         assert final["eta_s"] is not None  # one fresh cell remaining
 
     def test_nested_sweeps_join_the_outermost(self):
         sink = TelemetrySink(None, interval_s=0.0)
-        sink.start_sweep("outer", 10, hits=4)
-        sink.start_sweep("inner", 6)  # joins; must not reset
-        sink.cell_done()
-        sink.finish_sweep()
-        assert sink.experiment == "outer"
-        assert sink.cells_total == 10
-        assert sink.cells_done == 5
-        sink.finish_sweep()
+        with collecting() as reg:
+            sink.start_sweep("outer", 10, hits=4)
+            sink.start_sweep("inner", 6)  # joins; must not reset
+            reg.counter("grid_tasks_done").inc(worker="0")
+            sink.finish_sweep()
+            snap = sink.snapshot()
+            assert snap["experiment"] == "outer"
+            assert snap["cells_total"] == 10
+            assert snap["cells_done"] == 5
+            sink.finish_sweep()
 
     def test_interval_throttles_but_final_always_flushes(self):
         out = io.StringIO()
         sink = TelemetrySink(out, interval_s=3600.0)
-        sink.start_sweep("E1", 100)
-        for _ in range(50):
-            sink.cell_done()
-        sink.finish_sweep()
+        with collecting() as reg:
+            sink.start_sweep("E1", 100)
+            for _ in range(50):
+                reg.counter("grid_tasks_done").inc(worker="0")
+                sink.flush()
+            sink.finish_sweep()
         records = read_telemetry(io.StringIO(out.getvalue()))
         # The start flush and the final flush; nothing in between.
         assert len(records) == 2
@@ -92,10 +139,10 @@ class TestTelemetrySink:
 
     def test_using_telemetry_scopes_the_global(self):
         sink = TelemetrySink(None)
-        assert get_telemetry() is NULL_TELEMETRY
+        assert get_telemetry() is None
         with using_telemetry(sink):
             assert get_telemetry() is sink
-        assert get_telemetry() is NULL_TELEMETRY
+        assert get_telemetry() is None
 
 
 class TestProgressRenderer:
@@ -107,14 +154,17 @@ class TestProgressRenderer:
 
     def test_renders_bar_and_counts(self):
         sink = TelemetrySink(None, interval_s=0.0)
-        sink.start_sweep("E1", 4, hits=2)
-        sink.cell_done(worker="0", elapsed_s=0.1, recomputed=True)
-        sink.fault("corrupt")
-        line = self._line(sink.snapshot())
+        with collecting() as reg:
+            sink.start_sweep("E1", 4, hits=2)
+            reg.counter("grid_tasks_done").inc(worker="0")
+            reg.counter("net_faults_injected").inc(
+                fault="corrupt", transport="loopback"
+            )
+            line = self._line(sink.snapshot())
+            sink.finish_sweep()
         assert line.startswith("\r")
         assert "E1" in line and "3/4 cells" in line
         assert "1 faults" in line
-        sink.finish_sweep()
 
     def test_shrinking_line_is_blanked(self):
         out = io.StringIO()
@@ -131,23 +181,88 @@ class TestMapGridTelemetry:
     def test_serial_sweep_reports_cells(self):
         out = io.StringIO()
         sink = TelemetrySink(out, interval_s=0.0)
-        with using_telemetry(sink):
+        with collecting(), using_telemetry(sink):
             assert map_grid(square, [1, 2, 3]) == [1, 4, 9]
-        final = read_telemetry(io.StringIO(out.getvalue()))[-1]
+        final = _final(out)
         assert final["experiment"] == "map_grid"
-        assert final["cells_done"] == 3 and final["final"]
+        assert final["cells_done"] == 3
+        assert final["workers"] == {"0": {"cells": 3}}
 
     def test_parallel_sweep_attributes_workers(self):
         out = io.StringIO()
         sink = TelemetrySink(out, interval_s=0.0)
-        with using_telemetry(sink):
+        with collecting(), using_telemetry(sink):
             assert map_grid(square, list(range(6)), workers=2) == [
                 n * n for n in range(6)
             ]
-        final = read_telemetry(io.StringIO(out.getvalue()))[-1]
+        final = _final(out)
         assert final["cells_done"] == 6
-        assert final["workers"]  # per-pid attribution present
+        # Dense first-seen worker indices, never pids.
+        assert "0" in final["workers"]
+        assert set(final["workers"]) <= {"0", "1"}
         assert sum(w["cells"] for w in final["workers"].values()) == 6
+
+
+class TestSnapshotEqualsRegistry:
+    """One sweep per path: the final snapshot reads the registry."""
+
+    def test_faulted_pool_sweep(self):
+        out = io.StringIO()
+        sink = TelemetrySink(out, interval_s=0.0)
+        with collecting(), using_telemetry(sink):
+            map_grid(faulted_run, [8, 9, 10, 11], workers=2)
+            final = _final(out)
+            assert final["cells_done"] == final["recomputes"] == 4
+            assert set(final["workers"]) <= {"0", "1"}
+            assert "0" in final["workers"]
+            assert final["faults"] == _faults()
+            assert sum(final["faults"].values()) > 0
+            assert final["retries"] == _total("net_retries")
+            assert final["bytes_on_wire"] == _total("net_bytes_on_wire") > 0
+
+    def test_faulted_fabric_sweep_with_a_crash(self):
+        keys = [
+            ResultKey(experiment="FAKE", params={"i": i}, seed=None,
+                      version="v-test")
+            for i in range(6)
+        ]
+        plan = FaultPlan(
+            seed=7, drop_rate=0.15, corrupt_rate=0.15, delay_rate=0.3,
+            max_delay=6.0,
+            crashes=(PartyCrash(party=1, after_round=1, restart=True),),
+            max_faults=24,
+        )
+        out = io.StringIO()
+        sink = TelemetrySink(out, interval_s=0.0)
+        with collecting(), using_telemetry(sink):
+            sink.start_sweep("fabric:FAKE", len(keys))
+            run_loopback_sweep(
+                keys, store=None, workers=3, faults=plan, max_attempts=60,
+                compute=lambda key: encode_result(key.params),
+            )
+            sink.finish_sweep()
+            final = _final(out)
+            assert final["cells_done"] == 6
+            assert final["faults"]["crash"] == 1
+            assert final["retries"] == _total("fabric_retries") > 0
+            assert final["bytes_on_wire"] == _total("fabric_bytes_on_wire")
+            assert sum(w["cells"] for w in final["workers"].values()) == 6
+
+    def test_store_sweep_with_hits(self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        sweep = dict(store=store, experiment="FAKE", version="v-test")
+        out = io.StringIO()
+        sink = TelemetrySink(out, interval_s=0.0)
+        with collecting():
+            checkpointed_map_grid(square, [1, 2], **sweep)
+            with using_telemetry(sink):
+                checkpointed_map_grid(square, [1, 2, 3, 4, 5], **sweep)
+            final = _final(out)
+        assert final["experiment"] == "FAKE"
+        assert (final["hits"], final["misses"]) == (2, 3)
+        assert final["cells_done"] == 5 and final["recomputes"] == 3
+        assert final["workers"] == {"0": {"cells": 3}}
+        assert final["eta_s"] is None
 
 
 class TestSamplingProfiler:
@@ -274,51 +389,3 @@ class TestMergeSnapshotLabels:
         assert (
             labeled_api.snapshot().counters == plain.snapshot().counters
         )
-
-    def test_label_is_applied_to_every_series(self):
-        parent = MetricsRegistry(enabled=True)
-        parent.merge_snapshot(self._snapshot(), worker="3")
-        assert parent.counter("cells").value(phase="batch", worker="3") == 3
-        assert parent.counter("cells").value(phase="batch") == 0
-        gauges = parent.snapshot().gauges["depth"]
-        assert all(("worker", "3") in key for key in gauges)
-        hists = parent.snapshot().histograms["bits"]
-        assert all(("worker", "3") in key for key in hists)
-
-    def test_merge_label_wins_collisions(self):
-        worker = MetricsRegistry(enabled=True)
-        worker.counter("cells").inc(2, worker="pid-1234")
-        parent = MetricsRegistry(enabled=True)
-        parent.merge_snapshot(worker.snapshot(), worker="0")
-        assert parent.counter("cells").value(worker="0") == 2
-
-    def test_labeled_merges_stay_distinguishable(self):
-        parent = MetricsRegistry(enabled=True)
-        for index in range(2):
-            worker = MetricsRegistry(enabled=True)
-            worker.counter("cells").inc(index + 1)
-            parent.merge_snapshot(worker.snapshot(), worker=str(index))
-        assert parent.counter("cells").value(worker="0") == 1
-        assert parent.counter("cells").value(worker="1") == 2
-
-    def test_map_grid_label_workers(self):
-        from repro.obs.metrics import REGISTRY, disable_metrics, enable_metrics
-        from tests.perf.test_map_grid import count_in_registry
-
-        enable_metrics(reset=True)
-        try:
-            map_grid(
-                count_in_registry,
-                list(range(1, 5)),
-                workers=2,
-                label_workers=True,
-            )
-            series = REGISTRY.counter("grid_test_units").series
-            worker_labels = {dict(key).get("worker") for key in series}
-            # Dense first-seen indices, never raw pids.
-            assert worker_labels
-            assert worker_labels <= {"0", "1"}
-            total = sum(series.values())
-            assert total == sum(range(1, 5))
-        finally:
-            disable_metrics()
