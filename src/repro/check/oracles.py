@@ -316,8 +316,8 @@ class MonteCarloOracle(Oracle):
     ``|supp X| * |supp Π| / (2 T ln 2)`` bits (the Miller–Madow residual
     scale), so the bootstrap interval is widened by exactly that
     allowance plus a fixed 0.1-bit floor.  Cases whose transcript space
-    is large relative to the trial budget are skipped — the estimator is
-    documented as out of contract there (see ``core.montecarlo``).
+    is large relative to the trial budget are skipped — the plug-in
+    estimator is out of contract there.
     """
 
     name = "exact-vs-mc"

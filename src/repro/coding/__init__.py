@@ -16,17 +16,9 @@ from .huffman import HuffmanCode
 from .varint import (
     decode_elias_delta,
     decode_elias_gamma,
-    decode_golomb_rice,
-    decode_signed_elias_gamma,
-    decode_unary,
-    elias_delta_length,
     elias_gamma_length,
     encode_elias_delta,
     encode_elias_gamma,
-    encode_golomb_rice,
-    encode_signed_elias_gamma,
-    encode_unary,
-    zigzag_decode,
     zigzag_encode,
 )
 
@@ -47,18 +39,10 @@ __all__ = [
     "crc32",
     "seal",
     "unseal",
-    "encode_unary",
-    "decode_unary",
     "encode_elias_gamma",
     "decode_elias_gamma",
     "elias_gamma_length",
     "encode_elias_delta",
     "decode_elias_delta",
-    "elias_delta_length",
-    "encode_golomb_rice",
-    "decode_golomb_rice",
     "zigzag_encode",
-    "zigzag_decode",
-    "encode_signed_elias_gamma",
-    "decode_signed_elias_gamma",
 ]

@@ -8,50 +8,24 @@ The paper's protocols need variable-length codes in two places:
   grows logarithmically with the value;
 * the Section 5 protocol's bookkeeping ("pass" flags and batch headers).
 
-We provide the classic hierarchy: unary, Elias gamma, Elias delta, and
-Golomb–Rice, plus a zig-zag transform for signed values (``s`` may be
-negative, see footnote 4).  Every encoder is paired with a decoder and the
-test suite round-trips them exhaustively and property-based.
+We provide Elias gamma and Elias delta, plus a zig-zag transform for
+signed values (``s`` may be negative, see footnote 4).  Every encoder is
+paired with a decoder and the test suite round-trips them exhaustively
+and property-based.
 """
 
 from __future__ import annotations
 
-from .bitio import BitReader, BitWriter, Bits
+from .bitio import BitReader, Bits
 
 __all__ = [
-    "encode_unary",
-    "decode_unary",
     "encode_elias_gamma",
     "decode_elias_gamma",
     "elias_gamma_length",
     "encode_elias_delta",
     "decode_elias_delta",
-    "elias_delta_length",
-    "encode_golomb_rice",
-    "decode_golomb_rice",
     "zigzag_encode",
-    "zigzag_decode",
-    "encode_signed_elias_gamma",
-    "decode_signed_elias_gamma",
 ]
-
-
-# ----------------------------------------------------------------------
-# Unary
-# ----------------------------------------------------------------------
-def encode_unary(value: int) -> Bits:
-    """Unary code for ``value >= 0``: ``value`` ones followed by a zero."""
-    if value < 0:
-        raise ValueError(f"unary code requires value >= 0, got {value}")
-    return "1" * value + "0"
-
-
-def decode_unary(reader: BitReader) -> int:
-    """Decode a unary-coded non-negative integer from ``reader``."""
-    count = 0
-    while reader.read_bit() == 1:
-        count += 1
-    return count
 
 
 # ----------------------------------------------------------------------
@@ -107,63 +81,9 @@ def decode_elias_delta(reader: BitReader) -> int:
     return (1 << (length - 1)) | int(rest, 2)
 
 
-def elias_delta_length(value: int) -> int:
-    """The length in bits of the Elias delta code of ``value >= 1``."""
-    if value < 1:
-        raise ValueError(f"Elias delta requires value >= 1, got {value}")
-    length = value.bit_length()
-    return elias_gamma_length(length) + (length - 1)
-
-
-# ----------------------------------------------------------------------
-# Golomb–Rice with power-of-two divisor 2**shift.
-# ----------------------------------------------------------------------
-def encode_golomb_rice(value: int, shift: int) -> Bits:
-    """Golomb–Rice code of ``value >= 0`` with divisor ``2**shift``."""
-    if value < 0:
-        raise ValueError(f"Golomb-Rice requires value >= 0, got {value}")
-    if shift < 0:
-        raise ValueError(f"shift must be non-negative, got {shift}")
-    quotient = value >> shift
-    writer = BitWriter()
-    writer.write_bits(encode_unary(quotient))
-    writer.write_uint(value & ((1 << shift) - 1), shift)
-    return writer.getvalue()
-
-
-def decode_golomb_rice(reader: BitReader, shift: int) -> int:
-    """Decode a Golomb–Rice-coded integer from ``reader``."""
-    if shift < 0:
-        raise ValueError(f"shift must be non-negative, got {shift}")
-    quotient = decode_unary(reader)
-    remainder = reader.read_uint(shift)
-    return (quotient << shift) | remainder
-
-
 # ----------------------------------------------------------------------
 # Signed values via zig-zag (0, -1, 1, -2, 2, ... -> 0, 1, 2, 3, 4, ...)
 # ----------------------------------------------------------------------
 def zigzag_encode(value: int) -> int:
     """Map a signed integer to an unsigned one, preserving magnitude order."""
     return (value << 1) if value >= 0 else ((-value << 1) - 1)
-
-
-def zigzag_decode(value: int) -> int:
-    """Inverse of :func:`zigzag_encode`."""
-    if value < 0:
-        raise ValueError(f"zig-zag decode requires value >= 0, got {value}")
-    return (value >> 1) if value % 2 == 0 else -((value + 1) >> 1)
-
-
-def encode_signed_elias_gamma(value: int) -> Bits:
-    """Elias gamma code of a signed integer (via zig-zag, offset by one).
-
-    Used for the sampler's log-ratio ``s``, which footnote 4 notes may be
-    negative.
-    """
-    return encode_elias_gamma(zigzag_encode(value) + 1)
-
-
-def decode_signed_elias_gamma(reader: BitReader) -> int:
-    """Inverse of :func:`encode_signed_elias_gamma`."""
-    return zigzag_decode(decode_elias_gamma(reader) - 1)

@@ -10,7 +10,6 @@ from .one_shot import (
     CompressedRound,
     ObserverPosterior,
     compress_execution,
-    round_divergences,
 )
 from .sampling import (
     NaiveDartResult,
@@ -34,7 +33,6 @@ __all__ = [
     "CompressedRound",
     "CompressedExecution",
     "compress_execution",
-    "round_divergences",
     "BatchRecord",
     "AmortizedReport",
     "compress_parallel_copies",

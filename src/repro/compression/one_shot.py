@@ -40,7 +40,6 @@ __all__ = [
     "CompressedRound",
     "CompressedExecution",
     "compress_execution",
-    "round_divergences",
 ]
 
 
@@ -205,39 +204,3 @@ def compress_execution(
         state = protocol.advance_state(state, message)
         board = board.extend(message)
     raise RuntimeError(f"protocol did not halt within {max_messages} messages")
-
-
-def round_divergences(
-    protocol: Protocol,
-    input_dist: DiscreteDistribution,
-    inputs: Sequence[Any],
-) -> List[float]:
-    """The per-round divergences :math:`D(\\eta_j \\| \\nu_j)` along the
-    (deterministic-path) execution on ``inputs``.
-
-    Only valid for executions whose message realizations are
-    deterministic given the inputs (deterministic protocols); use
-    :func:`compress_execution` for randomized ones.
-    """
-    posterior = ObserverPosterior(protocol, input_dist)
-    state = protocol.initial_state()
-    board = Transcript()
-    divergences: List[float] = []
-    while True:
-        speaker = protocol.next_speaker(state, board)
-        if speaker is None:
-            return divergences
-        eta = protocol.message_distribution(
-            state, speaker, inputs[speaker], board
-        )
-        if len(eta) != 1:
-            raise ValueError(
-                "round_divergences requires a deterministic protocol"
-            )
-        nu = posterior.predictive(state, speaker, board)
-        divergences.append(kl_divergence(eta, nu))
-        (bits,) = eta.support()
-        posterior.observe(state, speaker, board, bits)
-        message = Message(speaker=speaker, bits=bits)
-        state = protocol.advance_state(state, message)
-        board = board.extend(message)

@@ -21,25 +21,21 @@ from .model import (
     Transcript,
     check_prefix_free,
 )
-from .runner import ProtocolRun, estimate_error, max_communication, run_protocol
+from .runner import ProtocolRun, run_protocol
 from .tasks import (
     Task,
     all_boolean_inputs,
     and_task,
     boolean_inputs_with_zero_count,
     disjointness_task,
-    majority_task,
-    mask_to_set,
     or_task,
     set_to_mask,
     union_task,
-    xor_task,
 )
 from .tree import (
     MessageDistributionMemo,
     batched_joint_transcript_distribution,
     joint_transcript_distribution,
-    reachable_transcripts,
     transcript_distribution,
     transcript_distributions,
 )
@@ -48,13 +44,7 @@ from .inspect import (
     render_information_profile,
     render_protocol_tree,
 )
-from .montecarlo import InformationEstimate, estimate_information_cost
 from .profile import RoundInformation, information_profile
-from .rounds import (
-    disjointness_rounds_lower_bound,
-    disjointness_rounds_weak_bound,
-    rounds_lower_bound,
-)
 from .validate import ValidationReport, reachable_boards, validate_protocol
 
 __all__ = [
@@ -65,14 +55,11 @@ __all__ = [
     "check_prefix_free",
     "ProtocolRun",
     "run_protocol",
-    "estimate_error",
-    "max_communication",
     "transcript_distribution",
     "transcript_distributions",
     "joint_transcript_distribution",
     "batched_joint_transcript_distribution",
     "MessageDistributionMemo",
-    "reachable_transcripts",
     "transcript_joint",
     "conditional_transcript_joint",
     "external_information_cost",
@@ -86,25 +73,17 @@ __all__ = [
     "Task",
     "and_task",
     "or_task",
-    "xor_task",
-    "majority_task",
     "disjointness_task",
     "union_task",
     "all_boolean_inputs",
     "boolean_inputs_with_zero_count",
     "set_to_mask",
-    "mask_to_set",
     "ValidationReport",
     "validate_protocol",
     "reachable_boards",
-    "rounds_lower_bound",
-    "disjointness_rounds_lower_bound",
-    "disjointness_rounds_weak_bound",
     "RoundInformation",
     "information_profile",
     "render_protocol_tree",
     "annotate_transcript",
     "render_information_profile",
-    "InformationEstimate",
-    "estimate_information_cost",
 ]

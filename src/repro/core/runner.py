@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 from ..obs.metrics import REGISTRY
 from ..obs.trace import Tracer, get_tracer
@@ -51,7 +51,7 @@ from .model import (
     Transcript,
 )
 
-__all__ = ["ProtocolRun", "run_protocol", "estimate_error", "max_communication"]
+__all__ = ["ProtocolRun", "run_protocol"]
 
 #: Default ceiling on the number of messages in a single execution.
 DEFAULT_MAX_MESSAGES = 10_000_000
@@ -218,60 +218,3 @@ def _execute(
     raise ProtocolViolation(
         f"protocol did not halt within {max_messages} messages"
     )
-
-
-def estimate_error(
-    protocol: Protocol,
-    task_evaluate: Callable[[Sequence[Any]], Any],
-    input_sampler: Callable[[random.Random], Sequence[Any]],
-    *,
-    rng: random.Random,
-    trials: int,
-) -> float:
-    """Monte-Carlo estimate of the protocol's error probability.
-
-    ``task_evaluate`` maps an input tuple to the correct answer;
-    ``input_sampler`` draws an input tuple.  Errors are counted over both
-    input and protocol randomness — the distributional error
-    :math:`D^\\mu_\\epsilon` setting of Section 3.
-    """
-    if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials}")
-    failures = 0
-    for _ in range(trials):
-        inputs = input_sampler(rng)
-        run = run_protocol(protocol, inputs, rng=rng)
-        if run.output != task_evaluate(inputs):
-            failures += 1
-    if REGISTRY.enabled:
-        REGISTRY.counter("mc_trials").inc(
-            trials, protocol=type(protocol).__name__, kind="error"
-        )
-    return failures / trials
-
-
-def max_communication(
-    protocol: Protocol,
-    input_tuples: Iterable[Sequence[Any]],
-    *,
-    rng: Optional[random.Random] = None,
-    repeats: int = 1,
-) -> Tuple[int, Sequence[Any]]:
-    """The maximum realized communication over the given inputs.
-
-    For deterministic protocols with a covering set of inputs this is the
-    worst-case communication complexity :math:`CC(\\Pi)`; for randomized
-    protocols it is a lower estimate (``repeats`` executions per input).
-    Returns ``(bits, argmax_input)``.
-    """
-    best_bits = -1
-    best_input: Sequence[Any] = ()
-    for inputs in input_tuples:
-        for _ in range(repeats):
-            run = run_protocol(protocol, inputs, rng=rng)
-            if run.bits_communicated > best_bits:
-                best_bits = run.bits_communicated
-                best_input = tuple(inputs)
-    if best_bits < 0:
-        raise ValueError("no inputs supplied")
-    return best_bits, best_input

@@ -6,8 +6,7 @@ it is finite and small enough to enumerate.  The tasks of the paper:
 
 * :func:`and_task` — one-bit :math:`\\mathrm{AND}_k`, the inner problem of
   the Section 4 lower bound and the Section 6 separation instance.
-* :func:`or_task`, :func:`xor_task`, :func:`majority_task` — auxiliary
-  one-bit tasks used in tests and the compression benchmarks.
+* :func:`or_task` — the auxiliary one-bit OR.
 * :func:`disjointness_task` — :math:`\\mathrm{DISJ}_{n,k}`, with player
   inputs represented as integer bitmasks over the universe ``[n]``
   (coordinate ``j`` of player ``i`` is bit ``j`` of mask ``i``).  Following
@@ -27,13 +26,10 @@ __all__ = [
     "Task",
     "and_task",
     "or_task",
-    "xor_task",
-    "majority_task",
     "disjointness_task",
     "union_task",
     "all_boolean_inputs",
     "boolean_inputs_with_zero_count",
-    "mask_to_set",
     "set_to_mask",
 ]
 
@@ -110,26 +106,6 @@ def or_task(k: int) -> Task:
     )
 
 
-def xor_task(k: int) -> Task:
-    """One-bit parity of the players' bits."""
-    return Task(
-        name=f"XOR_{k}",
-        num_players=k,
-        evaluate=lambda inputs: sum(inputs) % 2,
-        enumerate_inputs=lambda: all_boolean_inputs(k),
-    )
-
-
-def majority_task(k: int) -> Task:
-    """Majority of the players' bits (ties broken toward 0)."""
-    return Task(
-        name=f"MAJ_{k}",
-        num_players=k,
-        evaluate=lambda inputs: int(2 * sum(inputs) > len(inputs)),
-        enumerate_inputs=lambda: all_boolean_inputs(k),
-    )
-
-
 # ----------------------------------------------------------------------
 # Set disjointness
 # ----------------------------------------------------------------------
@@ -143,13 +119,6 @@ def set_to_mask(coordinates: Iterable[int], n: int) -> int:
             )
         mask |= 1 << coordinate
     return mask
-
-
-def mask_to_set(mask: int, n: int) -> frozenset:
-    """Decode an integer bitmask into the subset it represents."""
-    if mask < 0 or mask >= (1 << n):
-        raise ValueError(f"mask {mask} outside universe of size {n}")
-    return frozenset(j for j in range(n) if mask >> j & 1)
 
 
 def disjointness_task(n: int, k: int, *, enumerable_limit: int = 20) -> Task:

@@ -102,7 +102,6 @@ __all__ = [
     "joint_transcript_distribution",
     "batched_joint_transcript_distribution",
     "population_joint",
-    "reachable_transcripts",
 ]
 
 #: Default ceiling on messages along any root-to-leaf path of the tree.
@@ -604,43 +603,3 @@ def joint_transcript_distribution(
         memo=memo,
         medium=medium,
     )
-
-
-def reachable_transcripts(
-    protocol: Protocol,
-    input_tuples: Sequence[Sequence[Any]],
-    *,
-    max_messages: int = DEFAULT_MAX_MESSAGES,
-    tracer: Optional[Tracer] = None,
-    memo: Optional[MessageDistributionMemo] = None,
-) -> Dict[Transcript, List[Sequence[Any]]]:
-    """All transcripts reachable from any of the given inputs, mapped to
-    the inputs that can produce them.
-
-    Used by the lower-bound machinery to enumerate the transcript space a
-    protocol induces (e.g. to compute :math:`\\pi_2` over the two-zero
-    input class) and by model-discipline tests.
-
-    Duplicate input tuples are enumerated once (the per-input-tuple cache
-    :func:`joint_transcript_distribution` uses); the returned mapping
-    still lists one entry per occurrence, preserving the historical
-    output shape.  ``tracer``/``memo`` pass through to the per-input
-    enumeration.
-    """
-    reachable: Dict[Transcript, List[Sequence[Any]]] = {}
-    cache: Dict[Tuple[Any, ...], DiscreteDistribution] = {}
-    for inputs in input_tuples:
-        key = tuple(inputs)
-        dist = cache.get(key)
-        if dist is None:
-            dist = transcript_distribution(
-                protocol,
-                inputs,
-                max_messages=max_messages,
-                tracer=tracer,
-                memo=memo,
-            )
-            cache[key] = dist
-        for transcript in dist.support():
-            reachable.setdefault(transcript, []).append(key)
-    return reachable

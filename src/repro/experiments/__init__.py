@@ -22,12 +22,7 @@ from . import (
     e16_cross_model,
 )
 from .tables import ExperimentTable
-from .workloads import (
-    all_full_instance,
-    partition_instance,
-    planted_intersection_instance,
-    random_instance,
-)
+from .workloads import partition_instance, random_instance
 
 ALL_EXPERIMENTS = {
     "E1": e1_disjointness_scaling.run,
@@ -53,6 +48,4 @@ __all__ = [
     "ALL_EXPERIMENTS",
     "partition_instance",
     "random_instance",
-    "planted_intersection_instance",
-    "all_full_instance",
 ]

@@ -32,7 +32,7 @@ Usage::
 
 Each experiment prints its rendered table (the same table the benchmark
 harness writes to ``benchmarks/results/``).  With ``--trace`` every
-instrumented subsystem (runner, exact analyzer, samplers, Monte-Carlo)
+instrumented subsystem (runner, exact analyzer, samplers)
 streams structured events to the given JSONL file; with ``--metrics``
 the process-wide registry is enabled and a counters/timing table is
 printed after each experiment.

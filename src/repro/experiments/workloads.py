@@ -7,10 +7,6 @@ protocol's worst case and its easy cases:
   partition the universe: every coordinate must reach the board, the
   communication-maximizing situation for all three protocols.
 * :func:`random_instance` — i.i.d. random sets with a given density.
-* :func:`planted_intersection_instance` — random sets forced to share
-  one coordinate (a guaranteed non-disjoint instance).
-* :func:`all_full_instance` — every player holds the full universe;
-  nobody has zeros, the cheapest non-disjoint input.
 """
 
 from __future__ import annotations
@@ -22,8 +18,6 @@ from typing import List, Tuple
 __all__ = [
     "partition_instance",
     "random_instance",
-    "planted_intersection_instance",
-    "all_full_instance",
 ]
 
 
@@ -78,20 +72,3 @@ def random_instance(
         bits = np.packbits(values < threshold, bitorder="little")
         masks.append(int.from_bytes(bits.tobytes(), "little"))
     return tuple(masks)
-
-
-def planted_intersection_instance(
-    n: int, k: int, rng: random.Random, *, density: float = 0.5
-) -> Tuple[int, ...]:
-    """A random instance with one uniformly random shared coordinate
-    forced into every set (so the correct answer is "non-disjoint")."""
-    shared = rng.randrange(n)
-    masks = random_instance(n, k, rng, density=density)
-    return tuple(mask | (1 << shared) for mask in masks)
-
-
-def all_full_instance(n: int, k: int) -> Tuple[int, ...]:
-    """Every player holds the full universe: the protocol should detect
-    non-disjointness after a single all-pass cycle."""
-    full = (1 << n) - 1
-    return tuple([full] * k)

@@ -7,27 +7,17 @@ Public surface:
 * :func:`entropy`, :func:`binary_entropy`, :func:`conditional_entropy`,
   :func:`mutual_information`, :func:`conditional_mutual_information` —
   Definitions 1–3.
-* :func:`kl_divergence`, :func:`total_variation`, :func:`jensen_shannon`,
-  :func:`hellinger`, :func:`mutual_information_as_divergence` —
-  Definition 4 and Eq. (1).
+* :func:`kl_divergence`, :func:`log_ratio` — Definition 4.
 * Sample-based estimators in :mod:`repro.information.estimation`.
 """
 
 from .distribution import DiscreteDistribution, JointDistribution
-from .divergence import (
-    hellinger,
-    jensen_shannon,
-    kl_divergence,
-    log_ratio,
-    mutual_information_as_divergence,
-    total_variation,
-)
+from .divergence import kl_divergence, log_ratio
 from .entropy import (
     binary_entropy,
     conditional_entropy,
     conditional_mutual_information,
     entropy,
-    entropy_chain_terms,
     mutual_information,
 )
 from .estimation import (
@@ -47,13 +37,8 @@ __all__ = [
     "conditional_entropy",
     "mutual_information",
     "conditional_mutual_information",
-    "entropy_chain_terms",
     "kl_divergence",
     "log_ratio",
-    "total_variation",
-    "jensen_shannon",
-    "hellinger",
-    "mutual_information_as_divergence",
     "empirical_distribution",
     "plugin_entropy",
     "miller_madow_entropy",

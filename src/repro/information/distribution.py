@@ -171,13 +171,6 @@ class DiscreteDistribution:
         return dist
 
     @classmethod
-    def bernoulli(cls, p: float) -> "DiscreteDistribution":
-        """A Bernoulli(:math:`p`) distribution over ``{0, 1}``."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"Bernoulli parameter must lie in [0, 1], got {p!r}")
-        return cls({1: p, 0: 1.0 - p}, normalize=True)
-
-    @classmethod
     def from_weights(
         cls, weights: Mapping[Outcome, float]
     ) -> "DiscreteDistribution":
@@ -284,25 +277,6 @@ class DiscreteDistribution:
             for a, pa in self._probs.items()
             for b, pb in other._probs.items()
         }
-        return DiscreteDistribution(probs, normalize=True)
-
-    @staticmethod
-    def mixture(
-        components: Sequence[Tuple[float, "DiscreteDistribution"]]
-    ) -> "DiscreteDistribution":
-        """A convex mixture ``sum_i w_i * dist_i``.
-
-        Weights must be non-negative with positive total; they are
-        normalized automatically.
-        """
-        if not components:
-            raise ValueError("mixture needs at least one component")
-        probs: Dict[Outcome, float] = {}
-        for weight, dist in components:
-            if weight < 0:
-                raise ValueError("mixture weights must be non-negative")
-            for outcome, p in dist.items():
-                probs[outcome] = probs.get(outcome, 0.0) + weight * p
         return DiscreteDistribution(probs, normalize=True)
 
     # ------------------------------------------------------------------
@@ -454,38 +428,6 @@ class JointDistribution:
         return law
 
     # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_distribution(
-        cls,
-        dist: DiscreteDistribution,
-        *,
-        names: Optional[Sequence[str]] = None,
-    ) -> "JointDistribution":
-        """Wrap a tuple-valued :class:`DiscreteDistribution`."""
-        return cls(dist.as_dict(), names=names)
-
-    @classmethod
-    def independent(
-        cls,
-        components: Sequence[DiscreteDistribution],
-        *,
-        names: Optional[Sequence[str]] = None,
-    ) -> "JointDistribution":
-        """The product distribution of independent components."""
-        if not components:
-            raise ValueError("need at least one component")
-        outcomes: List[Tuple[Tuple[Outcome, ...], float]] = [((), 1.0)]
-        for component in components:
-            outcomes = [
-                (prefix + (value,), p * q)
-                for prefix, p in outcomes
-                for value, q in component.items()
-            ]
-        return cls(dict(outcomes), names=names, normalize=True)
-
-    # ------------------------------------------------------------------
     # Index resolution
     # ------------------------------------------------------------------
     def _resolve(self, component: Any) -> int:
@@ -559,19 +501,6 @@ class JointDistribution:
                 key = tuple(outcome[i] for i in indices)
             probs[key] = probs.get(key, 0.0) + p
         return DiscreteDistribution(probs, normalize=True)
-
-    def marginal_joint(
-        self, components: Sequence[Any], *, names: Optional[Sequence[str]] = None
-    ) -> "JointDistribution":
-        """Like :meth:`marginal` but retains joint-distribution structure."""
-        indices = self._resolve_many(components)
-        probs: Dict[Tuple[Outcome, ...], float] = {}
-        for outcome, p in self._dist.items():
-            key = tuple(outcome[i] for i in indices)
-            probs[key] = probs.get(key, 0.0) + p
-        if names is None and self._names is not None:
-            names = [self._names[i] for i in indices]
-        return JointDistribution(probs, names=names, normalize=True)
 
     def conditional(
         self,

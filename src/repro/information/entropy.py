@@ -28,7 +28,6 @@ __all__ = [
     "conditional_entropy",
     "mutual_information",
     "conditional_mutual_information",
-    "entropy_chain_terms",
 ]
 
 Components = Union[int, str, Sequence[Any]]
@@ -155,29 +154,3 @@ def conditional_mutual_information(
             )
         total += p * mutual_information(conditioned, a, b)
     return total
-
-
-def entropy_chain_terms(
-    joint: JointDistribution, order: Sequence[Components]
-) -> list:
-    """The chain-rule decomposition ``H(A1), H(A2|A1), H(A3|A1 A2), ...``.
-
-    Returns the list of per-term conditional entropies in the given order;
-    they sum to the entropy of the full tuple.  Used by tests to validate
-    the chain rule the paper's Section 6 analysis relies on.
-    """
-    terms = []
-    seen: list = []
-    for component in order:
-        if not seen:
-            terms.append(entropy(joint.marginal(component)))
-        else:
-            flat_seen = []
-            for c in seen:
-                if isinstance(c, (str, int)):
-                    flat_seen.append(c)
-                else:
-                    flat_seen.extend(c)
-            terms.append(conditional_entropy(joint, component, flat_seen))
-        seen.append(component)
-    return terms

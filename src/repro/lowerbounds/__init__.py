@@ -3,16 +3,8 @@ product decomposition, Lemma 4 posteriors and the Eq. (3)–(4) divergence
 bounds, the Lemma 5 good-transcript analysis, the Lemma 6 Ω(k) fooling
 argument, and the Lemma 1 direct sum."""
 
-from .analytic import (
-    first_zero_distribution_given_z,
-    sequential_and_cic_closed_form,
-)
-from .decomposition import (
-    TranscriptFactors,
-    alpha_coefficients,
-    transcript_factors,
-    transcript_probability_from_factors,
-)
+from .analytic import sequential_and_cic_closed_form
+from .decomposition import TranscriptFactors, transcript_factors
 from .direct_sum import (
     InformationAdditivityReport,
     coordinate_information_split,
@@ -24,12 +16,10 @@ from .fooling import (
     TruncatedAndProtocol,
     lemma6_report,
     speakers_on_all_ones,
-    verify_transcript_collision,
 )
 from .hard_distribution import (
     and_hard_distribution,
     and_hard_input_marginal,
-    conditional_zero_prior,
     disjointness_hard_distribution,
     lemma6_distribution,
 )
@@ -56,16 +46,12 @@ from .transcripts import (
 
 __all__ = [
     "sequential_and_cic_closed_form",
-    "first_zero_distribution_given_z",
     "and_hard_distribution",
     "and_hard_input_marginal",
-    "conditional_zero_prior",
     "disjointness_hard_distribution",
     "lemma6_distribution",
     "TranscriptFactors",
     "transcript_factors",
-    "transcript_probability_from_factors",
-    "alpha_coefficients",
     "posterior_zero_given_not_special",
     "divergence_of_surprised_posterior",
     "divergence_lower_bound",
@@ -76,7 +62,6 @@ __all__ = [
     "Lemma6Report",
     "lemma6_report",
     "speakers_on_all_ones",
-    "verify_transcript_collision",
     "TruncatedAndProtocol",
     "optimal_distributional_error",
     "error_budget_curve",

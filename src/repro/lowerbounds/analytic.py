@@ -27,24 +27,10 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import List
 
 __all__ = [
     "sequential_and_cic_closed_form",
-    "first_zero_distribution_given_z",
 ]
-
-
-def first_zero_distribution_given_z(k: int, z: int) -> List[float]:
-    """:math:`\\Pr[J = j \\mid Z = z]` for ``j = 0..z`` (zero beyond)."""
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    if not 0 <= z < k:
-        raise ValueError(f"z must lie in [0, {k}), got {z}")
-    q = 1.0 - 1.0 / k
-    probs = [(q**j) * (1.0 / k) for j in range(z)]
-    probs.append(q**z)
-    return probs
 
 
 @functools.lru_cache(maxsize=16, typed=True)

@@ -29,8 +29,6 @@ from ..core.model import Protocol, Transcript
 
 __all__ = [
     "transcript_factors",
-    "transcript_probability_from_factors",
-    "alpha_coefficients",
     "TranscriptFactors",
 ]
 
@@ -127,21 +125,3 @@ def transcript_factors(
     return TranscriptFactors(
         transcript=transcript, factors=tuple(factors)
     )
-
-
-def transcript_probability_from_factors(
-    factors: TranscriptFactors, inputs: Sequence[Any]
-) -> float:
-    """Convenience alias for :meth:`TranscriptFactors.probability`."""
-    return factors.probability(inputs)
-
-
-def alpha_coefficients(
-    factors: TranscriptFactors, *, zero: Any = 0, one: Any = 1
-) -> List[float]:
-    """All :math:`\\alpha^\\ell_i` for one transcript (see
-    :meth:`TranscriptFactors.alpha`)."""
-    return [
-        factors.alpha(player, zero=zero, one=one)
-        for player in range(len(factors.factors))
-    ]

@@ -8,13 +8,11 @@ If :math:`\\ell` is small, then with noticeable probability (under
 speakers hold 1 — the transcript is then *identical* to the all-ones
 transcript, and the protocol must give the same (now wrong) answer.
 
-This module makes every step of that argument executable:
+This module makes that argument executable (the transcript collision
+itself is checked in ``tests/lowerbounds/test_fooling.py``):
 
 * :func:`speakers_on_all_ones` — the speaker sequence of a deterministic
   protocol on :math:`1^k`;
-* :func:`verify_transcript_collision` — checks, input by input, that the
-  collision event :math:`\\mathcal{E}` really produces the all-ones
-  transcript;
 * :func:`lemma6_report` — the quantitative content: the collision
   probability :math:`(1 - \\epsilon')(1 - \\ell/k)`, the implied error
   lower bound, and the protocol's exact distributional error for
@@ -39,7 +37,6 @@ from .hard_distribution import lemma6_distribution
 
 __all__ = [
     "speakers_on_all_ones",
-    "verify_transcript_collision",
     "Lemma6Report",
     "lemma6_report",
     "TruncatedAndProtocol",
@@ -56,37 +53,6 @@ def speakers_on_all_ones(protocol: Protocol) -> List[int]:
         if speaker not in seen:
             seen.append(speaker)
     return seen
-
-
-def verify_transcript_collision(protocol: Protocol) -> List[int]:
-    """Check the heart of Lemma 6 on a deterministic protocol.
-
-    For every player ``z`` *outside* the all-ones speaker set, runs the
-    protocol on the input that is all-ones except :math:`X_z = 0` and
-    asserts the transcript equals the all-ones transcript (so the output
-    must be the all-ones output — an error).  Returns the list of such
-    "invisible" players.
-
-    Raises ``AssertionError`` if the model discipline is somehow violated
-    (it cannot be: the turn function only reads the board, and no speaker
-    reads :math:`X_z`).
-    """
-    k = protocol.num_players
-    all_ones = tuple([1] * k)
-    reference = run_protocol(protocol, all_ones)
-    speakers = set(reference.transcript.speakers())
-    invisible = [z for z in range(k) if z not in speakers]
-    for z in invisible:
-        bits = [1] * k
-        bits[z] = 0
-        run = run_protocol(protocol, tuple(bits))
-        if run.transcript != reference.transcript:
-            raise AssertionError(
-                "transcript collision failed: the blackboard model "
-                "discipline was violated for player "
-                f"{z} (this should be impossible)"
-            )
-    return invisible
 
 
 @dataclass(frozen=True)

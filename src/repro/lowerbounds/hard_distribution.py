@@ -40,7 +40,6 @@ from ..perf import kernels
 __all__ = [
     "and_hard_distribution",
     "and_hard_input_marginal",
-    "conditional_zero_prior",
     "disjointness_hard_distribution",
     "lemma6_distribution",
 ]
@@ -219,15 +218,6 @@ def and_hard_input_marginal(
             masses.extend(itertools.repeat(folded[e] * scale, block.shape[0]))
     rows = np_.concatenate(blocks)
     return kernels.encoded_law(_tuples(rows), np_.array(masses), rows)
-
-
-def conditional_zero_prior(k: int) -> float:
-    """The prior :math:`\\Pr[X_i = 0 \\mid Z \\ne i] = 1/k` under
-    :math:`\\mu` — the quantity the posterior must beat by a factor
-    :math:`\\Omega(k)` for the Lemma 5 argument."""
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    return 1.0 / k
 
 
 def disjointness_hard_distribution(

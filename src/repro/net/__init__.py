@@ -75,14 +75,13 @@ from .framing import (
     unpack_bits,
 )
 from .loopback import DEFAULT_MAX_STEPS, LoopbackRunner
-from .runner import TRANSPORTS, reference_run, run_networked
+from .runner import TRANSPORTS, run_networked
 from .server import BlackboardServer
 from .tcp import TCP_RETRY_POLICY, run_tcp
 
 __all__ = [
     # runner
     "run_networked",
-    "reference_run",
     "TRANSPORTS",
     # wire protocol
     "Frame",

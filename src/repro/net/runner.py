@@ -16,7 +16,6 @@ over either transport: the seeded ``loopback`` simulator
 
 from __future__ import annotations
 
-import random
 from typing import Any, Optional, Sequence, Union
 
 from ..core.model import Protocol
@@ -128,24 +127,4 @@ def run_networked(
         )
     raise ValueError(
         f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-    )
-
-
-def reference_run(
-    protocol: Protocol,
-    inputs: Sequence[Any],
-    *,
-    seed: Optional[int] = None,
-    max_messages: int = DEFAULT_MAX_MESSAGES,
-) -> ProtocolRun:
-    """The in-memory run a networked execution must reproduce.
-
-    Convenience wrapper fixing the rng construction the equivalence
-    contract is stated against: ``random.Random(seed)``.
-    """
-    from ..core.runner import run_protocol
-
-    rng = random.Random(seed) if seed is not None else None
-    return run_protocol(
-        protocol, inputs, rng=rng, max_messages=max_messages
     )

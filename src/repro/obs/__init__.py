@@ -1,8 +1,8 @@
 """Observability for the reproduction: structured tracing + metrics.
 
 The runtime's hot subsystems — :func:`repro.core.runner.run_protocol`,
-the exact tree analyzer, the Lemma 7 samplers, and the Monte-Carlo
-estimator — are instrumented against this package:
+the exact tree analyzer and the Lemma 7 samplers — are instrumented
+against this package:
 
 * :mod:`repro.obs.trace` — span/event tracing.  Default is the falsy
   :class:`NullTracer` (zero hot-path overhead); a
@@ -12,8 +12,7 @@ estimator — are instrumented against this package:
   (``python -m repro.experiments E2 --trace out.jsonl``).
 * :mod:`repro.obs.metrics` — a process-wide registry of labeled
   counters, gauges, and log-scale histograms (``bits_written``,
-  ``tree_nodes_expanded``, ``sampler_darts_rejected``, ``mc_trials``,
-  ...), off by default, enabled with :func:`collecting` or the CLI's
+  ``tree_nodes_expanded``, ``sampler_darts_rejected``, ...), off by default, enabled with :func:`collecting` or the CLI's
   ``--metrics`` flag.
 * :mod:`repro.obs.report` — renders a metrics snapshot in the same
   fixed-width table style as :mod:`repro.experiments.tables`.

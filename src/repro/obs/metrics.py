@@ -44,9 +44,6 @@ Metric naming used by the instrumented subsystems:
 ``sampler_s`` (histogram)             accepted log-ratios ``s``
 ``sampler_candidates`` (histogram)    candidate-set sizes ``|P'|``
 ``sampler_bits`` (histogram)          total bits per sampled message
-``mc_trials``                         Monte-Carlo protocol executions
-``mc_bootstrap_replicates``           bootstrap resamples computed
-``mc_bootstrap_seconds`` (gauge)      wall time of the last bootstrap
 ``check_cases``                       fuzz cases finished, by verdict
 ``check_oracle_runs``                 oracle checks, by oracle and verdict
 ``check_failures``                    failing oracle checks, by oracle
@@ -88,8 +85,6 @@ Metric naming used by the instrumented subsystems:
 ``grid_tasks_done``                   sweep tasks completed, by worker (dense
                                       first-seen index; ``0`` when serial)
 ``grid_workers`` (gauge)              worker-pool size of the last sweep
-``grid_shm_bytes``                    result bytes received from workers
-                                      via shared-memory segments
 ``kernel_vectorized_calls``           array-path invocations, by op
 ``experiment_seconds`` (gauge)        wall time per experiment (CLI)
 ====================================  =======================================

@@ -147,7 +147,7 @@ class TelemetrySink:
         self._last_flush = float("-inf")
         self.experiment: Optional[str] = None
         self.cells_total = 0
-        self.hits = 0
+        self.hits: Optional[int] = None
         self._started = 0.0
         self._baseline: Dict[str, Dict[LabelKey, float]] = {}
 
@@ -155,11 +155,14 @@ class TelemetrySink:
     # Sweep lifecycle.
     # ------------------------------------------------------------------
     def start_sweep(
-        self, experiment: str, total: int, *, hits: int = 0
+        self, experiment: str, total: int, *, hits: Optional[int] = None
     ) -> None:
         """Begin (or join) a sweep.  The outermost caller owns the
         sweep; nested calls (``map_grid`` under
-        ``checkpointed_map_grid``) join it without resetting."""
+        ``checkpointed_map_grid``) join it without resetting.  ``hits``
+        is the store split found before the sweep, ``None`` when no
+        store was probed (a bare ``map_grid``): snapshots then carry no
+        ``hits``/``misses`` and the renderer shows no hit rate."""
         self._depth += 1
         if self._depth > 1:
             return
@@ -218,7 +221,8 @@ class TelemetrySink:
 
         completed = by("recomputed", "fabric_cells_completed")
         recomputes = total("grid_tasks_done") + completed.get("yes", 0)
-        cells_done = self.hits + recomputes + completed.get("no", 0)
+        hits = self.hits or 0
+        cells_done = hits + recomputes + completed.get("no", 0)
         faults = by("fault", "net_faults_injected")
         lost = total("fabric_workers_lost")
         if lost:
@@ -229,8 +233,6 @@ class TelemetrySink:
             "experiment": self.experiment,
             "cells_total": self.cells_total,
             "cells_done": cells_done,
-            "hits": self.hits,
-            "misses": self.cells_total - self.hits,
             "recomputes": recomputes,
             "retries": total("net_retries", "fabric_retries"),
             "bytes_on_wire": wire,
@@ -241,7 +243,10 @@ class TelemetrySink:
             },
             "elapsed_s": elapsed,
         }
-        fresh_done = cells_done - self.hits
+        if self.hits is not None:
+            record["hits"] = self.hits
+            record["misses"] = self.cells_total - self.hits
+        fresh_done = cells_done - hits
         remaining = self.cells_total - cells_done
         if fresh_done > 0 and remaining > 0 and elapsed > 0:
             record["eta_s"] = elapsed / fresh_done * remaining

@@ -1,7 +1,7 @@
 """Structured tracing for the protocol runtime.
 
 The reproduction's hot subsystems — the concrete runner, the exact tree
-analyzer, the Lemma 7 samplers, and the Monte-Carlo estimator — accept a
+analyzer and the Lemma 7 samplers — accept a
 :class:`Tracer` and emit *events* (one structured record each) and
 *spans* (begin/end pairs carrying wall-clock duration).  The design
 mirrors how the paper (and its message-passing follow-up,

@@ -39,7 +39,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import shm
 from ..obs.metrics import REGISTRY, MetricsSnapshot, enable_metrics
 from ..obs.telemetry import get_telemetry
 from ..obs.trace import (
@@ -114,10 +113,6 @@ def _execute_task(
         events = [_degrade_event(event) for event in worker_tracer.events]
     else:
         result = fn(item) if seed is None else fn(item, seed)
-    # Large array payloads travel via shared memory; the pickled result
-    # then carries only tokens (anything that cannot be exported falls
-    # back to plain pickling inside pack_result).
-    result = shm.pack_result(result)
     snapshot = REGISTRY.snapshot() if collect_metrics else None
     return index, result, snapshot, events, os.getpid()
 
@@ -173,14 +168,6 @@ def map_grid(
     of the process that ran it (never a pid, so reports stay
     deterministic; ``"0"`` when serial).
 
-    When running in parallel, workers ship large numpy-array result
-    payloads through :mod:`multiprocessing.shared_memory` segments
-    instead of the result pipe (see :mod:`repro.perf.shm`); everything
-    else — and every platform without shared memory — uses plain
-    pickling.  Received shared bytes are counted on ``grid_shm_bytes``,
-    and any segment orphaned by a crashed worker is swept when the pool
-    shuts down.
-
     Returns
     -------
     list
@@ -234,54 +221,43 @@ def map_grid(
         # Dense first-seen worker indices: label values must not leak
         # pids (they vary run to run) into reports.
         dense: Dict[int, str] = {}
-        shm_bytes = 0
         with tracer.span("map_grid", tasks=len(items), workers=count):
             trace_ctx = tracer.current_context() if tracer else None
-            try:
-                with ProcessPoolExecutor(max_workers=count) as executor:
-                    futures = [
-                        executor.submit(
-                            _execute_task,
-                            fn,
-                            index,
-                            item,
-                            seeds[index],
-                            collect_metrics,
-                            trace_ctx,
-                        )
-                        for index, item in enumerate(items)
-                    ]
-                    # Resolve in submission order: result ordering, the
-                    # merged metrics, and which task's exception surfaces
-                    # first are then deterministic.
-                    for future in futures:
-                        index, result, snapshot, events, pid = future.result()
-                        result, received = shm.unpack_result(result)
-                        shm_bytes += received
-                        ordered[index] = result
-                        if on_result is not None:
-                            on_result(index, result)
-                        if tracer:
-                            # Replay the worker's records into the
-                            # parent's sink; submission order keeps the
-                            # trace file deterministic in structure.
-                            for record in events:
-                                tracer.emit(TraceEvent.from_dict(record))
-                            tracer.event("grid_task_done", index=index)
-                        if reg is not None:
-                            if snapshot is not None and not snapshot.empty:
-                                reg.merge_snapshot(snapshot)
-                            worker = dense.setdefault(pid, str(len(dense)))
-                            reg.counter("grid_tasks_done").inc(worker=worker)
-                        if telemetry is not None:
-                            telemetry.flush()
-            finally:
-                # A worker killed between exporting a segment and
-                # delivering its token leaks it; sweep by prefix now that
-                # the pool is gone.
-                shm.sweep_orphans(os.getpid())
-        if reg is not None and shm_bytes:
-            reg.counter("grid_shm_bytes").inc(shm_bytes)
+            with ProcessPoolExecutor(max_workers=count) as executor:
+                futures = [
+                    executor.submit(
+                        _execute_task,
+                        fn,
+                        index,
+                        item,
+                        seeds[index],
+                        collect_metrics,
+                        trace_ctx,
+                    )
+                    for index, item in enumerate(items)
+                ]
+                # Resolve in submission order: result ordering, the
+                # merged metrics, and which task's exception surfaces
+                # first are then deterministic.
+                for future in futures:
+                    index, result, snapshot, events, pid = future.result()
+                    ordered[index] = result
+                    if on_result is not None:
+                        on_result(index, result)
+                    if tracer:
+                        # Replay the worker's records into the
+                        # parent's sink; submission order keeps the
+                        # trace file deterministic in structure.
+                        for record in events:
+                            tracer.emit(TraceEvent.from_dict(record))
+                        tracer.event("grid_task_done", index=index)
+                    if reg is not None:
+                        if snapshot is not None and not snapshot.empty:
+                            reg.merge_snapshot(snapshot)
+                        worker = dense.setdefault(pid, str(len(dense)))
+                        reg.counter("grid_tasks_done").inc(worker=worker)
+                    if telemetry is not None:
+                        telemetry.flush()
         return ordered
     finally:
         if telemetry is not None:

@@ -18,13 +18,6 @@ from .twoparty import (
     TwoPartySparseIntersectionProtocol,
 )
 from .promise import PromiseUniqueIntersectionProtocol
-from .public_coin import (
-    ProtocolMixture,
-    equality_mixture,
-    mixture_error,
-    mixture_expected_communication,
-    mixture_information_cost,
-)
 from .registry import ALL_PROTOCOLS, ProtocolCase, protocol_case
 from .union import UnionProtocol
 
@@ -46,9 +39,4 @@ __all__ = [
     "TwoPartySparseIntersectionProtocol",
     "UnionProtocol",
     "PromiseUniqueIntersectionProtocol",
-    "ProtocolMixture",
-    "equality_mixture",
-    "mixture_information_cost",
-    "mixture_error",
-    "mixture_expected_communication",
 ]

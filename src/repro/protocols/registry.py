@@ -9,9 +9,7 @@ that silently goes stale when a protocol is added.
 
 ``tests/protocols/test_model_discipline.py`` asserts the registry is
 complete: every ``Protocol`` subclass reachable from
-``repro.protocols.__all__`` must appear here (``ProtocolMixture`` is a
-distribution over protocols, not a protocol, and is exercised by its own
-tests).
+``repro.protocols.__all__`` must appear here.
 
 Entries are factories, not instances: registry users get a fresh
 protocol per test, so stateful bugs in one test cannot leak into the

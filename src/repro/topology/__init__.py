@@ -22,7 +22,7 @@ See docs/topology.md for the model and experiment E16 for the
 cross-model disjointness comparison this package exists to run.
 """
 
-from .analysis import per_link_communication, per_view_information
+from .analysis import per_view_information
 from .medium import (
     BOARD_LINK,
     BROADCAST,
@@ -59,7 +59,6 @@ __all__ = [
     "ring_medium",
     "MediumProtocol",
     "run_on_medium",
-    "per_link_communication",
     "per_view_information",
     "CoordinatorTrivialDisjointness",
     "CoordinatorDisjointnessProtocol",

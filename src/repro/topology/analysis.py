@@ -1,7 +1,6 @@
-"""Per-link communication and per-view information on arbitrary media.
+"""Per-view information on arbitrary media.
 
-The two quantities only a general medium has: where the bits went
-(:func:`per_link_communication`) and the **per-view information
+The quantity only a general medium has: the **per-view information
 decomposition** (:func:`per_view_information`).  On the blackboard
 every player sees the whole transcript, so the paper's Lemma 2/3-style
 per-player decompositions are stated over one shared object.  On a general medium each node ``v``
@@ -22,48 +21,24 @@ external per-view term collapses to :math:`IC_\\mu(\\Pi)` — a collapse
 the test suite asserts — while the coordinator medium genuinely splits
 information across links, which experiment E16 tabulates.
 
-Both functions are built on the one engine: the joint law comes from
-:func:`repro.core.analysis.transcript_joint` and the per-input laws
-from one shared walk, :func:`repro.core.tree.transcript_distributions`,
-each with the medium passed through.
+It is built on the one engine: the joint law comes from
+:func:`repro.core.analysis.transcript_joint` with the medium passed
+through.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Dict
 
 from ..core.analysis import transcript_joint
 from ..core.model import Medium, Protocol
-from ..core.tree import transcript_distributions
 from ..information.distribution import DiscreteDistribution
 from ..information.entropy import (
     conditional_mutual_information,
     mutual_information,
 )
 
-__all__ = ["per_link_communication", "per_view_information"]
-
-
-def per_link_communication(
-    protocol: Protocol,
-    medium: Medium,
-    input_dist: DiscreteDistribution,
-) -> Dict[Any, float]:
-    """The exact expected bits written per link — where the cost lives.
-
-    On the coordinator medium this is the per-player↔coordinator traffic
-    E16 tabulates; values sum to :func:`repro.core.analysis.
-    expected_communication` (up to float fold order).
-    """
-    totals: Dict[Any, float] = {link: 0.0 for link in medium.links(protocol.num_players)}
-    laws = transcript_distributions(
-        protocol, input_dist.support(), medium=medium
-    )
-    for inputs, p_inputs in input_dist.items():
-        for transcript, p in laws[tuple(inputs)].items():
-            for link, bits in transcript.bits_by_link().items():
-                totals[link] = totals.get(link, 0.0) + p_inputs * p * bits
-    return totals
+__all__ = ["per_view_information"]
 
 
 def per_view_information(

@@ -10,7 +10,6 @@ import pytest
 from repro.compression import (
     ObserverPosterior,
     compress_execution,
-    round_divergences,
 )
 from repro.core import (
     Transcript,
@@ -135,15 +134,10 @@ class TestCompressExecution:
         k = 3
         p = SequentialAndProtocol(k)
         mu = uniform_bits(k)
-        divergences = round_divergences(p, mu, (1, 1, 1))
+        execution = compress_execution(p, mu, (1, 1, 1), random.Random(0))
+        divergences = [r.divergence for r in execution.rounds]
         # Each player's bit is uniform given history: D = 1 bit per round.
         assert divergences == pytest.approx([1.0, 1.0, 1.0])
-
-    def test_round_divergences_rejects_randomized(self):
-        p = NoisySequentialAndProtocol(2, 0.2)
-        mu = uniform_bits(2)
-        with pytest.raises(ValueError, match="deterministic"):
-            round_divergences(p, mu, (1, 1))
 
     def test_inputs_outside_support_rejected(self):
         p = SequentialAndProtocol(2)
@@ -152,14 +146,16 @@ class TestCompressExecution:
             compress_execution(p, mu, (0, 1), random.Random(0))
 
     def test_sum_of_round_divergences_equals_ic_exactly(self):
-        """For a deterministic protocol, averaging round_divergences over
-        the input distribution gives IC(Π) exactly."""
+        """For a deterministic protocol, averaging the per-round
+        divergences over the input distribution gives IC(Π) exactly."""
         k = 3
         p = SequentialAndProtocol(k)
         mu = and_hard_input_marginal(k)
         ic = external_information_cost(p, mu)
         weighted = sum(
-            prob * sum(round_divergences(p, mu, inputs))
+            prob
+            * compress_execution(p, mu, inputs, random.Random(0))
+            .total_divergence
             for inputs, prob in mu.items()
         )
         assert weighted == pytest.approx(ic, abs=1e-9)

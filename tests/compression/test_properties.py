@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import ObserverPosterior, round_divergences
+from repro.compression import ObserverPosterior
 from repro.compression.one_shot import compress_execution
 from repro.core import (
     Transcript,

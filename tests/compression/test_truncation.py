@@ -1,5 +1,4 @@
-"""Tests for the Lemma 7 ε-truncation (block limit) and the Monte-Carlo
-information estimator."""
+"""Tests for the Lemma 7 ε-truncation (block limit)."""
 
 import math
 import random
@@ -7,13 +6,7 @@ import random
 import pytest
 
 from repro.compression import run_naive_dart_protocol
-from repro.core import (
-    estimate_information_cost,
-    external_information_cost,
-)
 from repro.information import DiscreteDistribution
-from repro.lowerbounds import and_hard_input_marginal
-from repro.protocols import SequentialAndProtocol
 
 
 class TestBlockLimit:
@@ -79,68 +72,3 @@ class TestBlockLimit:
             values.append(result.message.value)
         freq = values.count("x") / len(values)
         assert freq == pytest.approx(0.8, abs=0.02)
-
-
-class TestMonteCarloEstimator:
-    def test_matches_exact_on_sequential_and(self):
-        k = 5
-        protocol = SequentialAndProtocol(k)
-        mu = and_hard_input_marginal(k)
-        exact = external_information_cost(protocol, mu)
-        rng = random.Random(5)
-        estimate = estimate_information_cost(
-            protocol,
-            lambda r: mu.sample(r),
-            rng=rng,
-            trials=4000,
-        )
-        assert estimate.estimate == pytest.approx(exact, abs=0.1)
-        lo, hi = estimate.confidence_interval
-        assert lo <= estimate.estimate <= hi
-        assert estimate.samples == 4000
-
-    def test_corrected_and_plugin_estimates_are_close(self):
-        """For a deterministic protocol the joint support equals the
-        input support, so the Miller–Madow correction is small and both
-        estimates agree to within it."""
-        k = 4
-        protocol = SequentialAndProtocol(k)
-        mu = and_hard_input_marginal(k)
-        rng = random.Random(6)
-        estimate = estimate_information_cost(
-            protocol, lambda r: mu.sample(r), rng=rng, trials=500
-        )
-        assert estimate.estimate >= 0.0
-        assert abs(estimate.estimate - estimate.plugin) < 0.05
-
-    def test_scales_past_exact_reach(self):
-        """k = 64 is far beyond exact-tree enumeration; the estimator
-        still lands near the closed-form value."""
-        from repro.lowerbounds import sequential_and_cic_closed_form
-
-        k = 64
-        protocol = SequentialAndProtocol(k)
-
-        def sampler(r):
-            z = r.randrange(k)
-            return tuple(
-                0 if (i == z or r.random() < 1 / k) else 1
-                for i in range(k)
-            )
-
-        rng = random.Random(7)
-        estimate = estimate_information_cost(
-            protocol, sampler, rng=rng, trials=6000,
-            bootstrap_replicates=30,
-        )
-        # The unconditional IC differs from the CIC by I(Π; Z)-ish terms;
-        # both are Theta(log k) — check the scale, not the exact value.
-        reference = sequential_and_cic_closed_form(k)
-        assert 0.5 * reference <= estimate.estimate <= 2.5 * reference
-
-    def test_trials_validated(self):
-        protocol = SequentialAndProtocol(2)
-        with pytest.raises(ValueError):
-            estimate_information_cost(
-                protocol, lambda r: (1, 1), rng=random.Random(0), trials=1
-            )

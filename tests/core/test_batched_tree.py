@@ -19,7 +19,6 @@ from repro.core import (
     MessageDistributionMemo,
     batched_joint_transcript_distribution,
     joint_transcript_distribution,
-    reachable_transcripts,
     transcript_distribution,
 )
 from repro.core.model import BROADCAST
@@ -406,45 +405,3 @@ class TestMessageDistributionMemo:
         rerun = transcript_distribution(protocol, (1, 1, 0), memo=memo)
         assert list(plain.items()) == list(memoized.items())
         assert list(plain.items()) == list(rerun.items())
-
-
-class TestReachableTranscripts:
-    def test_duplicates_enumerated_once(self):
-        protocol = SequentialAndProtocol(3)
-        inputs = [(1, 1, 1), (1, 0, 1), (1, 1, 1), (1, 0, 1), (1, 1, 1)]
-        enable_metrics(reset=True)
-        try:
-            by_transcript = reachable_transcripts(protocol, inputs)
-            nodes_with_duplicates = REGISTRY.counter(
-                "tree_nodes_expanded"
-            ).value(protocol="SequentialAndProtocol")
-            enable_metrics(reset=True)
-            reachable_transcripts(protocol, [(1, 1, 1), (1, 0, 1)])
-            nodes_deduped = REGISTRY.counter("tree_nodes_expanded").value(
-                protocol="SequentialAndProtocol"
-            )
-        finally:
-            disable_metrics()
-        # The cache makes duplicate tuples free: same node count as the
-        # deduplicated call.
-        assert nodes_with_duplicates == nodes_deduped
-        # Historical shape is preserved: one producer entry per occurrence.
-        producers = {
-            t.bit_string(): value for t, value in by_transcript.items()
-        }
-        assert producers["111"] == [(1, 1, 1)] * 3
-        assert producers["10"] == [(1, 0, 1)] * 2
-
-    def test_tracer_passthrough(self):
-        protocol = SequentialAndProtocol(2)
-        tracer = RecordingTracer()
-        plain = reachable_transcripts(protocol, [(1, 1), (0, 1)])
-        traced = reachable_transcripts(
-            protocol, [(1, 1), (0, 1)], tracer=tracer
-        )
-        assert {
-            t.bit_string(): value for t, value in plain.items()
-        } == {
-            t.bit_string(): value for t, value in traced.items()
-        }
-        assert tracer.events

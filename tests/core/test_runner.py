@@ -7,8 +7,6 @@ import pytest
 from repro.core import (
     ProtocolViolation,
     Transcript,
-    estimate_error,
-    max_communication,
     run_protocol,
 )
 from repro.information import DiscreteDistribution
@@ -126,55 +124,3 @@ class TestRunProtocol:
         )
         with pytest.raises(ProtocolViolation, match="empty"):
             run_protocol(p, (0,))
-
-
-class TestEstimateError:
-    def test_zero_error_protocol(self):
-        p = SequentialAndProtocol(3)
-        rng = random.Random(0)
-        error = estimate_error(
-            p,
-            task_evaluate=lambda x: int(all(x)),
-            input_sampler=lambda r: tuple(r.randrange(2) for _ in range(3)),
-            rng=rng,
-            trials=200,
-        )
-        assert error == 0.0
-
-    def test_noisy_protocol_errs(self):
-        p = NoisySequentialAndProtocol(3, 0.25)
-        rng = random.Random(0)
-        error = estimate_error(
-            p,
-            task_evaluate=lambda x: int(all(x)),
-            input_sampler=lambda r: (1, 1, 1),
-            rng=rng,
-            trials=2000,
-        )
-        # Pr[some bit flips] = 1 - 0.75^3 ≈ 0.578.
-        assert abs(error - (1 - 0.75**3)) < 0.05
-
-    def test_zero_trials_rejected(self):
-        p = SequentialAndProtocol(2)
-        with pytest.raises(ValueError):
-            estimate_error(
-                p,
-                task_evaluate=lambda x: 0,
-                input_sampler=lambda r: (1, 1),
-                rng=random.Random(0),
-                trials=0,
-            )
-
-
-class TestMaxCommunication:
-    def test_worst_input_found(self):
-        p = SequentialAndProtocol(5)
-        inputs = [(0, 1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 0, 1, 1)]
-        bits, argmax = max_communication(p, inputs)
-        assert bits == 5
-        assert argmax == (1, 1, 1, 1, 1)
-
-    def test_empty_inputs_rejected(self):
-        p = SequentialAndProtocol(2)
-        with pytest.raises(ValueError):
-            max_communication(p, [])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     joint_transcript_distribution,
-    reachable_transcripts,
     run_protocol,
     transcript_distribution,
 )
@@ -125,16 +124,3 @@ class TestJointTranscriptDistribution:
         for_aux0 = joint.conditional("transcript", "aux", 0)
         for_aux1 = joint.conditional("transcript", "aux", 1)
         assert for_aux0.is_close(for_aux1, tolerance=1e-9)
-
-
-class TestReachableTranscripts:
-    def test_maps_transcripts_to_inputs(self):
-        p = SequentialAndProtocol(2)
-        inputs = [(0, 0), (0, 1), (1, 1)]
-        reachable = reachable_transcripts(p, inputs)
-        # Transcript "0" (player 0 wrote 0) reachable from the two inputs
-        # with a leading zero.
-        zero_first = [
-            srcs for t, srcs in reachable.items() if t.bit_string() == "0"
-        ]
-        assert zero_first == [[(0, 0), (0, 1)]]

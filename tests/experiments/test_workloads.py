@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import disjointness_task
-from repro.experiments import (
-    all_full_instance,
-    partition_instance,
-    planted_intersection_instance,
-    random_instance,
-)
+from repro.experiments import partition_instance, random_instance
 
 
 class TestPartitionInstance:
@@ -169,19 +164,3 @@ class TestRandomInstanceStreamIdentity:
         state = rng.getstate()
         assert random_instance(0, 3, rng) == (0, 0, 0)
         assert rng.getstate() == state
-
-
-class TestPlantedIntersection:
-    @settings(deadline=None, max_examples=30)
-    @given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 10_000))
-    def test_always_intersecting(self, n, k, seed):
-        rng = random.Random(seed)
-        masks = planted_intersection_instance(n, k, rng)
-        task = disjointness_task(n, k)
-        assert task.evaluate(masks) == 0
-
-
-class TestAllFull:
-    def test_shape(self):
-        masks = all_full_instance(5, 3)
-        assert masks == tuple([(1 << 5) - 1] * 3)

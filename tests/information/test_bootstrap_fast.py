@@ -11,17 +11,15 @@ import random
 
 import pytest
 
-from repro.core.montecarlo import estimate_information_cost
 from repro.information.estimation import (
     bootstrap_interval,
     bootstrap_mutual_information_interval,
     plugin_mutual_information,
 )
-from repro.protocols import NoisySequentialAndProtocol
 
 
 def make_pairs(n, seed=0):
-    """(inputs tuple, transcript string) pairs shaped like montecarlo's."""
+    """(inputs tuple, transcript string) pairs."""
     rng = random.Random(seed)
     pairs = []
     for _ in range(n):
@@ -86,40 +84,3 @@ class TestBitIdentity:
             pairs, rng=random.Random(0), replicates=10
         )
         assert lo == hi == 0.0
-
-
-class TestEstimatorEndToEnd:
-    def test_estimate_information_cost_unchanged(self):
-        """The estimator's confidence interval is produced by the fast
-        path; pin it against the generic composition with an identically
-        seeded run."""
-        protocol = NoisySequentialAndProtocol(2, 0.25)
-
-        def sampler(rng):
-            return (rng.randrange(2), rng.randrange(2))
-
-        est = estimate_information_cost(
-            protocol,
-            sampler,
-            rng=random.Random(123),
-            trials=300,
-            bootstrap_replicates=25,
-        )
-
-        # Replay the sampling loop to rebuild the same pairs and rng
-        # state, then run the generic bootstrap.
-        from repro.core.runner import run_protocol
-
-        rng = random.Random(123)
-        pairs = []
-        for _ in range(300):
-            inputs = tuple(sampler(rng))
-            outcome = run_protocol(protocol, inputs, rng=rng)
-            pairs.append((inputs, outcome.transcript.bit_string()))
-        expected = bootstrap_interval(
-            pairs,
-            lambda r: plugin_mutual_information(r, miller_madow=True),
-            rng=rng,
-            replicates=25,
-        )
-        assert est.confidence_interval == expected

@@ -3,36 +3,13 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import conditional_information_cost
 from repro.lowerbounds import (
     and_hard_distribution,
-    first_zero_distribution_given_z,
     sequential_and_cic_closed_form,
 )
 from repro.protocols import SequentialAndProtocol
-
-
-class TestFirstZeroDistribution:
-    @given(st.integers(2, 40), st.data())
-    def test_normalized(self, k, data):
-        z = data.draw(st.integers(0, k - 1))
-        probs = first_zero_distribution_given_z(k, z)
-        assert len(probs) == z + 1
-        assert sum(probs) == pytest.approx(1.0)
-
-    def test_values(self):
-        # k = 4, z = 2: P(J=0) = 1/4, P(J=1) = 3/16, P(J=2) = 9/16.
-        probs = first_zero_distribution_given_z(4, 2)
-        assert probs == pytest.approx([0.25, 0.1875, 0.5625])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            first_zero_distribution_given_z(1, 0)
-        with pytest.raises(ValueError):
-            first_zero_distribution_given_z(4, 4)
 
 
 class TestClosedFormCIC:

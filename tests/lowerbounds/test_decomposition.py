@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Message, Transcript, transcript_distribution
-from repro.lowerbounds import alpha_coefficients, transcript_factors
+from repro.lowerbounds import transcript_factors
 from repro.protocols import (
     NoisySequentialAndProtocol,
     SequentialAndProtocol,
@@ -99,7 +99,7 @@ class TestAlphaCoefficients:
         p = NoisySequentialAndProtocol(k, 0.25)
         t = transcript_distribution(p, (1, 1, 1)).support()[0]
         factors = transcript_factors(p, t, BOOL_VALUES)
-        alphas = alpha_coefficients(factors)
+        alphas = [factors.alpha(player) for player in range(k)]
         for i, alpha in enumerate(alphas):
             q0 = factors.factors[i][0]
             q1 = factors.factors[i][1]

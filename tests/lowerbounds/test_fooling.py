@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.core import and_task, worst_case_error
+from repro.core import and_task, run_protocol, worst_case_error
 from repro.lowerbounds import (
     TruncatedAndProtocol,
     lemma6_report,
     speakers_on_all_ones,
-    verify_transcript_collision,
 )
 from repro.protocols import FullBroadcastAndProtocol, SequentialAndProtocol
 
@@ -22,17 +21,32 @@ class TestSpeakers:
         assert speakers_on_all_ones(p) == [0, 1, 2]
 
 
+def colliding_players(protocol):
+    """The players outside the all-ones speaker set, after checking that
+    zeroing any one of them leaves the all-ones transcript unchanged (the
+    collision event of Lemma 6)."""
+    k = protocol.num_players
+    reference = run_protocol(protocol, (1,) * k).transcript
+    speakers = set(speakers_on_all_ones(protocol))
+    invisible = [z for z in range(k) if z not in speakers]
+    for z in invisible:
+        bits = [1] * k
+        bits[z] = 0
+        assert run_protocol(protocol, tuple(bits)).transcript == reference
+    return invisible
+
+
 class TestTranscriptCollision:
     def test_invisible_players_collide(self):
         """For the budget-3 protocol on k = 8, players 3..7 are invisible:
         zeroing any of them leaves the all-ones transcript unchanged."""
         p = TruncatedAndProtocol(8, 3)
-        invisible = verify_transcript_collision(p)
+        invisible = colliding_players(p)
         assert invisible == [3, 4, 5, 6, 7]
 
     def test_full_protocol_no_invisible_players(self):
         p = SequentialAndProtocol(5)
-        assert verify_transcript_collision(p) == []
+        assert colliding_players(p) == []
 
 
 class TestLemma6Report:

@@ -11,7 +11,6 @@ from repro.information import DiscreteDistribution
 from repro.lowerbounds import (
     and_hard_distribution,
     and_hard_input_marginal,
-    conditional_zero_prior,
     disjointness_hard_distribution,
     lemma6_distribution,
 )
@@ -110,12 +109,6 @@ class TestAndHardDistribution:
             lambda outcome: outcome[0]
         )
         assert list(direct.items()) == list(mapped.items())
-
-    def test_conditional_zero_prior(self):
-        assert conditional_zero_prior(10) == pytest.approx(0.1)
-        with pytest.raises(ValueError):
-            conditional_zero_prior(1)
-
 
 class TestDisjointnessHardDistribution:
     def test_product_structure(self):

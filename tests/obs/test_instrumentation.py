@@ -20,8 +20,6 @@ from repro.compression.sampling import (
     simulate_sampling_round,
 )
 from repro.core import (
-    estimate_error,
-    estimate_information_cost,
     joint_transcript_distribution,
     run_protocol,
     transcript_distribution,
@@ -240,50 +238,6 @@ class TestSubsystemCounters:
         assert (
             event.fields["darts_rejected"] == result.darts_used - 1
         )
-
-    def test_montecarlo_counters_and_progress(self):
-        p = SequentialAndProtocol(3)
-        tracer = RecordingTracer()
-        with collecting() as reg:
-            estimate_information_cost(
-                p,
-                lambda r: tuple(r.randrange(2) for _ in range(3)),
-                rng=random.Random(0),
-                trials=20,
-                bootstrap_replicates=5,
-                tracer=tracer,
-            )
-        name = "SequentialAndProtocol"
-        assert reg.counter("mc_trials").value(protocol=name) == 20
-        assert reg.counter("mc_bootstrap_replicates").value(
-            protocol=name
-        ) == 5
-        assert reg.gauge("mc_bootstrap_seconds").value(
-            protocol=name
-        ) >= 0.0
-        progress = tracer.named("mc_progress")
-        assert len(progress) == 10
-        assert progress[-1].fields == {"done": 20, "total": 20}
-        span_names = [
-            e.name for e in tracer.events if e.kind == "begin"
-        ]
-        assert "estimate_information_cost" in span_names
-        assert "bootstrap" in span_names
-
-    def test_estimate_error_counter(self):
-        p = SequentialAndProtocol(3)
-        with collecting() as reg:
-            estimate_error(
-                p,
-                task_evaluate=lambda x: int(all(x)),
-                input_sampler=lambda r: (1, 1, 1),
-                rng=random.Random(0),
-                trials=15,
-            )
-        assert reg.counter("mc_trials").value(
-            protocol="SequentialAndProtocol", kind="error"
-        ) == 15
-
 
 class TestDisabledOverhead:
     def test_no_metrics_written_when_disabled(self):

@@ -202,6 +202,34 @@ class TestMapGridTelemetry:
         assert set(final["workers"]) <= {"0", "1"}
         assert sum(w["cells"] for w in final["workers"].values()) == 6
 
+    def test_bare_sweep_reports_no_hit_split(self):
+        # No store was probed: no hits/misses, and no "0% hit" line.
+        out, line = io.StringIO(), io.StringIO()
+        sink = TelemetrySink(
+            out, renderer=ProgressRenderer(line), interval_s=0.0
+        )
+        with collecting(), using_telemetry(sink):
+            map_grid(square, [1, 2, 3])
+        for record in read_telemetry(io.StringIO(out.getvalue())):
+            assert "hits" not in record and "misses" not in record
+        assert "3/3 cells" in line.getvalue()
+        assert "hit" not in line.getvalue()
+
+    def test_store_sweep_keeps_its_hit_rate(self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        sweep = dict(store=store, experiment="FAKE", version="v-test")
+        line = io.StringIO()
+        sink = TelemetrySink(
+            None, renderer=ProgressRenderer(line), interval_s=0.0
+        )
+        with collecting():
+            with using_telemetry(sink):
+                checkpointed_map_grid(square, [1, 2], **sweep)
+            assert "0% hit" in line.getvalue()
+            with using_telemetry(sink):
+                checkpointed_map_grid(square, [1, 2, 3, 4, 5], **sweep)
+        assert "40% hit" in line.getvalue()
+
 
 class TestSnapshotEqualsRegistry:
     """One sweep per path: the final snapshot reads the registry."""

@@ -86,8 +86,7 @@ class TestDiscipline:
 class TestRegistryCompleteness:
     def test_every_shipped_protocol_class_is_registered(self):
         """A protocol class exported by repro.protocols must appear in
-        ALL_PROTOCOLS (ProtocolMixture is a distribution over protocols,
-        not a Protocol, and has its own suite)."""
+        ALL_PROTOCOLS."""
         exported = {
             obj
             for name in protocols_package.__all__

@@ -9,6 +9,7 @@ from repro.core.analysis import (
     expected_communication,
     external_information_cost,
 )
+from repro.core.runner import run_protocol
 from repro.information.distribution import DiscreteDistribution
 from repro.protocols import SequentialAndProtocol
 from repro.topology import (
@@ -17,7 +18,6 @@ from repro.topology import (
     CoordinatorDisjointnessProtocol,
     CoordinatorTrivialDisjointness,
     Link,
-    per_link_communication,
     per_view_information,
 )
 
@@ -26,6 +26,17 @@ def _uniform_masks(n, k):
     return DiscreteDistribution.uniform(
         list(itertools.product(range(1 << n), repeat=k))
     )
+
+
+def expected_bits_per_link(protocol, medium, dist):
+    """Expected bits per link of a deterministic protocol, from one
+    concrete run per input."""
+    totals = {}
+    for inputs, p in dist.items():
+        run = run_protocol(protocol, inputs, medium=medium)
+        for link, bits in run.bits_by_link.items():
+            totals[link] = totals.get(link, 0.0) + p * bits
+    return totals
 
 
 def _uniform_bits(k):
@@ -89,13 +100,13 @@ class TestPerLinkAccounting:
         n, k = 2, 3
         protocol = CoordinatorTrivialDisjointness(n, k)
         dist = _uniform_masks(n, k)
-        per_link = per_link_communication(protocol, COORDINATOR, dist)
+        per_link = expected_bits_per_link(protocol, COORDINATOR, dist)
         assert per_link == {Link(i, k): float(n) for i in range(k)}
 
     def test_per_link_sums_to_expected_total(self):
         protocol = CoordinatorDisjointnessProtocol(2, 2)
         dist = _uniform_masks(2, 2)
-        per_link = per_link_communication(protocol, COORDINATOR, dist)
+        per_link = expected_bits_per_link(protocol, COORDINATOR, dist)
         total = expected_communication(protocol, dist, medium=COORDINATOR)
         assert sum(per_link.values()) == pytest.approx(total)
         assert total == pytest.approx(2 * (2 * 2 - 1))  # n(2k-1), fixed cost
