@@ -17,17 +17,29 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-__all__ = ["Bits", "BitWriter", "BitReader"]
+__all__ = ["Bits", "BitWriter", "BitReader", "is_bit_string"]
 
 Bits = str
+
+#: Up to this length ``strip`` is the faster check; above it, one
+#: ``encode`` + ``translate`` pass (docs/performance.md).
+_SHORT = 16
+
+
+def is_bit_string(bits: Bits) -> bool:
+    """Whether ``bits`` holds only ``'0'``/``'1'`` characters, exactly
+    when ``not bits.strip("01")``, in one C-level pass.  A non-``str``
+    fails as ``strip`` does (``AttributeError``; ``TypeError`` for
+    bytes); ``surrogatepass`` makes a lone surrogate a non-bit byte."""
+    if bits.__class__ is str and len(bits) > _SHORT:
+        return not bits.encode("utf-8", "surrogatepass").translate(None, b"01")
+    return not bits.strip("01")
 
 
 def _validate_bits(bits: str) -> None:
     if not isinstance(bits, str):
         raise TypeError(f"bits must be a str, got {type(bits).__name__}")
-    # strip() removes only leading/trailing 0/1 runs, so anything left
-    # over means some other character is present.
-    if bits.strip("01"):
+    if not is_bit_string(bits):
         raise ValueError(f"not a bit string: {bits!r}")
 
 

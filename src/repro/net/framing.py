@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Tuple
 
-from ..coding.bitio import BitReader, BitWriter, Bits
+from ..coding.bitio import BitReader, BitWriter, Bits, is_bit_string
 from ..coding.integrity import crc32
 from ..coding.varint import (
     decode_elias_delta,
@@ -169,7 +169,7 @@ class Frame:
             raise TypeError(
                 f"payload must be a str, got {type(self.payload).__name__}"
             )
-        if self.payload.strip("01"):  # leftovers are non-0/1 characters
+        if not is_bit_string(self.payload):
             raise ValueError(f"payload must be a bit string: {self.payload!r}")
         if self.trace_id is not None and self.trace_id < 0:
             raise ValueError(f"trace_id must be >= 0, got {self.trace_id}")

@@ -447,10 +447,11 @@ class RecordingTracer(Tracer):
 
 def _jsonable(value: Any) -> Any:
     """Coerce a field value to something ``json.dumps`` accepts; rich
-    objects (transcripts, protocols) degrade to ``str``."""
+    objects (transcripts, protocols, and tuple-backed values such as
+    messages and links) degrade to ``str``."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}

@@ -669,7 +669,7 @@ def tree_walk_sorted_leaves(
     leaf_boards: List[Any] = []
     leaf_chunks: List[Tuple[Any, Any, Any, List[Any], Any, int]] = []
     # One Message per distinct (speaker, bits, link) for the whole walk:
-    # each is validated once by Message.__post_init__, then shared by
+    # each is validated once by the Message constructor, then shared by
     # every node that writes it (messages are immutable values).
     messages: Dict[Tuple[int, str, Any], Any] = {}
     nodes_expanded = 0

@@ -76,8 +76,9 @@ def _normalize(value: Any, path: str) -> Any:
     """Recursively reduce ``value`` to the canonical JSON value domain.
 
     Accepted: ``None``, ``bool``, ``int``, finite ``float``, ``str``,
-    ``list``/``tuple`` (both become JSON arrays), and ``dict`` with
-    string keys.  Everything else — and non-finite floats, whose JSON
+    ``list``/``tuple`` (both become JSON arrays; their subclasses, such
+    as messages and links, do not), and ``dict`` with string keys.
+    Everything else — and non-finite floats, whose JSON
     spelling is not portable — is rejected, because a value that cannot
     be serialized canonically cannot be addressed reproducibly.
     """
@@ -87,7 +88,7 @@ def _normalize(value: Any, path: str) -> Any:
         if not math.isfinite(value):
             raise ValueError(f"non-finite float at {path}: {value!r}")
         return value
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):
         return [
             _normalize(item, f"{path}[{i}]") for i, item in enumerate(value)
         ]

@@ -73,16 +73,21 @@ class CappedFrequencyCounter(StreamingAlgorithm):
         """The (capped) maximum frequency — the F_inf view."""
         return max(state)
 
+    # One range check and one join, one read and slices; bad input
+    # falls back to the per-counter calls, which raise as before.
     def encode_state(self, state: Tuple[int, ...]) -> Bits:
-        writer = BitWriter()
-        for counter in state:
-            writer.write_uint(counter, self._width)
-        return writer.getvalue()
+        width, code = self._width, f"0{self._width}b"
+        if state and not 0 <= min(state) <= max(state) < 1 << width:
+            for counter in state:
+                BitWriter().write_uint(counter, width)
+        return "".join([format(counter, code) for counter in state])
 
     def decode_state(self, reader: BitReader) -> Tuple[int, ...]:
-        return tuple(
-            reader.read_uint(self._width) for _ in range(self.universe_size)
-        )
+        width, size = self._width, self._width * self.universe_size
+        while reader.remaining < size:
+            reader.read_uint(width)
+        bits = reader.read_bits(size)
+        return tuple([int(bits[i:i + width], 2) for i in range(0, size, width)])
 
 
 class DistinctElementsBitmap(StreamingAlgorithm):

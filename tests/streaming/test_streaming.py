@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coding import BitReader
+from repro.coding import BitReader, BitWriter
 from repro.core import disjointness_task, run_protocol
 from repro.streaming import (
     CappedFrequencyCounter,
@@ -76,6 +76,57 @@ class TestCappedFrequencyCounter:
             expected = algo.update(expected, item)
         assert algo.fold(state, iter(items)) == expected
 
+
+def _per_counter_encode(state, width):
+    writer = BitWriter()
+    for counter in state:
+        writer.write_uint(counter, width)
+    return writer.getvalue()
+
+
+class TestCappedFrequencyCodec:
+    """The state codec against one ``write_uint`` / ``read_uint`` per
+    counter: same bits, same errors, same reader position."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                st.integers(1, 9),
+                st.lists(st.integers(0, 9), min_size=n, max_size=n),
+            )
+        )
+    )
+    def test_matches_the_per_counter_codec(self, data):
+        cap, counters = data
+        algo = CappedFrequencyCounter(len(counters), cap)
+        state = tuple(min(c, cap) for c in counters)
+        bits = algo.encode_state(state)
+        assert bits == _per_counter_encode(state, algo._width)
+        reader = BitReader(bits + "1")
+        assert algo.decode_state(reader) == state
+        assert reader.remaining == 1
+
+    @pytest.mark.parametrize("state", [(0, 4, 1), (0, -1, 9), (8, 0, 0)])
+    def test_out_of_range_counter_keeps_the_writer_error(self, state):
+        algo = CappedFrequencyCounter(3, cap=3)
+        with pytest.raises(ValueError) as expected:
+            _per_counter_encode(state, 2)
+        with pytest.raises(ValueError) as got:
+            algo.encode_state(state)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 5, 7])
+    def test_short_input_keeps_the_reader_error(self, length):
+        algo = CappedFrequencyCounter(4, cap=3)
+        reader, expected = BitReader("1" * length), BitReader("1" * length)
+        with pytest.raises(EOFError) as want:
+            for _ in range(4):
+                expected.read_uint(2)
+        with pytest.raises(EOFError) as got:
+            algo.decode_state(reader)
+        assert str(got.value) == str(want.value)
+        assert reader.position == expected.position
 
 class TestDistinctElementsBitmap:
     @given(st.lists(st.integers(0, 9), max_size=40))

@@ -155,6 +155,18 @@ class TestGraphMedia:
         with pytest.raises(ValueError):
             GraphMedium(3, (Link(0, 5),))  # endpoint out of range
 
+    def test_constructors_share_one_immutable_medium_per_k(self):
+        assert ring_medium(5) is ring_medium(5)
+        assert star_medium(5) is star_medium(5)
+        assert ring_medium(5) is not ring_medium(6)
+        ring = ring_medium(5)
+        with pytest.raises(AttributeError):
+            ring.name = "other"
+        with pytest.raises(AttributeError):
+            del ring.name
+        assert ring.name == "ring(5)"
+        assert ring.links(5) == ring_medium(5).links(5)
+
 
 class TestCheckEdge:
     def test_typed_rejections(self):
@@ -194,3 +206,35 @@ class TestCheckEdge:
         run = run_on_medium(CoordinatorAndProtocol(64), medium, (1,) * 64)
         assert run.rounds == 64 and run.output == 1
         assert CountingCoordinator.calls == 0
+
+
+SHIPPED_MEDIA = {
+    "broadcast": BROADCAST,
+    "coordinator": COORDINATOR,
+    "ring(4)": ring_medium(4),
+}
+
+
+class TestUntypedLinks:
+    """A link that is not a Link is rejected with TopologyViolation on
+    every shipped medium, even when it equals one of the medium's links
+    as a tuple or cannot be hashed at all."""
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_MEDIA))
+    @pytest.mark.parametrize("link", [[0, 1], {0: 1}, (0, 1), (0, 4)],
+                             ids=repr)
+    def test_rejected_as_not_a_link(self, name, link):
+        medium = SHIPPED_MEDIA[name]
+        assert not medium.may_write(4, 0, link)
+        with pytest.raises(TopologyViolation) as info:
+            medium.check_edge(4, 0, link)
+        assert str(info.value) == (
+            f"{name}: {link!r} is not a link of this medium"
+        )
+
+    @pytest.mark.parametrize("name", ["coordinator", "ring(4)"])
+    def test_the_typed_link_still_passes(self, name):
+        medium = SHIPPED_MEDIA[name]
+        link = Link(0, 4) if medium is COORDINATOR else Link(0, 1)
+        assert medium.may_write(4, 0, link)
+        medium.check_edge(4, 0, link)
