@@ -2,8 +2,8 @@
 
 Two consumers share this module:
 
-* :mod:`repro.net.framing` seals every wire frame's body so that any
-  single-bit flip in transit is detected (CRC-32 catches all single-bit
+* :mod:`repro.net.envelope` seals every wire frame (blackboard and
+  fabric) so that any single-bit flip in transit is detected (CRC-32 catches all single-bit
   errors, and all burst errors up to 32 bits);
 * :mod:`repro.store.store` seals every persisted result envelope so
   that on-disk corruption — bit rot, torn writes, truncation — can

@@ -11,8 +11,9 @@ The fabric unifies three existing layers into one service shape:
   grid) supply the pure cell functions and the full-grid seed
   derivation, so fabric-warmed tables are byte-identical to serial
   ``checkpointed_map_grid`` runs;
-* the :mod:`repro.net` idioms supply the wire discipline — CRC-sealed
-  version-tolerant frames (:mod:`repro.fabric.wire`), seeded fault
+* :mod:`repro.net` supplies the wire discipline — the one sealed
+  envelope (:mod:`repro.net.envelope`) under the fabric dialect
+  (:mod:`repro.fabric.wire`), seeded fault
   plans on a deterministic loopback transport, typed errors, never a
   hang.
 

@@ -155,7 +155,7 @@ class CoordinatorCore:
                 if self._reg is not None:
                     self._reg.counter("fabric_retries").inc(reason="error")
             return self._fill(worker, now)
-        # BYE and unknown (newer-peer) kinds: nothing to do.
+        # BYE, and kinds a coordinator is never sent: nothing to do.
         return []
 
     def _on_result(self, worker: int, frame: FabricFrame) -> None:
@@ -234,12 +234,10 @@ class CoordinatorCore:
                 "stolen": stolen,
                 "lease_timeout": self.scheduler.lease_timeout,
             }
+            trace_id = parent_span = None
             if self._tracer:
                 ctx = self._tracer.current_context()
-                if ctx is not None:
-                    fields["trace"] = ctx.trace_id
-                    if ctx.span_id is not None:
-                        fields["span"] = ctx.span_id
+                trace_id, parent_span = ctx.trace_id, ctx.span_id
             if self._reg is not None:
                 self._reg.counter("fabric_cells_dispatched").inc(
                     experiment=key.experiment,
@@ -247,7 +245,12 @@ class CoordinatorCore:
                 )
                 if stolen:
                     self._reg.counter("fabric_steals").inc()
-            leases.append(FabricFrame(FabricFrameKind.LEASE, fields))
+            leases.append(
+                FabricFrame(
+                    FabricFrameKind.LEASE, fields,
+                    trace_id=trace_id, parent_span=parent_span,
+                )
+            )
         return leases
 
     def on_tick(self, now: float) -> List[Tuple[int, FabricFrame]]:
@@ -329,14 +332,17 @@ class WorkerCore:
             raise FabricProtocolError(
                 f"coordinator reported: {frame.fields.get('message')!r}"
             )
-        # HEARTBEAT and unknown kinds: ignore.
+        # HEARTBEAT, and kinds a worker is never sent: ignore.
         return []
 
     # ------------------------------------------------------------------
     def _on_lease(self, frame: FabricFrame) -> FabricFrame:
         cell = frame.fields.get("cell")
         key = key_from_wire(frame.fields.get("key", {}))
-        ctx = self._lease_context(frame)
+        ctx = (
+            None if frame.trace_id is None
+            else TraceContext(frame.trace_id, frame.parent_span)
+        )
         payload, recomputed, shipped = self._produce(key, cell, ctx)
         self.cells_done += 1
         fields: Dict[str, Any] = {
@@ -348,16 +354,6 @@ class WorkerCore:
         if shipped:
             fields["trace"] = shipped
         return FabricFrame(FabricFrameKind.RESULT, fields, payload)
-
-    @staticmethod
-    def _lease_context(frame: FabricFrame) -> Optional[TraceContext]:
-        trace = frame.fields.get("trace")
-        if not isinstance(trace, int):
-            return None
-        span = frame.fields.get("span")
-        return TraceContext(
-            trace_id=trace, span_id=span if isinstance(span, int) else None
-        )
 
     def _produce(
         self,

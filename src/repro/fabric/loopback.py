@@ -6,7 +6,8 @@ The loopback runs the *production* endpoints — one
 :class:`~repro.fabric.core.WorkerCore` instances — on the simulated
 network, every frame crossing a real, faultable wire boundary.  Lost or
 mangled frames are repaired by lease expiry and re-dispatch rather than
-by a sender watchdog.
+by a sender watchdog; a worker the coordinator has not answered says
+HELLO again a lease timeout after its last one.
 
 The dialect adds clock ticks, which arrive every time unit and drive
 lease expiry.  A crashed worker (``FaultPlan.crashes``) simply stops
@@ -70,20 +71,30 @@ def run_loopback_sweep(
         for index in range(workers)
     ]
     restarting: Set[int] = set()  # crashed, replacement scheduled
+    #: Live workers the coordinator has not answered yet -> when each
+    #: last said HELLO.  A lost HELLO is said again a lease timeout on.
+    unheard: Dict[int, float] = {}
     tracer = get_tracer()
+
+    def hello(index: int) -> None:
+        unheard[index] = sim.now
+        sim.transmit(_COORDINATOR, index, pool[index].hello())
 
     def on_tick() -> None:
         for worker, frame in core.on_tick(sim.now):
             sim.transmit(worker, _COORDINATOR, frame)
+        for index, said in list(unheard.items()):
+            if sim.now - said >= lease_timeout:
+                hello(index)
         if not core.done:
             sim.schedule(_TICK_PERIOD, "tick", ())
 
     def on_restart(index: int) -> None:
         restarting.discard(index)
-        worker = pool[index] = WorkerCore(index, store=store, compute=compute)
+        pool[index] = WorkerCore(index, store=store, compute=compute)
         if tracer:
             tracer.event("restart", worker=index, transport="fabric")
-        sim.transmit(_COORDINATOR, index, worker.hello())
+        hello(index)
 
     def on_frame(dest: int, origin: int, frame: FabricFrame) -> None:
         if dest == _COORDINATOR:
@@ -93,6 +104,7 @@ def run_loopback_sweep(
         worker = pool[dest]
         if worker is None:
             return  # addressed to a crashed worker: lost on the floor
+        unheard.pop(dest, None)
         for reply in worker.on_frame(frame):
             sim.transmit(_COORDINATOR, dest, reply)
         crash = sim.crash_due(dest, worker.cells_done)
@@ -121,8 +133,8 @@ def run_loopback_sweep(
         fault_label="fabric",
         event_fields={"transport": "fabric"},
     )
-    for index, worker in enumerate(pool):
-        sim.transmit(_COORDINATOR, index, worker.hello())
+    for index in range(workers):
+        hello(index)
     sim.schedule(_TICK_PERIOD, "tick", ())
     sim.run(lambda: core.done)
     return core.results

@@ -105,7 +105,7 @@ class FabricServer:
                 for reply in await self._answer(frame, span):
                     writer.write(encode_fabric_frame(reply))
                 await writer.drain()
-            # BYE ends the session; HELLO/unknown kinds are ignored.
+            # BYE ends the session; every other kind is ignored.
             return frame.kind == FabricFrameKind.BYE
 
         try:

@@ -1,33 +1,19 @@
-"""The fabric RPC wire layer: CRC-sealed, version-tolerant frames.
+"""The fabric RPC wire dialect: a JSON header and opaque payload bytes.
 
 Every coordinator↔worker and client↔server exchange is a stream of
-*fabric frames*.  The layout follows the ``repro.net.framing`` idioms —
-a length prefix, a :func:`repro.coding.integrity.seal`-ed body, typed
-truncation/corruption errors — but with a JSON header instead of
-bit-packed fields, because fabric frames carry structured payloads
-(:class:`~repro.store.keys.ResultKey` dicts, digests, trace context)
-rather than protocol bits::
+*fabric frames*.  A fabric frame rides the same sealed envelope as a
+blackboard frame (:mod:`repro.net.envelope`: length prefix, kind byte,
+trace context, CRC-32 seal, size bound); this module encodes only the
+body, a JSON header followed by the payload, because fabric frames
+carry structured fields (:class:`~repro.store.keys.ResultKey` dicts,
+digests) rather than protocol bits::
 
-    +----------------+--------------------------------------+-----------+
-    | length (4 B BE)| body                                 | CRC-32    |
-    +----------------+--------------------------------------+-----------+
+    body := header_len (4 B BE) | header JSON (UTF-8) | payload bytes
 
-    body := kind (1 B) | header_len (4 B BE) | header JSON (UTF-8)
-          | payload_len (4 B BE) | payload bytes | [extension bytes]
-
-Version tolerance is structural, in both directions:
-
-* unknown *header keys* survive decoding untouched (they are plain dict
-  entries), so an old reader forwards fields a newer writer added;
-* *extension bytes* after the declared payload are covered by the CRC
-  but otherwise ignored, so a newer writer can append trailing data
-  without breaking old readers;
-* an unknown *kind* byte decodes to its raw integer value instead of
-  raising — receivers skip frames they do not understand.
-
-A failed CRC raises :class:`~repro.net.errors.FrameCorrupted`; an
-incomplete buffer raises :class:`~repro.net.errors.FrameTruncated`
-(:class:`FabricFrameDecoder` buffers those bytes and waits for more).
+The payload is the rest of the body.  Decoding is strict, like the
+envelope's: a header that overruns the body, is not JSON or is not a
+JSON object raises :class:`~repro.net.errors.FrameCorrupted`, and so
+does a kind outside :class:`FabricFrameKind`.
 """
 
 from __future__ import annotations
@@ -35,25 +21,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any, Dict, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
-from ..coding.integrity import IntegrityError, seal, unseal
-from ..net.errors import FrameCorrupted, FrameError, FrameTruncated
+from ..net.envelope import check_context, decode_envelope, encode_envelope
+from ..net.errors import FrameCorrupted
 from ..net.stream import StreamDecoder
 
 __all__ = [
-    "MAX_FRAME_BYTES",
     "FabricFrameKind",
     "FabricFrame",
     "encode_fabric_frame",
     "decode_fabric_frame",
     "FabricFrameDecoder",
 ]
-
-#: Upper bound on one sealed frame body.  Cell payloads are canonical
-#: JSON of small result tuples (bytes to kilobytes); anything near this
-#: bound is a corrupted length prefix, rejected before allocation.
-MAX_FRAME_BYTES = 8 << 20
 
 _LEN_BYTES = 4
 
@@ -84,74 +64,31 @@ class FabricFrameKind(IntEnum):
 
 @dataclass(frozen=True)
 class FabricFrame:
-    """One fabric frame: a kind, a JSON-able header dict, and opaque
-    payload bytes.  ``kind`` is a plain ``int`` when the frame came from
-    a newer peer speaking an unknown kind."""
+    """One fabric frame: a kind, a JSON-able header dict, opaque
+    payload bytes, and the sender's trace context (``None`` =
+    untraced), carried by the envelope as in a blackboard frame."""
 
-    kind: Union[FabricFrameKind, int]
+    kind: FabricFrameKind
     fields: Dict[str, Any] = field(default_factory=dict)
     payload: bytes = b""
+    trace_id: Optional[int] = None
+    parent_span: Optional[int] = None
 
-    @property
-    def kind_name(self) -> str:
-        if isinstance(self.kind, FabricFrameKind):
-            return self.kind.name
-        return f"UNKNOWN_{int(self.kind)}"
+    def __post_init__(self) -> None:
+        if self.trace_id is not None or self.parent_span is not None:
+            check_context(self.trace_id, self.parent_span)
 
 
 def encode_fabric_frame(frame: FabricFrame) -> bytes:
-    """Serialize ``frame`` to its length-prefixed, CRC-sealed wire
-    bytes."""
+    """Serialize ``frame`` to wire bytes: its header and payload in the
+    sealed envelope."""
     header = json.dumps(
         frame.fields, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    body = (
-        bytes([int(frame.kind) & 0xFF])
-        + len(header).to_bytes(_LEN_BYTES, "big")
-        + header
-        + len(frame.payload).to_bytes(_LEN_BYTES, "big")
-        + frame.payload
+    body = len(header).to_bytes(_LEN_BYTES, "big") + header + frame.payload
+    return encode_envelope(
+        frame.kind, body, frame.trace_id, frame.parent_span
     )
-    sealed = seal(body)
-    if len(sealed) > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"fabric frame of {len(sealed)} sealed bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte bound"
-        )
-    return len(sealed).to_bytes(_LEN_BYTES, "big") + sealed
-
-
-def _parse_body(body: bytes) -> FabricFrame:
-    if len(body) < 1 + _LEN_BYTES:
-        raise FrameCorrupted("fabric frame body too short for its header")
-    kind_value = body[0]
-    try:
-        kind: Union[FabricFrameKind, int] = FabricFrameKind(kind_value)
-    except ValueError:
-        # A newer peer's frame kind: deliver it raw, let the receiver
-        # skip it — unknown kinds must not poison the stream.
-        kind = kind_value
-    offset = 1
-    header_len = int.from_bytes(body[offset:offset + _LEN_BYTES], "big")
-    offset += _LEN_BYTES
-    if offset + header_len + _LEN_BYTES > len(body):
-        raise FrameCorrupted("fabric frame header overruns its body")
-    header_bytes = body[offset:offset + header_len]
-    offset += header_len
-    try:
-        fields = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FrameCorrupted(f"fabric frame header is not JSON: {exc}")
-    if not isinstance(fields, dict):
-        raise FrameCorrupted("fabric frame header is not a JSON object")
-    payload_len = int.from_bytes(body[offset:offset + _LEN_BYTES], "big")
-    offset += _LEN_BYTES
-    if offset + payload_len > len(body):
-        raise FrameCorrupted("fabric frame payload overruns its body")
-    payload = body[offset:offset + payload_len]
-    # Bytes past the payload are a newer writer's extension: CRC-covered
-    # but deliberately ignored (forward compatibility).
-    return FabricFrame(kind=kind, fields=fields, payload=payload)
 
 
 def decode_fabric_frame(buffer: bytes) -> Tuple[FabricFrame, int]:
@@ -160,27 +97,30 @@ def decode_fabric_frame(buffer: bytes) -> Tuple[FabricFrame, int]:
     Returns ``(frame, bytes_consumed)``.  Raises
     :class:`~repro.net.errors.FrameTruncated` when the buffer holds
     only part of a frame and
-    :class:`~repro.net.errors.FrameCorrupted` when the CRC or the body
-    structure is wrong.
+    :class:`~repro.net.errors.FrameCorrupted` when the envelope or the
+    header is wrong.
     """
-    if len(buffer) < _LEN_BYTES:
-        raise FrameTruncated("fabric frame length prefix incomplete")
-    sealed_len = int.from_bytes(buffer[:_LEN_BYTES], "big")
-    if sealed_len > MAX_FRAME_BYTES:
-        raise FrameCorrupted(
-            f"fabric frame claims {sealed_len} sealed bytes "
-            f"(> {MAX_FRAME_BYTES}) — corrupted length prefix"
-        )
-    end = _LEN_BYTES + sealed_len
-    if len(buffer) < end:
-        raise FrameTruncated(
-            f"fabric frame needs {end} bytes, buffer has {len(buffer)}"
-        )
+    envelope, consumed = decode_envelope(buffer, FabricFrameKind)
+    body = envelope.body
+    header_end = _LEN_BYTES + int.from_bytes(body[:_LEN_BYTES], "big")
+    if len(body) < _LEN_BYTES or header_end > len(body):
+        raise FrameCorrupted("fabric frame header overruns its body")
     try:
-        body = unseal(bytes(buffer[_LEN_BYTES:end]))
-    except IntegrityError as exc:
-        raise FrameCorrupted(f"fabric frame failed its CRC seal: {exc}")
-    return _parse_body(body), end
+        fields = json.loads(body[_LEN_BYTES:header_end].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FrameCorrupted(f"fabric frame header is not JSON: {exc}")
+    if not isinstance(fields, dict):
+        raise FrameCorrupted("fabric frame header is not a JSON object")
+    return (
+        FabricFrame(
+            envelope.kind,
+            fields,
+            body[header_end:],
+            envelope.trace_id,
+            envelope.parent_span,
+        ),
+        consumed,
+    )
 
 
 class FabricFrameDecoder(StreamDecoder[FabricFrame]):

@@ -8,8 +8,8 @@ the speaking order (which it can do without ever seeing an input, since
 ``next_speaker`` depends on the board alone), and one
 :class:`PartyClient` per player drives an *unmodified*
 :class:`~repro.core.model.Protocol` from its private input and private
-coins, over length-prefixed checksummed frames
-(:mod:`~repro.net.framing`).
+coins, over frames in one length-prefixed, checksummed envelope
+(:mod:`~repro.net.framing`, :mod:`~repro.net.envelope`).
 
 The headline contract, enforced by ``tests/net/`` and the
 ``networked-loopback`` differential oracle in :mod:`repro.check`::

@@ -24,8 +24,9 @@ absorb — and the unrecoverable ones it must fail loudly on:
 Everything is derived from ``FaultPlan.seed`` through SHA-256 (the same
 call-order-independent discipline as ``repro.check.generator``), so a
 faulty run is exactly reproducible.  The injector draws a fixed number
-of variates per frame regardless of outcome, keeping the fault pattern
-stable under small plan edits.  A ``max_faults`` budget (default 64)
+of variates per frame regardless of outcome and of the frame's length,
+keeping the fault pattern stable under small plan edits and under
+changes to what a frame carries.  A ``max_faults`` budget (default 64)
 guarantees the recoverable plans really are recoverable: past the
 budget the injector goes quiet, and because the default
 ``RetryPolicy.max_retries`` exceeds the budget, retries are guaranteed
@@ -154,7 +155,10 @@ class FaultInjector:
         u_drop = self._rng.random()
         u_corrupt = self._rng.random()
         u_delay = self._rng.random()
-        bit = self._rng.randrange(max(wire_length_bits, 1))
+        # One ``random()`` whatever the frame's length: ``randrange``
+        # consumes a length-dependent number of words, which would shift
+        # every later decision with the frame size.
+        bit = int(self._rng.random() * max(wire_length_bits, 1))
         extra = 1.0 + self._rng.random() * max(plan.max_delay - 1.0, 0.0)
         if plan.max_faults is not None and self._injected >= plan.max_faults:
             return NO_FAULT

@@ -1,53 +1,21 @@
-"""The wire protocol: length-prefixed, checksummed frames of bits.
+"""The blackboard wire dialect: frames of bits.
 
 A frame carries one unit of blackboard traffic — a write request, a
-rebroadcast append, or control chatter (hello/sync/bye).  The encoding
-reuses the coding layer the paper's protocols are built from:
+rebroadcast append, or control chatter (hello/sync/bye).  It rides the
+sealed envelope of :mod:`repro.net.envelope`, which owns the length
+prefix, the kind byte, the CRC-32 seal, the size bound and the trace
+context; this module encodes only the body, with the coding layer the
+paper's protocols are built from::
 
-* header integers (party id, round index, coin draws, payload length)
-  are Elias-gamma varints (:mod:`repro.coding.varint`), so short control
-  frames cost a handful of bytes;
-* the payload is the message's raw bit string, written verbatim with
-  :class:`repro.coding.bitio.BitWriter`;
-* the whole body is packed into bytes, length-prefixed with an
-  Elias-delta varint (self-delimiting, so a stream reader never needs a
-  fixed-width header), and sealed with a CRC-32 of the body bytes.
+    body bits = gamma(party+1) | gamma(round+1) | gamma(coin_draws+1)
+              | gamma(|payload|+1) | payload
+              | zero padding to a byte boundary (< 8 bits)
 
-Wire layout::
-
-    +----------------------+------------------+----------------+
-    | Elias-delta(len body)| body (len bytes) | CRC-32 (4 B)   |
-    |  packed to bytes     |                  |  big-endian    |
-    +----------------------+------------------+----------------+
-
-    body bits = kind:4 | gamma(party+1) | gamma(round+1)
-              | gamma(coin_draws+1) | gamma(|payload|+1) | payload
-              | [extension] | zero padding to a byte boundary (< 8 bits)
-
-The optional *extension* carries the sender's trace context
-(:class:`repro.obs.TraceContext`) so a blackboard server can attribute
-its work under the requesting party's span purely from wire bytes::
-
-    extension = gamma(word_count+1) | gamma(trace_id+1)
-              | gamma(parent_span+1) | ... future words ...
-
-The encoding is version-tolerant in both directions: a frame without
-context is **byte-identical** to the pre-extension wire format (the
-padding after the payload is all-zero and shorter than a byte, which no
-gamma code can be — every gamma code contains a ``1`` bit), and a
-decoder accepts any ``word_count`` — 0 or 1 words degrade to a partial
-context, words beyond the two it understands are ignored, so old and
-new peers interoperate.
-
-Decoding is strict: nonzero padding, an out-of-range kind, a length
-prefix that disagrees with the parsed fields, or a checksum mismatch all
-raise :class:`~repro.net.errors.FrameCorrupted`; a buffer that simply
-ends too early raises :class:`~repro.net.errors.FrameTruncated` so
-stream decoders know to wait for more bytes.  Any single-bit flip on the
-wire is therefore detected (CRC-32 catches all single-bit errors) —
-*before* any context parse, so a corrupted frame can never mis-parent a
-span — which is the property the fault injector's corruption class
-leans on.
+Header integers are Elias-gamma varints (:mod:`repro.coding.varint`),
+so a control body is a byte or two; the payload is the message's raw
+bit string.  Decoding is strict: fields overrunning the body, or
+padding that is nonzero or a byte or longer, raise
+:class:`~repro.net.errors.FrameCorrupted`, like every envelope failure.
 
 The ``coin_draws`` field is the determinism keystone: it tells every
 observer how many private-coin draws the speaker consumed producing the
@@ -62,15 +30,10 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Tuple
 
-from ..coding.bitio import BitReader, BitWriter, Bits, is_bit_string
-from ..coding.integrity import crc32
-from ..coding.varint import (
-    decode_elias_delta,
-    decode_elias_gamma,
-    encode_elias_delta,
-    encode_elias_gamma,
-)
-from .errors import FrameCorrupted, FrameTruncated
+from ..coding.bitio import BitReader, Bits, is_bit_string
+from ..coding.varint import decode_elias_gamma, encode_elias_gamma
+from .envelope import check_context, decode_envelope, encode_envelope
+from .errors import FrameCorrupted
 from .stream import StreamDecoder
 
 __all__ = [
@@ -81,21 +44,7 @@ __all__ = [
     "FrameDecoder",
     "pack_bits",
     "unpack_bits",
-    "MAX_BODY_BYTES",
 ]
-
-#: Frames larger than this are rejected as corrupt before any allocation
-#: happens — a garbage length prefix must not make a reader buffer
-#: gigabytes.
-MAX_BODY_BYTES = 1 << 20
-
-#: The length prefix of any legal frame fits in this many bytes
-#: (Elias delta of MAX_BODY_BYTES is 29 bits); a prefix still undecoded
-#: after this many bytes is garbage, not a long frame.
-_MAX_PREFIX_BYTES = 8
-
-_KIND_WIDTH = 4
-_CRC_BYTES = 4
 
 
 class FrameKind(IntEnum):
@@ -142,8 +91,8 @@ class Frame:
     for control frames).
 
     ``trace_id``/``parent_span`` are the sender's trace context
-    (``None`` = untraced; encodes byte-identically to the pre-extension
-    format).  A ``parent_span`` requires a ``trace_id``.
+    (``None`` = untraced), carried by the envelope.  A ``parent_span``
+    requires a ``trace_id``.
     """
 
     kind: FrameKind
@@ -153,10 +102,6 @@ class Frame:
     payload: Bits = ""
     trace_id: Optional[int] = None
     parent_span: Optional[int] = None
-
-    @property
-    def kind_name(self) -> str:
-        return self.kind.name
 
     def __post_init__(self) -> None:
         if self.party < 0:
@@ -171,15 +116,8 @@ class Frame:
             )
         if not is_bit_string(self.payload):
             raise ValueError(f"payload must be a bit string: {self.payload!r}")
-        if self.trace_id is not None and self.trace_id < 0:
-            raise ValueError(f"trace_id must be >= 0, got {self.trace_id}")
-        if self.parent_span is not None:
-            if self.trace_id is None:
-                raise ValueError("parent_span requires a trace_id")
-            if self.parent_span < 0:
-                raise ValueError(
-                    f"parent_span must be >= 0, got {self.parent_span}"
-                )
+        if self.trace_id is not None or self.parent_span is not None:
+            check_context(self.trace_id, self.parent_span)
 
 
 def pack_bits(bits: Bits) -> bytes:
@@ -197,57 +135,19 @@ def unpack_bits(data: bytes) -> Bits:
     return format(int.from_bytes(data, "big"), f"0{len(data) * 8}b")
 
 
-def _body_bits(frame: Frame) -> Bits:
-    writer = BitWriter()
-    writer.write_uint(int(frame.kind), _KIND_WIDTH)
-    writer.write_bits(encode_elias_gamma(frame.party + 1))
-    writer.write_bits(encode_elias_gamma(frame.round_index + 1))
-    writer.write_bits(encode_elias_gamma(frame.coin_draws + 1))
-    writer.write_bits(encode_elias_gamma(len(frame.payload) + 1))
-    writer.write_bits(frame.payload)
-    if frame.trace_id is not None:
-        words = [frame.trace_id + 1]
-        if frame.parent_span is not None:
-            words.append(frame.parent_span + 1)
-        writer.write_bits(encode_elias_gamma(len(words) + 1))
-        for word in words:
-            writer.write_bits(encode_elias_gamma(word))
-    return writer.getvalue()
-
-
 def encode_frame(frame: Frame) -> bytes:
-    """Serialize ``frame`` to wire bytes (prefix + body + CRC-32)."""
-    body = pack_bits(_body_bits(frame))
-    if len(body) > MAX_BODY_BYTES:
-        raise ValueError(
-            f"frame body of {len(body)} bytes exceeds MAX_BODY_BYTES"
-        )
-    prefix = pack_bits(encode_elias_delta(len(body)))
-    return prefix + body + crc32(body).to_bytes(_CRC_BYTES, "big")
-
-
-def _decode_prefix(buffer: bytes) -> Tuple[int, int]:
-    """Parse the Elias-delta length prefix; returns ``(body_len,
-    prefix_bytes)``.  Raises FrameTruncated if more bytes are needed and
-    FrameCorrupted if the prefix is garbage."""
-    limit = min(len(buffer), _MAX_PREFIX_BYTES)
-    for nbytes in range(1, limit + 1):
-        bits = unpack_bits(buffer[:nbytes])
-        reader = BitReader(bits)
-        try:
-            value = decode_elias_delta(reader)
-        except EOFError:
-            continue  # the prefix spans into the next byte
-        if any(c != "0" for c in bits[reader.position :]):
-            raise FrameCorrupted("nonzero padding after the length prefix")
-        if not 1 <= value <= MAX_BODY_BYTES:
-            raise FrameCorrupted(f"implausible body length {value}")
-        return value, nbytes
-    if len(buffer) >= _MAX_PREFIX_BYTES:
-        raise FrameCorrupted(
-            f"no length prefix within {_MAX_PREFIX_BYTES} bytes"
-        )
-    raise FrameTruncated("length prefix incomplete")
+    """Serialize ``frame`` to wire bytes: its gamma-coded body in the
+    sealed envelope."""
+    body = pack_bits(
+        encode_elias_gamma(frame.party + 1)
+        + encode_elias_gamma(frame.round_index + 1)
+        + encode_elias_gamma(frame.coin_draws + 1)
+        + encode_elias_gamma(len(frame.payload) + 1)
+        + frame.payload
+    )
+    return encode_envelope(
+        frame.kind, body, frame.trace_id, frame.parent_span
+    )
 
 
 def decode_frame(buffer: bytes) -> Tuple[Frame, int]:
@@ -256,76 +156,34 @@ def decode_frame(buffer: bytes) -> Tuple[Frame, int]:
     Returns ``(frame, bytes_consumed)``.  Raises
     :class:`~repro.net.errors.FrameTruncated` when the buffer holds only
     part of a frame, :class:`~repro.net.errors.FrameCorrupted` when the
-    bytes cannot be a valid frame (bad padding, bad kind, checksum
-    mismatch, fields overrunning the declared length).
+    bytes cannot be a valid frame (see :mod:`repro.net.envelope`), or
+    when the body's fields overrun it or leave anything but zero
+    padding shorter than a byte.
     """
-    if not buffer:
-        raise FrameTruncated("empty buffer")
-    body_len, prefix_len = _decode_prefix(buffer)
-    total = prefix_len + body_len + _CRC_BYTES
-    if len(buffer) < total:
-        raise FrameTruncated(
-            f"frame needs {total} bytes, buffer has {len(buffer)}"
-        )
-    body = buffer[prefix_len : prefix_len + body_len]
-    crc_bytes = buffer[prefix_len + body_len : total]
-    if crc32(body) != int.from_bytes(crc_bytes, "big"):
-        raise FrameCorrupted("checksum mismatch")
-    body_bits = unpack_bits(body)
+    envelope, consumed = decode_envelope(buffer, FrameKind)
+    body_bits = unpack_bits(envelope.body)
     reader = BitReader(body_bits)
     try:
-        kind_value = reader.read_uint(_KIND_WIDTH)
         party = decode_elias_gamma(reader) - 1
         round_index = decode_elias_gamma(reader) - 1
         coin_draws = decode_elias_gamma(reader) - 1
-        payload_len = decode_elias_gamma(reader) - 1
-        payload = reader.read_bits(payload_len)
+        payload = reader.read_bits(decode_elias_gamma(reader) - 1)
     except EOFError as exc:
         raise FrameCorrupted(f"fields overrun the frame body: {exc}") from exc
-    try:
-        kind = FrameKind(kind_value)
-    except ValueError as exc:
-        raise FrameCorrupted(f"unknown frame kind {kind_value}") from exc
-    trace_id: Optional[int] = None
-    parent_span: Optional[int] = None
-    if reader.remaining >= 8 or any(
-        c != "0" for c in body_bits[reader.position :]
-    ):
-        # Not legacy padding (all-zero, sub-byte) — a context extension
-        # block follows the payload.  The CRC already vouched for the
-        # bytes, so a parse failure here is a framing bug upstream, not
-        # line noise; it is still reported as corruption.
-        try:
-            word_count = decode_elias_gamma(reader) - 1
-            words = [
-                decode_elias_gamma(reader) - 1 for _ in range(word_count)
-            ]
-        except EOFError as exc:
-            raise FrameCorrupted(
-                f"context extension overruns the frame body: {exc}"
-            ) from exc
-        # Version tolerance: 0/1 words degrade gracefully; words beyond
-        # the two we understand belong to a future revision and are
-        # ignored.
-        if word_count >= 1:
-            trace_id = words[0]
-        if word_count >= 2:
-            parent_span = words[1]
-        if reader.remaining >= 8 or any(
-            c != "0" for c in body_bits[reader.position :]
-        ):
-            raise FrameCorrupted("nonzero or oversized body padding")
+    padding = body_bits[reader.position :]
+    if len(padding) >= 8 or "1" in padding:
+        raise FrameCorrupted("nonzero or oversized body padding")
     return (
         Frame(
-            kind=kind,
+            kind=envelope.kind,
             party=party,
             round_index=round_index,
             coin_draws=coin_draws,
             payload=payload,
-            trace_id=trace_id,
-            parent_span=parent_span,
+            trace_id=envelope.trace_id,
+            parent_span=envelope.parent_span,
         ),
-        total,
+        consumed,
     )
 
 

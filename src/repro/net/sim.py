@@ -32,7 +32,7 @@ RESTART_DELAY = 5.0
 
 class WireMeter:
     """The encoder of one transport's wire.  Every frame it encodes is
-    counted, by ``kind_name`` and bytes, into the ``dialect``'s
+    counted, by kind name and bytes, into the ``dialect``'s
     counters: ``"net"`` (``net_frames_sent``, ``net_bytes_on_wire``) or
     ``"fabric"`` (``fabric_frames``, ``fabric_bytes_on_wire``)."""
 
@@ -56,7 +56,7 @@ class WireMeter:
             else:
                 frames = reg.counter("fabric_frames")
                 nbytes = reg.counter("fabric_bytes_on_wire")
-            frames.inc(kind=frame.kind_name, transport=self._transport)
+            frames.inc(kind=frame.kind.name, transport=self._transport)
             nbytes.inc(len(wire), transport=self._transport)
         return wire
 
@@ -138,7 +138,7 @@ class Simulator:
         if self._injector is not None:
             decision = self._injector.on_send(len(wire) * 8)
             if decision.faulty:
-                kind = frame.kind_name
+                kind = frame.kind.name
                 if decision.drop:
                     self.fault("drop", kind=kind, dest=dest)
                     return

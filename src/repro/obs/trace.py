@@ -20,9 +20,10 @@ several processes — reconstructs into one tree
 * :func:`repro.perf.map_grid` ships the coordinating sweep span's
   context to worker processes, which trace into a child tracer
   (namespaced so span ids cannot collide) and ship their events back;
-* :mod:`repro.net.framing` carries the sender's context in a
-  gamma-coded frame extension, so blackboard-server work is attributed
-  under the requesting party's span purely from wire bytes.
+* the wire envelope (:mod:`repro.net.envelope`) carries the sender's
+  context in a fixed-width field of every blackboard and fabric frame,
+  so blackboard-server and fabric-worker work is attributed under the
+  requesting span purely from wire bytes.
 
 Span ids are either small in-process sequence numbers (the root tracer)
 or SHA-256-derived 63-bit values namespaced per worker/party, which is
@@ -94,7 +95,7 @@ def new_trace_id() -> int:
 class TraceContext:
     """The portable identity of an enclosing span: what crosses process
     boundaries (pickled to ``map_grid`` workers) and wire boundaries
-    (gamma-coded into ``repro.net`` frames).  ``span_id`` may be ``None``
+    (the context field of every ``repro.net`` envelope).  ``span_id`` may be ``None``
     for a trace with no span open yet."""
 
     trace_id: int

@@ -44,9 +44,9 @@ def _random_frame(rng) -> Frame:
     ):
         payload = "".join(rng.choice("01") for _ in range(rng.randrange(1, 40)))
         draws = rng.randrange(2)
-    # Half of the sweep carries a trace-context extension, so every
+    # Half of the sweep carries a trace context, so every
     # property below (round-trip, chunked streams, truncation, bit-flip
-    # rejection) also covers the extended wire format.
+    # rejection) also covers traced frames.
     trace_id = None
     parent_span = None
     if rng.randrange(2):

@@ -105,6 +105,18 @@ class TestFaults:
         assert len(results) == 6
 
 
+    def test_a_lost_hello_is_said_again(self):
+        # The one fault this plan injects drops the only worker's first
+        # HELLO; the worker says it again and the sweep completes.
+        keys = _fake_keys(3)
+        plan = FaultPlan(seed=0, drop_rate=1.0, max_faults=1)
+        results = run_loopback_sweep(
+            keys, store=None, workers=1, faults=plan, max_steps=2000,
+            compute=_fake_compute,
+        )
+        assert results == {i: _fake_compute(k) for i, k in enumerate(keys)}
+
+
 class TestTypedFailures:
     def test_all_workers_dead_no_restart_raises_worker_lost(self):
         plan = FaultPlan(

@@ -1,16 +1,16 @@
-"""Fabric wire format: roundtrips, typed corruption, version tolerance."""
+"""Fabric wire dialect: roundtrips, typed corruption, the strict
+policy."""
 
 import pytest
 
-from repro.coding.integrity import seal
 from repro.fabric.wire import (
-    MAX_FRAME_BYTES,
     FabricFrame,
     FabricFrameDecoder,
     FabricFrameKind,
     decode_fabric_frame,
     encode_fabric_frame,
 )
+from repro.net.envelope import MAX_FRAME_BYTES, encode_envelope
 from repro.net.errors import FrameCorrupted, FrameError, FrameTruncated
 
 _LEN = 4
@@ -33,7 +33,7 @@ class TestRoundtrip:
             )
             decoded = _roundtrip(frame)
             assert decoded == frame
-            assert decoded.kind_name == kind.name
+            assert decoded.kind is kind
 
     def test_empty_fields_and_payload(self):
         decoded = _roundtrip(FabricFrame(FabricFrameKind.HEARTBEAT))
@@ -90,45 +90,52 @@ class TestTypedFailures:
             )
 
     def test_non_object_header_is_corrupt(self):
-        body = bytes([int(FabricFrameKind.GET)])
         header = b"[1,2]"
-        body += len(header).to_bytes(_LEN, "big") + header
-        body += (0).to_bytes(_LEN, "big")
-        sealed = seal(body)
-        wire = len(sealed).to_bytes(_LEN, "big") + sealed
+        body = len(header).to_bytes(_LEN, "big") + header
+        wire = encode_envelope(FabricFrameKind.GET, body)
         with pytest.raises(FrameCorrupted):
             decode_fabric_frame(wire)
 
+    def test_every_single_bit_flip_is_rejected(self):
+        for kind in FabricFrameKind:
+            wire = encode_fabric_frame(
+                FabricFrame(kind, {"cell": int(kind)}, b"pay", 7, 3)
+            )
+            for bit in range(len(wire) * 8):
+                mangled = bytearray(wire)
+                mangled[bit // 8] ^= 0x80 >> (bit % 8)
+                with pytest.raises(FrameError):
+                    decode_fabric_frame(bytes(mangled))
+
+
+class TestStrictPolicy:
+    def test_unknown_kind_is_corrupt(self):
+        body = (2).to_bytes(_LEN, "big") + b"{}"
+        assert decode_fabric_frame(encode_envelope(FabricFrameKind.BYE, body))
+        with pytest.raises(FrameCorrupted):
+            decode_fabric_frame(encode_envelope(200, body))
+
+    def test_header_overrunning_its_body_is_corrupt(self):
+        for body in (b"", b"\x00\x00", (9).to_bytes(_LEN, "big") + b"{}"):
+            with pytest.raises(FrameCorrupted):
+                decode_fabric_frame(encode_envelope(FabricFrameKind.GET, body))
+
+    def test_trace_context_rides_the_envelope(self):
+        plain = FabricFrame(FabricFrameKind.LEASE, {"cell": 0}, b"x")
+        for trace_id, parent_span in ((0, None), (5, 0), (2**63 - 1, 2**63 - 1)):
+            traced = FabricFrame(
+                plain.kind, plain.fields, plain.payload, trace_id, parent_span
+            )
+            assert _roundtrip(traced) == traced
+            # A frame's length never depends on its trace context.
+            assert len(encode_fabric_frame(traced)) == len(
+                encode_fabric_frame(plain)
+            )
+
 
 class TestVersionTolerance:
-    def test_unknown_kind_decodes_raw(self):
-        wire = bytearray(
-            encode_fabric_frame(FabricFrame(FabricFrameKind.HELLO, {"v": 2}))
-        )
-        # Rebuild the sealed body with an unknown kind byte.
-        body = bytearray(
-            encode_fabric_frame(FabricFrame(FabricFrameKind.HELLO, {"v": 2}))
-        )
-        raw = _rebuild_with(body, kind=200)
-        frame, consumed = decode_fabric_frame(raw)
-        assert consumed == len(raw)
-        assert frame.kind == 200
-        assert frame.kind_name == "UNKNOWN_200"
-        assert frame.fields == {"v": 2}
-        del wire  # silence unused
-
-    def test_extension_bytes_after_payload_ignored(self):
-        body = bytes([int(FabricFrameKind.SERVE)])
-        header = b"{}"
-        payload = b"result-bytes"
-        body += len(header).to_bytes(_LEN, "big") + header
-        body += len(payload).to_bytes(_LEN, "big") + payload
-        body += b"FUTURE-EXTENSION"  # a newer writer's trailing data
-        sealed = seal(body)
-        wire = len(sealed).to_bytes(_LEN, "big") + sealed
-        frame, consumed = decode_fabric_frame(wire)
-        assert consumed == len(wire)
-        assert frame.payload == payload
+    """The header is a plain JSON object: keys a receiver does not read
+    pass through untouched."""
 
     def test_unknown_header_keys_survive(self):
         decoded = _roundtrip(
@@ -138,17 +145,6 @@ class TestVersionTolerance:
             )
         )
         assert decoded.fields["added_in_v99"] == [1, {"x": 2}]
-
-
-def _rebuild_with(encoded: bytearray, *, kind: int) -> bytes:
-    """Swap the kind byte inside an encoded frame and re-seal."""
-    from repro.coding.integrity import unseal
-
-    sealed = bytes(encoded[_LEN:])
-    body = bytearray(unseal(sealed))
-    body[0] = kind
-    resealed = seal(bytes(body))
-    return len(resealed).to_bytes(_LEN, "big") + resealed
 
 
 class TestDecoder:
@@ -182,3 +178,35 @@ class TestDecoder:
         assert len(decoder.feed(good)) == 1
         with pytest.raises(FrameCorrupted):
             decoder.feed(bytes(bad))
+
+
+class TestLeaseContext:
+    def test_a_traced_lease_carries_its_context_in_the_envelope(self):
+        from repro.fabric.core import CoordinatorCore, WorkerCore
+        from repro.obs import RecordingTracer, using_tracer
+        from repro.store.keys import ResultKey
+        from repro.store.sweep import encode_result
+
+        keys = [ResultKey(experiment="FAKE", params={"i": 0}, seed=None,
+                          version="v-test")]
+        coordinator_trace = RecordingTracer(trace_id=0x5EED)
+        with using_tracer(coordinator_trace):
+            core = CoordinatorCore(keys, store=None, num_workers=1)
+            with coordinator_trace.span("sweep"):
+                _, lease = core.on_frame(
+                    0, FabricFrame(FabricFrameKind.HELLO), 0.0
+                )
+        (sweep,) = [
+            e for e in coordinator_trace.named("sweep") if e.kind == "begin"
+        ]
+        wire = encode_fabric_frame(lease)
+        lease, _ = decode_fabric_frame(wire)
+        assert lease.kind == FabricFrameKind.LEASE
+        assert (lease.trace_id, lease.parent_span) == (0x5EED, sweep.span)
+        assert "trace" not in lease.fields and "span" not in lease.fields
+        # An untraced worker process records under the lease's context
+        # and ships the events home in the RESULT.
+        worker = WorkerCore(0, compute=lambda key: encode_result(key.params))
+        (result,) = worker.on_frame(lease)
+        (cell,) = [e for e in result.fields["trace"] if e["kind"] == "begin"]
+        assert (cell["trace"], cell["parent"]) == (0x5EED, sweep.span)

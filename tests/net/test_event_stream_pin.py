@@ -9,9 +9,12 @@ for one ``chaos_plan(7)`` blackboard run and one faulted fabric sweep.
 Any change to scheduling order, fault accounting or event fields moves
 the digest.
 
-Nothing is frozen: no frame carries a wall-clock reading, so the
-fabric sweep's frame lengths, and with them the fault injector's
-corrupt-bit draws, are the same on every run.
+Nothing is frozen: no frame carries a wall-clock reading, and the
+fault injector draws a fixed number of variates per frame, so the
+schedule is the same on every run.  It does not depend on the trace id
+either (the envelope's context field has one width, traced or not):
+an untraced run and runs under two trace ids inject the same faults and
+take the same retries.
 """
 
 import hashlib
@@ -32,12 +35,12 @@ from repro.store.sweep import encode_result
 
 _TRACE_ID = 0x5EED
 
-NET_DIGEST = "aaf6bf943bc50aa5992eb329ab7fd0d10e7f6ab084dfbf5cabfe7db89d6bce76"
+NET_DIGEST = "ac0f195b5827955a6c37a35a275fabf5645ce8a8487b5a103f11d0ad90716461"
 BYZANTINE_DIGEST = (
-    "5aabb97702f867904bdcca15670a23bdf38d15ff40c5ce38c577ab73b836135e"
+    "6e1a0be5326a9b9131ca5b0a77b6b17acf1cec2ada67b8d831fbe87429e0a88b"
 )
 FABRIC_DIGEST = (
-    "6900bdcc49480c9bb7679948ba4e20ebe0532e5e8515722a74cebefb7d8c3c6f"
+    "2573baafd7fcb97025775600d81d04967fd70659638441493cfec7306ab3fa0d"
 )
 
 #: Counters the loopback transports report, by metric name.
@@ -82,8 +85,8 @@ def test_chaos_loopback_run_event_stream():
         )
         digest = _digest(tracer, registry)
     (complete,) = tracer.named("net_run_complete")
-    assert complete.fields["faults"] == 15
-    assert _fault_events(tracer) == 16  # the 15 plus one crash
+    assert complete.fields["faults"] == 20
+    assert _fault_events(tracer) == 21  # the 20 plus one crash
     assert digest == NET_DIGEST
 
 
@@ -116,22 +119,29 @@ def _fake_compute(key):
     return encode_result({"i": key.params["i"], "value": key.params["i"] ** 2})
 
 
-def _faulted_fabric_sweep():
-    plan = FaultPlan(
+def _fabric_plan():
+    return FaultPlan(
         seed=7,
         drop_rate=0.15,
         corrupt_rate=0.15,
         delay_rate=0.3,
         max_delay=6.0,
-        crashes=(PartyCrash(party=1, after_round=1, restart=True),),
+        crashes=(PartyCrash(party=0, after_round=1, restart=True),),
         max_faults=24,
     )
+
+
+def _run_fabric_sweep():
+    return run_loopback_sweep(
+        _fake_keys(6), store=None, workers=3, faults=_fabric_plan(),
+        max_attempts=60, compute=_fake_compute,
+    )
+
+
+def _faulted_fabric_sweep():
     tracer = RecordingTracer(trace_id=_TRACE_ID)
     with collecting() as registry, using_tracer(tracer):
-        results = run_loopback_sweep(
-            _fake_keys(6), store=None, workers=3, faults=plan,
-            max_attempts=60, compute=_fake_compute,
-        )
+        results = _run_fabric_sweep()
         digest = _digest(tracer, registry)
     assert results == {i: _fake_compute(k) for i, k in enumerate(_fake_keys(6))}
     return tracer, digest
@@ -139,9 +149,38 @@ def _faulted_fabric_sweep():
 
 def test_faulted_fabric_sweep_event_stream():
     tracer, digest = _faulted_fabric_sweep()
-    assert _fault_events(tracer) == 12
+    assert _fault_events(tracer) == 21
     assert digest == FABRIC_DIGEST
 
 
 def test_faulted_fabric_sweep_replays_on_the_real_clock():
     assert _faulted_fabric_sweep()[1] == _faulted_fabric_sweep()[1]
+
+
+def _fault_totals(tracer):
+    """Faults injected and retries taken by the chaos blackboard run and
+    the faulted fabric sweep, under ``tracer`` (``None``: untraced)."""
+    case = protocol_case("noisy-sequential-and")
+    with collecting() as registry:
+        run_networked(
+            case.build(), case.input_tuples()[-1], seed=8,
+            faults=chaos_plan(7), tracer=tracer,
+        )
+        if tracer is None:
+            _run_fabric_sweep()
+        else:
+            with using_tracer(tracer):
+                _run_fabric_sweep()
+        counters = registry.snapshot().counters
+    return {
+        name: sorted(counters.get(name, {}).items())
+        for name in ("net_faults_injected", "net_retries", "fabric_retries")
+    }
+
+
+def test_fault_schedule_does_not_depend_on_the_trace_id():
+    untraced = _fault_totals(None)
+    assert untraced["net_faults_injected"] and untraced["net_retries"]
+    assert untraced["fabric_retries"]
+    for trace_id in (1, 2**63 - 5):
+        assert _fault_totals(RecordingTracer(trace_id=trace_id)) == untraced

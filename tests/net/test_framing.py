@@ -1,9 +1,10 @@
-"""Unit tests for the wire protocol: frames, streams, and rejection.
+"""Unit tests for the blackboard wire dialect: frames, streams, and
+rejection.
 
-The framing layer's contract has three legs: a lossless round-trip for
-every legal frame, ``FrameTruncated`` (and only that) on short buffers
-so stream reassembly can wait for more bytes, and ``FrameCorrupted`` on
-anything mangled — the CRC-32 seal guarantees every single-bit wire
+The contract has three legs: a lossless round-trip for every legal
+frame, ``FrameTruncated`` (and only that) on short buffers so stream
+reassembly can wait for more bytes, and ``FrameCorrupted`` on anything
+mangled — the envelope's CRC-32 seal guarantees every single-bit wire
 error is detected, which is what the fault injector's corruption class
 relies on.  The seeded exhaustive sweeps live in
 ``tests/coding/test_framing_properties.py``; these are the pinned,
@@ -24,7 +25,7 @@ from repro.net import (
     pack_bits,
     unpack_bits,
 )
-from repro.net.framing import MAX_BODY_BYTES
+from repro.net.envelope import MAX_FRAME_BYTES, encode_envelope
 from repro.net.stream import StreamDecoder
 
 SAMPLE_FRAMES = [
@@ -116,17 +117,27 @@ class TestRejection:
                 assert consumed == len(wire), "flip escaped detection"
 
     def test_implausible_length_prefix_is_corrupt(self):
-        from repro.coding.varint import encode_elias_delta
-
-        prefix = pack_bits(encode_elias_delta(MAX_BODY_BYTES + 1))
+        # Rejected from the prefix alone, before waiting for (or
+        # allocating) the claimed bytes.
+        prefix = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
         with pytest.raises(FrameCorrupted):
             decode_frame(prefix + b"\x00" * 64)
 
     def test_garbage_prefix_is_corrupt(self):
-        # 0xFF... never decodes as an Elias-delta prefix with clean
-        # padding within the prefix-byte allowance.
+        # 0xFFFFFFFF claims far more than the frame bound, and a zero
+        # length is shorter than any envelope.
         with pytest.raises(FrameCorrupted):
             decode_frame(b"\xff" * 16)
+        with pytest.raises(FrameCorrupted):
+            decode_frame(b"\x00" * 16)
+
+    def test_trailing_body_bytes_are_corrupt(self):
+        # The body must end within a byte of its last field, with zero
+        # padding: a trailing byte or a set padding bit is corruption.
+        body = pack_bits("1111")
+        for bad in (body + b"\x00", pack_bits("11111")):
+            with pytest.raises(FrameCorrupted):
+                decode_frame(encode_envelope(FrameKind.HELLO, bad))
 
     def test_checksum_mismatch_is_corrupt(self):
         wire = bytearray(encode_frame(SAMPLE_FRAMES[0]))
@@ -135,24 +146,11 @@ class TestRejection:
             decode_frame(bytes(wire))
 
     def test_unknown_kind_is_corrupt(self):
-        # Rebuild a frame body with an out-of-vocabulary kind nibble.
-        import zlib
-
-        from repro.coding.bitio import BitWriter
-        from repro.coding.varint import encode_elias_delta, encode_elias_gamma
-
-        writer = BitWriter()
-        writer.write_uint(15, 4)  # no such FrameKind
-        for value in (1, 1, 1, 1):  # party/round/draws/payload-len + 1
-            writer.write_bits(encode_elias_gamma(value))
-        body = pack_bits(writer.getvalue())
-        wire = (
-            pack_bits(encode_elias_delta(len(body)))
-            + body
-            + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "big")
-        )
+        # A well-sealed envelope whose kind byte is no FrameKind.
+        body = pack_bits("1111")  # party/round/draws/payload-len + 1
+        assert decode_frame(encode_envelope(FrameKind.HELLO, body))
         with pytest.raises(FrameCorrupted):
-            decode_frame(wire)
+            decode_frame(encode_envelope(15, body))
 
 
 class TestFrameDecoder:

@@ -257,7 +257,7 @@ class TestSnapshotEqualsRegistry:
         plan = FaultPlan(
             seed=7, drop_rate=0.15, corrupt_rate=0.15, delay_rate=0.3,
             max_delay=6.0,
-            crashes=(PartyCrash(party=1, after_round=1, restart=True),),
+            crashes=(PartyCrash(party=0, after_round=1, restart=True),),
             max_faults=24,
         )
         out = io.StringIO()

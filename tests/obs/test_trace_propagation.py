@@ -1,13 +1,13 @@
-"""Trace-context propagation over the wire: the framing extension and
-its safety properties.
+"""Trace-context propagation over the wire: the envelope's context
+field and its safety properties.
 
 The contract (docs/observability.md, *Distributed trace propagation*):
 
 * a frame's ``(trace_id, parent_span)`` survives encode → decode;
-* an untraced frame is **byte-identical** to the pre-extension wire
-  format (pinned here against a hand-built legacy encoding);
-* the extension is version-tolerant — 0/1 words degrade to a partial
-  context, words beyond the two understood are ignored;
+* the context field has one width, so a traced frame is exactly as long
+  as the same frame untraced, whatever the trace id;
+* decoding is strict: a context naming a span without a trace is
+  corrupt, and an id the field cannot hold is refused at construction;
 * corruption can never mis-parent a span: every single-bit flip of a
   context-bearing frame is rejected before the context is parsed;
 * tracing the networked runtime is observation-only — traced and
@@ -22,8 +22,8 @@ import pytest
 
 from repro.check.generator import derive_rng
 from repro.coding.bitio import BitWriter
-from repro.coding.integrity import crc32
-from repro.coding.varint import encode_elias_delta, encode_elias_gamma
+from repro.coding.integrity import seal
+from repro.coding.varint import encode_elias_gamma
 from repro.core.runner import run_protocol
 from repro.net import (
     Frame,
@@ -50,35 +50,29 @@ TRACED = Frame(
 )
 
 
-def _legacy_body_bits(frame: Frame) -> str:
-    """The pre-extension body encoding, rebuilt from the coding
-    primitives: header gammas + payload, no context block."""
+def _body(frame: Frame) -> bytes:
+    """The blackboard body of ``frame``, rebuilt from the coding
+    primitives."""
     writer = BitWriter()
-    writer.write_uint(int(frame.kind), 4)
-    writer.write_bits(encode_elias_gamma(frame.party + 1))
-    writer.write_bits(encode_elias_gamma(frame.round_index + 1))
-    writer.write_bits(encode_elias_gamma(frame.coin_draws + 1))
-    writer.write_bits(encode_elias_gamma(len(frame.payload) + 1))
+    for value in (
+        frame.party, frame.round_index, frame.coin_draws, len(frame.payload)
+    ):
+        writer.write_bits(encode_elias_gamma(value + 1))
     writer.write_bits(frame.payload)
-    return writer.getvalue()
+    return pack_bits(writer.getvalue())
 
 
-def _seal(body_bits: str) -> bytes:
-    """Length-prefix and CRC-seal hand-built body bits into wire bytes."""
-    body = pack_bits(body_bits)
-    prefix = pack_bits(encode_elias_delta(len(body)))
-    return prefix + body + crc32(body).to_bytes(4, "big")
-
-
-def _extend(frame: Frame, words) -> bytes:
-    """Wire bytes for ``frame`` with an arbitrary extension word list
-    (crafting the revisions a current encoder never emits)."""
-    writer = BitWriter()
-    writer.write_bits(_legacy_body_bits(frame))
-    writer.write_bits(encode_elias_gamma(len(words) + 1))
-    for word in words:
-        writer.write_bits(encode_elias_gamma(word + 1))
-    return _seal(writer.getvalue())
+def _hand_sealed(frame: Frame, trace_word: int, span_word: int) -> bytes:
+    """Wire bytes for ``frame`` with arbitrary raw context words, built
+    without the envelope module (crafting contexts an encoder never
+    emits)."""
+    sealed = seal(
+        bytes([frame.kind])
+        + trace_word.to_bytes(8, "big")
+        + span_word.to_bytes(8, "big")
+        + _body(frame)
+    )
+    return len(sealed).to_bytes(4, "big") + sealed
 
 
 class TestContextRoundTrip:
@@ -105,34 +99,29 @@ class TestContextRoundTrip:
             Frame(kind=FrameKind.SYNC, parent_span=7)
 
 
-class TestWireCompatibility:
-    def test_untraced_frame_matches_legacy_encoding(self):
-        untraced = replace(TRACED, trace_id=None, parent_span=None)
-        assert encode_frame(untraced) == _seal(_legacy_body_bits(untraced))
-
-    def test_legacy_bytes_decode_with_no_context(self):
-        untraced = replace(TRACED, trace_id=None, parent_span=None)
-        decoded, _ = decode_frame(_seal(_legacy_body_bits(untraced)))
-        assert decoded.trace_id is None
-        assert decoded.parent_span is None
-        assert decoded == untraced
-
-    def test_zero_word_extension_degrades_to_untraced(self):
-        decoded, _ = decode_frame(_extend(TRACED, []))
-        assert decoded.trace_id is None
-        assert decoded.parent_span is None
-
-    def test_one_word_extension_degrades_to_trace_only(self):
-        decoded, _ = decode_frame(_extend(TRACED, [TRACED.trace_id]))
-        assert decoded.trace_id == TRACED.trace_id
-        assert decoded.parent_span is None
-
-    def test_future_extension_words_are_ignored(self):
-        wire = _extend(
-            TRACED, [TRACED.trace_id, TRACED.parent_span, 7, 1000]
+class TestFixedWidthContext:
+    def test_hand_sealed_layout_matches_the_encoder(self):
+        assert encode_frame(TRACED) == _hand_sealed(
+            TRACED, TRACED.trace_id + 1, TRACED.parent_span + 1
         )
-        decoded, _ = decode_frame(wire)
-        assert decoded == TRACED
+        untraced = replace(TRACED, trace_id=None, parent_span=None)
+        assert encode_frame(untraced) == _hand_sealed(untraced, 0, 0)
+
+    def test_length_never_depends_on_the_context(self):
+        untraced = replace(TRACED, trace_id=None, parent_span=None)
+        lengths = {
+            len(encode_frame(replace(TRACED, trace_id=t, parent_span=p)))
+            for t, p in (
+                (None, None), (0, None), (0, 0), (7, None),
+                (2**63 - 1, 2**63 - 1), (2**64 - 2, 2**64 - 2),
+            )
+        }
+        assert lengths == {len(encode_frame(untraced))}
+
+    def test_ids_the_field_cannot_hold_are_refused(self):
+        for trace_id, parent_span in ((2**64 - 1, None), (-1, None), (1, -1)):
+            with pytest.raises(ValueError):
+                replace(TRACED, trace_id=trace_id, parent_span=parent_span)
 
 
 class TestCorruptionNeverMisparents:
@@ -160,19 +149,14 @@ class TestCorruptionNeverMisparents:
                 decode_frame(bytes(mangled))
 
     def test_corrupt_extension_is_framecorrupted_not_misparse(self):
-        # Flip a bit *inside the extension block only*, then recompute
-        # the CRC so the seal passes: the strict padding re-check must
-        # still refuse to hand back a frame with a scrambled context
-        # whenever the bits stop being a well-formed extension.
-        writer = BitWriter()
-        writer.write_bits(_legacy_body_bits(TRACED))
-        writer.write_bits(encode_elias_gamma(3))  # word_count = 2
-        writer.write_bits(encode_elias_gamma(TRACED.trace_id + 1))
-        # Truncated second word: gamma prefix promising more bits than
-        # the body holds.
-        writer.write_bits("0" * 40 + "1")
+        # A context block the CRC vouches for but no encoder emits — a
+        # parent span under no trace — must be refused, not handed back
+        # as a frame with a half context.
+        assert decode_frame(_hand_sealed(TRACED, 0, 0))[0] == replace(
+            TRACED, trace_id=None, parent_span=None
+        )
         with pytest.raises(FrameCorrupted):
-            decode_frame(_seal(writer.getvalue()))
+            decode_frame(_hand_sealed(TRACED, 0, TRACED.parent_span + 1))
 
 
 class TestTracedEqualsUntraced:
