@@ -945,7 +945,7 @@ def networked_reference(
     replicas = [random.Random(seed) for _ in range(k)]
     states = [protocol.initial_state() for _ in range(k)]
     board = Transcript()
-    for round_index in range(max_messages):
+    for round_index in range(max_messages + 1):
         views = {protocol.next_speaker(states[i], board) for i in range(k)}
         if len(views) != 1:
             raise ProtocolViolation(
@@ -963,6 +963,8 @@ def networked_reference(
                 bits_communicated=transcript.bits_written,
                 rounds=len(transcript),
             )
+        if round_index == max_messages:
+            break
         dist = protocol.message_distribution(
             states[speaker], speaker, inputs[speaker], board
         )
@@ -1131,7 +1133,7 @@ def byzantine_reference(
     replicas = [random.Random(seed) for _ in range(k)]
     states = [protocol.initial_state() for _ in range(k)]
     board = Transcript()
-    for round_index in range(max_messages):
+    for round_index in range(max_messages + 1):
         views = {protocol.next_speaker(states[i], board) for i in range(k)}
         if len(views) != 1:
             raise ProtocolViolation(
@@ -1146,6 +1148,8 @@ def byzantine_reference(
                 bits_communicated=board.bits_written,
                 rounds=len(board),
             )
+        if round_index == max_messages:
+            break
         dist = protocol.message_distribution(
             states[speaker], speaker, inputs[speaker], board
         )

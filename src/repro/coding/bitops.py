@@ -19,11 +19,16 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 __all__ = ["bits_of", "popcount", "zone_positions", "zone_mask"]
 
 
+#: Binary digits to 0/1 bytes (``translate`` runs about twice as fast
+#: as ``replace`` on these strings).
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def _set_bits(mask: int) -> Iterator[int]:
     """The set bit positions of a non-negative ``mask``, lowest first,
     lazily: the reversed binary digits, as 0/1 bytes, select their own
     indices in one C-level pass."""
-    digits = bin(mask)[:1:-1].encode().replace(b"0", b"\0")
+    digits = bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)
     return compress(range(len(digits)), digits)
 
 

@@ -12,13 +12,15 @@ check_edge`, so the blackboard (the default) and the coordinator and
 graph media of :mod:`repro.topology` share one loop.
 
 A ``max_messages`` guard turns a non-halting protocol bug into an
-exception instead of a hang.  The guard is *atomic*: exhaustion raises
-:class:`~repro.core.model.ProtocolViolation` before any partial result
-becomes observable — no truncated :class:`ProtocolRun` is returned, no
-success counters (``runner_executions`` / ``bits_written`` /
-``runner_messages``) are incremented, and no ``run_complete`` trace
-event is emitted (per-``message`` events for the rounds that did happen
-are emitted, as with any mid-run failure).  The networked runtime's
+exception instead of a hang: a run may write exactly ``max_messages``
+messages, and asking for one more raises.  The guard is *atomic*:
+exhaustion raises :class:`~repro.core.model.ProtocolViolation` before
+any partial result becomes observable — no truncated
+:class:`ProtocolRun` is returned, no success counters
+(``runner_executions`` / ``bits_written`` / ``runner_messages``) are
+incremented, and no ``run_complete`` trace event is emitted
+(per-``message`` events for the rounds that did happen are emitted, as
+with any mid-run failure).  The networked runtime's
 :class:`~repro.net.client.PartyClient` relies on this contract for its
 hang guard: it raises the *same* exception with the *same* message at
 the same board length, so a non-halting protocol fails identically
@@ -101,10 +103,10 @@ def run_protocol(
         deterministic protocols; a randomized protocol raises
         :class:`ProtocolViolation` if it needs coins and none were given.
     max_messages:
-        Safety ceiling; exceeding it raises :class:`ProtocolViolation`
-        *before* any partial run, counter increment, or ``run_complete``
-        event is observable (the atomicity
-        :class:`~repro.net.client.PartyClient` leans on).
+        Safety ceiling on the messages written; a run that would write
+        one more raises :class:`ProtocolViolation` *before* any partial
+        run, counter increment, or ``run_complete`` event is observable
+        (the atomicity :class:`~repro.net.client.PartyClient` leans on).
     tracer:
         Structured-trace sink; ``None`` uses the process-wide default
         (a no-op unless one was installed via ``repro.obs``).  Tracing
@@ -217,9 +219,16 @@ def _execute(
         state = advance_state(state, message)
         board = board.extend(message)
     else:
-        raise ProtocolViolation(
-            f"protocol did not halt within {max_messages} messages"
-        )
+        # The budget is spent; only a message past it is a violation, so
+        # a run that halts after exactly ``max_messages`` still returns.
+        if next_speaker is not None:
+            halted = next_speaker(state, board) is None
+        else:
+            halted = next_edge(state, board) is None
+        if not halted:
+            raise ProtocolViolation(
+                f"protocol did not halt within {max_messages} messages"
+            )
     output = protocol.output(state, board)
     rounds = len(board)
     if traced:

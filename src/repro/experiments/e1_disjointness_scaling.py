@@ -70,10 +70,10 @@ CLASSIC_GRID: Sequence[Tuple[int, int]] = (
 #: The default grid extends CLASSIC_GRID an order of magnitude.  The
 #: points beyond (2048, 64) are reachable in seconds only because the
 #: in-memory backend replays the protocols with the exact bigint
-#: simulators; message by message the whole grid takes about 10 s
-#: (2-CPU x86-64, Python 3.11; the codecs touch only the coordinates
-#: each message writes, and ``benchmarks/test_reference_engines.py``
-#: checks the two agree), and networked transports should prefer
+#: simulators; message by message the whole grid takes about 6 s,
+#: against about 1 s for the simulators (2-CPU x86-64, Python 3.11;
+#: ``benchmarks/test_reference_engines.py`` checks the two agree), and
+#: networked transports should prefer
 #: ``--quick`` — framing every message of the big points costs tens of
 #: minutes.
 DEFAULT_GRID: Sequence[Tuple[int, int]] = tuple(CLASSIC_GRID) + (

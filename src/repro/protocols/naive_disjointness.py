@@ -23,8 +23,9 @@ Message format (self-delimiting given the board):
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from itertools import repeat
-from typing import Any, Optional
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..coding.bitops import bits_of
 from ..coding.bitio import BitReader
@@ -32,7 +33,80 @@ from ..coding.varint import decode_elias_gamma, encode_elias_gamma
 from ..information.distribution import DiscreteDistribution
 from ..core.model import Message, Protocol, ProtocolViolation, Transcript
 
-__all__ = ["NaiveDisjointnessProtocol"]
+__all__ = [
+    "NaiveDisjointnessProtocol",
+    "encode_index_list",
+    "decode_index_list",
+]
+
+
+#: Up to this width every index's digits come from one table per width
+#: (4,096 strings at most), about five times faster than ``format``.
+_TABLE_WIDTH = 12
+
+
+@lru_cache(maxsize=_TABLE_WIDTH + 1)
+def _digits(width: int) -> Tuple[str, ...]:
+    """The ``width``-bit binary string of every value below
+    ``2^width``, indexed by value."""
+    if not width:
+        return ("",)
+    spec = f"0{width}b"
+    return tuple(format(value, spec) for value in range(1 << width))
+
+
+def encode_index_list(indices: Sequence[int], width: int) -> str:
+    """The naive turn over ``indices`` (increasing, each below
+    ``2^width``): ``0`` when there are none, else ``1`` +
+    Elias-gamma(count) + each index at ``width`` bits."""
+    if not indices:
+        return "0"
+    if width <= _TABLE_WIDTH:
+        body = "".join(map(_digits(width).__getitem__, indices))
+    else:
+        body = "".join(map(format, indices, repeat(f"0{width}b")))
+    return "1" + encode_elias_gamma(len(indices)) + body
+
+
+def decode_index_list(
+    bits: str, width: int, bound: int, malformed: str
+) -> List[int]:
+    """Parse a turn written by :func:`encode_index_list`; every index
+    must lie below ``bound``.  Errors are those of reading the message
+    index by index with a :class:`~repro.coding.bitio.BitReader`: a bad
+    index (``ProtocolViolation`` with text ``malformed`` and the
+    message) is reported before a truncated list (``EOFError``), and
+    that before trailing bits (``ValueError``)."""
+    reader = BitReader(bits)
+    if not reader.read_flag():
+        reader.expect_exhausted()
+        return []
+    count = decode_elias_gamma(reader)
+    start = reader.position
+    if width:
+        body = bits[start : start + count * width]
+        indices = [
+            int(body[i : i + width], 2)
+            for i in range(0, len(body) - width + 1, width)
+        ]
+    else:
+        # Zero-width indices are all 0: a second one is already out of
+        # order.
+        body = ""
+        indices = [0] * min(count, 2)
+    # Checked in the order they were written: a bad index is reported
+    # before a truncated list.
+    if indices and (
+        indices[-1] >= bound
+        or not all(map(operator.lt, indices, indices[1:]))
+    ):
+        raise ProtocolViolation(f"{malformed} {bits!r}")
+    if len(indices) < count:
+        remaining = len(bits) - start - len(indices) * width
+        raise EOFError(f"requested {width} bits but only {remaining} remain")
+    reader.read_bits(len(body))
+    reader.expect_exhausted()
+    return indices
 
 
 class NaiveDisjointnessProtocol(Protocol):
@@ -60,36 +134,11 @@ class NaiveDisjointnessProtocol(Protocol):
 
     def _decode_coordinates(self, bits: str) -> int:
         """Parse a turn message into the bitmask of coordinates it wrote."""
-        reader = BitReader(bits)
-        if not reader.read_flag():
-            reader.expect_exhausted()
-            return 0
-        count = decode_elias_gamma(reader)
-        width = self._index_width
-        start = reader.position
-        body = bits[start : start + count * width]
-        coordinates = [
-            int(body[i : i + width], 2)
-            for i in range(0, len(body) - width + 1, width)
-        ]
-        # Checked in the order they were written: a bad coordinate is
-        # reported before a truncated list.
-        if coordinates and (
-            coordinates[-1] >= self._n
-            or not all(map(operator.lt, coordinates, coordinates[1:]))
-        ):
-            raise ProtocolViolation(
-                f"malformed coordinate list in message {bits!r}"
-            )
-        if len(coordinates) < count:
-            remaining = len(bits) - start - len(coordinates) * width
-            raise EOFError(
-                f"requested {width} bits but only {remaining} remain"
-            )
-        reader.read_bits(len(body))
-        reader.expect_exhausted()
         mask = 0
-        for coordinate in coordinates:
+        for coordinate in decode_index_list(
+            bits, self._index_width, self._n,
+            "malformed coordinate list in message",
+        ):
             mask |= 1 << coordinate
         return mask
 
@@ -108,13 +157,8 @@ class NaiveDisjointnessProtocol(Protocol):
             )
         full = (1 << self._n) - 1
         new_zeros = (~mask) & full & ~covered
-        if new_zeros == 0:
-            return DiscreteDistribution.point_mass("0")
-        coordinates = bits_of(new_zeros)
-        index = f"0{self._index_width}b"
-        body = "".join(map(format, coordinates, repeat(index)))
         return DiscreteDistribution.point_mass(
-            "1" + encode_elias_gamma(len(coordinates)) + body
+            encode_index_list(bits_of(new_zeros), self._index_width)
         )
 
     def output(self, state: Any, board: Transcript) -> int:

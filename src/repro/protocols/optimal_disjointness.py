@@ -43,29 +43,23 @@ Message formats (self-delimiting given the board):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from ..coding.bitops import popcount, zone_mask, zone_positions
-from ..coding.bitio import BitReader, BitWriter
-from ..coding.combinatorial import (
-    subset_code_width,
-    subset_rank,
-    subset_unrank,
-)
-from ..coding.varint import decode_elias_gamma, encode_elias_gamma
 from ..information.distribution import DiscreteDistribution
 from ..core.model import Message, Protocol, ProtocolViolation, Transcript
+from .batch import decode_batch_turn, encode_batch_turn
+from .naive_disjointness import decode_index_list, encode_index_list
 
 __all__ = ["OptimalDisjointnessProtocol"]
 
 
-@dataclass(frozen=True)
-class _BoardState:
-    """Pure fold of the board contents (never sees any input)."""
+class _BoardState(NamedTuple):
+    """Pure fold of the board contents (never sees any input): an
+    immutable value, hashed and compared by its fields."""
 
     covered: int          # bitmask of coordinates currently on the board
-    cycle_base: int       # `covered` as of the start of the current cycle
+    zone: int             # Z_i: the coordinates absent at cycle start
     turn: int             # next player to speak within the cycle
     wrote: bool           # whether anyone wrote coordinates this cycle
     endgame: bool         # True iff z(cycle start) < k^2
@@ -92,7 +86,7 @@ class OptimalDisjointnessProtocol(Protocol):
     def initial_state(self) -> _BoardState:
         return _BoardState(
             covered=0,
-            cycle_base=0,
+            zone=self._full,
             turn=0,
             wrote=False,
             endgame=self._n < self.num_players**2,
@@ -100,30 +94,24 @@ class OptimalDisjointnessProtocol(Protocol):
         )
 
     def advance_state(self, state: _BoardState, message: Message) -> _BoardState:
-        written = self._decode_turn(state, message.bits)
-        covered = state.covered | written
-        turn = state.turn + 1
-        wrote = state.wrote or written != 0
-        if covered == self._full:
-            # Board complete: the protocol will halt with output 1.
-            return replace(
-                state, covered=covered, turn=turn, wrote=wrote
-            )
-        if turn < self.num_players:
-            return replace(state, covered=covered, turn=turn, wrote=wrote)
+        k = self._num_players
+        covered, zone, turn, wrote, endgame, verdict = state
+        if endgame:
+            written = self._decode_endgame_turn(message.bits, zone)
+        else:
+            written = decode_batch_turn(message.bits, zone, k)
+        covered |= written
+        turn += 1
+        wrote = wrote or written != 0
+        # Mid-cycle, or a complete board (the run halts with output 1).
+        if covered == self._full or turn < k:
+            return _BoardState(covered, zone, turn, wrote, endgame, verdict)
         # Cycle boundary with an incomplete board.
-        if state.endgame or not wrote:
-            return replace(
-                state, covered=covered, turn=turn, wrote=wrote, verdict=0
-            )
-        z = self._n - popcount(covered)
+        if endgame or not wrote:
+            return _BoardState(covered, zone, turn, wrote, endgame, 0)
+        zone = self._full & ~covered
         return _BoardState(
-            covered=covered,
-            cycle_base=covered,
-            turn=0,
-            wrote=False,
-            endgame=z < self.num_players**2,
-            verdict=None,
+            covered, zone, 0, False, popcount(zone) < k * k, None
         )
 
     # ------------------------------------------------------------------
@@ -148,12 +136,11 @@ class OptimalDisjointnessProtocol(Protocol):
             raise ValueError(
                 f"input {player_input!r} is not an {self._n}-bit mask"
             )
-        new_zeros = (~mask) & self._full & ~state.covered
-        zone = self._zone(state)
+        new_zeros = self._full & ~(mask | state.covered)
         if state.endgame:
-            bits = self._encode_endgame_turn(new_zeros, zone)
+            bits = self._encode_endgame_turn(new_zeros, state.zone)
         else:
-            bits = self._encode_batch_turn(new_zeros, zone)
+            bits = encode_batch_turn(new_zeros, state.zone, self._num_players)
         return DiscreteDistribution.point_mass(bits)
 
     def output(self, state: _BoardState, board: Transcript) -> int:
@@ -164,69 +151,24 @@ class OptimalDisjointnessProtocol(Protocol):
         raise ProtocolViolation("output requested before the protocol halted")
 
     # ------------------------------------------------------------------
-    # Encoding helpers.  ``zone`` is the mask of Z_i; coordinates are
-    # written as positions among its set bits (coding.bitops).
+    # Endgame codec: the naive turn over positions in Z_i (coordinates
+    # are written as positions among the set bits of ``zone``,
+    # coding.bitops).  The batch turn is repro.protocols.batch, shared
+    # with the union.
     # ------------------------------------------------------------------
-    def _zone(self, state: _BoardState) -> int:
-        """The mask of :math:`Z_i`, the coordinates absent at cycle start."""
-        return (~state.cycle_base) & self._full
-
-    def _batch_size(self, z: int) -> int:
-        """The mandated batch size :math:`m = \\lceil z / k \\rceil`."""
-        return -(-z // self.num_players)
-
-    def _encode_batch_turn(self, new_zeros: int, zone: int) -> str:
-        z = popcount(zone)
-        m = self._batch_size(z)
-        # m == 0 only on an empty zone, and that turn is a pass.
-        if not new_zeros or popcount(new_zeros) < m:
-            return "0"
-        # The m smallest new zeros (new_zeros is a subset of Z_i).
-        chosen = zone_positions(new_zeros, zone, m)
-        writer = BitWriter()
-        writer.write_flag(True)
-        width = subset_code_width(z, m)
-        writer.write_uint(subset_rank(chosen, z), width)
-        return writer.getvalue()
-
     def _encode_endgame_turn(self, new_zeros: int, zone: int) -> str:
         if not new_zeros:
             return "0"
         positions = zone_positions(new_zeros, zone)
-        writer = BitWriter()
-        writer.write_flag(True)
-        writer.write_bits(encode_elias_gamma(len(positions)))
-        width = _index_width(popcount(zone))
-        for position in positions:
-            writer.write_uint(position, width)
-        return writer.getvalue()
+        return encode_index_list(positions, _index_width(popcount(zone)))
 
-    def _decode_turn(self, state: _BoardState, bits: str) -> int:
-        """Parse a turn message into the bitmask of coordinates it wrote."""
-        zone = self._zone(state)
+    def _decode_endgame_turn(self, bits: str, zone: int) -> int:
+        """Parse an endgame message into the bitmask of coordinates it
+        wrote."""
         z = popcount(zone)
-        reader = BitReader(bits)
-        if not reader.read_flag():
-            reader.expect_exhausted()
-            return 0
-        if state.endgame:
-            count = decode_elias_gamma(reader)
-            width = _index_width(z)
-            positions = []
-            previous = -1
-            for _ in range(count):
-                position = reader.read_uint(width)
-                if position <= previous or position >= z:
-                    raise ProtocolViolation(
-                        f"malformed endgame message {bits!r}"
-                    )
-                positions.append(position)
-                previous = position
-        else:
-            m = self._batch_size(z)
-            width = subset_code_width(z, m)
-            positions = subset_unrank(reader.read_uint(width), z, m)
-        reader.expect_exhausted()
+        positions = decode_index_list(
+            bits, _index_width(z), z, "malformed endgame message"
+        )
         return zone_mask(positions, zone)
 
 

@@ -37,8 +37,7 @@ which the tests exercise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from ..coding.bitops import popcount, zone_mask, zone_positions
 from ..coding.bitio import BitReader, BitWriter
@@ -50,14 +49,14 @@ from ..coding.combinatorial import (
 from ..coding.varint import decode_elias_gamma, encode_elias_gamma
 from ..information.distribution import DiscreteDistribution
 from ..core.model import Message, Protocol, ProtocolViolation, Transcript
+from .batch import decode_batch_turn, encode_batch_turn
 
 __all__ = ["UnionProtocol"]
 
 
-@dataclass(frozen=True)
-class _BoardState:
+class _BoardState(NamedTuple):
     covered: int            # elements announced so far (bitmask)
-    cycle_base: int         # `covered` at the start of the current cycle
+    zone: int               # Z_i: the coordinates absent at cycle start
     turn: int               # next player within the cycle
     wrote: bool             # whether anyone wrote this cycle
     endgame: bool           # variable-size-batch mode
@@ -82,7 +81,7 @@ class UnionProtocol(Protocol):
     def initial_state(self) -> _BoardState:
         return _BoardState(
             covered=0,
-            cycle_base=0,
+            zone=self._full,
             turn=0,
             wrote=False,
             endgame=self._n < self.num_players**2,
@@ -90,42 +89,30 @@ class UnionProtocol(Protocol):
         )
 
     def advance_state(self, state: _BoardState, message: Message) -> _BoardState:
-        written = self._decode_turn(state, message.bits)
-        covered = state.covered | written
-        turn = state.turn + 1
-        wrote = state.wrote or written != 0
+        k = self._num_players
+        covered, zone, turn, wrote, endgame, finished = state
+        if endgame:
+            written = self._decode_endgame_turn(message.bits, zone)
+        else:
+            written = decode_batch_turn(message.bits, zone, k)
+        covered |= written
+        turn += 1
+        wrote = wrote or written != 0
         if covered == self._full:
-            return replace(
-                state, covered=covered, turn=turn, wrote=wrote, finished=True
-            )
-        if turn < self.num_players:
-            return replace(state, covered=covered, turn=turn, wrote=wrote)
+            return _BoardState(covered, zone, turn, wrote, endgame, True)
+        if turn < k:
+            return _BoardState(covered, zone, turn, wrote, endgame, finished)
         # Cycle boundary.
-        if state.endgame:
+        if endgame:
             # After an endgame cycle every element of the union is on the
             # board (each player wrote all its new elements).
-            return replace(
-                state, covered=covered, turn=turn, wrote=wrote, finished=True
-            )
-        z = self._n - popcount(covered)
-        if not wrote or z < self.num_players**2:
-            # All-pass batch cycle (or the zone shrank below k^2): drop
-            # to the endgame to enumerate the remaining union elements.
-            return _BoardState(
-                covered=covered,
-                cycle_base=covered,
-                turn=0,
-                wrote=False,
-                endgame=True,
-                finished=False,
-            )
+            return _BoardState(covered, zone, turn, wrote, endgame, True)
+        zone = self._full & ~covered
+        # An all-pass batch cycle (or a zone shrunk below k^2) drops to
+        # the endgame to enumerate the remaining union elements.
         return _BoardState(
-            covered=covered,
-            cycle_base=covered,
-            turn=0,
-            wrote=False,
-            endgame=False,
-            finished=False,
+            covered, zone, 0, False, not wrote or popcount(zone) < k * k,
+            False,
         )
 
     # ------------------------------------------------------------------
@@ -148,12 +135,13 @@ class UnionProtocol(Protocol):
             raise ValueError(
                 f"input {player_input!r} is not an {self._n}-bit mask"
             )
-        new_elements = mask & self._full & ~state.covered
-        zone = self._zone(state)
+        new_elements = mask & ~state.covered
         if state.endgame:
-            bits = self._encode_endgame_turn(new_elements, zone)
+            bits = self._encode_endgame_turn(new_elements, state.zone)
         else:
-            bits = self._encode_batch_turn(new_elements, zone)
+            bits = encode_batch_turn(
+                new_elements, state.zone, self._num_players
+            )
         return DiscreteDistribution.point_mass(bits)
 
     def output(self, state: _BoardState, board: Transcript) -> int:
@@ -162,25 +150,9 @@ class UnionProtocol(Protocol):
         return state.covered
 
     # ------------------------------------------------------------------
-    def _zone(self, state: _BoardState) -> int:
-        """The mask of :math:`Z_i`, the coordinates absent at cycle start."""
-        return (~state.cycle_base) & self._full
-
-    def _batch_size(self, z: int) -> int:
-        return -(-z // self.num_players)
-
-    def _encode_batch_turn(self, new_elements: int, zone: int) -> str:
-        z = popcount(zone)
-        m = self._batch_size(z)
-        if popcount(new_elements) < m:
-            return "0"
-        # The m smallest new elements (new_elements is a subset of Z_i).
-        positions = zone_positions(new_elements, zone, m)
-        writer = BitWriter()
-        writer.write_flag(True)
-        writer.write_uint(subset_rank(positions, z), subset_code_width(z, m))
-        return writer.getvalue()
-
+    # Endgame codec: a variable-size subset of Z_i.  The batch turn is
+    # repro.protocols.batch, shared with the optimal protocol.
+    # ------------------------------------------------------------------
     def _encode_endgame_turn(self, new_elements: int, zone: int) -> str:
         if not new_elements:
             return "0"
@@ -194,19 +166,15 @@ class UnionProtocol(Protocol):
         )
         return writer.getvalue()
 
-    def _decode_turn(self, state: _BoardState, bits: str) -> int:
-        zone = self._zone(state)
+    def _decode_endgame_turn(self, bits: str, zone: int) -> int:
         z = popcount(zone)
         reader = BitReader(bits)
         if not reader.read_flag():
             reader.expect_exhausted()
             return 0
-        if state.endgame:
-            count = decode_elias_gamma(reader)
-            if count > z:
-                raise ProtocolViolation(f"malformed endgame batch {bits!r}")
-        else:
-            count = self._batch_size(z)
+        count = decode_elias_gamma(reader)
+        if count > z:
+            raise ProtocolViolation(f"malformed endgame batch {bits!r}")
         rank = reader.read_uint(subset_code_width(z, count))
         positions = subset_unrank(rank, z, count)
         reader.expect_exhausted()

@@ -121,6 +121,35 @@ def comb_per_candidate_unrank(rank, n, m):
     return subset
 
 
+def running_coefficient_unrank(rank, n, m):
+    """The running-coefficient :func:`subset_unrank` that scanned every
+    candidate down from ``n - 1``, kept verbatim as the reference for
+    the estimate that starts at the largest element."""
+    total = binomial(n, m)
+    if not 0 <= rank < total:
+        raise ValueError(f"rank {rank} out of range for C({n}, {m}) = {total}")
+    subset = []
+    if m == 0:
+        return subset
+    remaining = rank
+    size = m
+    candidate = n - 1
+    coefficient = total * (n - m) // n  # C(n - 1, m)
+    while True:
+        while coefficient > remaining:
+            coefficient = coefficient * (candidate - size) // candidate
+            candidate -= 1
+        subset.append(candidate)
+        remaining -= coefficient
+        if size == 1:
+            break
+        coefficient = coefficient * size // candidate
+        size -= 1
+        candidate -= 1
+    subset.reverse()
+    return subset
+
+
 def _error_message(fn, *args):
     with pytest.raises(ValueError) as info:
         fn(*args)
@@ -164,6 +193,55 @@ class TestRunningCoefficient:
         assert subset_unrank(0, n, n) == list(range(n))
 
     @pytest.mark.parametrize(
+        "n, m",
+        # Dense subsets scan below the largest element; sparse ones
+        # (n > 32 m) find every element by estimate.
+        [(12, 3), (64, 5), (130, 4), (200, 1), (300, 9), (400, 8),
+         (1024, 20), (40, 40)],
+    )
+    def test_every_largest_element_edge(self, n, m):
+        """Ranks C(c, m) - 1, C(c, m) and C(c, m) + 1 for every c: the
+        largest element steps from c - 1 to c there, so each one is an
+        edge of the estimate's settling."""
+        total = binomial(n, m)
+        ranks = {0, total - 1}
+        for c in range(m - 1, n + 1):
+            edge = binomial(c, m)
+            ranks.update({edge - 1, edge, edge + 1})
+        for rank in sorted(r for r in ranks if 0 <= r < total):
+            subset = subset_unrank(rank, n, m)
+            assert subset == running_coefficient_unrank(rank, n, m)
+            assert subset_rank(subset, n) == rank
+
+    @pytest.mark.parametrize("n", [1, 2, 33, 700, 32_768])
+    def test_extreme_sizes(self, n):
+        for m in (1, n):
+            for rank in sorted({0, binomial(n, m) - 1}):
+                subset = subset_unrank(rank, n, m)
+                assert subset_rank(subset, n) == rank
+                if m == 1:
+                    assert subset == running_coefficient_unrank(rank, n, m)
+                else:
+                    assert subset == list(range(n))
+
+    def test_seeded_e1_sizes(self):
+        """Seeded ranks and subsets at the sizes of E1's default grid:
+        ``n`` up to 32,768, ``m`` up to 512, dense and sparse."""
+        rng = random.Random(32)
+        for n, m in ((32_768, 512), (32_768, 256), (32_768, 128),
+                     (16_384, 128), (8_192, 512), (8_192, 64),
+                     (2_048, 64), (2_048, 256), (1_024, 32)):
+            for _ in range(2):
+                rank = rng.randrange(binomial(n, m))
+                subset = subset_unrank(rank, n, m)
+                assert subset == running_coefficient_unrank(rank, n, m)
+                assert subset_rank(subset, n) == rank
+                drawn = sorted(rng.sample(range(n), m))
+                rank = subset_rank(drawn, n)
+                assert rank == comb_per_term_rank(drawn, n)
+                assert subset_unrank(rank, n, m) == drawn
+
+    @pytest.mark.parametrize(
         "subset, n",
         [([3, 1], 5), ([2, 2], 5), ([0, 7], 5), ([-1, 2], 5), ([4, 1], 3),
          ([0, 1, 9, 2], 4)],
@@ -180,6 +258,9 @@ class TestRunningCoefficient:
     def test_unrank_errors_unchanged(self, rank, n, m):
         assert _error_message(subset_unrank, rank, n, m) == _error_message(
             comb_per_candidate_unrank, rank, n, m
+        )
+        assert _error_message(subset_unrank, rank, n, m) == _error_message(
+            running_coefficient_unrank, rank, n, m
         )
 
 

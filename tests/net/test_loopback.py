@@ -29,7 +29,11 @@ from repro.net import (
 )
 from repro.net.errors import OrderViolationError
 from repro.obs import REGISTRY, RecordingTracer, disable_metrics, enable_metrics
-from repro.protocols import protocol_case
+from repro.protocols import (
+    NaiveDisjointnessProtocol,
+    OptimalDisjointnessProtocol,
+    protocol_case,
+)
 
 
 class NeverHaltsProtocol(Protocol):
@@ -116,6 +120,34 @@ class TestGuards:
         ) as networked:
             run_networked(NeverHaltsProtocol(), (0, 0), max_messages=16)
         assert str(networked.value) == str(in_memory.value)
+
+    @pytest.mark.parametrize(
+        "protocol, inputs",
+        [
+            (NaiveDisjointnessProtocol(8, 2), (0b11110000, 0b00001111)),
+            (OptimalDisjointnessProtocol(64, 4),
+             (2**64 - 2, 2**64 - 3, 2**64 - 5, 7)),
+        ],
+        ids=["naive", "optimal"],
+    )
+    def test_exact_budget_is_enough(self, protocol, inputs):
+        """Both runners accept a run of exactly ``max_messages``
+        messages and reject one that needs one more, with one text."""
+        rounds = run_protocol(protocol, inputs).rounds
+        in_memory = run_protocol(protocol, inputs, max_messages=rounds)
+        networked = run_networked(
+            protocol, inputs, max_messages=rounds, transport="loopback"
+        )
+        assert in_memory.rounds == networked.rounds == rounds
+        assert networked.transcript == in_memory.transcript
+        errors = []
+        for run in (run_protocol, run_networked):
+            with pytest.raises(ProtocolViolation) as info:
+                run(protocol, inputs, max_messages=rounds - 1)
+            errors.append(str(info.value))
+        assert errors == [
+            f"protocol did not halt within {rounds - 1} messages"
+        ] * 2
 
     def test_missing_seed_raises_like_missing_rng(self):
         case = protocol_case("functional-random")

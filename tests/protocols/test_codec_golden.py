@@ -80,13 +80,9 @@ def _max_messages(name, n, k):
       least one coordinate (at most ``n`` of them); an all-pass batch
       cycle drops to the endgame, and the endgame cycle ends the run:
       at most ``n + 2`` cycles, ``k (n + 2)`` messages.
-
-    ``run_protocol`` raises once a run has written ``max_messages``
-    messages without halting, even if it would halt right there, so a
-    run is given its bound plus one.
     """
     cycles = {"naive": 1, "optimal": n + 1, "union": n + 2}[name]
-    return k * cycles + 1
+    return k * cycles
 
 
 def _run(name, protocol, inputs):
