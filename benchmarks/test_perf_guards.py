@@ -124,7 +124,6 @@ def test_tree_walk_speedup():
     over the k=10 hard-distribution support (1023 inputs)."""
     kernels = need_numpy()
     from repro.check.mutations import shared_walk_reference
-    from repro.core import tree
     from repro.lowerbounds.hard_distribution import and_hard_distribution
     from repro.protocols import NoisySequentialAndProtocol
 
@@ -134,8 +133,7 @@ def test_tree_walk_speedup():
     ))
 
     def walk(engine):
-        memo = tree.MessageDistributionMemo()
-        engine(protocol, keys, max_messages=10_000, memo=memo)
+        engine(protocol, keys, max_messages=10_000)
 
     legacy_s = best_of(lambda: walk(shared_walk_reference), 1)
     vectorized_s = best_of(lambda: walk(kernels.tree_walk_sorted_leaves), 3)

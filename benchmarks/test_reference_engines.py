@@ -14,7 +14,7 @@ recorded below, so a reference that stops being reached (the comparison
 would then run the engine against itself) fails the test.
 
 E13 and E15 reach none of the references (their analysis is the
-per-input DFS and the message-level runner, which have one
+optimal-error DP and the message-level runner, which have one
 implementation); they render here for their digests only.
 
 Run with (about 2 min on a 2-CPU x86-64 machine)::
@@ -42,7 +42,7 @@ RECORDED = os.path.join(
 REACHED = {
     "E1": {"runner"},
     "E2": {"walk", "fold"},
-    "E3": {"fold"},
+    "E3": {"walk", "fold"},
     "E4": {"walk"},
     "E5": {"walk", "fold"},
     "E6": {"walk", "fold"},

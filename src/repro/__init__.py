@@ -6,7 +6,7 @@ The library implements the paper's entire stack from scratch:
 * :mod:`repro.information` — exact discrete information theory
   (entropy, mutual information, KL divergence; Definitions 1–4, Eq. 1).
 * :mod:`repro.coding` — bit-level codes used by the protocols (Elias
-  codes, combinadic subset encoding, Huffman).
+  codes, combinadic subset ranking).
 * :mod:`repro.core` — the blackboard execution model, a concrete runner
   with exact bit accounting, and an exact protocol-tree analyzer for
   information costs and errors (Section 3, Definitions 5–6).

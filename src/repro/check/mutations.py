@@ -51,7 +51,7 @@ from ..core.model import (
     ProtocolViolation,
     Transcript,
 )
-from ..core.tree import DEFAULT_MAX_MESSAGES, MessageDistributionMemo
+from ..core.tree import DEFAULT_MAX_MESSAGES
 from ..information.distribution import DiscreteDistribution, JointDistribution
 
 __all__ = [
@@ -195,7 +195,6 @@ def shared_walk_reference(
     input_keys: Sequence[Tuple[Any, ...]],
     *,
     max_messages: int = DEFAULT_MAX_MESSAGES,
-    memo: Optional[MessageDistributionMemo] = None,
     medium: Medium = BROADCAST,
 ) -> Tuple[Tuple[List[int], List[Transcript], List[float]], int, int, int]:
     """The dict-driven shared walk that ran the exact analyzer before
@@ -256,14 +255,9 @@ def shared_walk_reference(
             partitions[None] = list(groups)
         children: Dict[str, Tuple[Message, Groups]] = {}
         for speaker_input, keys in partitions.items():
-            if memo is not None:
-                dist = memo.distribution(
-                    protocol, state, speaker, speaker_input, board
-                )
-            else:
-                dist = protocol.message_distribution(
-                    state, speaker, speaker_input, board
-                )
+            dist = protocol.message_distribution(
+                state, speaker, speaker_input, board
+            )
             for index, (bits, p) in enumerate(dist.items()):
                 if p <= 0.0:
                     continue
@@ -361,7 +355,7 @@ def shared_walk_joint(
 ) -> JointDistribution:
     """The joint ``(scenario..., transcript)`` law from
     :func:`shared_walk_reference` and the dict fold: what
-    :func:`repro.core.tree.batched_joint_transcript_distribution` must
+    :func:`repro.core.tree.joint_transcript_distribution` must
     equal item for item."""
     from ..perf import kernels
 
@@ -677,7 +671,9 @@ def chain_rule_information(
     every transcript's sum, mimicking an off-by-one over rounds.
     """
     _check_bug(bug, CHAIN_RULE_BUGS)
-    memo = MessageDistributionMemo()
+    # Message laws by (board, speaker's input): the state is a function
+    # of the board here, replayed from the initial state.
+    laws: Dict[Tuple[Transcript, Any], DiscreteDistribution] = {}
     per_input = {
         tuple(x): _legacy_transcript_distribution(protocol, x, None)
         for x in input_dist.support()
@@ -705,10 +701,13 @@ def chain_rule_information(
             by_value: Dict[Any, List[Tuple[Any, ...]]] = {}
             for x in weights:
                 by_value.setdefault(x[speaker], []).append(x)
-            dists = {
-                value: memo.distribution(protocol, state, speaker, value, board)
-                for value in by_value
-            }
+            dists = {}
+            for value in by_value:
+                if (board, value) not in laws:
+                    laws[(board, value)] = protocol.message_distribution(
+                        state, speaker, value, board
+                    )
+                dists[value] = laws[(board, value)]
             mass = sum(weights[x] for x in weights)
             predicted = (
                 sum(
@@ -1718,7 +1717,6 @@ def reference_sorted_leaves(
     codes: Any = None,
     span: int = 0,
     max_messages: int,
-    memo: Optional[MessageDistributionMemo] = None,
     medium: Optional[Medium] = None,
 ) -> Tuple[Any, int, int, int]:
     """:func:`shared_walk_reference` behind the signature of
@@ -1733,7 +1731,6 @@ def reference_sorted_leaves(
         protocol,
         input_keys,
         max_messages=max_messages,
-        memo=memo,
         medium=BROADCAST if medium is None else medium,
     )
     ids: Dict[Transcript, int] = {}

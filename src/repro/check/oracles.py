@@ -84,7 +84,7 @@ from ..core.analysis import (
     external_information_cost,
     transcript_joint,
 )
-from ..core.tree import batched_joint_transcript_distribution, transcript_distribution
+from ..core.tree import joint_transcript_distribution, transcript_distribution
 from ..core.validate import validate_protocol
 from ..information.distribution import DiscreteDistribution
 from ..information.entropy import entropy, mutual_information
@@ -173,7 +173,7 @@ class VectorizedKernelOracle(Oracle):
     joint == the scalar fold over the dict-folded reference joint == an
     independent column re-derivation, float for float.
 
-    :func:`repro.core.tree.batched_joint_transcript_distribution` is
+    :func:`repro.core.tree.joint_transcript_distribution` is
     compared, component names included, with the dict-driven shared
     walk it replaced (:func:`repro.check.mutations.shared_walk_joint`),
     an independent per-input DFS (:func:`repro.check.mutations.
@@ -202,7 +202,7 @@ class VectorizedKernelOracle(Oracle):
         # Unknown names go to the DFS, which always runs and rejects them.
         tree_bug = None if walk_bug or column_bug else bug
         scenarios = case.input_dist.map(lambda x: (x,))
-        engine = batched_joint_transcript_distribution(
+        engine = joint_transcript_distribution(
             case.protocol, scenarios, names=("inputs",)
         )
         references = [

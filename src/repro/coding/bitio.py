@@ -15,7 +15,7 @@ library's costs are measured in *counted bits*, not in Python bytes.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
 
 __all__ = ["Bits", "BitWriter", "BitReader", "is_bit_string"]
 
@@ -144,12 +144,3 @@ class BitReader:
                 f"{self.remaining} unread bits remain: "
                 f"{self._bits[self._pos:]!r}"
             )
-
-
-def concat_bits(parts: Iterable[Bits]) -> Bits:
-    """Concatenate bit strings, validating each part."""
-    out = []
-    for part in parts:
-        _validate_bits(part)
-        out.append(part)
-    return "".join(out)

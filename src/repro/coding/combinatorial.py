@@ -7,10 +7,11 @@ bits — the amortized :math:`\\log(ek)` bits per coordinate that gives the
 protocol its :math:`O(n \\log k)` term.  This module implements that
 encoding exactly via the combinatorial number system: a bijection between
 ``m``-element subsets of ``{0, ..., n-1}`` and integers in
-``[0, C(n, m))``, serialized at fixed width.
+``[0, C(n, m))``, written at fixed width by the protocol's batch turn
+(:mod:`repro.protocols.batch`).
 
-Also exposed: exact ``binomial``, subset ranking/unranking, and the bit
-cost helper used by both the protocol and its analysis.
+Also exposed: exact ``binomial`` and the bit cost helper used by both
+the protocol and its analysis.
 """
 
 from __future__ import annotations
@@ -18,15 +19,11 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
-from .bitio import BitReader, BitWriter, Bits
-
 __all__ = [
     "binomial",
     "subset_rank",
     "subset_unrank",
     "subset_code_width",
-    "encode_subset",
-    "decode_subset",
 ]
 
 
@@ -176,28 +173,3 @@ def subset_code_width(n: int, m: int) -> int:
     if count <= 0:
         raise ValueError(f"no {m}-subsets of a universe of size {n}")
     return (count - 1).bit_length()
-
-
-def encode_subset(subset: Sequence[int], n: int) -> Bits:
-    """Encode a subset (of known size, against a known universe) as bits.
-
-    The subset's *size* is not part of the encoding: in the Section 5
-    protocol both the batch size ``z_i / k`` and the universe ``Z_i`` are
-    determined by the board contents, so only the rank is written.
-    """
-    m = len(subset)
-    width = subset_code_width(n, m)
-    writer = BitWriter()
-    writer.write_uint(subset_rank(subset, n), width)
-    return writer.getvalue()
-
-
-def decode_subset(reader: BitReader, n: int, m: int) -> List[int]:
-    """Decode a subset written by :func:`encode_subset`.
-
-    The caller supplies the universe size ``n`` and subset size ``m`` it
-    derived from the board state.
-    """
-    width = subset_code_width(n, m)
-    rank = reader.read_uint(width)
-    return subset_unrank(rank, n, m)

@@ -8,7 +8,7 @@ The paper's protocols need variable-length codes in two places:
   grows logarithmically with the value;
 * the Section 5 protocol's bookkeeping ("pass" flags and batch headers).
 
-We provide Elias gamma and Elias delta, plus a zig-zag transform for
+We provide Elias gamma, plus a zig-zag transform for
 signed values (``s`` may be negative, see footnote 4).  Every encoder is
 paired with a decoder and the test suite round-trips them exhaustively
 and property-based.
@@ -22,8 +22,6 @@ __all__ = [
     "encode_elias_gamma",
     "decode_elias_gamma",
     "elias_gamma_length",
-    "encode_elias_delta",
-    "decode_elias_delta",
     "zigzag_encode",
 ]
 
@@ -59,26 +57,6 @@ def elias_gamma_length(value: int) -> int:
     if value < 1:
         raise ValueError(f"Elias gamma requires value >= 1, got {value}")
     return 2 * (value.bit_length() - 1) + 1
-
-
-# ----------------------------------------------------------------------
-# Elias delta: codes value >= 1 in log2 v + 2 log2 log2 v + O(1) bits.
-# ----------------------------------------------------------------------
-def encode_elias_delta(value: int) -> Bits:
-    """Elias delta code for ``value >= 1``."""
-    if value < 1:
-        raise ValueError(f"Elias delta requires value >= 1, got {value}")
-    binary = bin(value)[2:]
-    return encode_elias_gamma(len(binary)) + binary[1:]
-
-
-def decode_elias_delta(reader: BitReader) -> int:
-    """Decode an Elias-delta-coded integer (>= 1) from ``reader``."""
-    length = decode_elias_gamma(reader)
-    if length == 1:
-        return 1
-    rest = reader.read_bits(length - 1)
-    return (1 << (length - 1)) | int(rest, 2)
 
 
 # ----------------------------------------------------------------------

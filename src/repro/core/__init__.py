@@ -33,8 +33,6 @@ from .tasks import (
     union_task,
 )
 from .tree import (
-    MessageDistributionMemo,
-    batched_joint_transcript_distribution,
     joint_transcript_distribution,
     transcript_distribution,
     transcript_distributions,
@@ -58,8 +56,6 @@ __all__ = [
     "transcript_distribution",
     "transcript_distributions",
     "joint_transcript_distribution",
-    "batched_joint_transcript_distribution",
-    "MessageDistributionMemo",
     "transcript_joint",
     "conditional_transcript_joint",
     "external_information_cost",

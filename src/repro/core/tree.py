@@ -19,46 +19,43 @@ estimates:
 Entry points
 ------------
 * :func:`transcript_distribution` — law of the transcript for one fixed
-  input tuple.
+  input tuple: the shared walk below over a population of one.
 * :func:`transcript_distributions` — the same law for many input tuples
-  at once, from one shared walk (below); what the per-input error and
+  at once, from one shared walk; what the per-input error and
   communication functionals fold over.
 * :func:`joint_transcript_distribution` — joint law of (scenario
   components..., transcript) for a distribution over scenarios, where a
   scenario is any tuple whose components the caller wants to keep (inputs,
-  auxiliary variables, ...).  A thin wrapper over the batched walk below.
+  auxiliary variables, ...), computed with a *single* walk of the
+  protocol tree shared across every scenario.  Lemma 3 says a
+  transcript's probability factors into per-player terms that depend
+  only on that player's own input, i.e. transcripts induce
+  combinatorial rectangles over the input space.  The shared walk
+  exploits exactly this structure: at every board prefix it carries the
+  whole population of distinct input tuples that reach it and
+  partitions them by the *speaker's* input alone, so inputs that agree
+  on the speaking player's coordinate share one ``message_distribution``
+  call and one subtree.  Distinct input tuples whose behaviors coincide
+  along a prefix therefore cost one node expansion instead of many — the
+  ``tree_nodes_expanded`` counter drops accordingly.
 * :func:`population_joint` — the joint law of an *encoded* scenario
   population (:class:`repro.perf.kernels.InputColumns`: masses, member
   codes into the distinct input tuples, coordinate codes), the entry
   every joint takes.  An input law carries its encoding from
   construction (or from first use), so the analyzer's entry points
   hand it over without a pass over scenario tuples.
-* :func:`batched_joint_transcript_distribution` — the same joint law,
-  computed with a *single* walk of the protocol tree shared across every
-  scenario.  Lemma 3 says a transcript's probability factors into
-  per-player terms that depend only on that player's own input, i.e.
-  transcripts induce combinatorial rectangles over the input space.  The
-  batched walk exploits exactly this structure: at every board prefix it
-  carries the whole population of distinct input tuples that reach it and
-  partitions them by the *speaker's* input alone, so inputs that agree on
-  the speaking player's coordinate share one ``message_distribution``
-  call and one subtree.  Distinct input tuples whose behaviors coincide
-  along a prefix therefore cost one node expansion instead of many — the
-  ``tree_nodes_expanded`` counter drops accordingly.
-* :class:`MessageDistributionMemo` — an optional cross-call memo for
-  ``message_distribution`` results, for workloads (error sweeps,
-  communication profiles) that re-enumerate the same protocol many times.
 
 Bit-identity contract
 ---------------------
-``batched_joint_transcript_distribution`` reproduces the legacy
-per-input path *bit for bit*: per distinct input tuple it performs the
-same multiplications in the same root-to-leaf order, reconstructs the
-leaf insertion order the per-input DFS would have produced (children are
-explored in reversed ``message_distribution`` order, so leaves arrive in
-descending lexicographic child-index order), and accumulates scenario
-mass in the same scenario/transcript iteration order.  The regression
-suite asserts exact float equality across every shipped protocol class.
+The shared walk reproduces the per-input DFS *bit for bit*: per
+distinct input tuple it performs the same multiplications in the same
+root-to-leaf order, reconstructs the leaf insertion order the per-input
+DFS would have produced (children are explored in reversed
+``message_distribution`` order, so leaves arrive in descending
+lexicographic child-index order), and accumulates scenario mass in the
+same scenario/transcript iteration order.  The regression suite asserts
+exact float equality against the independent references of
+:mod:`repro.check.mutations` across every shipped protocol class.
 
 The joint law never passes through transcript-keyed dicts: the walk's
 integer leaf ids and float64 leaf probabilities become the joint's
@@ -85,111 +82,17 @@ from typing import (
 from ..information.distribution import DiscreteDistribution, JointDistribution
 from ..obs.metrics import REGISTRY
 from ..obs.trace import Tracer, get_tracer
-from .model import (
-    BROADCAST,
-    EMPTY_TRANSCRIPT,
-    Medium,
-    Message,
-    Protocol,
-    ProtocolViolation,
-    Transcript,
-)
+from .model import BROADCAST, Medium, Protocol, Transcript
 
 __all__ = [
-    "MessageDistributionMemo",
     "transcript_distribution",
     "transcript_distributions",
     "joint_transcript_distribution",
-    "batched_joint_transcript_distribution",
     "population_joint",
 ]
 
 #: Default ceiling on messages along any root-to-leaf path of the tree.
 DEFAULT_MAX_MESSAGES = 100_000
-
-#: Probabilities below this threshold are treated as unreachable branches.
-_PRUNE_BELOW = 0.0
-
-_MISSING = object()
-
-
-class MessageDistributionMemo:
-    """An optional memo for ``Protocol.message_distribution`` calls.
-
-    Protocol hooks are pure functions, so the distribution returned for a
-    given ``(state, speaker, player_input, board)`` is reusable across
-    enumerations.  The exact analyzer never asks the same question twice
-    *within* one walk (boards are unique along a walk), but sweep-style
-    workloads — error cliffs, expected-communication profiles,
-    reachability maps — re-enumerate one protocol over many input tuples,
-    and inputs that agree on the speaking player's coordinate repeat the
-    identical call at every shared board prefix.
-
-    The key is ``(protocol, speaker, player_input, state, board)``; the
-    protocol object itself is part of the key, so one memo may be shared
-    across protocol instances.  States that are unhashable fall back to
-    calling through (counted separately), so the memo is always safe to
-    pass.  Returned distributions are the *same objects* as the first
-    call's, which preserves bit-identical downstream arithmetic.
-
-    Observability: the analyzer entry points flush :attr:`hits` /
-    :attr:`misses` deltas into the ``tree_memo_hits`` /
-    ``tree_memo_misses`` counters of :data:`repro.obs.REGISTRY` (labeled
-    by protocol class) whenever metrics collection is enabled.
-    """
-
-    __slots__ = ("_cache", "hits", "misses", "uncacheable")
-
-    def __init__(self) -> None:
-        self._cache: Dict[Any, DiscreteDistribution] = {}
-        self.hits = 0
-        self.misses = 0
-        self.uncacheable = 0
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def clear(self) -> None:
-        self._cache.clear()
-
-    def distribution(
-        self,
-        protocol: Protocol,
-        state: Any,
-        speaker: int,
-        player_input: Any,
-        board: Transcript,
-    ) -> DiscreteDistribution:
-        """``protocol.message_distribution(...)``, memoized."""
-        try:
-            key = (protocol, speaker, player_input, state, board)
-            cached = self._cache.get(key, _MISSING)
-        except TypeError:  # unhashable state or input
-            self.uncacheable += 1
-            return protocol.message_distribution(
-                state, speaker, player_input, board
-            )
-        if cached is not _MISSING:
-            self.hits += 1
-            return cached  # type: ignore[return-value]
-        self.misses += 1
-        dist = protocol.message_distribution(state, speaker, player_input, board)
-        self._cache[key] = dist
-        return dist
-
-
-def _flush_memo_counters(
-    reg, memo: Optional[MessageDistributionMemo], before: Tuple[int, int], name: str
-) -> None:
-    """Feed the per-call memo hit/miss deltas into the registry."""
-    if reg is None or memo is None:
-        return
-    hits = memo.hits - before[0]
-    misses = memo.misses - before[1]
-    if hits:
-        reg.counter("tree_memo_hits").inc(hits, protocol=name)
-    if misses:
-        reg.counter("tree_memo_misses").inc(misses, protocol=name)
 
 
 def transcript_distribution(
@@ -198,17 +101,16 @@ def transcript_distribution(
     *,
     max_messages: int = DEFAULT_MAX_MESSAGES,
     tracer: Optional[Tracer] = None,
-    memo: Optional[MessageDistributionMemo] = None,
     medium: Medium = BROADCAST,
 ) -> DiscreteDistribution:
     """The exact law of the transcript ``Π(inputs)`` over private coins.
 
-    For a deterministic protocol this is a point mass.  The walk is a DFS
-    over the protocol tree, so its cost is the number of reachable
-    (transcript prefix) nodes under this input.
-
-    ``memo`` optionally reuses ``message_distribution`` results across
-    calls (see :class:`MessageDistributionMemo`); results are unchanged.
+    For a deterministic protocol this is a point mass.  The law comes
+    from the shared walk over a population of one input, which finishes
+    a one-input tree by a per-input DFS, so its cost is the number of
+    reachable (transcript prefix) nodes under this input.  An input
+    with an unhashable coordinate raises ``TypeError``, as every joint
+    does.
 
     ``medium`` is the communication medium (default: the blackboard);
     every scheduled edge is checked with :meth:`~repro.core.model.
@@ -224,79 +126,27 @@ def transcript_distribution(
     """
     if tracer is None:
         tracer = get_tracer()
-    reg = REGISTRY if REGISTRY.enabled else None
-    memo_before = (memo.hits, memo.misses) if memo is not None else (0, 0)
-    protocol.validate_inputs(inputs)
-    k = protocol.num_players
-    num_nodes = medium.num_nodes(k)
-    leaves: Dict[Transcript, float] = {}
-    nodes_expanded = 0
-    max_depth = 0
-    # Stack entries: (state, board, probability-so-far).
-    stack: List[Tuple[Any, Transcript, float]] = [
-        (protocol.initial_state(), EMPTY_TRANSCRIPT, 1.0)
-    ]
-    while stack:
-        state, board, prob = stack.pop()
-        nodes_expanded += 1
-        if len(board) > max_messages:
-            raise ProtocolViolation(
-                f"protocol exceeded {max_messages} messages during exact "
-                "enumeration"
-            )
-        if len(board) > max_depth:
-            max_depth = len(board)
-        edge = protocol.next_edge(state, board)
-        if edge is None:
-            leaves[board] = leaves.get(board, 0.0) + prob
-            continue
-        speaker, link = edge
-        if not 0 <= speaker < num_nodes:
-            raise ProtocolViolation(
-                f"next_edge returned invalid player {speaker!r}"
-            )
-        medium.check_edge(k, speaker, link)
-        speaker_input = inputs[speaker] if speaker < k else None
-        if memo is not None:
-            dist = memo.distribution(
-                protocol, state, speaker, speaker_input, board
-            )
-        else:
-            dist = protocol.message_distribution(
-                state, speaker, speaker_input, board
-            )
-        for bits, p in dist.items():
-            if p <= _PRUNE_BELOW:
-                continue
-            if bits == "":
-                raise ProtocolViolation("protocols may not write empty messages")
-            message = Message(speaker, bits, link)
-            stack.append(
-                (
-                    protocol.advance_state(state, message),
-                    board.extend(message),
-                    prob * p,
-                )
-            )
+    leaves, nodes_expanded, leaf_count, max_depth = _shared_walk(
+        protocol,
+        [tuple(inputs)],
+        None,
+        0,
+        max_messages=max_messages,
+        medium=medium,
+    )
+    (law,) = _laws_from_rows(leaves)
     if tracer:
         tracer.event(
             "tree_enumerated",
             protocol=type(protocol).__name__,
             nodes=nodes_expanded,
-            leaves=len(leaves),
+            leaves=leaf_count,
             max_depth=max_depth,
         )
-    if reg is not None:
-        name = type(protocol).__name__
-        reg.counter("tree_nodes_expanded").inc(nodes_expanded, protocol=name)
-        reg.counter("tree_leaves").inc(len(leaves), protocol=name)
-        reg.histogram("tree_depth").observe(max_depth, protocol=name)
-        reg.histogram("tree_support").observe(len(leaves), protocol=name)
-        _flush_memo_counters(reg, memo, memo_before, name)
-    return DiscreteDistribution(leaves, normalize=True)
+    return law
 
 
-def batched_joint_transcript_distribution(
+def joint_transcript_distribution(
     protocol: Protocol,
     scenarios: DiscreteDistribution,
     inputs_of: Optional[Callable[[Any], Sequence[Any]]] = None,
@@ -304,16 +154,15 @@ def batched_joint_transcript_distribution(
     names: Optional[Sequence[str]] = None,
     max_messages: int = DEFAULT_MAX_MESSAGES,
     tracer: Optional[Tracer] = None,
-    memo: Optional[MessageDistributionMemo] = None,
     medium: Medium = BROADCAST,
 ) -> JointDistribution:
     """The exact joint law of ``(scenario components..., transcript)``,
     computed with one shared walk of the protocol tree.
 
     Semantics and result are bit-identical to enumerating each distinct
-    input tuple separately (the legacy per-input path, still available as
-    :func:`transcript_distribution` in a loop); see the module docstring
-    for why the shared walk is faithful to Lemma 3's rectangle structure.
+    input tuple separately with :func:`transcript_distribution`; see the
+    module docstring for why the shared walk is faithful to Lemma 3's
+    rectangle structure.
 
     The scenario tuples are encoded once
     (:func:`repro.perf.kernels.scenario_columns`) into the population
@@ -340,8 +189,6 @@ def batched_joint_transcript_distribution(
     names:
         Optional component names for the result; the transcript component
         is appended automatically as ``"transcript"``.
-    memo:
-        Optional :class:`MessageDistributionMemo` shared across calls.
     medium:
         The communication medium (default: the blackboard).  When the
         scheduled speaker is an input-less auxiliary node (a
@@ -369,7 +216,6 @@ def batched_joint_transcript_distribution(
         names=names,
         max_messages=max_messages,
         tracer=tracer,
-        memo=memo,
         medium=medium,
     )
 
@@ -381,14 +227,13 @@ def population_joint(
     names: Optional[Sequence[str]] = None,
     max_messages: int = DEFAULT_MAX_MESSAGES,
     tracer: Optional[Tracer] = None,
-    memo: Optional[MessageDistributionMemo] = None,
     medium: Medium = BROADCAST,
 ) -> JointDistribution:
     """The exact joint law of an encoded scenario population
     (:class:`repro.perf.kernels.InputColumns`) and the transcript, from
     one shared walk over its distinct inputs.
 
-    The entry every joint takes: :func:`batched_joint_transcript_distribution`
+    The entry every joint takes: :func:`joint_transcript_distribution`
     encodes its scenario tuples, and
     :func:`repro.core.analysis.transcript_joint` /
     :func:`~repro.core.analysis.conditional_transcript_joint` hand over
@@ -408,7 +253,6 @@ def population_joint(
         population.codes,
         population.span,
         max_messages=max_messages,
-        memo=memo,
         medium=medium,
     )
     full_names = None
@@ -444,7 +288,7 @@ def transcript_distributions(
     ``transcript_distribution(protocol, inputs, medium=medium)`` returns
     -- the same leaves in the same item order with the same floats --
     in first-seen input order.  The walk is the one behind
-    :func:`batched_joint_transcript_distribution`, so inputs that agree
+    :func:`joint_transcript_distribution`, so inputs that agree
     on the speaking player's coordinate share every node up to where
     they part; this is what the per-input functionals of
     :mod:`repro.core.analysis` fold over.
@@ -462,7 +306,6 @@ def transcript_distributions(
         None,
         0,
         max_messages=DEFAULT_MAX_MESSAGES,
-        memo=None,
         medium=medium,
     )
     laws: Dict[Tuple[Any, ...], DiscreteDistribution] = {}
@@ -487,7 +330,6 @@ def _shared_walk(
     span: int,
     *,
     max_messages: int,
-    memo: Optional[MessageDistributionMemo],
     medium: Medium,
 ) -> Tuple[Any, int, int, int]:
     """The shared walk behind every entry point above, over distinct
@@ -513,7 +355,6 @@ def _shared_walk(
     from ..perf import kernels
 
     reg = REGISTRY if REGISTRY.enabled else None
-    memo_before = (memo.hits, memo.misses) if memo is not None else (0, 0)
     if not input_keys:
         return None, 0, 0, 0
     if codes is not None:
@@ -530,7 +371,6 @@ def _shared_walk(
             codes=codes,
             span=span,
             max_messages=max_messages,
-            memo=memo,
             medium=medium,
         )
     )
@@ -540,7 +380,6 @@ def _shared_walk(
         reg.counter("tree_leaves").inc(union_leaf_count, protocol=name)
         reg.histogram("tree_depth").observe(max_depth, protocol=name)
         reg.histogram("tree_support").observe(union_leaf_count, protocol=name)
-        _flush_memo_counters(reg, memo, memo_before, name)
     return leaves, nodes_expanded, union_leaf_count, max_depth
 
 
@@ -573,33 +412,3 @@ def _laws_from_rows(leaves: Any) -> List[DiscreteDistribution]:
         pos += count
         laws.append(DiscreteDistribution(leaves, normalize=True))
     return laws
-
-
-def joint_transcript_distribution(
-    protocol: Protocol,
-    scenarios: DiscreteDistribution,
-    inputs_of: Optional[Callable[[Any], Sequence[Any]]] = None,
-    *,
-    names: Optional[Sequence[str]] = None,
-    max_messages: int = DEFAULT_MAX_MESSAGES,
-    tracer: Optional[Tracer] = None,
-    memo: Optional[MessageDistributionMemo] = None,
-    medium: Medium = BROADCAST,
-) -> JointDistribution:
-    """The exact joint law of ``(scenario components..., transcript)``.
-
-    A thin wrapper over :func:`batched_joint_transcript_distribution`,
-    kept as the stable public name; results are bit-identical to the
-    legacy implementation that enumerated every distinct input tuple
-    with its own tree walk.
-    """
-    return batched_joint_transcript_distribution(
-        protocol,
-        scenarios,
-        inputs_of,
-        names=names,
-        max_messages=max_messages,
-        tracer=tracer,
-        memo=memo,
-        medium=medium,
-    )

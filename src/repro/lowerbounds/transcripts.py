@@ -34,7 +34,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..core.model import Protocol, Transcript
 from ..core.tasks import boolean_inputs_with_zero_count
-from ..core.tree import transcript_distribution
+from ..core.tree import transcript_distributions
 from .decomposition import TranscriptFactors, transcript_factors
 
 __all__ = ["TranscriptClassification", "GoodTranscriptReport",
@@ -124,10 +124,11 @@ def analyze_good_transcripts(
     two_zero_inputs = list(boolean_inputs_with_zero_count(k, 2))
     three_zero_inputs = list(boolean_inputs_with_zero_count(k, 3))
 
-    # Enumerate the union of supports over two-zero inputs.
+    # Enumerate the union of supports over two-zero inputs, from one
+    # shared walk.
     transcripts: Dict[Transcript, None] = {}
-    for inputs in two_zero_inputs:
-        for transcript in transcript_distribution(protocol, inputs).support():
+    for law in transcript_distributions(protocol, two_zero_inputs).values():
+        for transcript in law.support():
             transcripts.setdefault(transcript)
 
     input_values = [[zero, one]] * k

@@ -31,8 +31,6 @@ Metric naming used by the instrumented subsystems:
 ``message_bits`` (histogram)          per-message bit lengths
 ``tree_nodes_expanded``               exact-analyzer nodes popped
 ``tree_leaves``                       distinct transcripts enumerated
-``tree_memo_hits``                    batched-walk memo hits, by protocol
-``tree_memo_misses``                  batched-walk memo misses, by protocol
 ``tree_depth`` (histogram)            enumeration depth per call
 ``tree_support`` (histogram)          transcript-support size per call
 ``topology_view_rebuilds``            per-node view projections computed,

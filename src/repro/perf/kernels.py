@@ -573,7 +573,6 @@ def tree_walk_sorted_leaves(
     codes: Any = None,
     span: int = 0,
     max_messages: int,
-    memo: Optional[Any] = None,
     medium: Optional[Any] = None,
 ) -> Tuple[SortedLeaves, int, int, int]:
     """One shared level-synchronous walk of the protocol tree over a
@@ -583,8 +582,8 @@ def tree_walk_sorted_leaves(
     ``leaves`` is a :class:`SortedLeaves`: every input's leaf rows
     concatenated in input order — ``counts[j]`` rows for
     ``input_keys[j]`` — **already in the legacy post-sort order**
-    (descending lexicographic child-index path — the order the per-input
-    DFS of ``transcript_distribution`` emits leaves in), each row an
+    (descending lexicographic child-index path — the order a per-input
+    DFS emits leaves in), each row an
     integer leaf id and a float64 probability.  :meth:`SortedLeaves.rows`
     resolves them into the legacy walk's flat lists; :func:`columnar_joint`
     keeps them as arrays.
@@ -617,7 +616,7 @@ def tree_walk_sorted_leaves(
     whose population is a single row leaves the level arrays, and a
     per-input DFS finishes its subtree with the same per-node calls
     (``next_edge``, the speaker range check, ``medium.check_edge``, the
-    memoized or direct message law with ``x[speaker]`` or ``None``, the
+    message law with ``x[speaker]`` or ``None``, the
     ``p <= 0.0`` prune, the empty-message check, the interned message,
     ``advance_state``, ``board.extend`` and the depth limit).  On AND's
     truncated hard supports almost every node is of this kind: a prefix
@@ -733,15 +732,9 @@ def tree_walk_sorted_leaves(
                     f"next_edge returned invalid player {speaker!r}"
                 )
             check_edge(k, speaker, link)
-            speaker_input = key[speaker] if speaker < k else None
-            if memo is not None:
-                dist = memo.distribution(
-                    protocol, state, speaker, speaker_input, board
-                )
-            else:
-                dist = message_distribution(
-                    state, speaker, speaker_input, board
-                )
+            dist = message_distribution(
+                state, speaker, key[speaker] if speaker < k else None, board
+            )
             depth += 1
             for bits, p in dist.items():
                 if p <= 0.0:
@@ -937,14 +930,9 @@ def tree_walk_sorted_leaves(
                     input_keys[first_idx_l[t]][speaker] if speaker < k
                     else None
                 )
-                if memo is not None:
-                    dist = memo.distribution(
-                        protocol, state, speaker, speaker_input, board
-                    )
-                else:
-                    dist = protocol.message_distribution(
-                        state, speaker, speaker_input, board
-                    )
+                dist = protocol.message_distribution(
+                    state, speaker, speaker_input, board
+                )
                 positive = 0
                 for index, (bits, p) in enumerate(dist.items()):
                     if p <= 0.0:

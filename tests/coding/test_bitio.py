@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.coding import BitReader, BitWriter, concat_bits
+from repro.coding import BitReader, BitWriter
 
 
 class TestBitWriter:
@@ -109,10 +109,6 @@ class TestRoundTripProperties:
         assert r.read_uint(width) == value
         r.expect_exhausted()
 
-    @given(st.lists(st.sampled_from(["0", "1", "01", "110"]), max_size=10))
-    def test_concat_bits(self, parts):
-        assert concat_bits(parts) == "".join(parts)
-
 
 class TestBitops:
     def test_bits_of(self):
@@ -154,8 +150,6 @@ class TestNonStrBits:
             BitReader(bits)
         with pytest.raises(TypeError):
             BitWriter().write_bits(bits)
-        with pytest.raises(TypeError):
-            concat_bits([bits])
 
     @pytest.mark.parametrize("bits", NON_STR_BITS, ids=repr)
     def test_frame_payload(self, bits):

@@ -9,10 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.coding import (
-    BitReader,
     binomial,
-    decode_subset,
-    encode_subset,
     subset_code_width,
     subset_rank,
     subset_unrank,
@@ -278,29 +275,6 @@ class TestBitEncoding:
         width = subset_code_width(z, m)
         amortized = width / m
         assert amortized <= math.log2(math.e * k) + 0.1
-
-    @given(st.data())
-    def test_encode_decode_roundtrip(self, data):
-        n = data.draw(st.integers(1, 64))
-        m = data.draw(st.integers(0, n))
-        subset = sorted(
-            data.draw(st.sets(st.integers(0, n - 1), min_size=m, max_size=m))
-        )
-        bits = encode_subset(subset, n)
-        assert len(bits) == subset_code_width(n, m)
-        reader = BitReader(bits)
-        assert decode_subset(reader, n, m) == subset
-        reader.expect_exhausted()
-
-    @pytest.mark.parametrize("n, m", [(1024, 64), (4096, 256)])
-    def test_encode_decode_roundtrip_large(self, n, m):
-        subset = sorted(random.Random(n).sample(range(n), m))
-        bits = encode_subset(subset, n)
-        assert len(bits) == subset_code_width(n, m)
-        reader = BitReader(bits)
-        assert decode_subset(reader, n, m) == subset
-        reader.expect_exhausted()
-        assert subset_unrank(subset_rank(subset, n), n, m) == subset
 
     def test_invalid_universe(self):
         with pytest.raises(ValueError):

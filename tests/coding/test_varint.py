@@ -1,15 +1,13 @@
 """Round-trip and length tests for the variable-length integer codes."""
 
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.coding import (
     BitReader,
-    decode_elias_delta,
     decode_elias_gamma,
     elias_gamma_length,
-    encode_elias_delta,
     encode_elias_gamma,
     zigzag_encode,
 )
@@ -46,23 +44,6 @@ class TestEliasGamma:
         decoded = [decode_elias_gamma(r) for _ in values]
         assert decoded == values
         r.expect_exhausted()
-
-
-class TestEliasDelta:
-    def test_known_codes(self):
-        assert encode_elias_delta(1) == "1"
-        assert encode_elias_delta(2) == "0100"
-
-    @given(st.integers(1, 2**40))
-    @example((1 << 30) - 1)
-    def test_roundtrip(self, value):
-        r = BitReader(encode_elias_delta(value))
-        assert decode_elias_delta(r) == value
-        r.expect_exhausted()
-
-    @given(st.integers(16, 2**40))
-    def test_asymptotically_shorter_than_gamma(self, value):
-        assert len(encode_elias_delta(value)) <= elias_gamma_length(value)
 
 
 class TestZigZag:

@@ -1,12 +1,13 @@
 """Batched shared-prefix enumeration vs the per-input path.
 
-`joint_transcript_distribution` is now a thin wrapper over
-`batched_joint_transcript_distribution`, which walks the protocol tree
-once per scenario distribution (the Lemma 3 rectangle structure).  The
-contract is *bit identity*: same outcomes, same float probabilities, and
-the same insertion order as the historical per-input implementation.
-These tests pin that contract against a faithful reimplementation of the
-legacy path, across every protocol class in the suite.
+`joint_transcript_distribution` walks the protocol tree once per
+scenario distribution (the Lemma 3 rectangle structure).  The contract
+is *bit identity*: same outcomes, same float probabilities, and the same
+insertion order as the historical per-input implementation.  These tests
+pin that contract against a faithful reimplementation of the legacy
+path, whose per-input laws come from the independent dict-driven
+reference walk of `repro.check.mutations`, across every protocol class
+in the suite.
 """
 
 import itertools
@@ -15,12 +16,8 @@ import random
 import pytest
 
 from repro.check.generator import GeneratedCoordinatorProtocol
-from repro.core import (
-    MessageDistributionMemo,
-    batched_joint_transcript_distribution,
-    joint_transcript_distribution,
-    transcript_distribution,
-)
+from repro.check.mutations import _laws_from_table, shared_walk_reference
+from repro.core import joint_transcript_distribution, transcript_distribution
 from repro.core.model import BROADCAST
 from repro.information import DiscreteDistribution, JointDistribution
 from repro.lowerbounds.hard_distribution import and_hard_distribution
@@ -58,8 +55,9 @@ def legacy_joint(
     protocol, scenarios, inputs_of=None, *, names=None, medium=BROADCAST
 ):
     """The pre-batching implementation of joint_transcript_distribution:
-    one DFS per distinct input tuple, scenario-major accumulation.  Kept
-    verbatim (minus tracing) as the bit-identity reference."""
+    one walk per distinct input tuple, scenario-major accumulation.  Kept
+    verbatim (minus tracing) as the bit-identity reference, with each
+    input's law from the reference walk over that input alone."""
     if inputs_of is None:
         inputs_of = lambda scenario: scenario[0]  # noqa: E731
     probs = {}
@@ -72,7 +70,10 @@ def legacy_joint(
         key = tuple(inputs_of(scenario))
         transcripts = cache.get(key)
         if transcripts is None:
-            transcripts = transcript_distribution(protocol, key, medium=medium)
+            table, *_stats = shared_walk_reference(
+                protocol, [key], medium=medium
+            )
+            (transcripts,) = _laws_from_table(table)
             cache[key] = transcripts
         for transcript, p_transcript in transcripts.items():
             outcome = scenario + (transcript,)
@@ -253,12 +254,6 @@ class TestBatchedEqualsPerInput:
             ),
             expected,
         )
-        assert_bit_identical(
-            batched_joint_transcript_distribution(
-                protocol, scenarios, medium=medium
-            ),
-            expected,
-        )
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_protocols_property(self, seed):
@@ -318,22 +313,6 @@ class TestBatchedEqualsPerInput:
             assert_bit_identical(traced, untraced)
         assert any(e.name == "joint_enumerated" for e in tracer.events)
 
-    def test_memoized_equals_unmemoized(self):
-        memo = MessageDistributionMemo()
-        for _, protocol, scenarios in CASES[:4]:
-            plain = joint_transcript_distribution(protocol, scenarios)
-            memoized = joint_transcript_distribution(
-                protocol, scenarios, memo=memo
-            )
-            assert_bit_identical(memoized, plain)
-        # Re-running with a warm memo must also be unchanged.
-        _, protocol, scenarios = CASES[0]
-        warm = joint_transcript_distribution(protocol, scenarios, memo=memo)
-        assert_bit_identical(
-            warm, joint_transcript_distribution(protocol, scenarios)
-        )
-        assert memo.hits > 0
-
 
 class TestNodeSharing:
     def test_fewer_nodes_on_and_hard_distribution(self):
@@ -348,12 +327,13 @@ class TestNodeSharing:
 
         enable_metrics(reset=True)
         try:
-            batched_joint_transcript_distribution(protocol, scenarios)
+            joint_transcript_distribution(protocol, scenarios)
             batched_nodes = REGISTRY.counter("tree_nodes_expanded").value(
                 protocol="SequentialAndProtocol"
             )
             enable_metrics(reset=True)
-            legacy_joint(protocol, scenarios)
+            for inputs in dict.fromkeys(x for x, _z in scenarios.support()):
+                transcript_distribution(protocol, inputs)
             per_input_nodes = REGISTRY.counter("tree_nodes_expanded").value(
                 protocol="SequentialAndProtocol"
             )
@@ -370,7 +350,7 @@ class TestNodeSharing:
         scenarios = scenario_distribution(all_boolean_inputs(3))
         enable_metrics(reset=True)
         try:
-            batched_joint_transcript_distribution(protocol, scenarios)
+            joint_transcript_distribution(protocol, scenarios)
             batched_nodes = REGISTRY.counter("tree_nodes_expanded").value(
                 protocol="SequentialAndProtocol"
             )
@@ -383,25 +363,3 @@ class TestNodeSharing:
         finally:
             disable_metrics()
         assert batched_nodes < per_input_nodes
-
-
-class TestMessageDistributionMemo:
-    def test_hit_miss_accounting(self):
-        protocol = NoisySequentialAndProtocol(2, 0.25)
-        memo = MessageDistributionMemo()
-        transcript_distribution(protocol, (1, 1), memo=memo)
-        misses_after_first = memo.misses
-        assert misses_after_first > 0
-        assert memo.hits == 0
-        transcript_distribution(protocol, (1, 1), memo=memo)
-        assert memo.misses == misses_after_first
-        assert memo.hits == misses_after_first
-
-    def test_memoized_transcript_distribution_identical(self):
-        protocol = NoisySequentialAndProtocol(3, 0.125)
-        memo = MessageDistributionMemo()
-        plain = transcript_distribution(protocol, (1, 1, 0))
-        memoized = transcript_distribution(protocol, (1, 1, 0), memo=memo)
-        rerun = transcript_distribution(protocol, (1, 1, 0), memo=memo)
-        assert list(plain.items()) == list(memoized.items())
-        assert list(plain.items()) == list(rerun.items())

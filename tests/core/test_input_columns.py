@@ -3,7 +3,7 @@
 ``transcript_joint`` and ``conditional_transcript_joint`` must return,
 float for float and in the same item order, what the public scenario
 construction returns: ``input_dist.map(lambda x: (x,))`` (or the pair
-law itself) handed to ``batched_joint_transcript_distribution``.  Every
+law itself) handed to ``joint_transcript_distribution``.  Every
 case is checked on the engine and with the reference engines swapped
 in (the ``legacy`` ids): the ``float.hex`` of every joint
 mass, the outcome tuples, the column codes and decoded values, and the
@@ -18,9 +18,9 @@ import pytest
 
 from repro.compression.gap import _iid_bits
 from repro.core import (
-    batched_joint_transcript_distribution,
     conditional_information_cost,
     external_information_cost,
+    joint_transcript_distribution,
 )
 from repro.core.analysis import conditional_transcript_joint, transcript_joint
 from repro.core.tasks import all_boolean_inputs
@@ -173,7 +173,7 @@ def test_transcript_joint_matches_the_scenario_map(case, kernel, under):
 
     def old():
         scenarios = law.map(lambda x: (x,))
-        return batched_joint_transcript_distribution(
+        return joint_transcript_distribution(
             protocol, scenarios, names=("inputs",)
         )
 
@@ -203,12 +203,12 @@ def test_conditional_transcript_joint_matches_the_pair_law(
         return conditional_transcript_joint(protocol, mu)
 
     def old():
-        return batched_joint_transcript_distribution(
+        return joint_transcript_distribution(
             protocol, fresh_copy(mu), names=("inputs", "aux")
         )
 
     def by_tuples():
-        return batched_joint_transcript_distribution(
+        return joint_transcript_distribution(
             protocol,
             fresh_copy(mu),
             lambda scenario: scenario[0],
@@ -248,7 +248,7 @@ def test_pair_law_with_a_zero_mass(kernel, under):
     new = under(kernel, lambda: conditional_transcript_joint(protocol, mu))
     old = under(
         kernel,
-        lambda: batched_joint_transcript_distribution(
+        lambda: joint_transcript_distribution(
             protocol, fresh_copy(mu), names=("inputs", "aux")
         ),
     )

@@ -7,8 +7,8 @@ from repro.core import (
     Protocol,
     ProtocolViolation,
     Transcript,
-    batched_joint_transcript_distribution,
     check_prefix_free,
+    joint_transcript_distribution,
 )
 from repro.core.model import BOARD_LINK, Link
 from repro.information import DiscreteDistribution
@@ -40,7 +40,7 @@ class TestMessage:
         with pytest.raises(ValueError, match="0/1 string"):
             under(
                 kernel,
-                lambda: batched_joint_transcript_distribution(
+                lambda: joint_transcript_distribution(
                     _EchoProtocol(), scenarios
                 ),
             )

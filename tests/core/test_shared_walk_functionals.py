@@ -5,9 +5,11 @@ and `worst_case_communication` fold over the transcript laws of
 `transcript_distributions` (one shared walk) instead of calling
 `transcript_distribution` once per input.  The contract is exact
 equality with the per-input loops they replaced, which are kept below
-verbatim (plus the `medium=` pass-through) as the reference, on the
-engine walk and with the dict-driven reference walk swapped in, on
-deterministic, randomized and medium protocols.
+(plus the `medium=` pass-through) as the reference, each input's law
+from the independent dict-driven reference walk of
+`repro.check.mutations` over that input alone; on the engine walk and
+with that reference walk swapped in, on deterministic, randomized and
+medium protocols.
 """
 
 import itertools
@@ -16,14 +18,13 @@ import random
 import pytest
 
 from repro.check.generator import GeneratedCoordinatorProtocol
+from repro.check.mutations import _laws_from_table, shared_walk_reference
 from repro.core import (
-    MessageDistributionMemo,
     Task,
     and_task,
     disjointness_task,
     distributional_error,
     expected_communication,
-    transcript_distribution,
     transcript_distributions,
     worst_case_communication,
     worst_case_error,
@@ -53,16 +54,22 @@ from repro.topology import (
 
 
 # ----------------------------------------------------------------------
-# The per-input loops, verbatim apart from ``medium=``.
+# The per-input loops, verbatim apart from ``medium=`` and the law.
 # ----------------------------------------------------------------------
+def reference_law(protocol, inputs, medium):
+    """One input's transcript law from the reference walk."""
+    table, *_stats = shared_walk_reference(
+        protocol, [tuple(inputs)], medium=medium
+    )
+    (law,) = _laws_from_table(table)
+    return law
+
+
 def loop_distributional_error(protocol, input_dist, evaluate, medium):
     total = 0.0
-    memo = MessageDistributionMemo()
     for inputs, p_inputs in input_dist.items():
         correct = evaluate(inputs)
-        transcripts = transcript_distribution(
-            protocol, inputs, memo=memo, medium=medium
-        )
+        transcripts = reference_law(protocol, inputs, medium)
         state_cache = {}
         for transcript, p_transcript in transcripts.items():
             output = _output_for(protocol, transcript, state_cache)
@@ -75,12 +82,9 @@ def loop_worst_case_error(protocol, task, inputs_iter, medium):
     if inputs_iter is None:
         inputs_iter = task.domain()
     worst = 0.0
-    memo = MessageDistributionMemo()
     for inputs in inputs_iter:
         correct = task.evaluate(inputs)
-        transcripts = transcript_distribution(
-            protocol, inputs, memo=memo, medium=medium
-        )
+        transcripts = reference_law(protocol, inputs, medium)
         state_cache = {}
         error = sum(
             p
@@ -93,11 +97,8 @@ def loop_worst_case_error(protocol, task, inputs_iter, medium):
 
 def loop_expected_communication(protocol, input_dist, medium):
     total = 0.0
-    memo = MessageDistributionMemo()
     for inputs, p_inputs in input_dist.items():
-        transcripts = transcript_distribution(
-            protocol, inputs, memo=memo, medium=medium
-        )
+        transcripts = reference_law(protocol, inputs, medium)
         total += p_inputs * sum(
             p * transcript.bits_written for transcript, p in transcripts.items()
         )
@@ -106,11 +107,8 @@ def loop_expected_communication(protocol, input_dist, medium):
 
 def loop_worst_case_communication(protocol, inputs_iter, medium):
     worst = -1
-    memo = MessageDistributionMemo()
     for inputs in inputs_iter:
-        transcripts = transcript_distribution(
-            protocol, inputs, memo=memo, medium=medium
-        )
+        transcripts = reference_law(protocol, inputs, medium)
         for transcript in transcripts.support():
             worst = max(worst, transcript.bits_written)
     if worst < 0:
@@ -182,7 +180,7 @@ class TestFunctionalsEqualPerInputLoops:
         )
         assert list(laws) == [tuple(x) for x in dist.support()]
         for inputs in dist.support():
-            expected = transcript_distribution(protocol, inputs, medium=medium)
+            expected = reference_law(protocol, inputs, medium)
             assert list(laws[tuple(inputs)].items()) == list(expected.items())
 
     def test_distributional_error(self, case, kernel, under):

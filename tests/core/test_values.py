@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.coding import BitReader, BitWriter, concat_bits
+from repro.coding import BitReader, BitWriter
 from repro.coding.bitio import is_bit_string
 from repro.core.model import BOARD_LINK, Link, Message
 from repro.net.framing import Frame, FrameKind
@@ -138,7 +138,7 @@ class TestLinkValue:
 
 # ----------------------------------------------------------------------
 # The bit-string rule: a str is a bit string iff ``not s.strip("01")``.
-# Every surface that takes bits (reader, writer, concatenation,
+# Every surface that takes bits (reader, writer,
 # messages, wire frames) must accept exactly those strings.
 # ----------------------------------------------------------------------
 
@@ -176,7 +176,6 @@ def _accepts(build, bits):
 SURFACES = {
     "reader": BitReader,
     "writer": lambda bits: BitWriter().write_bits(bits),
-    "concat": lambda bits: concat_bits(["1", bits]),
     "message": lambda bits: Message(0, bits),
     "frame": lambda bits: Frame(FrameKind.APPEND, payload=bits),
 }

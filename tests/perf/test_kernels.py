@@ -21,13 +21,12 @@ import pytest
 from repro.check import mutations
 from repro.check.generator import GeneratedCoordinatorProtocol, generate_case
 from repro.core import (
-    batched_joint_transcript_distribution,
     conditional_information_cost,
     external_information_cost,
     internal_information_cost,
+    joint_transcript_distribution,
     run_protocol,
 )
-from repro.core import tree
 from repro.core.model import Protocol, ProtocolViolation, TopologyViolation
 from repro.core.tasks import disjointness_task
 from repro.experiments.e1_disjointness_scaling import measure_point
@@ -104,7 +103,7 @@ def scenario_distribution(input_tuples):
 #: The two engines of a joint law, by the name its test ids keep.
 JOINTS = {
     "legacy": mutations.shared_walk_joint,
-    "vectorized": batched_joint_transcript_distribution,
+    "vectorized": joint_transcript_distribution,
 }
 
 
@@ -285,20 +284,11 @@ class PhasedHubProtocol(PhasedBitProtocol):
 WALKS = (mutations.shared_walk_reference, kernels.tree_walk_sorted_leaves)
 
 
-def assert_walks_identical(
-    protocol, inputs, *, max_messages=64, memo=False, **kwargs
-):
+def assert_walks_identical(protocol, inputs, *, max_messages=64, **kwargs):
     """Counts, boards, every probability's ``float.hex`` and the walk
-    statistics of the reference and the engine walk agree (each walk gets
-    its own fresh memo when ``memo`` is set)."""
+    statistics of the reference and the engine walk agree."""
     (rows, *legacy_stats), (leaves, *stats) = [
-        walk(
-            protocol,
-            inputs,
-            max_messages=max_messages,
-            memo=tree.MessageDistributionMemo() if memo else None,
-            **kwargs,
-        )
+        walk(protocol, inputs, max_messages=max_messages, **kwargs)
         for walk in WALKS
     ]
     counts, boards, probs = leaves.rows()
@@ -385,22 +375,6 @@ class TestOneInputSubtrees:
     def test_generated_coordinator_single_input(self, seed):
         protocol = GeneratedCoordinatorProtocol(seed, 3)
         assert_walks_identical(protocol, [(1, 0, 1)], medium=COORDINATOR)
-
-    @pytest.mark.parametrize(
-        "protocol, inputs",
-        [
-            pytest.param(
-                FullBroadcastAndProtocol(10), hard_inputs(10, 3), id="full"
-            ),
-            pytest.param(
-                PhasedBitProtocol(3, "nrrrnn"),
-                list(itertools.product((0, 1), repeat=3)),
-                id="phased",
-            ),
-        ],
-    )
-    def test_memoized(self, protocol, inputs):
-        assert_walks_identical(protocol, inputs, memo=True)
 
     @pytest.mark.parametrize(
         "protocol, inputs, max_messages",
@@ -527,7 +501,7 @@ class TestInformationIdentity:
         mu = and_hard_distribution(3)
         legacy, vectorized = reference_and_engine(
             lambda: per_player_divergence_sum(
-                batched_joint_transcript_distribution(
+                joint_transcript_distribution(
                     protocol, mu, names=("inputs", "aux")
                 ),
                 3,
@@ -829,7 +803,7 @@ class TestVectorizedCallCounter:
         scenarios = scenario_distribution(
             list(itertools.product((0, 1), repeat=3))
         )
-        batched_joint_transcript_distribution(protocol, scenarios)
+        joint_transcript_distribution(protocol, scenarios)
         kernels.simulate_trivial_disjointness(8, 2, (3, 5))
         counter = REGISTRY.counter("kernel_vectorized_calls")
         assert counter.value(op="tree_walk") >= 1
