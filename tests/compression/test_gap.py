@@ -11,6 +11,10 @@ from repro.compression import (
 )
 from repro.compression.gap import _iid_bits
 from repro.information import DiscreteDistribution
+from repro.lowerbounds.hard_distribution import (
+    and_hard_input_marginal,
+    lemma6_distribution,
+)
 
 
 class TestGapReport:
@@ -44,6 +48,36 @@ class TestGapReport:
         assert report.information_costs["point"] == pytest.approx(
             0.0, abs=1e-9
         )
+
+    @pytest.mark.parametrize("k", [2, 4, 8, 12])
+    def test_explicit_default_suite(self, k):
+        # The default suite passed by hand reports what the default
+        # call reports, name for name and float for float.
+        explicit = {
+            "uniform": _iid_bits(k, 0.5),
+            "iid_biased": _iid_bits(k, 1.0 - 1.0 / k),
+            "hard_marginal": and_hard_input_marginal(k),
+            "lemma6": lemma6_distribution(k, 0.2),
+        }
+        given = and_gap_report(k, distributions=explicit)
+        default = and_gap_report(k)
+        assert [
+            (name, ic.hex()) for name, ic in given.information_costs.items()
+        ] == [
+            (name, ic.hex()) for name, ic in default.information_costs.items()
+        ]
+        assert given == default
+
+    def test_default_suite_values_are_pinned(self):
+        report = and_gap_report(8)
+        assert {
+            name: ic.hex() for name, ic in report.information_costs.items()
+        } == {
+            "uniform": "0x1.fe00000000000p+0",
+            "iid_biased": "0x1.6d5a94e9395cap+1",
+            "hard_marginal": "0x1.6a6010e11d526p+1",
+            "lemma6": "0x1.8f9b56fe009d5p+1",
+        }
 
     def test_k_validation(self):
         with pytest.raises(ValueError):

@@ -22,10 +22,12 @@ from repro.check import mutations
 from repro.check.generator import GeneratedCoordinatorProtocol, generate_case
 from repro.core import (
     conditional_information_cost,
+    conditional_transcript_joint,
     external_information_cost,
     internal_information_cost,
     joint_transcript_distribution,
     run_protocol,
+    transcript_distribution,
 )
 from repro.core.model import Protocol, ProtocolViolation, TopologyViolation
 from repro.core.tasks import disjointness_task
@@ -408,6 +410,81 @@ class TestOneInputSubtrees:
         )
 
 
+class BadSpeakerProtocol(SequentialAndProtocol):
+    """Sequential AND that hands the floor to a player who does not
+    exist after the first message."""
+
+    def next_speaker(self, state, board):
+        speaker = super().next_speaker(state, board)
+        if speaker is None or not len(board):
+            return speaker
+        return self.num_players + 5
+
+
+def law_rows(law):
+    return [(outcome, p.hex()) for outcome, p in law.items()]
+
+
+@numpy_required
+class TestOneInputWalk:
+    """``transcript_distribution`` walks a population of one input: its
+    law must equal the reference walk's, float for float, and its
+    failures must read the same."""
+
+    @pytest.mark.parametrize(
+        "case", ALL_PROTOCOLS, ids=[case.name for case in ALL_PROTOCOLS]
+    )
+    def test_registry_protocols(self, reference_and_engine, case):
+        protocol = case.build()
+        for inputs in case.input_tuples()[::7]:
+            legacy, vectorized = reference_and_engine(
+                lambda: transcript_distribution(protocol, inputs)
+            )
+            assert law_rows(vectorized) == law_rows(legacy)
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_generated_protocols(self, reference_and_engine, index):
+        case = generate_case(2026, index)
+        for inputs in case.input_dist.support()[:4]:
+            legacy, vectorized = reference_and_engine(
+                lambda: transcript_distribution(case.protocol, inputs)
+            )
+            assert law_rows(vectorized) == law_rows(legacy)
+
+    @pytest.mark.parametrize(
+        "protocol, inputs, max_messages, message",
+        [
+            pytest.param(
+                FullBroadcastAndProtocol(6), (1,) * 6, 5,
+                "protocol exceeded 5 messages during exact enumeration",
+                id="max-messages",
+            ),
+            pytest.param(
+                PhasedBitProtocol(3, "rrrne"), (1, 0, 1), 64,
+                "protocols may not write empty messages",
+                id="empty-message",
+            ),
+            pytest.param(
+                BadSpeakerProtocol(3), (1, 1, 1), 64,
+                "next_edge returned invalid player 8",
+                id="invalid-speaker",
+            ),
+        ],
+    )
+    def test_violation_texts(self, under, protocol, inputs, max_messages,
+                             message):
+        for kernel in ("legacy", "vectorized"):
+            with pytest.raises(ProtocolViolation) as info:
+                under(kernel, lambda: transcript_distribution(
+                    protocol, inputs, max_messages=max_messages
+                ))
+            assert str(info.value) == message
+
+    def test_unhashable_coordinate(self):
+        with pytest.raises(TypeError):
+            transcript_distribution(SequentialAndProtocol(2), (1, [0]))
+
+
 # ----------------------------------------------------------------------
 # Bit-identity: information quantities.
 # ----------------------------------------------------------------------
@@ -418,6 +495,18 @@ def random_joint(seed, shape):
     probs = {outcome: rng.random() + 1e-3 for outcome in outcomes}
     names = ("a", "b", "c")[: len(shape)]
     return JointDistribution(probs, names=names, normalize=True)
+
+
+def has_absent_player_bit(joint, k):
+    """Whether some player's bit never occurs in some (transcript,
+    aux) pair of an ``(inputs, aux, transcript)`` joint: the posterior
+    there is a point mass, so one of its two terms is skipped."""
+    seen = {}
+    for (x, z, t), _p in joint.items():
+        bits = seen.setdefault((t, z), [set() for _ in range(k)])
+        for i in range(k):
+            bits[i].add(x[i])
+    return any(len(bits) == 1 for pair in seen.values() for bits in pair)
 
 
 @numpy_required
@@ -508,6 +597,29 @@ class TestInformationIdentity:
             )
         )
         assert legacy == vectorized
+
+    @pytest.mark.parametrize("k", (3, 4, 5, 6))
+    @pytest.mark.parametrize("noisy", (False, True), ids=("seq", "noisy"))
+    def test_per_player_divergence_sum_on_and(
+        self, reference_and_engine, noisy, k
+    ):
+        # E10's joints: the sequential and the noisy AND protocol under
+        # the hard distribution, against the dict fold.
+        protocol = (
+            NoisySequentialAndProtocol(k, 0.2) if noisy
+            else SequentialAndProtocol(k)
+        )
+        joint = conditional_transcript_joint(
+            protocol, and_hard_distribution(k)
+        )
+        assert has_absent_player_bit(joint, k)
+        assert kernels.per_player_divergence_sum_fast(
+            joint, k, 0, 1, 2
+        ) is not None
+        legacy, vectorized = reference_and_engine(
+            lambda: per_player_divergence_sum(joint, k)
+        )
+        assert legacy.hex() == vectorized.hex()
 
     def test_lemma3_transcript_classification(
         self, reference_and_engine
@@ -650,6 +762,8 @@ RECTANGLE_TASKS = {
     "or": lambda x: int(any(x)),
     "xor": lambda x: sum(x) % 2,
     "majority": lambda x: int(2 * sum(x) > len(x)),
+    # Many values, one of them -1: monochromatic means one value.
+    "ones-minus-one": lambda x: sum(x) - 1,
 }
 
 
@@ -674,7 +788,7 @@ class TestRectangleDPIdentity:
         )
         assert legacy.hex() == vectorized.hex()
 
-    @pytest.mark.parametrize("k", (2, 3, 4))
+    @pytest.mark.parametrize("k", (2, 3, 4, 5, 6, 7))
     def test_minimum_zero_error_external_ic(self, reference_and_engine, k):
         for evaluate in RECTANGLE_TASKS.values():
             legacy, vectorized = reference_and_engine(
@@ -686,7 +800,8 @@ class TestRectangleDPIdentity:
 
     @pytest.mark.parametrize("task", sorted(RECTANGLE_TASKS))
     @pytest.mark.parametrize(
-        "k,seed", [(k, seed) for k in (2, 3, 4, 5, 6) for seed in range(4)]
+        "k,seed",
+        [(k, seed) for k in (2, 3, 4, 5, 6, 7) for seed in range(4)],
     )
     def test_skewed_product_marginals(
         self, reference_and_engine, k, seed, task
