@@ -33,11 +33,13 @@ from .tables import ExperimentTable
 
 __all__ = ["run", "DEFAULT_KS", "QUICK_KS", "SWEEP", "EXTERNAL_SWEEP"]
 
-#: k = 12 pushes the rectangle DP to 3^12 · 12 ≈ 6.4M mass cells, just
-#: under the vectorized dense-DP kernel's ``_E14_CELL_CAP``; above it the
-#: memoized recursion takes over.  On a 2-CPU x86-64 machine the whole
-#: default table takes about 0.5 s; the recursion certifies identical
-#: optima for it in about 24 s
+#: k = 12 puts the rectangle DP at 3^12 · 12 ≈ 6.4M, just under the
+#: vectorized kernel's ``_E14_CELL_CAP`` on ``3**k * z_count``; above it
+#: the memoized recursion takes over.  The kernel's index tables hold
+#: 3^12 entries and its per-z masses only the 2^12 rectangles without a
+#: known 0 (about 15 MB traced at k = 12).  On a 2-CPU x86-64 machine the
+#: whole default table takes about 0.4 s; the recursion certifies
+#: identical optima for it in about 24 s
 #: (``benchmarks/test_reference_engines.py``).
 DEFAULT_KS: Sequence[int] = (2, 3, 4, 6, 8, 10, 12)
 

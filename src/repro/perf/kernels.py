@@ -109,10 +109,11 @@ __all__ = [
 #: every support to force the folds.
 _VECTOR_MIN_SUPPORT = 64
 
-#: Ceiling on ``3**k * z_count`` for the vectorized E14 rectangle DP
-#: (the dense mass table is one float64 per (z, rectangle) cell); larger
-#: instances run the memoized recursion, and tests set it to 0 to force
-#: the recursion everywhere.
+#: Ceiling on ``3**k * z_count`` for the vectorized E14 rectangle DP:
+#: its index tables hold one entry per rectangle (``3**k``), and its
+#: masses at most that many per ``z``.  Larger instances run the
+#: memoized recursion, and tests set it to 0 to force the recursion
+#: everywhere.
 _E14_CELL_CAP = 8_000_000
 
 #: Mixed-radix lineage codes in the tree walk spill into a frozen column
@@ -629,7 +630,8 @@ def tree_walk_sorted_leaves(
     scale: leaves of one subtree tie on every sort key, so the stable
     final sort keeps the DFS order, and they differ from the member's
     other rows in a digit of a branched level both were alive for,
-    exactly like any other leaf.
+    exactly like any other leaf.  A population of one input builds no
+    arrays at all: the DFS walks it from the root.
     """
     # Local import: core.model is import-safe from here (the model layer
     # never imports repro.perf).
@@ -645,21 +647,10 @@ def tree_walk_sorted_leaves(
     if medium is None:
         medium = BROADCAST
 
-    if codes is None:
-        codes, span = input_codes(input_keys)
-        if codes is None:
-            raise TypeError(
-                "input tuples are ragged or have unhashable coordinates"
-            )
     m = len(input_keys)
     k = protocol.num_players
     num_nodes = medium.num_nodes(k)
-    if num_nodes > k:
-        # Column k, all zeros, is the code column of every input-less
-        # node: the whole population forms one partition there.
-        codes = np_.concatenate(
-            [codes, np_.zeros((m, 1), dtype=codes.dtype)], axis=1
-        )
+    uncodable = "input tuples are ragged or have unhashable coordinates"
 
     # Leaves are recorded once per level as one chunk: (leaf ids, member
     # indices, probabilities, frozen spill columns, lineage codes,
@@ -678,8 +669,6 @@ def tree_walk_sorted_leaves(
         (protocol.initial_state(), EMPTY_TRANSCRIPT)
     ]
     sizes: List[int] = [m]
-    A_idx = np_.arange(m, dtype=np_.int64)
-    A_probs = np_.ones(m, dtype=np_.float64)
     # A row's child-index path is carried as ONE int64 "lineage" code:
     # the MSB-first mixed-radix encoding of the indices chosen at
     # branching levels (levels where some partition had two or more
@@ -758,6 +747,43 @@ def tree_walk_sorted_leaves(
                 )
         return nodes, deepest
 
+    if m == 1:
+        # One input is one subtree: the DFS finishes it from the root,
+        # and its leaves come out in their final order.
+        if codes is None:
+            # What input_codes refuses in one tuple: an unhashable
+            # coordinate.
+            try:
+                hash(tuple(input_keys[0]))
+            except TypeError:
+                raise TypeError(uncodable) from None
+        nodes_expanded, max_depth = finish_subtree(
+            frontier[0][0], frontier[0][1], input_keys[0], 1.0, 0
+        )
+        union_leaves = len(leaf_boards)
+        boards_arr = np_.empty(union_leaves, dtype=object)
+        for leaf_index, board in enumerate(leaf_boards):
+            boards_arr[leaf_index] = board
+        leaves = SortedLeaves(
+            np_.array([union_leaves], dtype=np_.int64),
+            np_.arange(union_leaves, dtype=np_.int64),
+            np_.array(tail_probs, dtype=np_.float64),
+            boards_arr,
+        )
+        return leaves, nodes_expanded, union_leaves, max_depth
+
+    if codes is None:
+        codes, span = input_codes(input_keys)
+        if codes is None:
+            raise TypeError(uncodable)
+    if num_nodes > k:
+        # Column k, all zeros, is the code column of every input-less
+        # node: the whole population forms one partition there.
+        codes = np_.concatenate(
+            [codes, np_.zeros((m, 1), dtype=codes.dtype)], axis=1
+        )
+    A_idx = np_.arange(m, dtype=np_.int64)
+    A_probs = np_.ones(m, dtype=np_.float64)
     level = 0
     while frontier:
         sizes_arr = np_.array(sizes, dtype=np_.int64)
@@ -1368,38 +1394,41 @@ def class_conditioned_probabilities(
 # Lemma 2 per-player divergence sum (lowerbounds.posterior)
 # ----------------------------------------------------------------------
 def _divergence_sum_from_arrays(
-    np_: Any, p: Any, bits: Any, z_codes: Any, t_codes: Any, k: int
+    np_: Any,
+    p: Any,
+    inputs: Any,
+    x_codes: Any,
+    z_codes: Any,
+    t_codes: Any,
+    k: int,
 ) -> float:
-    """The Lemma 2 sum over pre-encoded columns: ``bits`` is the
-    ``(rows, k)`` 0/1 input matrix, ``z_codes`` dense.  The two-outcome
+    """The Lemma 2 sum over pre-encoded columns: ``inputs`` is the
+    ``(distinct inputs, k)`` 0/1 matrix and row ``r`` holds input
+    ``x_codes[r]``; ``z_codes`` is dense.  The two-outcome
     posteriors/priors make every inner sum a one- or two-term IEEE
     addition, which is commutative bit-for-bit, so no per-pair ordering
     state is needed."""
-    m = p.shape[0]
     nz = int(z_codes.max()) + 1
     pair = t_codes * nz + z_codes
     pair_fs, _pair_orig, n_pairs = _first_seen_codes(np_, pair)
     z_of_pair = np_.zeros(n_pairs, dtype=np_.int64)
     z_of_pair[pair_fs] = z_codes
 
-    pair_mass = np_.zeros(n_pairs, dtype=np_.float64)
-    np_.add.at(pair_mass, pair_fs, p)
+    pair_mass = np_.bincount(pair_fs, weights=p, minlength=n_pairs)
 
-    # Bit-mass tables, accumulated item-major / player-ascending — the
-    # exact per-slot fold order of the legacy dict accumulation.
-    player = np_.tile(np_.arange(k, dtype=np_.int64), m)
-    weights = np_.repeat(p, k)
-    flat_bits = bits.reshape(-1)
-    post = np_.zeros(n_pairs * k * 2, dtype=np_.float64)
-    np_.add.at(
-        post, (np_.repeat(pair_fs, k) * k + player) * 2 + flat_bits, weights
-    )
-    aux = np_.zeros(nz * k * 2, dtype=np_.float64)
-    np_.add.at(
-        aux, (np_.repeat(z_codes, k) * k + player) * 2 + flat_bits, weights
-    )
-    post = post.reshape(n_pairs, k, 2)
-    aux = aux.reshape(nz, k, 2)
+    # Bit-mass tables, one bincount per player over row-length arrays:
+    # bincount adds each slot's weights in row order from 0.0, the exact
+    # per-slot fold of the legacy dict accumulation.
+    post = np_.empty((n_pairs, k, 2), dtype=np_.float64)
+    aux = np_.empty((nz, k, 2), dtype=np_.float64)
+    for i in range(k):
+        bit = inputs[:, i][x_codes]
+        post[:, i, :] = np_.bincount(
+            pair_fs * 2 + bit, weights=p, minlength=n_pairs * 2
+        ).reshape(n_pairs, 2)
+        aux[:, i, :] = np_.bincount(
+            z_codes * 2 + bit, weights=p, minlength=nz * 2
+        ).reshape(nz, 2)
 
     post_total = post[:, :, 0] + post[:, :, 1]
     post_scale = 1.0 / post_total
@@ -1453,7 +1482,8 @@ def per_player_divergence_sum_fast(
     return _divergence_sum_from_arrays(
         np_,
         columns.p,
-        inputs[columns.codes[x_index]],
+        inputs,
+        columns.codes[x_index],
         columns.codes[z_index],
         columns.codes[t_index],
         k,
@@ -1476,13 +1506,17 @@ def minimum_entropy(
 ) -> float:
     """Vectorized form of the ``_minimum_entropy`` rectangle DP.
 
-    Rectangles are base-3 codes (digit 2 = unrestricted); the DP runs
-    bottom-up by unknown-coordinate count over dense arrays.  All float
-    operations replicate the legacy recursion's order exactly: rectangle
-    masses fold over players ascending, split costs fold over ``z``
-    ascending then divide by ``z_count``, candidates associate as
+    Rectangles are base-3 codes (digit 2 = unrestricted, player 0 least
+    significant); the DP runs bottom-up by unknown-coordinate count.
+    All float operations replicate the legacy recursion's order exactly:
+    rectangle masses fold over players ascending, split costs fold over
+    ``z`` ascending then divide by ``z_count``, candidates associate as
     ``(split + left) + right``, and the minimum scans split coordinates
     ascending with a strict ``<``.
+
+    Only what the DP reads is held: monochromatic rectangles are
+    settled first, without masses, and per-``z`` masses are kept only
+    for the rectangles it splits and their right halves.
     """
     np_ = require_numpy()
     _count_call("minimum_entropy_dp")
@@ -1490,85 +1524,98 @@ def minimum_entropy(
     n = 3 ** k
     pow3 = [3 ** i for i in range(k)]
 
-    # Rectangle codes are base 3 with player 0 least significant, so
-    # every per-code table is a Kronecker fold over players ascending,
-    # filled in place: the first 3**(i + 1) entries are three blocks,
-    # one per digit of player i, each derived from the first 3**i.
-    digits = np_.empty((k, n), dtype=np_.int8)
-    for i in range(k):
-        digits[i] = np_.tile(
-            np_.repeat(np_.arange(3, dtype=np_.int8), pow3[i]),
-            n // (3 * pow3[i]),
-        )
-    unknown_count = np_.zeros(n, dtype=np_.int8)
-    # 3**(first unknown coordinate), or 0 for a corner.
-    first_split = np_.zeros(n, dtype=np_.int64)
+    def by_digit(table: Any, i: int) -> Any:
+        """``table`` viewed as ``[higher digits, digit i, lower
+        digits]``."""
+        return table.reshape(n // (3 * pow3[i]), 3, pow3[i])
+
+    # The corners, in ascending code order, colour every rectangle:
+    # a code of the corner's value when the task is constant on it
+    # (monochromatic), -1 otherwise.  A rectangle is written last at
+    # its highest unknown digit, from two halves whose highest unknown
+    # digits are lower and so already final.
+    corners = np_.zeros(1, dtype=np_.int64)
     for width in pow3:
-        known = slice(0, width)
-        unknown_count[width : 2 * width] = unknown_count[known]
-        unknown_count[2 * width : 3 * width] = unknown_count[known] + 1
-        first_split[width : 2 * width] = first_split[known]
-        first_split[2 * width : 3 * width] = np_.where(
-            first_split[known] == 0, width, first_split[known]
+        corners = np_.concatenate([corners, corners + width])
+    corner_values = np_.array(
+        [
+            evaluate(assignment[::-1])
+            for assignment in itertools.product((0, 1), repeat=k)
+        ],
+        dtype=np_.int64,
+    )
+    distinct, corner_codes = np_.unique(corner_values, return_inverse=True)
+    colour = np_.full(
+        n, -1, dtype=np_.int8 if distinct.shape[0] <= 127 else np_.int32
+    )
+    colour[corners] = corner_codes
+    # Bit i of ``unknown[code]`` is set where digit i is 2.
+    unknown = np_.zeros(n, dtype=np_.uint16 if k <= 16 else np_.uint32)
+    unknown_count = np_.zeros(n, dtype=np_.int8)
+    for i in range(k):
+        halves = by_digit(colour, i)
+        halves[:, 2, :] = np_.where(
+            halves[:, 0, :] == halves[:, 1, :], halves[:, 0, :], -1
         )
+        by_digit(unknown, i)[:, 2, :] |= 1 << i
+        by_digit(unknown_count, i)[:, 2, :] += 1
+    # The DP level of every split rectangle (-1 for monochromatic ones).
+    split_level = np_.where(colour < 0, unknown_count, -1).astype(np_.int8)
+    del colour, unknown_count
+
+    # Masses are read at split rectangles and at their right halves
+    # (digit i 2 -> 1); ``slot`` numbers those codes in ascending order.
+    is_split = split_level >= 0
+    needed = is_split.copy()
+    for i in range(k):
+        by_digit(needed, i)[:, 1, :] |= by_digit(is_split, i)[:, 2, :]
+    held = np_.flatnonzero(needed)
+    del is_split, needed
+    slot = np_.zeros(n, dtype=np_.int64)
+    slot[held] = np_.arange(held.shape[0], dtype=np_.int64)
 
     # Per-z rectangle masses: every entry is 1.0 times its known
     # players' factors in ascending order, exactly the legacy
-    # skip-unknowns loop.  An unrestricted digit copies the head block,
+    # skip-unknowns loop.  One dense row is filled at a time by a
+    # Kronecker fold over players ascending (the first 3**(i + 1)
+    # entries are three blocks, one per digit of player i, each derived
+    # from the first 3**i): an unrestricted digit copies the head block,
     # and the head (digit 0) is scaled last, after both copies read it.
-    mass = np_.empty((z_count, n), dtype=np_.float64)
+    mass = np_.empty((z_count, held.shape[0]), dtype=np_.float64)
+    row = np_.empty(n, dtype=np_.float64)
     for z in range(z_count):
         masses = conditional_masses[z]
-        row = mass[z]
         row[0] = 1.0
         for i, width in enumerate(pow3):
             head = row[:width]
             row[2 * width : 3 * width] = head
             np_.multiply(head, masses(i, 1), out=row[width : 2 * width])
             head *= masses(i, 0)
-
-    # Codes grouped by unknown count, ascending within each level.
-    by_level = np_.argsort(unknown_count, kind="stable")
-    level_end = np_.cumsum(
-        np_.bincount(unknown_count, minlength=k + 1)
-    ).tolist()
+        mass[z] = row[held]
+    del row, held
 
     value = np_.zeros(n, dtype=np_.float64)
-    mono = np_.zeros(n, dtype=bool)
-    mono_value = np_.zeros(n, dtype=np_.int64)
-    corners = by_level[: level_end[0]]
-    corner_digits = digits[:, corners].T.tolist()
-    for code, assignment in zip(corners.tolist(), corner_digits):
-        mono_value[code] = evaluate(tuple(assignment))
-    mono[corners] = True
-
     for level in range(1, k + 1):
-        level_codes = by_level[level_end[level - 1] : level_end[level]]
-        offset = first_split[level_codes]
-        left = level_codes - 2 * offset
-        right = level_codes - offset
-        is_mono = (
-            mono[left] & mono[right] & (mono_value[left] == mono_value[right])
-        )
-        mono[level_codes] = is_mono
-        mono_value[level_codes] = mono_value[left]
-        work = level_codes[~is_mono]
+        work = np_.flatnonzero(split_level == level)
         if work.shape[0] == 0:
             continue
         best = np_.full(work.shape[0], np_.inf, dtype=np_.float64)
+        work_unknown = unknown[work]
         for i in range(k):
-            splittable = digits[i, work] == 2
+            splittable = (work_unknown & (1 << i)) != 0
             if not splittable.any():
                 continue
             rect = work[splittable]
             rect_left = rect - 2 * pow3[i]
             rect_right = rect - pow3[i]
+            at_rect = slot[rect]
+            at_right = slot[rect_right]
             split = np_.zeros(rect.shape[0], dtype=np_.float64)
             for z in range(z_count):
-                p_rect = mass[z, rect]
+                p_rect = mass[z, at_rect]
                 positive = p_rect > 0.0
                 ratio = np_.divide(
-                    mass[z, rect_right],
+                    mass[z, at_right],
                     p_rect,
                     out=np_.zeros(rect.shape[0], dtype=np_.float64),
                     where=positive,
