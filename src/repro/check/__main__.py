@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..obs.harness import add_run_flags, observing
 from .bundle import load_bundle, replay_bundle
 from .harness import run_suite
 from .oracles import ALL_ORACLES, oracle_by_name
@@ -69,29 +70,8 @@ def main(argv=None) -> int:
         help="re-run a bundle's failing oracles on its shrunk witness "
              "instead of fuzzing",
     )
-    parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="stream structured trace events (one check_case event per "
-             "case plus the instrumented subsystems) to FILE as JSONL",
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect runtime metrics (check_cases / check_oracle_runs / "
-             "check_failures and the analyzer counters) and print them",
-    )
+    add_run_flags(parser)
     args = parser.parse_args(argv)
-
-    from ..obs import (
-        JsonlTracer,
-        REGISTRY,
-        disable_metrics,
-        enable_metrics,
-        render_metrics,
-        set_tracer,
-        using_tracer,
-    )
 
     oracles = ALL_ORACLES
     try:
@@ -108,25 +88,14 @@ def main(argv=None) -> int:
     except KeyError as error:
         parser.error(str(error))
 
-    tracer = JsonlTracer(args.trace) if args.trace else None
-    exit_code = 0
-    try:
-        with using_tracer(tracer):
-            if args.metrics:
-                enable_metrics(reset=True)
-            if args.replay:
-                exit_code = _replay(args.replay)
-            else:
-                exit_code = _fuzz(args, oracles)
-            if args.metrics:
-                print(render_metrics(REGISTRY, title="repro.check metrics"))
-                disable_metrics()
-    finally:
-        if tracer:
-            tracer.close()
-            print(f"trace written to {args.trace}")
-        set_tracer(None)
-    return exit_code
+    with observing(
+        trace=args.trace,
+        metrics=args.metrics,
+        metrics_title="repro.check metrics",
+    ):
+        if args.replay:
+            return _replay(args.replay)
+        return _fuzz(args, oracles)
 
 
 def _fuzz(args, oracles) -> int:

@@ -55,6 +55,14 @@ __all__ = [
     "generate_case",
 ]
 
+#: Bounds on a random case, so exact analysis stays cheap: the protocol
+#: tree has at most ``_MAX_ALPHABET**_MAX_POSITIONS`` leaves and the
+#: joint input space at most ``_MAX_INPUT_VALUES**_MAX_PLAYERS`` tuples.
+_MAX_PLAYERS = 3
+_MAX_POSITIONS = 5
+_MAX_ALPHABET = 3
+_MAX_INPUT_VALUES = 3
+
 
 def derive_rng(*parts: Any) -> random.Random:
     """A ``random.Random`` seeded by hashing the given parts.
@@ -294,24 +302,13 @@ def _input_distribution(spec: CaseSpec) -> DiscreteDistribution:
     return DiscreteDistribution(weights, normalize=True)
 
 
-def random_spec(
-    rng: random.Random,
-    seed: int,
-    *,
-    max_players: int = 3,
-    max_positions: int = 5,
-    max_alphabet: int = 3,
-    max_input_values: int = 3,
-) -> CaseSpec:
-    """Draw a random :class:`CaseSpec` bounded so exact analysis stays
-    cheap (the protocol tree has at most ``max_alphabet**max_positions``
-    leaves and the joint input space at most
-    ``max_input_values**max_players`` tuples)."""
-    num_players = rng.randint(2, max_players)
-    positions = rng.randint(1, max_positions)
+def random_spec(rng: random.Random, seed: int) -> CaseSpec:
+    """Draw a random :class:`CaseSpec` within the ``_MAX_*`` bounds."""
+    num_players = rng.randint(2, _MAX_PLAYERS)
+    positions = rng.randint(1, _MAX_POSITIONS)
     speaking_order = tuple(rng.randrange(num_players) for _ in range(positions))
     codes = tuple(
-        random_prefix_code(rng, rng.randint(1, max_alphabet))
+        random_prefix_code(rng, rng.randint(1, _MAX_ALPHABET))
         for _ in range(positions)
     )
     halt_words: List[Optional[str]] = []
@@ -327,7 +324,7 @@ def random_spec(
         pos for pos in range(positions) if rng.random() < 0.2
     )
     input_space = tuple(
-        rng.randint(2, max_input_values) for _ in range(num_players)
+        rng.randint(2, _MAX_INPUT_VALUES) for _ in range(num_players)
     )
     return CaseSpec(
         seed=seed,

@@ -956,12 +956,7 @@ def networked_reference(
             transcript = board
             if bug == "drop-last-frame" and len(board) > 0:
                 transcript = Transcript(board.messages[:-1])
-            return ProtocolRun(
-                transcript=transcript,
-                output=output,
-                bits_communicated=transcript.bits_written,
-                rounds=len(transcript),
-            )
+            return ProtocolRun(transcript=transcript, output=output)
         if round_index == max_messages:
             break
         dist = protocol.message_distribution(
@@ -1141,12 +1136,7 @@ def byzantine_reference(
         (speaker,) = views
         if speaker is None:
             output = protocol.output(states[0], board)
-            return ProtocolRun(
-                transcript=board,
-                output=output,
-                bits_communicated=board.bits_written,
-                rounds=len(board),
-            )
+            return ProtocolRun(transcript=board, output=output)
         if round_index == max_messages:
             break
         dist = protocol.message_distribution(

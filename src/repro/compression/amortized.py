@@ -47,6 +47,10 @@ from .sampling import simulate_sampling_round
 
 __all__ = ["BatchRecord", "AmortizedReport", "compress_parallel_copies"]
 
+#: Super-rounds after which a run whose copies have not all halted
+#: raises.
+_MAX_SUPER_ROUNDS = 100_000
+
 
 @dataclass(frozen=True)
 class BatchRecord:
@@ -108,7 +112,6 @@ def compress_parallel_copies(
     rng: random.Random,
     *,
     inputs_per_copy: Optional[Sequence[Sequence[Any]]] = None,
-    max_super_rounds: int = 100_000,
 ) -> AmortizedReport:
     """Run one amortized compressed execution of ``copies`` independent
     instances of ``protocol``.
@@ -151,7 +154,7 @@ def compress_parallel_copies(
 
     batches: List[BatchRecord] = []
     super_round = 0
-    for super_round in range(1, max_super_rounds + 1):
+    for super_round in range(1, _MAX_SUPER_ROUNDS + 1):
         # Public grouping: each copy's next speaker is a function of its
         # board alone.
         groups: Dict[int, List[int]] = {}
@@ -215,7 +218,7 @@ def compress_parallel_copies(
                 copy.board = copy.board.extend(message)
     else:
         raise RuntimeError(
-            f"copies did not all halt within {max_super_rounds} super-rounds"
+            f"copies did not all halt within {_MAX_SUPER_ROUNDS} super-rounds"
         )
 
     outputs = tuple(

@@ -79,6 +79,14 @@ __all__ = [
     "cell_seed",
 ]
 
+#: Darts :func:`run_naive_dart_protocol` throws without a block limit
+#: before it gives up on the universe.
+_MAX_DARTS = 10_000_000
+
+#: Geometric block mass below which :func:`expected_round_cost`
+#: truncates its block series.
+_TAIL_EPSILON = 1e-12
+
 
 @dataclass(frozen=True)
 class SamplingCost:
@@ -206,7 +214,6 @@ def run_naive_dart_protocol(
     rng: random.Random,
     universe: Sequence[Any],
     *,
-    max_darts: int = 10_000_000,
     block_limit: Optional[int] = None,
     tracer: Optional[Tracer] = None,
 ) -> NaiveDartResult:
@@ -242,7 +249,7 @@ def run_naive_dart_protocol(
     # all because the block's darts are needed to build P'.
     darts: List[Tuple[Any, float]] = []
     accepted_index: Optional[int] = None
-    dart_budget = max_darts
+    dart_budget = _MAX_DARTS
     if block_limit is not None:
         dart_budget = min(dart_budget, block_limit * size)
     while accepted_index is None:
@@ -264,7 +271,7 @@ def run_naive_dart_protocol(
                     )
                 return result
             raise RuntimeError(
-                f"no dart under eta within {max_darts} darts; universe too "
+                f"no dart under eta within {_MAX_DARTS} darts; universe too "
                 "large for the naive path"
             )
         x = universe[rng.randrange(size)]
@@ -720,8 +727,6 @@ def expected_round_cost(
     eta: DiscreteDistribution,
     nu: DiscreteDistribution,
     universe: Sequence[Any],
-    *,
-    tail_epsilon: float = 1e-12,
 ) -> RoundCostMoments:
     """The exact mean and second moment of ``cost.total_bits`` for one
     (un-truncated) Lemma 7 round over ``universe``.
@@ -745,7 +750,7 @@ def expected_round_cost(
     :math:`|U| - m` darts after it with probability :math:`A_g / |U|` —
     so the rank width is a functional of two small binomials, enumerated
     exactly.  The block series is truncated once its remaining geometric
-    mass drops below ``tail_epsilon`` (each block contributes a factor
+    mass drops below :data:`_TAIL_EPSILON` (each block contributes a factor
     :math:`(1 - 1/|U|)^{|U|} \\le e^{-1}`, so ~30 blocks suffice).
     """
     universe = list(universe)
@@ -754,8 +759,6 @@ def expected_round_cost(
         raise ValueError("universe must be non-empty")
     if not set(eta.support()).issubset(set(universe)):
         raise ValueError("universe must cover the support of eta")
-    if not 0.0 < tail_epsilon < 1.0:
-        raise ValueError(f"tail_epsilon must lie in (0, 1), got {tail_epsilon!r}")
 
     p_accept = 1.0 / size
     q = 1.0 - p_accept
@@ -766,7 +769,7 @@ def expected_round_cost(
     block_second = 0.0
     b = 1
     tail = 1.0  # P[B >= b]
-    while tail > tail_epsilon:
+    while tail > _TAIL_EPSILON:
         p_block = tail * (1.0 - block_factor)
         bits = _block_bits(b)
         block_mean += p_block * bits
@@ -774,7 +777,7 @@ def expected_round_cost(
         tail *= block_factor
         b += 1
     # Charge the (provably tiny) truncated tail at the last block's cost
-    # so the moments remain a distribution's moments up to tail_epsilon.
+    # so the moments remain a distribution's moments up to _TAIL_EPSILON.
     if tail > 0.0:
         bits = _block_bits(b)
         block_mean += tail * bits

@@ -67,12 +67,16 @@ class ProtocolRun:
 
     transcript: Transcript
     output: Any
-    bits_communicated: int
-    rounds: int
 
-    def __post_init__(self) -> None:
-        if self.bits_communicated != self.transcript.bits_written:
-            raise ValueError("bits_communicated disagrees with transcript")
+    @property
+    def bits_communicated(self) -> int:
+        """Bits written to the board."""
+        return self.transcript.bits_written
+
+    @property
+    def rounds(self) -> int:
+        """Messages written (rounds of speech)."""
+        return len(self.transcript)
 
     @property
     def bits_by_link(self) -> Dict[Any, int]:
@@ -238,9 +242,4 @@ def _execute(
         reg.counter("runner_executions").inc(protocol=name)
         reg.counter("bits_written").inc(bits, protocol=name, players=k)
         reg.counter("runner_messages").inc(rounds, protocol=name)
-    return ProtocolRun(
-        transcript=board,
-        output=output,
-        bits_communicated=bits,
-        rounds=rounds,
-    )
+    return ProtocolRun(transcript=board, output=output)

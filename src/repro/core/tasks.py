@@ -33,6 +33,10 @@ __all__ = [
     "set_to_mask",
 ]
 
+#: Largest ``n * k`` whose bitmask domain (``2**(n*k)`` points) the
+#: disjointness and union tasks enumerate.
+_ENUMERABLE_LIMIT = 20
+
 
 @dataclass(frozen=True)
 class Task:
@@ -121,14 +125,14 @@ def set_to_mask(coordinates: Iterable[int], n: int) -> int:
     return mask
 
 
-def disjointness_task(n: int, k: int, *, enumerable_limit: int = 20) -> Task:
+def disjointness_task(n: int, k: int) -> Task:
     """:math:`\\mathrm{DISJ}_{n,k}` over integer-bitmask inputs.
 
     Output 1 iff :math:`\\bigcap_i X_i = \\emptyset`, matching the paper's
     :math:`\\mathrm{DISJ} = \\neg\\bigvee_j \\bigwedge_i X_i^j`.
 
     The domain enumeration is only provided when ``n * k`` is at most
-    ``enumerable_limit`` (the domain has ``2**(n*k)`` points).
+    :data:`_ENUMERABLE_LIMIT` (the domain has ``2**(n*k)`` points).
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
@@ -140,7 +144,7 @@ def disjointness_task(n: int, k: int, *, enumerable_limit: int = 20) -> Task:
         return int(intersection == 0)
 
     enumerate_inputs = None
-    if n * k <= enumerable_limit:
+    if n * k <= _ENUMERABLE_LIMIT:
         def enumerate_inputs() -> Iterator[Tuple[int, ...]]:
             return itertools.product(range(1 << n), repeat=k)
 
@@ -152,7 +156,7 @@ def disjointness_task(n: int, k: int, *, enumerable_limit: int = 20) -> Task:
     )
 
 
-def union_task(n: int, k: int, *, enumerable_limit: int = 20) -> Task:
+def union_task(n: int, k: int) -> Task:
     """Pointwise-OR over integer-bitmask inputs: the output is the union
     mask :math:`\\bigcup_i X_i` (coordinate ``j`` of the output is
     :math:`\\bigvee_i X_i^j`).
@@ -171,7 +175,7 @@ def union_task(n: int, k: int, *, enumerable_limit: int = 20) -> Task:
         return union
 
     enumerate_inputs = None
-    if n * k <= enumerable_limit:
+    if n * k <= _ENUMERABLE_LIMIT:
         def enumerate_inputs() -> Iterator[Tuple[int, ...]]:
             return itertools.product(range(1 << n), repeat=k)
 

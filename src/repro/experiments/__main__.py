@@ -23,12 +23,11 @@ Usage::
     # Result store (see docs/store.md): cold run computes and
     # checkpoints, warm re-run is pure cache hits, byte-identical:
     python -m repro.experiments E1 E2 E4 --store .store
-    REPRO_STORE=.store python -m repro.experiments all    # same, via env
-    python -m repro.experiments E1 --no-store             # force cold
 
-    # Fabric (see docs/fabric.md): warm the store over N sharded
+    # Fabric (see docs/fabric.md): fill the store over N sharded
     # workers first, then render the table from pure store hits:
-    python -m repro.experiments E1 --quick --store .store --fabric 3
+    python -m repro.fabric sweep E1 --quick --store .store --workers 3
+    python -m repro.experiments E1 --quick --store .store
 
 Each experiment prints its rendered table (the same table the benchmark
 harness writes to ``benchmarks/results/``).  With ``--trace`` every
@@ -43,10 +42,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import inspect
-import os
 import sys
 import time
 
+from ..obs import REGISTRY, enable_metrics, render_metrics
+from ..obs.harness import add_run_flags, add_sweep_flags, observing
 from . import ALL_EXPERIMENTS
 
 
@@ -73,30 +73,8 @@ def main(argv=None) -> int:
         metavar="DIR",
         help="also write each rendered table to DIR/<id>.txt",
     )
-    parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="stream structured trace events (runner messages, tree "
-             "enumeration, sampler rounds, ...) to FILE as JSONL",
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect runtime metrics and print a per-experiment "
-             "counters/timing table",
-    )
-    parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="live terminal dashboard for grid sweeps (cells done/total, "
-             "hit rate, throughput, fault counts, ETA) on stderr",
-    )
-    parser.add_argument(
-        "--telemetry",
-        metavar="FILE",
-        help="stream periodic sweep-telemetry snapshots to FILE as JSONL "
-             "(schema in docs/observability.md)",
-    )
+    add_run_flags(parser)
+    add_sweep_flags(parser)
     parser.add_argument(
         "--profile",
         metavar="FILE",
@@ -120,24 +98,6 @@ def main(argv=None) -> int:
         help="evaluate experiment grids with N worker processes "
              "(experiments that support it; -1 means one per CPU; "
              "tables are byte-identical to the serial run)",
-    )
-    parser.add_argument(
-        "--fabric",
-        type=int,
-        metavar="N",
-        default=None,
-        help="warm the store for each store-backed experiment over N "
-             "fabric workers, then render its table from the warm store "
-             "(requires --store; see docs/fabric.md); tables are "
-             "byte-identical to the serial run",
-    )
-    parser.add_argument(
-        "--fabric-transport",
-        choices=("loopback", "tcp"),
-        default=None,
-        help="fabric transport for --fabric: 'tcp' (the default) runs "
-             "real worker processes, 'loopback' a deterministic "
-             "in-process pool",
     )
     parser.add_argument(
         "--transport",
@@ -164,13 +124,7 @@ def main(argv=None) -> int:
         help="serve experiment grid cells from the content-addressed "
              "result store at DIR, checkpointing fresh cells into it "
              "(resumable sweeps; warm re-runs are pure cache hits and "
-             "byte-identical — see docs/store.md).  Defaults to the "
-             "REPRO_STORE environment variable when set",
-    )
-    parser.add_argument(
-        "--no-store",
-        action="store_true",
-        help="compute everything fresh, ignoring --store and REPRO_STORE",
+             "byte-identical — see docs/store.md)",
     )
     args = parser.parse_args(argv)
 
@@ -188,37 +142,11 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown experiment id(s): {', '.join(unknown)}")
 
-    # Observability is imported lazily so the plain path stays untouched.
-    from ..obs import REGISTRY, enable_metrics, render_metrics
-    from ..obs.harness import observing
-
     store = None
-    store_dir = args.store or os.environ.get("REPRO_STORE")
-    if store_dir and not args.no_store:
+    if args.store:
         from ..store import ResultStore
 
-        store = ResultStore(store_dir)
-    if args.fabric is not None:
-        # Fabric workers compute every cell with the canonical defaults
-        # (in-memory protocols, no faults) into the store, which is both
-        # their output and the table's input.
-        if store is None:
-            parser.error(
-                "--fabric requires a result store (--store DIR or "
-                "REPRO_STORE, without --no-store)"
-            )
-        for flag, value in (
-            ("--transport", args.transport),
-            ("--fault-seed", args.fault_seed),
-        ):
-            if value is not None:
-                parser.error(
-                    f"--fabric cannot be combined with {flag}: fabric "
-                    "workers compute with the in-memory transport and "
-                    "no faults"
-                )
-        from ..fabric.cells import SWEEPABLE_EXPERIMENTS, sweep_keys
-        from ..fabric.sweep import fabric_sweep
+        store = ResultStore(args.store)
 
     with observing(
         trace=args.trace,
@@ -258,15 +186,6 @@ def main(argv=None) -> int:
                 else contextlib.nullcontext()
             )
             with span:
-                if args.fabric is not None and (
-                    eid in SWEEPABLE_EXPERIMENTS
-                ):
-                    fabric_sweep(
-                        sweep_keys(eid, quick=args.quick),
-                        store=store,
-                        workers=args.fabric,
-                        transport=args.fabric_transport or "tcp",
-                    )
                 table = runner(**kwargs)
             elapsed = time.monotonic() - started
             if tracer:

@@ -4,8 +4,10 @@ Usage::
 
     # Shard an experiment's default grid across a worker pool, warming
     # the content-addressed store (cold cells computed, warm cells
-    # skipped; resumable after SIGKILL of anything):
+    # skipped; resumable after SIGKILL of anything), then render the
+    # table from pure store hits:
     python -m repro.fabric sweep E1 --quick --store .store --workers 3
+    python -m repro.experiments E1 --quick --store .store
     python -m repro.fabric sweep E2 --store .store --workers 4 \
         --transport loopback --fault-seed 7
 
@@ -25,10 +27,12 @@ Usage::
     # attach extra workers to a live coordinator):
     python -m repro.fabric worker --connect 127.0.0.1:9500 --store .store
 
-Observability mirrors ``python -m repro.experiments``: ``--trace`` for
-JSONL trace trees, ``--telemetry``/``--progress`` for sweep snapshots
-and the live dashboard, ``--metrics`` for the counters table (see
-docs/observability.md; the fabric counters are the ``fabric_*`` family).
+``sweep`` and ``serve`` take the observability flags of ``python -m
+repro.experiments`` (declared once in :mod:`repro.obs.harness`):
+``--trace`` for JSONL trace trees, ``--telemetry``/``--progress`` for
+sweep snapshots and the live dashboard, ``--metrics`` for the counters
+table (see docs/observability.md; the fabric counters are the
+``fabric_*`` family).
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import signal
 import sys
 import threading
 
+from ..obs.harness import add_run_flags, add_sweep_flags, observing
 from ..store.keys import ResultKey, code_version
 from ..store.store import ResultStore
 from .cells import SWEEPABLE_EXPERIMENTS, sweep_keys
@@ -46,30 +51,6 @@ from .scheduler import DEFAULT_MAX_ATTEMPTS
 from .service import FabricClient, ServerThread, load_test
 from .sweep import FABRIC_TRANSPORTS, fabric_sweep
 from .tcp import run_worker
-
-
-def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="stream structured trace events to FILE as JSONL",
-    )
-    parser.add_argument(
-        "--telemetry",
-        metavar="FILE",
-        help="stream periodic sweep-telemetry snapshots to FILE as JSONL",
-    )
-    parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="live terminal dashboard on stderr (cells done/total, hit "
-             "rate, throughput, fault counts, ETA)",
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect runtime metrics and print the counters table",
-    )
 
 
 def _parse_connect(value: str):
@@ -132,7 +113,8 @@ def main(argv=None) -> int:
              f"(default {DEFAULT_MAX_ATTEMPTS}; raise it to outlast an "
              "aggressive --fault-seed plan on a small grid)",
     )
-    _add_obs_arguments(sweep)
+    add_run_flags(sweep)
+    add_sweep_flags(sweep)
 
     serve = sub.add_parser(
         "serve", help="serve ResultKey lookups read-through on the store"
@@ -147,7 +129,8 @@ def main(argv=None) -> int:
         metavar="N",
         help="sharded-sweep pool size for cold keys",
     )
-    _add_obs_arguments(serve)
+    add_run_flags(serve)
+    add_sweep_flags(serve)
 
     get = sub.add_parser("get", help="look up one cell from a server")
     get.add_argument(
@@ -238,8 +221,6 @@ def main(argv=None) -> int:
         return 0
 
     # sweep / serve share the observability harness.
-    from ..obs.harness import observing
-
     with observing(
         trace=args.trace,
         metrics=args.metrics,

@@ -44,13 +44,12 @@ __all__ = [
     "WorkerCore",
     "key_to_wire",
     "key_from_wire",
-    "DEFAULT_MAX_INFLIGHT",
 ]
 
 #: Leases a worker may hold at once — the backpressure bound.  Two keeps
 #: a worker busy (one computing, one queued) without hoarding cells a
 #: faster peer could steal.
-DEFAULT_MAX_INFLIGHT = 2
+_MAX_INFLIGHT = 2
 
 
 def key_to_wire(key: ResultKey) -> Dict[str, Any]:
@@ -94,7 +93,6 @@ class CoordinatorCore:
         num_workers: int,
         lease_timeout: float = 8.0,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
     ) -> None:
         self.keys = list(keys)
         self.store = store
@@ -104,7 +102,6 @@ class CoordinatorCore:
             lease_timeout=lease_timeout,
             max_attempts=max_attempts,
         )
-        self.max_inflight = max_inflight
         self.results: Dict[int, bytes] = {}
         self._inflight: Dict[int, int] = {}
         self._cell_owner: Dict[int, int] = {}
@@ -220,7 +217,7 @@ class CoordinatorCore:
         if not self._registered.get(worker, False):
             return []
         leases: List[FabricFrame] = []
-        while self._inflight.get(worker, 0) < self.max_inflight:
+        while self._inflight.get(worker, 0) < _MAX_INFLIGHT:
             grant = self.scheduler.next_cell(worker, now)
             if grant is None:
                 break

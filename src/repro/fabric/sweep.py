@@ -8,9 +8,10 @@ pool.  Workers compute with the same pure cell functions
 (:mod:`repro.fabric.cells`), so the store entries are
 **byte-identical** to the serial path whichever transport computed
 them, and a sweep killed at any point (coordinator or worker, even
-SIGKILL) resumes from the store checkpoint.  ``python -m
-repro.experiments --fabric N`` warms the store this way and then runs
-the experiment against it, so every cell it reads is a hit.
+SIGKILL) resumes from the store checkpoint.  ``python -m repro.fabric
+sweep E --store DIR`` warms the store this way; ``python -m
+repro.experiments E --store DIR`` then renders the table from it, and
+every cell it reads is a hit.
 """
 
 from __future__ import annotations

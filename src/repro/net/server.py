@@ -108,12 +108,7 @@ class BlackboardServer:
                     f"party {party} computed a different output — "
                     f"determinism bug"
                 )
-        return ProtocolRun(
-            transcript=board,
-            output=output,
-            bits_communicated=board.bits_written,
-            rounds=len(board),
-        )
+        return ProtocolRun(transcript=board, output=output)
 
     # ------------------------------------------------------------------
     # Frame handling.

@@ -1,9 +1,11 @@
-"""The observability harness shared by ``python -m repro.experiments``
-and ``python -m repro.fabric``: their observability flags in, an
-installed tracer, telemetry sink and profiler out."""
+"""The observability harness shared by ``python -m repro.experiments``,
+``python -m repro.fabric`` and ``python -m repro.check``: the flags,
+declared once here, and :func:`observing`, which turns the parsed
+flags into an installed tracer, telemetry sink and profiler."""
 
 from __future__ import annotations
 
+import argparse
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
@@ -12,7 +14,40 @@ from .report import render_metrics
 from .telemetry import ProgressRenderer, TelemetrySink, using_telemetry
 from .trace import JsonlTracer, using_tracer
 
-__all__ = ["observing"]
+__all__ = ["add_run_flags", "add_sweep_flags", "observing"]
+
+
+def add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """Declare ``--trace`` and ``--metrics``."""
+    parser.add_argument(
+        "--trace",
+        metavar="FILE",
+        help="stream structured trace events (runner messages, tree "
+             "enumeration, sampler rounds, ...) to FILE as JSONL",
+    )
+    parser.add_argument(
+        "--metrics",
+        action="store_true",
+        help="collect runtime metrics and print the counters/timing "
+             "table",
+    )
+
+
+def add_sweep_flags(parser: argparse.ArgumentParser) -> None:
+    """Declare ``--progress`` and ``--telemetry``, the views of a grid
+    sweep."""
+    parser.add_argument(
+        "--progress",
+        action="store_true",
+        help="live terminal dashboard for grid sweeps (cells done/total, "
+             "hit rate, throughput, fault counts, ETA) on stderr",
+    )
+    parser.add_argument(
+        "--telemetry",
+        metavar="FILE",
+        help="stream periodic sweep-telemetry snapshots to FILE as JSONL "
+             "(schema in docs/observability.md)",
+    )
 
 
 @contextmanager

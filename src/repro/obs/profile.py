@@ -39,12 +39,16 @@ from .trace import Tracer, get_tracer
 
 __all__ = ["SamplingProfiler", "read_profile"]
 
+#: Application frames kept per sample.
+_STACK_LIMIT = 12
 
-def _app_stack(frame: Optional[FrameType], limit: int) -> List[str]:
-    """Innermost ``repro`` frames of ``frame``'s stack as
-    ``module:function`` strings, innermost first."""
+
+def _app_stack(frame: Optional[FrameType]) -> List[str]:
+    """Innermost ``repro`` frames of ``frame``'s stack (at most
+    :data:`_STACK_LIMIT`) as ``module:function`` strings, innermost
+    first."""
     stack: List[str] = []
-    while frame is not None and len(stack) < limit:
+    while frame is not None and len(stack) < _STACK_LIMIT:
         module = frame.f_globals.get("__name__", "")
         if module.startswith("repro.") and not module.startswith(
             "repro.obs"
@@ -69,8 +73,6 @@ class SamplingProfiler:
     tracer:
         The tracer whose open span path samples are attributed to;
         defaults to the process-wide tracer *at sample time*.
-    stack_limit:
-        Maximum application frames kept per sample.
     """
 
     def __init__(
@@ -80,7 +82,6 @@ class SamplingProfiler:
         hz: float = 97.0,
         seed: int = 0,
         tracer: Optional[Tracer] = None,
-        stack_limit: int = 12,
     ) -> None:
         if hz <= 0:
             raise ValueError(f"hz must be positive, got {hz!r}")
@@ -93,7 +94,6 @@ class SamplingProfiler:
         self._period = 1.0 / hz
         self._rng = random.Random(seed)
         self._tracer = tracer
-        self._stack_limit = stack_limit
         self._target_thread = threading.get_ident()
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -112,7 +112,7 @@ class SamplingProfiler:
         record = {
             "ts": time.perf_counter(),
             "spans": list(tracer.open_span_path()),
-            "stack": _app_stack(frame, self._stack_limit),
+            "stack": _app_stack(frame),
         }
         with self._lock:
             self._handle.write(json.dumps(record, separators=(",", ":")))

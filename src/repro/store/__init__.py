@@ -17,12 +17,13 @@ cell **once** and serves it forever after:
   resumable sweep wrapper: an interrupted grid resumes from the last
   finished cell and a warm re-run is pure cache hits, byte-identical to
   a cold one;
-* ``python -m repro.store`` — ``stats`` / ``verify`` / ``gc`` / ``warm``
+* ``python -m repro.store`` — ``stats`` / ``verify`` / ``gc``
   maintenance CLI.
 
 See ``docs/store.md`` for the key schema, the invalidation rules, and
 the eviction policy.  The experiment CLI wires the store in via
-``--store DIR`` (or the ``REPRO_STORE`` environment variable).
+``--store DIR``; ``python -m repro.fabric sweep E --store DIR`` fills it
+over a worker pool first.
 """
 
 from .keys import (

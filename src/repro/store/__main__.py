@@ -5,19 +5,20 @@ Usage::
     python -m repro.store stats  --dir .store
     python -m repro.store verify --dir .store [--delete]
     python -m repro.store gc     --dir .store --max-bytes 100000000
-    python -m repro.store warm   --dir .store E1 E2 E4   # or 'all'
 
 ``stats`` prints entry counts and sizes by experiment; ``verify``
 re-reads and checksums every entry (exit 1 if any is corrupt;
-``--delete`` reclaims them); ``gc`` evicts least-recently-used entries
-until the store fits the bound; ``warm`` runs experiment sweeps through
-the store so later runs (benchmarks, the experiment CLI, serving) are
-pure cache hits.
+``--delete`` reclaims them); ``gc`` sweeps orphaned temp files older
+than ``--tmp-max-age`` and evicts least-recently-used entries until the
+store fits the bound.  Filling a store is the experiment CLI's job
+(``python -m repro.experiments E --store DIR``) or, over a worker pool,
+the fabric's (``python -m repro.fabric sweep E --store DIR``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .store import DEFAULT_TMP_MAX_AGE_S, ResultStore
@@ -60,20 +61,6 @@ def main(argv=None) -> int:
              f"(default {DEFAULT_TMP_MAX_AGE_S:.0f}; 0 sweeps them all)",
     )
 
-    warm = sub.add_parser(
-        "warm", help="run experiment sweeps through the store"
-    )
-    add_dir(warm)
-    warm.add_argument(
-        "experiments", nargs="+",
-        help="experiment ids to warm (those that support the store), "
-             "or 'all'",
-    )
-    warm.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes for the underlying sweeps",
-    )
-
     args = parser.parse_args(argv)
     store = ResultStore(args.dir)
 
@@ -92,42 +79,16 @@ def main(argv=None) -> int:
             print(f"  {marker}: {path}")
         return 0 if report.ok else 1
 
-    if args.command == "gc":
-        swept = store.sweep_tmp(max_age_s=args.tmp_max_age)
-        evicted = store.gc(args.max_bytes)
-        if swept:
-            print(f"swept {len(swept)} orphaned tmp files")
-        print(
-            f"evicted {len(evicted)} entries; store now "
-            f"{store.total_bytes()} bytes"
-        )
-        return 0
-
-    # warm — import lazily so store maintenance never pays for the
-    # experiment stack.
-    from ..experiments import ALL_EXPERIMENTS
-    from ..experiments.__main__ import _experiment_order, _supports_kwarg
-
-    selected = args.experiments
-    if len(selected) == 1 and selected[0].lower() == "all":
-        selected = sorted(ALL_EXPERIMENTS, key=_experiment_order)
-    selected = [eid.upper() for eid in selected]
-    unknown = [eid for eid in selected if eid not in ALL_EXPERIMENTS]
-    if unknown:
-        parser.error(f"unknown experiment id(s): {', '.join(unknown)}")
-    warmed = 0
-    for eid in selected:
-        runner = ALL_EXPERIMENTS[eid]
-        if not _supports_kwarg(runner, "store"):
-            print(f"  {eid}: no store support, skipped")
-            continue
-        kwargs = {"store": store}
-        if args.workers is not None and _supports_kwarg(runner, "workers"):
-            kwargs["workers"] = args.workers
-        runner(**kwargs)
-        warmed += 1
-        print(f"  {eid}: warmed")
-    print(f"warmed {warmed} experiments; " + store.stats().render(), end="")
+    # gc: one sweep, at the user's age; it counts the orphans it took.
+    orphans = [orphan.path for orphan in store.tmp_files()]
+    evicted = store.gc(args.max_bytes, tmp_max_age_s=args.tmp_max_age)
+    swept = sum(not os.path.exists(path) for path in orphans)
+    if swept:
+        print(f"swept {swept} orphaned tmp files")
+    print(
+        f"evicted {len(evicted)} entries; store now "
+        f"{store.total_bytes()} bytes"
+    )
     return 0
 
 

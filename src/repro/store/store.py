@@ -47,7 +47,7 @@ Eviction
 --------
 The store is size-bounded via :meth:`ResultStore.gc`: entries are
 evicted least-recently-used first (access time is the file mtime, which
-``get`` refreshes) until the configured ``max_bytes`` is met.  Keys
+``get`` refreshes) until the given ``max_bytes`` is met.  Keys
 *touched this run* — read or written through this ``ResultStore``
 instance — are never evicted by its own ``gc``, so a sweep can safely
 garbage-collect mid-run without eating its own checkpoint.
@@ -270,13 +270,10 @@ class ResultStore:
     ----------
     root:
         Directory holding the store (created lazily on first ``put``).
-    max_bytes:
-        Default size bound for :meth:`gc` (``None`` = unbounded).
     """
 
-    def __init__(self, root: str, *, max_bytes: Optional[int] = None) -> None:
+    def __init__(self, root: str) -> None:
         self.root = os.path.abspath(root)
-        self.max_bytes = max_bytes
         #: Digests read or written through this instance — this run's
         #: working set, which :meth:`gc` refuses to evict.
         self._touched: set = set()
@@ -539,7 +536,7 @@ class ResultStore:
         tmp_max_age_s: float = DEFAULT_TMP_MAX_AGE_S,
     ) -> List[str]:
         """Evict least-recently-used entries until the store fits in
-        ``max_bytes`` (default: the constructor's bound).
+        ``max_bytes`` (``None``: no bound, evict nothing).
 
         Entries touched through this instance this run are *never*
         evicted — a sweep's own checkpoint is sacrosanct — so the bound
@@ -553,8 +550,7 @@ class ResultStore:
         anything a reader could want.
         """
         self.sweep_tmp(max_age_s=tmp_max_age_s)
-        bound = self.max_bytes if max_bytes is None else max_bytes
-        if bound is None:
+        if max_bytes is None:
             return []
         entries = sorted(
             self.entries(), key=lambda e: (e.mtime, e.digest)
@@ -563,7 +559,7 @@ class ResultStore:
         evicted: List[str] = []
         reg = REGISTRY if REGISTRY.enabled else None
         for entry in entries:
-            if total <= bound:
+            if total <= max_bytes:
                 break
             if entry.digest in self._touched:
                 continue

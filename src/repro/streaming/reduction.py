@@ -43,21 +43,14 @@ class StreamingSimulationProtocol(Protocol):
     Player inputs are integer bitmasks over ``[n]`` (the disjointness
     input format); each player streams its set's elements in increasing
     order.  The final player writes ``"1"`` iff the algorithm's output is
-    truthy; the protocol's output is the *complement* when
-    ``answer_is_disjoint`` (the frequency-``k`` event is "non-disjoint").
+    truthy; the protocol's output is its *complement*, the disjointness
+    answer (the frequency-``k`` event is "non-disjoint").
     """
 
-    def __init__(
-        self,
-        algorithm: StreamingAlgorithm,
-        k: int,
-        *,
-        answer_is_disjoint: bool = True,
-    ) -> None:
+    def __init__(self, algorithm: StreamingAlgorithm, k: int) -> None:
         super().__init__(k)
         self._algorithm = algorithm
         self._n = algorithm.universe_size
-        self._answer_is_disjoint = answer_is_disjoint
 
     @property
     def algorithm(self) -> StreamingAlgorithm:
@@ -101,9 +94,7 @@ class StreamingSimulationProtocol(Protocol):
         _count, _stream_state, answer = state
         if answer is None:
             raise ProtocolViolation("output requested before halting")
-        if self._answer_is_disjoint:
-            return 1 - answer
-        return answer
+        return 1 - answer
 
 
 def space_lower_bound(n: int, k: int, *, constant: float = 0.25) -> float:

@@ -156,7 +156,7 @@ class TestCLI:
         from repro.obs import REGISTRY, get_telemetry, read_telemetry
 
         path = tmp_path / "t.jsonl"
-        argv = ["E14", "--quick", "--no-store", "--progress"]
+        argv = ["E14", "--quick", "--progress"]
         assert main(argv + ["--telemetry", str(path)]) == 0
         captured = capsys.readouterr()
         assert "[E14]" in captured.out

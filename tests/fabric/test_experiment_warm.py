@@ -4,7 +4,8 @@ Each store-backed experiment declares its grids once
 (:class:`repro.store.sweep.SweepGrid`); :func:`repro.fabric.cells.
 sweep_keys` rebuilds their addresses.  A loopback fabric warm-up over
 the quick keys must leave every cell the experiment's quick run reads
-already in the store, and ``python -m repro.experiments --fabric N``
+already in the store, and the command pair ``python -m repro.fabric
+sweep E --store DIR`` then ``python -m repro.experiments E --store DIR``
 — warm first, then render from the store — must print the storeless
 table byte-for-byte.  ``--quick`` means the same quick grid to the
 renderer and to the warm-up, for every store-backed experiment.
@@ -15,6 +16,7 @@ import pytest
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.__main__ import main
 from repro.experiments.e2_and_information import DEFAULT_KS as E2_KS
+from repro.fabric.__main__ import main as fabric_main
 from repro.fabric.cells import SWEEPABLE_EXPERIMENTS, sweep_keys
 from repro.fabric.sweep import fabric_sweep
 from repro.obs import REGISTRY
@@ -47,18 +49,29 @@ def test_quick_run_reads_only_warm_cells(tmp_path, experiment):
     assert warm == runner(**kwargs).render()
 
 
+def fabric_warm(experiment, store):
+    """``python -m repro.fabric sweep E --quick`` over two loopback
+    workers."""
+    assert fabric_main([
+        "sweep", experiment, "--quick", "--store", str(store),
+        "--workers", "2", "--transport", "loopback",
+    ]) == 0
+
+
 class TestFabricFlag:
+    """The fabric warm-up and the render as two commands: ``python -m
+    repro.fabric sweep`` fills the store, ``python -m repro.experiments``
+    renders from it."""
+
     def test_cold_fabric_run_renders_the_storeless_table(
         self, tmp_path, capsys
     ):
-        assert main(
-            ["E1", "--quick", "--no-store", "--save", str(tmp_path / "a")]
-        ) == 0
+        assert main(["E1", "--quick", "--save", str(tmp_path / "a")]) == 0
         store = tmp_path / "store"
+        fabric_warm("E1", store)
         assert main([
-            "E1", "--quick", "--fabric", "2",
-            "--fabric-transport", "loopback",
-            "--store", str(store), "--save", str(tmp_path / "b"),
+            "E1", "--quick", "--store", str(store),
+            "--save", str(tmp_path / "b"),
         ]) == 0
         assert (tmp_path / "b" / "E1.txt").read_bytes() == (
             tmp_path / "a" / "E1.txt"
@@ -72,8 +85,7 @@ class TestFabricFlag:
         self, tmp_path, capsys, experiment
     ):
         assert main([
-            experiment, "--quick", "--no-store",
-            "--save", str(tmp_path / "cli"),
+            experiment, "--quick", "--save", str(tmp_path / "cli"),
         ]) == 0
         ALL_EXPERIMENTS[experiment](**QUICK_RUNS[experiment]).save(
             str(tmp_path / "direct")
@@ -85,54 +97,28 @@ class TestFabricFlag:
 
     @pytest.mark.parametrize("experiment", SWEEPABLE_EXPERIMENTS)
     def test_quick_fabric_render_has_no_store_miss(
-        self, tmp_path, monkeypatch, capsys, experiment
+        self, tmp_path, capsys, experiment
     ):
-        def warm_then_reset(*args, **kwargs):
-            result = fabric_sweep(*args, **kwargs)
-            REGISTRY.reset()  # count only the render's store reads
-            return result
-
-        monkeypatch.setattr(
-            "repro.fabric.sweep.fabric_sweep", warm_then_reset
-        )
+        store = tmp_path / "store"
+        fabric_warm(experiment, store)
+        # --metrics resets the registry per experiment, so the counters
+        # hold the render's store reads only.
         assert main([
-            experiment, "--quick", "--fabric", "2",
-            "--fabric-transport", "loopback",
-            "--store", str(tmp_path / "store"), "--metrics",
+            experiment, "--quick", "--store", str(store), "--metrics",
         ]) == 0
         assert REGISTRY.counter("store_misses").total() == 0
         assert REGISTRY.counter("store_hits").total() == len(
             sweep_keys(experiment, quick=True)
         )
 
-    @pytest.mark.parametrize("no_store_flag", [False, True])
-    def test_requires_a_store(self, tmp_path, monkeypatch, capsys,
-                              no_store_flag):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        argv = ["E1", "--quick", "--fabric", "2"]
-        if no_store_flag:
-            argv += ["--store", str(tmp_path), "--no-store"]
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert exit_info.value.code == 2
-        assert "requires a result store" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "flag",
-        [
-            ["--transport", "loopback"],
-            ["--fault-seed", "7"],
-        ],
-        ids=["transport", "fault-seed"],
-    )
-    def test_rejects_flags_fabric_workers_ignore(
-        self, tmp_path, capsys, flag
+    @pytest.mark.parametrize("experiment", ["E3", "E999"])
+    def test_sweep_refuses_experiments_without_a_store_grid(
+        self, tmp_path, capsys, experiment
     ):
         with pytest.raises(SystemExit) as exit_info:
-            main([
-                "E14", "--fabric", "2", "--store", str(tmp_path), *flag,
+            fabric_main([
+                "sweep", experiment, "--store", str(tmp_path / "store"),
             ])
         assert exit_info.value.code == 2
-        assert f"cannot be combined with {flag[0]}" in (
-            capsys.readouterr().err
-        )
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()

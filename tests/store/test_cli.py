@@ -2,8 +2,6 @@
 
 import os
 
-import pytest
-
 from repro.store import ResultKey, ResultStore
 from repro.store.__main__ import main
 
@@ -62,39 +60,3 @@ def test_gc_to_zero_empties_a_cold_store(tmp_path):
     populate(root)
     assert main(["gc", "--dir", root, "--max-bytes", "0"]) == 0
     assert ResultStore(root).stats().entries == 0
-
-
-def test_warm_rejects_unknown_experiment(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["warm", "--dir", str(tmp_path / "store"), "E999"])
-
-
-def test_warm_skips_experiments_without_store_support(tmp_path, capsys):
-    # E3 has no cacheable sweep; warm must say so and exit cleanly.
-    assert main(["warm", "--dir", str(tmp_path / "store"), "E3"]) == 0
-    out = capsys.readouterr().out
-    assert "no store support, skipped" in out
-    assert "warmed 0 experiments" in out
-
-
-def test_warm_populates_then_serves(tmp_path, capsys):
-    # E2's default grid is small enough to warm for real; afterwards the
-    # experiment runs entirely from the store.
-    from repro.experiments import e2_and_information as e2
-    from repro.obs import REGISTRY
-
-    root = str(tmp_path / "store")
-    assert main(["warm", "--dir", root, "e2"]) == 0
-    out = capsys.readouterr().out
-    assert "E2: warmed" in out
-
-    was = REGISTRY.enabled
-    REGISTRY.reset()
-    REGISTRY.enabled = True
-    try:
-        e2.run(store=ResultStore(root))
-        assert REGISTRY.counter("store_misses").total() == 0
-        assert REGISTRY.counter("store_hits").total() > 0
-    finally:
-        REGISTRY.enabled = was
-        REGISTRY.reset()

@@ -98,6 +98,24 @@ class TestSweeping:
         assert rc == 0
         assert "swept 1 orphaned tmp files" in capsys.readouterr().out
 
+    def test_cli_gc_sweeps_once_at_the_given_age(self, tmp_path, capsys):
+        # The store's own default gate (an hour) must not override the
+        # user's: an orphan younger than --tmp-max-age survives, an
+        # older one goes and is counted.
+        store = ResultStore(str(tmp_path / "store"))
+        young = _plant_orphan(store, name=".tmp-young", age_s=5000.0)
+        old = _plant_orphan(store, name=".tmp-old", age_s=9000.0)
+        rc = store_cli.main(
+            [
+                "gc", "--dir", store.root,
+                "--max-bytes", "100000000", "--tmp-max-age", "7200",
+            ]
+        )
+        assert rc == 0
+        assert os.path.exists(young)
+        assert not os.path.exists(old)
+        assert "swept 1 orphaned tmp files" in capsys.readouterr().out
+
 
 def test_sigkill_mid_put_leaves_a_recoverable_orphan(tmp_path):
     """The regression drill: a child process dies by SIGKILL *inside*

@@ -6,8 +6,9 @@
 # Runs from the repository root of a scratch copy: the stores, traces
 # and saved tables go to a temporary directory, but perfbench/run.py
 # writes its own results under perfbench/.  Surfaces: the experiments
-# CLI (default and quick grids; loopback, TCP, fault, store, --workers
-# and --fabric variants), the store, obs, fabric and check CLIs as CI
+# CLI (default and quick grids; loopback, TCP, fault, store and --workers
+# variants; renders of fabric-swept stores), the store, obs, fabric and
+# check CLIs as CI
 # runs them, the examples, and the three perfbench workloads.  Tests,
 # benchmarks/ and perfbench's pins are not surfaces.  Expect it to run
 # several times longer than the commands alone.
@@ -21,22 +22,24 @@ export PYTHONPATH="$ROOT/src"
 rec() { python "$ROOT/tools/reachability.py" run "$OUT" -- "$@" > /dev/null 2>&1 || echo "exit $?: $*" >&2; }
 X="python -m repro.experiments"
 
-rec $X all --no-store --save "$WORK/all"
-rec $X all --quick --no-store --save "$WORK/quick"
+rec $X all --save "$WORK/all"
+rec $X all --quick --save "$WORK/quick"
 rec $X all --quick --store "$WORK/store" --workers 2 --metrics --progress
 rec $X all --quick --store "$WORK/store" --metrics
 rec $X E1 --quick --transport loopback --fault-seed 7 --workers 2 \
     --trace "$WORK/net.jsonl" --telemetry "$WORK/net-tel.jsonl" --metrics
-rec $X E1 --quick --transport tcp --no-store
+rec $X E1 --quick --transport tcp
 rec $X E1 --quick --trace "$WORK/base.jsonl" --profile "$WORK/prof.jsonl" \
     --telemetry "$WORK/base-tel.jsonl"
-rec $X E1 E14 E16 --quick --fabric 2 --fabric-transport loopback \
-    --store "$WORK/fabric-cold"
-rec $X E1 E14 E16 --quick --fabric 2 --store "$WORK/fabric-tcp"
-# --fabric without a store exits 2 by design.
-python "$ROOT/tools/reachability.py" run "$OUT" -- $X E1 --quick --fabric 2 \
-    > /dev/null 2>&1
-rec $X E16 --quick --no-store --metrics
+for id in E1 E14 E16; do
+    rec python -m repro.fabric sweep $id --quick --workers 2 \
+        --transport loopback --store "$WORK/fabric-cold"
+    rec python -m repro.fabric sweep $id --quick --workers 2 \
+        --store "$WORK/fabric-tcp"
+done
+rec $X E1 E14 E16 --quick --store "$WORK/fabric-cold"
+rec $X E1 E14 E16 --quick --store "$WORK/fabric-tcp"
+rec $X E16 --quick --metrics
 rec python -m repro.store stats --dir "$WORK/store"
 rec python -m repro.store verify --dir "$WORK/store"
 rec python -m repro.store gc --dir "$WORK/store" --max-bytes 100000
