@@ -101,8 +101,6 @@ def test_branching_levels(lineage_bits, monkeypatch):
         monkeypatch.setattr(kernels, "_LINEAGE_BITS", lineage_bits)
     protocol = NoisySequentialAndProtocol(10, 0.125)
     inputs = list(itertools.product((0, 1), repeat=10))
-    reference = shared_walk_reference(protocol, inputs, max_messages=16)
-    leaves, *stats = kernels.tree_walk_sorted_leaves(
-        protocol, inputs, max_messages=16
-    )
+    reference = shared_walk_reference(protocol, inputs)
+    leaves, *stats = kernels.tree_walk_sorted_leaves(protocol, inputs)
     assert (leaves.rows(), *stats) == reference

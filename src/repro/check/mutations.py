@@ -51,7 +51,6 @@ from ..core.model import (
     ProtocolViolation,
     Transcript,
 )
-from ..core.tree import DEFAULT_MAX_MESSAGES
 from ..information.distribution import DiscreteDistribution, JointDistribution
 
 __all__ = [
@@ -194,7 +193,6 @@ def shared_walk_reference(
     protocol: Protocol,
     input_keys: Sequence[Tuple[Any, ...]],
     *,
-    max_messages: int = DEFAULT_MAX_MESSAGES,
     medium: Medium = BROADCAST,
 ) -> Tuple[Tuple[List[int], List[Transcript], List[float]], int, int, int]:
     """The dict-driven shared walk that ran the exact analyzer before
@@ -218,6 +216,7 @@ def shared_walk_reference(
     max_depth = 0
     k = protocol.num_players
     num_nodes = medium.num_nodes(k)
+    max_messages = protocol.max_messages
     root_groups: Groups = {key: (1.0, ()) for key in input_keys}
     stack: List[Tuple[Any, Transcript, Groups]] = [
         (protocol.initial_state(), EMPTY_TRANSCRIPT, root_groups)
@@ -909,7 +908,6 @@ def networked_reference(
     seed: Optional[int],
     *,
     bug: Optional[str] = None,
-    max_messages: int = 1_000_000,
 ):
     """A networked execution re-derived from first principles.
 
@@ -941,6 +939,7 @@ def networked_reference(
     from ..net.framing import Frame, FrameKind, decode_frame, encode_frame
 
     k = protocol.num_players
+    max_messages = protocol.max_messages
     replicas = [random.Random(seed) for _ in range(k)]
     states = [protocol.initial_state() for _ in range(k)]
     board = Transcript()
@@ -1013,7 +1012,6 @@ def byzantine_reference(
     *,
     f: int = 1,
     bug: Optional[str] = None,
-    max_messages: int = 1_000_000,
 ):
     """A Bracha-filtered networked execution re-derived independently.
 
@@ -1124,6 +1122,7 @@ def byzantine_reference(
             f"round {r}: no value reached the ready quorum at the target"
         )
 
+    max_messages = protocol.max_messages
     replicas = [random.Random(seed) for _ in range(k)]
     states = [protocol.initial_state() for _ in range(k)]
     board = Transcript()
@@ -1569,6 +1568,10 @@ class _ViewLeakProtocol:
     def num_players(self) -> int:
         return self._base.num_players
 
+    @property
+    def max_messages(self) -> int:
+        return self._base.max_messages
+
     def initial_state(self) -> Any:
         return self._base.initial_state()
 
@@ -1655,7 +1658,7 @@ def topology_run_reference(
     bits_by_link: Dict[Any, int] = {}
     previous_link: Any = None
     transcript = Transcript()
-    for _ in range(100_000):
+    while True:
         edge = protocol.next_edge(state, transcript)
         if edge is None:
             return {
@@ -1664,6 +1667,8 @@ def topology_run_reference(
                 "bits_communicated": bits_total,
                 "bits_by_link": bits_by_link,
             }
+        if len(transcript) == protocol.max_messages:
+            raise ProtocolViolation("reference runtime did not halt")
         speaker, link = edge
         speaker_input = inputs[speaker] if speaker < k else None
         dist = protocol.message_distribution(
@@ -1690,7 +1695,6 @@ def topology_run_reference(
         message = Message(speaker=speaker, bits=word, link=link)
         state = protocol.advance_state(state, message)
         transcript = transcript.extend(message)
-    raise ProtocolViolation("reference runtime did not halt")
 
 
 # ----------------------------------------------------------------------
@@ -1706,7 +1710,6 @@ def reference_sorted_leaves(
     *,
     codes: Any = None,
     span: int = 0,
-    max_messages: int,
     medium: Optional[Medium] = None,
 ) -> Tuple[Any, int, int, int]:
     """:func:`shared_walk_reference` behind the signature of
@@ -1720,7 +1723,6 @@ def reference_sorted_leaves(
     (counts, boards, probs), *stats = shared_walk_reference(
         protocol,
         input_keys,
-        max_messages=max_messages,
         medium=BROADCAST if medium is None else medium,
     )
     ids: Dict[Transcript, int] = {}

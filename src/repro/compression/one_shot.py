@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 from ..information.distribution import DiscreteDistribution
 from ..information.divergence import kl_divergence
-from ..core.model import Message, Protocol, Transcript
+from ..core.model import Message, Protocol, ProtocolViolation, Transcript
 from .sampling import SampledMessage, simulate_sampling_round
 
 __all__ = [
@@ -161,14 +161,14 @@ def compress_execution(
     input_dist: DiscreteDistribution,
     inputs: Sequence[Any],
     rng: random.Random,
-    *,
-    max_messages: int = 100_000,
 ) -> CompressedExecution:
     """Run one compressed execution of ``protocol`` on ``inputs``.
 
     ``input_dist`` is the public input distribution (over input tuples)
     from which the observer's prior is formed; ``inputs`` is the actual
-    input tuple, which must lie in its support.
+    input tuple, which must lie in its support.  A run may write
+    ``protocol.max_messages`` messages; one more raises
+    :class:`~repro.core.model.ProtocolViolation`, as in every engine.
     """
     protocol.validate_inputs(inputs)
     if tuple(inputs) not in input_dist:
@@ -177,12 +177,17 @@ def compress_execution(
     state = protocol.initial_state()
     board = Transcript()
     rounds: List[CompressedRound] = []
-    for _ in range(max_messages):
+    max_messages = protocol.max_messages
+    while True:
         speaker = protocol.next_speaker(state, board)
         if speaker is None:
             output = protocol.output(state, board)
             return CompressedExecution(
                 transcript=board, output=output, rounds=tuple(rounds)
+            )
+        if len(board) == max_messages:
+            raise ProtocolViolation(
+                f"protocol did not halt within {max_messages} messages"
             )
         eta = protocol.message_distribution(
             state, speaker, inputs[speaker], board
@@ -203,4 +208,3 @@ def compress_execution(
         message = Message(speaker=speaker, bits=sampled.value)
         state = protocol.advance_state(state, message)
         board = board.extend(message)
-    raise RuntimeError(f"protocol did not halt within {max_messages} messages")

@@ -77,8 +77,14 @@ __all__ = [
     "Medium",
     "BroadcastMedium",
     "BROADCAST",
+    "DEFAULT_MAX_MESSAGES",
     "check_prefix_free",
 ]
+
+#: The message bound of a protocol that declares none: every engine
+#: stops a run (or a root-to-leaf path of the walk) that would write one
+#: more message than this.
+DEFAULT_MAX_MESSAGES = 10_000
 
 
 class ProtocolViolation(RuntimeError):
@@ -304,6 +310,20 @@ class Protocol(abc.ABC):
     @property
     def num_players(self) -> int:
         return self._num_players
+
+    @property
+    def max_messages(self) -> int:
+        """The most messages any run writes, on any input and any coins.
+
+        Every engine (the runner, the tree walk, the networked parties,
+        the Lemma 7 compressor) reads this once per run or walk: a run
+        may write exactly this many messages, and one more raises
+        :class:`ProtocolViolation`, so a protocol that does not halt
+        fails the same way on every path.  A protocol whose count is
+        proven overrides this and states the proof; the default is the
+        ceiling :data:`DEFAULT_MAX_MESSAGES`.
+        """
+        return DEFAULT_MAX_MESSAGES
 
     # ------------------------------------------------------------------
     # Board-state folding.  The default keeps no state; protocols that

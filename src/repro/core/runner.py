@@ -11,11 +11,12 @@ large for exact tree enumeration, and behind every medium: the loop asks
 check_edge`, so the blackboard (the default) and the coordinator and
 graph media of :mod:`repro.topology` share one loop.
 
-A ``max_messages`` guard turns a non-halting protocol bug into an
-exception instead of a hang: a run may write exactly ``max_messages``
-messages, and asking for one more raises.  The guard is *atomic*:
-exhaustion raises :class:`~repro.core.model.ProtocolViolation` before
-any partial result becomes observable — no truncated
+The protocol's :attr:`~repro.core.model.Protocol.max_messages` bound
+turns a non-halting protocol bug into an exception instead of a hang: a
+run may write exactly that many messages, and asking for one more
+raises.  The guard is *atomic*: exhaustion raises
+:class:`~repro.core.model.ProtocolViolation` before any partial result
+becomes observable — no truncated
 :class:`ProtocolRun` is returned, no success counters
 (``runner_executions`` / ``bits_written`` / ``runner_messages``) are
 incremented, and no ``run_complete`` trace event is emitted
@@ -57,9 +58,6 @@ from .model import (
 
 __all__ = ["ProtocolRun", "run_protocol"]
 
-#: Default ceiling on the number of messages in a single execution.
-DEFAULT_MAX_MESSAGES = 10_000_000
-
 
 @dataclass(frozen=True)
 class ProtocolRun:
@@ -89,7 +87,6 @@ def run_protocol(
     inputs: Sequence[Any],
     *,
     rng: Optional[random.Random] = None,
-    max_messages: int = DEFAULT_MAX_MESSAGES,
     tracer: Optional[Tracer] = None,
     medium: Medium = BROADCAST,
 ) -> ProtocolRun:
@@ -98,7 +95,11 @@ def run_protocol(
     Parameters
     ----------
     protocol:
-        The protocol to run.
+        The protocol to run.  A run that would write more than its
+        :attr:`~repro.core.model.Protocol.max_messages` raises
+        :class:`ProtocolViolation` *before* any partial run, counter
+        increment, or ``run_complete`` event is observable (the
+        atomicity :class:`~repro.net.client.PartyClient` leans on).
     inputs:
         One private input per player; auxiliary medium nodes (ids
         ``>= num_players``) speak with ``player_input=None``.
@@ -106,11 +107,6 @@ def run_protocol(
         Source of the players' private randomness.  May be omitted for
         deterministic protocols; a randomized protocol raises
         :class:`ProtocolViolation` if it needs coins and none were given.
-    max_messages:
-        Safety ceiling on the messages written; a run that would write
-        one more raises :class:`ProtocolViolation` *before* any partial
-        run, counter increment, or ``run_complete`` event is observable
-        (the atomicity :class:`~repro.net.client.PartyClient` leans on).
     tracer:
         Structured-trace sink; ``None`` uses the process-wide default
         (a no-op unless one was installed via ``repro.obs``).  Tracing
@@ -136,17 +132,14 @@ def run_protocol(
             protocol=type(protocol).__name__,
             players=protocol.num_players,
         ):
-            return _execute(
-                protocol, inputs, rng, max_messages, tracer, medium
-            )
-    return _execute(protocol, inputs, rng, max_messages, tracer, medium)
+            return _execute(protocol, inputs, rng, tracer, medium)
+    return _execute(protocol, inputs, rng, tracer, medium)
 
 
 def _execute(
     protocol: Protocol,
     inputs: Sequence[Any],
     rng: Optional[random.Random],
-    max_messages: int,
     tracer: Tracer,
     medium: Medium,
 ) -> ProtocolRun:
@@ -178,6 +171,7 @@ def _execute(
     state = protocol.initial_state()
     bits = 0
     board = EMPTY_TRANSCRIPT
+    max_messages = protocol.max_messages
     for _ in range(max_messages):
         if next_speaker is not None:
             speaker = next_speaker(state, board)

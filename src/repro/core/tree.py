@@ -91,15 +91,10 @@ __all__ = [
     "population_joint",
 ]
 
-#: Default ceiling on messages along any root-to-leaf path of the tree.
-DEFAULT_MAX_MESSAGES = 100_000
-
-
 def transcript_distribution(
     protocol: Protocol,
     inputs: Sequence[Any],
     *,
-    max_messages: int = DEFAULT_MAX_MESSAGES,
     tracer: Optional[Tracer] = None,
     medium: Medium = BROADCAST,
 ) -> DiscreteDistribution:
@@ -115,7 +110,9 @@ def transcript_distribution(
     ``medium`` is the communication medium (default: the blackboard);
     every scheduled edge is checked with :meth:`~repro.core.model.
     Medium.check_edge`, so an enumeration doubles as a structural audit
-    of the transcripts it visits.
+    of the transcripts it visits.  A path longer than the protocol's
+    :attr:`~repro.core.model.Protocol.max_messages` raises
+    :class:`~repro.core.model.ProtocolViolation`, in every entry point.
 
     Observability: each call emits one ``tree_enumerated`` trace event
     summarizing the walk (nodes expanded, leaves, max depth) and feeds
@@ -131,7 +128,6 @@ def transcript_distribution(
         [tuple(inputs)],
         None,
         0,
-        max_messages=max_messages,
         medium=medium,
     )
     (law,) = _laws_from_rows(leaves)
@@ -152,7 +148,6 @@ def joint_transcript_distribution(
     inputs_of: Optional[Callable[[Any], Sequence[Any]]] = None,
     *,
     names: Optional[Sequence[str]] = None,
-    max_messages: int = DEFAULT_MAX_MESSAGES,
     tracer: Optional[Tracer] = None,
     medium: Medium = BROADCAST,
 ) -> JointDistribution:
@@ -214,7 +209,6 @@ def joint_transcript_distribution(
         protocol,
         population,
         names=names,
-        max_messages=max_messages,
         tracer=tracer,
         medium=medium,
     )
@@ -225,7 +219,6 @@ def population_joint(
     population: Any,
     *,
     names: Optional[Sequence[str]] = None,
-    max_messages: int = DEFAULT_MAX_MESSAGES,
     tracer: Optional[Tracer] = None,
     medium: Medium = BROADCAST,
 ) -> JointDistribution:
@@ -252,7 +245,6 @@ def population_joint(
         inputs,
         population.codes,
         population.span,
-        max_messages=max_messages,
         medium=medium,
     )
     full_names = None
@@ -305,7 +297,6 @@ def transcript_distributions(
         input_keys,
         None,
         0,
-        max_messages=DEFAULT_MAX_MESSAGES,
         medium=medium,
     )
     laws: Dict[Tuple[Any, ...], DiscreteDistribution] = {}
@@ -329,7 +320,6 @@ def _shared_walk(
     codes: Any,
     span: int,
     *,
-    max_messages: int,
     medium: Medium,
 ) -> Tuple[Any, int, int, int]:
     """The shared walk behind every entry point above, over distinct
@@ -370,7 +360,6 @@ def _shared_walk(
             input_keys,
             codes=codes,
             span=span,
-            max_messages=max_messages,
             medium=medium,
         )
     )

@@ -86,7 +86,10 @@ def main(argv=None) -> int:
     sweep.add_argument(
         "--quick",
         action="store_true",
-        help="sweep the classic (pre-extension) grid",
+        help="warm exactly the cells 'python -m repro.experiments E "
+             "--quick' renders: each experiment's quick grid (E1 and "
+             "E16: the classic pre-extension grid; E2, E4, E14: their "
+             "QUICK_KS)",
     )
     sweep.add_argument(
         "--fault-seed",

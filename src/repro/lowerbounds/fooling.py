@@ -138,6 +138,11 @@ class TruncatedAndProtocol(Protocol):
     def budget(self) -> int:
         return self._budget
 
+    @property
+    def max_messages(self) -> int:
+        """``budget``: players ``0..budget-1`` speak at most once each."""
+        return self._budget
+
     def initial_state(self) -> Any:
         return (0, False)
 

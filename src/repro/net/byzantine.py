@@ -114,14 +114,13 @@ def party_endpoint(
     *,
     seed: Optional[int],
     retry: RetryPolicy,
-    max_messages: int,
     byzantine: Optional[ByzantineConfig],
     tracer: Tracer,
 ) -> Union[PartyClient, "ByzantineParty"]:
     """One party's endpoint: its :class:`PartyClient`, behind a Bracha
     relay when ``byzantine`` is set."""
     client = PartyClient(protocol, party, private_input, seed=seed,
-                         retry=retry, max_messages=max_messages)
+                         retry=retry)
     if byzantine is None:
         return client
     relay = BrachaRelay(protocol.num_players, byzantine.f, party, tracer=tracer)

@@ -36,12 +36,14 @@ timeout grows geometrically and a party that exhausts
 never a hang.
 
 The hang guard mirrors :func:`~repro.core.runner.run_protocol` exactly:
-that runner documents that ``max_messages`` exhaustion raises *before*
-any partial :class:`~repro.core.runner.ProtocolRun` is observable, and
-the client leans on the same contract — it raises
+both read the protocol's declared bound,
+:attr:`~repro.core.model.Protocol.max_messages`.  That runner documents
+that exceeding it raises *before* any partial
+:class:`~repro.core.runner.ProtocolRun` is observable, and the client
+leans on the same contract — it raises
 :class:`~repro.core.model.ProtocolViolation` the moment the board would
-exceed ``max_messages``, so a non-halting protocol fails identically on
-both paths.
+exceed the bound, so a non-halting protocol fails identically on both
+paths, at its declared bound.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.model import Message, Protocol, ProtocolViolation, Transcript
-from ..core.runner import DEFAULT_MAX_MESSAGES
 from ..obs.metrics import REGISTRY
 from .errors import OrderViolationError, RetriesExhaustedError
 from .framing import Frame, FrameKind
@@ -110,7 +111,6 @@ class PartyClient:
         *,
         seed: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
-        max_messages: int = DEFAULT_MAX_MESSAGES,
     ) -> None:
         if not 0 <= party < protocol.num_players:
             raise ValueError(
@@ -122,7 +122,7 @@ class PartyClient:
         self._seed = seed
         self._rng = random.Random(seed) if seed is not None else None
         self.retry_policy = retry if retry is not None else RetryPolicy()
-        self._max_messages = max_messages
+        self._max_messages = protocol.max_messages
         self._board = Transcript()
         self._state = protocol.initial_state()
         #: Out-of-order broadcasts buffered until their round is next.

@@ -26,7 +26,7 @@ from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.model import Protocol
-from ..core.runner import DEFAULT_MAX_MESSAGES, ProtocolRun
+from ..core.runner import ProtocolRun
 from ..obs.trace import Tracer, get_tracer
 from .byzantine import ALL_PARTIES, SERVER, ByzantineConfig, check_run_args, party_endpoint
 from .client import RetryPolicy
@@ -53,7 +53,6 @@ class LoopbackRunner:
         seed: Optional[int] = None,
         faults: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
-        max_messages: int = DEFAULT_MAX_MESSAGES,
         max_steps: int = DEFAULT_MAX_STEPS,
         tracer: Optional[Tracer] = None,
         byzantine: Optional[ByzantineConfig] = None,
@@ -64,7 +63,6 @@ class LoopbackRunner:
         self._inputs = list(inputs)
         self._seed = seed
         self._retry = retry if retry is not None else RetryPolicy()
-        self._max_messages = max_messages
         self._max_steps = max_steps
         self._tracer = tracer if tracer is not None else get_tracer()
         self._injector = FaultInjector(faults) if faults is not None else None
@@ -153,8 +151,7 @@ class LoopbackRunner:
     def _spawn(self, party: int) -> None:
         endpoint = party_endpoint(
             self._protocol, party, self._inputs[party], seed=self._seed,
-            retry=self._retry, max_messages=self._max_messages,
-            byzantine=self._byzantine, tracer=self._tracer,
+            retry=self._retry, byzantine=self._byzantine, tracer=self._tracer,
         )
         self._endpoints[party] = endpoint
         if self._tracer:

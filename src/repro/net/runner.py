@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence, Union
 
 from ..core.model import Protocol
-from ..core.runner import DEFAULT_MAX_MESSAGES, ProtocolRun
+from ..core.runner import ProtocolRun
 from ..obs.trace import Tracer
 from .byzantine import ByzantineConfig, check_run_args
 from .client import RetryPolicy
@@ -41,7 +41,6 @@ def run_networked(
     transport: str = "loopback",
     faults: Optional[FaultPlan] = None,
     retry: Optional[RetryPolicy] = None,
-    max_messages: int = DEFAULT_MAX_MESSAGES,
     max_steps: int = DEFAULT_MAX_STEPS,
     timeout: float = 60.0,
     tracer: Optional[Tracer] = None,
@@ -53,7 +52,10 @@ def run_networked(
     ----------
     protocol:
         The (unmodified) protocol to run; the same object class
-        :func:`~repro.core.runner.run_protocol` executes.
+        :func:`~repro.core.runner.run_protocol` executes.  Its
+        ``max_messages`` is the same hang guard as ``run_protocol``'s —
+        exceeded, every party raises the identical
+        :class:`~repro.core.model.ProtocolViolation`.
     inputs:
         One private input per player; each party endpoint sees only its
         own.
@@ -70,9 +72,6 @@ def run_networked(
     retry:
         Per-party :class:`~repro.net.client.RetryPolicy`; defaults are
         transport-appropriate (scheduler steps vs seconds).
-    max_messages:
-        Same hang guard as ``run_protocol`` — exceeded, every party
-        raises the identical :class:`~repro.core.model.ProtocolViolation`.
     max_steps:
         Loopback scheduler budget
         (:class:`~repro.net.errors.NetTimeoutError` on exhaustion).
@@ -106,7 +105,6 @@ def run_networked(
             seed=seed,
             faults=faults,
             retry=retry,
-            max_messages=max_messages,
             max_steps=max_steps,
             tracer=tracer,
             byzantine=byzantine,
@@ -120,7 +118,6 @@ def run_networked(
             inputs,
             seed=seed,
             retry=retry,
-            max_messages=max_messages,
             timeout=timeout,
             tracer=tracer,
             byzantine=byzantine,

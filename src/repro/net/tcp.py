@@ -25,7 +25,7 @@ from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.model import Protocol
-from ..core.runner import DEFAULT_MAX_MESSAGES, ProtocolRun
+from ..core.runner import ProtocolRun
 from ..obs.trace import Tracer, get_tracer
 from .byzantine import ByzantineConfig, check_run_args, party_endpoint
 from .client import RetryPolicy
@@ -51,7 +51,6 @@ def run_tcp(
     *,
     seed: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
-    max_messages: int = DEFAULT_MAX_MESSAGES,
     timeout: float = 60.0,
     tracer: Optional[Tracer] = None,
     byzantine: Optional[ByzantineConfig] = None,
@@ -76,8 +75,8 @@ def run_tcp(
         tracer = get_tracer()
     return run_blocking(
         lambda: _run_async(
-            protocol, inputs, seed=seed, retry=retry,
-            max_messages=max_messages, tracer=tracer, byzantine=byzantine,
+            protocol, inputs, seed=seed, retry=retry, tracer=tracer,
+            byzantine=byzantine,
         ),
         timeout,
         entry="run_networked(transport='tcp')",
@@ -92,7 +91,6 @@ async def _run_async(
     *,
     seed: Optional[int],
     retry: RetryPolicy,
-    max_messages: int,
     tracer: Tracer,
     byzantine: Optional[ByzantineConfig] = None,
 ) -> ProtocolRun:
@@ -171,7 +169,7 @@ async def _run_async(
     async def party_task(party: int, parent_span: Optional[int]) -> Any:
         endpoint = party_endpoint(
             protocol, party, inputs[party], seed=seed, retry=retry,
-            max_messages=max_messages, byzantine=byzantine, tracer=tracer,
+            byzantine=byzantine, tracer=tracer,
         )
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
         # Connection lifetimes interleave inside one event loop, so

@@ -573,7 +573,6 @@ def tree_walk_sorted_leaves(
     *,
     codes: Any = None,
     span: int = 0,
-    max_messages: int,
     medium: Optional[Any] = None,
 ) -> Tuple[SortedLeaves, int, int, int]:
     """One shared level-synchronous walk of the protocol tree over a
@@ -619,7 +618,8 @@ def tree_walk_sorted_leaves(
     (``next_edge``, the speaker range check, ``medium.check_edge``, the
     message law with ``x[speaker]`` or ``None``, the
     ``p <= 0.0`` prune, the empty-message check, the interned message,
-    ``advance_state``, ``board.extend`` and the depth limit).  On AND's
+    ``advance_state``, ``board.extend`` and the depth limit, the
+    protocol's ``max_messages``).  On AND's
     truncated hard supports almost every node is of this kind: a prefix
     that already holds its last zero has one input under it.  The DFS
     pushes children in message order and pops them LIFO, so the
@@ -649,6 +649,7 @@ def tree_walk_sorted_leaves(
 
     m = len(input_keys)
     k = protocol.num_players
+    max_messages = protocol.max_messages
     num_nodes = medium.num_nodes(k)
     uncodable = "input tuples are ragged or have unhashable coordinates"
 

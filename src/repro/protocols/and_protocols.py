@@ -60,6 +60,11 @@ class SequentialAndProtocol(Protocol):
     def __init__(self, k: int) -> None:
         super().__init__(k)
 
+    @property
+    def max_messages(self) -> int:
+        """``k``: each player speaks at most once."""
+        return self._num_players
+
     # State: (number of messages, saw_zero flag).
     def initial_state(self) -> Any:
         return (0, False)
@@ -98,6 +103,11 @@ class FullBroadcastAndProtocol(Protocol):
 
     def __init__(self, k: int) -> None:
         super().__init__(k)
+
+    @property
+    def max_messages(self) -> int:
+        """``k``: each player speaks at most once."""
+        return self._num_players
 
     def initial_state(self) -> Any:
         return (0, True)
@@ -139,6 +149,11 @@ class NoisySequentialAndProtocol(Protocol):
                 f"flip_prob must lie in [0, 0.5), got {flip_prob!r}"
             )
         self._flip_prob = flip_prob
+
+    @property
+    def max_messages(self) -> int:
+        """``k``: each player speaks at most once."""
+        return self._num_players
 
     @property
     def flip_prob(self) -> float:

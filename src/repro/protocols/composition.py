@@ -51,6 +51,12 @@ class SequentialCompositionProtocol(Protocol):
     def copies(self) -> int:
         return self._copies
 
+    @property
+    def max_messages(self) -> int:
+        """``copies`` times the base bound: each copy is one run of
+        ``base``, and the next starts when it halts."""
+        return self._copies * self._base.max_messages
+
     # State: (copy index, base state of the running copy,
     #         tuple of finished copies' outputs, messages in current copy)
     def initial_state(self) -> Any:

@@ -123,6 +123,11 @@ class NaiveDisjointnessProtocol(Protocol):
     def universe_size(self) -> int:
         return self._n
 
+    @property
+    def max_messages(self) -> int:
+        """``k``: one cycle, each player speaks once."""
+        return self._num_players
+
     # State: (players spoken, covered-coordinates bitmask).
     def initial_state(self) -> Any:
         return (0, 0)

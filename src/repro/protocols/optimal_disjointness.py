@@ -80,6 +80,19 @@ class OptimalDisjointnessProtocol(Protocol):
     def universe_size(self) -> int:
         return self._n
 
+    @property
+    def max_messages(self) -> int:
+        """``k (n + 1)``, Theorem 2's cycle argument.
+
+        Players ``0..k-1`` speak in order, so a cycle is at most ``k``
+        messages.  A cycle in which nobody writes a new coordinate ends
+        the run with verdict 0, and so does the endgame cycle.  Every
+        cycle that lets the run go on therefore adds at least one of
+        the ``n`` coordinates to the board: at most ``n`` such cycles
+        plus the last one.
+        """
+        return self._num_players * (self._n + 1)
+
     # ------------------------------------------------------------------
     # Board-state folding
     # ------------------------------------------------------------------

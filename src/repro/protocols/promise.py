@@ -57,6 +57,11 @@ class PromiseUniqueIntersectionProtocol(Protocol):
     def universe_size(self) -> int:
         return self._n
 
+    @property
+    def max_messages(self) -> int:
+        """``2k``: ``k`` sizes, the holder's set and ``k - 1`` replies."""
+        return 2 * self._num_players
+
     # Phases (all derivable from the board):
     #   0 .. k-1        : size announcements
     #   k               : smallest-set holder publishes its set

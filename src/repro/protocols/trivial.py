@@ -30,6 +30,11 @@ class TrivialDisjointnessProtocol(Protocol):
     def universe_size(self) -> int:
         return self._n
 
+    @property
+    def max_messages(self) -> int:
+        """``k``: each player speaks once."""
+        return self._num_players
+
     # State: (players spoken, running AND of the masks written so far).
     def initial_state(self) -> Any:
         return (0, (1 << self._n) - 1)

@@ -51,6 +51,11 @@ class TwoPartyDisjointnessProtocol(Protocol):
             raise ValueError(f"need n >= 1, got {n}")
         self._n = n
 
+    @property
+    def max_messages(self) -> int:
+        """2: Alice's vector, then Bob's bit."""
+        return 2
+
     def initial_state(self) -> Any:
         return (0, None)  # (messages so far, Bob's answer bit)
 
@@ -105,6 +110,11 @@ class TwoPartySparseIntersectionProtocol(Protocol):
     @property
     def set_bound(self) -> int:
         return self._s
+
+    @property
+    def max_messages(self) -> int:
+        """2: Alice's set, then Bob's membership bits."""
+        return 2
 
     def initial_state(self) -> Any:
         return 0  # messages so far

@@ -77,6 +77,18 @@ class UnionProtocol(Protocol):
     def universe_size(self) -> int:
         return self._n
 
+    @property
+    def max_messages(self) -> int:
+        """``k (n + 2)``, Theorem 2's cycle argument.
+
+        Players ``0..k-1`` speak in order, so a cycle is at most ``k``
+        messages.  Batch cycles that stay in the batch phase each add at
+        least one coordinate (at most ``n`` of them); an all-pass batch
+        cycle drops to the endgame, and the endgame cycle ends the run:
+        at most ``n + 2`` cycles.
+        """
+        return self._num_players * (self._n + 2)
+
     # ------------------------------------------------------------------
     def initial_state(self) -> _BoardState:
         return _BoardState(

@@ -56,6 +56,11 @@ class StreamingSimulationProtocol(Protocol):
     def algorithm(self) -> StreamingAlgorithm:
         return self._algorithm
 
+    @property
+    def max_messages(self) -> int:
+        """``k``: each player speaks once."""
+        return self._num_players
+
     # State: (players spoken, decoded stream state or None, answer bit).
     def initial_state(self) -> Any:
         return (0, self._algorithm.initial_state(), None)

@@ -77,6 +77,11 @@ class CoordinatorTrivialDisjointness(MediumProtocol):
     def universe_size(self) -> int:
         return self._n
 
+    @property
+    def max_messages(self) -> int:
+        """``k``: each player speaks once."""
+        return self._num_players
+
     # state: (messages sent, running intersection mask)
     def initial_state(self) -> Any:
         return (0, (1 << self._n) - 1)
@@ -139,6 +144,12 @@ class CoordinatorDisjointnessProtocol(MediumProtocol):
     @property
     def universe_size(self) -> int:
         return self._n
+
+    @property
+    def max_messages(self) -> int:
+        """``2k - 1``: player 0's set, then a forward and a reply for
+        each of players ``1..k-1``."""
+        return 2 * self._num_players - 1
 
     # state: (messages sent, running intersection known to the hub).
     # Player replies carry the refined intersection, so folding them is
@@ -213,6 +224,11 @@ class CoordinatorAndProtocol(MediumProtocol):
         super().__init__(k)
         self._links = star_medium(k).links(k)
 
+    @property
+    def max_messages(self) -> int:
+        """``k``: each player is polled at most once."""
+        return self._num_players
+
     # state: (bits gathered, saw a zero)
     def initial_state(self) -> Any:
         return (0, False)
@@ -261,6 +277,11 @@ class RingTokenAndProtocol(MediumProtocol):
             raise ValueError(f"a ring needs at least 3 players, got {k}")
         super().__init__(k)
         self._links = ring_medium(k).links(k)
+
+    @property
+    def max_messages(self) -> int:
+        """``k``: the token makes one pass."""
+        return self._num_players
 
     # state: (round, token)
     def initial_state(self) -> Any:

@@ -12,7 +12,7 @@ import random
 from typing import Any, Optional, Sequence
 
 from ..core.model import Medium, Protocol
-from ..core.runner import DEFAULT_MAX_MESSAGES, ProtocolRun, run_protocol
+from ..core.runner import ProtocolRun, run_protocol
 from ..obs.trace import Tracer
 
 __all__ = ["run_on_medium"]
@@ -24,16 +24,10 @@ def run_on_medium(
     inputs: Sequence[Any],
     *,
     rng: Optional[random.Random] = None,
-    max_messages: int = DEFAULT_MAX_MESSAGES,
     tracer: Optional[Tracer] = None,
 ) -> ProtocolRun:
     """Execute ``protocol`` once on ``medium`` with the given inputs
     (one per player; auxiliary nodes receive ``None``)."""
     return run_protocol(
-        protocol,
-        inputs,
-        rng=rng,
-        max_messages=max_messages,
-        tracer=tracer,
-        medium=medium,
+        protocol, inputs, rng=rng, tracer=tracer, medium=medium
     )

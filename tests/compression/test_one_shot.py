@@ -12,6 +12,7 @@ from repro.compression import (
     compress_execution,
 )
 from repro.core import (
+    ProtocolViolation,
     Transcript,
     external_information_cost,
     run_protocol,
@@ -144,6 +145,27 @@ class TestCompressExecution:
         mu = DiscreteDistribution.point_mass((1, 1))
         with pytest.raises(ValueError, match="support"):
             compress_execution(p, mu, (0, 1), random.Random(0))
+
+    def test_run_past_the_declared_bound_is_a_protocol_violation(self):
+        """As in every engine: a run may write exactly the protocol's
+        ``max_messages``, and one more raises ``ProtocolViolation``
+        (a ``RuntimeError``, so older ``except RuntimeError`` callers
+        still catch it)."""
+
+        class OverBudgetAnd(FullBroadcastAndProtocol):
+            max_messages = 2
+
+        mu = uniform_bits(3)
+        with pytest.raises(
+            ProtocolViolation, match="did not halt within 2 messages"
+        ):
+            compress_execution(OverBudgetAnd(3), mu, (1, 1, 1),
+                               random.Random(0))
+        assert issubclass(ProtocolViolation, RuntimeError)
+        exact = compress_execution(
+            FullBroadcastAndProtocol(3), mu, (1, 1, 1), random.Random(0)
+        )
+        assert len(exact.transcript) == FullBroadcastAndProtocol(3).max_messages
 
     def test_sum_of_round_divergences_equals_ic_exactly(self):
         """For a deterministic protocol, averaging the per-round

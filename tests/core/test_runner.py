@@ -62,19 +62,11 @@ class TestRunProtocol:
         assert run.bits_communicated == 3
 
     def test_non_halting_protocol_detected(self):
-        p = FunctionalProtocol(
-            1,
-            next_speaker=lambda board: 0,   # never halts
-            message_distribution=lambda pl, x, board: (
-                DiscreteDistribution.point_mass("0")
-            ),
-            output=lambda board: None,
-        )
         with pytest.raises(ProtocolViolation, match="did not halt"):
-            run_protocol(p, (0,), max_messages=100)
+            run_protocol(_never_halts(100), (0,))
 
     def test_exhaustion_is_atomic(self):
-        """max_messages exhaustion leaves nothing partial behind: no
+        """Exceeding the declared bound leaves nothing partial behind: no
         success counters, no ``run_complete`` trace event — only the
         per-message events of the rounds that did execute.  The
         networked PartyClient's hang guard is built on this contract
@@ -86,21 +78,14 @@ class TestRunProtocol:
             enable_metrics,
         )
 
-        p = FunctionalProtocol(
-            1,
-            next_speaker=lambda board: 0,   # never halts
-            message_distribution=lambda pl, x, board: (
-                DiscreteDistribution.point_mass("0")
-            ),
-            output=lambda board: None,
-        )
+        p = _never_halts(25)
         tracer = RecordingTracer()
         enable_metrics(reset=True)
         try:
             with pytest.raises(
                 ProtocolViolation, match="did not halt within 25 messages"
             ):
-                run_protocol(p, (0,), max_messages=25, tracer=tracer)
+                run_protocol(p, (0,), tracer=tracer)
             assert REGISTRY.counter("runner_executions").total() == 0
             assert REGISTRY.counter("bits_written").total() == 0
             assert REGISTRY.counter("runner_messages").total() == 0
@@ -132,6 +117,22 @@ class TestRunProtocol:
         )
         with pytest.raises(ProtocolViolation, match="empty"):
             run_protocol(p, (0,))
+
+
+def _never_halts(bound):
+    """One player writing "0" forever, declaring ``bound`` messages."""
+
+    class NeverHalts(FunctionalProtocol):
+        max_messages = bound
+
+    return NeverHalts(
+        1,
+        next_speaker=lambda board: 0,
+        message_distribution=lambda pl, x, board: (
+            DiscreteDistribution.point_mass("0")
+        ),
+        output=lambda board: None,
+    )
 
 
 class _OneShot(Protocol):

@@ -56,7 +56,10 @@ class TestTranscriptDistribution:
             assert abs(empirical - prob) < 0.05
 
     def test_non_halting_detected(self):
-        p = FunctionalProtocol(
+        class NeverHalts(FunctionalProtocol):
+            max_messages = 50
+
+        p = NeverHalts(
             1,
             next_speaker=lambda board: 0,
             message_distribution=lambda pl, x, b: (
@@ -65,7 +68,7 @@ class TestTranscriptDistribution:
             output=lambda board: None,
         )
         with pytest.raises(ProtocolViolation):
-            transcript_distribution(p, (0,), max_messages=50)
+            transcript_distribution(p, (0,))
 
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 10_000))

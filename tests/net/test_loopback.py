@@ -37,7 +37,10 @@ from repro.protocols import (
 
 
 class NeverHaltsProtocol(Protocol):
-    """Player 0 writes '0' forever — the hang-guard test subject."""
+    """Player 0 writes '0' forever — the hang-guard test subject, with a
+    declared bound of 16 messages."""
+
+    max_messages = 16
 
     def __init__(self) -> None:
         super().__init__(2)
@@ -108,42 +111,46 @@ class TestBitIdentity:
 
 class TestGuards:
     def test_hang_guard_matches_run_protocol(self):
-        """max_messages exhaustion raises the *same* ProtocolViolation as
-        the in-memory runner, before any partial result is observable."""
+        """Exceeding the declared bound raises the *same*
+        ProtocolViolation as the in-memory runner, before any partial
+        result is observable."""
         protocol = NeverHaltsProtocol()
         with pytest.raises(
             ProtocolViolation, match="did not halt within 16 messages"
         ) as in_memory:
-            run_protocol(protocol, (0, 0), max_messages=16)
+            run_protocol(protocol, (0, 0))
         with pytest.raises(
             ProtocolViolation, match="did not halt within 16 messages"
         ) as networked:
-            run_networked(NeverHaltsProtocol(), (0, 0), max_messages=16)
+            run_networked(NeverHaltsProtocol(), (0, 0))
         assert str(networked.value) == str(in_memory.value)
 
     @pytest.mark.parametrize(
-        "protocol, inputs",
+        "cls, args, inputs",
         [
-            (NaiveDisjointnessProtocol(8, 2), (0b11110000, 0b00001111)),
-            (OptimalDisjointnessProtocol(64, 4),
+            (NaiveDisjointnessProtocol, (8, 2), (0b11110000, 0b00001111)),
+            (OptimalDisjointnessProtocol, (64, 4),
              (2**64 - 2, 2**64 - 3, 2**64 - 5, 7)),
         ],
         ids=["naive", "optimal"],
     )
-    def test_exact_budget_is_enough(self, protocol, inputs):
-        """Both runners accept a run of exactly ``max_messages``
+    def test_exact_budget_is_enough(self, cls, args, inputs):
+        """Both runners accept a run of exactly its declared bound of
         messages and reject one that needs one more, with one text."""
-        rounds = run_protocol(protocol, inputs).rounds
-        in_memory = run_protocol(protocol, inputs, max_messages=rounds)
-        networked = run_networked(
-            protocol, inputs, max_messages=rounds, transport="loopback"
-        )
+        rounds = run_protocol(cls(*args), inputs).rounds
+
+        def declaring(bound):
+            return type(cls.__name__, (cls,), {"max_messages": bound})(*args)
+
+        protocol = declaring(rounds)
+        in_memory = run_protocol(protocol, inputs)
+        networked = run_networked(protocol, inputs, transport="loopback")
         assert in_memory.rounds == networked.rounds == rounds
         assert networked.transcript == in_memory.transcript
         errors = []
         for run in (run_protocol, run_networked):
             with pytest.raises(ProtocolViolation) as info:
-                run(protocol, inputs, max_messages=rounds - 1)
+                run(declaring(rounds - 1), inputs)
             errors.append(str(info.value))
         assert errors == [
             f"protocol did not halt within {rounds - 1} messages"

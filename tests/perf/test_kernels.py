@@ -245,6 +245,10 @@ class PhasedBitProtocol(Protocol):
         self._phases = phases
         self._speakers = tuple(range(k)) if speakers is None else speakers
 
+    @property
+    def max_messages(self):
+        return len(self._phases)
+
     def initial_state(self):
         return 0
 
@@ -283,15 +287,22 @@ class PhasedHubProtocol(PhasedBitProtocol):
         return (speaker, Link(speaker if speaker < k else state % k, k))
 
 
+class OverBudgetAnd(FullBroadcastAndProtocol):
+    """Full-broadcast AND declaring one message fewer than it writes."""
+
+    @property
+    def max_messages(self):
+        return self.num_players - 1
+
+
 WALKS = (mutations.shared_walk_reference, kernels.tree_walk_sorted_leaves)
 
 
-def assert_walks_identical(protocol, inputs, *, max_messages=64, **kwargs):
+def assert_walks_identical(protocol, inputs, **kwargs):
     """Counts, boards, every probability's ``float.hex`` and the walk
     statistics of the reference and the engine walk agree."""
     (rows, *legacy_stats), (leaves, *stats) = [
-        walk(protocol, inputs, max_messages=max_messages, **kwargs)
-        for walk in WALKS
+        walk(protocol, inputs, **kwargs) for walk in WALKS
     ]
     counts, boards, probs = leaves.rows()
     assert counts == rows[0]
@@ -379,34 +390,32 @@ class TestOneInputSubtrees:
         assert_walks_identical(protocol, [(1, 0, 1)], medium=COORDINATOR)
 
     @pytest.mark.parametrize(
-        "protocol, inputs, max_messages",
+        "protocol, inputs",
         [
             pytest.param(
-                FullBroadcastAndProtocol(6),
+                OverBudgetAnd(6),
                 list(itertools.product((0, 1), repeat=6)),
-                5,
                 id="max-messages",
             ),
             pytest.param(
                 PhasedBitProtocol(3, "rrrne"),
                 list(itertools.product((0, 1), repeat=3)),
-                64,
                 id="empty-message",
             ),
         ],
     )
-    def test_violations_inside_subtrees(self, protocol, inputs, max_messages):
+    def test_violations_inside_subtrees(self, protocol, inputs):
         # Every node at the offending depth holds one input.
         errors = []
         for walk in WALKS:
             with pytest.raises(ProtocolViolation) as info:
-                walk(protocol, inputs, max_messages=max_messages)
+                walk(protocol, inputs)
             errors.append(str(info.value))
         assert errors[0] == errors[1]
         assert errors[0] in (
             "protocols may not write empty messages",
-            f"protocol exceeded {max_messages} messages during exact "
-            "enumeration",
+            f"protocol exceeded {protocol.max_messages} messages during "
+            "exact enumeration",
         )
 
 
@@ -452,31 +461,30 @@ class TestOneInputWalk:
             assert law_rows(vectorized) == law_rows(legacy)
 
     @pytest.mark.parametrize(
-        "protocol, inputs, max_messages, message",
+        "protocol, inputs, message",
         [
             pytest.param(
-                FullBroadcastAndProtocol(6), (1,) * 6, 5,
+                OverBudgetAnd(6), (1,) * 6,
                 "protocol exceeded 5 messages during exact enumeration",
                 id="max-messages",
             ),
             pytest.param(
-                PhasedBitProtocol(3, "rrrne"), (1, 0, 1), 64,
+                PhasedBitProtocol(3, "rrrne"), (1, 0, 1),
                 "protocols may not write empty messages",
                 id="empty-message",
             ),
             pytest.param(
-                BadSpeakerProtocol(3), (1, 1, 1), 64,
+                BadSpeakerProtocol(3), (1, 1, 1),
                 "next_edge returned invalid player 8",
                 id="invalid-speaker",
             ),
         ],
     )
-    def test_violation_texts(self, under, protocol, inputs, max_messages,
-                             message):
+    def test_violation_texts(self, under, protocol, inputs, message):
         for kernel in ("legacy", "vectorized"):
             with pytest.raises(ProtocolViolation) as info:
                 under(kernel, lambda: transcript_distribution(
-                    protocol, inputs, max_messages=max_messages
+                    protocol, inputs
                 ))
             assert str(info.value) == message
 

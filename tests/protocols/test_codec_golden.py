@@ -11,7 +11,9 @@ The instance mix covers both input families (disjoint and
 intersecting; for the union, dense and sparse element sets), the
 batch phase (``n >= k^2``), the endgame-only regime (``n < k^2``) and
 all-pass cycles; ``test_regimes_are_covered`` checks that the mix
-really reaches each of them.
+really reaches each of them.  Every run stops at the protocol's
+declared ``max_messages``, so a codec bug that stops the protocol from
+halting fails fast with ``ProtocolViolation``.
 """
 
 import hashlib
@@ -62,39 +64,6 @@ GOLDEN = {
 }
 
 
-def _max_messages(name, n, k):
-    """The proven message bound of ``name`` on ``n`` coordinates and
-    ``k`` players, passed to every run so a codec bug that stops the
-    protocol from halting fails fast with ``ProtocolViolation``.
-
-    Each protocol speaks in cycles of at most ``k`` messages (players
-    ``0..k-1`` in order).
-
-    * naive: one cycle, so at most ``k`` messages.
-    * optimal (Section 5): a cycle in which nobody writes a new
-      coordinate ends the run with verdict 0, and so does the endgame
-      cycle.  Every cycle that lets the run go on therefore adds at
-      least one of the ``n`` coordinates to the board: at most ``n``
-      such cycles plus the last one, ``k (n + 1)`` messages.
-    * union: batch cycles that stay in the batch phase each add at
-      least one coordinate (at most ``n`` of them); an all-pass batch
-      cycle drops to the endgame, and the endgame cycle ends the run:
-      at most ``n + 2`` cycles, ``k (n + 2)`` messages.
-    """
-    cycles = {"naive": 1, "optimal": n + 1, "union": n + 2}[name]
-    return k * cycles
-
-
-def _run(name, protocol, inputs):
-    return run_protocol(
-        protocol,
-        inputs,
-        max_messages=_max_messages(
-            name, protocol.universe_size, protocol.num_players
-        ),
-    )
-
-
 def _instances(n, k):
     """Seeded ``k``-tuples of ``n``-bit masks: a disjoint and an
     intersecting draw at each one-density, plus the partition input
@@ -137,7 +106,7 @@ def _digest(name, n):
     for k in KS:
         protocol = PROTOCOLS[name](n, k)
         for inputs in _instances(n, k):
-            hasher.update(_record(_run(name, protocol, inputs)).encode())
+            hasher.update(_record(run_protocol(protocol, inputs)).encode())
             hasher.update(b"\n")
     return hasher.hexdigest()
 
@@ -173,7 +142,7 @@ def test_regimes_are_covered():
         for k in KS:
             for inputs in _instances(n, k):
                 optimal = OptimalDisjointnessProtocol(n, k)
-                run = _run("optimal", optimal, inputs)
+                run = run_protocol(optimal, inputs)
                 seen.add(("optimal-output", run.output))
                 states = _states(optimal, run)
                 for before, message in zip(states, run.transcript):
@@ -185,7 +154,7 @@ def test_regimes_are_covered():
                     seen.add(("optimal", "all-pass"))
 
                 union = UnionProtocol(n, k)
-                states = _states(union, _run("union", union, inputs))
+                states = _states(union, run_protocol(union, inputs))
                 for before, after in zip(states, states[1:]):
                     if (
                         after.endgame and not before.endgame
@@ -198,7 +167,7 @@ def test_regimes_are_covered():
                         seen.add(("union", "batch", "write"))
 
                 naive = NaiveDisjointnessProtocol(n, k)
-                seen.add(("naive-output", _run("naive", naive, inputs).output))
+                seen.add(("naive-output", run_protocol(naive, inputs).output))
     assert seen >= {
         ("optimal-output", 0), ("optimal-output", 1),
         ("naive-output", 0), ("naive-output", 1),

@@ -92,3 +92,12 @@ def test_shared_flags_print_one_help_text(flag, capsys, monkeypatch):
     assert experiments and experiments == sweep == serve
     if flag in ("--trace", "--metrics"):
         assert _flag_help(_help(check_main, [], capsys), flag) == experiments
+
+
+def test_quick_sweep_help_names_what_it_warms(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    sweep = _flag_help(_help(fabric_main, ["sweep"], capsys), "--quick")
+    assert sweep.startswith(
+        "warm exactly the cells 'python -m repro.experiments E --quick' "
+        "renders"
+    )
