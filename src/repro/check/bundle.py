@@ -105,18 +105,16 @@ def replay_bundle(
     path: str,
     *,
     oracles: Optional[Sequence[Oracle]] = None,
-    shrunk: bool = True,
 ) -> List[OracleResult]:
-    """Rebuild a bundle's case and re-run its failing oracles.
+    """Rebuild a bundle's minimized witness and re-run its failing
+    oracles.
 
-    ``shrunk`` selects the minimized witness (default) or the original
-    case.  If ``oracles`` is not given, the bundle's own failing-oracle
-    names are used (falling back to the full inventory when the bundle
-    lists none).
+    If ``oracles`` is not given, the bundle's own failing-oracle names
+    are used (falling back to the full inventory when the bundle lists
+    none).
     """
     bundle = load_bundle(path)
-    spec = bundle.shrunk_spec if shrunk else bundle.spec
-    case = case_from_spec(spec, index=bundle.case_index)
+    case = case_from_spec(bundle.shrunk_spec, index=bundle.case_index)
     if oracles is None:
         names = bundle.failing_oracles
         oracles = (

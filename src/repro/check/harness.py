@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import REGISTRY
-from ..obs.trace import Tracer, get_tracer
+from ..obs.trace import get_tracer
 from .bundle import ReproBundle, write_bundle
 from .generator import GeneratedCase, generate_case
 from .oracles import ALL_ORACLES, Oracle, OracleResult
@@ -68,12 +68,9 @@ def run_case(
     case: GeneratedCase,
     *,
     oracles: Sequence[Oracle] = ALL_ORACLES,
-    tracer: Optional[Tracer] = None,
 ) -> CaseReport:
     """Run the oracle inventory on one case (stopping at nothing: every
     oracle reports, so a bundle shows the full failure signature)."""
-    if tracer is None:
-        tracer = get_tracer()
     reg = REGISTRY if REGISTRY.enabled else None
     results: List[OracleResult] = []
     for oracle in oracles:
@@ -93,6 +90,7 @@ def run_case(
             if not result.ok:
                 reg.counter("check_failures").inc(oracle=oracle.name)
     report = CaseReport(case=case, results=tuple(results))
+    tracer = get_tracer()
     if tracer:
         tracer.event(
             "check_case",
@@ -127,7 +125,6 @@ def run_suite(
     bundle_dir: Optional[str] = None,
     max_seconds: Optional[float] = None,
     shrink: bool = True,
-    tracer: Optional[Tracer] = None,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> SuiteReport:
     """Generate and check ``cases`` cases from the seeded stream.
@@ -140,8 +137,7 @@ def run_suite(
     """
     if cases < 0:
         raise ValueError(f"cases must be >= 0, got {cases}")
-    if tracer is None:
-        tracer = get_tracer()
+    tracer = get_tracer()
     started = time.monotonic()
     failures: List[CaseReport] = []
     bundle_paths: List[str] = []
@@ -156,7 +152,7 @@ def run_suite(
                 budget_exhausted = True
                 break
             case = generate_case(master_seed, index)
-            report = run_case(case, oracles=oracles, tracer=tracer)
+            report = run_case(case, oracles=oracles)
             cases_run += 1
             if not report.ok:
                 failures.append(report)

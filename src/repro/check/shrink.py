@@ -36,7 +36,7 @@ __all__ = ["shrink_case", "shrink_candidates"]
 
 #: Ceiling on accepted reductions (a spec's complexity strictly drops on
 #: every accepted step, so this is a backstop, not a tuning knob).
-DEFAULT_MAX_STEPS = 200
+MAX_STEPS = 200
 
 
 def shrink_candidates(spec: CaseSpec) -> Iterator[CaseSpec]:
@@ -92,8 +92,6 @@ def shrink_candidates(spec: CaseSpec) -> Iterator[CaseSpec]:
 def shrink_case(
     case: GeneratedCase,
     still_fails: Callable[[GeneratedCase], bool],
-    *,
-    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> GeneratedCase:
     """Greedily minimize ``case`` while ``still_fails`` holds.
 
@@ -103,7 +101,7 @@ def shrink_case(
     arguably a better one).
     """
     current = case
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         reduced: Optional[GeneratedCase] = None
         for candidate_spec in shrink_candidates(current.spec):
             if candidate_spec.complexity() >= current.spec.complexity():

@@ -87,6 +87,9 @@ _MAX_DARTS = 10_000_000
 #: truncates its block series.
 _TAIL_EPSILON = 1e-12
 
+#: The additive constant of :func:`lemma7_cost_bound`'s concrete curve.
+LEMMA7_CONSTANT = 8.0
+
 
 @dataclass(frozen=True)
 class SamplingCost:
@@ -157,12 +160,13 @@ def _ratio_bits(s: int) -> int:
     return elias_gamma_length(zigzag_encode(s) + 1)
 
 
-def lemma7_cost_bound(divergence: float, *, constant: float = 8.0) -> float:
+def lemma7_cost_bound(divergence: float) -> float:
     """The Lemma 7 guarantee :math:`D + O(\\log(D + 1))` as a concrete
-    curve ``D + 2*log2(D + 2) + constant`` used by tests/benchmarks."""
+    curve ``D + 2*log2(D + 2) + LEMMA7_CONSTANT`` used by
+    tests/benchmarks."""
     if divergence < 0.0:
         raise ValueError(f"divergence must be non-negative, got {divergence!r}")
-    return divergence + 2.0 * math.log2(divergence + 2.0) + constant
+    return divergence + 2.0 * math.log2(divergence + 2.0) + LEMMA7_CONSTANT
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +219,6 @@ def run_naive_dart_protocol(
     universe: Sequence[Any],
     *,
     block_limit: Optional[int] = None,
-    tracer: Optional[Tracer] = None,
 ) -> NaiveDartResult:
     """Play Lemma 7's scheme with an explicit shared dart sequence.
 
@@ -233,8 +236,7 @@ def run_naive_dart_protocol(
     failure probability ε at a worst-case block cost of
     :math:`O(\\log(1/\\epsilon))` bits.
     """
-    if tracer is None:
-        tracer = get_tracer()
+    tracer = get_tracer()
     universe = list(universe)
     size = len(universe)
     if size < 1:
@@ -393,7 +395,6 @@ def simulate_sampling_round(
     universe: Optional[Sequence[Any]] = None,
     log_ratio: Optional[float] = None,
     value: Optional[Any] = None,
-    tracer: Optional[Tracer] = None,
 ) -> SampledMessage:
     """Sample one Lemma 7 round from the exact joint law of everything
     the speaker communicates, without enumerating darts.
@@ -417,8 +418,6 @@ def simulate_sampling_round(
         :math:`\\log_2(\\eta(value)/\\nu(value))`; used by the amortized
         compressor, which samples product messages copy by copy.
     """
-    if tracer is None:
-        tracer = get_tracer()
     if (universe is None) == (universe_size is None):
         raise ValueError("pass exactly one of universe / universe_size")
     if universe is not None:
@@ -511,7 +510,7 @@ def simulate_sampling_round(
     # The fast path never materializes darts, but the accepted index i is
     # part of its joint law, so the implied rejection count is exact.
     _record_round(
-        tracer,
+        get_tracer(),
         "fast",
         message,
         darts_rejected=(i - 1) if small_universe else None,
@@ -559,7 +558,6 @@ class BatchedDartSampler:
         *,
         seed: int = 0,
         seeds: Optional[Sequence[int]] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         from ..perf import kernels
 
@@ -572,7 +570,6 @@ class BatchedDartSampler:
             raise ValueError(
                 f"{len(seeds)} seeds given for {len(cells)} cells"
             )
-        self._tracer = tracer
         self._cells: List[Tuple[Any, ...]] = []
         self._rngs: List[random.Random] = []
         np_ = self._np
@@ -628,7 +625,7 @@ class BatchedDartSampler:
 
     def sample_round(self) -> List[SampledMessage]:
         """One Lemma 7 round for every cell, in cell order."""
-        tracer = self._tracer if self._tracer is not None else get_tracer()
+        tracer = get_tracer()
         self._count_call("batched_sampler_round")
         np_ = self._np
         messages: List[SampledMessage] = []

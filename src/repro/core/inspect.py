@@ -29,6 +29,9 @@ __all__ = [
     "render_information_profile",
 ]
 
+#: Characters in the largest bar of :func:`render_information_profile`.
+PROFILE_WIDTH = 40
+
 
 def render_protocol_tree(
     protocol: Protocol,
@@ -114,20 +117,17 @@ def annotate_transcript(
     protocol: Protocol,
     transcript: Transcript,
     *,
-    input_values: Optional[Sequence[Sequence[Any]]] = None,
     input_dist: Optional[DiscreteDistribution] = None,
 ) -> str:
-    """Print a transcript with its Lemma 3 / Lemma 4 annotations.
+    """Print a transcript with its Lemma 3 / Lemma 4 annotations, over
+    bit inputs.
 
-    ``input_values[i]`` is each player's candidate-value list (default:
-    bits).  With ``input_dist`` given, the running observer posterior
-    over input tuples is shown after every message.
+    With ``input_dist`` given, the running observer posterior over input
+    tuples is shown after every message.
     """
     from ..lowerbounds.decomposition import transcript_factors
 
     k = protocol.num_players
-    if input_values is None:
-        input_values = [[0, 1]] * k
     lines: List[str] = [f"transcript with {len(transcript)} messages:"]
     posterior = None
     if input_dist is not None:
@@ -152,12 +152,11 @@ def annotate_transcript(
         state = protocol.advance_state(state, message)
         board = board.extend(message)
 
-    factors = transcript_factors(protocol, transcript, input_values)
+    factors = transcript_factors(protocol, transcript, [[0, 1]] * k)
     lines.append("  Lemma 3 factors q_(i,b) and alpha_i:")
     for i in range(k):
         table = factors.factors[i]
-        alpha = factors.alpha(i, zero=input_values[i][0],
-                              one=input_values[i][-1])
+        alpha = factors.alpha(i, zero=0, one=1)
         alpha_str = (
             "inf" if math.isinf(alpha)
             else ("nan" if math.isnan(alpha) else f"{alpha:.4g}")
@@ -170,17 +169,16 @@ def annotate_transcript(
 def render_information_profile(
     protocol: Protocol,
     input_dist: DiscreteDistribution,
-    *,
-    width: int = 40,
 ) -> str:
-    """The per-round information terms as a text bar chart."""
+    """The per-round information terms as a text bar chart, the
+    largest bar :data:`PROFILE_WIDTH` characters wide."""
     profile = information_profile(protocol, input_dist)
     if not profile:
         return "(no rounds)"
     peak = max(r.revealed for r in profile) or 1.0
     lines = ["round  revealed (bits)"]
     for r in profile:
-        bar = "#" * max(int(round(r.revealed / peak * width)), 0)
+        bar = "#" * max(int(round(r.revealed / peak * PROFILE_WIDTH)), 0)
         speakers = ",".join(map(str, r.speakers)) or "-"
         lines.append(
             f"{r.round_index:>5}  {r.revealed:7.4f}  {bar}  "

@@ -87,10 +87,14 @@ def run_protocol(
     inputs: Sequence[Any],
     *,
     rng: Optional[random.Random] = None,
-    tracer: Optional[Tracer] = None,
     medium: Medium = BROADCAST,
 ) -> ProtocolRun:
     """Execute ``protocol`` once on ``inputs``.
+
+    The run is traced into the process-wide tracer
+    (:func:`repro.obs.using_tracer`; a no-op unless one was installed).
+    Tracing never touches ``rng``, so traced and untraced executions
+    are identical.
 
     Parameters
     ----------
@@ -107,11 +111,6 @@ def run_protocol(
         Source of the players' private randomness.  May be omitted for
         deterministic protocols; a randomized protocol raises
         :class:`ProtocolViolation` if it needs coins and none were given.
-    tracer:
-        Structured-trace sink; ``None`` uses the process-wide default
-        (a no-op unless one was installed via ``repro.obs``).  Tracing
-        never touches ``rng``, so traced and untraced executions are
-        identical.
     medium:
         The communication medium (default: the blackboard).  Every
         scheduled ``(speaker, link)`` edge is checked against it; an
@@ -124,8 +123,7 @@ def run_protocol(
         The transcript, output, realized communication in bits, and the
         number of messages (rounds of speech).
     """
-    if tracer is None:
-        tracer = get_tracer()
+    tracer = get_tracer()
     if tracer:
         with tracer.span(
             "run_protocol",

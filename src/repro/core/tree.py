@@ -81,7 +81,7 @@ from typing import (
 
 from ..information.distribution import DiscreteDistribution, JointDistribution
 from ..obs.metrics import REGISTRY
-from ..obs.trace import Tracer, get_tracer
+from ..obs.trace import get_tracer
 from .model import BROADCAST, Medium, Protocol, Transcript
 
 __all__ = [
@@ -95,7 +95,6 @@ def transcript_distribution(
     protocol: Protocol,
     inputs: Sequence[Any],
     *,
-    tracer: Optional[Tracer] = None,
     medium: Medium = BROADCAST,
 ) -> DiscreteDistribution:
     """The exact law of the transcript ``Π(inputs)`` over private coins.
@@ -121,8 +120,6 @@ def transcript_distribution(
     deliberately not emitted — tree sizes are exponential and a trace
     must stay proportional to the number of *calls*, not nodes.
     """
-    if tracer is None:
-        tracer = get_tracer()
     leaves, nodes_expanded, leaf_count, max_depth = _shared_walk(
         protocol,
         [tuple(inputs)],
@@ -131,6 +128,7 @@ def transcript_distribution(
         medium=medium,
     )
     (law,) = _laws_from_rows(leaves)
+    tracer = get_tracer()
     if tracer:
         tracer.event(
             "tree_enumerated",
@@ -148,7 +146,6 @@ def joint_transcript_distribution(
     inputs_of: Optional[Callable[[Any], Sequence[Any]]] = None,
     *,
     names: Optional[Sequence[str]] = None,
-    tracer: Optional[Tracer] = None,
     medium: Medium = BROADCAST,
 ) -> JointDistribution:
     """The exact joint law of ``(scenario components..., transcript)``,
@@ -209,7 +206,6 @@ def joint_transcript_distribution(
         protocol,
         population,
         names=names,
-        tracer=tracer,
         medium=medium,
     )
 
@@ -219,7 +215,6 @@ def population_joint(
     population: Any,
     *,
     names: Optional[Sequence[str]] = None,
-    tracer: Optional[Tracer] = None,
     medium: Medium = BROADCAST,
 ) -> JointDistribution:
     """The exact joint law of an encoded scenario population
@@ -237,8 +232,6 @@ def population_joint(
     """
     from ..perf import kernels
 
-    if tracer is None:
-        tracer = get_tracer()
     inputs = population.inputs
     leaves, nodes_expanded, _leaves, max_depth = _shared_walk(
         protocol,
@@ -253,6 +246,7 @@ def population_joint(
     columns, outcomes = kernels.columnar_joint(leaves, population)
     arity = len(population.scenario or [None]) + 1
     joint = JointDistribution._from_columns(columns, arity, full_names)
+    tracer = get_tracer()
     if tracer:
         tracer.event(
             "joint_enumerated",
@@ -271,7 +265,6 @@ def transcript_distributions(
     protocol: Protocol,
     input_tuples: Iterable[Sequence[Any]],
     *,
-    tracer: Optional[Tracer] = None,
     medium: Medium = BROADCAST,
 ) -> Dict[Tuple[Any, ...], DiscreteDistribution]:
     """Every distinct input tuple's transcript law, from one shared walk.
@@ -289,8 +282,6 @@ def transcript_distributions(
     walk (with the number of distinct ``inputs``) and the usual
     ``tree_*`` counters.
     """
-    if tracer is None:
-        tracer = get_tracer()
     input_keys = list(dict.fromkeys(tuple(inputs) for inputs in input_tuples))
     leaves, nodes_expanded, union_leaf_count, max_depth = _shared_walk(
         protocol,
@@ -302,6 +293,7 @@ def transcript_distributions(
     laws: Dict[Tuple[Any, ...], DiscreteDistribution] = {}
     if leaves is not None:
         laws = dict(zip(input_keys, _laws_from_rows(leaves)))
+    tracer = get_tracer()
     if tracer:
         tracer.event(
             "tree_enumerated",

@@ -33,10 +33,11 @@ __all__ = ["run", "DEFAULT_KS"]
 
 DEFAULT_KS: Sequence[int] = (3, 4, 5, 6, 8)
 
+#: The surprised posterior ``Pr[X_i = 0] = p`` of the Eq. (4) columns.
+POSTERIOR = 0.5
 
-def run(
-    ks: Sequence[int] = DEFAULT_KS, *, posterior: float = 0.5
-) -> ExperimentTable:
+
+def run(ks: Sequence[int] = DEFAULT_KS) -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="E10",
         title="Lemma 2 decomposition and the Eq. (3)-(4) divergence bound",
@@ -68,8 +69,8 @@ def run(
                     f"Lemma 2 violated for {type(protocol).__name__}, k={k}"
                 )
             row.extend([cmi, decomposed, "yes"])
-        exact = divergence_of_surprised_posterior(posterior, k)
-        bound = divergence_lower_bound(posterior, k)
+        exact = divergence_of_surprised_posterior(POSTERIOR, k)
+        bound = divergence_lower_bound(POSTERIOR, k)
         if exact < bound - 1e-9:
             raise AssertionError(f"Eq. (4) violated at k={k}")
         row.extend([exact, bound])

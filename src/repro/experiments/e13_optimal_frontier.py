@@ -28,10 +28,11 @@ __all__ = ["run", "DEFAULT_KS"]
 
 DEFAULT_KS: Sequence[int] = (4, 6, 8, 10)
 
+#: The mixing weight of the hard law ``mu_{eps'}``.
+EPS_PRIME = 0.2
 
-def run(
-    ks: Sequence[int] = DEFAULT_KS, *, eps_prime: float = 0.2
-) -> ExperimentTable:
+
+def run(ks: Sequence[int] = DEFAULT_KS) -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="E13",
         title="Exact optimal error over ALL budget-B protocols "
@@ -47,7 +48,7 @@ def run(
         ],
     )
     for k in ks:
-        rows = certify_lemma6_optimality(k, eps_prime=eps_prime)
+        rows = certify_lemma6_optimality(k, eps_prime=EPS_PRIME)
         # Keep the table readable: quartile budgets only.
         interesting = sorted(
             {0, k // 4, k // 2, 3 * k // 4, k - 1, k}

@@ -33,13 +33,12 @@ DEFAULT_GRID: Sequence[Tuple[int, int]] = (
 )
 
 
+#: Chance that each unshared coordinate goes to its player at all.
+FILL = 0.8
+
+
 def promise_instance(
-    n: int,
-    k: int,
-    rng: random.Random,
-    *,
-    intersecting: bool,
-    fill: float = 0.8,
+    n: int, k: int, rng: random.Random, *, intersecting: bool
 ) -> Tuple[Tuple[int, ...], int]:
     """A promise instance: the universe is (mostly) partitioned among the
     players, plus optionally one element held by everyone.  Returns
@@ -49,7 +48,7 @@ def promise_instance(
     shared = coordinates.pop() if intersecting else -1
     masks: List[int] = [0] * k
     for index, coordinate in enumerate(coordinates):
-        if rng.random() < fill:
+        if rng.random() < FILL:
             masks[index % k] |= 1 << coordinate
     if shared >= 0:
         for i in range(k):

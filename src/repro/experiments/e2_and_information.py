@@ -65,10 +65,9 @@ QUICK_KS: Sequence[int] = tuple(k for k in DEFAULT_KS if k <= 16)
 _FULL_SUPPORT_LIMIT = 12
 
 
-def sequential_and_cic(k: int, *, max_zeros: Optional[int] = None) -> float:
+def sequential_and_cic(k: int) -> float:
     """Exact :math:`CIC_\\mu` of the sequential AND protocol."""
-    if max_zeros is None and k > _FULL_SUPPORT_LIMIT:
-        max_zeros = 3
+    max_zeros = 3 if k > _FULL_SUPPORT_LIMIT else None
     mu = and_hard_distribution(k, max_zeros=max_zeros)
     return conditional_information_cost(SequentialAndProtocol(k), mu)
 

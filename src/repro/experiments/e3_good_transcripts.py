@@ -32,14 +32,15 @@ __all__ = ["run", "DEFAULT_KS"]
 
 DEFAULT_KS: Sequence[int] = (3, 4, 5, 6, 8, 10)
 
+#: Noise of the randomized protocol: each written bit flips with it.
+FLIP_PROB = 0.02
+#: The good-set constant ``C`` of Section 4.1.
+C = 4.0
+#: "Pointing" means some ``alpha_i >= POINTING_CONSTANT * k``.
+POINTING_CONSTANT = 2.0
 
-def run(
-    ks: Sequence[int] = DEFAULT_KS,
-    *,
-    flip_prob: float = 0.02,
-    C: float = 4.0,
-    pointing_constant: float = 2.0,
-) -> ExperimentTable:
+
+def run(ks: Sequence[int] = DEFAULT_KS) -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="E3",
         title="Lemma 5 good-transcript analysis (noisy sequential AND)",
@@ -57,7 +58,7 @@ def run(
     # (1-eps)/eps; "pointing" uses c*k with c chosen so the threshold is
     # meaningful for every k in range while staying Omega(k).
     for k in ks:
-        protocol = NoisySequentialAndProtocol(k, flip_prob)
+        protocol = NoisySequentialAndProtocol(k, FLIP_PROB)
         report = analyze_good_transcripts(protocol, C=C)
         eq6_bound = math.sqrt(C) / 2.0 * k
         table.add_row(
@@ -66,7 +67,7 @@ def run(
             report.pi2_mass_L_prime,
             report.pi2_mass_B0,
             report.pi2_mass_B1,
-            report.pointing_mass(pointing_constant),
+            report.pointing_mass(POINTING_CONSTANT),
             report.minimum_sum_alpha_over_L(),
             eq6_bound,
         )
@@ -80,6 +81,6 @@ def run(
     )
     table.add_note(
         f"pointing mass = pi2 fraction of L' with max_i alpha_i >= "
-        f"{pointing_constant}*k"
+        f"{POINTING_CONSTANT}*k"
     )
     return table

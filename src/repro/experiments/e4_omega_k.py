@@ -29,6 +29,8 @@ DEFAULT_KS: Sequence[int] = (16, 64, 256)
 QUICK_KS: Sequence[int] = (16, 64)
 
 EPS_PRIME = 0.2
+#: The target error the crossover is read against.
+EPS = 0.1
 BUDGET_FRACTIONS: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 0.875, 1.0)
 
 
@@ -72,8 +74,6 @@ SWEEP = SweepGrid(
 def run(
     ks: Sequence[int] = DEFAULT_KS,
     *,
-    eps_prime: float = EPS_PRIME,
-    eps: float = 0.1,
     budget_fractions: Sequence[float] = BUDGET_FRACTIONS,
     workers: Optional[int] = None,
     store: Optional[ResultStore] = None,
@@ -93,10 +93,8 @@ def run(
             "exact error", "error > eps?",
         ],
     )
-    threshold_fraction = 1.0 - eps / (1.0 - eps_prime)
-    grid = budget_grid(
-        ks, eps_prime=eps_prime, budget_fractions=budget_fractions
-    )
+    threshold_fraction = 1.0 - EPS / (1.0 - EPS_PRIME)
+    grid = budget_grid(ks, budget_fractions=budget_fractions)
     measurements = SWEEP.map(grid, store=store, workers=workers)
     by_point = {
         (params["k"], params["budget"]): measured
@@ -108,7 +106,7 @@ def run(
         for fraction in budget_fractions:
             budget = round(fraction * k)
             error_lower_bound, exact_error, bound_holds = by_point[(k, budget)]
-            above = exact_error > eps + 1e-9
+            above = exact_error > EPS + 1e-9
             table.add_row(
                 k, budget, budget / k,
                 error_lower_bound,
@@ -123,7 +121,7 @@ def run(
                 first_below = budget / k
         crossovers.append((k, first_below if first_below is not None else 1.0))
     table.add_note(
-        f"eps = {eps}, eps' = {eps_prime}: Lemma 6 predicts the error "
+        f"eps = {EPS}, eps' = {EPS_PRIME}: Lemma 6 predicts the error "
         f"stays above eps until budget/k ~ {threshold_fraction:.3f}; "
         "measured crossovers: "
         + ", ".join(f"k={k}: {frac:.3f}" for k, frac in crossovers)

@@ -31,19 +31,22 @@ __all__ = ["run", "make_pair", "DEFAULT_SPREADS"]
 DEFAULT_SPREADS: Sequence[float] = (0.25, 0.5, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
 
 
-def make_pair(spread: float, *, support: int = 4):
-    """An ``(η, ν)`` pair over ``support`` outcomes whose divergence grows
-    with ``spread``: η concentrates on outcome 0, ν anti-concentrates."""
-    if support < 2:
-        raise ValueError("need a support of at least 2")
+#: Outcomes of each ``(η, ν)`` pair.
+SUPPORT = 4
+
+
+def make_pair(spread: float):
+    """An ``(η, ν)`` pair over :data:`SUPPORT` outcomes whose divergence
+    grows with ``spread``: η concentrates on outcome 0, ν
+    anti-concentrates."""
     heavy = 1.0 - 2.0**-spread
-    light = (1.0 - heavy) / (support - 1)
+    light = (1.0 - heavy) / (SUPPORT - 1)
     eta = DiscreteDistribution(
-        {i: (heavy if i == 0 else light) for i in range(support)}
+        {i: (heavy if i == 0 else light) for i in range(SUPPORT)}
     )
     nu_weights = {0: 2.0**-spread}
-    for i in range(1, support):
-        nu_weights[i] = (1.0 - 2.0**-spread) / (support - 1)
+    for i in range(1, SUPPORT):
+        nu_weights[i] = (1.0 - 2.0**-spread) / (SUPPORT - 1)
     nu = DiscreteDistribution(nu_weights, normalize=True)
     return eta, nu
 

@@ -39,6 +39,9 @@ __all__ = ["run_loopback_sweep", "DEFAULT_MAX_STEPS"]
 #: Scheduler events processed before the sweep is declared wedged.
 DEFAULT_MAX_STEPS = 100_000
 
+#: Simulated time a lease (and an unanswered HELLO) stays outstanding.
+LEASE_TIMEOUT = 8.0
+
 _TICK_PERIOD = 1.0
 
 #: Queue destination standing for the coordinator.
@@ -51,7 +54,6 @@ def run_loopback_sweep(
     store: Optional[ResultStore],
     workers: int,
     faults: Optional[FaultPlan] = None,
-    lease_timeout: float = 8.0,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     max_steps: int = DEFAULT_MAX_STEPS,
     compute: Optional[Callable[[ResultKey], bytes]] = None,
@@ -63,7 +65,7 @@ def run_loopback_sweep(
         keys,
         store=store,
         num_workers=workers,
-        lease_timeout=lease_timeout,
+        lease_timeout=LEASE_TIMEOUT,
         max_attempts=max_attempts,
     )
     pool: List[Optional[WorkerCore]] = [
@@ -84,7 +86,7 @@ def run_loopback_sweep(
         for worker, frame in core.on_tick(sim.now):
             sim.transmit(worker, _COORDINATOR, frame)
         for index, said in list(unheard.items()):
-            if sim.now - said >= lease_timeout:
+            if sim.now - said >= LEASE_TIMEOUT:
                 hello(index)
         if not core.done:
             sim.schedule(_TICK_PERIOD, "tick", ())
@@ -127,7 +129,6 @@ def run_loopback_sweep(
         meter=WireMeter(encode_fabric_frame, "fabric", "loopback"),
         injector=FaultInjector(faults) if faults is not None else None,
         max_steps=max_steps,
-        tracer=tracer,
         handlers={"tick": on_tick, "restart": on_restart},
         on_frame=on_frame,
         fault_label="fabric",

@@ -78,7 +78,6 @@ def run_tcp_sweep(
     store: Optional[ResultStore],
     workers: int,
     timeout: float = 600.0,
-    lease_timeout: float = TCP_LEASE_TIMEOUT,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     worker_env: Optional[Dict[str, str]] = None,
 ) -> Dict[int, bytes]:
@@ -87,8 +86,8 @@ def run_tcp_sweep(
     entry point; ``timeout`` bounds the whole sweep."""
     return run_blocking(
         lambda: _sweep_async(
-            keys, store=store, workers=workers, lease_timeout=lease_timeout,
-            max_attempts=max_attempts, worker_env=worker_env,
+            keys, store=store, workers=workers, max_attempts=max_attempts,
+            worker_env=worker_env,
         ),
         timeout,
         entry="run_tcp_sweep",
@@ -102,7 +101,6 @@ async def _sweep_async(
     *,
     store: Optional[ResultStore],
     workers: int,
-    lease_timeout: float,
     max_attempts: int,
     worker_env: Optional[Dict[str, str]],
 ) -> Dict[int, bytes]:
@@ -111,7 +109,7 @@ async def _sweep_async(
         keys,
         store=store,
         num_workers=workers,
-        lease_timeout=lease_timeout,
+        lease_timeout=TCP_LEASE_TIMEOUT,
         max_attempts=max_attempts,
     )
     lock = asyncio.Lock()

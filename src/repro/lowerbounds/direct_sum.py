@@ -98,20 +98,24 @@ def _project_coordinate(joint: JointDistribution, j: int) -> JointDistribution:
     )
 
 
+#: Float round-off allowed in the Lemma 1 comparison.
+SUPERADDITIVITY_TOLERANCE = 1e-9
+
+
 def verify_superadditivity(
     protocol: Protocol,
     mu_n: DiscreteDistribution,
     n: int,
-    *,
-    tolerance: float = 1e-9,
 ) -> Tuple[bool, float, List[float]]:
     """Check the Lemma 1 inequality
-    :math:`I(\\Pi; X \\mid D) \\ge \\sum_j I(\\Pi; X^j \\mid D)` exactly.
+    :math:`I(\\Pi; X \\mid D) \\ge \\sum_j I(\\Pi; X^j \\mid D)` exactly
+    (up to :data:`SUPERADDITIVITY_TOLERANCE` of float round-off).
 
     Returns ``(holds, total, per_coordinate)``.
     """
     total, per_coordinate = coordinate_information_split(protocol, mu_n, n)
-    return (total + tolerance >= sum(per_coordinate), total, per_coordinate)
+    holds = total + SUPERADDITIVITY_TOLERANCE >= sum(per_coordinate)
+    return (holds, total, per_coordinate)
 
 
 @dataclass(frozen=True)

@@ -220,9 +220,7 @@ def and_hard_input_marginal(
     return kernels.encoded_law(_tuples(rows), np_.array(masses), rows)
 
 
-def disjointness_hard_distribution(
-    n: int, k: int, *, max_zeros: Optional[int] = None
-) -> DiscreteDistribution:
+def disjointness_hard_distribution(n: int, k: int) -> DiscreteDistribution:
     """The product distribution :math:`\\mu^n` over
     ``((mask_1, ..., mask_k), (z_1, ..., z_n))``.
 
@@ -234,7 +232,7 @@ def disjointness_hard_distribution(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    base = and_hard_distribution(k, max_zeros=max_zeros)
+    base = and_hard_distribution(k)
     probs: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], float] = {}
     for combo in itertools.product(list(base.items()), repeat=n):
         masks = [0] * k

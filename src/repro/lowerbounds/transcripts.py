@@ -103,8 +103,6 @@ def analyze_good_transcripts(
     protocol: Protocol,
     *,
     C: float = 16.0,
-    zero: int = 0,
-    one: int = 1,
 ) -> GoodTranscriptReport:
     """Run the full Section 4.1 transcript classification for a concrete
     :math:`\\mathrm{AND}_k` protocol.
@@ -131,52 +129,34 @@ def analyze_good_transcripts(
         for transcript in law.support():
             transcripts.setdefault(transcript)
 
-    input_values = [[zero, one]] * k
+    input_values = [[0, 1]] * k
 
-    # Vectorized Lemma 3 fast path: with 0/1 inputs the per-transcript
+    # Vectorized Lemma 3: with 0/1 inputs the per-transcript
     # factors tabulate as a (k, 2) array and each class-conditioned
     # probability is one product-reduction over the class matrix —
     # bit-identical to the per-input scalar fold (same multiplication
     # and summation order).
     from ..perf import kernels
 
-    np_ = None
-    x2_matrix = x3_matrix = None
-    if zero == 0 and one == 1:
-        np_ = kernels.require_numpy()
-        x2_matrix = np_.array(two_zero_inputs, dtype=np_.int64)
-        x3_matrix = np_.array(three_zero_inputs, dtype=np_.int64)
+    np_ = kernels.require_numpy()
+    x2_matrix = np_.array(two_zero_inputs, dtype=np_.int64)
+    x3_matrix = np_.array(three_zero_inputs, dtype=np_.int64)
 
     classifications: List[TranscriptClassification] = []
     mass_L = mass_B0 = mass_B1 = mass_L_prime = 0.0
     for transcript in transcripts:
         factors = transcript_factors(protocol, transcript, input_values)
-        factor_table = None
-        if x2_matrix is not None:
-            try:
-                factor_table = [
-                    np_.array(
-                        [factor[zero], factor[one]], dtype=np_.float64
-                    )
-                    for factor in factors.factors
-                ]
-            except KeyError:
-                factor_table = None
-        if factor_table is not None:
-            pi2 = kernels.class_conditioned_probabilities(
-                factor_table, x2_matrix
-            )
-            pi3 = kernels.class_conditioned_probabilities(
-                factor_table, x3_matrix
-            )
-        else:
-            pi2 = _class_conditioned_probability(factors, two_zero_inputs)
-            pi3 = _class_conditioned_probability(factors, three_zero_inputs)
-        all_ones = factors.probability(tuple([one] * k))
+        factor_table = [
+            np_.array([factor[0], factor[1]], dtype=np_.float64)
+            for factor in factors.factors
+        ]
+        pi2 = kernels.class_conditioned_probabilities(factor_table, x2_matrix)
+        pi3 = kernels.class_conditioned_probabilities(factor_table, x3_matrix)
+        all_ones = factors.probability(tuple([1] * k))
         state = protocol.replay_state(transcript)
         output = protocol.output(state, transcript)
         alphas = tuple(
-            factors.alpha(i, zero=zero, one=one) for i in range(k)
+            factors.alpha(i, zero=0, one=1) for i in range(k)
         )
         in_L = output == 0 and pi2 >= C * all_ones
         in_L_prime = in_L and pi2 >= 0.5 * pi3
@@ -215,7 +195,9 @@ def _class_conditioned_probability(
 ) -> float:
     """:math:`\\Pr[\\Pi = \\ell \\mid X \\in \\text{class}]` for a
     uniform input class (as :math:`\\mathcal{X}_2, \\mathcal{X}_3` are
-    under :math:`\\mu` given their zero count)."""
+    under :math:`\\mu` given their zero count), by the per-input scalar
+    fold: the reference ``kernels.class_conditioned_probabilities`` is
+    tested against."""
     if not inputs:
         raise ValueError("empty input class")
     return sum(factors.probability(x) for x in inputs) / len(inputs)

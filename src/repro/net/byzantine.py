@@ -53,7 +53,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..core.model import Protocol
 from ..obs.metrics import REGISTRY
-from ..obs.trace import NULL_TRACER, Tracer
+from ..obs.trace import get_tracer
 from .client import PartyClient, RetryPolicy
 from .errors import ByzantineQuorumError
 from .framing import Frame, FrameKind
@@ -115,7 +115,6 @@ def party_endpoint(
     seed: Optional[int],
     retry: RetryPolicy,
     byzantine: Optional[ByzantineConfig],
-    tracer: Tracer,
 ) -> Union[PartyClient, "ByzantineParty"]:
     """One party's endpoint: its :class:`PartyClient`, behind a Bracha
     relay when ``byzantine`` is set."""
@@ -123,7 +122,7 @@ def party_endpoint(
                          retry=retry)
     if byzantine is None:
         return client
-    relay = BrachaRelay(protocol.num_players, byzantine.f, party, tracer=tracer)
+    relay = BrachaRelay(protocol.num_players, byzantine.f, party)
     return ByzantineParty(client, relay)
 
 
@@ -198,14 +197,7 @@ class BrachaRelay:
     locally-computed speaker, never the wire.
     """
 
-    def __init__(
-        self,
-        num_players: int,
-        f: int,
-        party: int,
-        *,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
+    def __init__(self, num_players: int, f: int, party: int) -> None:
         if num_players < 2 * f + 1:
             raise ValueError(
                 f"k={num_players} < 2f+1={2 * f + 1}: the ready quorum "
@@ -217,7 +209,7 @@ class BrachaRelay:
         self.echo_quorum = echo_quorum(num_players, f)
         self.ready_support = f + 1
         self.ready_quorum = ready_quorum(f)
-        self._tracer = tracer if tracer is not None else NULL_TRACER
+        self._tracer = get_tracer()
         self._sessions: Dict[int, _Session] = {}
         #: Buffered SENDs for rounds ahead of the board (author unknown yet).
         self._pending_sends: Dict[int, List[Frame]] = {}

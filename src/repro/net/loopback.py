@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.model import Protocol
 from ..core.runner import ProtocolRun
-from ..obs.trace import Tracer, get_tracer
+from ..obs.trace import get_tracer
 from .byzantine import ALL_PARTIES, SERVER, ByzantineConfig, check_run_args, party_endpoint
 from .client import RetryPolicy
 from .errors import ByzantineQuorumError, CrashedPartyError, RetriesExhaustedError
@@ -53,8 +53,6 @@ class LoopbackRunner:
         seed: Optional[int] = None,
         faults: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
-        max_steps: int = DEFAULT_MAX_STEPS,
-        tracer: Optional[Tracer] = None,
         byzantine: Optional[ByzantineConfig] = None,
     ) -> None:
         protocol.validate_inputs(inputs)
@@ -63,10 +61,9 @@ class LoopbackRunner:
         self._inputs = list(inputs)
         self._seed = seed
         self._retry = retry if retry is not None else RetryPolicy()
-        self._max_steps = max_steps
-        self._tracer = tracer if tracer is not None else get_tracer()
+        self._tracer = get_tracer()
         self._injector = FaultInjector(faults) if faults is not None else None
-        self._server = BlackboardServer(protocol, tracer=self._tracer)
+        self._server = BlackboardServer(protocol)
         self._byzantine = byzantine
         self._adversary: Optional[ByzantineAdversary] = None
         if byzantine is not None and byzantine.plan is not None:
@@ -100,8 +97,7 @@ class LoopbackRunner:
             decode=decode_frame,
             meter=WireMeter(encode_frame, "net", "loopback"),
             injector=self._injector,
-            max_steps=self._max_steps,
-            tracer=self._tracer,
+            max_steps=DEFAULT_MAX_STEPS,
             handlers={"timer": self._on_timer, "restart": self._on_restart},
             on_frame=self._on_frame,
             fault_label="loopback",
@@ -151,7 +147,7 @@ class LoopbackRunner:
     def _spawn(self, party: int) -> None:
         endpoint = party_endpoint(
             self._protocol, party, self._inputs[party], seed=self._seed,
-            retry=self._retry, byzantine=self._byzantine, tracer=self._tracer,
+            retry=self._retry, byzantine=self._byzantine,
         )
         self._endpoints[party] = endpoint
         if self._tracer:

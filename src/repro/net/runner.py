@@ -20,11 +20,10 @@ from typing import Any, Optional, Sequence, Union
 
 from ..core.model import Protocol
 from ..core.runner import ProtocolRun
-from ..obs.trace import Tracer
 from .byzantine import ByzantineConfig, check_run_args
 from .client import RetryPolicy
 from .faults import FaultPlan
-from .loopback import DEFAULT_MAX_STEPS, LoopbackRunner
+from .loopback import LoopbackRunner
 from .tcp import run_tcp
 
 __all__ = ["run_networked", "TRANSPORTS"]
@@ -41,12 +40,14 @@ def run_networked(
     transport: str = "loopback",
     faults: Optional[FaultPlan] = None,
     retry: Optional[RetryPolicy] = None,
-    max_steps: int = DEFAULT_MAX_STEPS,
     timeout: float = 60.0,
-    tracer: Optional[Tracer] = None,
     byzantine: Optional[Union[int, ByzantineConfig]] = None,
 ) -> ProtocolRun:
     """Execute ``protocol`` over a real transport.
+
+    The run is traced into the process-wide tracer
+    (:func:`repro.obs.using_tracer`): a ``net_run`` span, per-party
+    spans (per-connection on TCP) and fault/retry/connect events.
 
     Parameters
     ----------
@@ -72,14 +73,10 @@ def run_networked(
     retry:
         Per-party :class:`~repro.net.client.RetryPolicy`; defaults are
         transport-appropriate (scheduler steps vs seconds).
-    max_steps:
-        Loopback scheduler budget
-        (:class:`~repro.net.errors.NetTimeoutError` on exhaustion).
     timeout:
-        TCP wall-clock budget in seconds.
-    tracer:
-        Structured-trace sink (``net_run`` span, per-connection spans on
-        TCP, fault/retry/connect events).
+        TCP wall-clock budget in seconds.  The loopback's budget is
+        :data:`~repro.net.loopback.DEFAULT_MAX_STEPS` scheduler events
+        (:class:`~repro.net.errors.NetTimeoutError` on exhaustion).
     byzantine:
         Run the Bracha reliable-broadcast layer beneath the blackboard
         (:mod:`repro.net.byzantine`).  An ``int`` is shorthand for
@@ -105,8 +102,6 @@ def run_networked(
             seed=seed,
             faults=faults,
             retry=retry,
-            max_steps=max_steps,
-            tracer=tracer,
             byzantine=byzantine,
         ).run()
     if transport == "tcp":
@@ -119,7 +114,6 @@ def run_networked(
             seed=seed,
             retry=retry,
             timeout=timeout,
-            tracer=tracer,
             byzantine=byzantine,
         )
     raise ValueError(

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.model import Message, Protocol, Transcript
 from ..core.runner import ProtocolRun
-from ..obs.trace import NULL_TRACER, TraceContext, Tracer
+from ..obs.trace import TraceContext, get_tracer
 from .errors import NetError
 from .framing import Frame, FrameKind
 
@@ -38,17 +38,16 @@ __all__ = ["BlackboardServer"]
 class BlackboardServer:
     """Sans-io blackboard state machine for one protocol execution.
 
-    ``tracer``: when set, every inbound frame that carries a wire trace
-    context is handled inside a ``server_handle`` span parented under
-    the *sender's* span — the server's work is attributed to the
-    requesting party purely from wire bytes, across transports.
+    When a tracer is installed (:func:`repro.obs.using_tracer`), every
+    inbound frame that carries a wire trace context is handled inside a
+    ``server_handle`` span parented under the *sender's* span — the
+    server's work is attributed to the requesting party purely from
+    wire bytes, across transports.
     """
 
-    def __init__(
-        self, protocol: Protocol, *, tracer: Optional[Tracer] = None
-    ) -> None:
+    def __init__(self, protocol: Protocol) -> None:
         self._protocol = protocol
-        self._tracer = tracer if tracer is not None else NULL_TRACER
+        self._tracer = get_tracer()
         self._state = protocol.initial_state()
         self._board = Transcript()
         #: The BROADCAST frame of every appended round, in order — the

@@ -17,7 +17,7 @@ import heapq
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..obs.metrics import REGISTRY
-from ..obs.trace import Tracer
+from ..obs.trace import get_tracer
 from .errors import FrameError, NetTimeoutError
 from .faults import FaultInjector, PartyCrash
 
@@ -79,7 +79,6 @@ class Simulator:
         meter: WireMeter,
         injector: Optional[FaultInjector],
         max_steps: int,
-        tracer: Tracer,
         handlers: Mapping[str, Callable[..., None]],
         on_frame: Callable[[int, int, Any], None],
         fault_label: str,
@@ -90,7 +89,7 @@ class Simulator:
         self._meter = meter
         self._injector = injector
         self._max_steps = max_steps
-        self._tracer = tracer
+        self._tracer = get_tracer()
         self._handlers: Dict[str, Callable[..., None]] = dict(
             handlers, deliver=self._deliver
         )

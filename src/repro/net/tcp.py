@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.model import Protocol
 from ..core.runner import ProtocolRun
-from ..obs.trace import Tracer, get_tracer
+from ..obs.trace import get_tracer
 from .byzantine import ByzantineConfig, check_run_args, party_endpoint
 from .client import RetryPolicy
 from .errors import NetError
@@ -52,7 +52,6 @@ def run_tcp(
     seed: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
     timeout: float = 60.0,
-    tracer: Optional[Tracer] = None,
     byzantine: Optional[ByzantineConfig] = None,
 ) -> ProtocolRun:
     """Execute ``protocol`` over real TCP sockets on ``127.0.0.1``.
@@ -71,12 +70,9 @@ def run_tcp(
     check_run_args(protocol.num_players, "tcp", byzantine=byzantine)
     if retry is None:
         retry = TCP_RETRY_POLICY
-    if tracer is None:
-        tracer = get_tracer()
     return run_blocking(
         lambda: _run_async(
-            protocol, inputs, seed=seed, retry=retry, tracer=tracer,
-            byzantine=byzantine,
+            protocol, inputs, seed=seed, retry=retry, byzantine=byzantine
         ),
         timeout,
         entry="run_networked(transport='tcp')",
@@ -91,12 +87,12 @@ async def _run_async(
     *,
     seed: Optional[int],
     retry: RetryPolicy,
-    tracer: Tracer,
     byzantine: Optional[ByzantineConfig] = None,
 ) -> ProtocolRun:
     protocol.validate_inputs(inputs)
+    tracer = get_tracer()
     wire = WireMeter(encode_frame, "net", "tcp")
-    board_server = BlackboardServer(protocol, tracer=tracer)
+    board_server = BlackboardServer(protocol)
     lock = asyncio.Lock()
     writers: Dict[int, asyncio.StreamWriter] = {}
 
@@ -160,16 +156,21 @@ async def _run_async(
         # A corrupt stream or a vanished peer drops the connection; the
         # party's watchdog reconnect logic (SYNC) recovers, or its retry
         # budget turns this into a typed failure.  Our side is closed so
-        # that ``wait_closed`` (Python >= 3.12.1) can return.
+        # that ``wait_closed`` (Python >= 3.12.1) can return.  A run that
+        # fails leaves this task to be cancelled at loop shutdown; it
+        # ends quietly, because asyncio before 3.12 logs a traceback for
+        # every cancelled connection handler.
         try:
             await serve_frames(reader, FrameDecoder(), on_frame)
+        except asyncio.CancelledError:
+            return
         finally:
             writer.close()
 
     async def party_task(party: int, parent_span: Optional[int]) -> Any:
         endpoint = party_endpoint(
             protocol, party, inputs[party], seed=seed, retry=retry,
-            byzantine=byzantine, tracer=tracer,
+            byzantine=byzantine,
         )
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
         # Connection lifetimes interleave inside one event loop, so

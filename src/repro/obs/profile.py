@@ -35,7 +35,7 @@ import time
 from types import FrameType
 from typing import Any, Dict, IO, List, Optional, Union
 
-from .trace import Tracer, get_tracer
+from .trace import get_tracer
 
 __all__ = ["SamplingProfiler", "read_profile"]
 
@@ -61,6 +61,9 @@ def _app_stack(frame: Optional[FrameType]) -> List[str]:
 class SamplingProfiler:
     """Samples the main thread's stack + open span path to JSONL.
 
+    The span path is the process-wide tracer's
+    (:func:`repro.obs.using_tracer`), read *at sample time*.
+
     Parameters
     ----------
     destination:
@@ -70,9 +73,6 @@ class SamplingProfiler:
     seed:
         Seeds the wakeup jitter (±20% of the period) so the sampling
         schedule replays run to run.
-    tracer:
-        The tracer whose open span path samples are attributed to;
-        defaults to the process-wide tracer *at sample time*.
     """
 
     def __init__(
@@ -81,7 +81,6 @@ class SamplingProfiler:
         *,
         hz: float = 97.0,
         seed: int = 0,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         if hz <= 0:
             raise ValueError(f"hz must be positive, got {hz!r}")
@@ -93,7 +92,6 @@ class SamplingProfiler:
             self._owns_handle = False
         self._period = 1.0 / hz
         self._rng = random.Random(seed)
-        self._tracer = tracer
         self._target_thread = threading.get_ident()
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -101,17 +99,13 @@ class SamplingProfiler:
         self.samples_taken = 0
 
     # ------------------------------------------------------------------
-    def _resolve_tracer(self) -> Tracer:
-        return self._tracer if self._tracer is not None else get_tracer()
-
     def sample_once(self) -> Dict[str, Any]:
         """Take one sample of the target thread synchronously (the
         deterministic path tests drive)."""
         frame = sys._current_frames().get(self._target_thread)
-        tracer = self._resolve_tracer()
         record = {
             "ts": time.perf_counter(),
-            "spans": list(tracer.open_span_path()),
+            "spans": list(get_tracer().open_span_path()),
             "stack": _app_stack(frame),
         }
         with self._lock:

@@ -1,9 +1,9 @@
 """Structured tracing for the protocol runtime.
 
 The reproduction's hot subsystems — the concrete runner, the exact tree
-analyzer and the Lemma 7 samplers — accept a
-:class:`Tracer` and emit *events* (one structured record each) and
-*spans* (begin/end pairs carrying wall-clock duration).  The design
+analyzer and the Lemma 7 samplers — emit *events* (one structured
+record each) and *spans* (begin/end pairs carrying wall-clock duration)
+into the process-wide :class:`Tracer`.  The design
 mirrors how the paper (and its message-passing follow-up,
 arXiv:1305.4696) accounts information per message and per round: every
 event names the speaker, the bits charged, and the round index, so a
@@ -45,10 +45,12 @@ Three tracers:
   the format consumed by ``python -m repro.experiments EN --trace f``.
   :func:`read_trace` loads such a file back into event objects.
 
-A process-wide default tracer can be installed with :func:`set_tracer`
-or the :func:`using_tracer` context manager; instrumented functions
-resolve ``tracer=None`` to the global default, so the CLI can trace an
-entire experiment without threading a tracer through every call site.
+The process-wide tracer is the one way in: install it with
+:func:`set_tracer` or the :func:`using_tracer` context manager, and
+every instrumented entry point reads it once per call with
+:func:`get_tracer` (no function takes a ``tracer`` argument), so the CLI
+traces an entire experiment without threading a tracer through every
+call site.
 """
 
 from __future__ import annotations

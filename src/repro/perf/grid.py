@@ -45,7 +45,6 @@ from ..obs.trace import (
     RecordingTracer,
     TraceContext,
     TraceEvent,
-    Tracer,
     _jsonable,
     get_tracer,
     using_tracer,
@@ -135,7 +134,6 @@ def map_grid(
     *,
     workers: Optional[int] = None,
     base_seed: Optional[int] = None,
-    tracer: Optional[Tracer] = None,
     on_result: Optional[Callable[[int, Any], None]] = None,
 ) -> List[Any]:
     """Evaluate ``fn`` over ``items``, optionally across processes.
@@ -166,7 +164,10 @@ def map_grid(
     While metrics are collecting, each resolved task counts on
     ``grid_tasks_done`` under ``worker="N"``, the dense first-seen index
     of the process that ran it (never a pid, so reports stay
-    deterministic; ``"0"`` when serial).
+    deterministic; ``"0"`` when serial).  The sweep traces into the
+    process-wide tracer (:func:`repro.obs.using_tracer`): a ``map_grid``
+    span, one ``grid_task`` span and ``grid_task_done`` event per task,
+    and the workers' events replayed in submission order.
 
     Returns
     -------
@@ -174,8 +175,7 @@ def map_grid(
         ``[fn(items[0], ...), fn(items[1], ...), ...]`` — always in item
         order, regardless of worker scheduling.
     """
-    if tracer is None:
-        tracer = get_tracer()
+    tracer = get_tracer()
     count = resolve_workers(workers)
     items = list(items)
     seeds: List[Optional[int]] = [

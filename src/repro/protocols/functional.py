@@ -15,7 +15,7 @@ hand-written ones.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from ..information.distribution import DiscreteDistribution
 from ..core.model import Protocol, Transcript
@@ -71,7 +71,6 @@ def random_boolean_protocol(
     rng: random.Random,
     *,
     rounds: int = 3,
-    outputs: Sequence[Any] = (0, 1),
 ) -> FunctionalProtocol:
     """A random private-coin protocol over one-bit inputs.
 
@@ -79,7 +78,7 @@ def random_boolean_protocol(
     writes one bit.  The bit's bias is drawn (once, per ``(round, player,
     input bit, board bits so far)``) uniformly from ``[0, 1]``, so message
     distributions genuinely depend on inputs, history, and private coins.
-    The output is a random function of the final board.
+    The output is a random bit-valued function of the final board.
 
     Used by property tests: Lemma 3 and Lemma 4 must hold for every such
     protocol exactly.
@@ -116,7 +115,7 @@ def random_boolean_protocol(
     def output(board: Transcript) -> Any:
         history = board.bit_string()
         if history not in output_cache:
-            output_cache[history] = rng.choice(list(outputs))
+            output_cache[history] = rng.choice((0, 1))
         return output_cache[history]
 
     return FunctionalProtocol(k, next_speaker, message_distribution, output)

@@ -131,9 +131,9 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: str, text: str, *, encoding: str = "utf-8") -> None:
-    """Atomic text-file counterpart of :func:`atomic_write_bytes`."""
-    atomic_write_bytes(path, text.encode(encoding))
+def atomic_write_text(path: str, text: str) -> None:
+    """Atomic UTF-8 text-file counterpart of :func:`atomic_write_bytes`."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def encode_entry(key: ResultKey, payload: bytes) -> bytes:

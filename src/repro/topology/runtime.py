@@ -13,7 +13,6 @@ from typing import Any, Optional, Sequence
 
 from ..core.model import Medium, Protocol
 from ..core.runner import ProtocolRun, run_protocol
-from ..obs.trace import Tracer
 
 __all__ = ["run_on_medium"]
 
@@ -24,10 +23,7 @@ def run_on_medium(
     inputs: Sequence[Any],
     *,
     rng: Optional[random.Random] = None,
-    tracer: Optional[Tracer] = None,
 ) -> ProtocolRun:
     """Execute ``protocol`` once on ``medium`` with the given inputs
     (one per player; auxiliary nodes receive ``None``)."""
-    return run_protocol(
-        protocol, inputs, rng=rng, tracer=tracer, medium=medium
-    )
+    return run_protocol(protocol, inputs, rng=rng, medium=medium)

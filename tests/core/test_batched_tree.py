@@ -26,6 +26,7 @@ from repro.obs import (
     RecordingTracer,
     disable_metrics,
     enable_metrics,
+    using_tracer,
 )
 from repro.protocols import (
     FullBroadcastAndProtocol,
@@ -307,9 +308,8 @@ class TestBatchedEqualsPerInput:
         tracer = RecordingTracer()
         for _, protocol, scenarios in CASES[:4]:
             untraced = joint_transcript_distribution(protocol, scenarios)
-            traced = joint_transcript_distribution(
-                protocol, scenarios, tracer=tracer
-            )
+            with using_tracer(tracer):
+                traced = joint_transcript_distribution(protocol, scenarios)
             assert_bit_identical(traced, untraced)
         assert any(e.name == "joint_enumerated" for e in tracer.events)
 

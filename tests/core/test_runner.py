@@ -76,6 +76,7 @@ class TestRunProtocol:
             RecordingTracer,
             disable_metrics,
             enable_metrics,
+            using_tracer,
         )
 
         p = _never_halts(25)
@@ -85,7 +86,8 @@ class TestRunProtocol:
             with pytest.raises(
                 ProtocolViolation, match="did not halt within 25 messages"
             ):
-                run_protocol(p, (0,), tracer=tracer)
+                with using_tracer(tracer):
+                    run_protocol(p, (0,))
             assert REGISTRY.counter("runner_executions").total() == 0
             assert REGISTRY.counter("bits_written").total() == 0
             assert REGISTRY.counter("runner_messages").total() == 0

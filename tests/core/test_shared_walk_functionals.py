@@ -34,7 +34,7 @@ from repro.core.model import BROADCAST, ProtocolViolation
 from repro.core.tree import population_joint
 from repro.information import DiscreteDistribution
 from repro.lowerbounds.fooling import TruncatedAndProtocol, lemma6_distribution
-from repro.obs import RecordingTracer, collecting
+from repro.obs import RecordingTracer, collecting, using_tracer
 from repro.protocols import (
     FullBroadcastAndProtocol,
     NaiveDisjointnessProtocol,
@@ -289,7 +289,8 @@ class TestSharedWalkEdges:
         protocol = SequentialAndProtocol(3)
         dist = _weighted(_bits(3))
         tracer = RecordingTracer()
-        laws = transcript_distributions(protocol, dist.support(), tracer=tracer)
+        with using_tracer(tracer):
+            laws = transcript_distributions(protocol, dist.support())
         (event,) = tracer.named("tree_enumerated")
         assert event.fields["inputs"] == len(laws) == 8
         # The union tree of sequential AND_3: 4 leaves, 3 internal nodes.

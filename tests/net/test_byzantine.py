@@ -36,6 +36,7 @@ from repro.obs import (
     RecordingTracer,
     disable_metrics,
     enable_metrics,
+    using_tracer,
 )
 from repro.protocols import (
     ALL_PROTOCOLS,
@@ -310,13 +311,12 @@ class TestByzantineObservability:
     def teardown_method(self):
         disable_metrics()
 
-    def _run(self, plan=None, f=1, tracer=None):
+    def _run(self, plan=None, f=1):
         return run_networked(
             SequentialAndProtocol(4),
             (1, 1, 1, 1),
             seed=SEED,
             byzantine=ByzantineConfig(f=f, plan=plan),
-            tracer=tracer,
         )
 
     def test_vote_and_delivery_counters(self):
@@ -362,7 +362,8 @@ class TestByzantineObservability:
 
     def test_byz_deliver_spans(self):
         tracer = RecordingTracer()
-        run = self._run(tracer=tracer)
+        with using_tracer(tracer):
+            run = self._run()
         delivers = [
             e for e in tracer.named("byz_deliver") if e.kind == "begin"
         ]

@@ -79,10 +79,8 @@ def test_chaos_loopback_run_event_stream():
     case = protocol_case("noisy-sequential-and")
     inputs = case.input_tuples()[-1]
     tracer = RecordingTracer(trace_id=_TRACE_ID)
-    with collecting() as registry:
-        run_networked(
-            case.build(), inputs, seed=8, faults=chaos_plan(7), tracer=tracer
-        )
+    with collecting() as registry, using_tracer(tracer):
+        run_networked(case.build(), inputs, seed=8, faults=chaos_plan(7))
         digest = _digest(tracer, registry)
     (complete,) = tracer.named("net_run_complete")
     assert complete.fields["faults"] == 20
@@ -93,12 +91,11 @@ def test_chaos_loopback_run_event_stream():
 def test_byzantine_loopback_run_event_stream():
     plan = byzantine_fault_plans(4242, party=0)["byz-chaos"]
     tracer = RecordingTracer(trace_id=_TRACE_ID)
-    with collecting() as registry:
+    with collecting() as registry, using_tracer(tracer):
         run_networked(
             SequentialAndProtocol(4),
             (1, 1, 1, 1),
             seed=4242,
-            tracer=tracer,
             byzantine=ByzantineConfig(f=1, plan=plan),
         )
         digest = _digest(tracer, registry)
@@ -161,16 +158,12 @@ def _fault_totals(tracer):
     """Faults injected and retries taken by the chaos blackboard run and
     the faulted fabric sweep, under ``tracer`` (``None``: untraced)."""
     case = protocol_case("noisy-sequential-and")
-    with collecting() as registry:
+    with collecting() as registry, using_tracer(tracer):
         run_networked(
             case.build(), case.input_tuples()[-1], seed=8,
-            faults=chaos_plan(7), tracer=tracer,
+            faults=chaos_plan(7),
         )
-        if tracer is None:
-            _run_fabric_sweep()
-        else:
-            with using_tracer(tracer):
-                _run_fabric_sweep()
+        _run_fabric_sweep()
         counters = registry.snapshot().counters
     return {
         name: sorted(counters.get(name, {}).items())

@@ -28,7 +28,13 @@ from repro.net import (
     run_networked,
 )
 from repro.net.errors import OrderViolationError
-from repro.obs import REGISTRY, RecordingTracer, disable_metrics, enable_metrics
+from repro.obs import (
+    REGISTRY,
+    RecordingTracer,
+    disable_metrics,
+    enable_metrics,
+    using_tracer,
+)
 from repro.protocols import (
     NaiveDisjointnessProtocol,
     OptimalDisjointnessProtocol,
@@ -262,7 +268,8 @@ class TestObservability:
         case = protocol_case("sequential-and")
         inputs = case.input_tuples()[-1]
         tracer = RecordingTracer()
-        run = run_networked(case.build(), inputs, seed=3, tracer=tracer)
+        with using_tracer(tracer):
+            run = run_networked(case.build(), inputs, seed=3)
         frames = REGISTRY.counter("net_frames_sent")
         assert frames.value(kind="APPEND", transport="loopback") >= len(
             run.transcript

@@ -7,10 +7,12 @@ Kept to a handful of protocols so the smoke job stays fast; fault
 injection is a loopback-only feature and is asserted rejected here.
 """
 
+import logging
 import random
 
 import pytest
 
+from repro.core.model import ProtocolViolation
 from repro.core.runner import run_protocol
 from repro.net import FaultPlan, run_networked
 from repro.obs import REGISTRY, collecting
@@ -40,6 +42,21 @@ def test_tcp_rejects_fault_plans():
             transport="tcp",
             faults=FaultPlan(drop_rate=0.1),
         )
+
+
+def test_tcp_failure_raises_typed_and_quietly(caplog, capfd):
+    # A randomized protocol run without a seed fails in a party.  The
+    # connection handlers the failed run leaves behind are cancelled at
+    # loop shutdown, which must not log one asyncio traceback each.
+    case = protocol_case("functional-random")
+    with caplog.at_level(logging.WARNING, logger="asyncio"):
+        with pytest.raises(ProtocolViolation, match="no seed"):
+            run_networked(
+                case.build(), case.input_tuples()[0], transport="tcp",
+                timeout=60.0,
+            )
+    assert [r for r in caplog.records if r.name == "asyncio"] == []
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_tcp_wire_bytes_reach_telemetry():

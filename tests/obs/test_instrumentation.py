@@ -48,9 +48,8 @@ class TestTracedEqualsUntraced:
     def test_deterministic_protocol(self):
         p = SequentialAndProtocol(5)
         untraced = run_protocol(p, (1, 1, 1, 0, 1))
-        traced = run_protocol(
-            p, (1, 1, 1, 0, 1), tracer=RecordingTracer()
-        )
+        with using_tracer(RecordingTracer()):
+            traced = run_protocol(p, (1, 1, 1, 0, 1))
         assert traced.transcript == untraced.transcript
         assert traced.output == untraced.output
         assert traced.bits_communicated == untraced.bits_communicated
@@ -61,9 +60,8 @@ class TestTracedEqualsUntraced:
         # identical runs with and without a tracer.
         p = NoisySequentialAndProtocol(6, 0.3)
         untraced = run_protocol(p, (1,) * 6, rng=random.Random(42))
-        traced = run_protocol(
-            p, (1,) * 6, rng=random.Random(42), tracer=RecordingTracer()
-        )
+        with using_tracer(RecordingTracer()):
+            traced = run_protocol(p, (1,) * 6, rng=random.Random(42))
         assert traced.transcript == untraced.transcript
         assert traced.output == untraced.output
 
@@ -79,9 +77,10 @@ class TestTracedEqualsUntraced:
         plain = run_naive_dart_protocol(
             eta, nu, random.Random(3), universe
         )
-        traced = run_naive_dart_protocol(
-            eta, nu, random.Random(3), universe, tracer=RecordingTracer()
-        )
+        with using_tracer(RecordingTracer()):
+            traced = run_naive_dart_protocol(
+                eta, nu, random.Random(3), universe
+            )
         assert traced.message == plain.message
         assert traced.receiver_value == plain.receiver_value
 
@@ -90,18 +89,17 @@ class TestTracedEqualsUntraced:
         plain = simulate_sampling_round(
             eta, nu, random.Random(5), universe=universe
         )
-        traced = simulate_sampling_round(
-            eta, nu, random.Random(5), universe=universe,
-            tracer=RecordingTracer(),
-        )
+        with using_tracer(RecordingTracer()):
+            traced = simulate_sampling_round(
+                eta, nu, random.Random(5), universe=universe
+            )
         assert traced == plain
 
     def test_transcript_distribution_unaffected(self):
         p = NoisySequentialAndProtocol(3, 0.25)
         plain = transcript_distribution(p, (1, 1, 1))
-        traced = transcript_distribution(
-            p, (1, 1, 1), tracer=RecordingTracer()
-        )
+        with using_tracer(RecordingTracer()):
+            traced = transcript_distribution(p, (1, 1, 1))
         assert dict(plain.items()) == dict(traced.items())
 
 
@@ -109,7 +107,8 @@ class TestMessageLedger:
     def test_bits_events_sum_to_communication(self):
         tracer = RecordingTracer()
         p = SequentialAndProtocol(6)
-        run = run_protocol(p, (1, 1, 1, 1, 1, 1), tracer=tracer)
+        with using_tracer(tracer):
+            run = run_protocol(p, (1, 1, 1, 1, 1, 1))
         messages = tracer.named("message")
         assert len(messages) == run.rounds
         assert (
@@ -120,7 +119,8 @@ class TestMessageLedger:
     def test_per_message_fields(self):
         tracer = RecordingTracer()
         p = SequentialAndProtocol(4)
-        run = run_protocol(p, (1, 1, 0, 1), tracer=tracer)
+        with using_tracer(tracer):
+            run = run_protocol(p, (1, 1, 0, 1))
         messages = tracer.named("message")
         assert [e.fields["speaker"] for e in messages] == [0, 1, 2]
         assert [e.fields["round"] for e in messages] == [0, 1, 2]
@@ -130,7 +130,8 @@ class TestMessageLedger:
 
     def test_run_wrapped_in_span_with_result_event(self):
         tracer = RecordingTracer()
-        run_protocol(SequentialAndProtocol(3), (1, 0, 1), tracer=tracer)
+        with using_tracer(tracer):
+            run_protocol(SequentialAndProtocol(3), (1, 0, 1))
         kinds = [(e.name, e.kind) for e in tracer.events]
         assert kinds[0] == ("run_protocol", "begin")
         assert kinds[-1] == ("run_protocol", "end")
@@ -150,7 +151,8 @@ class TestJsonlRunTrace:
         path = str(tmp_path / "run.jsonl")
         tracer = JsonlTracer(path)
         p = SequentialAndProtocol(5)
-        run = run_protocol(p, (1, 1, 1, 1, 1), tracer=tracer)
+        with using_tracer(tracer):
+            run = run_protocol(p, (1, 1, 1, 1, 1))
         tracer.close()
         events = read_trace(path)
         messages = [e for e in events if e.name == "message"]
@@ -193,7 +195,8 @@ class TestSubsystemCounters:
         scenarios = DiscreteDistribution(
             {((1, 1),): 0.5, ((1, 0),): 0.5}
         )
-        joint_transcript_distribution(p, scenarios, tracer=tracer)
+        with using_tracer(tracer):
+            joint_transcript_distribution(p, scenarios)
         (event,) = tracer.named("joint_enumerated")
         assert event.fields["scenarios"] == 2
         assert event.fields["distinct_inputs"] == 2
@@ -227,9 +230,10 @@ class TestSubsystemCounters:
     def test_sampler_round_trace_fields(self):
         eta, nu, universe = _dart_pair()
         tracer = RecordingTracer()
-        result = run_naive_dart_protocol(
-            eta, nu, random.Random(2), universe, tracer=tracer
-        )
+        with using_tracer(tracer):
+            result = run_naive_dart_protocol(
+                eta, nu, random.Random(2), universe
+            )
         (event,) = tracer.named("sampler_round")
         assert event.fields["path"] == "naive"
         assert event.fields["s"] == result.message.s

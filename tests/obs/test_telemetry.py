@@ -297,9 +297,10 @@ class TestSamplingProfiler:
     def test_sample_once_records_span_path_and_stack(self):
         out = io.StringIO()
         tracer = RecordingTracer()
-        profiler = SamplingProfiler(out, tracer=tracer)
-        with tracer.span("experiment"), tracer.span("inner_work"):
-            record = profiler.sample_once()
+        profiler = SamplingProfiler(out)
+        with using_tracer(tracer):
+            with tracer.span("experiment"), tracer.span("inner_work"):
+                record = profiler.sample_once()
         assert record["spans"] == ["experiment", "inner_work"]
         samples = read_profile(io.StringIO(out.getvalue()))
         assert len(samples) == 1

@@ -11,7 +11,13 @@ import time
 
 import pytest
 
-from repro.obs import REGISTRY, RecordingTracer, disable_metrics, enable_metrics
+from repro.obs import (
+    REGISTRY,
+    RecordingTracer,
+    disable_metrics,
+    enable_metrics,
+    using_tracer,
+)
 from repro.perf import derive_seed, map_grid, resolve_workers
 
 
@@ -101,7 +107,8 @@ class TestMapGrid:
 
     def test_single_item_stays_serial(self):
         tracer = RecordingTracer()
-        assert map_grid(square, [5], workers=4, tracer=tracer) == [25]
+        with using_tracer(tracer):
+            assert map_grid(square, [5], workers=4) == [25]
         (begin,) = [
             e for e in tracer.named("map_grid") if e.kind == "begin"
         ]
@@ -109,7 +116,8 @@ class TestMapGrid:
 
     def test_trace_events(self):
         tracer = RecordingTracer()
-        map_grid(square, [1, 2], tracer=tracer)
+        with using_tracer(tracer):
+            map_grid(square, [1, 2])
         assert len(tracer.named("grid_task_done")) == 2
 
 
@@ -169,9 +177,12 @@ class TestExperimentByteIdentity:
     def test_cli_workers_flag(self, capsys):
         from repro.experiments.__main__ import main
 
-        assert main(["E2", "--workers", "2"]) == 0
+        # The quick grid (k <= 16) still takes both E2 regimes, the full
+        # support (k <= 12) and the <=3-zeros truncation (k = 16), and
+        # hands the pool 7 cells.
+        assert main(["E2", "--quick", "--workers", "2"]) == 0
         with_workers = capsys.readouterr().out
-        assert main(["E2"]) == 0
+        assert main(["E2", "--quick"]) == 0
         serial = capsys.readouterr().out
         # Strip the wall-clock line, which legitimately differs.
         strip = lambda text: [  # noqa: E731
@@ -180,3 +191,7 @@ class TestExperimentByteIdentity:
             if not line.startswith("(E2 completed")
         ]
         assert strip(with_workers) == strip(serial)
+        lines = serial.splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("--"))
+        rows = lines[header + 1:lines.index("", header)]
+        assert len(rows) > 1
