@@ -7,9 +7,9 @@ The subsystem has four layers (see ``docs/testing.md`` for the guide):
   case specs and the seeded generator of arbitrary valid broadcast
   protocols (certified by ``core.validate`` before any oracle runs);
 * :mod:`repro.check.oracles` — the differential oracle inventory
-  (tree-walk engines vs independent references, exact vs Monte Carlo,
-  closed-form CIC, sampler acceptance rates, paper invariants,
-  networked-loopback bit-identity);
+  (tree-walk engines vs independent references, paper invariants,
+  networked-loopback bit-identity, store, scheduler and topology
+  references);
 * :mod:`repro.check.mutations` — independent reference implementations
   with plantable bugs, powering each oracle's mutation self-test;
 * :mod:`repro.check.harness` / :mod:`repro.check.shrink` /
@@ -31,14 +31,11 @@ from .harness import CaseReport, SuiteReport, run_case, run_suite
 from .oracles import (
     ALL_ORACLES,
     ByzantineBlackboardOracle,
-    ClosedFormOracle,
     DisciplineOracle,
     InvariantsOracle,
-    MonteCarloOracle,
     NetworkOracle,
     Oracle,
     OracleResult,
-    SamplerOracle,
     StoreRoundtripOracle,
     VectorizedKernelOracle,
     oracle_by_name,
@@ -62,9 +59,6 @@ __all__ = [
     "oracle_by_name",
     "DisciplineOracle",
     "VectorizedKernelOracle",
-    "MonteCarloOracle",
-    "ClosedFormOracle",
-    "SamplerOracle",
     "InvariantsOracle",
     "NetworkOracle",
     "ByzantineBlackboardOracle",

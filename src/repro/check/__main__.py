@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.check --seed 0 --cases 500       # the nightly budget
     python -m repro.check --seed 0 --cases 25        # the PR smoke budget
-    python -m repro.check --seed 7 --cases 100 --oracles sampler,invariants
+    python -m repro.check --seed 7 --cases 100 --oracles invariants,networked-loopback
     python -m repro.check --replay .fuzz-failures/case-12-seed-123.json
 
     # Observability (see docs/observability.md):

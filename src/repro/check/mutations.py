@@ -15,12 +15,11 @@ loose it would miss a real regression fails its own self-test first.
 
 Nothing here is used by production code; the faithful copies are
 *intentionally* independent re-derivations (per-input DFS instead of the
-batched walk, naive :math:`O(k^2)` closed form instead of the prefix-sum
-one, a literal dart loop without observability) so that a shared bug
-between subject and reference is unlikely.  The exact engine's retired
+batched walk, a k-replica simulation instead of the networked runtime)
+so that a shared bug between subject and reference is unlikely.  The exact engine's retired
 twins live here too, without planted bugs: the dict-driven shared walk
 and dict fold (section 1a), which :func:`reference_engines` swaps into
-production with the other size-selected references (section 12).
+production with the other size-selected references (section 9).
 """
 
 from __future__ import annotations
@@ -57,11 +56,8 @@ __all__ = [
     "TREE_BUGS",
     "VECTORIZED_BUGS",
     "COLUMN_BUGS",
-    "CLOSED_FORM_BUGS",
     "CHAIN_RULE_BUGS",
     "FACTOR_BUGS",
-    "DART_BUGS",
-    "ESTIMATOR_BUGS",
     "DISCIPLINE_BUGS",
     "NET_BUGS",
     "BYZANTINE_BUGS",
@@ -81,11 +77,8 @@ __all__ = [
     "class_probability_reference",
     "vectorized_reference",
     "columnar_information_cost",
-    "closed_form_cic",
     "chain_rule_information",
     "factor_probability",
-    "dart_rounds",
-    "paired_samples",
     "BrokenPrefixProtocol",
     "ImpureStateProtocol",
     "wrap_discipline_bug",
@@ -606,41 +599,7 @@ def _mutual_information_over_codes(
 
 
 # ----------------------------------------------------------------------
-# 2. Sequential-AND CIC closed form (reference: the naive O(k^2) sum).
-# ----------------------------------------------------------------------
-CLOSED_FORM_BUGS: Tuple[str, ...] = ("off-by-one-z", "missing-boundary")
-
-
-def closed_form_cic(k: int, *, bug: Optional[str] = None) -> float:
-    """:math:`\\frac1k \\sum_z H(J \\mid Z = z)` summed naively per ``z``
-    (independent of the production prefix-sum evaluation).
-
-    Planted bugs: ``"off-by-one-z"`` sums ``z`` over ``range(k - 1)``
-    (dropping the highest-entropy conditioning value); and
-    ``"missing-boundary"`` forgets the :math:`j = z` boundary term
-    :math:`(1 - 1/k)^z` of each conditional entropy.
-    """
-    _check_bug(bug, CLOSED_FORM_BUGS)
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    q = 1.0 - 1.0 / k
-    z_values = range(k - 1) if bug == "off-by-one-z" else range(k)
-    total = 0.0
-    for z in z_values:
-        entropy = 0.0
-        for j in range(z):
-            p = (q**j) * (1.0 / k)
-            if p > 0.0:
-                entropy -= p * math.log2(p)
-        boundary = q**z
-        if boundary > 0.0 and bug != "missing-boundary":
-            entropy -= boundary * math.log2(boundary)
-        total += entropy
-    return total / k
-
-
-# ----------------------------------------------------------------------
-# 3. Round-by-round chain rule (reference for I(Pi; X)).
+# 2. Round-by-round chain rule (reference for I(Pi; X)).
 # ----------------------------------------------------------------------
 CHAIN_RULE_BUGS: Tuple[str, ...] = ("drop-last-round",)
 
@@ -735,7 +694,7 @@ def chain_rule_information(
 
 
 # ----------------------------------------------------------------------
-# 4. Lemma 3 product decomposition (reference transcript probability).
+# 3. Lemma 3 product decomposition (reference transcript probability).
 # ----------------------------------------------------------------------
 FACTOR_BUGS: Tuple[str, ...] = ("factor-wrong-player",)
 
@@ -785,119 +744,7 @@ def factor_probability(
 
 
 # ----------------------------------------------------------------------
-# 5. Literal dart loop (reference for the Lemma 7 sampler).
-# ----------------------------------------------------------------------
-DART_BUGS: Tuple[str, ...] = ("half-accept",)
-
-
-def dart_rounds(
-    eta: DiscreteDistribution,
-    nu: DiscreteDistribution,
-    rng: random.Random,
-    universe: Sequence[Any],
-    rounds: int,
-    *,
-    bug: Optional[str] = None,
-) -> Tuple[List[int], List[int], List[bool]]:
-    """Play ``rounds`` literal Lemma 7 rounds and return the per-round
-    ``(total_bits, darts_used, receiver_agreed)`` triples, via a minimal
-    re-implementation of the dart loop (no tracing, no truncation).
-
-    Planted bug ``"half-accept"`` makes the speaker accept a dart only
-    when it lies under *half* of :math:`\\eta`'s curve — the output is
-    still :math:`\\eta`-distributed (conditioning preserves proportions)
-    but the acceptance probability per dart halves, so the expected dart
-    count and the block-index cost both double: exactly the kind of
-    silent inefficiency an acceptance-rate oracle must catch.
-    """
-    _check_bug(bug, DART_BUGS)
-    from ..compression.sampling import (  # local import: keep the copy light
-        SamplingCost,
-        _block_bits,
-        _log_ratio_ceil,
-        _rank_width,
-        _ratio_bits,
-    )
-
-    universe = list(universe)
-    size = len(universe)
-    accept_scale = 0.5 if bug == "half-accept" else 1.0
-    bits_per_round: List[int] = []
-    darts_per_round: List[int] = []
-    agreed: List[bool] = []
-    for _ in range(rounds):
-        darts: List[Tuple[Any, float]] = []
-        accepted_index = None
-        while accepted_index is None:
-            x = universe[rng.randrange(size)]
-            p = rng.random()
-            darts.append((x, p))
-            if p < accept_scale * eta[x]:
-                accepted_index = len(darts)
-        x_star = darts[accepted_index - 1][0]
-        block = (accepted_index + size - 1) // size
-        s = _log_ratio_ceil(eta[x_star], nu[x_star])
-        while 2.0**s * nu[x_star] < eta[x_star]:
-            s += 1
-        scale = 2.0**s
-        block_end = block * size
-        while len(darts) < block_end:
-            x = universe[rng.randrange(size)]
-            darts.append((x, rng.random()))
-        block_start = (block - 1) * size
-        candidates = [
-            index
-            for index in range(block_start, block_end)
-            if darts[index][1] < min(scale * nu[darts[index][0]], 1.0)
-        ]
-        rank = candidates.index(accepted_index - 1) + 1
-        cost = SamplingCost(
-            block_bits=_block_bits(block),
-            ratio_bits=_ratio_bits(s),
-            rank_bits=_rank_width(len(candidates)),
-        )
-        bits_per_round.append(cost.total_bits)
-        darts_per_round.append(accepted_index)
-        agreed.append(darts[candidates[rank - 1]][0] == x_star)
-    return bits_per_round, darts_per_round, agreed
-
-
-# ----------------------------------------------------------------------
-# 6. Monte-Carlo sample collection (reference for the MC estimator).
-# ----------------------------------------------------------------------
-ESTIMATOR_BUGS: Tuple[str, ...] = ("blind-estimator",)
-
-
-def paired_samples(
-    protocol: Protocol,
-    input_dist: DiscreteDistribution,
-    rng: random.Random,
-    trials: int,
-    *,
-    bug: Optional[str] = None,
-) -> List[Tuple[Any, str]]:
-    """``(inputs, transcript bit-string)`` sample pairs for the plug-in
-    MI estimator, collected with :func:`repro.core.runner.run_protocol`.
-
-    Planted bug ``"blind-estimator"`` pairs each recorded input with the
-    transcript of an *independently drawn* input — the pairs then carry
-    no mutual information at all, which the exact-vs-Monte-Carlo oracle
-    must flag whenever the true information cost is positive.
-    """
-    _check_bug(bug, ESTIMATOR_BUGS)
-    from ..core.runner import run_protocol
-
-    pairs: List[Tuple[Any, str]] = []
-    for _ in range(trials):
-        inputs = input_dist.sample(rng)
-        run_inputs = input_dist.sample(rng) if bug == "blind-estimator" else inputs
-        outcome = run_protocol(protocol, run_inputs, rng=rng)
-        pairs.append((inputs, outcome.transcript.bit_string()))
-    return pairs
-
-
-# ----------------------------------------------------------------------
-# 7. Sequential networked-execution reference (for repro.net).
+# 4. Sequential networked-execution reference (for repro.net).
 # ----------------------------------------------------------------------
 NET_BUGS: Tuple[str, ...] = ("drop-last-frame", "coin-desync")
 
@@ -997,7 +844,7 @@ def networked_reference(
 
 
 # ----------------------------------------------------------------------
-# 7b. Byzantine-tolerant networked reference (for repro.net.byzantine).
+# 4b. Byzantine-tolerant networked reference (for repro.net.byzantine).
 # ----------------------------------------------------------------------
 BYZANTINE_BUGS: Tuple[str, ...] = (
     "accept-without-quorum",
@@ -1182,7 +1029,7 @@ def byzantine_reference(
 
 
 # ----------------------------------------------------------------------
-# 8. Cached-result serving reference (for repro.store).
+# 5. Cached-result serving reference (for repro.store).
 # ----------------------------------------------------------------------
 STORE_BUGS: Tuple[str, ...] = ("stale-version-tag", "payload-truncation")
 
@@ -1266,7 +1113,7 @@ def store_serve(
 
 
 # ----------------------------------------------------------------------
-# 9. Model-discipline mutants (wrappers around a generated protocol).
+# 6. Model-discipline mutants (wrappers around a generated protocol).
 # ----------------------------------------------------------------------
 DISCIPLINE_BUGS: Tuple[str, ...] = ("broken-prefix", "impure-state")
 
@@ -1365,7 +1212,7 @@ def wrap_discipline_bug(base: Protocol, bug: str) -> Protocol:
 
 
 # ----------------------------------------------------------------------
-# 10. Fabric scheduler reference (for repro.fabric).
+# 7. Fabric scheduler reference (for repro.fabric).
 # ----------------------------------------------------------------------
 FABRIC_BUGS: Tuple[str, ...] = ("duplicate-lease", "lost-result-on-steal")
 
@@ -1542,7 +1389,7 @@ def fabric_schedule_reference(
 
 
 # ----------------------------------------------------------------------
-# 11. Topology discipline (for repro.topology).
+# 8. Topology discipline (for repro.topology).
 # ----------------------------------------------------------------------
 TOPOLOGY_BUGS: Tuple[str, ...] = ("view-leak", "wrong-link-charge")
 
@@ -1698,7 +1545,7 @@ def topology_run_reference(
 
 
 # ----------------------------------------------------------------------
-# 12. Reference engines swapped into production (tests and benchmarks).
+# 9. Reference engines swapped into production (tests and benchmarks).
 # ----------------------------------------------------------------------
 #: What :func:`reference_engines` swaps in, by the name it counts under.
 REFERENCE_ENGINES: Tuple[str, ...] = ("walk", "fold", "recursion", "runner")

@@ -14,16 +14,6 @@ GeneratedCase`) and checks one cross-layer agreement property:
                       external information cost and first-seen
                       transcript codes match the scalar fold and an
                       independent column re-derivation.
-``exact-vs-mc``       the exact analyzer's information cost lies in the
-                      Monte-Carlo estimator's bootstrap interval
-                      (widened by the plug-in bias allowance).
-``cic-closed-form``   the O(k) closed-form CIC equals both a naive
-                      O(k²) re-derivation and exact tree enumeration on
-                      the Section 4 hard distribution.
-``sampler``           the literal Lemma 7 dart loop's acceptance rate
-                      and mean cost match the exact analytic moments of
-                      :func:`repro.compression.sampling.
-                      expected_round_cost`; the receiver always agrees.
 ``invariants``        the paper's structural identities on the
                       generated case: 0 ≤ IC ≤ H(Π) ≤ E[|Π|], the
                       round-by-round chain rule reproduces IC, and
@@ -74,10 +64,9 @@ the mutated reference/implementation into the comparison.
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.analysis import (
     expected_communication,
@@ -88,12 +77,6 @@ from ..core.tree import joint_transcript_distribution, transcript_distribution
 from ..core.validate import validate_protocol
 from ..information.distribution import DiscreteDistribution
 from ..information.entropy import entropy, mutual_information
-from ..information.estimation import (
-    bootstrap_mutual_information_interval,
-    plugin_mutual_information,
-)
-from ..lowerbounds.analytic import sequential_and_cic_closed_form
-from ..lowerbounds.hard_distribution import and_hard_distribution
 from . import mutations
 from .generator import GeneratedCase, derive_rng
 
@@ -102,9 +85,6 @@ __all__ = [
     "Oracle",
     "DisciplineOracle",
     "VectorizedKernelOracle",
-    "MonteCarloOracle",
-    "ClosedFormOracle",
-    "SamplerOracle",
     "InvariantsOracle",
     "NetworkOracle",
     "ByzantineBlackboardOracle",
@@ -309,159 +289,6 @@ def _first_item_mismatch(
     return "unreachable"
 
 
-class MonteCarloOracle(Oracle):
-    """Exact IC inside the MC estimator's (bias-widened) interval.
-
-    The plug-in estimator is biased upward by roughly
-    ``|supp X| * |supp Π| / (2 T ln 2)`` bits (the Miller–Madow residual
-    scale), so the bootstrap interval is widened by exactly that
-    allowance plus a fixed 0.1-bit floor.  Cases whose transcript space
-    is large relative to the trial budget are skipped — the plug-in
-    estimator is out of contract there.
-    """
-
-    name = "exact-vs-mc"
-    bugs = mutations.ESTIMATOR_BUGS
-    trials = 400
-    replicates = 60
-    max_transcripts = 32
-    max_inputs = 16
-
-    def check(self, case: GeneratedCase, bug: Optional[str] = None) -> OracleResult:
-        joint = transcript_joint(case.protocol, case.input_dist)
-        transcript_support = len(joint.marginal("transcript").support())
-        input_support = len(case.input_dist.support())
-        if (
-            transcript_support > self.max_transcripts
-            or input_support > self.max_inputs
-        ):
-            return self._ok(
-                f"skipped: support {input_support}x{transcript_support} "
-                f"exceeds the {self.trials}-trial estimator contract"
-            )
-        exact = mutual_information(joint, "transcript", "inputs")
-        rng = derive_rng(case.spec.seed, "mc-oracle")
-        pairs = mutations.paired_samples(
-            case.protocol, case.input_dist, rng, self.trials, bug=bug
-        )
-        estimate = plugin_mutual_information(pairs, miller_madow=True)
-        lo, hi = bootstrap_mutual_information_interval(
-            pairs, rng=rng, replicates=self.replicates
-        )
-        slack = 0.1 + (input_support * transcript_support) / (
-            2.0 * self.trials * math.log(2.0)
-        )
-        if not lo - slack <= exact <= hi + slack:
-            return self._fail(
-                f"exact IC {exact:.4f} outside widened bootstrap interval "
-                f"[{lo - slack:.4f}, {hi + slack:.4f}] "
-                f"(estimate {estimate:.4f}, {self.trials} trials)"
-            )
-        return self._ok(
-            f"exact {exact:.4f} in [{lo - slack:.4f}, {hi + slack:.4f}]"
-        )
-
-
-class ClosedFormOracle(Oracle):
-    """O(k) closed-form CIC vs a naive O(k²) copy vs exact enumeration.
-
-    The closed form only exists for the sequential AND protocol, so this
-    oracle derives ``k`` from the case index (cycling 2..5, the range
-    the exact tree machinery enumerates quickly) rather than from the
-    generated protocol itself.
-    """
-
-    name = "cic-closed-form"
-    bugs = mutations.CLOSED_FORM_BUGS
-
-    def check(self, case: GeneratedCase, bug: Optional[str] = None) -> OracleResult:
-        from ..core.analysis import conditional_information_cost
-        from ..protocols import SequentialAndProtocol
-
-        k = 2 + (case.index % 4 if case.index >= 0 else case.spec.seed % 4)
-        production = sequential_and_cic_closed_form(k)
-        reference = mutations.closed_form_cic(k, bug=bug)
-        if abs(production - reference) > 1e-12:
-            return self._fail(
-                f"k={k}: closed form {production:.12f} != naive "
-                f"re-derivation {reference:.12f}"
-            )
-        exact = conditional_information_cost(
-            SequentialAndProtocol(k), and_hard_distribution(k)
-        )
-        if abs(production - exact) > 1e-9:
-            return self._fail(
-                f"k={k}: closed form {production:.12f} != exact "
-                f"enumeration {exact:.12f}"
-            )
-        return self._ok(f"k={k}: closed form == naive == enumeration")
-
-
-class SamplerOracle(Oracle):
-    """Dart-loop acceptance rate and mean cost vs analytic expectation.
-
-    The (η, ν) pair is derived from the case seed over a universe of
-    2–5 messages.  With N rounds, the empirical dart count has standard
-    error ``sqrt(|U|(|U|-1)/N)`` (geometric) and the empirical bit cost
-    ``std_bits/sqrt(N)`` (exact, from the second moment) — both checks
-    use a z = 6 band, so a false alarm is a < 1e-8 event per case even
-    if the seed were redrawn.
-    """
-
-    name = "sampler"
-    bugs = mutations.DART_BUGS
-    rounds = 150
-    z = 6.0
-
-    def _pair(self, case: GeneratedCase):
-        rng = derive_rng(case.spec.seed, "sampler-pair")
-        size = rng.randint(2, 5)
-        universe = list(range(size))
-        from ..information.distribution import DiscreteDistribution
-
-        eta = DiscreteDistribution(
-            {x: rng.random() + 0.05 for x in universe}, normalize=True
-        )
-        nu = DiscreteDistribution(
-            {x: rng.random() + 0.05 for x in universe}, normalize=True
-        )
-        return eta, nu, universe
-
-    def check(self, case: GeneratedCase, bug: Optional[str] = None) -> OracleResult:
-        from ..compression.sampling import expected_round_cost
-
-        eta, nu, universe = self._pair(case)
-        moments = expected_round_cost(eta, nu, universe)
-        rng = derive_rng(case.spec.seed, "sampler-rounds")
-        bits, darts, agreed = mutations.dart_rounds(
-            eta, nu, rng, universe, self.rounds, bug=bug
-        )
-        if not all(agreed):
-            return self._fail(
-                f"receiver disagreed on {agreed.count(False)}/{self.rounds} "
-                "rounds"
-            )
-        size = len(universe)
-        mean_darts = sum(darts) / self.rounds
-        dart_band = self.z * math.sqrt(size * (size - 1.0) / self.rounds) + 1e-9
-        if abs(mean_darts - moments.mean_darts) > dart_band:
-            return self._fail(
-                f"acceptance rate off: mean darts {mean_darts:.3f} vs "
-                f"analytic {moments.mean_darts:.3f} (band ±{dart_band:.3f})"
-            )
-        mean_bits = sum(bits) / self.rounds
-        bits_band = self.z * moments.std_bits / math.sqrt(self.rounds) + 1e-9
-        if abs(mean_bits - moments.mean_bits) > bits_band:
-            return self._fail(
-                f"cost off: mean bits {mean_bits:.3f} vs analytic "
-                f"{moments.mean_bits:.3f} (band ±{bits_band:.3f})"
-            )
-        return self._ok(
-            f"|U|={size}: darts {mean_darts:.2f}~{moments.mean_darts:.2f}, "
-            f"bits {mean_bits:.2f}~{moments.mean_bits:.2f}"
-        )
-
-
 class InvariantsOracle(Oracle):
     """The paper's structural identities on the generated case itself."""
 
@@ -614,15 +441,15 @@ class ByzantineBlackboardOracle(Oracle):
        and ``bits_communicated`` — the Bracha layer is pure overhead
        when nobody lies.
     2. *Derived ``k=4`` adversarial run.*  Generated cases only reach
-       ``k ∈ {2, 3}``, too small for a non-trivial quorum, so — like
-       ``cic-closed-form`` — this leg derives its own protocol (the
-       sequential AND family at ``k=4``, alternating the noisy variant
-       by case index so coin draws enter the vote identity) and runs it
-       with ``f=1`` while party 3 actively equivocates, forges, and
-       replays under a seeded :class:`~repro.net.faults.
-       ByzantineFaultPlan`.  Since ``k > 3f``, the run must *still* be
-       bit-identical.  The same execution is re-derived by the
-       independent quorum-counting reference
+       ``k ∈ {2, 3}``, too small for a non-trivial quorum, so this leg
+       derives its own protocol (the sequential AND family at ``k=4``,
+       alternating the noisy variant by case index so coin draws enter
+       the vote identity) and runs it with ``f=1`` while party 3
+       actively equivocates, forges, and replays under a seeded
+       :class:`~repro.net.faults.ByzantineFaultPlan`.  Since
+       ``k > 3f``, the run must *still* be bit-identical.  The same
+       execution is re-derived by the independent quorum-counting
+       reference
        :func:`repro.check.mutations.byzantine_reference` — the
        planted-bug carrier: an ``accept-without-quorum`` or
        ``echo-replay-accepted`` defect delivers the adversary's value
@@ -951,8 +778,7 @@ class TopologyDisciplineOracle(Oracle):
     """Coordinator-medium discipline: view-locality certified, and the
     runner's per-link accounting re-derived independently.
 
-    Like ``cic-closed-form`` and ``byzantine-blackboard``, this oracle
-    derives its own protocol from the case — a
+    Like ``byzantine-blackboard``, this oracle derives its own protocol from the case — a
     :class:`~repro.check.generator.GeneratedCoordinatorProtocol` at
     ``k ∈ {2, 3}`` (alternating by case index), whose every law is
     keyed on the speaker's own view by construction.  Two legs:
@@ -1045,14 +871,11 @@ ALL_ORACLES: Tuple[Oracle, ...] = (
     DisciplineOracle(),
     VectorizedKernelOracle(),
     InvariantsOracle(),
-    ClosedFormOracle(),
-    SamplerOracle(),
     NetworkOracle(),
     ByzantineBlackboardOracle(),
     StoreRoundtripOracle(),
     FabricSchedulerOracle(),
     TopologyDisciplineOracle(),
-    MonteCarloOracle(),
 )
 
 

@@ -732,8 +732,8 @@ def expected_round_cost(
     :func:`run_naive_dart_protocol` (equivalently
     :func:`simulate_sampling_round` with an explicit universe — the fast
     path samples the same joint law) over infinitely many trials, and is
-    what the statistical-tolerance tests and the fuzz harness's sampler
-    oracle compare the empirical means against.
+    what the statistical-tolerance tests compare the empirical means
+    against.
 
     Derivation.  Condition on the accepted value :math:`x^* \\sim \\eta`
     (independent of the accepted dart index :math:`i`, which is

@@ -37,14 +37,13 @@ BUDGET_FRACTIONS: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 0.875, 1.0)
 def budget_grid(
     ks: Sequence[int],
     *,
-    eps_prime: float = EPS_PRIME,
     budget_fractions: Sequence[float] = BUDGET_FRACTIONS,
 ) -> List[Dict[str, Any]]:
     """The cell params of the sweep over ``ks``: every budget fraction
-    at every ``k``.  ``eps_prime`` changes the measured errors, so it is
+    at every ``k``.  ``EPS_PRIME`` changes the measured errors, so it is
     part of each cell's address alongside the grid point."""
     return [
-        {"k": k, "budget": round(fraction * k), "eps_prime": eps_prime}
+        {"k": k, "budget": round(fraction * k), "eps_prime": EPS_PRIME}
         for k in ks
         for fraction in budget_fractions
     ]

@@ -22,6 +22,7 @@ from repro.protocols import (
     ALL_PROTOCOLS,
     FunctionalProtocol,
     OptimalDisjointnessProtocol,
+    UnionProtocol,
 )
 from repro.protocols.batch import decode_batch_turn
 from repro.protocols.optimal_disjointness import _BoardState
@@ -91,6 +92,24 @@ def test_planted_hang_stops_at_the_declared_bound(engine):
         engine()
     assert time.monotonic() - started < 5.0
     assert HANG.max_messages == 12  # k (n + 1)
+
+
+class EndgameNeverEnds(UnionProtocol):
+    """The union protocol with a planted hang: a finished endgame cycle
+    that left the universe uncovered starts another endgame cycle."""
+
+    def advance_state(self, state, message):
+        state = super().advance_state(state, message)
+        if state.finished and state.covered != (1 << self.universe_size) - 1:
+            return state._replace(turn=0, finished=False)
+        return state
+
+
+def test_planted_union_hang_stops_at_the_declared_bound():
+    hang = EndgameNeverEnds(3, 2)  # n < k^2: the endgame from the start
+    with pytest.raises(ProtocolViolation, match=r"\b10 messages"):
+        run_protocol(hang, (1, 2))
+    assert hang.max_messages == 10  # k (n + 2)
 
 
 def test_undeclared_hang_fails_identically_at_the_ceiling():
