@@ -20,6 +20,10 @@ object it enters.  A process writes the ones under the source root to
 * on SIGTERM when the process has no handler of its own (a
   ``Process.terminate()``), after which it dies of SIGTERM as before.
 
+A process that inherits ``REACHABILITY_TAG`` starts its dump with the
+line ``# <tag>``; ``tools/mutate.py`` tags each test's processes so,
+and reads the hook's ``called()``/``clear()`` in pytest's own process.
+
 Runs into one ``OUT`` accumulate, so a surface list is one ``run`` per
 command and one ``report``.  ``report`` parses every ``def`` under the
 root with ``ast`` and matches it to the recorded ``(file, first
@@ -37,9 +41,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 DEFAULT_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+TAG = "REACHABILITY_TAG"
 
 _HOOK = r'''
 import atexit
@@ -52,6 +58,7 @@ import threading
 _ROOT = {root!r}
 _OUT = {out!r}
 _codes = {{}}
+_relative = {{}}
 _serial = itertools.count()
 
 
@@ -61,17 +68,35 @@ def _hook(frame, event, arg):
         _codes[id(code)] = code
 
 
-def _dump():
-    prefix = _ROOT + os.sep
+def clear():
+    _codes.clear()
+
+
+def called():
+    # "path:first line" of each code object under the root entered
+    # since the last clear().
     seen = set()
     for code in list(_codes.values()):
-        path = os.path.realpath(code.co_filename)
-        if path.startswith(prefix):
-            seen.add("%s:%d" % (path[len(prefix):], code.co_firstlineno))
-    if seen:
+        rel = _relative.get(code.co_filename)
+        if rel is None:
+            path = os.path.realpath(code.co_filename)
+            prefix = _ROOT + os.sep
+            rel = path[len(prefix):] if path.startswith(prefix) else ""
+            _relative[code.co_filename] = rel
+        if rel:
+            seen.add("%s:%d" % (rel, code.co_firstlineno))
+    return seen
+
+
+def _dump():
+    lines = sorted(called())
+    if lines:
+        tag = os.environ.get({tag!r})
+        if tag:
+            lines.insert(0, "# " + tag)
         name = "calls-%d-%d.txt" % (os.getpid(), next(_serial))
         with open(os.path.join(_OUT, name), "w") as handle:
-            handle.write("\n".join(sorted(seen)) + "\n")
+            handle.write("\n".join(lines) + "\n")
 
 
 _real_exit = os._exit
@@ -89,7 +114,7 @@ def _on_sigterm(signum, frame):
 
 
 os._exit = _exit
-os.register_at_fork(after_in_child=_codes.clear)
+os.register_at_fork(after_in_child=clear)
 atexit.register(_dump)
 if signal.getsignal(signal.SIGTERM) == signal.SIG_DFL:
     signal.signal(signal.SIGTERM, _on_sigterm)
@@ -98,15 +123,22 @@ sys.setprofile(_hook)
 '''
 
 
-def run(out: Path, root: Path, command: List[str]) -> int:
-    """Run ``command`` with the recorder in every Python process."""
-    out = out.resolve()
-    hook_dir = out / ".hook"
-    hook_dir.mkdir(parents=True, exist_ok=True)
+def install(hook_dir: Path, root: Path, out: Path) -> None:
+    """Write the recorder as ``hook_dir/sitecustomize.py``: every Python
+    process with ``hook_dir`` on its path records the defs under ``root``
+    it enters and dumps them into ``out``."""
+    out.mkdir(parents=True, exist_ok=True)
     (hook_dir / "sitecustomize.py").write_text(
-        _HOOK.format(root=str(root.resolve()), out=str(out)),
+        _HOOK.format(root=str(root.resolve()), out=str(out.resolve()), tag=TAG),
         encoding="utf-8",
     )
+
+
+def run(out: Path, root: Path, command: List[str]) -> int:
+    """Run ``command`` with the recorder in every Python process."""
+    hook_dir = out.resolve() / ".hook"
+    hook_dir.mkdir(parents=True, exist_ok=True)
+    install(hook_dir, root, out)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(hook_dir)] + [p for p in [env.get("PYTHONPATH")] if p]
@@ -140,12 +172,20 @@ def defs(root: Path) -> Dict[Tuple[str, int], str]:
     return found
 
 
+def dumps(out: Path) -> Iterator[Tuple[str, List[str]]]:
+    """``(tag or "", "path:first line" keys)`` of each process's dump."""
+    for dump in sorted(out.glob("calls-*.txt")):
+        lines = dump.read_text(encoding="utf-8").splitlines()
+        tag = lines.pop(0)[2:] if lines and lines[0].startswith("# ") else ""
+        yield tag, lines
+
+
 def recorded(out: Path) -> Set[Tuple[str, int]]:
     """Every ``(relative path, first line)`` some process entered."""
     seen: Set[Tuple[str, int]] = set()
-    for dump in out.glob("calls-*.txt"):
-        for line in dump.read_text(encoding="utf-8").split():
-            rel, _, first = line.rpartition(":")
+    for _, keys in dumps(out):
+        for key in keys:
+            rel, _, first = key.rpartition(":")
             seen.add((rel, int(first)))
     return seen
 
