@@ -143,6 +143,10 @@ def _cases():
          lemma6_distribution(6, 0.2), and_task(6), BROADCAST),
         ("noisy_sequential_and", NoisySequentialAndProtocol(3, 0.25),
          _weighted(_bits(3)), and_task(3), BROADCAST),
+        # Exactly two leaves per input: the shape next to the walk's
+        # single-leaf fast path.
+        ("noisy_one_bit_and", NoisySequentialAndProtocol(1, 0.25),
+         _weighted(_bits(1)), and_task(1), BROADCAST),
         ("random_boolean", random_boolean_protocol(3, rng=random.Random(5)),
          _weighted(_bits(3)), and_task(3), BROADCAST),
         ("naive_disjointness", NaiveDisjointnessProtocol(2, 2),

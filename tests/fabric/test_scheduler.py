@@ -82,6 +82,7 @@ class TestLeases:
         assert s.expire(4.9) == []
         assert s.expire(5.0) == [0]
         assert s.expirations == 1
+        assert s.requeues == 1
         # Re-queued at the *front*: dispatched before cell 2.
         assert s.next_cell(0, 6.0) == (0, False)
         assert s.next_cell(0, 6.0) == (2, False)
@@ -99,6 +100,7 @@ class TestLeases:
         assert s.leased_to(0) == [0, 2]
         assert s.drop_worker(0) == [0, 2]
         assert s.leased_to(0) == []
+        assert s.requeues == 2
         # Cells re-queue front-first in increasing order, so the highest
         # re-queued cell surfaces first.
         assert s.next_cell(0, 1.0) == (2, False)
