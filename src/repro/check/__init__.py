@@ -1,4 +1,4 @@
-"""``repro.check`` — seeded random-protocol fuzzing with differential
+"""``repro.check`` — seeded random-protocol fuzzing with property
 oracles.
 
 The subsystem has four layers (see ``docs/testing.md`` for the guide):
@@ -6,16 +6,16 @@ The subsystem has four layers (see ``docs/testing.md`` for the guide):
 * :mod:`repro.check.spec` / :mod:`repro.check.generator` — serializable
   case specs and the seeded generator of arbitrary valid broadcast
   protocols (certified by ``core.validate`` before any oracle runs);
-* :mod:`repro.check.oracles` — the differential oracle inventory
-  (tree-walk engines vs independent references, paper invariants,
-  networked-loopback bit-identity, store, scheduler and topology
-  references);
+* :mod:`repro.check.oracles` — the oracle inventory: model discipline,
+  the paper's invariants and topology discipline on generated protocols
+  (the engine, network, store and scheduler contracts are tier-1 tests,
+  named in ``docs/testing.md``);
 * :mod:`repro.check.mutations` — independent reference implementations
-  with plantable bugs, powering each oracle's mutation self-test;
+  with plantable bugs, powering each oracle's mutation self-test, and
+  the exact engine's retired twins that ``reference_engines`` swaps in;
 * :mod:`repro.check.harness` / :mod:`repro.check.shrink` /
   :mod:`repro.check.bundle` — the driver, the spec-level shrinker, and
-  replayable failure bundles, all behind ``python -m repro.check``.
-"""
+  replayable failure bundles, all behind ``python -m repro.check``."""
 
 from .bundle import ReproBundle, load_bundle, replay_bundle, write_bundle
 from .generator import (
@@ -30,14 +30,10 @@ from .generator import (
 from .harness import CaseReport, SuiteReport, run_case, run_suite
 from .oracles import (
     ALL_ORACLES,
-    ByzantineBlackboardOracle,
     DisciplineOracle,
     InvariantsOracle,
-    NetworkOracle,
     Oracle,
     OracleResult,
-    StoreRoundtripOracle,
-    VectorizedKernelOracle,
     oracle_by_name,
 )
 from .shrink import shrink_case, shrink_candidates
@@ -58,11 +54,7 @@ __all__ = [
     "ALL_ORACLES",
     "oracle_by_name",
     "DisciplineOracle",
-    "VectorizedKernelOracle",
     "InvariantsOracle",
-    "NetworkOracle",
-    "ByzantineBlackboardOracle",
-    "StoreRoundtripOracle",
     "CaseReport",
     "SuiteReport",
     "run_case",

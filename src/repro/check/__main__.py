@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.check --seed 0 --cases 500       # the nightly budget
     python -m repro.check --seed 0 --cases 25        # the PR smoke budget
-    python -m repro.check --seed 7 --cases 100 --oracles invariants,networked-loopback
+    python -m repro.check --seed 7 --cases 100 --oracles invariants,topology-discipline
     python -m repro.check --replay .fuzz-failures/case-12-seed-123.json
 
     # Observability (see docs/observability.md):
@@ -31,7 +31,7 @@ from .oracles import ALL_ORACLES, oracle_by_name
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.check",
-        description="Seeded random-protocol fuzzing with differential "
+        description="Seeded random-protocol fuzzing with property "
                     "oracles (see docs/testing.md).",
     )
     parser.add_argument(

@@ -14,22 +14,21 @@ statistical power is itself under test — an oracle whose tolerance is so
 loose it would miss a real regression fails its own self-test first.
 
 Nothing here is used by production code; the faithful copies are
-*intentionally* independent re-derivations (per-input DFS instead of the
-batched walk, a k-replica simulation instead of the networked runtime)
-so that a shared bug between subject and reference is unlikely.  The exact engine's retired
-twins live here too, without planted bugs: the dict-driven shared walk
-and dict fold (section 1a), which :func:`reference_engines` swaps into
-production with the other size-selected references (section 9).
+*intentionally* independent re-derivations (Bayes updates along
+transcripts instead of the mutual-information fold, per-player factors
+instead of the walk, a mini-runtime instead of the medium runner) so
+that a shared bug between subject and reference is unlikely.  The
+exact engine's retired twins live here too, without planted bugs: the
+dict-driven shared walk and dict fold (section 1a), which
+:func:`reference_engines` swaps into production with the other
+size-selected references (section 9).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import random
 import sys
-import zlib
 from typing import (
     Any,
     Callable,
@@ -53,30 +52,16 @@ from ..core.model import (
 from ..information.distribution import DiscreteDistribution, JointDistribution
 
 __all__ = [
-    "TREE_BUGS",
-    "VECTORIZED_BUGS",
-    "COLUMN_BUGS",
     "CHAIN_RULE_BUGS",
     "FACTOR_BUGS",
     "DISCIPLINE_BUGS",
-    "NET_BUGS",
-    "BYZANTINE_BUGS",
-    "STORE_BUGS",
-    "FABRIC_BUGS",
     "TOPOLOGY_BUGS",
-    "store_serve",
-    "fabric_schedule_reference",
-    "networked_reference",
-    "byzantine_reference",
-    "legacy_joint_transcript_distribution",
     "shared_walk_reference",
     "shared_walk_joint",
     "REFERENCE_ENGINES",
     "reference_engines",
     "reference_sorted_leaves",
     "class_probability_reference",
-    "vectorized_reference",
-    "columnar_information_cost",
     "chain_rule_information",
     "factor_probability",
     "BrokenPrefixProtocol",
@@ -90,92 +75,6 @@ __all__ = [
 def _check_bug(bug: Optional[str], allowed: Tuple[str, ...]) -> None:
     if bug is not None and bug not in allowed:
         raise ValueError(f"unknown planted bug {bug!r}; known: {allowed}")
-
-
-# ----------------------------------------------------------------------
-# 1. Legacy per-input tree walk (reference for the batched enumeration).
-# ----------------------------------------------------------------------
-TREE_BUGS: Tuple[str, ...] = ("off-by-one-prob", "leaf-order")
-
-
-def _legacy_transcript_distribution(
-    protocol: Protocol, inputs: Sequence[Any], bug: Optional[str]
-) -> DiscreteDistribution:
-    """The historical per-input DFS, replicated independently of
-    :func:`repro.core.tree.transcript_distribution`.
-
-    Planted bugs:
-
-    * ``"off-by-one-prob"`` — each child is weighted with its *previous*
-      sibling's probability (the first child gets 1.0): a classic
-      iteration off-by-one that skews every non-degenerate branch.
-    * ``"leaf-order"`` — children are pushed in reversed message order,
-      so leaves arrive in *ascending* lexicographic index order instead
-      of the descending order the production DFS produces.  Masses are
-      equal but the accumulation order (and hence the item order the
-      bit-identity contract pins) differs.
-    """
-    leaves: Dict[Transcript, float] = {}
-    stack: List[Tuple[Any, Transcript, float]] = [
-        (protocol.initial_state(), Transcript(), 1.0)
-    ]
-    while stack:
-        state, board, prob = stack.pop()
-        speaker = protocol.next_speaker(state, board)
-        if speaker is None:
-            leaves[board] = leaves.get(board, 0.0) + prob
-            continue
-        dist = protocol.message_distribution(
-            state, speaker, inputs[speaker], board
-        )
-        items = list(dist.items())
-        if bug == "leaf-order":
-            items = list(reversed(items))
-        previous_p = 1.0
-        for bits, p in items:
-            if p <= 0.0:
-                continue
-            if bits == "":
-                raise ProtocolViolation("protocols may not write empty messages")
-            branch_p = previous_p if bug == "off-by-one-prob" else p
-            previous_p = p
-            message = Message(speaker=speaker, bits=bits)
-            stack.append(
-                (
-                    protocol.advance_state(state, message),
-                    board.extend(message),
-                    prob * branch_p,
-                )
-            )
-    return DiscreteDistribution(leaves, normalize=True)
-
-
-def legacy_joint_transcript_distribution(
-    protocol: Protocol,
-    scenarios: DiscreteDistribution,
-    inputs_of: Optional[Callable[[Any], Sequence[Any]]] = None,
-    *,
-    names: Optional[Sequence[str]] = None,
-    bug: Optional[str] = None,
-) -> JointDistribution:
-    """The joint ``(scenario..., transcript)`` law via one DFS per
-    distinct input tuple — the pre-batching reference semantics."""
-    _check_bug(bug, TREE_BUGS)
-    if inputs_of is None:
-        inputs_of = lambda scenario: scenario[0]  # noqa: E731
-    cache: Dict[Tuple[Any, ...], DiscreteDistribution] = {}
-    probs: Dict[Tuple[Any, ...], float] = {}
-    for scenario, p_scenario in scenarios.items():
-        key = tuple(inputs_of(scenario))
-        dist = cache.get(key)
-        if dist is None:
-            dist = _legacy_transcript_distribution(protocol, key, bug)
-            cache[key] = dist
-        for transcript, p_transcript in dist.items():
-            outcome = scenario + (transcript,)
-            probs[outcome] = probs.get(outcome, 0.0) + p_scenario * p_transcript
-    full_names = tuple(names) + ("transcript",) if names is not None else None
-    return JointDistribution(probs, names=full_names, normalize=True)
 
 
 # ----------------------------------------------------------------------
@@ -365,240 +264,6 @@ def shared_walk_joint(
 
 
 # ----------------------------------------------------------------------
-# 1b. Lockstep group-by walk (reference for the vectorized kernel engine).
-# ----------------------------------------------------------------------
-VECTORIZED_BUGS: Tuple[str, ...] = ("partition-order", "axis-swap")
-
-
-def vectorized_reference(
-    protocol: Protocol,
-    scenarios: DiscreteDistribution,
-    inputs_of: Optional[Callable[[Any], Sequence[Any]]] = None,
-    *,
-    names: Optional[Sequence[str]] = None,
-    bug: Optional[str] = None,
-) -> JointDistribution:
-    """The joint ``(scenario..., transcript)`` law via an independent
-    lockstep group-by walk mirroring the *structure* of
-    :func:`repro.perf.kernels.tree_walk_sorted_leaves`: every input
-    advances through the tree together, partitioned at each node by
-    message distribution, and all leaves land in one flat
-    arrival-ordered table that is re-partitioned per input at the end —
-    exactly the step the planted bugs corrupt.
-
-    Planted bugs:
-
-    * ``"partition-order"`` — the flat leaf table is sliced into
-      per-input runs in raw arrival order, skipping the stable
-      re-partition by input (the group-by equivalent of trusting
-      ``np.unique``'s sorted return order to be first-seen order).
-      Whenever two inputs' leaves interleave, masses are attributed to
-      the wrong input.
-    * ``"axis-swap"`` — the re-partition sorts with its key columns
-      swapped (path-major instead of input-major — the ``np.lexsort``
-      argument-order trap), breaking the input-contiguity the slicing
-      assumes.
-    """
-    _check_bug(bug, VECTORIZED_BUGS)
-    if inputs_of is None:
-        inputs_of = lambda scenario: scenario[0]  # noqa: E731
-    keys: List[Tuple[Any, ...]] = []
-    first_seen: Dict[Tuple[Any, ...], int] = {}
-    for scenario, _p in scenarios.items():
-        key = tuple(inputs_of(scenario))
-        if key not in first_seen:
-            first_seen[key] = len(keys)
-            keys.append(key)
-
-    # (member, path, board, prob) in lockstep arrival order; ``path`` is
-    # the per-node message-enumeration index trail, so descending path
-    # order is the per-input leaf order of the production engines.
-    arrivals: List[Tuple[int, Tuple[int, ...], Transcript, float]] = []
-
-    def walk(members, probs, state, board, path):
-        speaker = protocol.next_speaker(state, board)
-        if speaker is None:
-            for member, p in zip(members, probs):
-                arrivals.append((member, path, board, p))
-            return
-        partitions: Dict[Any, int] = {}
-        part_members: List[List[int]] = []
-        part_probs: List[List[float]] = []
-        part_dists: List[DiscreteDistribution] = []
-        for member, p in zip(members, probs):
-            dist = protocol.message_distribution(
-                state, speaker, keys[member][speaker], board
-            )
-            signature = tuple(dist.items())
-            group = partitions.get(signature)
-            if group is None:
-                group = len(part_dists)
-                partitions[signature] = group
-                part_dists.append(dist)
-                part_members.append([])
-                part_probs.append([])
-            part_members[group].append(member)
-            part_probs[group].append(p)
-        for group, dist in enumerate(part_dists):
-            for position, (bits, p_msg) in enumerate(dist.items()):
-                if p_msg <= 0.0:
-                    continue
-                if bits == "":
-                    raise ProtocolViolation(
-                        "protocols may not write empty messages"
-                    )
-                message = Message(speaker=speaker, bits=bits)
-                walk(
-                    part_members[group],
-                    [p * p_msg for p in part_probs[group]],
-                    protocol.advance_state(state, message),
-                    board.extend(message),
-                    path + (position,),
-                )
-
-    walk(
-        list(range(len(keys))),
-        [1.0] * len(keys),
-        protocol.initial_state(),
-        Transcript(),
-        (),
-    )
-
-    if bug == "partition-order":
-        ordered = list(arrivals)
-    else:
-
-        def sort_key(row):
-            member, path, _board, _p = row
-            inverted = tuple(-digit for digit in path)
-            if bug == "axis-swap":
-                return (inverted, member)
-            return (member, inverted)
-
-        ordered = sorted(arrivals, key=sort_key)
-
-    counts = [0] * len(keys)
-    for member, _path, _board, _p in arrivals:
-        counts[member] += 1
-    tables: List[DiscreteDistribution] = []
-    offset = 0
-    for member in range(len(keys)):
-        accumulated: Dict[Transcript, float] = {}
-        for _m, _path, board, p in ordered[offset:offset + counts[member]]:
-            accumulated[board] = accumulated.get(board, 0.0) + p
-        tables.append(DiscreteDistribution(accumulated, normalize=True))
-        offset += counts[member]
-
-    probs: Dict[Tuple[Any, ...], float] = {}
-    for scenario, p_scenario in scenarios.items():
-        table = tables[first_seen[tuple(inputs_of(scenario))]]
-        for transcript, p_transcript in table.items():
-            outcome = scenario + (transcript,)
-            probs[outcome] = (
-                probs.get(outcome, 0.0) + p_scenario * p_transcript
-            )
-    full_names = tuple(names) + ("transcript",) if names is not None else None
-    return JointDistribution(probs, names=full_names, normalize=True)
-
-
-# ----------------------------------------------------------------------
-# 1c. Columnar exact joint (reference for the IC column path).
-# ----------------------------------------------------------------------
-COLUMN_BUGS: Tuple[str, ...] = ("leaf-id-codes", "np-sum-normalizer")
-
-
-def columnar_information_cost(
-    protocol: Protocol,
-    input_dist: DiscreteDistribution,
-    *,
-    bug: Optional[str] = None,
-) -> Tuple[float, List[int]]:
-    """``(I(Π; X), transcript codes)`` re-derived column by column, the
-    way :func:`repro.perf.kernels.columnar_joint` computes them: per-input
-    laws from the independent per-input DFS, the ``(x,)`` scenario map,
-    flat rows scenario-major, the joint normalizer, first-seen integer
-    codes per column, and the mutual information folded over the codes
-    with each marginal normalized in code order.
-
-    Planted bugs:
-
-    * ``"leaf-id-codes"`` — transcripts are numbered by leaf id (tree
-      level order: depth, then bits, as a level-synchronous walk meets
-      its leaves) instead of in first-seen row order.  The codes differ
-      from the production column, and the transcript marginal is
-      normalized in the wrong order.
-    * ``"np-sum-normalizer"`` — the joint normalizer is numpy's pairwise
-      ``np.sum`` instead of builtin ``sum()`` in row order.
-    """
-    _check_bug(bug, COLUMN_BUGS)
-    laws: Dict[Tuple[Any, ...], DiscreteDistribution] = {}
-    rows: List[Tuple[Any, Transcript, float]] = []
-    for (x,), p_scenario in input_dist.map(lambda x: (x,)).items():
-        key = tuple(x)
-        law = laws.get(key)
-        if law is None:
-            law = laws[key] = _legacy_transcript_distribution(
-                protocol, key, None
-            )
-        for transcript, p_transcript in law.items():
-            rows.append((x, transcript, p_scenario * p_transcript))
-    raw = [p for _x, _t, p in rows]
-    if bug == "np-sum-normalizer":
-        from ..perf import kernels
-
-        total = float(kernels.require_numpy().sum(raw))
-    else:
-        total = sum(raw)
-    scale = 1.0 / total
-    rows = [(x, t, p * scale) for x, t, p in rows if p > 0.0]
-    t_table: Dict[Transcript, int] = {}
-    if bug == "leaf-id-codes":
-        leaves = sorted(
-            {t for _x, t, _p in rows}, key=lambda t: (len(t), t.bit_string())
-        )
-        t_table = {t: leaf_id for leaf_id, t in enumerate(leaves)}
-    else:
-        for _x, t, _p in rows:
-            t_table.setdefault(t, len(t_table))
-    x_table: Dict[Any, int] = {}
-    for x, _t, _p in rows:
-        x_table.setdefault(x, len(x_table))
-    t_codes = [t_table[t] for _x, t, _p in rows]
-    x_codes = [x_table[x] for x, _t, _p in rows]
-    probs = [p for _x, _t, p in rows]
-    information = _mutual_information_over_codes(
-        probs, t_codes, len(t_table), x_codes, len(x_table)
-    )
-    return information, t_codes
-
-
-def _mutual_information_over_codes(
-    probs: List[float],
-    a_codes: List[int],
-    a_count: int,
-    b_codes: List[int],
-    b_count: int,
-) -> float:
-    """The legacy ``mutual_information`` fold, over integer codes: each
-    marginal accumulates in row order and is normalized by ``sum()`` in
-    code order, pair terms fold in first-seen pair order."""
-    pa = [0.0] * a_count
-    pb = [0.0] * b_count
-    pairs: Dict[Tuple[int, int], float] = {}
-    for p, a, b in zip(probs, a_codes, b_codes):
-        pa[a] += p
-        pb[b] += p
-        pairs[(a, b)] = pairs.get((a, b), 0.0) + p
-    scale_a = 1.0 / sum(pa)
-    scale_b = 1.0 / sum(pb)
-    total = 0.0
-    for (a, b), p in pairs.items():
-        if p > 0.0:
-            total += p * math.log2(p / ((pa[a] * scale_a) * (pb[b] * scale_b)))
-    return max(total, 0.0)
-
-
-# ----------------------------------------------------------------------
 # 2. Round-by-round chain rule (reference for I(Pi; X)).
 # ----------------------------------------------------------------------
 CHAIN_RULE_BUGS: Tuple[str, ...] = ("drop-last-round",)
@@ -632,14 +297,10 @@ def chain_rule_information(
     # Message laws by (board, speaker's input): the state is a function
     # of the board here, replayed from the initial state.
     laws: Dict[Tuple[Transcript, Any], DiscreteDistribution] = {}
-    per_input = {
-        tuple(x): _legacy_transcript_distribution(protocol, x, None)
-        for x in input_dist.support()
-    }
-    transcripts: Dict[Transcript, None] = {}
-    for dist in per_input.values():
-        for transcript in dist.support():
-            transcripts.setdefault(transcript, None)
+    (_, boards, _), *_stats = shared_walk_reference(
+        protocol, [tuple(x) for x in input_dist.support()]
+    )
+    transcripts = dict.fromkeys(boards)
 
     total = 0.0
     for transcript in transcripts:
@@ -744,375 +405,6 @@ def factor_probability(
 
 
 # ----------------------------------------------------------------------
-# 4. Sequential networked-execution reference (for repro.net).
-# ----------------------------------------------------------------------
-NET_BUGS: Tuple[str, ...] = ("drop-last-frame", "coin-desync")
-
-
-def networked_reference(
-    protocol: Protocol,
-    inputs: Sequence[Any],
-    seed: Optional[int],
-    *,
-    bug: Optional[str] = None,
-):
-    """A networked execution re-derived from first principles.
-
-    Independently of :mod:`repro.net`'s client/server state machines,
-    this simulates k parties the way the networking design doc argues
-    they must behave: every party holds its own protocol-state fold,
-    its own board mirror, and its own ``random.Random(seed)`` replica of
-    the shared coin stream.  Each round, all views must agree on the
-    speaker; the speaker samples from *its* replica, the message crosses
-    a real ``encode_frame``/``decode_frame`` wire round-trip, and every
-    other party advances its replica by the frame's ``coin_draws``.  The
-    faithful copy (``bug=None``) is bit-identical to
-    :func:`repro.core.runner.run_protocol` with ``random.Random(seed)``
-    — that equality is the ``networked-loopback`` oracle's subject.
-
-    Planted bugs:
-
-    * ``"drop-last-frame"`` — the final broadcast frame is lost and
-      never retried, so the assembled transcript is one message short:
-      the delivery bug retry/SYNC exists to prevent.
-    * ``"coin-desync"`` — observers never advance their replicas for
-      other speakers' coin draws, so the first party to sample *after*
-      observing someone else sample draws from the wrong stream
-      position: the bug the ``coin_draws`` frame field exists to
-      prevent.
-    """
-    _check_bug(bug, NET_BUGS)
-    from ..core.runner import ProtocolRun
-    from ..net.framing import Frame, FrameKind, decode_frame, encode_frame
-
-    k = protocol.num_players
-    max_messages = protocol.max_messages
-    replicas = [random.Random(seed) for _ in range(k)]
-    states = [protocol.initial_state() for _ in range(k)]
-    board = Transcript()
-    for round_index in range(max_messages + 1):
-        views = {protocol.next_speaker(states[i], board) for i in range(k)}
-        if len(views) != 1:
-            raise ProtocolViolation(
-                f"party views disagree on the speaker: {views}"
-            )
-        (speaker,) = views
-        if speaker is None:
-            output = protocol.output(states[0], board)
-            transcript = board
-            if bug == "drop-last-frame" and len(board) > 0:
-                transcript = Transcript(board.messages[:-1])
-            return ProtocolRun(transcript=transcript, output=output)
-        if round_index == max_messages:
-            break
-        dist = protocol.message_distribution(
-            states[speaker], speaker, inputs[speaker], board
-        )
-        if len(dist) == 1:
-            (bits,) = dist.support()
-            draws = 0
-        else:
-            if seed is None:
-                raise ProtocolViolation(
-                    "protocol requires private randomness but no seed "
-                    "was given to the networked run"
-                )
-            bits = dist.sample(replicas[speaker])
-            draws = 1
-        wire = encode_frame(
-            Frame(
-                kind=FrameKind.BROADCAST,
-                party=speaker,
-                round_index=round_index,
-                coin_draws=draws,
-                payload=bits,
-            )
-        )
-        frame, consumed = decode_frame(wire)
-        if consumed != len(wire):
-            raise ProtocolViolation("frame round-trip left trailing bytes")
-        message = Message(speaker=frame.party, bits=frame.payload)
-        for i in range(k):
-            if i != speaker and bug != "coin-desync":
-                for _ in range(frame.coin_draws):
-                    replicas[i].random()
-            states[i] = protocol.advance_state(states[i], message)
-        board = board.extend(message)
-    raise ProtocolViolation(
-        f"protocol did not halt within {max_messages} messages"
-    )
-
-
-# ----------------------------------------------------------------------
-# 4b. Byzantine-tolerant networked reference (for repro.net.byzantine).
-# ----------------------------------------------------------------------
-BYZANTINE_BUGS: Tuple[str, ...] = (
-    "accept-without-quorum",
-    "echo-replay-accepted",
-)
-
-
-def byzantine_reference(
-    protocol: Protocol,
-    inputs: Sequence[Any],
-    seed: Optional[int],
-    *,
-    f: int = 1,
-    bug: Optional[str] = None,
-):
-    """A Bracha-filtered networked execution re-derived independently.
-
-    Extends the :func:`networked_reference` simulation with the one
-    thing the byzantine layer adds: before a round's message reaches the
-    board, it must survive ECHO/READY *vote counting* at an honest
-    target party while a byzantine voter attacks the count.  The quorums
-    are re-derived here from the Bracha '87 statement —
-    ``ceil((k + f + 1) / 2)`` matching ECHOs to become ready, ``2f + 1``
-    matching READYs to deliver — independently of
-    :mod:`repro.net.byzantine`'s arithmetic, and every vote crosses a
-    real ``encode_frame``/``decode_frame`` round-trip through the new
-    ECHO/READY frame kinds.
-
-    Each round the adversary (the highest-index party, so exactly one
-    byzantine voter; ``f >= 1`` covers it) races the honest parties: it
-    injects an ECHO and a READY for a *conflicting* value (the true
-    payload with its first bit flipped) **first**, each followed by
-    enough verbatim replays of itself to reach the respective quorum —
-    were replays counted.  A faithful count (``bug=None``) keeps one
-    vote per voter, so the evil value is stuck at one ECHO and one READY
-    (below every quorum for ``f >= 1``) while the ``k - 1`` honest votes
-    deliver the true value — bit-identical to ``run_protocol``.
-
-    Planted bugs:
-
-    * ``"accept-without-quorum"`` — the target delivers the value of the
-      first READY it processes instead of waiting for ``2f + 1``: the
-      adversary's conflicting READY wins the race and a wrong message
-      reaches the board.
-    * ``"echo-replay-accepted"`` — vote deduplication is skipped, so the
-      adversary's replayed ECHOs fake an echo quorum and its replayed
-      READYs fake a delivery quorum for the conflicting value: the bug
-      per-voter vote tracking exists to prevent.
-    """
-    _check_bug(bug, BYZANTINE_BUGS)
-    from ..core.runner import ProtocolRun
-    from ..net.framing import Frame, FrameKind, decode_frame, encode_frame
-
-    k = protocol.num_players
-    if f < 1:
-        raise ValueError("the byzantine reference needs f >= 1 (one attacker)")
-    echo_quorum = math.ceil((k + f + 1) / 2)
-    ready_quorum = 2 * f + 1
-    if k - 1 < max(echo_quorum, ready_quorum):
-        raise ValueError(
-            f"k={k}, f={f}: the {k - 1} honest votes cannot reach the "
-            f"quorums (echo {echo_quorum}, ready {ready_quorum}) — the "
-            f"scenario needs k > 3f with k >= 4"
-        )
-    adversary = k - 1
-
-    def vote_wire(kind: FrameKind, voter: int, r: int, bits: str, draws: int) -> Frame:
-        wire = encode_frame(
-            Frame(
-                kind=kind,
-                party=voter,
-                round_index=r,
-                coin_draws=draws,
-                payload=bits,
-            )
-        )
-        frame, consumed = decode_frame(wire)
-        if consumed != len(wire):
-            raise ProtocolViolation("vote frame round-trip left trailing bytes")
-        return frame
-
-    def count_round(r: int, bits: str, draws: int) -> Tuple[str, int]:
-        """The value the target party delivers for round ``r``."""
-        evil = ("1" if bits[0] == "0" else "0") + bits[1:]
-        arrivals: List[Frame] = []
-        # The adversary races ahead: one conflicting vote of each kind,
-        # each replayed verbatim up to the respective quorum.
-        for _ in range(echo_quorum):
-            arrivals.append(vote_wire(FrameKind.ECHO, adversary, r, evil, draws))
-        for _ in range(ready_quorum):
-            arrivals.append(vote_wire(FrameKind.READY, adversary, r, evil, draws))
-        for voter in range(k - 1):
-            arrivals.append(vote_wire(FrameKind.ECHO, voter, r, bits, draws))
-        for voter in range(k - 1):
-            arrivals.append(vote_wire(FrameKind.READY, voter, r, bits, draws))
-        echo_seen: Dict[int, Tuple[str, int]] = {}
-        ready_seen: Dict[int, Tuple[str, int]] = {}
-        echo_counts: Dict[Tuple[str, int], int] = {}
-        ready_counts: Dict[Tuple[str, int], int] = {}
-        ready_ok: Dict[Tuple[str, int], bool] = {}
-        for frame in arrivals:
-            value = (frame.payload, frame.coin_draws)
-            if frame.kind == FrameKind.ECHO:
-                if bug != "echo-replay-accepted":
-                    if frame.party in echo_seen:
-                        continue  # one echo vote per voter
-                    echo_seen[frame.party] = value
-                echo_counts[value] = echo_counts.get(value, 0) + 1
-                if echo_counts[value] >= echo_quorum:
-                    ready_ok[value] = True
-            else:
-                if bug != "echo-replay-accepted":
-                    if frame.party in ready_seen:
-                        continue  # one ready vote per voter
-                    ready_seen[frame.party] = value
-                ready_counts[value] = ready_counts.get(value, 0) + 1
-                if bug == "accept-without-quorum":
-                    return value
-                if ready_counts[value] >= ready_quorum and ready_ok.get(value):
-                    return value
-        raise ProtocolViolation(
-            f"round {r}: no value reached the ready quorum at the target"
-        )
-
-    max_messages = protocol.max_messages
-    replicas = [random.Random(seed) for _ in range(k)]
-    states = [protocol.initial_state() for _ in range(k)]
-    board = Transcript()
-    for round_index in range(max_messages + 1):
-        views = {protocol.next_speaker(states[i], board) for i in range(k)}
-        if len(views) != 1:
-            raise ProtocolViolation(
-                f"party views disagree on the speaker: {views}"
-            )
-        (speaker,) = views
-        if speaker is None:
-            output = protocol.output(states[0], board)
-            return ProtocolRun(transcript=board, output=output)
-        if round_index == max_messages:
-            break
-        dist = protocol.message_distribution(
-            states[speaker], speaker, inputs[speaker], board
-        )
-        if len(dist) == 1:
-            (bits,) = dist.support()
-            draws = 0
-        else:
-            if seed is None:
-                raise ProtocolViolation(
-                    "protocol requires private randomness but no seed "
-                    "was given to the networked run"
-                )
-            bits = dist.sample(replicas[speaker])
-            draws = 1
-        # The speaker's SEND crosses the wire, then the round commits
-        # with whatever value survives the target's Bracha count.
-        wire = encode_frame(
-            Frame(
-                kind=FrameKind.APPEND,
-                party=speaker,
-                round_index=round_index,
-                coin_draws=draws,
-                payload=bits,
-            )
-        )
-        send, consumed = decode_frame(wire)
-        if consumed != len(wire):
-            raise ProtocolViolation("frame round-trip left trailing bytes")
-        delivered_bits, delivered_draws = count_round(
-            round_index, send.payload, send.coin_draws
-        )
-        message = Message(speaker=send.party, bits=delivered_bits)
-        for i in range(k):
-            if i != speaker:
-                for _ in range(delivered_draws):
-                    replicas[i].random()
-            states[i] = protocol.advance_state(states[i], message)
-        board = board.extend(message)
-    raise ProtocolViolation(
-        f"protocol did not halt within {max_messages} messages"
-    )
-
-
-# ----------------------------------------------------------------------
-# 5. Cached-result serving reference (for repro.store).
-# ----------------------------------------------------------------------
-STORE_BUGS: Tuple[str, ...] = ("stale-version-tag", "payload-truncation")
-
-
-def store_serve(
-    fresh: bytes,
-    stale: bytes,
-    key_dict: Dict[str, Any],
-    *,
-    bug: Optional[str] = None,
-) -> bytes:
-    """Serve one result through an independently re-derived cell store.
-
-    The scenario mirrors the two ways a result cache can silently serve
-    the wrong bytes.  A *stale* payload (a result computed by an older
-    kernel) sits in the store under ``key_dict`` with its old
-    ``version`` tag; the caller then asks for the same cell under the
-    current ``key_dict``.  A faithful store (``bug=None``) addresses
-    entries by a digest of *every* key field — version included — so
-    the stale entry is unreachable: the lookup misses, the ``fresh``
-    payload is computed, persisted through a length- and CRC-sealed
-    envelope, and served back byte-identical.
-
-    The store here is deliberately minimal and shares no code with
-    :mod:`repro.store`: a dict keyed by a ``hashlib.sha256`` of the
-    sorted-JSON key, with a ``b"len:crc\n" + payload`` envelope checked
-    with :func:`zlib.crc32` on every read.
-
-    Planted bugs:
-
-    * ``"stale-version-tag"`` — the address digest omits the
-      ``version`` field, so entries written by an old kernel collide
-      with the current key and the stale payload is served: the bug
-      :class:`repro.store.ResultKey`'s code-version tag exists to
-      prevent.
-    * ``"payload-truncation"`` — the write path drops the final byte of
-      the envelope and the read path skips the length/CRC check, so a
-      torn write is served as a short payload: the bug the store's
-      sealed envelope plus :exc:`repro.store.StoreCorruptedError` exist
-      to prevent.
-    """
-    _check_bug(bug, STORE_BUGS)
-
-    def address(fields: Dict[str, Any]) -> str:
-        if bug == "stale-version-tag":
-            fields = {k: v for k, v in fields.items() if k != "version"}
-        blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("ascii")).hexdigest()
-
-    def envelope(payload: bytes) -> bytes:
-        sealed = (
-            f"{len(payload)}:{zlib.crc32(payload) & 0xFFFFFFFF}\n".encode(
-                "ascii"
-            )
-            + payload
-        )
-        if bug == "payload-truncation":
-            sealed = sealed[:-1]
-        return sealed
-
-    def open_envelope(blob: bytes) -> bytes:
-        header, _, payload = blob.partition(b"\n")
-        if bug == "payload-truncation":
-            return payload  # unchecked: serves whatever survived
-        length, _, crc = header.partition(b":")
-        if int(length) != len(payload) or int(crc) != (
-            zlib.crc32(payload) & 0xFFFFFFFF
-        ):
-            raise ValueError("cell store envelope failed verification")
-        return payload
-
-    cells: Dict[str, bytes] = {}
-    stale_fields = dict(key_dict)
-    stale_fields["version"] = str(key_dict.get("version", "")) + "-old"
-    cells[address(stale_fields)] = envelope(stale)
-
-    digest = address(key_dict)
-    if digest not in cells:  # miss: compute and persist the fresh result
-        cells[digest] = envelope(fresh)
-    return open_envelope(cells[digest])
-
-
-# ----------------------------------------------------------------------
 # 6. Model-discipline mutants (wrappers around a generated protocol).
 # ----------------------------------------------------------------------
 DISCIPLINE_BUGS: Tuple[str, ...] = ("broken-prefix", "impure-state")
@@ -1209,183 +501,6 @@ def wrap_discipline_bug(base: Protocol, bug: str) -> Protocol:
     if bug == "broken-prefix":
         return BrokenPrefixProtocol(base)
     return ImpureStateProtocol(base)
-
-
-# ----------------------------------------------------------------------
-# 7. Fabric scheduler reference (for repro.fabric).
-# ----------------------------------------------------------------------
-FABRIC_BUGS: Tuple[str, ...] = ("duplicate-lease", "lost-result-on-steal")
-
-
-def fabric_schedule_reference(
-    num_cells: int,
-    num_workers: int,
-    events: Sequence[Tuple[str, int, float]],
-    *,
-    lease_timeout: float,
-    max_attempts: int,
-    drain_steps: int,
-    bug: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Independently re-derived serial copy of the
-    :class:`repro.fabric.scheduler.CellScheduler` policy contract.
-
-    Interprets the same abstract event script the ``fabric-scheduler``
-    oracle feeds the production scheduler.  Each event is
-    ``(kind, worker, now)`` with kinds ``"ask"`` (the worker requests a
-    cell), ``"done"`` / ``"fail"`` (the worker completes / fails its
-    smallest-indexed leased cell, if any), ``"tick"`` (expire
-    overdue leases) and ``"drop"`` (the worker dies and loses all its
-    leases).  After the script both sides run the identical
-    deterministic drain rule — round-robin ``tick``/``ask``/``done``
-    with the clock advancing one unit per step, for at most
-    ``drain_steps`` steps — so a faithful copy finishes every cell and
-    the summaries (full dispatch log, completion set, steal / expiry /
-    re-queue counters, typed exhaustion) must agree exactly.
-
-    The implementation is deliberately naive — plain lists instead of
-    deques, re-sorting instead of incremental bookkeeping — so a bug
-    shared with the production scheduler is unlikely.
-
-    Planted bugs:
-
-    * ``"duplicate-lease"`` — when every queue is empty but leases are
-      outstanding, the ask path re-dispatches the oldest in-flight cell
-      instead of answering "no work": the double-dispatch the lease
-      table exists to prevent (production asserts a leased cell is
-      never granted again).
-    * ``"lost-result-on-steal"`` — a completion for a *stolen* cell
-      releases the lease but is never recorded, so the cell silently
-      falls out of the sweep: the lost-update bug the
-      first-result-wins completion rule exists to prevent.
-    """
-    from ..net.errors import RetriesExhaustedError
-
-    _check_bug(bug, FABRIC_BUGS)
-    queues: List[List[int]] = [
-        [cell for cell in range(num_cells) if cell % num_workers == worker]
-        for worker in range(num_workers)
-    ]
-    leases: Dict[int, Tuple[int, float, bool]] = {}
-    attempts: Dict[int, int] = {}
-    completed: set = set()
-    log: List[Tuple[int, int, bool]] = []
-    counters = {"steals": 0, "expirations": 0, "requeues": 0}
-
-    def grant(worker: int, cell: int, now: float, stolen: bool) -> None:
-        attempts[cell] = attempts.get(cell, 0) + 1
-        leases[cell] = (worker, now + lease_timeout, stolen)
-        log.append((worker, cell, stolen))
-
-    def ask(worker: int, now: float) -> None:
-        if queues[worker]:
-            grant(worker, queues[worker].pop(0), now, stolen=False)
-            return
-        victim, victim_len = None, 0
-        for candidate in range(num_workers):
-            if len(queues[candidate]) > victim_len:
-                victim, victim_len = candidate, len(queues[candidate])
-        if victim is None:
-            if bug == "duplicate-lease" and leases:
-                # Double-dispatch the oldest in-flight cell.
-                grant(worker, min(leases), now, stolen=False)
-            return
-        counters["steals"] += 1
-        grant(worker, queues[victim].pop(), now, stolen=True)
-
-    def smallest_leased(worker: int) -> Optional[int]:
-        owned = sorted(
-            cell
-            for cell, (owner, _, _) in leases.items()
-            if owner == worker
-        )
-        return owned[0] if owned else None
-
-    def done(worker: int) -> None:
-        cell = smallest_leased(worker)
-        if cell is None:
-            return
-        _, _, stolen = leases.pop(cell)
-        if bug == "lost-result-on-steal" and stolen:
-            return  # lease released, result dropped on the floor
-        if cell in completed:
-            return
-        home = cell % num_workers
-        if cell in queues[home]:
-            queues[home].remove(cell)
-        completed.add(cell)
-
-    def requeue(cell: int) -> None:
-        if attempts.get(cell, 0) >= max_attempts:
-            raise RetriesExhaustedError(
-                f"reference: cell {cell} exhausted its dispatch budget"
-            )
-        counters["requeues"] += 1
-        queues[cell % num_workers].insert(0, cell)
-
-    def fail(worker: int) -> None:
-        cell = smallest_leased(worker)
-        if cell is None:
-            return
-        del leases[cell]
-        requeue(cell)
-
-    def tick(now: float) -> None:
-        overdue = sorted(
-            cell
-            for cell, (_, deadline, _) in leases.items()
-            if deadline <= now
-        )
-        for cell in overdue:
-            del leases[cell]
-            counters["expirations"] += 1
-            requeue(cell)
-
-    def drop(worker: int) -> None:
-        lost = sorted(
-            cell
-            for cell, (owner, _, _) in leases.items()
-            if owner == worker
-        )
-        for cell in lost:
-            del leases[cell]
-            requeue(cell)
-
-    exhausted = False
-    now = 0.0
-    try:
-        for kind, worker, at in events:
-            now = at
-            if kind == "ask":
-                ask(worker, at)
-            elif kind == "done":
-                done(worker)
-            elif kind == "fail":
-                fail(worker)
-            elif kind == "tick":
-                tick(at)
-            elif kind == "drop":
-                drop(worker)
-            else:
-                raise ValueError(f"unknown fabric event kind {kind!r}")
-        for step in range(drain_steps):
-            if len(completed) == num_cells:
-                break
-            now += 1.0
-            worker = step % num_workers
-            tick(now)
-            ask(worker, now)
-            done(worker)
-    except RetriesExhaustedError:
-        exhausted = True
-    return {
-        "dispatch_log": tuple(log),
-        "completed": tuple(sorted(completed)),
-        "steals": counters["steals"],
-        "expirations": counters["expirations"],
-        "requeues": counters["requeues"],
-        "exhausted": exhausted,
-    }
 
 
 # ----------------------------------------------------------------------

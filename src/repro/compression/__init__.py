@@ -14,6 +14,7 @@ from .one_shot import (
 from .sampling import (
     NaiveDartResult,
     SampledMessage,
+    SamplerStepLimitError,
     SamplingCost,
     curve_masses,
     lemma7_cost_bound,
@@ -27,6 +28,7 @@ __all__ = [
     "NaiveDartResult",
     "run_naive_dart_protocol",
     "simulate_sampling_round",
+    "SamplerStepLimitError",
     "curve_masses",
     "lemma7_cost_bound",
     "ObserverPosterior",

@@ -66,6 +66,7 @@ from ..obs.metrics import REGISTRY
 from ..obs.trace import Tracer, get_tracer
 
 __all__ = [
+    "SamplerStepLimitError",
     "SamplingCost",
     "SampledMessage",
     "NaiveDartResult",
@@ -86,6 +87,23 @@ _MAX_DARTS = 10_000_000
 #: Geometric block mass below which :func:`expected_round_cost`
 #: truncates its block series.
 _TAIL_EPSILON = 1e-12
+
+#: Blocks :func:`expected_round_cost` sums at most: each block scales
+#: the tail by ``(1 - 1/|U|)^|U| <= 1/e``, so 28 reach _TAIL_EPSILON.
+_MAX_BLOCKS = 64
+
+#: Increments the round-off guard of :func:`_covering_exponent` makes at
+#: most; a rounded ceiling is off by one at worst.
+_MAX_ROUNDOFF_STEPS = 4
+
+#: Terms the Poisson inversion of :func:`_sample_poisson` adds at most.
+_MAX_POISSON_TERMS = 10_001
+
+
+class SamplerStepLimitError(RuntimeError):
+    """A sampler loop ran past its fixed step bound.  On valid inputs
+    the bounds are never reached, so this marks broken arithmetic (or a
+    universe too large for the naive dart path), not bad luck."""
 
 #: The additive constant of :func:`lemma7_cost_bound`'s concrete curve.
 LEMMA7_CONSTANT = 8.0
@@ -142,6 +160,20 @@ def _log_ratio_ceil(eta_x: float, nu_x: float) -> int:
             "w.r.t. nu"
         )
     return math.ceil(math.log2(eta_x / nu_x) - 1e-12)
+
+
+def _covering_exponent(eta_x: float, nu_x: float) -> int:
+    """:func:`_log_ratio_ceil`, raised past float round-off until
+    ``eta(x) <= 2^s nu(x)``, so the accepted dart lies in ``P'``."""
+    s = _log_ratio_ceil(eta_x, nu_x)
+    for _ in range(_MAX_ROUNDOFF_STEPS):
+        if 2.0**s * nu_x >= eta_x:
+            return s
+        s += 1
+    raise SamplerStepLimitError(
+        f"2^s nu(x) stays below eta(x) = {eta_x!r} after "
+        f"{_MAX_ROUNDOFF_STEPS} round-off steps"
+    )
 
 
 def _rank_width(candidate_count: int) -> int:
@@ -272,7 +304,7 @@ def run_naive_dart_protocol(
                         darts_thrown=len(darts),
                     )
                 return result
-            raise RuntimeError(
+            raise SamplerStepLimitError(
                 f"no dart under eta within {_MAX_DARTS} darts; universe too "
                 "large for the naive path"
             )
@@ -284,11 +316,7 @@ def run_naive_dart_protocol(
     x_star, _p_star = darts[accepted_index - 1]
 
     block = (accepted_index + size - 1) // size
-    s = _log_ratio_ceil(eta[x_star], nu[x_star])
-    # Guard against float round-off in the ceiling: the scheme needs
-    # eta(x*) <= 2^s nu(x*) so that the accepted dart lies in P'.
-    while 2.0**s * nu[x_star] < eta[x_star]:
-        s += 1
+    s = _covering_exponent(eta[x_star], nu[x_star])
     scale = 2.0**s
 
     # Extend the shared sequence to the end of the block so that both
@@ -748,7 +776,8 @@ def expected_round_cost(
     so the rank width is a functional of two small binomials, enumerated
     exactly.  The block series is truncated once its remaining geometric
     mass drops below :data:`_TAIL_EPSILON` (each block contributes a factor
-    :math:`(1 - 1/|U|)^{|U|} \\le e^{-1}`, so ~30 blocks suffice).
+    :math:`(1 - 1/|U|)^{|U|} \\le e^{-1}`, so 28 blocks suffice; past
+    :data:`_MAX_BLOCKS` it raises :class:`SamplerStepLimitError`).
     """
     universe = list(universe)
     size = len(universe)
@@ -767,6 +796,11 @@ def expected_round_cost(
     b = 1
     tail = 1.0  # P[B >= b]
     while tail > _TAIL_EPSILON:
+        if b > _MAX_BLOCKS:
+            raise SamplerStepLimitError(
+                f"block tail {tail!r} still above {_TAIL_EPSILON} after "
+                f"{_MAX_BLOCKS} blocks"
+            )
         p_block = tail * (1.0 - block_factor)
         bits = _block_bits(b)
         block_mean += p_block * bits
@@ -791,9 +825,7 @@ def expected_round_cost(
     for x, eta_x in eta.items():
         if eta_x <= 0.0:
             continue
-        s = _log_ratio_ceil(eta_x, nu[x])
-        while 2.0**s * nu[x] < eta_x:  # the same round-off guard as the
-            s += 1                     # naive path
+        s = _covering_exponent(eta_x, nu[x])
         a_g, a_g_eta = curve_masses(eta, nu, s, universe)
         p_before = max(a_g - a_g_eta, 0.0) / max(size - 1.0, 1.0)
         p_after = a_g / size
@@ -898,11 +930,14 @@ def _sample_poisson(rng: random.Random, mean: float) -> int:
         cumulative = 0.0
         pmf = math.exp(-mean)
         value = 0
-        while True:
+        for _ in range(_MAX_POISSON_TERMS):
             cumulative += pmf
-            if u < cumulative or value > 10_000:
+            if u < cumulative:
                 return value
             value += 1
             pmf *= mean / value
+        raise SamplerStepLimitError(
+            f"Poisson({mean!r}) inversion passed {_MAX_POISSON_TERMS} terms"
+        )
     value = int(round(rng.gauss(mean, math.sqrt(mean))))
     return max(value, 0)

@@ -5,12 +5,9 @@ leases, retry budgets.
 clocks, no sockets, no randomness.  The transports drive it with
 events (a worker asks for work, a result arrives, time advances) and
 it answers with dispatch decisions.  Because it is pure, the loopback
-transport is bit-reproducible, and the ``fabric-scheduler`` fuzz oracle
-can replay the same event script against an independently written
-serial reference (:mod:`repro.check.mutations`) and demand exact
-agreement.
-
-The policy contract (mirrored, clause for clause, by the reference):
+transport is bit-reproducible, and ``tests/fabric/test_scheduler.py``
+pins each clause of the policy contract, counters included, with a
+short scripted event sequence:
 
 * **Sharding.**  Cell ``i`` of ``num_cells`` belongs to the *home
   queue* of worker ``i % num_workers``; each home queue holds its cells
@@ -23,8 +20,7 @@ The policy contract (mirrored, clause for clause, by the reference):
   still be in flight elsewhere).
 * **Leases.**  A dispatched cell is *leased* to its worker until
   ``now + lease_timeout``; a leased or completed cell is never
-  dispatched again (the ``duplicate-lease`` planted bug violates
-  exactly this clause).
+  dispatched again.
 * **Expiry / failure.**  An expired or failed lease re-queues its cell
   at the *front* of the cell's home queue — expired cells in one
   sweep are processed in increasing cell order.  Each re-queue charges
@@ -35,8 +31,7 @@ The policy contract (mirrored, clause for clause, by the reference):
 * **Completion.**  The first result for a cell wins, whoever computed
   it — a late result from an expired lease still counts, and a
   duplicate is ignored.  A stolen cell's completion is recorded exactly
-  like a home-queue completion (the ``lost-result-on-steal`` planted
-  bug violates exactly this clause).
+  like a home-queue completion.
 """
 
 from __future__ import annotations

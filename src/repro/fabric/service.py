@@ -261,11 +261,21 @@ class ServerThread:
             await self._server.close()
 
     def stop(self) -> None:
+        """Cancel the server's tasks and join its thread.  The loop may
+        close at any moment (a second ``stop``, or the server ending on
+        its own); a loop that is already closed has nothing to cancel."""
         loop = self._loop
-        if loop is not None and loop.is_running():
-            for task in [t for t in asyncio.all_tasks(loop)]:
-                loop.call_soon_threadsafe(task.cancel)
+        if loop is not None:
+            try:
+                loop.call_soon_threadsafe(_cancel_all_tasks)
+            except RuntimeError:  # the loop closed: the server is down
+                pass
         self._thread.join(timeout=10)
+
+
+def _cancel_all_tasks() -> None:
+    for task in asyncio.all_tasks():
+        task.cancel()
 
 
 class FabricClient:

@@ -11,8 +11,8 @@ the speaking order (which it can do without ever seeing an input, since
 coins, over frames in one length-prefixed, checksummed envelope
 (:mod:`~repro.net.framing`, :mod:`~repro.net.envelope`).
 
-The headline contract, enforced by ``tests/net/`` and the
-``networked-loopback`` differential oracle in :mod:`repro.check`::
+The headline contract, enforced by ``tests/net/`` (generated protocols
+in ``tests/net/test_generated.py``)::
 
     run_networked(p, xs, seed=s)
         == run_protocol(p, xs, rng=random.Random(s))     # bit for bit

@@ -32,8 +32,8 @@ budget the injector goes quiet, and because the default
 ``RetryPolicy.max_retries`` exceeds the budget, retries are guaranteed
 to outlast the adversary instead of merely probably outlasting it.
 
-The central theory-honesty claim (enforced by ``tests/net/`` and the
-``networked-loopback`` oracle): none of the recoverable classes change
+The central theory-honesty claim (enforced by ``tests/net/``, on
+generated protocols by ``tests/net/test_generated.py``): none of the recoverable classes change
 the transcript, output, or counted communication bits — a faulty run is
 bit-identical to the fault-free run and to ``run_protocol``.
 """
@@ -204,8 +204,8 @@ def recoverable_fault_plans(seed: int = 0) -> Dict[str, FaultPlan]:
 
 
 def chaos_plan(seed: int = 0) -> FaultPlan:
-    """Every recoverable class at once — the stress plan the
-    ``networked-loopback`` oracle applies to generated protocols."""
+    """Every recoverable class at once — the stress plan
+    ``tests/net/test_generated.py`` applies to generated protocols."""
     return FaultPlan(
         seed=seed,
         drop_rate=0.15,

@@ -4,8 +4,8 @@ Same protocol object, same inputs, same seed discipline, same
 :class:`~repro.core.runner.ProtocolRun` out — but executed by k
 independent party endpoints talking to a blackboard service over a
 transport, instead of one in-process loop.  The central guarantee
-(enforced by ``tests/net/`` and the ``networked-loopback`` check
-oracle): for any protocol and seed, ``run_networked(...)`` is
+(enforced by ``tests/net/``, on generated protocols by
+``tests/net/test_generated.py``): for any protocol and seed, ``run_networked(...)`` is
 **bit-identical** to ``run_protocol(protocol, inputs,
 rng=random.Random(seed))`` — transcript, output, and
 ``bits_communicated`` — with or without recoverable injected faults —

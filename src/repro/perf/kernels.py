@@ -43,8 +43,9 @@ scalar folds of the information functionals, and rectangle DPs above
 ``repro.lowerbounds.optimal_information``.  Tests move either gate
 with ``monkeypatch`` to reach the other side.  The retired dict-driven
 shared walk and its dict fold live on as references in
-``repro.check.mutations``, where the ``vectorized-vs-legacy`` oracle
-and ``benchmarks/test_reference_engines.py`` compare them with this
+``repro.check.mutations``, where ``tests/perf/test_kernels.py``,
+``tests/core/test_columnar_joint.py`` and
+``benchmarks/test_reference_engines.py`` compare them with this
 engine.
 
 numpy is a declared dependency (``pyproject.toml``: ``numpy>=1.21``)

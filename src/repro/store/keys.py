@@ -135,7 +135,7 @@ class ResultKey:
     Attributes
     ----------
     experiment:
-        The kernel / experiment id (``"E1"``, ``"check.store-roundtrip"``,
+        The kernel / experiment id (``"E1"``, ``"E14"``,
         ...).
     params:
         The cell parameters — any canonically serializable value (for a

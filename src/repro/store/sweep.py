@@ -20,7 +20,7 @@ shortest-form, bit-exact), bools, strings, and nested tuples/lists
 exactly; tuples come back as tuples.  That is what makes a cached cell
 **byte-identical** to a fresh computation — the whole contract of the
 store — and it is pinned by ``tests/store/test_warm_identity.py`` and
-the ``store-roundtrip`` fuzz oracle.
+``tests/store/test_hit_verdicts.py``.
 
 A corrupt entry (detected by the store's CRC seal) is treated as a miss
 (:func:`probe_store`): the damaged file is deleted and the cell

@@ -1,8 +1,8 @@
 """The fuzz driver end to end: suite runs, shrinking, bundles, CLI.
 
-The failure path is exercised with a deliberately broken oracle — a
-``VectorizedKernelOracle`` whose clean comparison is routed through the
-``off-by-one-prob`` planted bug — so that shrinking and bundle writing
+The failure path is exercised with a deliberately broken oracle — an
+``InvariantsOracle`` whose clean comparison is routed through the
+``drop-last-round`` planted bug — so that shrinking and bundle writing
 run against real failures while the production oracles stay correct.
 """
 
@@ -12,7 +12,7 @@ import pytest
 
 from repro.check import (
     ALL_ORACLES,
-    VectorizedKernelOracle,
+    InvariantsOracle,
     generate_case,
     load_bundle,
     replay_bundle,
@@ -24,11 +24,11 @@ from repro.check.__main__ import main
 from repro.check.bundle import BUNDLE_FORMAT
 
 
-class BuggyTreeOracle(VectorizedKernelOracle):
-    """Pretends the legacy reference has the off-by-one bug baked in."""
+class BuggyChainOracle(InvariantsOracle):
+    """Pretends the chain-rule reference drops its last round."""
 
     def check(self, case, bug=None):
-        return super().check(case, bug=bug or "off-by-one-prob")
+        return super().check(case, bug=bug or "drop-last-round")
 
 
 def _first_failing_case(oracle, limit=20):
@@ -59,7 +59,7 @@ class TestRunSuite:
         assert seen == [(i, 5) for i in range(1, 6)]
 
     def test_failures_are_shrunk_and_bundled(self, tmp_path):
-        oracle = BuggyTreeOracle()
+        oracle = BuggyChainOracle()
         report = run_suite(
             0, 4, oracles=[oracle], bundle_dir=str(tmp_path)
         )
@@ -85,7 +85,7 @@ class TestRunSuite:
 
 class TestShrinking:
     def test_shrink_reaches_a_local_minimum(self):
-        oracle = BuggyTreeOracle()
+        oracle = BuggyChainOracle()
         case = _first_failing_case(oracle)
 
         def still_fails(candidate):
@@ -110,7 +110,7 @@ class TestShrinking:
 
 class TestCrashingOracle:
     def test_oracle_exception_is_a_failure_not_a_crash(self):
-        class ExplodingOracle(VectorizedKernelOracle):
+        class ExplodingOracle(InvariantsOracle):
             name = "exploding"
 
             def check(self, case, bug=None):
@@ -137,7 +137,7 @@ class TestCli:
         rc = main(
             [
                 "--seed", "0", "--cases", "3",
-                "--oracles", "model-discipline,vectorized-vs-legacy",
+                "--oracles", "model-discipline,topology-discipline",
                 "--bundle-dir", str(tmp_path),
             ]
         )
@@ -146,12 +146,12 @@ class TestCli:
             main(["--cases", "1", "--oracles", "nonexistent"])
 
     def test_replay_round_trip(self, tmp_path, capsys):
-        oracle = BuggyTreeOracle()
+        oracle = BuggyChainOracle()
         report = run_suite(0, 4, oracles=[oracle], bundle_dir=str(tmp_path))
         path = report.bundle_paths[0]
         with open(path) as handle:
             assert json.load(handle)["format"] == BUNDLE_FORMAT
-        # Honest replay re-runs the production tree-engine oracle.
+        # Honest replay re-runs the production invariants oracle.
         rc = main(["--replay", path])
         out = capsys.readouterr().out
         assert rc == 0
@@ -159,7 +159,7 @@ class TestCli:
 
     def test_replay_of_an_unknown_oracle_exits_2(self, tmp_path, capsys):
         report = run_suite(
-            0, 4, oracles=[BuggyTreeOracle()], bundle_dir=str(tmp_path)
+            0, 4, oracles=[BuggyChainOracle()], bundle_dir=str(tmp_path)
         )
         path = report.bundle_paths[0]
         with open(path) as handle:

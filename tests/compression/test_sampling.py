@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import (
+    SamplerStepLimitError,
     curve_masses,
     lemma7_cost_bound,
     run_naive_dart_protocol,
     simulate_sampling_round,
 )
+from repro.compression import sampling
+from repro.compression.sampling import expected_round_cost
 from repro.information import DiscreteDistribution, kl_divergence
 
 
@@ -229,3 +232,35 @@ class TestCostBound:
     def test_validation(self):
         with pytest.raises(ValueError):
             lemma7_cost_bound(-1.0)
+
+
+class TestStepBounds:
+    """Each sampler loop stops at a fixed step bound with a typed error,
+    so broken arithmetic fails at once instead of spinning."""
+
+    eta = DiscreteDistribution({"a": 0.6, "b": 0.3, "c": 0.1})
+    nu = DiscreteDistribution({"a": 0.2, "b": 0.3, "c": 0.5})
+
+    def test_block_series(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_MAX_BLOCKS", 3)
+        with pytest.raises(SamplerStepLimitError, match="after 3 blocks"):
+            expected_round_cost(self.eta, self.nu, ["a", "b", "c"])
+
+    def test_round_off_guard_on_both_paths(self, monkeypatch):
+        # 2^-2000 underflows to 0, so no round-off step can reach eta(x).
+        monkeypatch.setattr(sampling, "_log_ratio_ceil", lambda eta_x, nu_x: -2000)
+        with pytest.raises(SamplerStepLimitError, match="round-off steps"):
+            expected_round_cost(self.eta, self.nu, ["a", "b", "c"])
+        with pytest.raises(SamplerStepLimitError, match="round-off steps"):
+            run_naive_dart_protocol(
+                self.eta, self.nu, random.Random(0), ["a", "b", "c"]
+            )
+
+    def test_poisson_inversion(self, monkeypatch):
+        class Last:
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        monkeypatch.setattr(sampling, "_MAX_POISSON_TERMS", 2)
+        with pytest.raises(SamplerStepLimitError, match="passed 2 terms"):
+            sampling._sample_poisson(Last(), 5.0)  # noqa: SLF001

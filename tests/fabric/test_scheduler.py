@@ -1,8 +1,8 @@
 """CellScheduler policy contract: sharding, stealing, leases, budgets.
 
 Each test pins one clause of the policy contract documented in
-``repro.fabric.scheduler`` (and mirrored by the ``fabric-scheduler``
-oracle reference in ``repro.check.mutations``).
+``repro.fabric.scheduler``, counters included; this module is the
+contract, and no fuzz oracle repeats it.
 """
 
 import pytest

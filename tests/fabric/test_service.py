@@ -2,6 +2,7 @@
 typed refusals, concurrent clients.
 """
 
+import asyncio
 import socket
 import threading
 
@@ -174,3 +175,26 @@ def test_client_refuses_wrong_digest():
     with FabricClient("127.0.0.1", server.port, timeout=10.0) as client:
         with pytest.raises(ServeError, match="digest"):
             client.get(_fake_key(0))
+
+
+def test_stop_is_quiet_when_the_loop_closes_first(tmp_path):
+    """The loop may close between ``stop`` finding it and scheduling the
+    cancel (the server ending on its own).  Force that order: the first
+    ``call_soon_threadsafe`` from this thread ends the server, waits for
+    its loop to close, then schedules, which a closed loop refuses."""
+    server = ServerThread(ResultStore(str(tmp_path / "store")))
+    loop = server._loop  # noqa: SLF001
+    schedule = loop.call_soon_threadsafe
+    caller = threading.current_thread()
+
+    def close_first(callback, *args):
+        if threading.current_thread() is caller and not loop.is_closed():
+            schedule(lambda: [task.cancel() for task in asyncio.all_tasks()])
+            server._thread.join(timeout=10)  # noqa: SLF001
+            assert loop.is_closed()
+        return schedule(callback, *args)
+
+    loop.call_soon_threadsafe = close_first
+    server.stop()
+    assert loop.is_closed()
+    server.stop()

@@ -12,9 +12,7 @@ same machinery must fail *loudly*: a typed
 threshold, never a hang (the autouse SIGALRM deadline in ``conftest.py``
 enforces "never" literally) and never a silently divergent board.
 
-The continuous-fuzzing twin of this suite is the
-``byzantine-blackboard`` oracle in ``repro.check``; its planted-bug
-self-test lives with the other oracles in ``tests/check``.
+This battery is the contract; no fuzz oracle repeats it.
 """
 
 import random

@@ -6,9 +6,8 @@ The ``repro.check`` generator produces randomized multi-party protocols
 with mixed point-mass and sampled messages — exactly the traffic that
 stresses the coin-replication discipline.  Acceptance floor: at least
 25 generated cases, each bit-identical over loopback fault-free *and*
-under every recoverable fault class.  (The continuous-fuzzing version
-of this property is the ``networked-loopback`` oracle, run by
-``python -m repro.check``.)
+under every recoverable fault class and the chaos plan.  This suite
+is the contract; no fuzz oracle repeats it.
 """
 
 import random

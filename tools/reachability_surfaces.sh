@@ -49,9 +49,6 @@ rec python -m repro.obs top "$WORK/net.jsonl"
 rec python -m repro.obs top "$WORK/prof.jsonl"
 rec python -m repro.obs diff "$WORK/base.jsonl" "$WORK/net.jsonl"
 rec python -m repro.check --seed 0 --cases 25
-rec python -m repro.check --oracles byzantine-blackboard
-rec python -m repro.check --oracles store-roundtrip
-rec python -m repro.check --oracles fabric-scheduler
 rec python -m repro.check --oracles topology-discipline
 rec python -m repro.fabric sweep E1 --quick --store "$WORK/fab" --workers 3 \
     --transport loopback --fault-seed 7 --max-attempts 60 \
