@@ -5,7 +5,7 @@ and a case index it produces a :class:`GeneratedCase` — a random but
 fully deterministic protocol over a small input space, together with a
 random input distribution — whose model discipline is certified with
 :func:`repro.core.validate.validate_protocol` by the harness before any
-differential oracle runs.
+oracle runs.
 
 Randomness discipline
 ---------------------
@@ -16,7 +16,9 @@ case seed together with the query context (position, speaker input,
 board bits).  ``message_distribution`` is thus a *pure function* of its
 arguments — the exact analyzer, the batched walk, the runner, and a
 replay on another machine all see identical distributions, which is
-exactly the property the bit-identity oracles rely on.
+exactly the property the bit-identity tests on generated protocols
+(``tests/perf/test_kernels.py``, ``tests/net/test_generated.py``) rely
+on.
 
 Structure of a generated protocol (see :class:`~repro.check.spec.CaseSpec`):
 

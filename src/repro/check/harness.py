@@ -1,4 +1,4 @@
-"""The fuzz-harness driver: generate → certify → differentially check.
+"""The fuzz-harness driver: generate → certify → check every oracle.
 
 :func:`run_suite` drives the whole pipeline for ``python -m repro.check``
 and the pytest integration: it generates the seeded case stream, runs

@@ -1,6 +1,6 @@
 """Reference implementations with deliberately plantable bugs.
 
-Every differential oracle in :mod:`repro.check.oracles` compares the
+Every oracle in :mod:`repro.check.oracles` compares the
 production code against an independent reference implementation kept
 here.  Each reference accepts a ``bug`` argument: ``None`` gives the
 faithful copy (the reference side of the differential test), while one

@@ -99,14 +99,14 @@ _MAX_ROUNDOFF_STEPS = 4
 #: Terms the Poisson inversion of :func:`_sample_poisson` adds at most.
 _MAX_POISSON_TERMS = 10_001
 
+#: The additive constant of :func:`lemma7_cost_bound`'s concrete curve.
+LEMMA7_CONSTANT = 8.0
+
 
 class SamplerStepLimitError(RuntimeError):
     """A sampler loop ran past its fixed step bound.  On valid inputs
     the bounds are never reached, so this marks broken arithmetic (or a
     universe too large for the naive dart path), not bad luck."""
-
-#: The additive constant of :func:`lemma7_cost_bound`'s concrete curve.
-LEMMA7_CONSTANT = 8.0
 
 
 @dataclass(frozen=True)
