@@ -17,27 +17,32 @@ The subsystem has four layers (see ``docs/testing.md`` for the guide):
   :mod:`repro.check.bundle` — the driver, the spec-level shrinker, and
   replayable failure bundles, all behind ``python -m repro.check``."""
 
-from .bundle import ReproBundle, load_bundle, replay_bundle, write_bundle
-from .generator import (
-    GeneratedCase,
-    GeneratedProtocol,
-    case_from_spec,
-    derive_rng,
-    generate_case,
-    random_prefix_code,
-    random_spec,
-)
-from .harness import CaseReport, SuiteReport, run_case, run_suite
-from .oracles import (
-    ALL_ORACLES,
-    DisciplineOracle,
-    InvariantsOracle,
-    Oracle,
-    OracleResult,
-    oracle_by_name,
-)
-from .shrink import shrink_case, shrink_candidates
-from .spec import SPEC_FORMAT, CaseSpec
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "bundle": ("ReproBundle", "load_bundle", "replay_bundle", "write_bundle"),
+    "generator": (
+        "GeneratedCase",
+        "GeneratedProtocol",
+        "case_from_spec",
+        "derive_rng",
+        "generate_case",
+        "random_prefix_code",
+        "random_spec",
+    ),
+    "harness": ("CaseReport", "SuiteReport", "run_case", "run_suite"),
+    "oracles": (
+        "ALL_ORACLES",
+        "DisciplineOracle",
+        "InvariantsOracle",
+        "Oracle",
+        "OracleResult",
+        "oracle_by_name",
+    ),
+    "shrink": ("shrink_case", "shrink_candidates"),
+    "spec": ("SPEC_FORMAT", "CaseSpec"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "CaseSpec",

@@ -24,8 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.runner import ProtocolRun, run_protocol
 from ..core.tasks import disjointness_task
-from ..net import TRANSPORTS, run_networked
-from ..net.faults import chaos_plan
 from ..perf import kernels
 from ..store.store import ResultStore
 from ..store.sweep import SweepGrid
@@ -45,10 +43,13 @@ __all__ = [
 ]
 
 #: Execution backends for the worst-case measurements: the in-memory
-#: runner plus every ``repro.net`` transport.  Because the networked
-#: runtime is bit-identical to ``run_protocol``, the rendered E1 table
-#: is byte-identical across all of them (pinned by tests/net/).
-E1_TRANSPORTS: Tuple[str, ...] = ("memory",) + TRANSPORTS
+#: runner plus every ``repro.net`` transport (``repro.net.TRANSPORTS``,
+#: spelled out so the in-memory grid never imports the networked
+#: runtime; tests/net/test_e1_transport.py keeps the two equal).
+#: Because the networked runtime is bit-identical to ``run_protocol``,
+#: the rendered E1 table is byte-identical across all of them (pinned
+#: by tests/net/).
+E1_TRANSPORTS: Tuple[str, ...] = ("memory", "loopback", "tcp")
 
 #: The original (n, k) grid, covering both regimes (n >= k^2 batch
 #: phase and the endgame-only regime) at sizes every backend — the
@@ -90,6 +91,9 @@ def _execute(
 ) -> ProtocolRun:
     if transport == "memory":
         return run_protocol(protocol, inputs)
+    from ..net import run_networked
+    from ..net.faults import chaos_plan
+
     faults = None
     if fault_seed is not None and transport == "loopback":
         faults = chaos_plan(fault_seed)

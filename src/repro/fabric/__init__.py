@@ -27,28 +27,33 @@ point), :mod:`~repro.fabric.service` (the serving API), and
 ``loadtest`` / ``worker``).  See ``docs/fabric.md``.
 """
 
-from .cells import CELL_KERNELS, compute_cell, sweep_keys
-from .core import CoordinatorCore, WorkerCore
-from .errors import (
-    FabricError,
-    FabricProtocolError,
-    NetTimeoutError,
-    RetriesExhaustedError,
-    ServeError,
-    WorkerLostError,
-)
-from .loopback import run_loopback_sweep
-from .scheduler import CellScheduler
-from .service import FabricClient, FabricServer, ServerThread, load_test
-from .sweep import FABRIC_TRANSPORTS, fabric_sweep
-from .tcp import run_tcp_sweep, run_worker
-from .wire import (
-    FabricFrame,
-    FabricFrameDecoder,
-    FabricFrameKind,
-    decode_fabric_frame,
-    encode_fabric_frame,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "cells": ("CELL_KERNELS", "compute_cell", "sweep_keys"),
+    "core": ("CoordinatorCore", "WorkerCore"),
+    "errors": (
+        "FabricError",
+        "FabricProtocolError",
+        "NetTimeoutError",
+        "RetriesExhaustedError",
+        "ServeError",
+        "WorkerLostError",
+    ),
+    "loopback": ("run_loopback_sweep",),
+    "scheduler": ("CellScheduler",),
+    "service": ("FabricClient", "FabricServer", "ServerThread", "load_test"),
+    "sweep": ("FABRIC_TRANSPORTS", "fabric_sweep"),
+    "tcp": ("run_tcp_sweep", "run_worker"),
+    "wire": (
+        "FabricFrame",
+        "FabricFrameDecoder",
+        "FabricFrameKind",
+        "decode_fabric_frame",
+        "encode_fabric_frame",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "CELL_KERNELS",

@@ -11,23 +11,33 @@ Public surface:
 * Sample-based estimators in :mod:`repro.information.estimation`.
 """
 
-from .distribution import DiscreteDistribution, JointDistribution
-from .divergence import kl_divergence, log_ratio
-from .entropy import (
-    binary_entropy,
-    conditional_entropy,
-    conditional_mutual_information,
-    entropy,
-    mutual_information,
-)
-from .estimation import (
-    bootstrap_interval,
-    bootstrap_mutual_information_interval,
-    empirical_distribution,
-    miller_madow_entropy,
-    plugin_entropy,
-    plugin_mutual_information,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "distribution": ("DiscreteDistribution", "JointDistribution"),
+    "divergence": ("kl_divergence", "log_ratio"),
+    "entropy": (
+        "binary_entropy",
+        "conditional_entropy",
+        "conditional_mutual_information",
+        "entropy",
+        "mutual_information",
+    ),
+    "estimation": (
+        "bootstrap_interval",
+        "bootstrap_mutual_information_interval",
+        "empirical_distribution",
+        "miller_madow_entropy",
+        "plugin_entropy",
+        "plugin_mutual_information",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+# The one public name that is also a submodule's name: bind it now, over
+# the module object the import sets, so it reads as the function even
+# after ``import repro.information.entropy``.
+from .entropy import entropy  # noqa: E402
 
 __all__ = [
     "DiscreteDistribution",

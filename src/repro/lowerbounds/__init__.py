@@ -3,46 +3,51 @@ product decomposition, Lemma 4 posteriors and the Eq. (3)–(4) divergence
 bounds, the Lemma 5 good-transcript analysis, the Lemma 6 Ω(k) fooling
 argument, and the Lemma 1 direct sum."""
 
-from .analytic import sequential_and_cic_closed_form
-from .decomposition import TranscriptFactors, transcript_factors
-from .direct_sum import (
-    InformationAdditivityReport,
-    coordinate_information_split,
-    information_additivity_report,
-    verify_superadditivity,
-)
-from .fooling import (
-    Lemma6Report,
-    TruncatedAndProtocol,
-    lemma6_report,
-    speakers_on_all_ones,
-)
-from .hard_distribution import (
-    and_hard_distribution,
-    and_hard_input_marginal,
-    disjointness_hard_distribution,
-    lemma6_distribution,
-)
-from .optimal_error import (
-    certify_lemma6_optimality,
-    error_budget_curve,
-    optimal_distributional_error,
-)
-from .optimal_information import (
-    minimum_zero_error_cic,
-    minimum_zero_error_external_ic,
-)
-from .posterior import (
-    divergence_lower_bound,
-    divergence_of_surprised_posterior,
-    per_player_divergence_sum,
-    posterior_zero_given_not_special,
-)
-from .transcripts import (
-    GoodTranscriptReport,
-    TranscriptClassification,
-    analyze_good_transcripts,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "analytic": ("sequential_and_cic_closed_form",),
+    "decomposition": ("TranscriptFactors", "transcript_factors"),
+    "direct_sum": (
+        "InformationAdditivityReport",
+        "coordinate_information_split",
+        "information_additivity_report",
+        "verify_superadditivity",
+    ),
+    "fooling": (
+        "Lemma6Report",
+        "TruncatedAndProtocol",
+        "lemma6_report",
+        "speakers_on_all_ones",
+    ),
+    "hard_distribution": (
+        "and_hard_distribution",
+        "and_hard_input_marginal",
+        "disjointness_hard_distribution",
+        "lemma6_distribution",
+    ),
+    "optimal_error": (
+        "certify_lemma6_optimality",
+        "error_budget_curve",
+        "optimal_distributional_error",
+    ),
+    "optimal_information": (
+        "minimum_zero_error_cic",
+        "minimum_zero_error_external_ic",
+    ),
+    "posterior": (
+        "divergence_lower_bound",
+        "divergence_of_surprised_posterior",
+        "per_player_divergence_sum",
+        "posterior_zero_given_not_special",
+    ),
+    "transcripts": (
+        "GoodTranscriptReport",
+        "TranscriptClassification",
+        "analyze_good_transcripts",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "sequential_and_cic_closed_form",

@@ -32,52 +32,57 @@ bit-identity contract holds; at ``k <= 3f`` violations raise the typed
 :class:`ByzantineQuorumError` instead of hanging or diverging.
 """
 
-from .byzantine import (
-    ALL_PARTIES,
-    SERVER,
-    BrachaRelay,
-    ByzantineConfig,
-    ByzantineParty,
-    echo_quorum,
-    ready_quorum,
-)
-from .client import PartyClient, RetryPolicy
-from .errors import (
-    ByzantineQuorumError,
-    CrashedPartyError,
-    FrameCorrupted,
-    FrameError,
-    FrameTruncated,
-    NetError,
-    NetTimeoutError,
-    OrderViolationError,
-    RetriesExhaustedError,
-)
-from .faults import (
-    ByzantineAdversary,
-    ByzantineDecision,
-    ByzantineFaultPlan,
-    FaultDecision,
-    FaultInjector,
-    FaultPlan,
-    PartyCrash,
-    byzantine_fault_plans,
-    chaos_plan,
-    recoverable_fault_plans,
-)
-from .framing import (
-    Frame,
-    FrameDecoder,
-    FrameKind,
-    decode_frame,
-    encode_frame,
-    pack_bits,
-    unpack_bits,
-)
-from .loopback import DEFAULT_MAX_STEPS, LoopbackRunner
-from .runner import TRANSPORTS, run_networked
-from .server import BlackboardServer
-from .tcp import TCP_RETRY_POLICY, run_tcp
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "byzantine": (
+        "ALL_PARTIES",
+        "SERVER",
+        "BrachaRelay",
+        "ByzantineConfig",
+        "ByzantineParty",
+        "echo_quorum",
+        "ready_quorum",
+    ),
+    "client": ("PartyClient", "RetryPolicy"),
+    "errors": (
+        "ByzantineQuorumError",
+        "CrashedPartyError",
+        "FrameCorrupted",
+        "FrameError",
+        "FrameTruncated",
+        "NetError",
+        "NetTimeoutError",
+        "OrderViolationError",
+        "RetriesExhaustedError",
+    ),
+    "faults": (
+        "ByzantineAdversary",
+        "ByzantineDecision",
+        "ByzantineFaultPlan",
+        "FaultDecision",
+        "FaultInjector",
+        "FaultPlan",
+        "PartyCrash",
+        "byzantine_fault_plans",
+        "chaos_plan",
+        "recoverable_fault_plans",
+    ),
+    "framing": (
+        "Frame",
+        "FrameDecoder",
+        "FrameKind",
+        "decode_frame",
+        "encode_frame",
+        "pack_bits",
+        "unpack_bits",
+    ),
+    "loopback": ("DEFAULT_MAX_STEPS", "LoopbackRunner"),
+    "runner": ("TRANSPORTS", "run_networked"),
+    "server": ("BlackboardServer",),
+    "tcp": ("TCP_RETRY_POLICY", "run_tcp"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     # runner

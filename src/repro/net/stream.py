@@ -9,7 +9,12 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Awaitable, Callable, Generic, List, Tuple, TypeVar
 
-from .errors import FrameCorrupted, FrameTruncated, NetTimeoutError
+from .errors import (
+    FrameCorrupted,
+    FrameError,
+    FrameTruncated,
+    NetTimeoutError,
+)
 
 __all__ = ["StreamDecoder", "serve_frames", "run_blocking", "READ_CHUNK"]
 
@@ -55,8 +60,16 @@ class StreamDecoder(Generic[F]):
                     frame, consumed = self._decode(view[offset:])
                 except FrameTruncated:
                     break
+                end = offset + consumed
+                if not offset < end <= len(buffer):
+                    # A decode must advance within the buffer; anything
+                    # else would re-decode the same bytes forever.
+                    raise FrameError(
+                        f"decode moved the stream offset from {offset} "
+                        f"to {end} of {len(buffer)} bytes"
+                    )
                 frames.append(frame)
-                offset += consumed
+                offset = end
         finally:
             self._buffer = buffer[offset:]
         return frames

@@ -20,41 +20,46 @@ against this package:
 See ``docs/observability.md`` for the event schema and usage.
 """
 
-from .trace import (
-    JsonlTracer,
-    NULL_TRACER,
-    NullTracer,
-    RecordingTracer,
-    TraceContext,
-    TraceEvent,
-    Tracer,
-    get_tracer,
-    new_trace_id,
-    read_trace,
-    set_tracer,
-    using_tracer,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    HistogramValue,
-    MetricsRegistry,
-    MetricsSnapshot,
-    REGISTRY,
-    collecting,
-    disable_metrics,
-    enable_metrics,
-)
-from .report import render_metrics, render_table
-from .telemetry import (
-    ProgressRenderer,
-    TelemetrySink,
-    get_telemetry,
-    read_telemetry,
-    set_telemetry,
-    using_telemetry,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "trace": (
+        "JsonlTracer",
+        "NULL_TRACER",
+        "NullTracer",
+        "RecordingTracer",
+        "TraceContext",
+        "TraceEvent",
+        "Tracer",
+        "get_tracer",
+        "new_trace_id",
+        "read_trace",
+        "set_tracer",
+        "using_tracer",
+    ),
+    "metrics": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "HistogramValue",
+        "MetricsRegistry",
+        "MetricsSnapshot",
+        "REGISTRY",
+        "collecting",
+        "disable_metrics",
+        "enable_metrics",
+    ),
+    "report": ("render_metrics", "render_table"),
+    "telemetry": (
+        "ProgressRenderer",
+        "TelemetrySink",
+        "get_telemetry",
+        "read_telemetry",
+        "set_telemetry",
+        "using_telemetry",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Tracer",

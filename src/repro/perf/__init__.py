@@ -22,6 +22,11 @@ through:
 See ``docs/performance.md`` for usage and the ``--workers`` CLI flag.
 """
 
-from .grid import derive_seed, map_grid, resolve_workers
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "grid": ("derive_seed", "map_grid", "resolve_workers"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = ["map_grid", "derive_seed", "resolve_workers"]

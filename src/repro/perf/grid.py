@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import REGISTRY, MetricsSnapshot, enable_metrics
@@ -221,6 +220,9 @@ def map_grid(
         # Dense first-seen worker indices: label values must not leak
         # pids (they vary run to run) into reports.
         dense: Dict[int, str] = {}
+        # Imported here: a serial sweep never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with tracer.span("map_grid", tasks=len(items), workers=count):
             trace_ctx = tracer.current_context() if tracer else None
             with ProcessPoolExecutor(max_workers=count) as executor:

@@ -3,23 +3,28 @@
 protocols of Sections 4 and 6, two-party baselines, and functional /
 random protocol builders for property testing."""
 
-from .and_protocols import (
-    FullBroadcastAndProtocol,
-    NoisySequentialAndProtocol,
-    SequentialAndProtocol,
-)
-from .composition import SequentialCompositionProtocol, product_scenarios
-from .functional import FunctionalProtocol, random_boolean_protocol
-from .naive_disjointness import NaiveDisjointnessProtocol
-from .optimal_disjointness import OptimalDisjointnessProtocol
-from .trivial import TrivialDisjointnessProtocol
-from .twoparty import (
-    TwoPartyDisjointnessProtocol,
-    TwoPartySparseIntersectionProtocol,
-)
-from .promise import PromiseUniqueIntersectionProtocol
-from .registry import ALL_PROTOCOLS, ProtocolCase, protocol_case
-from .union import UnionProtocol
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "and_protocols": (
+        "FullBroadcastAndProtocol",
+        "NoisySequentialAndProtocol",
+        "SequentialAndProtocol",
+    ),
+    "composition": ("SequentialCompositionProtocol", "product_scenarios"),
+    "functional": ("FunctionalProtocol", "random_boolean_protocol"),
+    "naive_disjointness": ("NaiveDisjointnessProtocol",),
+    "optimal_disjointness": ("OptimalDisjointnessProtocol",),
+    "trivial": ("TrivialDisjointnessProtocol",),
+    "twoparty": (
+        "TwoPartyDisjointnessProtocol",
+        "TwoPartySparseIntersectionProtocol",
+    ),
+    "promise": ("PromiseUniqueIntersectionProtocol",),
+    "registry": ("ALL_PROTOCOLS", "ProtocolCase", "protocol_case"),
+    "union": ("UnionProtocol",),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ALL_PROTOCOLS",

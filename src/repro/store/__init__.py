@@ -26,24 +26,29 @@ the eviction policy.  The experiment CLI wires the store in via
 over a worker pool first.
 """
 
-from .keys import (
-    CODE_VERSIONS,
-    STORE_FORMAT,
-    ResultKey,
-    canonical_json,
-    code_version,
-)
-from .store import (
-    ResultStore,
-    StoreCorruptedError,
-    StoreEntry,
-    StoreError,
-    StoreStats,
-    VerifyReport,
-    atomic_write_bytes,
-    atomic_write_text,
-)
-from .sweep import checkpointed_map_grid, decode_result, encode_result
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "keys": (
+        "CODE_VERSIONS",
+        "STORE_FORMAT",
+        "ResultKey",
+        "canonical_json",
+        "code_version",
+    ),
+    "store": (
+        "ResultStore",
+        "StoreCorruptedError",
+        "StoreEntry",
+        "StoreError",
+        "StoreStats",
+        "VerifyReport",
+        "atomic_write_bytes",
+        "atomic_write_text",
+    ),
+    "sweep": ("checkpointed_map_grid", "decode_result", "encode_result"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "STORE_FORMAT",

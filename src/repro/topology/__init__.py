@@ -22,28 +22,33 @@ See docs/topology.md for the model and experiment E16 for the
 cross-model disjointness comparison this package exists to run.
 """
 
-from .analysis import per_view_information
-from .medium import (
-    BOARD_LINK,
-    BROADCAST,
-    COORDINATOR,
-    BroadcastMedium,
-    CoordinatorMedium,
-    GraphMedium,
-    Link,
-    Medium,
-    TopologyViolation,
-    ring_medium,
-    star_medium,
-)
-from .protocol import MediumProtocol
-from .protocols import (
-    CoordinatorAndProtocol,
-    CoordinatorDisjointnessProtocol,
-    CoordinatorTrivialDisjointness,
-    RingTokenAndProtocol,
-)
-from .runtime import run_on_medium
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "analysis": ("per_view_information",),
+    "medium": (
+        "BOARD_LINK",
+        "BROADCAST",
+        "COORDINATOR",
+        "BroadcastMedium",
+        "CoordinatorMedium",
+        "GraphMedium",
+        "Link",
+        "Medium",
+        "TopologyViolation",
+        "ring_medium",
+        "star_medium",
+    ),
+    "protocol": ("MediumProtocol",),
+    "protocols": (
+        "CoordinatorAndProtocol",
+        "CoordinatorDisjointnessProtocol",
+        "CoordinatorTrivialDisjointness",
+        "RingTokenAndProtocol",
+    ),
+    "runtime": ("run_on_medium",),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "TopologyViolation",

@@ -15,6 +15,7 @@ from repro.experiments.e1_disjointness_scaling import (
     measure_point,
     run,
 )
+from repro.net import TRANSPORTS
 
 #: Small enough for a smoke test, large enough to hit both the batch
 #: phase (n >= k^2) and the endgame-only regime.
@@ -36,7 +37,7 @@ class TestTableIdentity:
             )
 
     def test_unknown_transport_rejected(self):
-        assert "loopback" in E1_TRANSPORTS and "memory" in E1_TRANSPORTS
+        assert E1_TRANSPORTS == ("memory",) + TRANSPORTS
         with pytest.raises(ValueError, match="unknown transport"):
             measure_point(8, 2, transport="carrier-pigeon")
         with pytest.raises(ValueError, match="unknown transport"):

@@ -188,6 +188,16 @@ class TestFrameDecoder:
         assert len({id(obj) for obj in buffers}) == 1
         assert decoder.pending_bytes == 0
 
+    @pytest.mark.parametrize("consumed", [0, -1, 1 << 20])
+    def test_a_decode_that_does_not_advance_is_refused(self, consumed):
+        # A decode must move the offset forward within the buffer;
+        # otherwise feed would re-decode the same bytes forever.
+        decoder = StreamDecoder(
+            lambda view: (decode_frame(view)[0], consumed)
+        )
+        with pytest.raises(FrameError, match="stream offset"):
+            decoder.feed(encode_frame(SAMPLE_FRAMES[0]) * 2)
+
     def test_corruption_propagates_on_streams(self):
         wire = bytearray(encode_frame(SAMPLE_FRAMES[2]))
         wire[-2] ^= 0x01

@@ -902,6 +902,25 @@ class TestDisjointnessSimulators:
         with pytest.raises(ValueError, match="fewer set bits"):
             kernels._lowest_bits(dense, bin(dense).count("1") + 1)
 
+    def test_a_replay_that_never_halts_stops_at_the_declared_bound(
+        self, monkeypatch
+    ):
+        # Every batch turn rewrites the one coordinate already on the
+        # board, so each cycle writes and none makes progress: the replay
+        # stops where the runner would, with the runner's error.
+        from repro.protocols import OptimalDisjointnessProtocol
+
+        n, k = 64, 4
+        bound = OptimalDisjointnessProtocol(n, k).max_messages
+        monkeypatch.setattr(kernels, "_lowest_bits", lambda mask, m: 1)
+        with pytest.raises(
+            ProtocolViolation,
+            match=f"^protocol did not halt within {bound} messages$",
+        ):
+            kernels.simulate_optimal_disjointness(
+                n, k, partition_instance(n, k)
+            )
+
     def test_partition_worst_case(self):
         from repro.protocols import OptimalDisjointnessProtocol
 
